@@ -10,12 +10,7 @@ guided by that path, and finally score the run.
 from __future__ import annotations
 
 from .answerer import AnswerTrace, answer, extract_relevant_segment, format_prompt
-from .collection import (
-    ExampleCollection,
-    build_collection,
-    persist_collection,
-    restore_collection,
-)
+from .collection import ExampleCollection, build_collection
 from .decompose import (
     EntityTagger,
     LookupTagger,
@@ -34,8 +29,6 @@ from .examplegen import (
     ConstructionMode,
     ReasoningStrategy,
     SimilarExample,
-    anonymize_example,
-    assemble_example,
     build_reference_docs,
     build_strategy,
     filter_candidates,
@@ -73,7 +66,6 @@ from .providers import (
     ReplayProvider,
     TokenUsage,
     Transcript,
-    record_transcript,
 )
 from .skills import ReasoningSkill, all_skills, parse_skill
 
@@ -109,9 +101,7 @@ __all__ = [
     "TokenUsage",
     "Transcript",
     "all_skills",
-    "anonymize_example",
     "answer",
-    "assemble_example",
     "attribute_citations",
     "build_collection",
     "build_reference_docs",
@@ -129,10 +119,7 @@ __all__ = [
     "generate_candidates",
     "hits_and_error",
     "parse_skill",
-    "persist_collection",
-    "record_transcript",
     "render_template",
-    "restore_collection",
     "retrace_rate",
     "rouge_l",
     "score_similarity",

@@ -9,7 +9,6 @@ full completion text and aggregate token usage across every call.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .collection import ExampleCollection
@@ -19,9 +18,7 @@ from .matcher import MatchResult, SelectionMode, select_best
 from .prompts import render_prompt
 from .providers import CompletionRequest, Provider, TokenUsage
 from .skills import ReasoningSkill
-from .textutil import sentence_key, split_sentences
-
-_ANSWER_SPAN = re.compile(r"<answer>(.*?)</answer>", re.DOTALL | re.IGNORECASE)
+from .textutil import ANSWER_SPAN, sentence_key, split_sentences
 
 
 @dataclass
@@ -127,7 +124,7 @@ def format_prompt(
 
 def extract_answer_span(completion: str) -> str:
     """The final answer: the last <answer> span, or the whole completion."""
-    spans = _ANSWER_SPAN.findall(completion)
+    spans = ANSWER_SPAN.findall(completion)
     if spans:
         return spans[-1].strip()
     return completion.strip()

@@ -1,19 +1,20 @@
-"""A deterministic offline backend that understands the pipeline's prompts.
+"""Canned replies that understand the pipeline's prompts, for the mock backend.
 
-The plain MockProvider returns whatever it was scripted with, which is
-right for tests but useless for an end-to-end smoke run: generation needs
-parseable fills and scores, extraction needs verbatim document sentences.
-This provider inspects each request's tag and prompt and produces the
-smallest reply the downstream parser accepts, all without network access.
-Replies are heuristic, not clever; they exercise plumbing, not quality.
+A MockProvider scripted with a fixed reply is right for tests but useless
+for an end-to-end smoke run: generation needs parseable fills and scores,
+extraction needs verbatim document sentences. canned_reply inspects each
+request's tag and prompt and produces the smallest reply the downstream
+parser accepts, all without network access; CannedProvider is the
+MockProvider that answers with it. Replies are heuristic, not clever; they
+exercise plumbing, not quality.
 """
 
 from __future__ import annotations
 
 import re
 
-from .providers import CompletionRequest, CompletionResult, Provider, TokenUsage
-from .textutil import count_ws_tokens, split_sentences
+from .providers import CompletionRequest, MockProvider
+from .textutil import split_sentences
 
 _SLOT_LINE = re.compile(r"^- slot (?P<slot>.+?) \(type (?P<type>.+?)\), currently: (?P<text>.+)$")
 _COUNT = re.compile(r"Propose (\d+) alternative")
@@ -22,97 +23,102 @@ _DOC_BLOCK = re.compile(r"<<<\n(.*?)\n>>>", re.DOTALL)
 _CONTEXT_BLOCK = re.compile(r"- A document or context:\n(.*?)\n- A selected reasoning path:", re.DOTALL)
 
 
-class CannedProvider(Provider):
-    name = "mock"
+def _substitution(prompt: str) -> str:
+    slots = []
+    for line in prompt.splitlines():
+        m = _SLOT_LINE.match(line.strip())
+        if m:
+            slots.append((m.group("slot"), m.group("type"), m.group("text")))
+    if not slots:
+        return "1."
+    count_m = _COUNT.search(prompt)
+    count = int(count_m.group(1)) if count_m else 1
+    lines = []
+    fills = [(slot, text) for slot, _, text in slots]
+    lines.append("1. " + "; ".join(f"{s}={t}" for s, t in fills))
+    if count > 1 and len(slots) > 1:
+        # rotate values between slots sharing a type, a second distinct fill
+        by_type: dict[str, list[int]] = {}
+        for i, (_, etype, _) in enumerate(slots):
+            by_type.setdefault(etype, []).append(i)
+        swapped = [text for _, _, text in slots]
+        rotated_any = False
+        for idxs in by_type.values():
+            if len(idxs) > 1:
+                for dst, src in zip(idxs, idxs[1:] + idxs[:1]):
+                    swapped[dst] = slots[src][2]
+                rotated_any = True
+        if rotated_any:
+            lines.append(
+                "2. " + "; ".join(f"{slots[i][0]}={swapped[i]}" for i in range(len(slots)))
+            )
+    return "\n".join(lines)
+
+
+def _variation(prompt: str) -> str:
+    m = _ORIGINAL_Q.search(prompt)
+    question = m.group(1).strip() if m else "What does the reference material say?"
+    return f"1. {question}"
+
+
+def _similarity(prompt: str) -> str:
+    return (
+        "Explanation: The synthetic question keeps the original structure "
+        "and asks for the same kind of fact.\nScore (1-10): 10"
+    )
+
+
+def _strategy(prompt: str) -> str:
+    return (
+        "1. Identify what the question is asking for. (decompositional)\n"
+        "2. Locate the fact that answers it in the reference material. (deductive)\n"
+        "Generated Answer: The answer is stated in the reference material."
+    )
+
+
+def _reference(prompt: str) -> str:
+    return "The fact needed for this step is stated plainly in standard reference material."
+
+
+def _segment(prompt: str) -> str:
+    m = _DOC_BLOCK.search(prompt)
+    if not m:
+        return "No document provided."
+    sentences = split_sentences(m.group(1))
+    return sentences[0] if sentences else "No document provided."
+
+
+def _answer(prompt: str) -> str:
+    m = _CONTEXT_BLOCK.search(prompt)
+    span = ""
+    if m:
+        sentences = split_sentences(m.group(1))
+        if sentences:
+            span = sentences[0]
+    if not span:
+        span = "The provided material does not state the answer."
+    return f"The focused material states: {span} <answer>{span}</answer>"
+
+
+_HANDLERS = {
+    "substitution": _substitution,
+    "variation": _variation,
+    "similarity": _similarity,
+    "strategy": _strategy,
+    "reference": _reference,
+    "segment": _segment,
+    "answer": _answer,
+}
+
+
+def canned_reply(request: CompletionRequest) -> str:
+    """The reply for one request, chosen by its tag; unknown tags get "OK"."""
+    handler = _HANDLERS.get(request.tag)
+    return "OK" if handler is None else handler(request.prompt)
+
+
+class CannedProvider(MockProvider):
+    """The CLI's mock backend: a MockProvider answering with canned_reply."""
 
     def __init__(self, token_budget: int | None = None):
-        super().__init__(token_budget)
-
-    def _complete(self, request: CompletionRequest) -> CompletionResult:
-        text = self._reply_for(request)
-        usage = TokenUsage.of(count_ws_tokens(request.prompt), count_ws_tokens(text))
-        return CompletionResult(text=text, usage=usage, latency_ms=0.0)
-
-    def _reply_for(self, request: CompletionRequest) -> str:
-        handler = {
-            "substitution": self._substitution,
-            "variation": self._variation,
-            "similarity": self._similarity,
-            "strategy": self._strategy,
-            "reference": self._reference,
-            "segment": self._segment,
-            "answer": self._answer,
-        }.get(request.tag)
-        if handler is None:
-            return "OK"
-        return handler(request.prompt)
-
-    def _substitution(self, prompt: str) -> str:
-        slots = []
-        for line in prompt.splitlines():
-            m = _SLOT_LINE.match(line.strip())
-            if m:
-                slots.append((m.group("slot"), m.group("type"), m.group("text")))
-        if not slots:
-            return "1."
-        count_m = _COUNT.search(prompt)
-        count = int(count_m.group(1)) if count_m else 1
-        lines = []
-        fills = [(slot, text) for slot, _, text in slots]
-        lines.append("1. " + "; ".join(f"{s}={t}" for s, t in fills))
-        if count > 1 and len(slots) > 1:
-            # rotate values between slots sharing a type, a second distinct fill
-            by_type: dict[str, list[int]] = {}
-            for i, (_, etype, _) in enumerate(slots):
-                by_type.setdefault(etype, []).append(i)
-            swapped = [text for _, _, text in slots]
-            rotated_any = False
-            for idxs in by_type.values():
-                if len(idxs) > 1:
-                    for dst, src in zip(idxs, idxs[1:] + idxs[:1]):
-                        swapped[dst] = slots[src][2]
-                    rotated_any = True
-            if rotated_any:
-                lines.append(
-                    "2. " + "; ".join(f"{slots[i][0]}={swapped[i]}" for i in range(len(slots)))
-                )
-        return "\n".join(lines)
-
-    def _variation(self, prompt: str) -> str:
-        m = _ORIGINAL_Q.search(prompt)
-        question = m.group(1).strip() if m else "What does the reference material say?"
-        return f"1. {question}"
-
-    def _similarity(self, prompt: str) -> str:
-        return (
-            "Explanation: The synthetic question keeps the original structure "
-            "and asks for the same kind of fact.\nScore (1-10): 10"
-        )
-
-    def _strategy(self, prompt: str) -> str:
-        return (
-            "1. Identify what the question is asking for. (decompositional)\n"
-            "2. Locate the fact that answers it in the reference material. (deductive)\n"
-            "Generated Answer: The answer is stated in the reference material."
-        )
-
-    def _reference(self, prompt: str) -> str:
-        return "The fact needed for this step is stated plainly in standard reference material."
-
-    def _segment(self, prompt: str) -> str:
-        m = _DOC_BLOCK.search(prompt)
-        if not m:
-            return "No document provided."
-        sentences = split_sentences(m.group(1))
-        return sentences[0] if sentences else "No document provided."
-
-    def _answer(self, prompt: str) -> str:
-        m = _CONTEXT_BLOCK.search(prompt)
-        span = ""
-        if m:
-            sentences = split_sentences(m.group(1))
-            if sentences:
-                span = sentences[0]
-        if not span:
-            span = "The provided material does not state the answer."
-        return f"The focused material states: {span} <answer>{span}</answer>"
+        super().__init__(canned_reply, token_budget)

@@ -16,19 +16,14 @@ import os
 import random
 import sys
 import threading
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 from . import answerer, collection as collection_mod, corpus as corpus_mod, examplegen, metrics
 from .canned import CannedProvider
 from .decompose import decompose_question
-from .errors import (
-    NoCandidates,
-    ParseError,
-    SkillPathError,
-    StorageError,
-    UnmatchedQuestionId,
-)
+from .errors import NoCandidates, SkillPathError, StorageError, UnmatchedQuestionId
 from .matcher import SelectionMode
 from .providers import (
     LiveProvider,
@@ -37,6 +32,7 @@ from .providers import (
     ReplayProvider,
     TokenUsage,
 )
+from .resources import read_jsonl, write_json, write_text
 
 log = logging.getLogger(__name__)
 
@@ -76,6 +72,12 @@ class RunConfig:
         return {"command": self.command, "config": asdict(self)}
 
 
+# field name -> the value types a config file may give it
+_FIELD_TYPES = {
+    name: typing.get_args(hint) or (hint,) for name, hint in typing.get_type_hints(RunConfig).items()
+}
+
+
 class ConfigError(SkillPathError):
     pass
 
@@ -106,6 +108,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             attr = key.replace("-", "_")
             if attr not in valid:
                 raise ConfigError(f"config file {config_path}: unknown setting {key!r}")
+            expected = _FIELD_TYPES[attr]
+            if not isinstance(value, expected) or (isinstance(value, bool) and bool not in expected):
+                raise ConfigError(f"config file {config_path}: {key} has the wrong type: {value!r}")
             setattr(config, attr, value)
 
     for f in fields(RunConfig):
@@ -124,11 +129,11 @@ def _validate_config(config: RunConfig) -> None:
         raise ConfigError(f"unknown generation mode {config.gen_mode!r}")
     if config.select_mode not in _SELECT_MODES:
         raise ConfigError(f"unknown selection mode {config.select_mode!r}")
-    if not 1 <= int(config.delta) <= 10:
+    if not 1 <= config.delta <= 10:
         raise ConfigError(f"delta must lie in [1, 10], got {config.delta}")
-    if int(config.count) < 1:
+    if config.count < 1:
         raise ConfigError("count must be at least 1")
-    if int(config.parallelism) < 1:
+    if config.parallelism < 1:
         raise ConfigError("parallelism must be at least 1")
     if config.select_mode == "random" and config.seed is None:
         raise ConfigError("selection mode random requires --seed")
@@ -165,9 +170,7 @@ def _build_provider(config: RunConfig) -> Provider:
 
 
 def _write_snapshot(config: RunConfig, output_path: str) -> None:
-    doc = json.dumps(config.snapshot(), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-    with open(output_path + ".config.json", "w", encoding="utf-8") as fh:
-        fh.write(doc)
+    write_json(output_path + ".config.json", config.snapshot(), "config snapshot")
 
 
 def _ordered_map(fn, items, workers: int):
@@ -184,21 +187,32 @@ def _json_line(doc: dict) -> str:
 # ---------------------------------------------------------------- generate
 
 def _load_checkpoint(path: str) -> dict[str, collection_mod.ExampleCollection]:
+    """Completed questions from the checkpoint; a torn last line is cut off."""
     done: dict[str, collection_mod.ExampleCollection] = {}
     if not os.path.exists(path):
         return done
     try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                doc = json.loads(line)
-                examples = [collection_mod.example_from_record(d) for d in doc["examples"]]
-                done[doc["question_id"]] = collection_mod.build_collection(examples)
-    except (OSError, json.JSONDecodeError, KeyError, SkillPathError) as exc:
+        _drop_torn_tail(path)
+        for _, doc in read_jsonl(path, "checkpoint"):
+            examples = [collection_mod.example_from_record(d) for d in doc["examples"]]
+            done[doc["question_id"]] = collection_mod.build_collection(examples)
+    except (OSError, KeyError, TypeError, SkillPathError) as exc:
         log.warning("ignoring unreadable checkpoint %s: %s", path, exc)
         return {}
     return done
+
+
+def _drop_torn_tail(path: str) -> None:
+    """Truncate after the last newline: every whole line ends with one.
+
+    An append cut short leaves a fragment without its newline; left in
+    place it would swallow the next appended line as well.
+    """
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        if data and not data.endswith(b"\n"):
+            log.warning("dropping a torn last line from checkpoint %s", path)
+            fh.truncate(data.rfind(b"\n") + 1)
 
 
 def cmd_generate(config: RunConfig) -> int:
@@ -314,11 +328,7 @@ def cmd_answer(config: RunConfig) -> int:
                 "prompt": trace.prompt,
                 "selected_example_id": trace.selected_example_id,
                 "match": match.to_record(),
-                "usage": {
-                    "prompt_tokens": trace.usage.prompt_tokens,
-                    "completion_tokens": trace.usage.completion_tokens,
-                    "total_tokens": trace.usage.total_tokens,
-                },
+                "usage": asdict(trace.usage),
                 "latency_ms": trace.latency_ms,
             }
             return qid, line, None
@@ -338,12 +348,7 @@ def cmd_answer(config: RunConfig) -> int:
             lines.append(_json_line(line))
             total_tokens += line["usage"]["total_tokens"]
 
-    try:
-        with open(config.run_log, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-    except OSError as exc:
-        raise StorageError(f"cannot write run log {config.run_log}: {exc}") from exc
+    write_text(config.run_log, "".join(line + "\n" for line in lines), "run log")
     _write_snapshot(config, config.run_log)
 
     print(
@@ -356,21 +361,7 @@ def cmd_answer(config: RunConfig) -> int:
 # -------------------------------------------------------------------- eval
 
 def _load_run_log(path: str) -> list[dict]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw_lines = fh.read().splitlines()
-    except OSError as exc:
-        raise StorageError(f"cannot read run log {path}: {exc}") from exc
-    out = []
-    for i, line in enumerate(raw_lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(path, i, f"invalid JSON: {exc}") from exc
-        out.append(doc)
-    return out
+    return [doc for _, doc in read_jsonl(path, "run log")]
 
 
 def _baseline_token_mean(path: str) -> float:
@@ -428,11 +419,7 @@ def cmd_eval(config: RunConfig) -> int:
         report_doc["baseline_token_mean"] = baseline_mean
         report_doc["reduction_vs_baseline"] = reduction
 
-    try:
-        with open(config.report, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report_doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
-    except OSError as exc:
-        raise StorageError(f"cannot write report {config.report}: {exc}") from exc
+    write_json(config.report, report_doc, "report")
 
     rows = metrics.per_record_rows(eval_records)
     columns = ["question_id", "rouge_l", "em", "retrace", "hit", "cited", "gold", "tokens", "latency_ms"]
@@ -448,12 +435,7 @@ def cmd_eval(config: RunConfig) -> int:
             else:
                 cells.append("" if value is None else str(value))
         table_lines.append("\t".join(cells))
-    table_path = config.report + ".records.tsv"
-    try:
-        with open(table_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(table_lines) + "\n")
-    except OSError as exc:
-        raise StorageError(f"cannot write record table {table_path}: {exc}") from exc
+    write_text(config.report + ".records.tsv", "\n".join(table_lines) + "\n", "record table")
     _write_snapshot(config, config.report)
 
     print(f"records:   {report.n}")

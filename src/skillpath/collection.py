@@ -10,11 +10,11 @@ loaded.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 
 from .errors import CorruptCollection, EmptyCollection, StorageError
 from .examplegen import ConstructionMode, ReasoningStrategy, SimilarExample
+from .resources import utc_now, write_json
 from .skills import ReasoningSkill, parse_skill
 
 COLLECTION_VERSION = 1
@@ -23,7 +23,6 @@ COLLECTION_VERSION = 1
 @dataclass
 class ExampleCollection:
     examples: list[SimilarExample]
-    n: int
     freq_index: dict[ReasoningSkill, int] = field(default_factory=dict)
 
     def freq(self, skill: ReasoningSkill) -> int:
@@ -38,7 +37,7 @@ def build_collection(examples: list[SimilarExample]) -> ExampleCollection:
     for ex in examples:
         for skill in set(ex.strategy.skills):
             freq[skill] = freq.get(skill, 0) + 1
-    return ExampleCollection(examples=list(examples), n=len(examples), freq_index=freq)
+    return ExampleCollection(examples=list(examples), freq_index=freq)
 
 
 def example_to_record(example: SimilarExample) -> dict:
@@ -70,7 +69,7 @@ def example_from_record(doc: dict) -> SimilarExample:
 
 def _collection_body(collection: ExampleCollection) -> dict:
     return {
-        "n": collection.n,
+        "n": len(collection.examples),
         "freq_index": {s.canonical: f for s, f in sorted(collection.freq_index.items())},
         "examples": [example_to_record(ex) for ex in collection.examples],
     }
@@ -86,55 +85,11 @@ def _collection_from_body(doc: dict, source: str) -> ExampleCollection:
     if not examples:
         raise CorruptCollection(f"{source}: collection holds zero examples")
     rebuilt = build_collection(examples)
-    if stored_n != rebuilt.n:
-        raise CorruptCollection(f"{source}: stored n={stored_n} but found {rebuilt.n} examples")
+    if stored_n != len(examples):
+        raise CorruptCollection(f"{source}: stored n={stored_n} but found {len(examples)} examples")
     if stored_freq != rebuilt.freq_index:
         raise CorruptCollection(f"{source}: stored freq_index disagrees with examples")
     return rebuilt
-
-
-def _dump_json(doc: dict, path: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
-    except OSError as exc:
-        raise StorageError(f"cannot write {path}: {exc}") from exc
-
-
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.loads(fh.read())
-    except OSError as exc:
-        raise StorageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CorruptCollection(f"{path}: not valid JSON: {exc}") from exc
-
-
-def persist_collection(
-    collection: ExampleCollection,
-    path: str,
-    construction_mode: str | None = None,
-    delta: int | None = None,
-    created_at: str | None = None,
-) -> None:
-    """Write one collection with its provenance metadata."""
-    doc = {
-        "version": COLLECTION_VERSION,
-        "created_at": created_at or _utc_now(),
-        "construction_mode": construction_mode,
-        "delta": delta,
-    }
-    doc.update(_collection_body(collection))
-    _dump_json(doc, path)
-
-
-def restore_collection(path: str) -> ExampleCollection:
-    """Load a collection, re-deriving and checking n and freq_index."""
-    doc = _load_json(path)
-    if doc.get("version") != COLLECTION_VERSION:
-        raise CorruptCollection(f"{path}: unsupported collection version {doc.get('version')!r}")
-    return _collection_from_body(doc, path)
 
 
 def persist_bundle(
@@ -147,27 +102,31 @@ def persist_bundle(
     """Write a keyed bundle of per-question collections in one file."""
     doc = {
         "version": COLLECTION_VERSION,
-        "created_at": created_at or _utc_now(),
+        "created_at": created_at or utc_now(),
         "construction_mode": construction_mode,
         "delta": delta,
         "collections": {
             qid: _collection_body(c) for qid, c in sorted(collections.items())
         },
     }
-    _dump_json(doc, path)
+    write_json(path, doc, "collection bundle")
 
 
 def restore_bundle(path: str) -> dict[str, ExampleCollection]:
-    doc = _load_json(path)
-    if doc.get("version") != COLLECTION_VERSION:
-        raise CorruptCollection(f"{path}: unsupported collection version {doc.get('version')!r}")
+    """Load a bundle, re-deriving and checking each collection's n and freq_index."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.loads(fh.read())
+    except OSError as exc:
+        raise StorageError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise CorruptCollection(f"{path}: not valid JSON: {exc}") from exc
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version != COLLECTION_VERSION:
+        raise CorruptCollection(f"{path}: unsupported collection version {version!r}")
     body = doc.get("collections")
     if not isinstance(body, dict):
         raise CorruptCollection(f"{path}: no collections table")
     return {
         qid: _collection_from_body(entry, f"{path}[{qid}]") for qid, entry in body.items()
     }
-
-
-def _utc_now() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())

@@ -17,7 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import ParseError, StorageError, ValidationError
+from .errors import ParseError, ValidationError
+from .resources import read_jsonl, write_text
 from .textutil import split_sentences
 
 
@@ -96,21 +97,9 @@ def _validate_record(doc: dict, path: str, line: int) -> QARecord:
 
 def load_records(path: str) -> list[QARecord]:
     """Read and validate a line-delimited corpus file, order preserved."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise StorageError(f"cannot read corpus {path}: {exc}") from exc
-
     records: list[QARecord] = []
     seen: set[str] = set()
-    for i, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(path, i, f"invalid JSON: {exc}") from exc
+    for i, doc in read_jsonl(path, "corpus"):
         if not isinstance(doc, dict):
             raise ParseError(path, i, "record is not a JSON object")
         record = _validate_record(doc, path, i)
@@ -135,9 +124,4 @@ def record_to_json(record: QARecord) -> str:
 
 
 def save_records(records: list[QARecord], path: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(record_to_json(record) + "\n")
-    except OSError as exc:
-        raise StorageError(f"cannot write corpus {path}: {exc}") from exc
+    write_text(path, "".join(record_to_json(r) + "\n" for r in records), "corpus")

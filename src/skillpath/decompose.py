@@ -15,9 +15,8 @@ rather than keeping a dangling "the" in front of each slot.
 
 from __future__ import annotations
 
-import threading
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
@@ -78,34 +77,15 @@ class QuestionTemplate:
             out[p.slot] = f"{p.article} {p.entity_text}" if p.article else p.entity_text
         return out
 
-    def to_record(self) -> dict:
-        return {
-            "question": self.original,
-            "template": self.template_text,
-            "placeholders": [
-                {
-                    "slot": p.slot,
-                    "text": p.entity_text,
-                    "type": p.entity_type,
-                    "ordinal": p.ordinal,
-                    "article": p.article,
-                }
-                for p in self.placeholders
-            ],
-        }
-
 
 class EntityTagger(ABC):
     """Labels each token Structural or Entity with a type.
 
     tag() receives the token sequence of one question and returns one
     (label, entity_type) pair per token, entity_type being None exactly for
-    structural tokens. Implementations must set concurrency_safe False if
-    they cannot take overlapping calls; classify_tokens then serializes
-    access for them.
+    structural tokens. Taggers are called from worker threads, so tag()
+    must be safe to call concurrently.
     """
-
-    concurrency_safe: bool = True
 
     @abstractmethod
     def tag(self, tokens: list[str]) -> list[tuple[TokenLabel, str | None]]: ...
@@ -150,6 +130,34 @@ def _is_capitalized(token: str) -> bool:
     return bool(token) and token[0].isupper() and any(c.isalpha() for c in token)
 
 
+def _phrase_table(pairs) -> list[tuple[list[str], str]]:
+    """(casefolded phrase tokens, type) from (phrase, type) pairs, longest first."""
+    table = [([p.casefold() for p in tokenize(phrase)], etype) for phrase, etype in pairs]
+    return sorted((row for row in table if row[0]), key=lambda row: len(row[0]), reverse=True)
+
+
+def _scan_phrases(
+    phrases: list[tuple[list[str], str]], folded: list[str], types: list[str | None]
+) -> None:
+    """Type every untyped token run that spells a phrase, longest phrase first."""
+    n = len(folded)
+    for parts, etype in phrases:
+        width = len(parts)
+        for start in range(0, n - width + 1):
+            if any(types[start + k] is not None for k in range(width)):
+                continue
+            if folded[start : start + width] == parts:
+                for k in range(width):
+                    types[start + k] = etype
+
+
+def _labels(types: list[str | None]) -> list[tuple[TokenLabel, str | None]]:
+    return [
+        (TokenLabel.ENTITY, t) if t is not None else (TokenLabel.STRUCTURAL, None)
+        for t in types
+    ]
+
+
 class RuleBasedTagger(EntityTagger):
     """Deterministic default tagger built on a gazetteer plus heuristics.
 
@@ -161,17 +169,11 @@ class RuleBasedTagger(EntityTagger):
     gazetteer phrases still match in that position.
     """
 
-    concurrency_safe = True
-
     def __init__(self, pool: dict[str, list[str]] | None = None):
         self.pool = pool if pool is not None else load_entity_pool()
-        self._phrases: list[tuple[list[str], str]] = []
-        for etype, names in self.pool.items():
-            for name in names:
-                parts = [p.casefold() for p in tokenize(name)]
-                if parts:
-                    self._phrases.append((parts, etype))
-        self._phrases.sort(key=lambda pair: len(pair[0]), reverse=True)
+        self._phrases = _phrase_table(
+            (name, etype) for etype, names in self.pool.items() for name in names
+        )
 
     def tag(self, tokens: list[str]) -> list[tuple[TokenLabel, str | None]]:
         n = len(tokens)
@@ -179,14 +181,7 @@ class RuleBasedTagger(EntityTagger):
         folded = [t.casefold() for t in tokens]
 
         # pass 1: gazetteer phrases, longest first
-        for parts, etype in self._phrases:
-            width = len(parts)
-            for start in range(0, n - width + 1):
-                if any(types[start + k] is not None for k in range(width)):
-                    continue
-                if folded[start : start + width] == parts:
-                    for k in range(width):
-                        types[start + k] = etype
+        _scan_phrases(self._phrases, folded, types)
 
         # pass 2: capitalized runs not anchored at token 0
         i = 1
@@ -219,10 +214,7 @@ class RuleBasedTagger(EntityTagger):
             elif self._is_comparative(folded[i]):
                 types[i] = "adj"
 
-        return [
-            (TokenLabel.ENTITY, t) if t is not None else (TokenLabel.STRUCTURAL, None)
-            for t in types
-        ]
+        return _labels(types)
 
     def _type_for_run(self, words: list[str]) -> str:
         if words[-1] in _PLACE_CUES or any(w in _PLACE_CUES for w in words):
@@ -250,37 +242,16 @@ class LookupTagger(EntityTagger):
     casefolded, longest phrase first.
     """
 
-    concurrency_safe = True
-
     def __init__(self, entities: dict[str, str]):
-        self._phrases = sorted(
-            (([p.casefold() for p in tokenize(phrase)], etype) for phrase, etype in entities.items()),
-            key=lambda pair: len(pair[0]),
-            reverse=True,
-        )
+        self._phrases = _phrase_table(entities.items())
 
     def tag(self, tokens: list[str]) -> list[tuple[TokenLabel, str | None]]:
-        n = len(tokens)
-        types: list[str | None] = [None] * n
-        folded = [t.casefold() for t in tokens]
-        for parts, etype in self._phrases:
-            width = len(parts)
-            if width == 0:
-                continue
-            for start in range(0, n - width + 1):
-                if any(types[start + k] is not None for k in range(width)):
-                    continue
-                if folded[start : start + width] == parts:
-                    for k in range(width):
-                        types[start + k] = etype
-        return [
-            (TokenLabel.ENTITY, t) if t is not None else (TokenLabel.STRUCTURAL, None)
-            for t in types
-        ]
+        types: list[str | None] = [None] * len(tokens)
+        _scan_phrases(self._phrases, [t.casefold() for t in tokens], types)
+        return _labels(types)
 
 
 _DEFAULT_TAGGER: RuleBasedTagger | None = None
-_TAGGER_SERIAL_LOCK = threading.Lock()
 
 
 def default_tagger() -> RuleBasedTagger:
@@ -304,11 +275,7 @@ def classify_tokens(question: str, tagger: EntityTagger | None = None) -> list[T
         raise EmptyQuestion("question contains no word tokens")
 
     tagger = tagger if tagger is not None else default_tagger()
-    if getattr(tagger, "concurrency_safe", True):
-        pairs = tagger.tag(words)
-    else:
-        with _TAGGER_SERIAL_LOCK:
-            pairs = tagger.tag(words)
+    pairs = tagger.tag(words)
 
     if not isinstance(pairs, list) or len(pairs) != len(words):
         raise TaggerFailure(

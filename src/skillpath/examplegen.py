@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .decompose import EntityTagger, QuestionTemplate, classify_tokens, render_template
+from .decompose import QuestionTemplate, render_template
 from .errors import (
     EmptyAnswer,
     LengthMismatch,
@@ -315,83 +315,17 @@ def build_reference_docs(strategy: ReasoningStrategy, provider: Provider) -> lis
     return docs
 
 
-def assemble_example(
-    question: str,
-    strategy: ReasoningStrategy,
-    reference_docs: list[str],
-    answer: str,
-    mode: ConstructionMode,
-) -> SimilarExample:
-    """Validate the parts and build the SimilarExample."""
-    return SimilarExample(
-        question=question,
-        strategy=strategy,
-        reference_docs=tuple(reference_docs),
-        answer=answer,
-        construction_mode=mode,
-    )
-
-
 def synthesize_example(
     question: str, provider: Provider, mode: ConstructionMode
 ) -> SimilarExample:
     """Strategy, reference docs and assembly for one candidate question."""
     strategy, answer = build_strategy(question, provider)
     docs = build_reference_docs(strategy, provider)
-    return assemble_example(question, strategy, docs, answer, mode)
-
-
-def anonymize_example(example: SimilarExample, tagger: EntityTagger | None = None) -> SimilarExample:
-    """Replace concrete entities with typed placeholders across an example.
-
-    Entities are found in the example's question; each becomes an
-    uppercase bracketed placeholder named by its type, with letter
-    suffixes only when a type binds more than one distinct entity. A
-    leading article disappears into the placeholder, and the mapping is
-    applied to the question, every subquestion, every reference doc and
-    the answer.
-    """
-    tokens = classify_tokens(example.question, tagger)
-    entities: list[tuple[str, str]] = []
-    seen: set[str] = set()
-    for t in tokens:
-        if t.entity_type is not None and t.text.casefold() not in seen:
-            seen.add(t.text.casefold())
-            entities.append((t.text, t.entity_type))
-
-    per_type: dict[str, int] = {}
-    for _, etype in entities:
-        per_type[etype] = per_type.get(etype, 0) + 1
-
-    letters: dict[str, int] = {}
-    mapping: list[tuple[str, str]] = []
-    for text, etype in entities:
-        base = etype.upper().replace(" ", "_")
-        if per_type[etype] > 1:
-            idx = letters.get(etype, 0)
-            letters[etype] = idx + 1
-            placeholder = f"[{base}_{chr(ord('A') + idx)}]"
-        else:
-            placeholder = f"[{base}]"
-        mapping.append((text, placeholder))
-
-    mapping.sort(key=lambda pair: len(pair[0]), reverse=True)
-
-    def scrub(text: str) -> str:
-        for entity, placeholder in mapping:
-            pattern = re.compile(
-                r"(?:\b(?:the|a|an)\s+)?" + re.escape(entity) + r"\b", re.IGNORECASE
-            )
-            text = pattern.sub(placeholder, text)
-        return text
-
     return SimilarExample(
-        question=scrub(example.question),
-        strategy=ReasoningStrategy(
-            tuple(scrub(s) for s in example.strategy.subquestions),
-            example.strategy.skills,
-        ),
-        reference_docs=tuple(scrub(d) for d in example.reference_docs),
-        answer=scrub(example.answer),
-        construction_mode=example.construction_mode,
+        question=question,
+        strategy=strategy,
+        reference_docs=docs,
+        answer=answer,
+        construction_mode=mode,
     )
+

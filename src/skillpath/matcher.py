@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from .collection import ExampleCollection
@@ -50,46 +50,23 @@ class MatchResult:
         return {
             "mode": self.mode.value,
             "selected_index": self.selected_index,
-            "per_example": [
-                {
-                    "coverage": b.coverage,
-                    "uniqueness_sum": b.uniqueness_sum,
-                    "total": b.total,
-                }
-                for b in self.per_example
-            ],
+            "per_example": [asdict(b) for b in self.per_example],
         }
 
 
 def uniqueness(skill: ReasoningSkill, collection: ExampleCollection) -> float:
     """ln((N+1)/(freq+1)) with freq the skill's example membership count."""
-    return math.log((collection.n + 1) / (collection.freq(skill) + 1))
+    return math.log((len(collection.examples) + 1) / (collection.freq(skill) + 1))
 
 
-def coverage(
-    strategy: ReasoningStrategy,
-    required_skills: set[ReasoningSkill] | None = None,
-) -> float:
-    """Distinct-skill fraction of the seven-skill universe.
-
-    required_skills is experimental: when given, only those skills count
-    and the denominator shrinks to the required set's size.
-    """
-    distinct = set(strategy.skills)
-    if required_skills is not None:
-        if not required_skills:
-            raise ValueError("required_skills must be non-empty when given")
-        return len(distinct & required_skills) / len(required_skills)
-    return len(distinct) / SKILL_UNIVERSE
+def coverage(strategy: ReasoningStrategy) -> float:
+    """Distinct-skill fraction of the seven-skill universe."""
+    return len(set(strategy.skills)) / SKILL_UNIVERSE
 
 
-def selection_score(
-    example: SimilarExample,
-    collection: ExampleCollection,
-    required_skills: set[ReasoningSkill] | None = None,
-) -> ScoreBreakdown:
+def selection_score(example: SimilarExample, collection: ExampleCollection) -> ScoreBreakdown:
     """Coverage, summed uniqueness over all steps, and their sum."""
-    cov = coverage(example.strategy, required_skills)
+    cov = coverage(example.strategy)
     uniq = sum(uniqueness(s, collection) for s in example.strategy.skills)
     return ScoreBreakdown(coverage=cov, uniqueness_sum=uniq, total=cov + uniq)
 
@@ -98,7 +75,6 @@ def select_best(
     collection: ExampleCollection,
     mode: SelectionMode = SelectionMode.FULL,
     seed: int | None = None,
-    required_skills: set[ReasoningSkill] | None = None,
 ) -> MatchResult:
     """Pick one example index under the given mode.
 
@@ -107,13 +83,11 @@ def select_best(
     because unseeded selection cannot be replayed. Every mode reports the
     full per-example breakdown.
     """
-    breakdowns = tuple(
-        selection_score(ex, collection, required_skills) for ex in collection.examples
-    )
+    breakdowns = tuple(selection_score(ex, collection) for ex in collection.examples)
     if mode is SelectionMode.RANDOM:
         if seed is None:
             raise ValueError("random selection requires an explicit seed")
-        index = random.Random(seed).randrange(collection.n)
+        index = random.Random(seed).randrange(len(collection.examples))
         return MatchResult(index, breakdowns, mode)
 
     if mode is SelectionMode.FULL:

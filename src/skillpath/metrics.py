@@ -5,18 +5,18 @@ records whose prediction set is not a subset of gold, and its denominator
 sums the superset indicator plus the not-a-subset indicator, so one
 record can feed the numerator once and the denominator twice. When that
 denominator sums to zero the rate is undefined, reported as None and
-never as 0. A conventional false-discovery variant hides behind a flag.
+never as 0.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import EmptyInput, EmptyReference, ZeroDenominator
 from .providers import TokenUsage
 from .resources import load_repair_cues
-from .textutil import norm_tokens, normalize_answer, split_sentences
+from .textutil import ANSWER_SPAN, norm_tokens, normalize_answer, split_sentences
 
 CITATION_CONTAINMENT = 0.8
 
@@ -49,16 +49,7 @@ class EvalReport:
     n: int
 
     def to_record(self) -> dict:
-        return {
-            "rouge_l_mean": self.rouge_l_mean,
-            "em_mean": self.em_mean,
-            "hits": self.hits,
-            "error": self.error,
-            "retrace_rate": self.retrace_rate,
-            "token_mean": self.token_mean,
-            "time_mean_ms": self.time_mean_ms,
-            "n": self.n,
-        }
+        return asdict(self)
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
@@ -107,14 +98,13 @@ class HitsError:
     error: float | None
 
 
-def hits_and_error(records: list[EvalRecord], *, strict: bool = False, conventional: bool = False) -> HitsError:
+def hits_and_error(records: list[EvalRecord], *, strict: bool = False) -> HitsError:
     """Hits and the error rate over records with gold sentence sets.
 
     Hits is the fraction of records whose cited set contains every gold
-    sentence. The default error rate is the literal printed form; with
-    conventional=True it becomes spurious cited sentences over all cited
-    sentences. An undefined rate comes back as error=None, or raises
-    ZeroDenominator (still carrying hits) when strict is set.
+    sentence; the error rate is the literal printed form. An undefined
+    rate comes back as error=None, or raises ZeroDenominator (still
+    carrying hits) when strict is set.
     """
     if not records:
         raise EmptyInput("no records")
@@ -125,8 +115,6 @@ def hits_and_error(records: list[EvalRecord], *, strict: bool = False, conventio
     n = len(records)
     hit_count = 0
     not_subset_count = 0
-    spurious = 0
-    cited_total = 0
     for r in records:
         cited = r.cited_sentences or set()
         gold = r.gold_sentences or set()
@@ -134,23 +122,17 @@ def hits_and_error(records: list[EvalRecord], *, strict: bool = False, conventio
             hit_count += 1
         if not cited <= gold:
             not_subset_count += 1
-        spurious += len(cited - gold)
-        cited_total += len(cited)
 
     hits = hit_count / n
-    if conventional:
-        numerator, denominator = spurious, cited_total
-    else:
-        numerator, denominator = not_subset_count, hit_count + not_subset_count
+    denominator = hit_count + not_subset_count
     if denominator == 0:
         if strict:
             raise ZeroDenominator(hits)
         return HitsError(hits=hits, error=None)
-    return HitsError(hits=hits, error=numerator / denominator)
+    return HitsError(hits=hits, error=not_subset_count / denominator)
 
 
 _ANSWER_MARKER = re.compile(r"<answer\b", re.IGNORECASE)
-_ANSWER_SPAN = re.compile(r"<answer>(.*?)</answer>", re.DOTALL | re.IGNORECASE)
 # prose statements like "the answer is X" or "final answer: X"
 _ANSWER_STATEMENT = re.compile(
     r"(?:final\s+answer\s*:?|answer\s+is\s*:?)\s*(.+?)(?=[.?!\n…]|$)",
@@ -161,11 +143,11 @@ _ANSWER_STATEMENT = re.compile(
 def _answer_assertions(text: str) -> list[tuple[int, str]]:
     """Positions and contents of every stated answer, marked or in prose."""
     found: list[tuple[int, str]] = []
-    for m in _ANSWER_SPAN.finditer(text):
+    for m in ANSWER_SPAN.finditer(text):
         found.append((m.start(), m.group(1).strip()))
     for m in _ANSWER_STATEMENT.finditer(text):
         inside_span = any(
-            s.start() <= m.start() < s.end() for s in _ANSWER_SPAN.finditer(text)
+            s.start() <= m.start() < s.end() for s in ANSWER_SPAN.finditer(text)
         )
         if not inside_span:
             found.append((m.start(), m.group(1).strip()))

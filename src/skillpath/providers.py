@@ -13,6 +13,7 @@ stay aligned call for call.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -29,6 +30,7 @@ from .errors import (
     StorageError,
     TransportError,
 )
+from .resources import read_jsonl, utc_now, write_text
 from .textutil import count_ws_tokens
 
 DEFAULT_MAX_OUTPUT_TOKENS = 4096
@@ -216,83 +218,37 @@ class Transcript:
             "created_at": self.created_at,
             "entries": len(self.entries),
         }
-        lines = [json.dumps(header, sort_keys=True, ensure_ascii=False)]
-        for e in self.entries:
-            lines.append(
-                json.dumps(
-                    {
-                        "fingerprint": e.fingerprint,
-                        "request": {
-                            "prompt": e.request.prompt,
-                            "max_output_tokens": e.request.max_output_tokens,
-                            "temperature": e.request.temperature,
-                            "tag": e.request.tag,
-                        },
-                        "result": {
-                            "text": e.result.text,
-                            "usage": {
-                                "prompt_tokens": e.result.usage.prompt_tokens,
-                                "completion_tokens": e.result.usage.completion_tokens,
-                                "total_tokens": e.result.usage.total_tokens,
-                            },
-                            "latency_ms": e.result.latency_ms,
-                        },
-                    },
-                    sort_keys=True,
-                    ensure_ascii=False,
-                )
-            )
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
-        except OSError as exc:
-            raise StorageError(f"cannot write transcript {path}: {exc}") from exc
+        docs = [header] + [dataclasses.asdict(e) for e in self.entries]
+        text = "".join(json.dumps(doc, sort_keys=True, ensure_ascii=False) + "\n" for doc in docs)
+        write_text(path, text, "transcript")
 
     @classmethod
     def load(cls, path: str) -> Transcript:
+        docs = (doc for _, doc in read_jsonl(path, "transcript"))
+        header = next(docs, None)
+        if not isinstance(header, dict):
+            raise StorageError(f"transcript {path} has no header line")
+        entries = []
+        seen: set[str] = set()
         try:
-            with open(path, encoding="utf-8") as fh:
-                raw = [line for line in fh.read().splitlines() if line.strip()]
-        except OSError as exc:
-            raise StorageError(f"cannot read transcript {path}: {exc}") from exc
-        if not raw:
-            raise StorageError(f"transcript {path} is empty")
-        try:
-            header = json.loads(raw[0])
-            entries = []
-            seen: set[str] = set()
-            for line in raw[1:]:
-                doc = json.loads(line)
+            for doc in docs:
                 fp = doc["fingerprint"]
                 if fp in seen:
                     raise StorageError(f"transcript {path} repeats fingerprint {fp}")
                 seen.add(fp)
-                req = doc["request"]
                 res = doc["result"]
-                usage = res["usage"]
                 entries.append(
                     TranscriptEntry(
                         fingerprint=fp,
-                        request=CompletionRequest(
-                            prompt=req["prompt"],
-                            max_output_tokens=req["max_output_tokens"],
-                            temperature=req["temperature"],
-                            tag=req.get("tag", ""),
-                        ),
+                        request=CompletionRequest(**doc["request"]),
                         result=CompletionResult(
                             text=res["text"],
-                            usage=TokenUsage(
-                                usage["prompt_tokens"],
-                                usage["completion_tokens"],
-                                usage["total_tokens"],
-                            ),
+                            usage=TokenUsage(**res["usage"]),
                             latency_ms=res.get("latency_ms", 0.0),
                         ),
                     )
                 )
-        except StorageError:
-            raise
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise StorageError(f"transcript {path} is malformed: {exc}") from exc
         return cls(
             entries=entries,
@@ -312,7 +268,7 @@ class RecordingProvider(Provider):
         self._counter = _OccurrenceCounter()
         self._entries_lock = threading.Lock()
         self._entries: list[TranscriptEntry] = []
-        self._created_at = _utc_now()
+        self._created_at = utc_now()
 
     def _complete(self, request: CompletionRequest) -> CompletionResult:
         occ = self._counter.next_for(request)
@@ -381,13 +337,9 @@ class LiveProvider(Provider):
             raise TransportError("no endpoint configured: set " + API_BASE_ENV)
         if not self.model:
             raise TransportError("no model configured: set " + MODEL_ENV)
-        if max_retries is None:
-            max_retries = int(os.environ.get(MAX_RETRIES_ENV, "3"))
-        if backoff is None:
-            backoff = float(os.environ.get(RETRY_BACKOFF_ENV, "1.0"))
         self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
+        self.max_retries = _env_number(MAX_RETRIES_ENV, "3", int) if max_retries is None else max_retries
+        self.backoff = _env_number(RETRY_BACKOFF_ENV, "1.0", float) if backoff is None else backoff
 
     def _complete(self, request: CompletionRequest) -> CompletionResult:
         url = f"{self.base_url}/chat/completions"
@@ -434,13 +386,9 @@ class LiveProvider(Provider):
         return CompletionResult(text=text, usage=usage, latency_ms=elapsed_ms)
 
 
-def record_transcript(provider: Provider, requests_seq: list[CompletionRequest]) -> Transcript:
-    """Run a request sequence through a provider and return the transcript."""
-    recorder = RecordingProvider(provider)
-    for request in requests_seq:
-        recorder.complete(request)
-    return recorder.transcript
-
-
-def _utc_now() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+def _env_number(name: str, default: str, kind: type):
+    raw = os.environ.get(name, default)
+    try:
+        return kind(raw)
+    except ValueError as exc:
+        raise TransportError(f"{name} must be a number, got {raw!r}") from exc

@@ -1,19 +1,24 @@
-"""Access to the data files bundled with the package.
+"""File access: bundled data files, plus the one text writer and JSONL reader.
 
 The entity pool feeds both the default tagger's gazetteer and random
 template fills; the repair-cue list is the versioned configuration consumed
 by retrace detection. Both are plain JSON so deployments can ship edited
 copies via the override directory.
+
+Whole-file writes go through write_text and JSONL reads through
+read_jsonl, so OS failures become StorageError in one place.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
+from collections.abc import Iterator
 from functools import lru_cache
 from importlib import resources
 
-from .errors import StorageError
+from .errors import ParseError, StorageError
 
 DATA_DIR_ENV = "SKILLPATH_DATA_DIR"
 
@@ -49,3 +54,39 @@ def load_repair_cues() -> list[str]:
     except json.JSONDecodeError as exc:
         raise StorageError(f"repair cue file is not valid JSON: {exc}") from exc
     return [c.casefold() for c in doc["cues"]]
+
+
+def write_text(path: str, text: str, what: str) -> None:
+    """Write a whole UTF-8 file; `what` names it in the error message."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise StorageError(f"cannot write {what} {path}: {exc}") from exc
+
+
+def write_json(path: str, doc: dict, what: str) -> None:
+    """Write one JSON document in the package's stable, diffable layout."""
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n", what)
+
+
+def read_jsonl(path: str, what: str) -> Iterator[tuple[int, object]]:
+    """Yield (line number, parsed value) for every non-blank line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise StorageError(f"cannot read {what} {path}: {exc}") from exc
+    for i, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(path, i, f"invalid JSON: {exc}") from exc
+        yield i, doc
+
+
+def utc_now() -> str:
+    """Second-resolution UTC timestamp for file headers."""
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())

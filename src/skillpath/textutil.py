@@ -20,6 +20,9 @@ _SENT_BOUNDARY = re.compile(r"(?<=[.?!])[\)\"\']*\s+(?=[\"\'(]?[A-Z0-9])")
 
 ARTICLES = ("a", "an", "the")
 
+# the final answer a completion marks up, <answer>...</answer>
+ANSWER_SPAN = re.compile(r"<answer>(.*?)</answer>", re.DOTALL | re.IGNORECASE)
+
 
 def tokenize(text: str) -> list[str]:
     """Split text on whitespace, detaching edge punctuation as its own tokens.

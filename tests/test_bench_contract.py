@@ -1,0 +1,93 @@
+"""The names bench/ hooks must keep existing in the shape it expects.
+
+bench/instrument.py is loaded read-only from the checkout. A refactor that
+renames a traced function, overrides Provider.complete in a subclass or
+stops building the mock through cli.CannedProvider fails here, instead of
+only when the benchmark runs in traced mode.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+import skillpath.cli as cli
+from skillpath.providers import CompletionRequest, MockProvider, Provider, RecordingProvider, Transcript
+from skillpath.resources import load_entity_pool
+
+INSTRUMENT = os.path.join(os.path.dirname(__file__), "..", "bench", "instrument.py")
+
+
+@pytest.fixture(scope="module")
+def instrument():
+    spec = importlib.util.spec_from_file_location("bench_instrument", INSTRUMENT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_layer_target_resolves(instrument):
+    for module_name, targets in instrument.LAYERS.values():
+        for target in targets:
+            instrument._resolve(module_name, target)
+    _, _, load = instrument._resolve("skillpath.providers", "Transcript.load")
+    assert isinstance(load, classmethod)
+
+
+def test_tracer_installs_and_uninstalls_cleanly(instrument):
+    before = (cli.cmd_generate, Provider.complete, vars(Transcript)["load"])
+    tracer = instrument.Tracer()
+    try:
+        tracer.install()
+        assert cli.cmd_generate is not before[0]
+    finally:
+        tracer.uninstall()
+    assert (cli.cmd_generate, Provider.complete, vars(Transcript)["load"]) == before
+
+
+def test_provider_meter_sees_every_outermost_call(instrument):
+    meter = instrument.ProviderMeter()
+    original = Provider.complete
+    try:
+        # raises HookError when a subclass overrides complete()
+        meter.install()
+        recorder = RecordingProvider(cli.CannedProvider())
+        recorder.complete(CompletionRequest("p", tag="similarity"))
+    finally:
+        meter._patches.undo()
+    assert Provider.complete is original
+    assert meter.calls[("", "similarity")] == 1
+    assert len(recorder.transcript.entries) == 1
+    assert callable(recorder.transcript.save)
+
+
+def test_mock_commands_build_one_provider_through_cli_canned(tmp_path, monkeypatch):
+    built = []
+    canned = cli.CannedProvider
+
+    def counting(*args, **kwargs):
+        built.append((args, kwargs))
+        return canned(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "CannedProvider", counting)
+    assert isinstance(cli._build_provider(cli.RunConfig(provider="mock")), MockProvider)
+    assert built == [((), {})]
+
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({
+        "question_id": "q1",
+        "question": "Is the Eiffel Tower taller than the Brooklyn Bridge?",
+        "documents": ["The Eiffel Tower is 330 metres tall."],
+        "gold_answers": ["yes"],
+    }) + "\n", encoding="utf-8")
+    built.clear()
+    assert cli.main(["generate", "--provider", "mock", "--corpus", str(corpus),
+                     "--collection", str(tmp_path / "bundle.json"), "--count", "1"]) == 0
+    assert built == [((), {})]
+
+
+def test_entity_pool_loads():
+    assert load_entity_pool()

@@ -115,7 +115,7 @@ def test_generate_answer_eval_with_mock_provider(tmp_path, corpus_path, capsys):
     assert not os.path.exists(bundle_path + ".checkpoint.jsonl")
     bundle = restore_bundle(bundle_path)
     assert "q1" in bundle
-    assert bundle["q1"].n >= 1
+    assert len(bundle["q1"].examples) >= 1
 
     run_log = str(tmp_path / "run.jsonl")
     code = main(["answer", "--provider", "mock", "--corpus", corpus_path,
@@ -269,3 +269,71 @@ def test_config_snapshot_records_effective_settings(tmp_path, corpus_path):
     assert snapshot["command"] == "generate"
     assert snapshot["config"]["provider"] == "mock"
     assert snapshot["config"]["delta"] == 8
+
+
+def test_failed_config_snapshot_write_exits_2(tmp_path, corpus_path, capsys):
+    run_log = tmp_path / "run.jsonl"
+    run_log.write_text(
+        json.dumps({"question_id": "q1", "answer": "x", "completion": "x",
+                    "usage": {"prompt_tokens": 1, "completion_tokens": 1, "total_tokens": 2}})
+        + "\n",
+        encoding="utf-8",
+    )
+    report_path = tmp_path / "report.json"
+    os.mkdir(str(report_path) + ".config.json")
+    code = main(["eval", "--corpus", corpus_path, "--run-log", str(run_log),
+                 "--report", str(report_path)])
+    assert code == 2
+    assert "config snapshot" in capsys.readouterr().err
+
+
+def test_torn_checkpoint_tail_keeps_completed_questions(tmp_path):
+    corpus = write_corpus(
+        tmp_path / "corpus.jsonl",
+        [eiffel_row("q1"), eiffel_row("q2"), eiffel_row("q3"), eiffel_row("q4", question="?!?")],
+    )
+    bundle_path = str(tmp_path / "bundle.json")
+    checkpoint = bundle_path + ".checkpoint.jsonl"
+    lines = []
+    for qid in ("q1", "q2"):
+        marker = make_example([ReasoningSkill.ABDUCTIVE], question=f"checkpointed {qid}")
+        lines.append(json.dumps({"question_id": qid, "examples": [example_to_record(marker)]}))
+    torn = json.dumps({"question_id": "q3", "examples": []})[:20]
+    with open(checkpoint, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n" + torn)
+    # q4 fails, so the checkpoint outlives the run and can be inspected
+    assert main(["generate", "--provider", "mock", "--corpus", corpus,
+                 "--collection", bundle_path, "--count", "1"]) == 1
+    bundle = restore_bundle(bundle_path)
+    assert bundle["q1"].examples[0].question == "checkpointed q1"
+    assert bundle["q2"].examples[0].question == "checkpointed q2"
+    # the fragment is gone and q3's fresh line did not glue onto it
+    with open(checkpoint, encoding="utf-8") as fh:
+        kept = [json.loads(line) for line in fh]
+    assert [doc["question_id"] for doc in kept] == ["q1", "q2", "q3"]
+
+
+@pytest.mark.parametrize(
+    "config, env",
+    [
+        ({"delta": "7"}, {}),
+        ({"parallelism": True}, {}),
+        ({"seed": "x"}, {}),
+        ({"count": 2.5}, {}),
+        ({"provider": 3}, {}),
+        ({"provider": "live"}, {"SKILLPATH_MAX_RETRIES": "x"}),
+        ({"provider": "live"}, {"SKILLPATH_RETRY_BACKOFF": "soon"}),
+    ],
+)
+def test_bad_config_and_environment_values_exit_2(tmp_path, corpus_path, monkeypatch, capsys,
+                                                    config, env):
+    monkeypatch.setenv("SKILLPATH_API_BASE", "http://127.0.0.1:9")
+    monkeypatch.setenv("SKILLPATH_MODEL", "m")
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    config_file = tmp_path / "conf.json"
+    config_file.write_text(json.dumps({"provider": "mock", **config}), encoding="utf-8")
+    code = main(["generate", "--corpus", corpus_path, "--collection", str(tmp_path / "o.json"),
+                 "--config", str(config_file)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("[generate] ")

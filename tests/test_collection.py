@@ -9,9 +9,7 @@ from skillpath.collection import (
     example_from_record,
     example_to_record,
     persist_bundle,
-    persist_collection,
     restore_bundle,
-    restore_collection,
 )
 from skillpath.errors import CorruptCollection, EmptyCollection
 from skillpath.skills import ReasoningSkill
@@ -21,7 +19,7 @@ from conftest import make_example
 
 def test_frequency_counts_example_membership_not_occurrences(worked_collection):
     # the third example uses inductive twice but counts once
-    assert worked_collection.n == 3
+    assert len(worked_collection.examples) == 3
     assert worked_collection.freq(ReasoningSkill.DEDUCTIVE) == 2
     assert worked_collection.freq(ReasoningSkill.INDUCTIVE) == 1
     assert worked_collection.freq(ReasoningSkill.ANALOGICAL) == 1
@@ -44,6 +42,13 @@ def test_example_record_round_trip():
     assert example_from_record(record) == example
 
 
+def bundle_doc(tmp_path, collection):
+    """Persist a one-question bundle; return its path and parsed body."""
+    path = tmp_path / "bundle.json"
+    persist_bundle({"q1": collection}, str(path))
+    return path, json.loads(path.read_text(encoding="utf-8"))
+
+
 def test_persist_restore_round_trip(tmp_path):
     collection = build_collection(
         [
@@ -52,63 +57,46 @@ def test_persist_restore_round_trip(tmp_path):
         ]
     )
     path = tmp_path / "c.json"
-    persist_collection(collection, str(path), construction_mode="guided_fill", delta=7)
-    restored = restore_collection(str(path))
-    assert restored == collection
+    persist_bundle({"q1": collection}, str(path), construction_mode="guided_fill", delta=7)
+    restored = restore_bundle(str(path))
+    assert restored == {"q1": collection}
 
     body = json.loads(path.read_text(encoding="utf-8"))
     assert body["version"] == 1
-    assert body["n"] == 2
+    assert body["collections"]["q1"]["n"] == 2
     assert body["construction_mode"] == "guided_fill"
     assert body["delta"] == 7
 
 
-def test_persist_is_deterministic(tmp_path):
-    collection = build_collection([make_example([ReasoningSkill.ABDUCTIVE])])
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    persist_collection(collection, str(a), created_at="2026-01-01T00:00:00Z")
-    persist_collection(collection, str(b), created_at="2026-01-01T00:00:00Z")
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_restore_rejects_tampered_frequency_index(tmp_path):
-    collection = build_collection([make_example([ReasoningSkill.DEDUCTIVE])])
-    path = tmp_path / "c.json"
-    persist_collection(collection, str(path))
-    body = json.loads(path.read_text(encoding="utf-8"))
-    body["freq_index"]["inductive"] = 5
+    path, body = bundle_doc(tmp_path, build_collection([make_example([ReasoningSkill.DEDUCTIVE])]))
+    body["collections"]["q1"]["freq_index"]["inductive"] = 5
     path.write_text(json.dumps(body), encoding="utf-8")
     with pytest.raises(CorruptCollection):
-        restore_collection(str(path))
+        restore_bundle(str(path))
 
 
 def test_restore_rejects_wrong_size(tmp_path):
-    collection = build_collection([make_example([ReasoningSkill.DEDUCTIVE])])
-    path = tmp_path / "c.json"
-    persist_collection(collection, str(path))
-    body = json.loads(path.read_text(encoding="utf-8"))
-    body["n"] = 9
+    path, body = bundle_doc(tmp_path, build_collection([make_example([ReasoningSkill.DEDUCTIVE])]))
+    body["collections"]["q1"]["n"] = 9
     path.write_text(json.dumps(body), encoding="utf-8")
     with pytest.raises(CorruptCollection):
-        restore_collection(str(path))
+        restore_bundle(str(path))
 
 
 def test_restore_rejects_unknown_version(tmp_path):
-    collection = build_collection([make_example([ReasoningSkill.DEDUCTIVE])])
-    path = tmp_path / "c.json"
-    persist_collection(collection, str(path))
-    body = json.loads(path.read_text(encoding="utf-8"))
+    path, body = bundle_doc(tmp_path, build_collection([make_example([ReasoningSkill.DEDUCTIVE])]))
     body["version"] = 99
     path.write_text(json.dumps(body), encoding="utf-8")
     with pytest.raises(CorruptCollection):
-        restore_collection(str(path))
+        restore_bundle(str(path))
 
 
 def test_restore_rejects_malformed_json(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{oops", encoding="utf-8")
     with pytest.raises(CorruptCollection):
-        restore_collection(str(path))
+        restore_bundle(str(path))
 
 
 def test_bundle_round_trip_preserves_keys(tmp_path):

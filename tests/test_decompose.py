@@ -141,20 +141,6 @@ def test_rule_tagger_digits_and_comparatives():
     assert types["42"] == "number"
 
 
-def test_non_concurrency_safe_tagger_is_serialized():
-    calls = []
-
-    class Fussy(EntityTagger):
-        concurrency_safe = False
-
-        def tag(self, tokens):
-            calls.append(len(tokens))
-            return [(TokenLabel.STRUCTURAL, None) for _ in tokens]
-
-    classify_tokens("a b c", Fussy())
-    assert calls == [3]
-
-
 def test_round_trip_with_default_tagger_on_pool_sentences():
     questions = [
         "Who invented the telephone?",

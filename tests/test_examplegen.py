@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from skillpath.decompose import LookupTagger, decompose_question
+from skillpath.decompose import decompose_question
 from skillpath.errors import (
     EmptyAnswer,
     LengthMismatch,
@@ -17,8 +17,6 @@ from skillpath.examplegen import (
     ConstructionMode,
     ReasoningStrategy,
     SimilarExample,
-    anonymize_example,
-    assemble_example,
     build_reference_docs,
     build_strategy,
     filter_candidates,
@@ -254,14 +252,14 @@ def test_reference_docs_reject_empty_replies():
         build_reference_docs(strategy, MockProvider("   "))
 
 
-def test_assemble_example_validates_shape():
+def test_similar_example_validates_shape():
     strategy = ReasoningStrategy(("a?",), (ReasoningSkill.DEDUCTIVE,))
-    example = assemble_example("q?", strategy, ["doc"], "ans", ConstructionMode.RANDOM_FILL)
+    example = SimilarExample("q?", strategy, ["doc"], "ans", ConstructionMode.RANDOM_FILL)
     assert example.reference_docs == ("doc",)
     with pytest.raises(LengthMismatch):
-        assemble_example("q?", strategy, ["doc", "extra"], "ans", ConstructionMode.RANDOM_FILL)
+        SimilarExample("q?", strategy, ["doc", "extra"], "ans", ConstructionMode.RANDOM_FILL)
     with pytest.raises(EmptyAnswer):
-        assemble_example("q?", strategy, ["doc"], "  ", ConstructionMode.RANDOM_FILL)
+        SimilarExample("q?", strategy, ["doc"], "  ", ConstructionMode.RANDOM_FILL)
 
 
 def test_synthesize_example_end_to_end_with_mock():
@@ -280,53 +278,3 @@ def test_synthesize_example_end_to_end_with_mock():
     assert len(example.reference_docs) == len(example.strategy)
     assert example.construction_mode is ConstructionMode.GUIDED_FILL
 
-
-def test_anonymize_types_and_letter_suffixes():
-    tagger = LookupTagger(
-        {
-            "melting point": "property",
-            "sodium": "entity",
-            "potassium": "entity",
-        }
-    )
-    strategy = ReasoningStrategy(
-        ("What is the melting point of sodium?", "What is the melting point of potassium?"),
-        (ReasoningSkill.DEDUCTIVE, ReasoningSkill.DEDUCTIVE),
-    )
-    example = SimilarExample(
-        question="How does the melting point of sodium compare to potassium?",
-        strategy=strategy,
-        reference_docs=(
-            "Sodium melts at 98 degrees.",
-            "Potassium melts at 63 degrees.",
-        ),
-        answer="sodium has the higher melting point",
-        construction_mode=ConstructionMode.RANDOM_FILL,
-    )
-    anon = anonymize_example(example, tagger)
-    assert anon.question == "How does [PROPERTY] of [ENTITY_A] compare to [ENTITY_B]?"
-    assert anon.strategy.subquestions == (
-        "What is [PROPERTY] of [ENTITY_A]?",
-        "What is [PROPERTY] of [ENTITY_B]?",
-    )
-    assert anon.reference_docs == (
-        "[ENTITY_A] melts at 98 degrees.",
-        "[ENTITY_B] melts at 63 degrees.",
-    )
-    assert anon.answer == "[ENTITY_A] has the higher [PROPERTY]"
-    assert anon.strategy.skills == strategy.skills
-
-
-def test_anonymize_single_entity_gets_no_suffix():
-    tagger = LookupTagger({"Paris": "place"})
-    strategy = ReasoningStrategy(("Where is Paris?",), (ReasoningSkill.DEDUCTIVE,))
-    example = SimilarExample(
-        question="Where is Paris?",
-        strategy=strategy,
-        reference_docs=("Paris is in France.",),
-        answer="France",
-        construction_mode=ConstructionMode.RANDOM_FILL,
-    )
-    anon = anonymize_example(example, tagger)
-    assert anon.question == "Where is [PLACE]?"
-    assert anon.reference_docs == ("[PLACE] is in France.",)

@@ -32,7 +32,7 @@ def test_uniqueness_in_a_larger_collection():
     examples = [make_example([S.DEDUCTIVE]) for _ in range(4)]
     examples += [make_example([S.INDUCTIVE]) for _ in range(15)]
     collection = build_collection(examples)
-    assert collection.n == 19
+    assert len(collection.examples) == 19
     assert uniqueness(S.DEDUCTIVE, collection) == pytest.approx(math.log(4), abs=1e-12)
 
 
@@ -43,13 +43,6 @@ def test_coverage_counts_distinct_skills_over_seven():
     assert coverage(strategy) == pytest.approx(2 / 7, abs=1e-15)
     full = ReasoningStrategy(tuple("abcdefg"), tuple(S))
     assert coverage(full) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_coverage_restricted_to_required_skills():
-    strategy = ReasoningStrategy(("a", "b"), (S.DEDUCTIVE, S.ANALOGICAL))
-    required = {S.DEDUCTIVE, S.INDUCTIVE}
-    # only deductive counts, against a universe of two
-    assert coverage(strategy, required) == pytest.approx(1 / 2, abs=1e-15)
 
 
 def test_worked_collection_totals(worked_collection):

@@ -106,16 +106,6 @@ def test_error_undefined_raises_under_strict():
     assert info.value.hits == 0.0
 
 
-def test_error_conventional_sentence_rate():
-    records = [
-        rec("a", cited={(0, 0), (0, 1), (1, 0)}, gold={(0, 0)}),
-        rec("b", cited={(0, 0)}, gold={(0, 0)}),
-    ]
-    result = hits_and_error(records, conventional=True)
-    # 2 spurious sentences out of 4 cited
-    assert result.error == pytest.approx(0.5)
-
-
 def test_hits_requires_annotations_and_records():
     with pytest.raises(EmptyInput):
         hits_and_error([])

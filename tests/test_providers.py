@@ -20,8 +20,15 @@ from skillpath.providers import (
     TokenUsage,
     Transcript,
     fingerprint,
-    record_transcript,
 )
+
+
+def record(provider, requests):
+    """Send each request through a RecordingProvider; return its transcript."""
+    recorder = RecordingProvider(provider)
+    for request in requests:
+        recorder.complete(request)
+    return recorder.transcript
 
 
 def test_mock_fixed_reply_and_whitespace_accounting():
@@ -76,7 +83,7 @@ def test_record_and_replay_round_trip(tmp_path):
         CompletionRequest("second prompt"),
         CompletionRequest("first prompt"),
     ]
-    transcript = record_transcript(MockProvider(["a", "b", "c"]), requests)
+    transcript = record(MockProvider(["a", "b", "c"]), requests)
     assert len(transcript.entries) == 3
     assert len({e.fingerprint for e in transcript.entries}) == 3
 
@@ -89,7 +96,7 @@ def test_record_and_replay_round_trip(tmp_path):
 
 
 def test_replay_off_script_raises_miss(tmp_path):
-    transcript = record_transcript(MockProvider("x"), [CompletionRequest("known")])
+    transcript = record(MockProvider("x"), [CompletionRequest("known")])
     replay = ReplayProvider(transcript)
     with pytest.raises(ReplayMiss):
         replay.complete(CompletionRequest("unknown"))
@@ -116,10 +123,13 @@ def test_transcript_load_rejects_garbage(tmp_path):
         Transcript.load(str(path))
     with pytest.raises(StorageError):
         Transcript.load(str(tmp_path / "missing.jsonl"))
+    path.write_text("[1, 2]\n", encoding="utf-8")
+    with pytest.raises(StorageError):
+        Transcript.load(str(path))
 
 
 def test_transcript_load_rejects_duplicate_fingerprints(tmp_path):
-    transcript = record_transcript(MockProvider("x"), [CompletionRequest("p")])
+    transcript = record(MockProvider("x"), [CompletionRequest("p")])
     path = tmp_path / "dup.jsonl"
     transcript.save(str(path))
     lines = path.read_text(encoding="utf-8").splitlines()
