@@ -68,6 +68,7 @@ from .providers import (
     Transcript,
 )
 from .skills import ReasoningSkill, all_skills, parse_skill
+from .textutil import Passage
 
 __version__ = "0.1.0"
 
@@ -85,6 +86,7 @@ __all__ = [
     "LookupTagger",
     "MatchResult",
     "MockProvider",
+    "Passage",
     "Provider",
     "QuestionTemplate",
     "ReasoningSkill",

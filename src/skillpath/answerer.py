@@ -18,7 +18,7 @@ from .matcher import MatchResult, SelectionMode, select_best
 from .prompts import render_prompt
 from .providers import CompletionRequest, Provider, TokenUsage
 from .skills import ReasoningSkill
-from .textutil import ANSWER_SPAN, sentence_key, split_sentences
+from .textutil import ANSWER_SPAN, Passage, sentence_key, split_sentences
 
 
 @dataclass
@@ -51,7 +51,7 @@ class _UsageMeter:
 
 
 def extract_relevant_segment(
-    document: str,
+    passage: Passage,
     skill: ReasoningSkill,
     provider: Provider,
     *,
@@ -59,25 +59,23 @@ def extract_relevant_segment(
 ) -> str:
     """Have the provider pick the document sentences serving one skill.
 
-    The reply must consist of sentences present in the document, compared
+    The reply must consist of sentences present in the passage, compared
     casefolded with collapsed whitespace. A reply that fails the check is
     retried once; failing again raises SegmentNotInDocument. The returned
-    text is the matching document sentences in the reply's order.
+    text is the matching passage sentences in the reply's order.
     """
-    doc_sentences = split_sentences(document)
-    by_key = {sentence_key(s): s for s in doc_sentences}
     question_line = f"\nOriginal question: {question}" if question else ""
     prompt = render_prompt(
         "segment_extraction",
         question_line=question_line,
         skill_name=skill.display_name,
         skill_description=skill.description,
-        document=document,
+        document=passage.text,
     )
     last_reply = ""
     for _ in range(2):
         last_reply = provider.complete(CompletionRequest(prompt, tag="segment")).text
-        picked = _match_sentences(last_reply, by_key)
+        picked = _match_sentences(last_reply, passage.by_key)
         if picked is not None:
             return " ".join(picked)
     raise SegmentNotInDocument(
@@ -154,12 +152,14 @@ def answer(
         selected = _staged("select", lambda: select_best(collection, mode, seed).selected_index)
     example = collection.examples[selected]
 
+    # split and keyed once here, shared by every step's extraction
+    passage = Passage.of(document)
     segments = []
     for skill in example.strategy.skills:
         segments.append(
             _staged(
                 "extract",
-                lambda s=skill: extract_relevant_segment(document, s, meter, question=question),
+                lambda s=skill: extract_relevant_segment(passage, s, meter, question=question),
             )
         )
 

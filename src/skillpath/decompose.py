@@ -130,25 +130,40 @@ def _is_capitalized(token: str) -> bool:
     return bool(token) and token[0].isupper() and any(c.isalpha() for c in token)
 
 
-def _phrase_table(pairs) -> list[tuple[list[str], str]]:
-    """(casefolded phrase tokens, type) from (phrase, type) pairs, longest first."""
+# first casefolded token -> [(rank, phrase tokens, type)]; rank 0 is the longest phrase
+_PhraseIndex = dict[str, list[tuple[int, list[str], str]]]
+
+
+def _phrase_table(pairs) -> _PhraseIndex:
+    """Index (phrase, type) pairs by first casefolded token, ranked longest first.
+
+    Phrases of equal length keep their input order, so a phrase listed
+    under two types keeps the first type.
+    """
     table = [([p.casefold() for p in tokenize(phrase)], etype) for phrase, etype in pairs]
-    return sorted((row for row in table if row[0]), key=lambda row: len(row[0]), reverse=True)
+    ranked = sorted((row for row in table if row[0]), key=lambda row: len(row[0]), reverse=True)
+    index: _PhraseIndex = {}
+    for rank, (parts, etype) in enumerate(ranked):
+        index.setdefault(parts[0], []).append((rank, parts, etype))
+    return index
 
 
-def _scan_phrases(
-    phrases: list[tuple[list[str], str]], folded: list[str], types: list[str | None]
-) -> None:
-    """Type every untyped token run that spells a phrase, longest phrase first."""
-    n = len(folded)
-    for parts, etype in phrases:
-        width = len(parts)
-        for start in range(0, n - width + 1):
-            if any(types[start + k] is not None for k in range(width)):
-                continue
-            if folded[start : start + width] == parts:
-                for k in range(width):
-                    types[start + k] = etype
+def _scan_phrases(index: _PhraseIndex, folded: list[str], types: list[str | None]) -> None:
+    """Type every untyped token run that spells a phrase, longest phrase first.
+
+    Matching windows are applied by (phrase rank, start), the order of a
+    scan of every phrase over every position; a window is typed only when
+    none of its tokens already is.
+    """
+    hits = []
+    for start, word in enumerate(folded):
+        for rank, parts, etype in index.get(word, ()):
+            if folded[start : start + len(parts)] == parts:
+                hits.append((rank, start, len(parts), etype))
+    hits.sort()
+    for _, start, width, etype in hits:
+        if all(t is None for t in types[start : start + width]):
+            types[start : start + width] = [etype] * width
 
 
 def _labels(types: list[str | None]) -> list[tuple[TokenLabel, str | None]]:

@@ -6,13 +6,16 @@ by retrace detection. Both are plain JSON so deployments can ship edited
 copies via the override directory.
 
 Whole-file writes go through write_text and JSONL reads through
-read_jsonl, so OS failures become StorageError in one place.
+read_jsonl, so OS failures become StorageError in one place, and every
+whole-file output is replaced atomically.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import threading
 import time
 from collections.abc import Iterator
 from functools import lru_cache
@@ -57,10 +60,23 @@ def load_repair_cues() -> list[str]:
 
 
 def write_text(path: str, text: str, what: str) -> None:
-    """Write a whole UTF-8 file; `what` names it in the error message."""
+    """Write a whole UTF-8 file; `what` names it in the error message.
+
+    The text goes to a temporary file next to the target, which then
+    replaces the target in one step: a write that fails or is killed
+    part-way leaves the previous file as it was. The temporary name is
+    unique per process and thread, and a failed write removes it.
+    """
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
     except OSError as exc:
         raise StorageError(f"cannot write {what} {path}: {exc}") from exc
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import pytest
 
+import skillpath.answerer as answerer_module
+import skillpath.textutil as textutil
 from skillpath.answerer import (
     answer,
     extract_answer_span,
@@ -15,6 +17,7 @@ from skillpath.examplegen import ConstructionMode, ReasoningStrategy, SimilarExa
 from skillpath.matcher import SelectionMode
 from skillpath.providers import MockProvider
 from skillpath.skills import ReasoningSkill
+from skillpath.textutil import Passage
 
 S = ReasoningSkill
 
@@ -27,13 +30,13 @@ DOC = (
 
 def test_extraction_returns_document_sentences_verbatim():
     provider = MockProvider("It stands 330 metres tall.")
-    segment = extract_relevant_segment(DOC, S.DEDUCTIVE, provider)
+    segment = extract_relevant_segment(Passage.of(DOC), S.DEDUCTIVE, provider)
     assert segment == "It stands 330 metres tall."
 
 
 def test_extraction_normalizes_case_and_spacing_back_to_source():
     provider = MockProvider("the  eiffel tower was completed in 1889.")
-    segment = extract_relevant_segment(DOC, S.DEDUCTIVE, provider)
+    segment = extract_relevant_segment(Passage.of(DOC), S.DEDUCTIVE, provider)
     assert segment == "The Eiffel Tower was completed in 1889."
 
 
@@ -42,7 +45,7 @@ def test_extraction_preserves_reply_order_of_sentences():
         "The Empire State Building was completed in 1931. "
         "The Eiffel Tower was completed in 1889."
     )
-    segment = extract_relevant_segment(DOC, S.DEDUCTIVE, provider)
+    segment = extract_relevant_segment(Passage.of(DOC), S.DEDUCTIVE, provider)
     assert segment == (
         "The Empire State Building was completed in 1931. "
         "The Eiffel Tower was completed in 1889."
@@ -51,11 +54,11 @@ def test_extraction_preserves_reply_order_of_sentences():
 
 def test_extraction_retries_once_then_fails_loudly():
     provider = MockProvider(["I made this sentence up.", "It stands 330 metres tall."])
-    assert extract_relevant_segment(DOC, S.DEDUCTIVE, provider) == "It stands 330 metres tall."
+    assert extract_relevant_segment(Passage.of(DOC), S.DEDUCTIVE, provider) == "It stands 330 metres tall."
 
     stubborn = MockProvider(["Invented one.", "Invented two.", "unused"])
     with pytest.raises(SegmentNotInDocument):
-        extract_relevant_segment(DOC, S.DEDUCTIVE, stubborn)
+        extract_relevant_segment(Passage.of(DOC), S.DEDUCTIVE, stubborn)
 
 
 def example_for(skills, subquestions=None):
@@ -118,6 +121,25 @@ def test_answer_collects_trace_and_usage():
     assert trace.usage.total_tokens > 0
     assert trace.latency_ms >= 0.0
     assert trace.prompt.count("seg") or trace.prompt  # prompt captured verbatim
+
+
+def test_answer_splits_its_document_once(monkeypatch):
+    collection = build_collection([example_for([S.DEDUCTIVE, S.INDUCTIVE, S.ANALOGICAL])])
+    provider = MockProvider(
+        ["It stands 330 metres tall."] * 3 + ["<answer>330 metres</answer>"]
+    )
+    split_texts = []
+    real_split = textutil.split_sentences
+
+    def counting_split(text):
+        split_texts.append(text)
+        return real_split(text)
+
+    for module in (textutil, answerer_module):
+        monkeypatch.setattr(module, "split_sentences", counting_split, raising=False)
+    trace = answer("How tall?", DOC, collection, SelectionMode.FULL, provider)
+    assert len(trace.focused_segments) == 3
+    assert split_texts.count(DOC) == 1
 
 
 def test_answer_respects_explicit_example_index():

@@ -89,5 +89,40 @@ def test_mock_commands_build_one_provider_through_cli_canned(tmp_path, monkeypat
     assert built == [((), {})]
 
 
+def test_traced_mock_run_fires_every_per_layer_hook(instrument, tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({
+        "question_id": "q1",
+        "question": "Is the Eiffel Tower taller than the Brooklyn Bridge?",
+        "documents": ["The Eiffel Tower is 330 metres tall. The Brooklyn Bridge is older."],
+        "gold_answers": ["yes"],
+    }) + "\n", encoding="utf-8")
+    bundle, run_log = str(tmp_path / "bundle.json"), str(tmp_path / "run.jsonl")
+    common = ["--provider", "mock", "--corpus", str(corpus)]
+    tracer = instrument.Tracer()
+    try:
+        tracer.install()
+        assert cli.main(["generate", *common, "--collection", bundle, "--count", "1"]) == 0
+        assert cli.main(["answer", *common, "--collection", bundle, "--run-log", run_log]) == 0
+        assert cli.main(["eval", "--corpus", str(corpus), "--run-log", run_log,
+                         "--report", str(tmp_path / "report.json")]) == 0
+    finally:
+        tracer.uninstall()
+    spans = tracer.take()
+    by_name: dict[str, list] = {}
+    for span in spans:
+        by_name.setdefault(span.name, []).append(span)
+
+    assert by_name.get("decompose.RuleBasedTagger.tag")
+    assert by_name.get("metrics.attribute_citations")
+    with open(run_log, encoding="utf-8") as fh:
+        steps = len(json.loads(fh.readline())["focused_segments"])
+    assert steps > 0
+    assert len(by_name.get("answerer.extract_relevant_segment", [])) == steps
+    # the answerer's own split of the question's document is a traced span
+    (answer_span,) = by_name["answerer.answer"]
+    assert any(s.parent == answer_span.id for s in by_name.get("textutil.split_sentences", []))
+
+
 def test_entity_pool_loads():
     assert load_entity_pool()

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from skillpath.decompose import (
     EntityTagger,
     LookupTagger,
     RuleBasedTagger,
     TokenLabel,
+    _phrase_table,
+    _scan_phrases,
     build_template,
     classify_tokens,
     decompose_question,
@@ -18,7 +22,8 @@ from skillpath.errors import (
     TaggerFailure,
     UnknownPlaceholder,
 )
-from skillpath.textutil import texts_match
+from skillpath.resources import load_entity_pool
+from skillpath.textutil import texts_match, tokenize
 
 EIFFEL_Q = "Which is taller, the Eiffel Tower or the Empire State Building?"
 
@@ -150,3 +155,71 @@ def test_round_trip_with_default_tagger_on_pool_sentences():
     for q in questions:
         template = decompose_question(q)
         assert texts_match(render_template(template, template.original_substitutions()), q)
+
+
+# ------------------------------------------- gazetteer index vs the full scan
+
+
+def _full_scan_table(pairs):
+    """The scan's phrase table before indexing: a list, longest first."""
+    table = [([p.casefold() for p in tokenize(phrase)], etype) for phrase, etype in pairs]
+    return sorted((row for row in table if row[0]), key=lambda row: len(row[0]), reverse=True)
+
+
+def _full_scan(phrases, folded, types):
+    """Every phrase against every position, phrase by phrase."""
+    n = len(folded)
+    for parts, etype in phrases:
+        width = len(parts)
+        for start in range(0, n - width + 1):
+            if any(types[start + k] is not None for k in range(width)):
+                continue
+            if folded[start : start + width] == parts:
+                for k in range(width):
+                    types[start + k] = etype
+
+
+# a small vocabulary makes overlapping matches common
+_VOCAB = ["a", "b", ","]
+_PHRASE = st.lists(st.sampled_from(_VOCAB + ["A"]), min_size=1, max_size=4).map(" ".join)
+_PAIRS = st.lists(st.tuples(_PHRASE, st.sampled_from(["x", "y", "z"])), max_size=10)
+
+
+@st.composite
+def _pairs_with_a_phrase_under_two_types(draw):
+    pairs = draw(_PAIRS)
+    phrase = draw(_PHRASE)
+    first, second = draw(st.permutations(["x", "y", "z"]))[:2]
+    at = draw(st.integers(0, len(pairs)))
+    return pairs[:at] + [(phrase, first)] + pairs[at:] + [(phrase, second)]
+
+
+@settings(max_examples=300)
+@given(_PAIRS | _pairs_with_a_phrase_under_two_types(), st.lists(st.sampled_from(_VOCAB), max_size=14))
+# an earlier-ranked phrase overlapping a later one that starts first
+@example([("b , a", "x"), ("a b ,", "y")], ["a", "b", ",", "a"])
+@example([("a b", "x"), ("b , a", "y")], ["a", "b", ",", "a"])
+def test_indexed_scan_matches_the_full_scan(pairs, folded):
+    expected = [None] * len(folded)
+    _full_scan(_full_scan_table(pairs), folded, expected)
+    got = [None] * len(folded)
+    _scan_phrases(_phrase_table(pairs), folded, got)
+    assert got == expected
+
+
+def test_indexed_scan_matches_the_full_scan_on_the_bundled_pool():
+    pool = load_entity_pool()
+    pairs = [(name, etype) for etype, names in pool.items() for name in names]
+    index, full = _phrase_table(pairs), _full_scan_table(pairs)
+    questions = [EIFFEL_Q] + [
+        f"Is {a} older than {b}, and is the {b} near {a}?"
+        for names in pool.values()
+        for a, b in zip(names, names[1:] + names[:1])
+    ]
+    for question in questions:
+        folded = [t.casefold() for t in tokenize(question)]
+        expected = [None] * len(folded)
+        _full_scan(full, folded, expected)
+        got = [None] * len(folded)
+        _scan_phrases(index, folded, got)
+        assert got == expected, question

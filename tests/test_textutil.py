@@ -1,9 +1,17 @@
 from __future__ import annotations
 
+import re
+import sys
+
+from hypothesis import given
+from hypothesis import strategies as st
+
 from skillpath.textutil import (
+    Passage,
     detokenize,
     norm_tokens,
     normalize_answer,
+    normalize_ws,
     sentence_key,
     split_sentences,
     squeeze_punct,
@@ -60,3 +68,59 @@ def test_squeeze_punct_and_texts_match():
     assert squeeze_punct("Which is taller , the tower ?") == "Which is taller, the tower?"
     assert texts_match("A, b?", "A , b ?")
     assert not texts_match("A, b?", "A, c?")
+
+
+# ---------------------------------------------------------------- properties
+
+_REGEX_SPACE = re.compile(r"\s")
+# every code point Python treats as whitespace, by either rule
+_WHITESPACE = sorted(
+    c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() or _REGEX_SPACE.match(c)
+)
+
+
+def test_regex_and_str_whitespace_agree_on_every_code_point():
+    assert all(c.isspace() and _REGEX_SPACE.match(c) for c in _WHITESPACE)
+
+
+@given(st.text(alphabet=st.sampled_from(_WHITESPACE) | st.characters(), max_size=40))
+def test_sentence_key_equals_the_regex_form(text):
+    assert sentence_key(text) == normalize_ws(text.casefold())
+
+
+_WORDS = st.sampled_from(["Tower", "tower", "TOWER", "stands", "Stands", "tall"])
+_GAPS = st.sampled_from([" ", "  ", "\t", "\u00a0", "\u2003"])
+
+
+@st.composite
+def _sentence(draw):
+    words = draw(st.lists(_WORDS, min_size=1, max_size=3))
+    return "".join(w + draw(_GAPS) for w in words[:-1]) + words[-1] + "."
+
+
+@given(st.lists(_sentence(), min_size=1, max_size=8))
+def test_passage_keeps_the_last_sentence_among_duplicate_keys(sentences):
+    passage = Passage.of("\n".join(sentences))
+    assert passage.text == "\n".join(sentences)
+    assert passage.sentences == tuple(split_sentences(passage.text))
+    expected = {}
+    for s in passage.sentences:
+        expected[sentence_key(s)] = s
+    assert passage.by_key == expected
+    for key, kept in passage.by_key.items():
+        same_key = [s for s in passage.sentences if sentence_key(s) == key]
+        assert kept == same_key[-1]
+
+
+_DOC_TEXT = st.text(
+    alphabet=st.sampled_from(list("aZ7.?!\"')( \n\t\r") + ["\u2029", "\u00a0", "\x1c"]),
+    max_size=30,
+)
+
+
+@given(st.lists(_DOC_TEXT, max_size=4))
+def test_split_sentences_invariants(docs):
+    per_doc = [split_sentences(d) for d in docs]
+    for sentences in per_doc:
+        assert all(s and s == s.strip() for s in sentences)
+    assert split_sentences("\n\n".join(docs)) == [s for sentences in per_doc for s in sentences]
