@@ -36,11 +36,3 @@ try:
     replay.complete(CompletionRequest("Something never asked"))
 except ReplayMiss as exc:
     print("off-script request refused:", type(exc).__name__)
-
-# budgets cap total token spend across calls
-capped = MockProvider("a reply of several words here", token_budget=10)
-capped.complete(CompletionRequest("one"))
-try:
-    capped.complete(CompletionRequest("two"))
-except Exception as exc:
-    print("budget enforcement:", type(exc).__name__, exc)

@@ -32,7 +32,6 @@ class AnswerTrace:
     completion: str
     usage: TokenUsage
     latency_ms: float
-    selected_example_id: int
 
 
 class _UsageMeter:
@@ -131,26 +130,15 @@ def extract_answer_span(completion: str) -> str:
 def answer(
     question: str,
     document: str,
-    collection: ExampleCollection,
-    mode: SelectionMode,
+    example: SimilarExample,
     provider: Provider,
-    *,
-    seed: int | None = None,
-    example_index: int | None = None,
 ) -> AnswerTrace:
-    """Run the full guided path for one question against one document.
+    """Run the guided path of one selected example against one document.
 
-    example_index bypasses selection for ablations that want an explicit
-    example. Errors from selection, extraction or the final call are
+    Errors from extraction, prompt assembly or the final call are
     re-raised as PipelineStageError naming the stage that failed.
     """
     meter = _UsageMeter(provider)
-
-    if example_index is not None:
-        selected = example_index
-    else:
-        selected = _staged("select", lambda: select_best(collection, mode, seed).selected_index)
-    example = collection.examples[selected]
 
     # split and keyed once here, shared by every step's extraction
     passage = Passage.of(document)
@@ -179,14 +167,13 @@ def answer(
         completion=completion,
         usage=meter.usage,
         latency_ms=meter.latency_ms,
-        selected_example_id=selected,
     )
 
 
 def select_for(
     collection: ExampleCollection, mode: SelectionMode, seed: int | None = None
 ) -> MatchResult:
-    """Selection alone, exposed for run logs that record the breakdown."""
+    """Pick the example whose skill path answer() follows, with the breakdown."""
     return select_best(collection, mode, seed)
 
 

@@ -120,5 +120,5 @@ def canned_reply(request: CompletionRequest) -> str:
 class CannedProvider(MockProvider):
     """The CLI's mock backend: a MockProvider answering with canned_reply."""
 
-    def __init__(self, token_budget: int | None = None):
-        super().__init__(canned_reply, token_budget)
+    def __init__(self):
+        super().__init__(canned_reply)

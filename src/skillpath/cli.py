@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields
 from . import answerer, collection as collection_mod, corpus as corpus_mod, examplegen, metrics
 from .canned import CannedProvider
 from .decompose import decompose_question
-from .errors import NoCandidates, SkillPathError, StorageError, UnmatchedQuestionId
+from .errors import NoCandidates, SkillPathError, StorageError, UnmatchedQuestionId, ValidationError
 from .matcher import SelectionMode
 from .providers import (
     LiveProvider,
@@ -196,7 +196,7 @@ def _load_checkpoint(path: str) -> dict[str, collection_mod.ExampleCollection]:
         for _, doc in read_jsonl(path, "checkpoint"):
             examples = [collection_mod.example_from_record(d) for d in doc["examples"]]
             done[doc["question_id"]] = collection_mod.build_collection(examples)
-    except (OSError, KeyError, TypeError, SkillPathError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, SkillPathError) as exc:
         log.warning("ignoring unreadable checkpoint %s: %s", path, exc)
         return {}
     return done
@@ -310,15 +310,8 @@ def cmd_answer(config: RunConfig) -> int:
             gamma = bundle[qid]
             match = answerer.select_for(gamma, mode, config.seed)
             document = "\n\n".join(record.documents)
-            trace = answerer.answer(
-                record.question,
-                document,
-                gamma,
-                mode,
-                provider,
-                seed=config.seed,
-                example_index=match.selected_index,
-            )
+            example = gamma.examples[match.selected_index]
+            trace = answerer.answer(record.question, document, example, provider)
             line = {
                 "question_id": qid,
                 "question": trace.question,
@@ -326,7 +319,7 @@ def cmd_answer(config: RunConfig) -> int:
                 "completion": trace.completion,
                 "focused_segments": trace.focused_segments,
                 "prompt": trace.prompt,
-                "selected_example_id": trace.selected_example_id,
+                "selected_example_id": match.selected_index,
                 "match": match.to_record(),
                 "usage": asdict(trace.usage),
                 "latency_ms": trace.latency_ms,
@@ -360,15 +353,49 @@ def cmd_answer(config: RunConfig) -> int:
 
 # -------------------------------------------------------------------- eval
 
-def _load_run_log(path: str) -> list[dict]:
-    return [doc for _, doc in read_jsonl(path, "run log")]
+class _LoggedAnswer(typing.NamedTuple):
+    """The fields eval reads from one run-log line."""
+
+    question_id: str
+    answer: str
+    completion: str
+    usage: TokenUsage
+    latency_ms: float
+
+
+def _logged_answer(doc) -> _LoggedAnswer:
+    if not isinstance(doc, dict):
+        raise ValueError("line is not a JSON object")
+    texts = [doc.get(key, "") for key in ("question_id", "answer", "completion")]
+    if not all(isinstance(text, str) for text in texts):
+        raise ValueError("question_id, answer and completion must be strings")
+    latency = doc.get("latency_ms", 0.0)
+    if isinstance(latency, bool) or not isinstance(latency, (int, float)):
+        raise ValueError(f"latency_ms must be a number, got {latency!r}")
+    usage = doc.get("usage")
+    if not isinstance(usage, dict):
+        raise ValueError("usage must be an object of token counts")
+    counts = [usage.get(key) for key in ("prompt_tokens", "completion_tokens", "total_tokens")]
+    if not all(type(count) is int for count in counts):
+        raise ValueError(f"usage token counts must be integers, got {usage!r}")
+    return _LoggedAnswer(*texts, TokenUsage(*counts), float(latency))
+
+
+def _load_run_log(path: str) -> list[_LoggedAnswer]:
+    """Every line of a run log, checked; a bad line is an error naming path:line."""
+    entries = []
+    for line, doc in read_jsonl(path, "run log"):
+        try:
+            entries.append(_logged_answer(doc))
+        except ValueError as exc:
+            raise ValidationError(path, line, str(exc)) from exc
+    return entries
 
 
 def _baseline_token_mean(path: str) -> float:
-    docs = _load_run_log(path)
-    totals = [d["usage"]["total_tokens"] for d in docs if "usage" in d]
+    totals = [entry.usage.total_tokens for entry in _load_run_log(path)]
     if not totals:
-        raise StorageError(f"baseline log {path} has no usage data")
+        raise StorageError(f"baseline log {path} has no lines")
     return sum(totals) / len(totals)
 
 
@@ -378,36 +405,28 @@ def _fmt_rate(value: float | None) -> str:
 
 def cmd_eval(config: RunConfig) -> int:
     records = {r.question_id: r for r in corpus_mod.load_records(config.corpus)}
-    traces = _load_run_log(config.run_log)
+    logged = _load_run_log(config.run_log)
 
     eval_records = []
-    for doc in traces:
-        qid = doc.get("question_id", "")
-        if qid not in records:
-            raise UnmatchedQuestionId(qid)
-        gold = records[qid]
-        usage_doc = doc.get("usage") or {}
-        usage = TokenUsage(
-            usage_doc.get("prompt_tokens", 0),
-            usage_doc.get("completion_tokens", 0),
-            usage_doc.get("total_tokens", 0),
-        )
-        chain = doc.get("completion", "")
+    for entry in logged:
+        if entry.question_id not in records:
+            raise UnmatchedQuestionId(entry.question_id)
+        gold = records[entry.question_id]
         gold_ids = set(gold.gold_sentence_ids) if gold.gold_sentence_ids is not None else None
         eval_records.append(
             metrics.EvalRecord(
-                question_id=qid,
-                prediction=doc.get("answer", ""),
+                question_id=entry.question_id,
+                prediction=entry.answer,
                 gold_answers=list(gold.gold_answers),
-                cited_sentences=metrics.attribute_citations(chain, list(gold.documents)),
+                cited_sentences=metrics.attribute_citations(entry.completion, list(gold.documents)),
                 gold_sentences=gold_ids,
-                chain_text=chain,
-                usage=usage,
-                latency_ms=float(doc.get("latency_ms", 0.0)),
+                chain_text=entry.completion,
+                usage=entry.usage,
+                latency_ms=entry.latency_ms,
             )
         )
 
-    report = metrics.evaluate_records(eval_records)
+    report, rows = metrics.evaluate_records(eval_records)
     report_doc = report.to_record()
 
     reduction = None
@@ -421,7 +440,6 @@ def cmd_eval(config: RunConfig) -> int:
 
     write_json(config.report, report_doc, "report")
 
-    rows = metrics.per_record_rows(eval_records)
     columns = ["question_id", "rouge_l", "em", "retrace", "hit", "cited", "gold", "tokens", "latency_ms"]
     table_lines = ["\t".join(columns)]
     for row in rows:

@@ -2,8 +2,8 @@
 
 Every error raised by this package derives from SkillPathError so callers
 can catch the whole family with one clause. Provider transport problems,
-replay misses and budget stops share the ProviderError base because they
-all mean "the completion backend did not give us a usable reply".
+replay misses and unparseable replies share the ProviderError base because
+they all mean "the completion backend did not give us a usable reply".
 """
 
 from __future__ import annotations
@@ -61,15 +61,6 @@ class ReplayMiss(ProviderError):
         super().__init__(f"no transcript entry for request fingerprint {fingerprint}{detail}")
         self.fingerprint = fingerprint
         self.tag = tag
-
-
-class BudgetExceeded(ProviderError):
-    """Aggregate token usage passed the configured ceiling."""
-
-    def __init__(self, used: int, budget: int):
-        super().__init__(f"token budget exceeded: used {used} of {budget}")
-        self.used = used
-        self.budget = budget
 
 
 class StorageError(SkillPathError):
@@ -147,7 +138,7 @@ class ParseError(StorageError):
 
 
 class ValidationError(StorageError):
-    """A parsed record violates the corpus schema."""
+    """A parsed line of a corpus or run log violates its schema."""
 
     def __init__(self, path: str, line: int, detail: str):
         super().__init__(f"{path}:{line}: {detail}")

@@ -238,17 +238,18 @@ def attribute_citations(
     return cited
 
 
-def evaluate_records(records: list[EvalRecord], cues: list[str] | None = None) -> EvalReport:
+def evaluate_records(
+    records: list[EvalRecord], cues: list[str] | None = None
+) -> tuple[EvalReport, list[dict]]:
     """Aggregate every metric over a record batch into one report.
 
-    Hits and error cover only the records that carry gold sentence sets;
-    with no such records both come back None. Best gold answer wins for
-    ROUGE-L and exact match when a record lists several.
+    Returns the report and the per-record rows it averages, so each
+    record is scored once. Hits and error cover only the records that
+    carry gold sentence sets; with no such records both come back None.
     """
     if not records:
         raise EmptyInput("no records")
-    rouge_scores = [max(rouge_l(r.prediction, g) for g in r.gold_answers) for r in records]
-    em_scores = [exact_match(r.prediction, r.gold_answers) for r in records]
+    rows = per_record_rows(records, cues)
     annotated = [r for r in records if r.gold_sentences is not None]
     if annotated:
         he = hits_and_error(annotated)
@@ -257,20 +258,21 @@ def evaluate_records(records: list[EvalRecord], cues: list[str] | None = None) -
         hits, error = None, None
     stats = token_stats(records)
     n = len(records)
-    return EvalReport(
-        rouge_l_mean=sum(rouge_scores) / n,
-        em_mean=sum(em_scores) / n,
+    report = EvalReport(
+        rouge_l_mean=sum(row["rouge_l"] for row in rows) / n,
+        em_mean=sum(row["em"] for row in rows) / n,
         hits=hits,
         error=error,
-        retrace_rate=retrace_rate(records, cues),
+        retrace_rate=sum(row["retrace"] for row in rows) / n,
         token_mean=stats.token_mean,
         time_mean_ms=stats.time_mean_ms,
         n=n,
     )
+    return report, rows
 
 
-def per_record_rows(records: list[EvalRecord]) -> list[dict]:
-    """Per-record metric rows for the tabular report."""
+def per_record_rows(records: list[EvalRecord], cues: list[str] | None = None) -> list[dict]:
+    """Per-record metric rows; the best gold answer wins ROUGE-L and EM."""
     rows = []
     for r in records:
         cited = sorted(r.cited_sentences) if r.cited_sentences is not None else None
@@ -283,7 +285,7 @@ def per_record_rows(records: list[EvalRecord]) -> list[dict]:
                 "question_id": r.question_id,
                 "rouge_l": max(rouge_l(r.prediction, g) for g in r.gold_answers),
                 "em": exact_match(r.prediction, r.gold_answers),
-                "retrace": int(detect_retrace(r.chain_text)),
+                "retrace": int(detect_retrace(r.chain_text, cues)),
                 "hit": hit,
                 "cited": cited,
                 "gold": gold,

@@ -23,13 +23,7 @@ from dataclasses import dataclass, field
 
 import requests
 
-from .errors import (
-    BudgetExceeded,
-    ProviderError,
-    ReplayMiss,
-    StorageError,
-    TransportError,
-)
+from .errors import ProviderError, ReplayMiss, StorageError, TransportError
 from .resources import read_jsonl, utc_now, write_text
 from .textutil import count_ws_tokens
 
@@ -122,40 +116,27 @@ class _OccurrenceCounter:
         self._lock = threading.Lock()
         self._counts: dict[tuple[str, float, int], int] = {}
 
-    def next_for(self, request: CompletionRequest) -> int:
+    def fingerprint(self, request: CompletionRequest) -> str:
+        """The request's fingerprint at its next occurrence."""
         key = (request.prompt, request.temperature, request.max_output_tokens)
         with self._lock:
             occ = self._counts.get(key, 0)
             self._counts[key] = occ + 1
-        return occ
+        return fingerprint(*key, occ)
 
 
 class Provider:
-    """Base completion backend with aggregate token accounting.
+    """Base completion backend.
 
-    token_budget, when set, is a hard ceiling on total tokens across the
-    provider's lifetime; the call that crosses it raises BudgetExceeded.
+    complete() is the one entry point every caller uses; subclasses
+    implement _complete() and never override complete(), so a wrapper
+    around complete() sees every call.
     """
 
     name = "base"
 
-    def __init__(self, token_budget: int | None = None):
-        self._budget = token_budget
-        self._lock = threading.Lock()
-        self._total = 0
-
-    @property
-    def total_tokens(self) -> int:
-        with self._lock:
-            return self._total
-
     def complete(self, request: CompletionRequest) -> CompletionResult:
-        result = self._complete(request)
-        with self._lock:
-            self._total += result.usage.total_tokens
-            if self._budget is not None and self._total > self._budget:
-                raise BudgetExceeded(self._total, self._budget)
-        return result
+        return self._complete(request)
 
     def _complete(self, request: CompletionRequest) -> CompletionResult:
         raise NotImplementedError
@@ -172,8 +153,7 @@ class MockProvider(Provider):
 
     name = "mock"
 
-    def __init__(self, reply, token_budget: int | None = None):
-        super().__init__(token_budget)
+    def __init__(self, reply):
         self._reply = reply
         self._seq_lock = threading.Lock()
         if isinstance(reply, (list, tuple)):
@@ -263,7 +243,6 @@ class RecordingProvider(Provider):
     name = "recording"
 
     def __init__(self, inner: Provider):
-        super().__init__(token_budget=None)
         self.inner = inner
         self._counter = _OccurrenceCounter()
         self._entries_lock = threading.Lock()
@@ -271,8 +250,7 @@ class RecordingProvider(Provider):
         self._created_at = utc_now()
 
     def _complete(self, request: CompletionRequest) -> CompletionResult:
-        occ = self._counter.next_for(request)
-        fp = fingerprint(request.prompt, request.temperature, request.max_output_tokens, occ)
+        fp = self._counter.fingerprint(request)
         result = self.inner.complete(request)
         with self._entries_lock:
             self._entries.append(TranscriptEntry(fp, request, result))
@@ -290,19 +268,17 @@ class ReplayProvider(Provider):
 
     name = "replay"
 
-    def __init__(self, transcript: Transcript, token_budget: int | None = None):
-        super().__init__(token_budget)
+    def __init__(self, transcript: Transcript):
         self.transcript = transcript
         self._table = {e.fingerprint: e.result for e in transcript.entries}
         self._counter = _OccurrenceCounter()
 
     @classmethod
-    def from_file(cls, path: str, token_budget: int | None = None) -> ReplayProvider:
-        return cls(Transcript.load(path), token_budget)
+    def from_file(cls, path: str) -> ReplayProvider:
+        return cls(Transcript.load(path))
 
     def _complete(self, request: CompletionRequest) -> CompletionResult:
-        occ = self._counter.next_for(request)
-        fp = fingerprint(request.prompt, request.temperature, request.max_output_tokens, occ)
+        fp = self._counter.fingerprint(request)
         if fp not in self._table:
             raise ReplayMiss(fp, request.tag)
         return self._table[fp]
@@ -327,9 +303,7 @@ class LiveProvider(Provider):
         timeout: float = 60.0,
         max_retries: int | None = None,
         backoff: float | None = None,
-        token_budget: int | None = None,
     ):
-        super().__init__(token_budget)
         self.base_url = (base_url or os.environ.get(API_BASE_ENV, "")).rstrip("/")
         self.model = model or os.environ.get(MODEL_ENV, "")
         self.api_key = api_key or os.environ.get(API_KEY_ENV, "")

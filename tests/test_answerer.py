@@ -15,7 +15,7 @@ from skillpath.collection import build_collection
 from skillpath.errors import PipelineStageError, SegmentNotInDocument
 from skillpath.examplegen import ConstructionMode, ReasoningStrategy, SimilarExample
 from skillpath.matcher import SelectionMode
-from skillpath.providers import MockProvider
+from skillpath.providers import MockProvider, RecordingProvider, TokenUsage
 from skillpath.skills import ReasoningSkill
 from skillpath.textutil import Passage
 
@@ -98,33 +98,33 @@ def test_answer_span_takes_the_last_marker():
 
 
 def test_answer_collects_trace_and_usage():
-    collection = build_collection([example_for([S.DEDUCTIVE, S.INDUCTIVE])])
-    provider = MockProvider(
-        [
-            "The Eiffel Tower was completed in 1889.",
-            "It stands 330 metres tall.",
-            "Given the segments, the height wins. <answer>the Eiffel Tower</answer>",
-        ]
+    provider = RecordingProvider(
+        MockProvider(
+            [
+                "The Eiffel Tower was completed in 1889.",
+                "It stands 330 metres tall.",
+                "Given the segments, the height wins. <answer>the Eiffel Tower</answer>",
+            ]
+        )
     )
-    trace = answer(
-        "Which is taller?", DOC, collection, SelectionMode.FULL, provider, seed=None
-    )
+    trace = answer("Which is taller?", DOC, example_for([S.DEDUCTIVE, S.INDUCTIVE]), provider)
     assert trace.answer == "the Eiffel Tower"
-    assert trace.selected_example_id == 0
     assert trace.focused_segments == [
         "The Eiffel Tower was completed in 1889.",
         "It stands 330 metres tall.",
     ]
     assert "Given the segments" in trace.completion
     # three completions, all metered
-    assert trace.usage.total_tokens == provider.total_tokens
+    entries = provider.transcript.entries
+    assert len(entries) == 3
+    assert trace.usage == sum((e.result.usage for e in entries), TokenUsage.zero())
     assert trace.usage.total_tokens > 0
     assert trace.latency_ms >= 0.0
     assert trace.prompt.count("seg") or trace.prompt  # prompt captured verbatim
 
 
 def test_answer_splits_its_document_once(monkeypatch):
-    collection = build_collection([example_for([S.DEDUCTIVE, S.INDUCTIVE, S.ANALOGICAL])])
+    example = example_for([S.DEDUCTIVE, S.INDUCTIVE, S.ANALOGICAL])
     provider = MockProvider(
         ["It stands 330 metres tall."] * 3 + ["<answer>330 metres</answer>"]
     )
@@ -137,7 +137,7 @@ def test_answer_splits_its_document_once(monkeypatch):
 
     for module in (textutil, answerer_module):
         monkeypatch.setattr(module, "split_sentences", counting_split, raising=False)
-    trace = answer("How tall?", DOC, collection, SelectionMode.FULL, provider)
+    trace = answer("How tall?", DOC, example, provider)
     assert len(trace.focused_segments) == 3
     assert split_texts.count(DOC) == 1
 
@@ -146,25 +146,24 @@ def test_answer_respects_explicit_example_index():
     collection = build_collection(
         [example_for([S.DEDUCTIVE]), example_for([S.ABDUCTIVE])]
     )
-    provider = MockProvider(
-        ["It stands 330 metres tall.", "<answer>330 metres</answer>"]
+    provider = RecordingProvider(
+        MockProvider(["It stands 330 metres tall.", "<answer>330 metres</answer>"])
     )
-    trace = answer(
-        "How tall?", DOC, collection, SelectionMode.FULL, provider, example_index=1
-    )
-    assert trace.selected_example_id == 1
+    trace = answer("How tall?", DOC, collection.examples[1], provider)
+    segment_prompts = [
+        e.request.prompt for e in provider.transcript.entries if e.request.tag == "segment"
+    ]
+    assert len(segment_prompts) == 1
+    assert S.ABDUCTIVE.display_name in segment_prompts[0]
+    assert S.DEDUCTIVE.display_name not in segment_prompts[0]
+    assert "1. step 1 (abductive)" in trace.prompt
 
 
 def test_stage_failures_name_their_stage():
-    collection = build_collection([example_for([S.DEDUCTIVE])])
     bad_extractor = MockProvider(["nope.", "still nope.", "unused"])
     with pytest.raises(PipelineStageError) as info:
-        answer("q?", DOC, collection, SelectionMode.FULL, bad_extractor)
+        answer("q?", DOC, example_for([S.DEDUCTIVE]), bad_extractor)
     assert info.value.stage == "extract"
-
-    with pytest.raises(PipelineStageError) as info:
-        answer("q?", DOC, collection, SelectionMode.RANDOM, MockProvider("x"))
-    assert info.value.stage == "select"
 
 
 def test_select_for_reports_breakdowns(worked_collection):

@@ -37,6 +37,19 @@ def eiffel_row(qid="q1", question=EIFFEL):
     }
 
 
+def log_line(tokens=10, **changes):
+    """A run-log line for eiffel_row(); a change to None drops that key."""
+    doc = {
+        "question_id": "q1",
+        "answer": "the Empire State Building",
+        "completion": "<answer>the Empire State Building</answer>",
+        "usage": {"prompt_tokens": tokens - 1, "completion_tokens": 1, "total_tokens": tokens},
+        "latency_ms": 1.0,
+    }
+    doc.update(changes)
+    return {key: value for key, value in doc.items() if value is not None}
+
+
 def resolve(argv):
     return _resolve_config(build_parser().parse_args(argv))
 
@@ -130,6 +143,7 @@ def test_generate_answer_eval_with_mock_provider(tmp_path, corpus_path, capsys):
         assert key in line
     assert line["usage"]["total_tokens"] > 0
     assert line["match"]["mode"] == "full"
+    assert line["selected_example_id"] == line["match"]["selected_index"]
 
     report_path = str(tmp_path / "report.json")
     code = main(["eval", "--corpus", corpus_path, "--run-log", run_log,
@@ -209,20 +223,10 @@ def test_eval_rejects_stray_question_ids(tmp_path, corpus_path, capsys):
 
 
 def test_eval_reports_reduction_against_baseline(tmp_path, corpus_path, capsys):
-    def log_line(tokens):
-        return json.dumps({
-            "question_id": "q1",
-            "answer": "the Empire State Building",
-            "completion": "<answer>the Empire State Building</answer>",
-            "usage": {"prompt_tokens": tokens - 1, "completion_tokens": 1,
-                      "total_tokens": tokens},
-            "latency_ms": 1.0,
-        }) + "\n"
-
     current = tmp_path / "run.jsonl"
-    current.write_text(log_line(50), encoding="utf-8")
+    current.write_text(json.dumps(log_line(50)) + "\n", encoding="utf-8")
     baseline = tmp_path / "baseline.jsonl"
-    baseline.write_text(log_line(100), encoding="utf-8")
+    baseline.write_text(json.dumps(log_line(100)) + "\n", encoding="utf-8")
     report_path = tmp_path / "report.json"
     code = main(["eval", "--corpus", corpus_path, "--run-log", str(current),
                  "--report", str(report_path), "--baseline-log", str(baseline)])
@@ -311,6 +315,60 @@ def test_torn_checkpoint_tail_keeps_completed_questions(tmp_path):
     with open(checkpoint, encoding="utf-8") as fh:
         kept = [json.loads(line) for line in fh]
     assert [doc["question_id"] for doc in kept] == ["q1", "q2", "q3"]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("construction_mode", "bogus"),
+        ("question", ""),
+    ],
+)
+def test_invalid_checkpoint_example_starts_fresh(tmp_path, corpus_path, caplog, field, value):
+    bundle_path = str(tmp_path / "bundle.json")
+    marker = example_to_record(
+        make_example([ReasoningSkill.ABDUCTIVE], question="carried over from the checkpoint")
+    )
+    marker[field] = value
+    with open(bundle_path + ".checkpoint.jsonl", "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"question_id": "q1", "examples": [marker]}) + "\n")
+    code = main(["generate", "--provider", "mock", "--corpus", corpus_path,
+                 "--collection", bundle_path, "--count", "1"])
+    assert code == 0
+    assert "ignoring unreadable checkpoint" in caplog.text
+    # regenerated from scratch, not taken from the checkpoint
+    assert restore_bundle(bundle_path)["q1"].examples[0].question != (
+        "carried over from the checkpoint"
+    )
+
+
+@pytest.mark.parametrize(
+    "log, bad",
+    [
+        ("run", log_line(usage={"prompt_tokens": 1, "completion_tokens": 1, "total_tokens": 5})),
+        ("run", [1, 2]),
+        ("run", log_line(latency_ms="fast")),
+        ("run", log_line(answer=7)),
+        ("run", log_line(completion=["x"])),
+        ("run", log_line(usage=None)),
+        ("run", log_line(usage={"prompt_tokens": "9", "completion_tokens": 1,
+                                 "total_tokens": 10})),
+        ("baseline", log_line(usage=None)),
+        ("baseline", "just a string"),
+    ],
+    ids=["total-mismatch", "array", "latency-text", "answer-number", "completion-list",
+         "no-usage", "token-text", "baseline-no-usage", "baseline-string"],
+)
+def test_malformed_run_log_line_exits_2(tmp_path, corpus_path, capsys, log, bad):
+    logs = {name: tmp_path / f"{name}.jsonl" for name in ("run", "baseline")}
+    for name, path in logs.items():
+        lines = [log_line(), bad if name == log else log_line()]
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in lines), encoding="utf-8")
+    code = main(["eval", "--corpus", corpus_path, "--run-log", str(logs["run"]),
+                 "--report", str(tmp_path / "report.json"),
+                 "--baseline-log", str(logs["baseline"])])
+    assert code == 2
+    assert f"{logs[log]}:2:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -207,7 +207,8 @@ def test_evaluate_records_aggregates_everything():
             latency_ms=15.0,
         ),
     ]
-    report = evaluate_records(records, CUES)
+    report, rows = evaluate_records(records, CUES)
+    assert [row["question_id"] for row in rows] == ["a", "b"]
     assert report.n == 2
     assert report.em_mean == pytest.approx(0.5)
     # hits and error computed over the annotated subset only
@@ -220,9 +221,25 @@ def test_evaluate_records_aggregates_everything():
 
 def test_evaluate_records_without_annotations():
     records = [rec("a", chain_text="<answer>x</answer>", usage=TokenUsage.of(1, 1))]
-    report = evaluate_records(records, CUES)
+    report, _ = evaluate_records(records, CUES)
     assert report.hits is None
     assert report.error is None
+
+
+def test_evaluate_records_scores_rows_with_the_given_cues():
+    records = [
+        rec(
+            "a",
+            chain_text="The answer is Paris. On reflection the answer is Lyon.",
+            usage=TokenUsage.of(1, 1),
+        )
+    ]
+    report, rows = evaluate_records(records, ["on reflection"])
+    assert rows[0]["retrace"] == 1
+    assert report.retrace_rate == 1.0
+    report, rows = evaluate_records(records, CUES)
+    assert rows[0]["retrace"] == 0
+    assert report.retrace_rate == 0.0
 
 
 def test_per_record_rows_shape():

@@ -17,7 +17,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from skillpath import answerer, corpus
 from skillpath.collection import build_collection, persist_bundle
 from skillpath.examplegen import ConstructionMode, ReasoningStrategy, SimilarExample
-from skillpath.matcher import SelectionMode
+from skillpath.matcher import SelectionMode, select_best
 from skillpath.providers import MockProvider, RecordingProvider, Transcript
 from skillpath.skills import ReasoningSkill as S
 
@@ -149,10 +149,9 @@ def main() -> None:
     recorder = RecordingProvider(MockProvider(scripted_reply))
     for record in RECORDS:
         gamma = bundle[record.question_id]
+        example = gamma.examples[select_best(gamma, SelectionMode.FULL).selected_index]
         document = "\n\n".join(record.documents)
-        answerer.answer(
-            record.question, document, gamma, SelectionMode.FULL, recorder, seed=None
-        )
+        answerer.answer(record.question, document, example, recorder)
     transcript = Transcript(
         entries=recorder.transcript.entries, provider="mock", created_at=STAMP
     )
