@@ -3,8 +3,10 @@
 For each step of the chosen strategy the provider extracts the document
 sentences most relevant to that step's skill; the focused segments, the
 reasoning path and the worked example then frame one final completion.
-The trace keeps everything downstream evaluation needs, including the
-full completion text and aggregate token usage across every call.
+Given a parallelism above 1, the extractions of different skills
+overlap; steps sharing a skill send the same prompt and run in step
+order. The trace keeps everything downstream evaluation needs, including
+the full completion text and aggregate token usage across every call.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .errors import PipelineStageError, SegmentNotInDocument, SkillPathError
 from .examplegen import ReasoningStrategy, SimilarExample
 from .matcher import MatchResult, SelectionMode, select_best
 from .prompts import render_prompt
-from .providers import CompletionRequest, Provider, TokenUsage
+from .providers import CompletionRequest, CompletionResult, Provider, TokenUsage, fan_out
 from .skills import ReasoningSkill
 from .textutil import ANSWER_SPAN, Passage, sentence_key, split_sentences
 
@@ -34,18 +36,16 @@ class AnswerTrace:
     latency_ms: float
 
 
-class _UsageMeter:
-    """Forwards to a provider while summing usage and latency."""
+class _CallLog:
+    """Forwards to a provider and keeps every result, in call order."""
 
     def __init__(self, inner: Provider):
         self.inner = inner
-        self.usage = TokenUsage.zero()
-        self.latency_ms = 0.0
+        self.results: list[CompletionResult] = []
 
-    def complete(self, request: CompletionRequest):
+    def complete(self, request: CompletionRequest) -> CompletionResult:
         result = self.inner.complete(request)
-        self.usage = self.usage + result.usage
-        self.latency_ms += result.latency_ms
+        self.results.append(result)
         return result
 
 
@@ -132,41 +132,47 @@ def answer(
     document: str,
     example: SimilarExample,
     provider: Provider,
+    parallelism: int = 1,
 ) -> AnswerTrace:
     """Run the guided path of one selected example against one document.
 
-    Errors from extraction, prompt assembly or the final call are
+    The extractions of distinct skills overlap, up to `parallelism` at
+    once. Errors from extraction, prompt assembly or the final call are
     re-raised as PipelineStageError naming the stage that failed.
     """
-    meter = _UsageMeter(provider)
-
     # split and keyed once here, shared by every step's extraction
     passage = Passage.of(document)
-    segments = []
-    for skill in example.strategy.skills:
-        segments.append(
-            _staged(
-                "extract",
-                lambda s=skill: extract_relevant_segment(passage, s, meter, question=question),
-            )
-        )
+
+    def extract(skill: ReasoningSkill):
+        calls = _CallLog(provider)
+        return extract_relevant_segment(passage, skill, calls, question=question), calls.results
+
+    # steps of one skill send the same prompt, so they share a key and keep their order
+    steps = _staged(
+        "extract",
+        lambda: fan_out(extract, example.strategy.skills, key=lambda s: s, parallelism=parallelism),
+    )
+    segments = [segment for segment, _ in steps]
 
     prompt = _staged(
         "format", lambda: format_prompt(question, segments, example.strategy, example)
     )
     result = _staged(
-        "answer", lambda: meter.complete(CompletionRequest(prompt, tag="answer"))
+        "answer", lambda: provider.complete(CompletionRequest(prompt, tag="answer"))
     )
     completion = result.text
 
+    # summed in step order, then call order within a step, as a serial run
+    # would, so the float latency total does not depend on thread timing
+    results = [r for _, step_results in steps for r in step_results] + [result]
     return AnswerTrace(
         question=question,
         focused_segments=segments,
         prompt=prompt,
         answer=extract_answer_span(completion),
         completion=completion,
-        usage=meter.usage,
-        latency_ms=meter.latency_ms,
+        usage=sum((r.usage for r in results), TokenUsage.zero()),
+        latency_ms=sum((r.latency_ms for r in results), 0.0),
     )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 
 from .providers import CompletionRequest, MockProvider
-from .textutil import split_sentences
+from .textutil import first_sentence
 
 _SLOT_LINE = re.compile(r"^- slot (?P<slot>.+?) \(type (?P<type>.+?)\), currently: (?P<text>.+)$")
 _COUNT = re.compile(r"Propose (\d+) alternative")
@@ -82,21 +82,12 @@ def _reference(prompt: str) -> str:
 
 def _segment(prompt: str) -> str:
     m = _DOC_BLOCK.search(prompt)
-    if not m:
-        return "No document provided."
-    sentences = split_sentences(m.group(1))
-    return sentences[0] if sentences else "No document provided."
+    return (m and first_sentence(m.group(1))) or "No document provided."
 
 
 def _answer(prompt: str) -> str:
     m = _CONTEXT_BLOCK.search(prompt)
-    span = ""
-    if m:
-        sentences = split_sentences(m.group(1))
-        if sentences:
-            span = sentences[0]
-    if not span:
-        span = "The provided material does not state the answer."
+    span = (m and first_sentence(m.group(1))) or "The provided material does not state the answer."
     return f"The focused material states: {span} <answer>{span}</answer>"
 
 

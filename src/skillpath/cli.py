@@ -2,9 +2,21 @@
 
 Configuration resolves in three layers, flags over config file over
 environment, and the resolved snapshot is written next to every output so
-a run can be reproduced from its artifacts alone. Work may fan out per
-question up to the parallelism bound; files are always written by one
-writer in input order, so outputs are deterministic under replay.
+a run can be reproduced from its artifacts alone.
+
+--parallelism N bounds the provider calls in flight. Up to N questions
+run at once, and within each question up to N independent calls overlap
+(the similarity scores of distinct candidates, the reference documents of
+distinct subquestions, the extractions of distinct skills), so at most
+N * N requests are in flight and --parallelism 1 sends one at a time.
+Within a question identical requests keep program order, and recorded
+transcripts are sorted by fingerprint, so a run whose questions send each
+other no identical request replays byte for byte at any parallelism.
+Across questions running in parallel the order of identical requests is
+not fixed, so recording or replaying such a run with parallelism above 1
+is not guaranteed to reproduce it. Files are always written by one writer
+in input order. A run log's latency_ms is the sum of a question's call
+latencies, not its wall time.
 """
 
 from __future__ import annotations
@@ -240,12 +252,14 @@ def cmd_generate(config: RunConfig) -> int:
                 provider=provider,
                 rng=rng,
             )
-            scored = examplegen.score_candidates(record.question, candidates, provider)
+            scored = examplegen.score_candidates(
+                record.question, candidates, provider, config.parallelism
+            )
             kept = examplegen.filter_candidates(scored, config.delta)
             if not kept:
                 raise NoCandidates(qid)
             examples = [
-                examplegen.synthesize_example(c.text, provider, mode)
+                examplegen.synthesize_example(c.text, provider, mode, config.parallelism)
                 for c in kept[: config.count]
             ]
             built = collection_mod.build_collection(examples)
@@ -311,7 +325,9 @@ def cmd_answer(config: RunConfig) -> int:
             match = answerer.select_for(gamma, mode, config.seed)
             document = "\n\n".join(record.documents)
             example = gamma.examples[match.selected_index]
-            trace = answerer.answer(record.question, document, example, provider)
+            trace = answerer.answer(
+                record.question, document, example, provider, config.parallelism
+            )
             line = {
                 "question_id": qid,
                 "question": trace.question,

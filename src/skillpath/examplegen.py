@@ -4,7 +4,9 @@ Candidates come from one of three construction modes: random pool fills,
 provider-guided fills, or free-form template variations. Survivors of the
 similarity filter get a reasoning strategy (typed steps plus an answer
 from the same reply) and one short reference document per step, forming a
-SimilarExample ready for collection into a Γ.
+SimilarExample ready for collection into a Γ. Given a parallelism above
+1, independent calls (the scores of distinct candidates, the reference
+documents of distinct subquestions) overlap through fan_out.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import (
     UnparseableStrategy,
 )
 from .prompts import render_prompt
-from .providers import CompletionRequest, Provider
+from .providers import CompletionRequest, Provider, fan_out
 from .resources import load_entity_pool
 from .skills import ReasoningSkill, parse_skill, skill_catalog
 from .textutil import normalize_ws, squeeze_punct
@@ -237,13 +239,16 @@ def score_similarity(original: str, candidate: str, provider: Provider) -> int:
 
 
 def score_candidates(
-    original: str, candidates: list[CandidateQuestion], provider: Provider
+    original: str, candidates: list[CandidateQuestion], provider: Provider, parallelism: int = 1
 ) -> list[CandidateQuestion]:
-    """Attach a similarity score to each candidate."""
-    return [
-        dataclasses.replace(c, similarity_score=score_similarity(original, c.text, provider))
-        for c in candidates
-    ]
+    """Attach a similarity score to each candidate, up to `parallelism` calls at once."""
+    scores = fan_out(
+        lambda c: score_similarity(original, c.text, provider),
+        candidates,
+        key=lambda c: c.text,
+        parallelism=parallelism,
+    )
+    return [dataclasses.replace(c, similarity_score=s) for c, s in zip(candidates, scores)]
 
 
 def filter_candidates(candidates: list[CandidateQuestion], delta: int) -> list[CandidateQuestion]:
@@ -303,24 +308,36 @@ def parse_strategy_reply(reply: str) -> tuple[ReasoningStrategy, str]:
     return ReasoningStrategy(tuple(subquestions), tuple(skills)), answer
 
 
-def build_reference_docs(strategy: ReasoningStrategy, provider: Provider) -> list[str]:
-    """One short reference passage per strategy step."""
-    docs = []
-    for subq in strategy.subquestions:
-        prompt = render_prompt("reference_document", subquestion=subq)
-        text = provider.complete(CompletionRequest(prompt, tag="reference")).text.strip()
-        if not text:
-            raise ProviderError(f"empty reference document for step {subq!r}")
-        docs.append(text)
-    return docs
+def build_reference_docs(
+    strategy: ReasoningStrategy, provider: Provider, parallelism: int = 1
+) -> list[str]:
+    """One short reference passage per strategy step.
+
+    A prompt is a function of the subquestion alone, so steps are keyed by
+    subquestion: a repeated one is asked in step order.
+    """
+    return fan_out(
+        lambda subq: _reference_doc(subq, provider),
+        strategy.subquestions,
+        key=lambda subq: subq,
+        parallelism=parallelism,
+    )
+
+
+def _reference_doc(subquestion: str, provider: Provider) -> str:
+    prompt = render_prompt("reference_document", subquestion=subquestion)
+    text = provider.complete(CompletionRequest(prompt, tag="reference")).text.strip()
+    if not text:
+        raise ProviderError(f"empty reference document for step {subquestion!r}")
+    return text
 
 
 def synthesize_example(
-    question: str, provider: Provider, mode: ConstructionMode
+    question: str, provider: Provider, mode: ConstructionMode, parallelism: int = 1
 ) -> SimilarExample:
     """Strategy, reference docs and assembly for one candidate question."""
     strategy, answer = build_strategy(question, provider)
-    docs = build_reference_docs(strategy, provider)
+    docs = build_reference_docs(strategy, provider, parallelism)
     return SimilarExample(
         question=question,
         strategy=strategy,
@@ -328,4 +345,3 @@ def synthesize_example(
         answer=answer,
         construction_mode=mode,
     )
-

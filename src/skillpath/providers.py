@@ -13,12 +13,14 @@ stay aligned call for call.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import json
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import requests
@@ -125,6 +127,78 @@ class _OccurrenceCounter:
         return fingerprint(*key, occ)
 
 
+# Created by the first fan_out that overlaps calls, never at import. Its
+# size only caps the threads: how many calls overlap is fan_out's
+# parallelism, and a lane no thread has picked up is dropped by its caller.
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _executor() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(thread_name_prefix="skillpath-fan-out")
+        return _pool
+
+
+def fan_out(fn, items, key, parallelism: int = 1) -> list:
+    """[fn(item) for item in items], up to `parallelism` groups at a time.
+
+    Items with equal key(item) form a group and run one after another in
+    item order; distinct groups overlap, at most `parallelism` of them at
+    once, and at parallelism 1 every group runs on the calling thread.
+    Give two items the same key whenever they can send the same request:
+    the occurrence index that record and replay fingerprint depends on the
+    order of identical requests, which this keeps equal to program order.
+
+    A group stops at its first failure; the other groups run on. Once
+    every started call has finished, the failure first in item order is
+    raised, so the requests sent and the error reported depend neither on
+    thread timing nor on parallelism.
+    """
+    items = list(items)
+    groups: dict = {}
+    for index, item in enumerate(items):
+        groups.setdefault(key(item), []).append(index)
+    queue = collections.deque(groups.values())
+    results: list = [None] * len(items)
+    failures: dict[int, Exception] = {}
+
+    def lane() -> None:
+        # whole groups off the shared queue until it is empty
+        while True:
+            try:
+                indices = queue.popleft()
+            except IndexError:
+                return
+            for index in indices:
+                try:
+                    results[index] = fn(items[index])
+                except Exception as exc:
+                    failures[index] = exc
+                    break
+
+    helpers = []
+    try:
+        for _ in range(min(parallelism, len(queue)) - 1):
+            helpers.append(_executor().submit(lane))
+    except RuntimeError:
+        pass  # no thread to be had: the calling thread runs what is left
+    try:
+        lane()
+    finally:
+        queue.clear()  # after an interrupt, groups not yet begun are dropped
+        # the queue is empty, so a helper no thread has picked up is cancelled
+        started = [helper for helper in helpers if not helper.cancel()]
+        wait(started)
+    for helper in started:
+        helper.result()  # re-raises what lane() lets through
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
 class Provider:
     """Base completion backend.
 
@@ -184,7 +258,7 @@ class TranscriptEntry:
 
 @dataclass
 class Transcript:
-    """An ordered record of completed requests, one fingerprint each."""
+    """A record of completed requests, one fingerprint each."""
 
     entries: list[TranscriptEntry] = field(default_factory=list)
     provider: str = ""
@@ -258,8 +332,14 @@ class RecordingProvider(Provider):
 
     @property
     def transcript(self) -> Transcript:
+        """The exchanges so far, sorted by fingerprint.
+
+        Calls that overlap finish in any order; sorting makes the saved
+        transcript independent of thread timing. Replay looks entries up
+        by fingerprint, so the order carries no meaning.
+        """
         with self._entries_lock:
-            entries = list(self._entries)
+            entries = sorted(self._entries, key=lambda e: e.fingerprint)
         return Transcript(entries=entries, provider=self.inner.name, created_at=self._created_at)
 
 
@@ -350,13 +430,18 @@ class LiveProvider(Provider):
             text = doc["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed endpoint response: {exc}") from exc
-        usage_doc = doc.get("usage") or {}
-        prompt_tokens = usage_doc.get("prompt_tokens")
-        completion_tokens = usage_doc.get("completion_tokens")
-        if prompt_tokens is None or completion_tokens is None:
+        usage_doc = doc.get("usage")
+        if usage_doc is None:
+            usage_doc = {}
+        if not isinstance(usage_doc, dict):
+            raise TransportError(f"malformed endpoint usage: {usage_doc!r}")
+        counts = (usage_doc.get("prompt_tokens"), usage_doc.get("completion_tokens"))
+        if None in counts:
             usage = TokenUsage.of(count_ws_tokens(request.prompt), count_ws_tokens(text))
+        elif all(type(count) is int and count >= 0 for count in counts):  # bool is not a count
+            usage = TokenUsage.of(*counts)
         else:
-            usage = TokenUsage.of(int(prompt_tokens), int(completion_tokens))
+            raise TransportError(f"malformed endpoint usage counts: {usage_doc!r}")
         return CompletionResult(text=text, usage=usage, latency_ms=elapsed_ms)
 
 

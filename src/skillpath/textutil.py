@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 _PUNCT = set(",.?!;:\"()[]{}")
 
 _WS = re.compile(r"\s+")
+_LINE = re.compile(r"[^\n]+")
 _WORD = re.compile(r"[a-z0-9]+")
 # boundary after ., ? or ! (plus closing quotes/brackets) before a capital or digit
 _SENT_BOUNDARY = re.compile(r"(?<=[.?!])[\)\"\']*\s+(?=[\"\'(]?[A-Z0-9])")
@@ -87,6 +88,16 @@ def split_sentences(text: str) -> list[str]:
             if part:
                 sentences.append(part)
     return sentences
+
+
+def first_sentence(text: str) -> str | None:
+    """split_sentences(text)[0] without splitting the rest; None if text has none."""
+    for line in _LINE.finditer(text):
+        boundary = _SENT_BOUNDARY.search(text, line.start(), line.end())
+        part = text[line.start() : boundary.start() if boundary else line.end()].strip()
+        if part:
+            return part
+    return None
 
 
 def norm_tokens(text: str) -> list[str]:

@@ -98,16 +98,21 @@ def test_answer_span_takes_the_last_marker():
 
 
 def test_answer_collects_trace_and_usage():
-    provider = RecordingProvider(
-        MockProvider(
-            [
-                "The Eiffel Tower was completed in 1889.",
-                "It stands 330 metres tall.",
-                "Given the segments, the height wins. <answer>the Eiffel Tower</answer>",
-            ]
-        )
-    )
-    trace = answer("Which is taller?", DOC, example_for([S.DEDUCTIVE, S.INDUCTIVE]), provider)
+    replies = {
+        S.DEDUCTIVE.display_name: "The Eiffel Tower was completed in 1889.",
+        S.INDUCTIVE.display_name: "It stands 330 metres tall.",
+    }
+
+    def reply(request):
+        # the two steps' extractions overlap: reply by skill, not by call order
+        if request.tag == "answer":
+            return "Given the segments, the height wins. <answer>the Eiffel Tower</answer>"
+        (text,) = [text for name, text in replies.items() if f"step: {name} (" in request.prompt]
+        return text
+
+    provider = RecordingProvider(MockProvider(reply))
+    example = example_for([S.DEDUCTIVE, S.INDUCTIVE])
+    trace = answer("Which is taller?", DOC, example, provider, parallelism=2)
     assert trace.answer == "the Eiffel Tower"
     assert trace.focused_segments == [
         "The Eiffel Tower was completed in 1889.",

@@ -395,3 +395,27 @@ def test_bad_config_and_environment_values_exit_2(tmp_path, corpus_path, monkeyp
                  "--config", str(config_file)])
     assert code == 2
     assert capsys.readouterr().err.startswith("[generate] ")
+
+
+@pytest.mark.parametrize("prompt_tokens", ["n/a", -1])
+def test_live_bad_usage_counts_fail_the_question(tmp_path, monkeypatch, capsys, prompt_tokens):
+    class Reply:
+        status_code = 200
+        text = ""
+
+        def json(self):
+            return {
+                "choices": [{"message": {"content": "1. Paris"}}],
+                "usage": {"prompt_tokens": prompt_tokens, "completion_tokens": 2},
+            }
+
+    monkeypatch.setattr("requests.post", lambda *args, **kwargs: Reply())
+    monkeypatch.setenv("SKILLPATH_API_BASE", "http://endpoint.invalid")
+    monkeypatch.setenv("SKILLPATH_MODEL", "m")
+    corpus = write_corpus(tmp_path / "corpus.jsonl", [eiffel_row("q1"), eiffel_row("q2")])
+    code = main(["generate", "--provider", "live", "--corpus", corpus,
+                 "--collection", str(tmp_path / "bundle.json"), "--count", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "[generate] question q1" in err
+    assert "[generate] question q2" in err

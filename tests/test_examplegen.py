@@ -160,8 +160,24 @@ def test_filter_validates_inputs():
         filter_candidates([CandidateQuestion("q", ConstructionMode.RANDOM_FILL)], 7)
 
 
+def replies_by_marker(replies):
+    """A reply function picking the reply whose marker appears in the prompt.
+
+    Calls for distinct prompts may overlap, so a scripted sequence would
+    hand out its replies in an undefined order.
+    """
+
+    def reply(request):
+        (text,) = [text for marker, text in replies.items() if marker in request.prompt]
+        return text
+
+    return reply
+
+
 def test_score_candidates_attaches_scores_in_order():
-    provider = MockProvider(["Score: 3", "Score: 9"])
+    provider = MockProvider(
+        replies_by_marker({"question: q1": "Score: 3", "question: q2": "Score: 9"})
+    )
     scored = score_candidates(
         "orig",
         [
@@ -169,6 +185,7 @@ def test_score_candidates_attaches_scores_in_order():
             CandidateQuestion("q2", ConstructionMode.GUIDED_FILL),
         ],
         provider,
+        parallelism=2,
     )
     assert [c.similarity_score for c in scored] == [3, 9]
 
@@ -241,8 +258,15 @@ def test_reference_docs_one_per_subquestion():
         ("When was the tower finished?", "How tall is it?"),
         (ReasoningSkill.DEDUCTIVE, ReasoningSkill.DEDUCTIVE),
     )
-    provider = MockProvider(["The tower was finished in 1889.", "It stands 330 metres tall."])
-    docs = build_reference_docs(strategy, provider)
+    provider = MockProvider(
+        replies_by_marker(
+            {
+                "When was the tower finished?": "The tower was finished in 1889.",
+                "How tall is it?": "It stands 330 metres tall.",
+            }
+        )
+    )
+    docs = build_reference_docs(strategy, provider, parallelism=2)
     assert docs == ["The tower was finished in 1889.", "It stands 330 metres tall."]
 
 

@@ -149,3 +149,35 @@ def test_live_reads_environment(monkeypatch):
     assert provider.base_url == "http://example.invalid/v1"
     assert provider.model == "test-model"
     assert provider.api_key == "secret"
+
+
+class _Reply:
+    """A stand-in for a 200 response of a chat-completions endpoint."""
+
+    status_code = 200
+    text = ""
+
+    def __init__(self, usage):
+        self._doc = {"choices": [{"message": {"content": "ok"}}], "usage": usage}
+
+    def json(self):
+        return self._doc
+
+
+@pytest.mark.parametrize(
+    "usage",
+    [
+        {"prompt_tokens": "n/a", "completion_tokens": 1},
+        {"prompt_tokens": 3, "completion_tokens": -1},
+        {"prompt_tokens": [3], "completion_tokens": 1},
+        {"prompt_tokens": 3.7, "completion_tokens": 1},
+        {"prompt_tokens": 3, "completion_tokens": True},
+        "n/a",
+        [1],
+    ],
+)
+def test_live_bad_usage_counts_raise_transport_error(monkeypatch, usage):
+    monkeypatch.setattr("requests.post", lambda *args, **kwargs: _Reply(usage))
+    provider = LiveProvider(base_url="http://endpoint.invalid", model="m", max_retries=0)
+    with pytest.raises(TransportError):
+        provider.complete(CompletionRequest("hello"))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from skillpath.textutil import (
     Passage,
     detokenize,
+    first_sentence,
     norm_tokens,
     normalize_answer,
     normalize_ws,
@@ -124,3 +125,15 @@ def test_split_sentences_invariants(docs):
     for sentences in per_doc:
         assert all(s and s == s.strip() for s in sentences)
     assert split_sentences("\n\n".join(docs)) == [s for sentences in per_doc for s in sentences]
+
+
+@given(st.lists(_DOC_TEXT, max_size=4), st.sampled_from(["", "\n", "\n\n \n", " \t\n\n"]))
+def test_first_sentence_is_the_first_split_sentence(docs, leading):
+    text = leading + "\n\n".join(docs)
+    sentences = split_sentences(text)
+    assert first_sentence(text) == (sentences[0] if sentences else None)
+
+
+def test_first_sentence_skips_leading_blank_lines():
+    assert first_sentence("\n\n  \nThe tower. It stands.\nMore.") == "The tower."
+    assert first_sentence(" \n\t\n") is None

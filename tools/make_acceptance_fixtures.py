@@ -107,9 +107,13 @@ def scripted_reply(request):
     prompt = request.prompt
     if request.tag == "segment":
         if "Nowhere Boy" in prompt:
-            counts = scripted_reply.counters.setdefault("q1_segment", [0])
-            counts[0] += 1
-            return [FILM_DOC, LENNON_DOC, LENNON_DOC][counts[0] - 1]
+            # counted per prompt: steps of different skills run concurrently,
+            # so only the order of one prompt's repeats is defined
+            seen = scripted_reply.counters.get(prompt, 0)
+            scripted_reply.counters[prompt] = seen + 1
+            if f"skill for this step: {S.DEDUCTIVE.display_name} " in prompt:
+                return [FILM_DOC, LENNON_DOC][seen]
+            return LENNON_DOC
         return "It was constructed in 1889 as the entrance to the 1889 World's Fair."
     if request.tag == "answer":
         if "Nowhere Boy" in prompt:
