@@ -12,8 +12,6 @@ from __future__ import annotations
 from .answerer import AnswerTrace, answer, extract_relevant_segment, format_prompt
 from .collection import ExampleCollection, build_collection
 from .decompose import (
-    EntityTagger,
-    LookupTagger,
     QuestionTemplate,
     RuleBasedTagger,
     Token,
@@ -78,12 +76,10 @@ __all__ = [
     "CompletionRequest",
     "CompletionResult",
     "ConstructionMode",
-    "EntityTagger",
     "EvalRecord",
     "EvalReport",
     "ExampleCollection",
     "LiveProvider",
-    "LookupTagger",
     "MatchResult",
     "MockProvider",
     "Passage",

@@ -4,11 +4,15 @@ Configuration resolves in three layers, flags over config file over
 environment, and the resolved snapshot is written next to every output so
 a run can be reproduced from its artifacts alone.
 
---parallelism N bounds the provider calls in flight. Up to N questions
-run at once, and within each question up to N independent calls overlap
-(the similarity scores of distinct candidates, the reference documents of
-distinct subquestions, the extractions of distinct skills), so at most
-N * N requests are in flight and --parallelism 1 sends one at a time.
+--parallelism N bounds the provider calls in flight. Questions, and the
+independent calls within each (the similarity scores of distinct
+candidates, the reference documents of distinct subquestions, the
+extractions of distinct skills), overlap through the same
+providers.fan_out: up to N questions at once and up to N calls each, so
+at most N * N requests are in flight, --parallelism 1 sends one at a
+time, and no thread outlives a command. A question's SkillPathError is
+printed and fails that question only; any other error is raised once
+every question has run, the first in input order, at any N.
 Within a question identical requests keep program order, and recorded
 transcripts are sorted by fingerprint, so a run whose questions send each
 other no identical request replays byte for byte at any parallelism.
@@ -29,7 +33,6 @@ import random
 import sys
 import threading
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 from . import answerer, collection as collection_mod, corpus as corpus_mod, examplegen, metrics
@@ -43,6 +46,7 @@ from .providers import (
     Provider,
     ReplayProvider,
     TokenUsage,
+    fan_out,
 )
 from .resources import read_jsonl, write_json, write_text
 
@@ -185,11 +189,30 @@ def _write_snapshot(config: RunConfig, output_path: str) -> None:
     write_json(output_path + ".config.json", config.snapshot(), "config snapshot")
 
 
-def _ordered_map(fn, items, workers: int):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _run_questions(config: RunConfig, records: list[corpus_mod.QARecord], attempt) -> tuple[dict, int]:
+    """attempt(record) for every record, up to config.parallelism questions at once.
+
+    Returns the values of the questions that succeeded, by question id in
+    input order, and how many failed. A SkillPathError fails its question
+    and is printed; any other error is raised once every question has run.
+    """
+
+    def outcome(record: corpus_mod.QARecord):
+        try:
+            return attempt(record), None
+        except SkillPathError as exc:
+            return None, str(exc)
+
+    done = {}
+    failures = 0
+    results = fan_out(outcome, records, key=lambda r: r.question_id, parallelism=config.parallelism)
+    for record, (value, error) in zip(records, results):
+        if error is not None:
+            failures += 1
+            print(f"[{config.command}] question {record.question_id}: {error}", file=sys.stderr)
+        else:
+            done[record.question_id] = value
+    return done, failures
 
 
 def _json_line(doc: dict) -> str:
@@ -238,56 +261,35 @@ def cmd_generate(config: RunConfig) -> int:
         log.info("resuming: %d question(s) already completed", len(done))
     checkpoint_lock = threading.Lock()
 
-    def work(record: corpus_mod.QARecord):
+    def work(record: corpus_mod.QARecord) -> collection_mod.ExampleCollection:
         qid = record.question_id
         if qid in done:
-            return qid, done[qid], None
-        try:
-            template = decompose_question(record.question)
-            rng = random.Random(f"{config.seed if config.seed is not None else 0}:{qid}")
-            candidates = examplegen.generate_candidates(
-                template,
-                mode,
-                count=config.count * _OVERGENERATION,
-                provider=provider,
-                rng=rng,
-            )
-            scored = examplegen.score_candidates(
-                record.question, candidates, provider, config.parallelism
-            )
-            kept = examplegen.filter_candidates(scored, config.delta)
-            if not kept:
-                raise NoCandidates(qid)
-            examples = [
-                examplegen.synthesize_example(c.text, provider, mode, config.parallelism)
-                for c in kept[: config.count]
-            ]
-            built = collection_mod.build_collection(examples)
-        except SkillPathError as exc:
-            return qid, None, str(exc)
-        with checkpoint_lock:
-            with open(checkpoint_path, "a", encoding="utf-8") as fh:
-                fh.write(
-                    _json_line(
-                        {
-                            "question_id": qid,
-                            "examples": [collection_mod.example_to_record(e) for e in built.examples],
-                        }
-                    )
-                    + "\n"
-                )
-        return qid, built, None
+            return done[qid]
+        template = decompose_question(record.question)
+        rng = random.Random(f"{config.seed if config.seed is not None else 0}:{qid}")
+        candidates = examplegen.generate_candidates(
+            template,
+            mode,
+            count=config.count * _OVERGENERATION,
+            provider=provider,
+            rng=rng,
+        )
+        scored = examplegen.score_candidates(record.question, candidates, provider, config.parallelism)
+        kept = examplegen.filter_candidates(scored, config.delta)
+        if not kept:
+            raise NoCandidates(qid)
+        examples = [
+            examplegen.synthesize_example(c.text, provider, mode, config.parallelism)
+            for c in kept[: config.count]
+        ]
+        built = collection_mod.build_collection(examples)
+        stored = [collection_mod.example_to_record(e) for e in built.examples]
+        line = {"question_id": qid, "examples": stored}
+        with checkpoint_lock, open(checkpoint_path, "a", encoding="utf-8") as fh:
+            fh.write(_json_line(line) + "\n")
+        return built
 
-    results = _ordered_map(work, records, config.parallelism)
-
-    bundle: dict[str, collection_mod.ExampleCollection] = {}
-    failures = 0
-    for qid, built, error in results:
-        if error is not None:
-            failures += 1
-            print(f"[generate] question {qid}: {error}", file=sys.stderr)
-        else:
-            bundle[qid] = built
+    bundle, failures = _run_questions(config, records, work)
 
     created_at = None
     if isinstance(provider, ReplayProvider):
@@ -316,46 +318,31 @@ def cmd_answer(config: RunConfig) -> int:
     provider = _build_provider(config)
     mode = _SELECT_MODES[config.select_mode]
 
-    def work(record: corpus_mod.QARecord):
+    def work(record: corpus_mod.QARecord) -> dict:
         qid = record.question_id
-        try:
-            if qid not in bundle:
-                raise UnmatchedQuestionId(qid)
-            gamma = bundle[qid]
-            match = answerer.select_for(gamma, mode, config.seed)
-            document = "\n\n".join(record.documents)
-            example = gamma.examples[match.selected_index]
-            trace = answerer.answer(
-                record.question, document, example, provider, config.parallelism
-            )
-            line = {
-                "question_id": qid,
-                "question": trace.question,
-                "answer": trace.answer,
-                "completion": trace.completion,
-                "focused_segments": trace.focused_segments,
-                "prompt": trace.prompt,
-                "selected_example_id": match.selected_index,
-                "match": match.to_record(),
-                "usage": asdict(trace.usage),
-                "latency_ms": trace.latency_ms,
-            }
-            return qid, line, None
-        except SkillPathError as exc:
-            return qid, None, str(exc)
+        if qid not in bundle:
+            raise UnmatchedQuestionId(qid)
+        gamma = bundle[qid]
+        match = answerer.select_for(gamma, mode, config.seed)
+        document = "\n\n".join(record.documents)
+        example = gamma.examples[match.selected_index]
+        trace = answerer.answer(record.question, document, example, provider, config.parallelism)
+        return {
+            "question_id": qid,
+            "question": trace.question,
+            "answer": trace.answer,
+            "completion": trace.completion,
+            "focused_segments": trace.focused_segments,
+            "prompt": trace.prompt,
+            "selected_example_id": match.selected_index,
+            "match": match.to_record(),
+            "usage": asdict(trace.usage),
+            "latency_ms": trace.latency_ms,
+        }
 
-    results = _ordered_map(work, records, config.parallelism)
-
-    failures = 0
-    lines = []
-    total_tokens = 0
-    for qid, line, error in results:
-        if error is not None:
-            failures += 1
-            print(f"[answer] question {qid}: {error}", file=sys.stderr)
-        else:
-            lines.append(_json_line(line))
-            total_tokens += line["usage"]["total_tokens"]
+    answered, failures = _run_questions(config, records, work)
+    lines = [_json_line(line) for line in answered.values()]
+    total_tokens = sum(line["usage"]["total_tokens"] for line in answered.values())
 
     write_text(config.run_log, "".join(line + "\n" for line in lines), "run log")
     _write_snapshot(config, config.run_log)

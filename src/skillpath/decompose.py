@@ -1,7 +1,7 @@
 """Question decomposition into typed templates.
 
 A question is tokenized, each token is labeled Structural or Entity by a
-pluggable tagger, adjacent entity tokens of one type merge into multiword
+rule-based tagger, adjacent entity tokens of one type merge into multiword
 entities, and the entities become typed bracket slots. The resulting
 template regenerates the original question when filled with its own
 substitutions, which is the invariant the whole synthesis pipeline leans
@@ -15,16 +15,10 @@ rather than keeping a dangling "the" in front of each slot.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import (
-    EmptyQuestion,
-    MissingSubstitution,
-    TaggerFailure,
-    UnknownPlaceholder,
-)
+from .errors import EmptyQuestion, MissingSubstitution, UnknownPlaceholder
 from .resources import load_entity_pool
 from .textutil import ARTICLES, detokenize, tokenize
 
@@ -76,19 +70,6 @@ class QuestionTemplate:
         for p in self.placeholders:
             out[p.slot] = f"{p.article} {p.entity_text}" if p.article else p.entity_text
         return out
-
-
-class EntityTagger(ABC):
-    """Labels each token Structural or Entity with a type.
-
-    tag() receives the token sequence of one question and returns one
-    (label, entity_type) pair per token, entity_type being None exactly for
-    structural tokens. Taggers are called from worker threads, so tag()
-    must be safe to call concurrently.
-    """
-
-    @abstractmethod
-    def tag(self, tokens: list[str]) -> list[tuple[TokenLabel, str | None]]: ...
 
 
 # suffix cue words for typing capitalized spans the gazetteer does not know
@@ -166,15 +147,13 @@ def _scan_phrases(index: _PhraseIndex, folded: list[str], types: list[str | None
             types[start : start + width] = [etype] * width
 
 
-def _labels(types: list[str | None]) -> list[tuple[TokenLabel, str | None]]:
-    return [
-        (TokenLabel.ENTITY, t) if t is not None else (TokenLabel.STRUCTURAL, None)
-        for t in types
-    ]
+class RuleBasedTagger:
+    """Deterministic tagger built on a gazetteer plus heuristics.
 
-
-class RuleBasedTagger(EntityTagger):
-    """Deterministic default tagger built on a gazetteer plus heuristics.
+    tag() receives the token sequence of one question and returns one
+    (label, entity_type) pair per token, entity_type being None exactly for
+    structural tokens. It is called from worker threads and keeps no state
+    between calls.
 
     Typing precedence: exact gazetteer phrase match, then capitalized-run
     heuristics (suffix cues for place and organization, month names for
@@ -229,7 +208,10 @@ class RuleBasedTagger(EntityTagger):
             elif self._is_comparative(folded[i]):
                 types[i] = "adj"
 
-        return _labels(types)
+        return [
+            (TokenLabel.ENTITY, t) if t is not None else (TokenLabel.STRUCTURAL, None)
+            for t in types
+        ]
 
     def _type_for_run(self, words: list[str]) -> str:
         if words[-1] in _PLACE_CUES or any(w in _PLACE_CUES for w in words):
@@ -249,23 +231,6 @@ class RuleBasedTagger(EntityTagger):
         return word.endswith("er") or word.endswith("est")
 
 
-class LookupTagger(EntityTagger):
-    """Tags exactly the phrases it was configured with, nothing else.
-
-    Useful for tests and for callers that already know their entities, and
-    a working demonstration that taggers are swappable. Matching is
-    casefolded, longest phrase first.
-    """
-
-    def __init__(self, entities: dict[str, str]):
-        self._phrases = _phrase_table(entities.items())
-
-    def tag(self, tokens: list[str]) -> list[tuple[TokenLabel, str | None]]:
-        types: list[str | None] = [None] * len(tokens)
-        _scan_phrases(self._phrases, [t.casefold() for t in tokens], types)
-        return _labels(types)
-
-
 _DEFAULT_TAGGER: RuleBasedTagger | None = None
 
 
@@ -276,7 +241,7 @@ def default_tagger() -> RuleBasedTagger:
     return _DEFAULT_TAGGER
 
 
-def classify_tokens(question: str, tagger: EntityTagger | None = None) -> list[Token]:
+def classify_tokens(question: str) -> list[Token]:
     """Tokenize a question and label every token.
 
     Adjacent entity tokens with the same type merge into one multiword
@@ -289,24 +254,7 @@ def classify_tokens(question: str, tagger: EntityTagger | None = None) -> list[T
     if not any(any(ch.isalnum() for ch in w) for w in words):
         raise EmptyQuestion("question contains no word tokens")
 
-    tagger = tagger if tagger is not None else default_tagger()
-    pairs = tagger.tag(words)
-
-    if not isinstance(pairs, list) or len(pairs) != len(words):
-        raise TaggerFailure(
-            f"tagger returned {len(pairs) if isinstance(pairs, list) else 'non-list'} "
-            f"labels for {len(words)} tokens"
-        )
-    for pair in pairs:
-        if not isinstance(pair, tuple) or len(pair) != 2:
-            raise TaggerFailure("tagger output must be (label, entity_type) pairs")
-        label, etype = pair
-        if not isinstance(label, TokenLabel):
-            raise TaggerFailure(f"invalid token label: {label!r}")
-        if label is TokenLabel.ENTITY and not etype:
-            raise TaggerFailure("entity token without an entity type")
-        if label is TokenLabel.STRUCTURAL and etype is not None:
-            raise TaggerFailure("structural token carries an entity type")
+    pairs = default_tagger().tag(words)
 
     tokens: list[Token] = []
     i = 0
@@ -391,6 +339,6 @@ def render_template(template: QuestionTemplate, substitutions: dict[str, str]) -
     return text
 
 
-def decompose_question(question: str, tagger: EntityTagger | None = None) -> QuestionTemplate:
+def decompose_question(question: str) -> QuestionTemplate:
     """classify_tokens followed by build_template."""
-    return build_template(classify_tokens(question, tagger))
+    return build_template(classify_tokens(question))

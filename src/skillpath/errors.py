@@ -25,10 +25,6 @@ class EmptyQuestion(SkillPathError):
     """The question is empty or contains no word tokens."""
 
 
-class TaggerFailure(SkillPathError):
-    """An entity tagger returned output that violates its contract."""
-
-
 class MissingSubstitution(SkillPathError):
     """A template slot has no value in the substitution mapping."""
 

@@ -8,12 +8,11 @@ did not supply raises TemplateSlotMissing.
 
 from __future__ import annotations
 
-import os
 import string
 from functools import lru_cache
-from importlib import resources
 
 from .errors import StorageError, TemplateSlotMissing
+from .resources import read_bundled
 
 PROMPT_DIR_ENV = "SKILLPATH_PROMPT_DIR"
 
@@ -21,19 +20,9 @@ PROMPT_DIR_ENV = "SKILLPATH_PROMPT_DIR"
 @lru_cache(maxsize=None)
 def load_prompt(name: str) -> str:
     """Raw template text for prompts/<name>.txt, honoring the override dir."""
-    filename = f"{name}.txt"
-    override = os.environ.get(PROMPT_DIR_ENV)
-    if override:
-        path = os.path.join(override, filename)
-        if os.path.exists(path):
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    return fh.read()
-            except OSError as exc:
-                raise StorageError(f"cannot read prompt override {path}: {exc}") from exc
     try:
-        return resources.files("skillpath").joinpath("prompts", filename).read_text(encoding="utf-8")
-    except (FileNotFoundError, OSError) as exc:
+        return read_bundled("prompts", f"{name}.txt", PROMPT_DIR_ENV, "prompt")
+    except OSError as exc:
         raise StorageError(f"no prompt template named {name!r}") from exc
 
 

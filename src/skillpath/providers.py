@@ -20,7 +20,6 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import requests
@@ -127,21 +126,6 @@ class _OccurrenceCounter:
         return fingerprint(*key, occ)
 
 
-# Created by the first fan_out that overlaps calls, never at import. Its
-# size only caps the threads: how many calls overlap is fan_out's
-# parallelism, and a lane no thread has picked up is dropped by its caller.
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _executor() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(thread_name_prefix="skillpath-fan-out")
-        return _pool
-
-
 def fan_out(fn, items, key, parallelism: int = 1) -> list:
     """[fn(item) for item in items], up to `parallelism` groups at a time.
 
@@ -151,6 +135,10 @@ def fan_out(fn, items, key, parallelism: int = 1) -> list:
     Give two items the same key whenever they can send the same request:
     the occurrence index that record and replay fingerprint depends on the
     order of identical requests, which this keeps equal to program order.
+
+    The calling thread is one lane; each further lane is a thread started
+    here and joined before fan_out returns, so no thread outlives the call
+    and nested fan_outs at parallelism N have at most N * N lanes.
 
     A group stops at its first failure; the other groups run on. Once
     every started call has finished, the failure first in item order is
@@ -164,6 +152,7 @@ def fan_out(fn, items, key, parallelism: int = 1) -> list:
     queue = collections.deque(groups.values())
     results: list = [None] * len(items)
     failures: dict[int, Exception] = {}
+    escaped: list[BaseException] = []
 
     def lane() -> None:
         # whole groups off the shared queue until it is empty
@@ -179,21 +168,28 @@ def fan_out(fn, items, key, parallelism: int = 1) -> list:
                     failures[index] = exc
                     break
 
+    def helper_lane() -> None:
+        try:
+            lane()
+        except BaseException as exc:  # re-raised on the calling thread
+            escaped.append(exc)
+
     helpers = []
     try:
         for _ in range(min(parallelism, len(queue)) - 1):
-            helpers.append(_executor().submit(lane))
+            helper = threading.Thread(target=helper_lane, name="skillpath-fan-out", daemon=True)
+            helper.start()
+            helpers.append(helper)
     except RuntimeError:
         pass  # no thread to be had: the calling thread runs what is left
     try:
         lane()
     finally:
         queue.clear()  # after an interrupt, groups not yet begun are dropped
-        # the queue is empty, so a helper no thread has picked up is cancelled
-        started = [helper for helper in helpers if not helper.cancel()]
-        wait(started)
-    for helper in started:
-        helper.result()  # re-raises what lane() lets through
+        for helper in helpers:
+            helper.join()
+    if escaped:
+        raise escaped[0]
     if failures:
         raise failures[min(failures)]
     return results

@@ -26,8 +26,14 @@ from .errors import ParseError, StorageError
 DATA_DIR_ENV = "SKILLPATH_DATA_DIR"
 
 
-def _read_bundled(name: str) -> str:
-    override = os.environ.get(DATA_DIR_ENV)
+def read_bundled(folder: str, name: str, override_env: str, what: str) -> str:
+    """The package file <folder>/<name>, or its copy in an override directory.
+
+    A file of that name in the directory that the environment variable
+    override_env names wins; `what` names the file kind in the error
+    message.
+    """
+    override = os.environ.get(override_env)
     if override:
         path = os.path.join(override, name)
         if os.path.exists(path):
@@ -35,15 +41,15 @@ def _read_bundled(name: str) -> str:
                 with open(path, encoding="utf-8") as fh:
                     return fh.read()
             except OSError as exc:
-                raise StorageError(f"cannot read data override {path}: {exc}") from exc
-    return resources.files("skillpath").joinpath("data", name).read_text(encoding="utf-8")
+                raise StorageError(f"cannot read {what} override {path}: {exc}") from exc
+    return resources.files("skillpath").joinpath(folder, name).read_text(encoding="utf-8")
 
 
 @lru_cache(maxsize=None)
 def load_entity_pool() -> dict[str, list[str]]:
     """Entity candidates per type, e.g. {"place": ["Eiffel Tower", ...]}."""
     try:
-        doc = json.loads(_read_bundled("entity_pool.json"))
+        doc = json.loads(read_bundled("data", "entity_pool.json", DATA_DIR_ENV, "data"))
     except json.JSONDecodeError as exc:
         raise StorageError(f"entity pool is not valid JSON: {exc}") from exc
     return {t: list(names) for t, names in doc["types"].items()}
@@ -53,7 +59,7 @@ def load_entity_pool() -> dict[str, list[str]]:
 def load_repair_cues() -> list[str]:
     """Self-correction cue phrases, lowercase, from the versioned cue file."""
     try:
-        doc = json.loads(_read_bundled("repair_cues.json"))
+        doc = json.loads(read_bundled("data", "repair_cues.json", DATA_DIR_ENV, "data"))
     except json.JSONDecodeError as exc:
         raise StorageError(f"repair cue file is not valid JSON: {exc}") from exc
     return [c.casefold() for c in doc["cues"]]

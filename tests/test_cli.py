@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -134,7 +135,7 @@ def test_generate_answer_eval_with_mock_provider(tmp_path, corpus_path, capsys):
     code = main(["answer", "--provider", "mock", "--corpus", corpus_path,
                  "--collection", bundle_path, "--run-log", run_log])
     assert code == 0
-    lines = [json.loads(l) for l in open(run_log, encoding="utf-8") if l.strip()]
+    lines = [json.loads(l) for l in Path(run_log).read_text(encoding="utf-8").splitlines() if l.strip()]
     assert len(lines) == 1
     line = lines[0]
     assert line["question_id"] == "q1"
@@ -149,12 +150,12 @@ def test_generate_answer_eval_with_mock_provider(tmp_path, corpus_path, capsys):
     code = main(["eval", "--corpus", corpus_path, "--run-log", run_log,
                  "--report", report_path])
     assert code == 0
-    report = json.loads(open(report_path, encoding="utf-8").read())
+    report = json.loads(Path(report_path).read_text(encoding="utf-8"))
     for key in ("rouge_l_mean", "em_mean", "hits", "error", "retrace_rate",
                 "token_mean", "time_mean_ms", "n"):
         assert key in report
     assert report["n"] == 1
-    tsv = open(report_path + ".records.tsv", encoding="utf-8").read().splitlines()
+    tsv = Path(report_path + ".records.tsv").read_text(encoding="utf-8").splitlines()
     assert tsv[0].split("\t")[0] == "question_id"
     assert len(tsv) == 2
     out = capsys.readouterr().out
@@ -204,7 +205,7 @@ def test_answer_flags_questions_missing_from_bundle(tmp_path, corpus_path, capsy
                  "--collection", bundle_path, "--run-log", run_log])
     assert code == 1
     assert "q9" in capsys.readouterr().err
-    lines = [json.loads(l) for l in open(run_log, encoding="utf-8") if l.strip()]
+    lines = [json.loads(l) for l in Path(run_log).read_text(encoding="utf-8").splitlines() if l.strip()]
     assert [l["question_id"] for l in lines] == ["q1"]
 
 
@@ -259,8 +260,8 @@ def test_parallel_generate_matches_serial(tmp_path, corpus_path):
                  "--collection", serial, "--count", "1"]) == 0
     assert main(["generate", "--provider", "mock", "--corpus", corpus,
                  "--collection", parallel, "--count", "1", "--parallelism", "3"]) == 0
-    a = json.loads(open(serial, encoding="utf-8").read())
-    b = json.loads(open(parallel, encoding="utf-8").read())
+    a = json.loads(Path(serial).read_text(encoding="utf-8"))
+    b = json.loads(Path(parallel).read_text(encoding="utf-8"))
     a.pop("created_at"), b.pop("created_at")
     assert a == b
 
@@ -269,7 +270,7 @@ def test_config_snapshot_records_effective_settings(tmp_path, corpus_path):
     bundle_path = str(tmp_path / "bundle.json")
     assert main(["generate", "--provider", "mock", "--corpus", corpus_path,
                  "--collection", bundle_path, "--count", "2", "--delta", "8"]) == 0
-    snapshot = json.loads(open(bundle_path + ".config.json", encoding="utf-8").read())
+    snapshot = json.loads(Path(bundle_path + ".config.json").read_text(encoding="utf-8"))
     assert snapshot["command"] == "generate"
     assert snapshot["config"]["provider"] == "mock"
     assert snapshot["config"]["delta"] == 8

@@ -5,8 +5,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skillpath.decompose import (
-    EntityTagger,
-    LookupTagger,
     RuleBasedTagger,
     TokenLabel,
     _phrase_table,
@@ -19,7 +17,6 @@ from skillpath.decompose import (
 from skillpath.errors import (
     EmptyQuestion,
     MissingSubstitution,
-    TaggerFailure,
     UnknownPlaceholder,
 )
 from skillpath.resources import load_entity_pool
@@ -98,31 +95,6 @@ def test_empty_and_punctuation_only_questions_rejected():
         classify_tokens("   ")
     with pytest.raises(EmptyQuestion):
         classify_tokens("?!?")
-
-
-def test_wrong_length_tagger_output_is_a_failure():
-    class Broken(EntityTagger):
-        def tag(self, tokens):
-            return [(TokenLabel.STRUCTURAL, None)]
-
-    with pytest.raises(TaggerFailure):
-        classify_tokens("What is this?", Broken())
-
-
-def test_entity_without_type_is_a_failure():
-    class Broken(EntityTagger):
-        def tag(self, tokens):
-            return [(TokenLabel.ENTITY, None) for _ in tokens]
-
-    with pytest.raises(TaggerFailure):
-        classify_tokens("What is this?", Broken())
-
-
-def test_lookup_tagger_matches_multiword_phrases():
-    tagger = LookupTagger({"melting point": "property", "sodium": "entity"})
-    tokens = classify_tokens("How does the melting point of sodium change?", tagger)
-    entities = [(t.text, t.entity_type, t.article) for t in tokens if t.entity_type]
-    assert entities == [("melting point", "property", "the"), ("sodium", "entity", "")]
 
 
 def test_rule_tagger_types_unknown_capitalized_runs():

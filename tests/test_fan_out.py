@@ -14,11 +14,11 @@ import sys
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import skillpath.cli as cli
-import skillpath.providers as providers
 from skillpath.answerer import answer
 from skillpath.canned import CannedProvider, canned_reply
 from skillpath.collection import build_collection, persist_bundle
@@ -146,8 +146,9 @@ def test_a_group_stops_at_its_first_failure_and_the_others_run_on():
 
 
 def test_fan_out_inside_fan_out_finishes_with_every_pool_thread_busy():
-    # more outer lanes than pool threads: inner fan_outs whose helpers no
-    # thread picks up run their groups on the thread that asked
+    # more outer lanes than cores, each running an inner fan_out: inner
+    # groups run on the lane that asked and on helpers it starts itself,
+    # so no lane waits for a thread that another lane holds
     def outer(i):
         return fan_out(lambda j: (i, j), range(5), key=lambda j: j, parallelism=8)
 
@@ -167,12 +168,29 @@ def test_groups_run_on_the_calling_thread_when_no_thread_can_start(monkeypatch):
     def refuse(self):
         raise RuntimeError("can't start new thread")
 
-    monkeypatch.setattr(providers, "_pool", None)  # a fresh pool, with no thread yet
     monkeypatch.setattr(threading.Thread, "start", refuse)
     caller = threading.get_ident()
     assert fan_out(
         lambda i: (i, threading.get_ident()), [0, 1, 2], key=lambda i: i, parallelism=3
     ) == [(0, caller), (1, caller), (2, caller)]
+
+
+def test_what_a_helper_lane_lets_through_is_raised_on_the_caller():
+    class Stop(BaseException):
+        pass
+
+    caller = threading.get_ident()
+    helper_ran = threading.Event()
+
+    def fn(i):
+        if threading.get_ident() != caller:
+            helper_ran.set()
+            raise Stop(i)  # not an Exception, so the helper's lane ends here
+        assert helper_ran.wait(timeout=5)
+        return i
+
+    with pytest.raises(Stop):
+        fan_out(fn, range(4), key=lambda i: i, parallelism=2)
 
 
 # ------------------------------------------------------------ overlap
@@ -260,6 +278,70 @@ def test_parallelism_bounds_the_requests_in_flight(tmp_path, monkeypatch):
     # one question: only its own calls overlap (the canned strategies have two skills)
     assert peaks(1, 2) == [2, 2]
     assert all(2 <= peak <= 4 for peak in peaks(4, 2))  # 2 questions at once, 2 calls each
+
+
+def test_every_question_lane_overlaps_its_own_calls(tmp_path, monkeypatch):
+    # one question more than a thread pool of Python's default size has
+    # threads: each question and both of its extractions hold a request at once
+    width = min(32, (os.cpu_count() or 1) + 4) + 1
+    barrier = threading.Barrier(2 * width, timeout=5)
+    lock = threading.Lock()
+    segments = [0]
+
+    class Backend(Provider):
+        def _complete(self, request):
+            if request.tag == "segment":
+                with lock:
+                    segments[0] += 1
+                    waits = segments[0] <= 2 * width
+                if waits:
+                    barrier.wait()  # breaks after 5 s unless all 2 * width are in flight
+            return CannedProvider().complete(request)
+
+    rows = [{"question_id": f"q{i}", "question": f"How tall is tower {i}?", "documents": [DOC],
+             "gold_answers": ["x"]} for i in range(width)]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    bundle = str(tmp_path / "bundle.json")
+    example = make_example([S.DEDUCTIVE, S.INDUCTIVE])
+    persist_bundle({row["question_id"]: build_collection([example]) for row in rows},
+                   bundle, construction_mode="guided_fill", delta=7, created_at=STAMP)
+    monkeypatch.setattr(cli, "CannedProvider", Backend)
+    assert cli.main(["answer", "--provider", "mock", "--corpus", str(corpus), "--collection", bundle,
+                     "--run-log", str(tmp_path / "run.jsonl"), "--parallelism", str(width)]) == 0
+    assert segments[0] == 2 * width
+
+
+def test_an_unexpected_error_leaves_the_same_work_done_at_every_parallelism(tmp_path, monkeypatch):
+    corpus = _landmark_corpus(tmp_path, 6)
+    failing = json.loads(Path(corpus).read_text(encoding="utf-8").splitlines()[1])["question"]
+
+    def run(parallelism):
+        """The requests sent, the checkpointed questions, whether a bundle was written."""
+        sent = Counter()
+        lock = threading.Lock()
+
+        class Backend(Provider):
+            def _complete(self, request):
+                with lock:
+                    sent[request.tag, request.prompt] += 1
+                if f"original question: {failing}\n" in request.prompt:
+                    raise RuntimeError("backend crashed")
+                return CannedProvider().complete(request)
+
+        monkeypatch.setattr(cli, "CannedProvider", Backend)
+        bundle = tmp_path / f"bundle{parallelism}.json"
+        with pytest.raises(RuntimeError, match="^backend crashed$"):
+            cli.main(["generate", "--provider", "mock", "--corpus", corpus, "--collection", str(bundle),
+                      "--count", "3", "--parallelism", str(parallelism)])
+        checkpoint = Path(f"{bundle}.checkpoint.jsonl").read_text(encoding="utf-8")
+        done = sorted(json.loads(line)["question_id"] for line in checkpoint.splitlines())
+        return sent, done, bundle.exists()
+
+    serial = run(1)
+    # the failing question is the second: the four after it still ran
+    assert serial[1:] == (["q0", "q2", "q3", "q4", "q5"], False)
+    assert run(4) == serial
 
 
 # ------------------------------------------------------------ record and replay

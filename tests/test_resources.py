@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import builtins
 import errno
+import json
 import os
+from importlib.resources import files
 
 import pytest
 
+import skillpath.prompts as prompts
 import skillpath.resources as resources
 from skillpath.errors import StorageError
 from skillpath.resources import write_text
@@ -58,3 +61,36 @@ def test_write_into_missing_directory_raises_storage_error(tmp_path):
     with pytest.raises(StorageError):
         write_text(str(tmp_path / "absent" / "out.json"), "x", "run log")
     assert os.listdir(tmp_path) == []
+
+
+@pytest.fixture
+def uncached_loaders():
+    """Clear the cached file loaders before and after, so each test reads its files."""
+    loaders = (resources.load_entity_pool, resources.load_repair_cues, prompts.load_prompt)
+    for loader in loaders:
+        loader.cache_clear()
+    yield
+    for loader in loaders:
+        loader.cache_clear()
+
+
+def test_data_override_wins_and_a_file_it_lacks_is_read_from_the_package(
+    tmp_path, monkeypatch, uncached_loaders
+):
+    (tmp_path / "entity_pool.json").write_text(
+        json.dumps({"types": {"place": ["Atlantis"]}}), encoding="utf-8"
+    )
+    monkeypatch.setenv(resources.DATA_DIR_ENV, str(tmp_path))
+    assert resources.load_entity_pool() == {"place": ["Atlantis"]}
+    bundled = files("skillpath").joinpath("data", "repair_cues.json").read_text(encoding="utf-8")
+    assert resources.load_repair_cues() == [c.casefold() for c in json.loads(bundled)["cues"]]
+
+
+def test_prompt_override_wins_and_a_file_it_lacks_is_read_from_the_package(
+    tmp_path, monkeypatch, uncached_loaders
+):
+    (tmp_path / "segment_extraction.txt").write_text("Edited $document", encoding="utf-8")
+    monkeypatch.setenv(prompts.PROMPT_DIR_ENV, str(tmp_path))
+    assert prompts.load_prompt("segment_extraction") == "Edited $document"
+    bundled = files("skillpath").joinpath("prompts", "guided_answer.txt").read_text(encoding="utf-8")
+    assert prompts.load_prompt("guided_answer") == bundled
