@@ -2,7 +2,8 @@
 
 Configuration resolves in three layers, flags over config file over
 environment, and the resolved snapshot is written next to every output so
-a run can be reproduced from its artifacts alone.
+a run can be reproduced from its artifacts alone. Each command reads all
+of its input files before its first provider call.
 
 --parallelism N bounds the provider calls in flight. Questions, and the
 independent calls within each (the similarity scores of distinct
@@ -48,7 +49,7 @@ from .providers import (
     TokenUsage,
     fan_out,
 )
-from .resources import read_jsonl, write_json, write_text
+from .resources import read_json, read_jsonl, write_json, write_text
 
 log = logging.getLogger(__name__)
 
@@ -111,13 +112,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
     config_path = getattr(args, "config", None)
     if config_path:
-        try:
-            with open(config_path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {config_path} is not valid JSON: {exc}") from exc
+        doc = read_json(config_path, "config file")
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {config_path} must hold a JSON object")
         for key, value in doc.items():
@@ -164,17 +159,6 @@ def _validate_config(config: RunConfig) -> None:
     for name in required:
         if not getattr(config, name):
             raise ConfigError(f"--{name.replace('_', '-')} is required for {config.command}")
-    # inputs must be resolvable before any provider work starts
-    input_paths = {
-        "generate": [config.corpus],
-        "answer": [config.corpus, config.collection],
-        "eval": [config.corpus, config.run_log],
-    }[config.command]
-    if config.provider == "replay":
-        input_paths.append(config.transcript)
-    for path in input_paths:
-        if not os.path.exists(path):
-            raise StorageError(f"input path does not exist: {path}")
 
 
 def _build_provider(config: RunConfig) -> Provider:
@@ -379,8 +363,6 @@ def _logged_answer(doc) -> _LoggedAnswer:
     if not isinstance(usage, dict):
         raise ValueError("usage must be an object of token counts")
     counts = [usage.get(key) for key in ("prompt_tokens", "completion_tokens", "total_tokens")]
-    if not all(type(count) is int for count in counts):
-        raise ValueError(f"usage token counts must be integers, got {usage!r}")
     return _LoggedAnswer(*texts, TokenUsage(*counts), float(latency))
 
 

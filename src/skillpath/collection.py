@@ -9,12 +9,11 @@ loaded.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
-from .errors import CorruptCollection, EmptyCollection, StorageError
+from .errors import CorruptCollection, EmptyCollection
 from .examplegen import ConstructionMode, ReasoningStrategy, SimilarExample
-from .resources import utc_now, write_json
+from .resources import read_json, utc_now, write_json
 from .skills import ReasoningSkill, parse_skill
 
 COLLECTION_VERSION = 1
@@ -114,13 +113,7 @@ def persist_bundle(
 
 def restore_bundle(path: str) -> dict[str, ExampleCollection]:
     """Load a bundle, re-deriving and checking each collection's n and freq_index."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.loads(fh.read())
-    except OSError as exc:
-        raise StorageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CorruptCollection(f"{path}: not valid JSON: {exc}") from exc
+    doc = read_json(path, "collection bundle")
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != COLLECTION_VERSION:
         raise CorruptCollection(f"{path}: unsupported collection version {version!r}")

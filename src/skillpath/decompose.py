@@ -37,7 +37,6 @@ class Token:
     """
 
     text: str
-    index: int
     label: TokenLabel
     entity_type: str | None = None
     article: str = ""
@@ -52,7 +51,6 @@ class Token:
 class Placeholder:
     entity_text: str
     entity_type: str
-    ordinal: int
     article: str
     slot: str
 
@@ -60,7 +58,6 @@ class Placeholder:
 @dataclass
 class QuestionTemplate:
     original: str
-    tokens: list[Token]
     placeholders: list[Placeholder]
     template_text: str
 
@@ -163,10 +160,9 @@ class RuleBasedTagger:
     gazetteer phrases still match in that position.
     """
 
-    def __init__(self, pool: dict[str, list[str]] | None = None):
-        self.pool = pool if pool is not None else load_entity_pool()
+    def __init__(self):
         self._phrases = _phrase_table(
-            (name, etype) for etype, names in self.pool.items() for name in names
+            (name, etype) for etype, names in load_entity_pool().items() for name in names
         )
 
     def tag(self, tokens: list[str]) -> list[tuple[TokenLabel, str | None]]:
@@ -245,8 +241,7 @@ def classify_tokens(question: str) -> list[Token]:
     """Tokenize a question and label every token.
 
     Adjacent entity tokens with the same type merge into one multiword
-    Token; an article directly before an entity is absorbed into it. Token
-    indices are contiguous from 0 in the returned list.
+    Token; an article directly before an entity is absorbed into it.
     """
     if not question or not question.strip():
         raise EmptyQuestion("question is empty")
@@ -268,16 +263,13 @@ def classify_tokens(question: str) -> list[Token]:
             article = ""
             if tokens and tokens[-1].label is TokenLabel.STRUCTURAL and tokens[-1].text.lower() in ARTICLES:
                 article = tokens.pop().text
-            tokens.append(Token(text, 0, TokenLabel.ENTITY, etype, article))
+            tokens.append(Token(text, TokenLabel.ENTITY, etype, article))
             i = j + 1
         else:
-            tokens.append(Token(words[i], 0, TokenLabel.STRUCTURAL))
+            tokens.append(Token(words[i], TokenLabel.STRUCTURAL))
             i += 1
 
-    return [
-        Token(t.text, idx, t.label, t.entity_type, t.article)
-        for idx, t in enumerate(tokens)
-    ]
+    return tokens
 
 
 def build_template(tokens: list[Token]) -> QuestionTemplate:
@@ -303,7 +295,7 @@ def build_template(tokens: list[Token]) -> QuestionTemplate:
                 slot = f"{t.entity_type} {ordinal}"
             else:
                 slot = t.entity_type
-            placeholders.append(Placeholder(t.text, t.entity_type, ordinal, t.article, slot))
+            placeholders.append(Placeholder(t.text, t.entity_type, t.article, slot))
             rendered.append(f"[{slot}]")
         else:
             rendered.append(t.text)
@@ -311,7 +303,6 @@ def build_template(tokens: list[Token]) -> QuestionTemplate:
     original_parts = [t.surface if t.label is TokenLabel.ENTITY else t.text for t in tokens]
     return QuestionTemplate(
         original=detokenize(original_parts),
-        tokens=list(tokens),
         placeholders=placeholders,
         template_text=detokenize(rendered),
     )

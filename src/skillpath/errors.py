@@ -134,7 +134,7 @@ class ParseError(StorageError):
 
 
 class ValidationError(StorageError):
-    """A parsed line of a corpus or run log violates its schema."""
+    """A parsed line of a corpus, run log or transcript violates its schema."""
 
     def __init__(self, path: str, line: int, detail: str):
         super().__init__(f"{path}:{line}: {detail}")

@@ -232,7 +232,10 @@ def score_similarity(original: str, candidate: str, provider: Provider) -> int:
     numbers = _INT.findall(reply)
     if not numbers:
         raise UnparseableScore(f"no integer score in reply: {reply[:120]!r}")
-    score = int(numbers[-1])
+    try:
+        score = int(numbers[-1])
+    except ValueError as exc:  # more digits than int() converts
+        raise UnparseableScore(f"a score of {len(numbers[-1])} digits is outside [1, 10]") from exc
     if not SIMILARITY_MIN <= score <= SIMILARITY_MAX:
         raise UnparseableScore(f"score {score} outside [1, 10]")
     return score

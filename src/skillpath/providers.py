@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import requests
 
-from .errors import ProviderError, ReplayMiss, StorageError, TransportError
+from .errors import ProviderError, ReplayMiss, StorageError, TransportError, ValidationError
 from .resources import read_jsonl, utc_now, write_text
 from .textutil import count_ws_tokens
 
@@ -42,15 +42,20 @@ TRANSCRIPT_VERSION = 1
 
 @dataclass(frozen=True)
 class TokenUsage:
+    """Token counts; every count read from a reply or a file is checked here."""
+
     prompt_tokens: int
     completion_tokens: int
     total_tokens: int
 
     def __post_init__(self):
+        counts = (self.prompt_tokens, self.completion_tokens, self.total_tokens)
+        if not all(type(count) is int for count in counts):  # a bool is not a count
+            raise ValueError(f"token counts must be integers, got {counts!r}")
+        if min(counts) < 0:
+            raise ValueError(f"token counts must be non-negative, got {counts!r}")
         if self.total_tokens != self.prompt_tokens + self.completion_tokens:
-            raise ValueError("total_tokens must equal prompt plus completion")
-        if min(self.prompt_tokens, self.completion_tokens) < 0:
-            raise ValueError("token counts must be non-negative")
+            raise ValueError(f"total_tokens must equal prompt plus completion, got {counts!r}")
 
     @classmethod
     def of(cls, prompt_tokens: int, completion_tokens: int) -> TokenUsage:
@@ -93,6 +98,15 @@ class CompletionResult:
     text: str
     usage: TokenUsage
     latency_ms: float = 0.0
+
+    def __post_init__(self):
+        if not isinstance(self.text, str):
+            raise ValueError(f"reply text must be a string, got {self.text!r}")
+        if not isinstance(self.usage, TokenUsage):
+            raise ValueError(f"usage must be a TokenUsage, got {self.usage!r}")
+        latency = self.latency_ms
+        if isinstance(latency, bool) or not isinstance(latency, (int, float)) or not latency >= 0:
+            raise ValueError(f"latency_ms must be a non-negative number, got {latency!r}")
 
 
 def fingerprint(prompt: str, temperature: float, max_output_tokens: int, occurrence: int) -> str:
@@ -274,17 +288,18 @@ class Transcript:
 
     @classmethod
     def load(cls, path: str) -> Transcript:
-        docs = (doc for _, doc in read_jsonl(path, "transcript"))
-        header = next(docs, None)
+        """Read a saved transcript; a bad entry is an error naming path:line."""
+        lines = read_jsonl(path, "transcript")
+        _, header = next(lines, (0, None))
         if not isinstance(header, dict):
             raise StorageError(f"transcript {path} has no header line")
         entries = []
         seen: set[str] = set()
-        try:
-            for doc in docs:
+        for line, doc in lines:
+            try:
                 fp = doc["fingerprint"]
                 if fp in seen:
-                    raise StorageError(f"transcript {path} repeats fingerprint {fp}")
+                    raise ValidationError(path, line, f"repeats fingerprint {fp}")
                 seen.add(fp)
                 res = doc["result"]
                 entries.append(
@@ -298,8 +313,8 @@ class Transcript:
                         ),
                     )
                 )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StorageError(f"transcript {path} is malformed: {exc}") from exc
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValidationError(path, line, f"malformed transcript entry: {exc}") from exc
         return cls(
             entries=entries,
             provider=header.get("provider", ""),
@@ -421,24 +436,19 @@ class LiveProvider(Provider):
         raise TransportError(f"endpoint failed after {self.max_retries + 1} attempts: {last_error}")
 
     def _parse(self, request: CompletionRequest, resp, elapsed_ms: float) -> CompletionResult:
+        """The reply as a result; a reply that makes none is a TransportError."""
         try:
             doc = resp.json()
             text = doc["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            usage = doc.get("usage")
+            if usage is None:
+                usage = {}
+            counts = (usage.get("prompt_tokens"), usage.get("completion_tokens"))
+            if None in counts:
+                counts = (count_ws_tokens(request.prompt), count_ws_tokens(text))
+            return CompletionResult(text=text, usage=TokenUsage.of(*counts), latency_ms=elapsed_ms)
+        except (AttributeError, LookupError, TypeError, ValueError) as exc:
             raise TransportError(f"malformed endpoint response: {exc}") from exc
-        usage_doc = doc.get("usage")
-        if usage_doc is None:
-            usage_doc = {}
-        if not isinstance(usage_doc, dict):
-            raise TransportError(f"malformed endpoint usage: {usage_doc!r}")
-        counts = (usage_doc.get("prompt_tokens"), usage_doc.get("completion_tokens"))
-        if None in counts:
-            usage = TokenUsage.of(count_ws_tokens(request.prompt), count_ws_tokens(text))
-        elif all(type(count) is int and count >= 0 for count in counts):  # bool is not a count
-            usage = TokenUsage.of(*counts)
-        else:
-            raise TransportError(f"malformed endpoint usage counts: {usage_doc!r}")
-        return CompletionResult(text=text, usage=usage, latency_ms=elapsed_ms)
 
 
 def _env_number(name: str, default: str, kind: type):

@@ -1,13 +1,15 @@
-"""File access: bundled data files, plus the one text writer and JSONL reader.
+"""File access: bundled data files, plus the one file reader and writer.
 
 The entity pool feeds both the default tagger's gazetteer and random
 template fills; the repair-cue list is the versioned configuration consumed
 by retrace detection. Both are plain JSON so deployments can ship edited
 copies via the override directory.
 
-Whole-file writes go through write_text and JSONL reads through
-read_jsonl, so OS failures become StorageError in one place, and every
-whole-file output is replaced atomically.
+Every input file is opened and decoded by read_text, which read_json and
+read_jsonl parse, and every whole-file write goes through write_text: an
+OS or decoding failure becomes a StorageError in one place, invalid JSON
+a ParseError naming path:line, and every whole-file output is replaced
+atomically.
 """
 
 from __future__ import annotations
@@ -37,32 +39,36 @@ def read_bundled(folder: str, name: str, override_env: str, what: str) -> str:
     if override:
         path = os.path.join(override, name)
         if os.path.exists(path):
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    return fh.read()
-            except OSError as exc:
-                raise StorageError(f"cannot read {what} override {path}: {exc}") from exc
+            return read_text(path, f"{what} override")
     return resources.files("skillpath").joinpath(folder, name).read_text(encoding="utf-8")
+
+
+def _names(value) -> list[str]:
+    if not (isinstance(value, list) and all(isinstance(name, str) for name in value)):
+        raise TypeError(f"expected a list of strings, got {value!r}")
+    return list(value)
+
+
+def _load_data(name: str, convert):
+    """convert(document) of data file `name`; invalid JSON or a wrong shape is a StorageError."""
+    try:
+        return convert(json.loads(read_bundled("data", name, DATA_DIR_ENV, "data")))
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise StorageError(f"data file {name} is malformed: {exc!r}") from exc
 
 
 @lru_cache(maxsize=None)
 def load_entity_pool() -> dict[str, list[str]]:
     """Entity candidates per type, e.g. {"place": ["Eiffel Tower", ...]}."""
-    try:
-        doc = json.loads(read_bundled("data", "entity_pool.json", DATA_DIR_ENV, "data"))
-    except json.JSONDecodeError as exc:
-        raise StorageError(f"entity pool is not valid JSON: {exc}") from exc
-    return {t: list(names) for t, names in doc["types"].items()}
+    return _load_data(
+        "entity_pool.json", lambda doc: {t: _names(names) for t, names in doc["types"].items()}
+    )
 
 
 @lru_cache(maxsize=None)
 def load_repair_cues() -> list[str]:
     """Self-correction cue phrases, lowercase, from the versioned cue file."""
-    try:
-        doc = json.loads(read_bundled("data", "repair_cues.json", DATA_DIR_ENV, "data"))
-    except json.JSONDecodeError as exc:
-        raise StorageError(f"repair cue file is not valid JSON: {exc}") from exc
-    return [c.casefold() for c in doc["cues"]]
+    return _load_data("repair_cues.json", lambda doc: [c.casefold() for c in _names(doc["cues"])])
 
 
 def write_text(path: str, text: str, what: str) -> None:
@@ -92,14 +98,26 @@ def write_json(path: str, doc: dict, what: str) -> None:
     write_text(path, json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n", what)
 
 
-def read_jsonl(path: str, what: str) -> Iterator[tuple[int, object]]:
-    """Yield (line number, parsed value) for every non-blank line."""
+def read_text(path: str, what: str) -> str:
+    """The whole UTF-8 file at path; `what` names it in the error message."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise StorageError(f"cannot read {what} {path}: {exc}") from exc
-    for i, line in enumerate(lines, start=1):
+
+
+def read_json(path: str, what: str):
+    """The one JSON document in the file at path."""
+    try:
+        return json.loads(read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, exc.lineno, f"invalid JSON: {exc}") from exc
+
+
+def read_jsonl(path: str, what: str) -> Iterator[tuple[int, object]]:
+    """Yield (line number, parsed value) for every non-blank line."""
+    for i, line in enumerate(read_text(path, what).split("\n"), start=1):
         if not line.strip():
             continue
         try:

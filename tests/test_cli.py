@@ -6,9 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from skillpath import cli
+from skillpath.canned import CannedProvider
 from skillpath.cli import ConfigError, _resolve_config, build_parser, main
 from skillpath.collection import example_to_record, restore_bundle
 from skillpath.errors import StorageError
+from skillpath.providers import RecordingProvider
 from skillpath.skills import ReasoningSkill
 
 from conftest import make_example
@@ -420,3 +423,59 @@ def test_live_bad_usage_counts_fail_the_question(tmp_path, monkeypatch, capsys, 
     err = capsys.readouterr().err
     assert "[generate] question q1" in err
     assert "[generate] question q2" in err
+
+
+@pytest.mark.parametrize("bad_input", ["bundle", "config"])
+def test_input_file_with_invalid_utf8_exits_2(tmp_path, corpus_path, capsys, bad_input):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"version": 1, "note": "caf\xe9"}\n')
+    if bad_input == "bundle":
+        argv = ["answer", "--provider", "mock", "--corpus", corpus_path,
+                "--collection", str(bad), "--run-log", str(tmp_path / "run.jsonl")]
+    else:
+        argv = ["generate", "--corpus", corpus_path, "--collection", str(tmp_path / "o.json"),
+                "--config", str(bad)]
+    assert main(argv) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+def _half_a_token_more(usage):
+    """Counts that still add up, but are not integers."""
+    return {**usage, "prompt_tokens": usage["prompt_tokens"] + 0.5,
+            "total_tokens": usage["total_tokens"] + 0.5}
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda result: result.update(usage=_half_a_token_more(result["usage"])),
+        lambda result: result.update(
+            usage={"prompt_tokens": True, "completion_tokens": False, "total_tokens": True}),
+        lambda result: result.update(text=5),
+    ],
+    ids=["float-counts", "bool-counts", "text-number"],
+)
+def test_replay_of_a_bad_transcript_entry_exits_2_before_any_call(
+    tmp_path, corpus_path, monkeypatch, capsys, tamper
+):
+    bundle = str(tmp_path / "bundle.json")
+    assert main(["generate", "--provider", "mock", "--corpus", corpus_path,
+                 "--collection", bundle, "--count", "1"]) == 0
+    recorder = RecordingProvider(CannedProvider())
+    monkeypatch.setattr(cli, "CannedProvider", lambda: recorder)
+    recorded_log = str(tmp_path / "recorded.jsonl")
+    assert main(["answer", "--provider", "mock", "--corpus", corpus_path,
+                 "--collection", bundle, "--run-log", recorded_log]) == 0
+    transcript = tmp_path / "transcript.jsonl"
+    recorder.transcript.save(str(transcript))
+    lines = [json.loads(line) for line in transcript.read_text(encoding="utf-8").splitlines()]
+    tamper(lines[1]["result"])
+    transcript.write_text("".join(json.dumps(doc) + "\n" for doc in lines), encoding="utf-8")
+    capsys.readouterr()
+
+    run_log = tmp_path / "replayed.jsonl"
+    code = main(["answer", "--provider", "replay", "--transcript", str(transcript),
+                 "--corpus", corpus_path, "--collection", bundle, "--run-log", str(run_log)])
+    assert code == 2
+    assert f"{transcript}:2:" in capsys.readouterr().err
+    assert not run_log.exists()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -11,7 +12,7 @@ from skillpath.collection import (
     persist_bundle,
     restore_bundle,
 )
-from skillpath.errors import CorruptCollection, EmptyCollection
+from skillpath.errors import CorruptCollection, EmptyCollection, ParseError
 from skillpath.skills import ReasoningSkill
 
 from conftest import make_example
@@ -95,7 +96,7 @@ def test_restore_rejects_unknown_version(tmp_path):
 def test_restore_rejects_malformed_json(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{oops", encoding="utf-8")
-    with pytest.raises(CorruptCollection):
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:1: "):
         restore_bundle(str(path))
 
 

@@ -43,11 +43,6 @@ def test_classify_absorbs_leading_articles():
     assert articles == ["", "the", "the"]
 
 
-def test_token_indices_are_contiguous():
-    tokens = classify_tokens(EIFFEL_Q)
-    assert [t.index for t in tokens] == list(range(len(tokens)))
-
-
 def test_template_text_matches_expected_slots():
     template = decompose_question(EIFFEL_Q)
     assert template.template_text == "Which is [adj], [place 1] or [place 2]?"

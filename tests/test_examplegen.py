@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from skillpath.decompose import decompose_question
 from skillpath.errors import (
     EmptyAnswer,
     LengthMismatch,
     ProviderError,
+    SkillPathError,
     UnparseableScore,
     UnparseableStrategy,
 )
@@ -302,3 +306,69 @@ def test_synthesize_example_end_to_end_with_mock():
     assert len(example.reference_docs) == len(example.strategy)
     assert example.construction_mode is ConstructionMode.GUIDED_FILL
 
+
+# one line of text: no character that str.splitlines() breaks on
+_LINE = st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"))
+_SLOTS = ["adj", "place 1", "place 2", "person"]
+_SKILL_LABELS = [label for s in ReasoningSkill for label in (s.canonical, s.display_name)]
+
+# reply lines shaped like the ones the parsers look for, among arbitrary text
+_REPLY_LINE = st.one_of(
+    st.text(max_size=60),
+    st.builds("{}. {}".format, st.integers(0, 12), st.text(_LINE, max_size=40)),
+    st.builds(
+        "{}) {} ({})".format,
+        st.integers(0, 12),
+        st.text(_LINE, max_size=30),
+        st.sampled_from(_SKILL_LABELS) | st.text(_LINE, max_size=12),
+    ),
+    st.builds("Generated Answer: {}".format, st.text(max_size=30)),
+    st.lists(
+        st.tuples(st.sampled_from(_SLOTS) | st.text(_LINE, max_size=8), st.text(_LINE, max_size=12)),
+        max_size=4,
+    ).map(lambda pairs: "1. " + "; ".join(f"{slot}={value}" for slot, value in pairs)),
+    st.from_regex(r"\d{1,6}", fullmatch=True),
+    st.integers(1, 6000).map("7".__mul__),
+)
+_EIFFEL_TEMPLATE = eiffel_template()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_REPLY_LINE, max_size=8).map("\n".join))
+@example("7" * 4301)  # more digits than int() converts
+def test_reply_parsers_raise_nothing_but_package_errors(reply):
+    """A SkillPathError fails one question; any other error stops the command."""
+    provider = MockProvider(reply)
+    parsers = [
+        lambda: parse_strategy_reply(reply),
+        lambda: score_similarity(EIFFEL, "Which is older?", provider),
+        lambda: generate_candidates(_EIFFEL_TEMPLATE, ConstructionMode.GUIDED_FILL, 3, provider=provider),
+    ]
+    for parse in parsers:
+        try:
+            parse()
+        except SkillPathError:
+            pass
+
+
+def _no_answer_marker(text: str) -> bool:
+    return bool(text) and re.search("generated answer:", text, re.IGNORECASE) is None
+
+
+_STEP = st.text(_LINE, min_size=1, max_size=40).map(str.strip).filter(_no_answer_marker)
+_ANSWER = _STEP.filter(lambda text: text == text.strip('"').strip())
+
+
+@given(
+    st.lists(st.tuples(_STEP, st.sampled_from(list(ReasoningSkill)), st.booleans()), min_size=1, max_size=6),
+    _ANSWER,
+)
+def test_a_rendered_strategy_parses_back(steps, answer):
+    lines = [
+        f"{n}. {body} ({skill.display_name if display else skill.canonical})"
+        for n, (body, skill, display) in enumerate(steps, start=1)
+    ]
+    strategy, parsed_answer = parse_strategy_reply("\n".join(lines + [f"Generated Answer: {answer}"]))
+    assert strategy.subquestions == tuple(body for body, _, _ in steps)
+    assert strategy.skills == tuple(skill for _, skill, _ in steps)
+    assert parsed_answer == answer

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import json
 import os
+import types
 
 import pytest
 
-from skillpath.errors import ProviderError, ReplayMiss, StorageError, TransportError
+from skillpath.errors import ProviderError, ReplayMiss, StorageError, TransportError, ValidationError
 from skillpath.providers import (
     CompletionRequest,
+    CompletionResult,
     LiveProvider,
     MockProvider,
     RecordingProvider,
@@ -178,6 +181,75 @@ class _Reply:
 )
 def test_live_bad_usage_counts_raise_transport_error(monkeypatch, usage):
     monkeypatch.setattr("requests.post", lambda *args, **kwargs: _Reply(usage))
+    provider = LiveProvider(base_url="http://endpoint.invalid", model="m", max_retries=0)
+    with pytest.raises(TransportError):
+        provider.complete(CompletionRequest("hello"))
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [(2.0, 1, 3.0), (True, 0, True), ("2", 1, "21"), (2, -1, 1), (None, 1, 1)],
+    ids=["float", "bool", "text", "negative", "none"],
+)
+def test_token_counts_are_non_negative_integers(counts):
+    with pytest.raises(ValueError):
+        TokenUsage(*counts)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"text": 5},
+        {"text": None},
+        {"usage": {"prompt_tokens": 1, "completion_tokens": 1, "total_tokens": 2}},
+        {"latency_ms": "fast"},
+        {"latency_ms": True},
+        {"latency_ms": -1.0},
+    ],
+    ids=["text-number", "text-none", "usage-dict", "latency-text", "latency-bool",
+         "latency-negative"],
+)
+def test_completion_result_checks_its_fields(fields):
+    good = {"text": "ok", "usage": TokenUsage.of(1, 1), "latency_ms": 0}
+    CompletionResult(**good)
+    with pytest.raises(ValueError):
+        CompletionResult(**{**good, **fields})
+
+
+def test_transcript_entry_errors_name_their_line(tmp_path):
+    transcript = record(MockProvider("x"), [CompletionRequest("p"), CompletionRequest("q")])
+    path = tmp_path / "t.jsonl"
+    transcript.save(str(path))
+    header, first, second = path.read_text(encoding="utf-8").splitlines()
+
+    path.write_text("\n".join([header, first, first]) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as repeated:
+        Transcript.load(str(path))
+    assert repeated.value.line == 3
+    assert "repeats fingerprint" in str(repeated.value)
+
+    broken = json.loads(second)
+    broken["result"]["latency_ms"] = "slow"
+    path.write_text("\n".join([header, first, json.dumps(broken)]) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as malformed:
+        Transcript.load(str(path))
+    assert malformed.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"choices": [{"message": {"content": None}}]},
+        {"choices": [{"message": {"content": None}}],
+         "usage": {"prompt_tokens": 3, "completion_tokens": 1}},
+        {"choices": [{"message": {"content": 5}}],
+         "usage": {"prompt_tokens": 3, "completion_tokens": 1}},
+    ],
+    ids=["null-content", "null-content-with-usage", "number-content"],
+)
+def test_live_reply_that_makes_no_result_raises_transport_error(monkeypatch, doc):
+    reply = types.SimpleNamespace(status_code=200, text="", json=lambda: doc)
+    monkeypatch.setattr("requests.post", lambda *args, **kwargs: reply)
     provider = LiveProvider(base_url="http://endpoint.invalid", model="m", max_retries=0)
     with pytest.raises(TransportError):
         provider.complete(CompletionRequest("hello"))

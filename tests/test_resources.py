@@ -94,3 +94,27 @@ def test_prompt_override_wins_and_a_file_it_lacks_is_read_from_the_package(
     assert prompts.load_prompt("segment_extraction") == "Edited $document"
     bundled = files("skillpath").joinpath("prompts", "guided_answer.txt").read_text(encoding="utf-8")
     assert prompts.load_prompt("guided_answer") == bundled
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("entity_pool.json", json.dumps({"place": ["Atlantis"]})),
+        ("entity_pool.json", json.dumps({"types": ["Atlantis"]})),
+        ("entity_pool.json", json.dumps({"types": {"place": "Atlantis"}})),
+        ("entity_pool.json", json.dumps({"types": {"place": [7]}})),
+        ("entity_pool.json", "{not json"),
+        ("repair_cues.json", json.dumps(["wait"])),
+        ("repair_cues.json", json.dumps({"cues": "wait"})),
+        ("repair_cues.json", "{not json"),
+    ],
+    ids=["pool-no-types", "pool-types-list", "pool-names-string", "pool-name-number",
+         "pool-invalid-json", "cues-array", "cues-string", "cues-invalid-json"],
+)
+def test_a_malformed_data_file_is_a_storage_error(tmp_path, monkeypatch, uncached_loaders, name, text):
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.setenv(resources.DATA_DIR_ENV, str(tmp_path))
+    loader = {"entity_pool.json": resources.load_entity_pool,
+              "repair_cues.json": resources.load_repair_cues}[name]
+    with pytest.raises(StorageError, match=name):
+        loader()
