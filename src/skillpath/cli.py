@@ -42,6 +42,7 @@ from .decompose import decompose_question
 from .errors import NoCandidates, SkillPathError, StorageError, UnmatchedQuestionId, ValidationError
 from .matcher import SelectionMode
 from .providers import (
+    CompletionResult,
     LiveProvider,
     PARALLELISM_ENV,
     Provider,
@@ -356,14 +357,13 @@ def _logged_answer(doc) -> _LoggedAnswer:
     texts = [doc.get(key, "") for key in ("question_id", "answer", "completion")]
     if not all(isinstance(text, str) for text in texts):
         raise ValueError("question_id, answer and completion must be strings")
-    latency = doc.get("latency_ms", 0.0)
-    if isinstance(latency, bool) or not isinstance(latency, (int, float)):
-        raise ValueError(f"latency_ms must be a number, got {latency!r}")
     usage = doc.get("usage")
     if not isinstance(usage, dict):
         raise ValueError("usage must be an object of token counts")
     counts = [usage.get(key) for key in ("prompt_tokens", "completion_tokens", "total_tokens")]
-    return _LoggedAnswer(*texts, TokenUsage(*counts), float(latency))
+    # the logged completion passes the same checks as a provider's reply
+    reply = CompletionResult(texts[2], TokenUsage(*counts), doc.get("latency_ms", 0.0))
+    return _LoggedAnswer(*texts, reply.usage, float(reply.latency_ms))
 
 
 def _load_run_log(path: str) -> list[_LoggedAnswer]:

@@ -63,7 +63,8 @@ def _validate_record(doc: dict, path: str, line: int) -> QARecord:
         raw = doc["gold_sentence_ids"]
         if not isinstance(raw, list):
             raise ValidationError(path, line, "gold_sentence_ids must be a list of [d, s] pairs")
-        sentence_counts = [len(split_sentences(d)) for d in documents]
+        # only the documents a pair names are split, each at most once
+        sentence_counts: dict[int, int] = {}
         pairs = set()
         for pair in raw:
             if (
@@ -77,6 +78,8 @@ def _validate_record(doc: dict, path: str, line: int) -> QARecord:
                 raise ValidationError(
                     path, line, f"gold_sentence_ids references document {d} of {len(documents)}"
                 )
+            if d not in sentence_counts:
+                sentence_counts[d] = len(split_sentences(documents[d]))
             if not 0 <= s < sentence_counts[d]:
                 raise ValidationError(
                     path,

@@ -313,7 +313,9 @@ def render_template(template: QuestionTemplate, substitutions: dict[str, str]) -
 
     Keys must cover the slots exactly: a missing slot raises
     MissingSubstitution and an extra key raises UnknownPlaceholder. Each
-    slot label is substituted once, left to right.
+    slot label is substituted once, left to right, at its place in
+    template_text; a filled value is never searched again, so a value that
+    holds another slot's label stays as written.
     """
     slots = [p.slot for p in template.placeholders]
     for s in slots:
@@ -322,12 +324,16 @@ def render_template(template: QuestionTemplate, substitutions: dict[str, str]) -
     for key in substitutions:
         if key not in slots:
             raise UnknownPlaceholder(key)
-    text = template.template_text
+    template_text = template.template_text
+    parts: list[str] = []
+    end = 0
     for p in template.placeholders:
         label = f"[{p.slot}]"
-        pos = text.find(label)
-        text = text[:pos] + substitutions[p.slot] + text[pos + len(label) :]
-    return text
+        pos = template_text.find(label, end)
+        parts += (template_text[end:pos], substitutions[p.slot])
+        end = pos + len(label)
+    parts.append(template_text[end:])
+    return "".join(parts)
 
 
 def decompose_question(question: str) -> QuestionTemplate:

@@ -7,8 +7,8 @@ the same sentence boundaries or the ids stop lining up.
 
 Where documents are split:
 
-- once per record at corpus validation, to bounds-check gold sentence
-  ids, and only when the record has them;
+- at corpus validation, to bounds-check gold sentence ids: only the
+  documents those ids reference are split, each once;
 - once per question in the answerer, which wraps the joined documents in
   a Passage and reuses its sentence-key index for every strategy step;
 - once per record at citation attribution.
@@ -29,9 +29,13 @@ _PUNCT = set(",.?!;:\"()[]{}")
 
 _WS = re.compile(r"\s+")
 _LINE = re.compile(r"[^\n]+")
-_WORD = re.compile(r"[a-z0-9]+")
-# boundary after ., ? or ! (plus closing quotes/brackets) before a capital or digit
-_SENT_BOUNDARY = re.compile(r"(?<=[.?!])[\)\"\']*\s+(?=[\"\'(]?[A-Z0-9])")
+# ., ? or ! (plus closing quotes/brackets) and whitespace before a capital or
+# digit; the sentence ends just after the match's first character. A pattern
+# that starts with the terminator, rather than a lookbehind, runs about
+# twice as fast.
+_SENT_BOUNDARY = re.compile(r"[.?!][\)\"\']*\s+(?=[\"\'(]?[A-Z0-9])")
+# byte table for norm_tokens: ASCII 0-9 and a-z kept, every other byte a space
+_NON_WORD = bytes(c if 48 <= c <= 57 or 97 <= c <= 122 else 32 for c in range(256))
 
 ARTICLES = ("a", "an", "the")
 
@@ -82,11 +86,16 @@ def split_sentences(text: str) -> list[str]:
     sentence ends at ., ? or ! followed by whitespace and a capital or digit.
     """
     sentences: list[str] = []
-    for line in re.split(r"\n+", text):
-        for part in _SENT_BOUNDARY.split(line):
-            part = part.strip()
+    for line in text.split("\n"):
+        start = 0
+        for boundary in _SENT_BOUNDARY.finditer(line):
+            part = line[start : boundary.start() + 1].strip()
             if part:
                 sentences.append(part)
+            start = boundary.end()
+        part = line[start:].strip()
+        if part:
+            sentences.append(part)
     return sentences
 
 
@@ -94,15 +103,22 @@ def first_sentence(text: str) -> str | None:
     """split_sentences(text)[0] without splitting the rest; None if text has none."""
     for line in _LINE.finditer(text):
         boundary = _SENT_BOUNDARY.search(text, line.start(), line.end())
-        part = text[line.start() : boundary.start() if boundary else line.end()].strip()
+        part = text[line.start() : boundary.start() + 1 if boundary else line.end()].strip()
         if part:
             return part
     return None
 
 
 def norm_tokens(text: str) -> list[str]:
-    """Lowercase word tokens with punctuation stripped, for overlap metrics."""
-    return _WORD.findall(text.lower())
+    """Lowercase word tokens for overlap metrics.
+
+    A word is a run of ASCII [a-z0-9] after str.lower(); any other
+    character separates words. UTF-8 encodes every non-ASCII character as
+    bytes of 0x80 and above only, so one byte-table pass over the encoded
+    text finds the same words; surrogatepass keeps lone surrogates, which
+    JSON input can carry, as separators.
+    """
+    return text.lower().encode("utf-8", "surrogatepass").translate(_NON_WORD).decode("ascii").split()
 
 
 def normalize_ws(text: str) -> str:

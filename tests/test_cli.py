@@ -352,6 +352,7 @@ def test_invalid_checkpoint_example_starts_fresh(tmp_path, corpus_path, caplog, 
         ("run", log_line(usage={"prompt_tokens": 1, "completion_tokens": 1, "total_tokens": 5})),
         ("run", [1, 2]),
         ("run", log_line(latency_ms="fast")),
+        ("run", log_line(latency_ms=-50.0)),
         ("run", log_line(answer=7)),
         ("run", log_line(completion=["x"])),
         ("run", log_line(usage=None)),
@@ -360,8 +361,8 @@ def test_invalid_checkpoint_example_starts_fresh(tmp_path, corpus_path, caplog, 
         ("baseline", log_line(usage=None)),
         ("baseline", "just a string"),
     ],
-    ids=["total-mismatch", "array", "latency-text", "answer-number", "completion-list",
-         "no-usage", "token-text", "baseline-no-usage", "baseline-string"],
+    ids=["total-mismatch", "array", "latency-text", "negative-latency", "answer-number",
+         "completion-list", "no-usage", "token-text", "baseline-no-usage", "baseline-string"],
 )
 def test_malformed_run_log_line_exits_2(tmp_path, corpus_path, capsys, log, bad):
     logs = {name: tmp_path / f"{name}.jsonl" for name in ("run", "baseline")}

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from skillpath import corpus
 from skillpath.corpus import QARecord, load_records, record_to_json, save_records
 from skillpath.errors import ParseError, ValidationError
 
@@ -78,6 +79,18 @@ def test_load_rejects_out_of_range_sentence_ids(tmp_path):
     )
     with pytest.raises(ValidationError):
         load_records(path)
+
+
+def test_validation_splits_only_the_documents_gold_ids_name(tmp_path, monkeypatch):
+    split = []
+    monkeypatch.setattr(corpus, "split_sentences", lambda text: split.append(text) or [text])
+    documents = [f"Document {i} is here." for i in range(5)]
+    path = write_lines(
+        tmp_path / "c.jsonl",
+        [record_line(documents=documents, gold_sentence_ids=[[0, 0], [0, 0]])],
+    )
+    assert load_records(path)[0].gold_sentence_ids == frozenset({(0, 0)})
+    assert split == [documents[0]]
 
 
 def test_load_rejects_boolean_indices(tmp_path):

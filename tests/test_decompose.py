@@ -64,6 +64,14 @@ def test_render_with_new_entities():
     assert out == "Which is older, the Taj Mahal or the Golden Gate Bridge?"
 
 
+def test_render_never_rescans_a_filled_value():
+    template = decompose_question(EIFFEL_Q)
+    out = render_template(
+        template, {"adj": "older", "place 1": "the [place 2]", "place 2": "the Big Ben"}
+    )
+    assert out == "Which is older, the [place 2] or the Big Ben?"
+
+
 def test_render_validates_substitution_keys():
     template = decompose_question(EIFFEL_Q)
     subs = template.original_substitutions()

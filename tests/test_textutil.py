@@ -3,7 +3,7 @@ from __future__ import annotations
 import re
 import sys
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from skillpath.textutil import (
@@ -137,3 +137,57 @@ def test_first_sentence_is_the_first_split_sentence(docs, leading):
 def test_first_sentence_skips_leading_blank_lines():
     assert first_sentence("\n\n  \nThe tower. It stands.\nMore.") == "The tower."
     assert first_sentence(" \n\t\n") is None
+
+
+# ------------------------------------------------------- reference kernels
+# The lookbehind boundary, newline-run split and regex tokenizer that
+# split_sentences and norm_tokens replaced, kept as oracles.
+
+_WORD = re.compile(r"[a-z0-9]+")
+# boundary after ., ? or ! (plus closing quotes/brackets) before a capital or digit
+_SENT_BOUNDARY = re.compile(r"(?<=[.?!])[\)\"\']*\s+(?=[\"\'(]?[A-Z0-9])")
+
+
+def reference_split_sentences(text: str) -> list[str]:
+    sentences: list[str] = []
+    for line in re.split(r"\n+", text):
+        for part in _SENT_BOUNDARY.split(line):
+            part = part.strip()
+            if part:
+                sentences.append(part)
+    return sentences
+
+
+def reference_norm_tokens(text: str) -> list[str]:
+    return _WORD.findall(text.lower())
+
+
+# characters where a byte-level or punctuation-first rewrite could diverge:
+# case mappings that change length or leave ASCII (İ, the Kelvin sign),
+# whitespace that is not a newline, lone surrogates, and the quotes and
+# brackets the boundary rule looks at
+_TRICKY = st.sampled_from(
+    list("aZz09 .?!\"')(\n\t\r\x0b\x0c\x1c") + ["\x85", "\u2028", "\u00a0", "\u0130", "\u212a",
+                                               "\u00df", "\ud800", "\udfff", "\n\n\n"]
+)
+_ANY_TEXT = st.lists(_TRICKY | st.characters(), max_size=60).map("".join)
+
+
+@given(_ANY_TEXT)
+@example("Ends here.) \"Next one. (3 more!'\u2028Last")
+@example("a.\r\nB.\n\n\n\x85C?  \u0130D")
+def test_split_sentences_equals_the_lookbehind_reference(text):
+    assert split_sentences(text) == reference_split_sentences(text)
+
+
+@given(_ANY_TEXT)
+@example("a\ud800b")
+@example("\u0130stanbul \u212aelvin, Stra\u00dfe 9")
+def test_norm_tokens_equals_the_regex_reference(text):
+    assert norm_tokens(text) == reference_norm_tokens(text)
+
+
+@given(_ANY_TEXT)
+def test_first_sentence_equals_the_first_reference_sentence(text):
+    sentences = reference_split_sentences(text)
+    assert first_sentence(text) == (sentences[0] if sentences else None)
