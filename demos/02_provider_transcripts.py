@@ -1,9 +1,12 @@
 """Record a provider session to a transcript, then replay it offline.
 
 Every completion request gets a fingerprint from its prompt, sampling
-settings and occurrence index. Replays answer only requests that were
-recorded, byte for byte, so downstream runs are reproducible without
-touching a model endpoint.
+settings, scope and occurrence index. The scope is the position of the
+fan_out item the request was sent from (empty here, outside any
+fan_out); within one scope requests run in program order, so a repeated
+prompt's occurrence index is the same on replay at any parallelism.
+Replays answer only requests that were recorded, byte for byte, so
+downstream runs are reproducible without touching a model endpoint.
 """
 import os
 import tempfile

@@ -3,10 +3,9 @@
 For each step of the chosen strategy the provider extracts the document
 sentences most relevant to that step's skill; the focused segments, the
 reasoning path and the worked example then frame one final completion.
-Given a parallelism above 1, the extractions of different skills
-overlap; steps sharing a skill send the same prompt and run in step
-order. The trace keeps everything downstream evaluation needs, including
-the full completion text and aggregate token usage across every call.
+Given a parallelism above 1, the extractions of the steps overlap. The
+trace keeps everything downstream evaluation needs, including the full
+completion text and aggregate token usage across every call.
 """
 
 from __future__ import annotations
@@ -136,8 +135,8 @@ def answer(
 ) -> AnswerTrace:
     """Run the guided path of one selected example against one document.
 
-    The extractions of distinct skills overlap, up to `parallelism` at
-    once. Errors from extraction, prompt assembly or the final call are
+    The extractions of the steps overlap, up to `parallelism` at once.
+    Errors from extraction, prompt assembly or the final call are
     re-raised as PipelineStageError naming the stage that failed.
     """
     # split and keyed once here, shared by every step's extraction
@@ -147,11 +146,7 @@ def answer(
         calls = _CallLog(provider)
         return extract_relevant_segment(passage, skill, calls, question=question), calls.results
 
-    # steps of one skill send the same prompt, so they share a key and keep their order
-    steps = _staged(
-        "extract",
-        lambda: fan_out(extract, example.strategy.skills, key=lambda s: s, parallelism=parallelism),
-    )
+    steps = _staged("extract", lambda: fan_out(extract, example.strategy.skills, parallelism))
     segments = [segment for segment, _ in steps]
 
     prompt = _staged(

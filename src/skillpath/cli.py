@@ -6,22 +6,19 @@ a run can be reproduced from its artifacts alone. Each command reads all
 of its input files before its first provider call.
 
 --parallelism N bounds the provider calls in flight. Questions, and the
-independent calls within each (the similarity scores of distinct
-candidates, the reference documents of distinct subquestions, the
-extractions of distinct skills), overlap through the same
-providers.fan_out: up to N questions at once and up to N calls each, so
-at most N * N requests are in flight, --parallelism 1 sends one at a
-time, and no thread outlives a command. A question's SkillPathError is
-printed and fails that question only; any other error is raised once
-every question has run, the first in input order, at any N.
-Within a question identical requests keep program order, and recorded
-transcripts are sorted by fingerprint, so a run whose questions send each
-other no identical request replays byte for byte at any parallelism.
-Across questions running in parallel the order of identical requests is
-not fixed, so recording or replaying such a run with parallelism above 1
-is not guaranteed to reproduce it. Files are always written by one writer
-in input order. A run log's latency_ms is the sum of a question's call
-latencies, not its wall time.
+independent calls within each (the similarity scores of the candidates,
+the reference documents and the extractions of the strategy steps),
+overlap through the same providers.fan_out: up to N questions at once and
+up to N calls each, so at most N * N requests are in flight,
+--parallelism 1 sends one at a time, and no thread outlives a command. A
+question's SkillPathError is printed and fails that question only; any
+other error is raised once every question has run, the first in input
+order, at any N. Each question, and each call it overlaps, runs in a
+scope of its own that its requests' fingerprints include, and recorded
+transcripts are sorted by fingerprint, so a recorded run replays byte for
+byte at any parallelism against the corpus it was recorded from, in that
+order. Files are always written by one writer in input order. A run log's
+latency_ms is the sum of a question's call latencies, not its wall time.
 """
 
 from __future__ import annotations
@@ -190,7 +187,7 @@ def _run_questions(config: RunConfig, records: list[corpus_mod.QARecord], attemp
 
     done = {}
     failures = 0
-    results = fan_out(outcome, records, key=lambda r: r.question_id, parallelism=config.parallelism)
+    results = fan_out(outcome, records, config.parallelism)
     for record, (value, error) in zip(records, results):
         if error is not None:
             failures += 1
@@ -207,7 +204,10 @@ def _json_line(doc: dict) -> str:
 # ---------------------------------------------------------------- generate
 
 def _load_checkpoint(path: str) -> dict[str, collection_mod.ExampleCollection]:
-    """Completed questions from the checkpoint; a torn last line is cut off."""
+    """Completed questions from the checkpoint; a torn last line is cut off.
+
+    An unreadable checkpoint is deleted, so that a later run can resume from what this run appends.
+    """
     done: dict[str, collection_mod.ExampleCollection] = {}
     if not os.path.exists(path):
         return done
@@ -218,6 +218,10 @@ def _load_checkpoint(path: str) -> dict[str, collection_mod.ExampleCollection]:
             done[doc["question_id"]] = collection_mod.build_collection(examples)
     except (OSError, KeyError, TypeError, ValueError, SkillPathError) as exc:
         log.warning("ignoring unreadable checkpoint %s: %s", path, exc)
+        try:
+            os.remove(path)
+        except OSError as removal:
+            raise StorageError(f"cannot remove unreadable checkpoint {path}: {removal}") from removal
         return {}
     return done
 

@@ -5,8 +5,8 @@ provider-guided fills, or free-form template variations. Survivors of the
 similarity filter get a reasoning strategy (typed steps plus an answer
 from the same reply) and one short reference document per step, forming a
 SimilarExample ready for collection into a Γ. Given a parallelism above
-1, independent calls (the scores of distinct candidates, the reference
-documents of distinct subquestions) overlap through fan_out.
+1, independent calls (the scores of the candidates, the reference
+documents of the steps) overlap through fan_out.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .prompts import render_prompt
 from .providers import CompletionRequest, Provider, fan_out
 from .resources import load_entity_pool
 from .skills import ReasoningSkill, parse_skill, skill_catalog
-from .textutil import normalize_ws, squeeze_punct
+from .textutil import ARTICLES, normalize_ws, squeeze_punct
 
 log = logging.getLogger(__name__)
 
@@ -192,7 +192,9 @@ def _guided_fill(template: QuestionTemplate, count: int, provider: Provider) -> 
             key = normalize_ws(key)
             value = value.strip()
             if key in slot_names and value:
-                fills[key] = f"{articles[key]} {value}" if articles[key] else value
+                # a value that brings its own article keeps it instead of the slot's
+                own_article = value.split()[0].lower() in ARTICLES
+                fills[key] = f"{articles[key]} {value}" if articles[key] and not own_article else value
         if set(fills) == slot_names:
             texts.append(render_template(template, fills))
         else:
@@ -245,12 +247,7 @@ def score_candidates(
     original: str, candidates: list[CandidateQuestion], provider: Provider, parallelism: int = 1
 ) -> list[CandidateQuestion]:
     """Attach a similarity score to each candidate, up to `parallelism` calls at once."""
-    scores = fan_out(
-        lambda c: score_similarity(original, c.text, provider),
-        candidates,
-        key=lambda c: c.text,
-        parallelism=parallelism,
-    )
+    scores = fan_out(lambda c: score_similarity(original, c.text, provider), candidates, parallelism)
     return [dataclasses.replace(c, similarity_score=s) for c, s in zip(candidates, scores)]
 
 
@@ -314,17 +311,8 @@ def parse_strategy_reply(reply: str) -> tuple[ReasoningStrategy, str]:
 def build_reference_docs(
     strategy: ReasoningStrategy, provider: Provider, parallelism: int = 1
 ) -> list[str]:
-    """One short reference passage per strategy step.
-
-    A prompt is a function of the subquestion alone, so steps are keyed by
-    subquestion: a repeated one is asked in step order.
-    """
-    return fan_out(
-        lambda subq: _reference_doc(subq, provider),
-        strategy.subquestions,
-        key=lambda subq: subq,
-        parallelism=parallelism,
-    )
+    """One short reference passage per strategy step, up to `parallelism` calls at once."""
+    return fan_out(lambda subq: _reference_doc(subq, provider), strategy.subquestions, parallelism)
 
 
 def _reference_doc(subquestion: str, provider: Provider) -> str:

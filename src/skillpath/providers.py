@@ -5,15 +5,18 @@ The recording wrapper captures request and result pairs keyed by a stable
 fingerprint, and the replay provider serves them back bit for bit, which
 is what makes end-to-end runs reproducible without network access.
 
-The fingerprint covers prompt, temperature, max_output_tokens and an
-occurrence index. The occurrence index disambiguates repeated identical
-requests (a retry after a failed extraction, say) so record and replay
-stay aligned call for call.
+The fingerprint covers prompt, temperature, max_output_tokens, scope and
+an occurrence index. fan_out runs each item in a scope of its own, so
+calls that overlap never share one; within a scope calls run in program
+order, which numbers repeated identical requests (a retry after a failed
+extraction, say). Record and replay of the same inputs in the same order
+therefore stay aligned call for call at any parallelism.
 """
 
 from __future__ import annotations
 
 import collections
+import contextvars
 import dataclasses
 import hashlib
 import json
@@ -37,7 +40,10 @@ PARALLELISM_ENV = "SKILLPATH_PARALLELISM"
 MAX_RETRIES_ENV = "SKILLPATH_MAX_RETRIES"
 RETRY_BACKOFF_ENV = "SKILLPATH_RETRY_BACKOFF"
 
-TRANSCRIPT_VERSION = 1
+TRANSCRIPT_VERSION = 2
+
+# positions of the fan_out items the current call runs inside, outermost first
+_scope: contextvars.ContextVar[tuple[int, ...]] = contextvars.ContextVar("skillpath_scope", default=())
 
 
 @dataclass(frozen=True)
@@ -109,7 +115,9 @@ class CompletionResult:
             raise ValueError(f"latency_ms must be a non-negative number, got {latency!r}")
 
 
-def fingerprint(prompt: str, temperature: float, max_output_tokens: int, occurrence: int) -> str:
+def fingerprint(
+    prompt: str, temperature: float, max_output_tokens: int, occurrence: int, scope: tuple[int, ...]
+) -> str:
     """Stable identity of one request within a run."""
     payload = json.dumps(
         {
@@ -117,6 +125,7 @@ def fingerprint(prompt: str, temperature: float, max_output_tokens: int, occurre
             "temperature": temperature,
             "max_output_tokens": max_output_tokens,
             "occurrence": occurrence,
+            "scope": scope,
         },
         sort_keys=True,
         ensure_ascii=False,
@@ -125,62 +134,59 @@ def fingerprint(prompt: str, temperature: float, max_output_tokens: int, occurre
 
 
 class _OccurrenceCounter:
-    """Counts how many times each (prompt, temperature, max) has been seen."""
+    """Counts how many times each (prompt, temperature, max) has been seen per scope."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._counts: dict[tuple[str, float, int], int] = {}
+        self._counts: dict[tuple, int] = {}
 
     def fingerprint(self, request: CompletionRequest) -> str:
-        """The request's fingerprint at its next occurrence."""
-        key = (request.prompt, request.temperature, request.max_output_tokens)
+        """The request's fingerprint at its next occurrence in the current scope."""
+        scope = _scope.get()
+        key = (request.prompt, request.temperature, request.max_output_tokens, scope)
         with self._lock:
             occ = self._counts.get(key, 0)
             self._counts[key] = occ + 1
-        return fingerprint(*key, occ)
+        return fingerprint(*key[:3], occ, scope)
 
 
-def fan_out(fn, items, key, parallelism: int = 1) -> list:
-    """[fn(item) for item in items], up to `parallelism` groups at a time.
+def fan_out(fn, items, parallelism: int = 1) -> list:
+    """[fn(item) for item in items], up to `parallelism` items at a time.
 
-    Items with equal key(item) form a group and run one after another in
-    item order; distinct groups overlap, at most `parallelism` of them at
-    once, and at parallelism 1 every group runs on the calling thread.
-    Give two items the same key whenever they can send the same request:
-    the occurrence index that record and replay fingerprint depends on the
-    order of identical requests, which this keeps equal to program order.
+    Item i runs in the scope of the caller plus (i,), which its requests'
+    fingerprints include, so overlapping items never race for an
+    occurrence index. At parallelism 1 every item runs on the calling
+    thread. The calling thread is one lane; each further lane is a thread
+    started here, in a copy of the caller's context, and joined before
+    fan_out returns, so no thread outlives the call and nested fan_outs at
+    parallelism N have at most N * N lanes.
 
-    The calling thread is one lane; each further lane is a thread started
-    here and joined before fan_out returns, so no thread outlives the call
-    and nested fan_outs at parallelism N have at most N * N lanes.
-
-    A group stops at its first failure; the other groups run on. Once
-    every started call has finished, the failure first in item order is
-    raised, so the requests sent and the error reported depend neither on
-    thread timing nor on parallelism.
+    Every item runs, also after another has failed. Once every started
+    call has finished, the failure first in item order is raised, so the
+    requests sent and the error reported depend neither on thread timing
+    nor on parallelism.
     """
     items = list(items)
-    groups: dict = {}
-    for index, item in enumerate(items):
-        groups.setdefault(key(item), []).append(index)
-    queue = collections.deque(groups.values())
+    parent = _scope.get()
+    queue = collections.deque(range(len(items)))
     results: list = [None] * len(items)
     failures: dict[int, Exception] = {}
     escaped: list[BaseException] = []
 
     def lane() -> None:
-        # whole groups off the shared queue until it is empty
+        # items off the shared queue until it is empty
         while True:
             try:
-                indices = queue.popleft()
+                index = queue.popleft()
             except IndexError:
                 return
-            for index in indices:
-                try:
-                    results[index] = fn(items[index])
-                except Exception as exc:
-                    failures[index] = exc
-                    break
+            token = _scope.set(parent + (index,))
+            try:
+                results[index] = fn(items[index])
+            except Exception as exc:
+                failures[index] = exc
+            finally:
+                _scope.reset(token)
 
     def helper_lane() -> None:
         try:
@@ -190,8 +196,11 @@ def fan_out(fn, items, key, parallelism: int = 1) -> list:
 
     helpers = []
     try:
-        for _ in range(min(parallelism, len(queue)) - 1):
-            helper = threading.Thread(target=helper_lane, name="skillpath-fan-out", daemon=True)
+        for _ in range(min(parallelism, len(items)) - 1):
+            helper = threading.Thread(
+                target=contextvars.copy_context().run, args=(helper_lane,),
+                name="skillpath-fan-out", daemon=True,
+            )
             helper.start()
             helpers.append(helper)
     except RuntimeError:
@@ -199,7 +208,7 @@ def fan_out(fn, items, key, parallelism: int = 1) -> list:
     try:
         lane()
     finally:
-        queue.clear()  # after an interrupt, groups not yet begun are dropped
+        queue.clear()  # after an interrupt, items not yet begun are dropped
         for helper in helpers:
             helper.join()
     if escaped:
@@ -293,6 +302,9 @@ class Transcript:
         _, header = next(lines, (0, None))
         if not isinstance(header, dict):
             raise StorageError(f"transcript {path} has no header line")
+        version = header.get("version")
+        if version != TRANSCRIPT_VERSION:
+            raise StorageError(f"transcript {path} has version {version!r}, not {TRANSCRIPT_VERSION}")
         entries = []
         seen: set[str] = set()
         for line, doc in lines:

@@ -10,7 +10,7 @@ from skillpath import cli
 from skillpath.canned import CannedProvider
 from skillpath.cli import ConfigError, _resolve_config, build_parser, main
 from skillpath.collection import example_to_record, restore_bundle
-from skillpath.errors import StorageError
+from skillpath.errors import ProviderError, StorageError
 from skillpath.providers import RecordingProvider
 from skillpath.skills import ReasoningSkill
 
@@ -194,6 +194,67 @@ def test_generate_resumes_from_checkpoint(tmp_path, corpus_path):
     # the checkpointed result was reused, not regenerated
     assert bundle["q1"].examples[0].question == "carried over from the checkpoint"
     assert not os.path.exists(bundle_path + ".checkpoint.jsonl")
+
+
+def test_an_ignored_checkpoint_is_cleared_so_the_next_run_resumes(tmp_path, monkeypatch):
+    corpus = write_corpus(tmp_path / "corpus.jsonl", [eiffel_row("q0"), eiffel_row("q1")])
+    bundle_path = str(tmp_path / "bundle.json")
+    Path(bundle_path + ".checkpoint.jsonl").write_text("not json\n", encoding="utf-8")
+    substitutions = []
+
+    class Backend(CannedProvider):
+        def __init__(self, fail_second):
+            super().__init__()
+            self.fail_second = fail_second
+
+        def _complete(self, request):
+            if request.tag == "substitution":
+                substitutions.append(request)
+                if self.fail_second and len(substitutions) == 2:
+                    raise ProviderError("backend down")
+            return super()._complete(request)
+
+    argv = ["generate", "--provider", "mock", "--corpus", corpus,
+            "--collection", bundle_path, "--count", "1"]
+    monkeypatch.setattr(cli, "CannedProvider", lambda: Backend(fail_second=True))
+    assert main(argv) == 1  # q0 done, q1 failed
+    substitutions.clear()
+    monkeypatch.setattr(cli, "CannedProvider", lambda: Backend(fail_second=False))
+    assert main(argv) == 0
+    # q0 came from the checkpoint; only q1 was generated again
+    assert len(substitutions) == 1
+    assert set(restore_bundle(bundle_path)) == {"q0", "q1"}
+
+
+def test_a_checkpoint_that_cannot_be_removed_exits_2_before_any_call(tmp_path, corpus_path, capsys):
+    bundle_path = str(tmp_path / "bundle.json")
+    os.mkdir(bundle_path + ".checkpoint.jsonl")  # unreadable as a file, and not removable as one
+    code = main(["generate", "--provider", "mock", "--corpus", corpus_path,
+                 "--collection", bundle_path, "--count", "1"])
+    assert code == 2
+    assert "cannot remove unreadable checkpoint" in capsys.readouterr().err
+    assert not os.path.exists(bundle_path)
+
+
+@pytest.mark.parametrize("header", [{"version": 1}, {"version": 99}, {}],
+                         ids=["version-1", "version-99", "no-version"])
+def test_replay_of_a_transcript_of_another_version_exits_2_before_any_call(
+    tmp_path, corpus_path, capsys, header
+):
+    bundle = str(tmp_path / "bundle.json")
+    assert main(["generate", "--provider", "mock", "--corpus", corpus_path,
+                 "--collection", bundle, "--count", "1"]) == 0
+    transcript = tmp_path / "transcript.jsonl"
+    transcript.write_text(json.dumps({"provider": "mock", "entries": 0, **header}) + "\n",
+                          encoding="utf-8")
+    capsys.readouterr()
+    run_log = tmp_path / "replayed.jsonl"
+    code = main(["answer", "--provider", "replay", "--transcript", str(transcript),
+                 "--corpus", corpus_path, "--collection", bundle, "--run-log", str(run_log)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(transcript) in err and f"version {header.get('version')!r}" in err
+    assert not run_log.exists()
 
 
 def test_answer_flags_questions_missing_from_bundle(tmp_path, corpus_path, capsys):

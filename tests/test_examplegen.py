@@ -98,6 +98,23 @@ def test_guided_fill_parses_slot_assignments():
     ]
 
 
+def test_guided_fill_keeps_an_article_the_value_already_has():
+    template = eiffel_template()
+    reply = (
+        "1. adj=older; place 1=the Louvre; place 2=Big Ben\n"
+        "2. adj=older; place 1=The Shard; place 2=An Old Mill\n"
+        "3. adj=older; place 1=a  Tower; place 2=theatre Royal\n"
+    )
+    candidates = generate_candidates(
+        template, ConstructionMode.GUIDED_FILL, 3, provider=MockProvider(reply)
+    )
+    assert [c.text for c in candidates] == [
+        "Which is older, the Louvre or the Big Ben?",
+        "Which is older, The Shard or An Old Mill?",
+        "Which is older, a  Tower or the theatre Royal?",
+    ]
+
+
 def test_template_variation_takes_numbered_questions():
     template = eiffel_template()
     reply = (

@@ -1,8 +1,8 @@
 """fan_out and the pipeline paths that overlap provider calls through it.
 
-Calls with distinct keys overlap, up to the parallelism given; identical
-requests keep program order, so record and replay see the same occurrence
-index for every request no matter how the threads interleave.
+Items overlap, up to the parallelism given, each in a scope of its own
+that its requests' fingerprints include, so record and replay see the
+same identity for every request no matter how the threads interleave.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ from pathlib import Path
 import pytest
 
 import skillpath.cli as cli
+import skillpath.providers as providers
 from skillpath.answerer import answer
 from skillpath.canned import CannedProvider, canned_reply
 from skillpath.collection import build_collection, persist_bundle
 from skillpath.examplegen import (
     CandidateQuestion,
     ConstructionMode,
-    ReasoningStrategy,
-    build_reference_docs,
     score_candidates,
 )
 from skillpath.providers import (
@@ -60,34 +59,22 @@ def test_results_come_back_in_item_order():
         return i * 10
 
     # later items finish first
-    assert fan_out(slower_for_larger, [3, 1, 2, 0], key=lambda i: i, parallelism=4) == [
-        30, 10, 20, 0
-    ]
+    assert fan_out(slower_for_larger, [3, 1, 2, 0], parallelism=4) == [30, 10, 20, 0]
 
 
-def test_equal_keys_run_in_item_order():
-    seen = []
-    lock = threading.Lock()
+def test_each_item_runs_in_the_callers_scope_plus_its_position():
+    def inner(_):
+        return fan_out(lambda _: providers._scope.get(), range(3), parallelism=3)
 
-    def fn(item):
-        key, delay = item
-        time.sleep(delay)
-        with lock:
-            seen.append(item)
-        return item
-
-    items = [("a", 0.03), ("b", 0.0), ("a", 0.0), ("b", 0.02), ("a", 0.01)]
-    assert fan_out(fn, items, key=lambda item: item[0], parallelism=2) == items
-    assert [item for item in seen if item[0] == "a"] == [("a", 0.03), ("a", 0.0), ("a", 0.01)]
-    assert [item for item in seen if item[0] == "b"] == [("b", 0.0), ("b", 0.02)]
+    for parallelism in (1, 2):
+        assert fan_out(inner, range(2), parallelism) == [[(i, j) for j in range(3)] for i in range(2)]
+        assert providers._scope.get() == ()
 
 
-def test_one_group_or_parallelism_one_runs_on_the_calling_thread():
+def test_parallelism_one_runs_on_the_calling_thread():
     caller = threading.get_ident()
-    same = fan_out(lambda _: threading.get_ident(), [1, 2, 3], key=lambda _: "s", parallelism=4)
-    assert same == [caller] * 3
-    assert fan_out(lambda _: threading.get_ident(), [1, 2, 3], key=lambda i: i) == [caller] * 3
-    assert fan_out(lambda _: 1, [], key=lambda _: 0, parallelism=4) == []
+    assert fan_out(lambda _: threading.get_ident(), [1, 2, 3]) == [caller] * 3
+    assert fan_out(lambda _: 1, [], parallelism=4) == []
 
 
 def test_no_more_groups_than_parallelism_run_at_once():
@@ -104,10 +91,10 @@ def test_no_more_groups_than_parallelism_run_at_once():
             running[0] -= 1
         return i
 
-    assert fan_out(fn, range(8), key=lambda i: i, parallelism=3) == list(range(8))
+    assert fan_out(fn, range(8), parallelism=3) == list(range(8))
     assert peak[0] <= 3
     peak[0] = 0
-    assert fan_out(fn, range(4), key=lambda i: i) == list(range(4))
+    assert fan_out(fn, range(4)) == list(range(4))
     assert peak[0] == 1
 
 
@@ -124,12 +111,12 @@ def test_first_failure_in_item_order_is_raised_after_slower_siblings_finish():
 
     items = [("a", 0.0, False), ("b", 0.05, True), ("c", 0.0, True), ("d", 0.15, False)]
     with pytest.raises(ValueError, match="^b$"):
-        fan_out(fn, items, key=lambda item: item[0], parallelism=4)
+        fan_out(fn, items, parallelism=4)
     # c failed first in time, but b comes first in item order; d was slowest
     assert sorted(finished) == ["a", "b", "c", "d"]
 
 
-def test_a_group_stops_at_its_first_failure_and_the_others_run_on():
+def test_every_item_runs_after_a_failure():
     ran = []
 
     def fn(i):
@@ -141,21 +128,21 @@ def test_a_group_stops_at_its_first_failure_and_the_others_run_on():
     for parallelism in (1, 2):
         ran.clear()
         with pytest.raises(KeyError):
-            fan_out(fn, [0, 1, 2, 3, 4, 5], key=lambda i: i % 2, parallelism=parallelism)
-        assert sorted(ran) == [0, 1, 2, 4]
+            fan_out(fn, [0, 1, 2, 3, 4, 5], parallelism=parallelism)
+        assert sorted(ran) == [0, 1, 2, 3, 4, 5]
 
 
 def test_fan_out_inside_fan_out_finishes_with_every_pool_thread_busy():
     # more outer lanes than cores, each running an inner fan_out: inner
-    # groups run on the lane that asked and on helpers it starts itself,
+    # items run on the lane that asked and on helpers it starts itself,
     # so no lane waits for a thread that another lane holds
     def outer(i):
-        return fan_out(lambda j: (i, j), range(5), key=lambda j: j, parallelism=8)
+        return fan_out(lambda j: (i, j), range(5), parallelism=8)
 
     width = 4 * (os.cpu_count() or 1) + 8
     found = []
     runner = threading.Thread(
-        target=lambda: found.append(fan_out(outer, range(width), key=lambda i: i, parallelism=width)),
+        target=lambda: found.append(fan_out(outer, range(width), parallelism=width)),
         daemon=True,
     )
     runner.start()
@@ -170,9 +157,9 @@ def test_groups_run_on_the_calling_thread_when_no_thread_can_start(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     caller = threading.get_ident()
-    assert fan_out(
-        lambda i: (i, threading.get_ident()), [0, 1, 2], key=lambda i: i, parallelism=3
-    ) == [(0, caller), (1, caller), (2, caller)]
+    assert fan_out(lambda i: (i, threading.get_ident()), [0, 1, 2], parallelism=3) == [
+        (0, caller), (1, caller), (2, caller)
+    ]
 
 
 def test_what_a_helper_lane_lets_through_is_raised_on_the_caller():
@@ -190,7 +177,7 @@ def test_what_a_helper_lane_lets_through_is_raised_on_the_caller():
         return i
 
     with pytest.raises(Stop):
-        fan_out(fn, range(4), key=lambda i: i, parallelism=2)
+        fan_out(fn, range(4), parallelism=2)
 
 
 # ------------------------------------------------------------ overlap
@@ -392,13 +379,6 @@ class JitteryBackend(Provider):
         return canned_reply(request)
 
 
-def test_a_repeated_subquestion_is_asked_in_step_order():
-    strategy = ReasoningStrategy(("Who?", "Who?", "When?"), (S.DEDUCTIVE, S.DEDUCTIVE, S.INDUCTIVE))
-    for seed in range(5):
-        docs = build_reference_docs(strategy, JitteryBackend(seed), parallelism=3)
-        assert docs == [f"Reference note number {n} for this step." for n in (0, 1, 0)]
-
-
 def _recorded_runs(tmp_path, monkeypatch, command, argv, outputs, seeds=range(5)):
     """Record the command at parallelism 3 once per seed, then replay it.
 
@@ -427,7 +407,6 @@ def _recorded_runs(tmp_path, monkeypatch, command, argv, outputs, seeds=range(5)
 
 
 def test_answer_record_and_replay_are_byte_identical_under_jitter(tmp_path, monkeypatch):
-    # distinct questions send each other no identical prompt, so they may run at once
     rows = [
         {"question_id": qid, "question": question, "documents": [DOC], "gold_answers": ["x"]}
         for qid, question in (("q1", "How tall?"), ("q2", "How high?"), ("q3", "How old?"))
@@ -447,17 +426,17 @@ def test_answer_record_and_replay_are_byte_identical_under_jitter(tmp_path, monk
     def outputs(out):
         return (tmp_path / f"{out}.jsonl").read_bytes()
 
-    runs = _recorded_runs(tmp_path, monkeypatch, "answer", argv, outputs)
-    assert len(set(runs)) == 1
-    run_log = [json.loads(line) for line in runs[0][0].splitlines()]
-    # each question's two deductive steps got their prompt's first and second
-    # replies in step order, its decompositional step the first of its own
-    for line in run_log:
-        assert line["focused_segments"] == [split_sentences(DOC)[i] for i in (0, 1, 0)]
-    # summed in step order: 0.2 and 0.3 for the deductive steps, 0.1 for the
-    # decompositional one, then 0.1 for the answer; any other order of these
-    # float additions gives 0.7000000000000001
-    assert [line["latency_ms"] for line in run_log] == [0.0 + 0.2 + 0.3 + 0.1 + 0.1] * 3
+    sentences = split_sentences(DOC)
+    for recorded, _ in _recorded_runs(tmp_path, monkeypatch, "answer", argv, outputs):
+        for line in (json.loads(line) for line in recorded.splitlines()):
+            # the two deductive steps send one prompt at once: which gets
+            # its first reply depends on timing, but replay repeats it
+            first, second, third = line["focused_segments"]
+            assert {first, second} == set(sentences[:2]) and third == sentences[0]
+            # summed in step order: 0.2 and 0.3 for the deductive steps, 0.1
+            # for the decompositional one, then 0.1 for the answer; any other
+            # order of these float additions gives 0.7000000000000001
+            assert line["latency_ms"] == 0.0 + 0.2 + 0.3 + 0.1 + 0.1
     assert 0.0 + 0.2 + 0.3 + 0.1 + 0.1 != 0.0 + 0.1 + 0.2 + 0.3 + 0.1
 
 
@@ -480,6 +459,55 @@ def test_generate_record_and_replay_are_byte_identical_under_jitter(tmp_path, mo
     assert len(examples) == 2
     docs = [example["reference_docs"] for example in examples]
     assert docs == [[f"Reference note number {n} for this step."] * 2 for n in (0, 1)]
+
+
+class ArrivalOrder(Provider):
+    """Canned replies, except that a reference reply numbers its prompt's arrivals."""
+
+    name = "arrival-order"
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._seen: Counter = Counter()
+
+    def _complete(self, request):
+        if request.tag != "reference":
+            return CannedProvider().complete(request)
+        with self._lock:
+            arrival = self._seen[request.prompt]
+            self._seen[request.prompt] += 1
+        text = f"Reference note number {arrival} for this step."
+        return CompletionResult(text, TokenUsage.of(count_ws_tokens(request.prompt), 7))
+
+
+def test_questions_sharing_prompts_replay_their_own_replies_at_parallelism_8(tmp_path, monkeypatch):
+    # every question asks the canned strategies' two reference prompts, so
+    # questions running at once race for the arrival numbers in the replies
+    places = ["Eiffel Tower", "Empire State Building", "Golden Gate Bridge", "Taj Mahal"]
+    questions = [f"Which is {adj}, the {a} or the {b}?"
+                 for adj in ("taller", "older", "longer", "wider")
+                 for a in places for b in places if a != b]
+    rows = [{"question_id": f"q{i}", "question": question, "documents": [DOC], "gold_answers": ["x"]}
+            for i, question in enumerate(questions[:40])]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+    def generate(name, provider_args):
+        bundle = tmp_path / f"{name}.json"
+        assert cli.main(["generate", *provider_args, "--corpus", str(corpus), "--collection",
+                         str(bundle), "--count", "2", "--parallelism", "8"]) == 0
+        return json.loads(bundle.read_text(encoding="utf-8"))["collections"]
+
+    recorder = RecordingProvider(ArrivalOrder())
+    monkeypatch.setattr(cli, "CannedProvider", lambda: recorder)
+    recorded = generate("recorded", ["--provider", "mock"])
+    assert len(recorded) == 40
+    transcript = tmp_path / "transcript.jsonl"
+    recorder.transcript.save(str(transcript))
+    for attempt in range(3):
+        replay = ["--provider", "replay", "--transcript", str(transcript)]
+        replayed = generate(f"replayed{attempt}", replay)
+        assert [qid for qid in recorded if replayed[qid] != recorded[qid]] == []
 
 
 # ------------------------------------------------------------ stress

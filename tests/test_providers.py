@@ -62,10 +62,12 @@ def test_token_usage_consistency_enforced():
 
 
 def test_fingerprint_distinguishes_occurrences():
-    a = fingerprint("p", 0.0, 4096, 0)
-    b = fingerprint("p", 0.0, 4096, 1)
+    a = fingerprint("p", 0.0, 4096, 0, ())
+    b = fingerprint("p", 0.0, 4096, 1, ())
     assert a != b
-    assert fingerprint("p", 0.0, 4096, 0) == a
+    assert fingerprint("p", 0.0, 4096, 0, ()) == a
+    assert fingerprint("p", 0.0, 4096, 0, (0, 1)) != fingerprint("p", 0.0, 4096, 0, (1, 0))
+    assert fingerprint("p", 0.0, 4096, 0, (0,)) != a
 
 
 def test_record_and_replay_round_trip(tmp_path):

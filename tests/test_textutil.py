@@ -38,6 +38,19 @@ def test_detokenize_round_trip():
     assert detokenize(tokenize(text)) == text
 
 
+# detokenize(tokenize(s)) need not give s back ("!a" comes back as "! a"),
+# but tokenizing that text again gives the same tokens
+_PUNCT_TEXT = st.text(alphabet=st.sampled_from(list(",.?!;:\"()[]{}'-a \n")), max_size=40)
+
+
+@given(st.text() | _PUNCT_TEXT)
+@example("!a")
+@example("(a) [b], {c}.")
+def test_tokenize_is_stable_through_detokenize(text):
+    tokens = tokenize(text)
+    assert tokenize(detokenize(tokens)) == tokens
+
+
 def test_split_sentences_on_terminators_and_newlines():
     text = "First fact here. Second fact follows!\nThird on a new line."
     assert split_sentences(text) == [

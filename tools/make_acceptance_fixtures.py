@@ -2,9 +2,10 @@
 
 Builds a two-question corpus, a handcrafted collection bundle, and a
 recorded transcript of a scripted answering run. The transcript is
-produced by driving the same library call the answer command uses, with
-the provider wrapped in a recorder, so replaying it through the CLI hits
-every fingerprint. Rerunning this script writes identical bytes.
+produced by driving the same library call the answer command uses, one
+fan_out item per question as the command runs them, with the provider
+wrapped in a recorder, so replaying it through the CLI hits every
+fingerprint. Rerunning this script writes identical bytes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from skillpath import answerer, corpus
 from skillpath.collection import build_collection, persist_bundle
 from skillpath.examplegen import ConstructionMode, ReasoningStrategy, SimilarExample
 from skillpath.matcher import SelectionMode, select_best
-from skillpath.providers import MockProvider, RecordingProvider, Transcript
+from skillpath.providers import MockProvider, RecordingProvider, Transcript, fan_out
 from skillpath.skills import ReasoningSkill as S
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "tests", "fixtures")
@@ -107,8 +108,7 @@ def scripted_reply(request):
     prompt = request.prompt
     if request.tag == "segment":
         if "Nowhere Boy" in prompt:
-            # counted per prompt: steps of different skills run concurrently,
-            # so only the order of one prompt's repeats is defined
+            # counted per prompt; the recording runs one step at a time
             seen = scripted_reply.counters.get(prompt, 0)
             scripted_reply.counters[prompt] = seen + 1
             if f"skill for this step: {S.DEDUCTIVE.display_name} " in prompt:
@@ -151,11 +151,15 @@ def main() -> None:
     )
 
     recorder = RecordingProvider(MockProvider(scripted_reply))
-    for record in RECORDS:
+
+    def answer_one(record):
         gamma = bundle[record.question_id]
         example = gamma.examples[select_best(gamma, SelectionMode.FULL).selected_index]
         document = "\n\n".join(record.documents)
         answerer.answer(record.question, document, example, recorder)
+
+    # questions are fan_out items in the answer command too, so the scopes match
+    fan_out(answer_one, RECORDS)
     transcript = Transcript(
         entries=recorder.transcript.entries, provider="mock", created_at=STAMP
     )
