@@ -172,7 +172,7 @@ def answer(
 
 
 def select_for(
-    collection: ExampleCollection, mode: SelectionMode, seed: int | None = None
+    collection: ExampleCollection, mode: SelectionMode, seed: int | str | None = None
 ) -> MatchResult:
     """Pick the example whose skill path answer() follows, with the breakdown."""
     return select_best(collection, mode, seed)

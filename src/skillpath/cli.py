@@ -47,7 +47,7 @@ from .providers import (
     TokenUsage,
     fan_out,
 )
-from .resources import read_json, read_jsonl, write_json, write_text
+from .resources import json_line, read_json, read_jsonl, write_json, write_text
 
 log = logging.getLogger(__name__)
 
@@ -197,33 +197,43 @@ def _run_questions(config: RunConfig, records: list[corpus_mod.QARecord], attemp
     return done, failures
 
 
-def _json_line(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, ensure_ascii=False)
-
-
 # ---------------------------------------------------------------- generate
 
-def _load_checkpoint(path: str) -> dict[str, collection_mod.ExampleCollection]:
+def _load_checkpoint(
+    path: str, settings: dict, questions: dict[str, str]
+) -> dict[str, collection_mod.ExampleCollection]:
     """Completed questions from the checkpoint; a torn last line is cut off.
 
-    An unreadable checkpoint is deleted, so that a later run can resume from what this run appends.
+    The first line holds the settings the checkpoint was made with, each
+    later line the question its collection was built from. A checkpoint
+    that cannot be read, was made with other settings or holds a question
+    that is not in `questions` as written is deleted, and a new one is
+    started, so that a later run can resume from what this run appends.
     """
-    done: dict[str, collection_mod.ExampleCollection] = {}
-    if not os.path.exists(path):
-        return done
-    try:
-        _drop_torn_tail(path)
-        for _, doc in read_jsonl(path, "checkpoint"):
-            examples = [collection_mod.example_from_record(d) for d in doc["examples"]]
-            done[doc["question_id"]] = collection_mod.build_collection(examples)
-    except (OSError, KeyError, TypeError, ValueError, SkillPathError) as exc:
-        log.warning("ignoring unreadable checkpoint %s: %s", path, exc)
+    header = {"settings": settings}
+    if os.path.exists(path):
         try:
-            os.remove(path)
-        except OSError as removal:
-            raise StorageError(f"cannot remove unreadable checkpoint {path}: {removal}") from removal
-        return {}
-    return done
+            _drop_torn_tail(path)
+            lines = read_jsonl(path, "checkpoint")
+            made_with = next(lines, (0, None))[1]
+            if made_with != header:
+                raise ValueError(f"made with {made_with!r}, not {header!r}")
+            done = {}
+            for _, doc in lines:
+                qid = doc["question_id"]
+                if doc["question"] != questions.get(qid):
+                    raise ValueError(f"question {qid!r} is not the corpus's question")
+                examples = [collection_mod.example_from_record(d) for d in doc["examples"]]
+                done[qid] = collection_mod.build_collection(examples)
+            return done
+        except (OSError, KeyError, TypeError, ValueError, SkillPathError) as exc:
+            log.warning("ignoring unreadable checkpoint %s: %s", path, exc)
+            try:
+                os.remove(path)
+            except OSError as removal:
+                raise StorageError(f"cannot remove unreadable checkpoint {path}: {removal}") from removal
+    write_text(path, json_line(header) + "\n", "checkpoint")
+    return {}
 
 
 def _drop_torn_tail(path: str) -> None:
@@ -245,7 +255,9 @@ def cmd_generate(config: RunConfig) -> int:
     mode = _GEN_MODES[config.gen_mode]
 
     checkpoint_path = config.collection + ".checkpoint.jsonl"
-    done = _load_checkpoint(checkpoint_path)
+    # a checkpoint made with other settings than these is stale
+    settings = {name: getattr(config, name) for name in ("count", "delta", "gen_mode", "seed")}
+    done = _load_checkpoint(checkpoint_path, settings, {r.question_id: r.question for r in records})
     if done:
         log.info("resuming: %d question(s) already completed", len(done))
     checkpoint_lock = threading.Lock()
@@ -273,9 +285,9 @@ def cmd_generate(config: RunConfig) -> int:
         ]
         built = collection_mod.build_collection(examples)
         stored = [collection_mod.example_to_record(e) for e in built.examples]
-        line = {"question_id": qid, "examples": stored}
+        line = {"question_id": qid, "question": record.question, "examples": stored}
         with checkpoint_lock, open(checkpoint_path, "a", encoding="utf-8") as fh:
-            fh.write(_json_line(line) + "\n")
+            fh.write(json_line(line) + "\n")
         return built
 
     bundle, failures = _run_questions(config, records, work)
@@ -312,25 +324,20 @@ def cmd_answer(config: RunConfig) -> int:
         if qid not in bundle:
             raise UnmatchedQuestionId(qid)
         gamma = bundle[qid]
-        match = answerer.select_for(gamma, mode, config.seed)
+        # seeded per question, so random selection draws anew for each one
+        match = answerer.select_for(gamma, mode, f"{config.seed}:{qid}")
         document = "\n\n".join(record.documents)
         example = gamma.examples[match.selected_index]
         trace = answerer.answer(record.question, document, example, provider, config.parallelism)
         return {
+            **asdict(trace),
             "question_id": qid,
-            "question": trace.question,
-            "answer": trace.answer,
-            "completion": trace.completion,
-            "focused_segments": trace.focused_segments,
-            "prompt": trace.prompt,
             "selected_example_id": match.selected_index,
             "match": match.to_record(),
-            "usage": asdict(trace.usage),
-            "latency_ms": trace.latency_ms,
         }
 
     answered, failures = _run_questions(config, records, work)
-    lines = [_json_line(line) for line in answered.values()]
+    lines = [json_line(line) for line in answered.values()]
     total_tokens = sum(line["usage"]["total_tokens"] for line in answered.values())
 
     write_text(config.run_log, "".join(line + "\n" for line in lines), "run log")
@@ -371,13 +378,18 @@ def _logged_answer(doc) -> _LoggedAnswer:
 
 
 def _load_run_log(path: str) -> list[_LoggedAnswer]:
-    """Every line of a run log, checked; a bad line is an error naming path:line."""
+    """Every line of a run log, checked; a bad or repeated line is an error naming path:line."""
     entries = []
+    seen: set[str] = set()
     for line, doc in read_jsonl(path, "run log"):
         try:
-            entries.append(_logged_answer(doc))
+            entry = _logged_answer(doc)
         except ValueError as exc:
             raise ValidationError(path, line, str(exc)) from exc
+        if entry.question_id in seen:
+            raise ValidationError(path, line, f"repeats question_id {entry.question_id!r}")
+        seen.add(entry.question_id)
+        entries.append(entry)
     return entries
 
 

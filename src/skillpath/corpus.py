@@ -14,11 +14,10 @@ into [document index, sentence index]. Converters stay outside the core.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
-from .resources import read_jsonl, write_text
+from .resources import json_line, read_jsonl, write_text
 from .textutil import split_sentences
 
 
@@ -123,7 +122,7 @@ def record_to_json(record: QARecord) -> str:
     }
     if record.gold_sentence_ids is not None:
         doc["gold_sentence_ids"] = [list(p) for p in sorted(record.gold_sentence_ids)]
-    return json.dumps(doc, sort_keys=True, ensure_ascii=False)
+    return json_line(doc)
 
 
 def save_records(records: list[QARecord], path: str) -> None:

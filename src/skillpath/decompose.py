@@ -1,11 +1,11 @@
 """Question decomposition into typed templates.
 
-A question is tokenized, each token is labeled Structural or Entity by a
-rule-based tagger, adjacent entity tokens of one type merge into multiword
-entities, and the entities become typed bracket slots. The resulting
-template regenerates the original question when filled with its own
-substitutions, which is the invariant the whole synthesis pipeline leans
-on.
+A question is tokenized, a rule-based tagger gives each token an entity
+type or None for a structural token, adjacent entity tokens of one type
+merge into multiword entities, and the entities become typed bracket
+slots. The resulting template regenerates the original question when
+filled with its own substitutions, which is the invariant the whole
+synthesis pipeline leans on.
 
 A leading article is absorbed into the entity span it precedes: the slot
 then stands for "the Eiffel Tower" while the entity text stays article
@@ -16,28 +16,23 @@ rather than keeping a dangling "the" in front of each slot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from functools import lru_cache
 
 from .errors import EmptyQuestion, MissingSubstitution, UnknownPlaceholder
 from .resources import load_entity_pool
 from .textutil import ARTICLES, detokenize, tokenize
 
 
-class TokenLabel(Enum):
-    STRUCTURAL = "structural"
-    ENTITY = "entity"
-
-
 @dataclass(frozen=True)
 class Token:
     """One template token. Multiword entities are a single Token.
 
-    article holds a leading article absorbed from the surface text; it is
-    empty for structural tokens and for entities with no article.
+    entity_type is None exactly for structural tokens. article holds a
+    leading article absorbed from the surface text; it is empty for
+    structural tokens and for entities with no article.
     """
 
     text: str
-    label: TokenLabel
     entity_type: str | None = None
     article: str = ""
 
@@ -148,9 +143,8 @@ class RuleBasedTagger:
     """Deterministic tagger built on a gazetteer plus heuristics.
 
     tag() receives the token sequence of one question and returns one
-    (label, entity_type) pair per token, entity_type being None exactly for
-    structural tokens. It is called from worker threads and keeps no state
-    between calls.
+    entity type per token, None for a structural token. It is called from
+    worker threads and keeps no state between calls.
 
     Typing precedence: exact gazetteer phrase match, then capitalized-run
     heuristics (suffix cues for place and organization, month names for
@@ -165,7 +159,7 @@ class RuleBasedTagger:
             (name, etype) for etype, names in load_entity_pool().items() for name in names
         )
 
-    def tag(self, tokens: list[str]) -> list[tuple[TokenLabel, str | None]]:
+    def tag(self, tokens: list[str]) -> list[str | None]:
         n = len(tokens)
         types: list[str | None] = [None] * n
         folded = [t.casefold() for t in tokens]
@@ -204,10 +198,7 @@ class RuleBasedTagger:
             elif self._is_comparative(folded[i]):
                 types[i] = "adj"
 
-        return [
-            (TokenLabel.ENTITY, t) if t is not None else (TokenLabel.STRUCTURAL, None)
-            for t in types
-        ]
+        return types
 
     def _type_for_run(self, words: list[str]) -> str:
         if words[-1] in _PLACE_CUES or any(w in _PLACE_CUES for w in words):
@@ -227,18 +218,13 @@ class RuleBasedTagger:
         return word.endswith("er") or word.endswith("est")
 
 
-_DEFAULT_TAGGER: RuleBasedTagger | None = None
-
-
+@lru_cache(maxsize=None)
 def default_tagger() -> RuleBasedTagger:
-    global _DEFAULT_TAGGER
-    if _DEFAULT_TAGGER is None:
-        _DEFAULT_TAGGER = RuleBasedTagger()
-    return _DEFAULT_TAGGER
+    return RuleBasedTagger()
 
 
 def classify_tokens(question: str) -> list[Token]:
-    """Tokenize a question and label every token.
+    """Tokenize a question and type every token.
 
     Adjacent entity tokens with the same type merge into one multiword
     Token; an article directly before an entity is absorbed into it.
@@ -249,31 +235,31 @@ def classify_tokens(question: str) -> list[Token]:
     if not any(any(ch.isalnum() for ch in w) for w in words):
         raise EmptyQuestion("question contains no word tokens")
 
-    pairs = default_tagger().tag(words)
+    types = default_tagger().tag(words)
 
     tokens: list[Token] = []
     i = 0
     while i < len(words):
-        label, etype = pairs[i]
-        if label is TokenLabel.ENTITY:
+        etype = types[i]
+        if etype is not None:
             j = i
-            while j + 1 < len(words) and pairs[j + 1] == (TokenLabel.ENTITY, etype):
+            while j + 1 < len(words) and types[j + 1] == etype:
                 j += 1
             text = " ".join(words[i : j + 1])
             article = ""
-            if tokens and tokens[-1].label is TokenLabel.STRUCTURAL and tokens[-1].text.lower() in ARTICLES:
+            if tokens and tokens[-1].entity_type is None and tokens[-1].text.lower() in ARTICLES:
                 article = tokens.pop().text
-            tokens.append(Token(text, TokenLabel.ENTITY, etype, article))
+            tokens.append(Token(text, etype, article))
             i = j + 1
         else:
-            tokens.append(Token(words[i], TokenLabel.STRUCTURAL))
+            tokens.append(Token(words[i]))
             i += 1
 
     return tokens
 
 
 def build_template(tokens: list[Token]) -> QuestionTemplate:
-    """Turn a labeled token list into a typed template.
+    """Turn a typed token list into a template.
 
     Entities become bracket slots named by type; the ordinal is appended
     only when a type occurs more than once, so a lone adjective renders as
@@ -281,14 +267,14 @@ def build_template(tokens: list[Token]) -> QuestionTemplate:
     """
     per_type: dict[str, int] = {}
     for t in tokens:
-        if t.label is TokenLabel.ENTITY:
+        if t.entity_type is not None:
             per_type[t.entity_type] = per_type.get(t.entity_type, 0) + 1
 
     placeholders: list[Placeholder] = []
     counters: dict[str, int] = {}
     rendered: list[str] = []
     for t in tokens:
-        if t.label is TokenLabel.ENTITY:
+        if t.entity_type is not None:
             ordinal = counters.get(t.entity_type, 0) + 1
             counters[t.entity_type] = ordinal
             if per_type[t.entity_type] > 1:
@@ -300,7 +286,7 @@ def build_template(tokens: list[Token]) -> QuestionTemplate:
         else:
             rendered.append(t.text)
 
-    original_parts = [t.surface if t.label is TokenLabel.ENTITY else t.text for t in tokens]
+    original_parts = [t.surface for t in tokens]
     return QuestionTemplate(
         original=detokenize(original_parts),
         placeholders=placeholders,

@@ -74,7 +74,7 @@ def selection_score(example: SimilarExample, collection: ExampleCollection) -> S
 def select_best(
     collection: ExampleCollection,
     mode: SelectionMode = SelectionMode.FULL,
-    seed: int | None = None,
+    seed: int | str | None = None,
 ) -> MatchResult:
     """Pick one example index under the given mode.
 

@@ -213,15 +213,11 @@ def token_stats(records: list[EvalRecord]) -> TokenStats:
     )
 
 
-def attribute_citations(
-    chain_text: str,
-    documents: list[str],
-    threshold: float = CITATION_CONTAINMENT,
-) -> set[SentenceId]:
+def attribute_citations(chain_text: str, documents: list[str]) -> set[SentenceId]:
     """Which document sentences the chain text cites.
 
     A model sentence cites document sentence (d, j) when it contains at
-    least `threshold` of that sentence's distinct normalized tokens.
+    least CITATION_CONTAINMENT of that sentence's distinct normalized tokens.
     """
     model_token_sets = [set(norm_tokens(s)) for s in split_sentences(chain_text)]
     cited: set[SentenceId] = set()
@@ -230,7 +226,7 @@ def attribute_citations(
             doc_tokens = set(norm_tokens(sentence))
             if not doc_tokens:
                 continue
-            needed = threshold * len(doc_tokens)
+            needed = CITATION_CONTAINMENT * len(doc_tokens)
             for mt in model_token_sets:
                 if len(doc_tokens & mt) >= needed:
                     cited.add((d, j))

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import requests
 
 from .errors import ProviderError, ReplayMiss, StorageError, TransportError, ValidationError
-from .resources import read_jsonl, utc_now, write_text
+from .resources import json_line, read_jsonl, utc_now, write_text
 from .textutil import count_ws_tokens
 
 DEFAULT_MAX_OUTPUT_TOKENS = 4096
@@ -292,12 +292,15 @@ class Transcript:
             "entries": len(self.entries),
         }
         docs = [header] + [dataclasses.asdict(e) for e in self.entries]
-        text = "".join(json.dumps(doc, sort_keys=True, ensure_ascii=False) + "\n" for doc in docs)
-        write_text(path, text, "transcript")
+        write_text(path, "".join(json_line(doc) + "\n" for doc in docs), "transcript")
 
     @classmethod
     def load(cls, path: str) -> Transcript:
-        """Read a saved transcript; a bad entry is an error naming path:line."""
+        """Read a saved transcript; a bad entry is an error naming path:line.
+
+        A header whose entry count differs from the entries that follow
+        is a StorageError: the file was cut short or edited.
+        """
         lines = read_jsonl(path, "transcript")
         _, header = next(lines, (0, None))
         if not isinstance(header, dict):
@@ -327,6 +330,11 @@ class Transcript:
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(path, line, f"malformed transcript entry: {exc}") from exc
+        counted = header.get("entries")
+        if counted != len(entries):
+            raise StorageError(
+                f"transcript {path} header counts {counted!r} entries, but {len(entries)} follow"
+            )
         return cls(
             entries=entries,
             provider=header.get("provider", ""),

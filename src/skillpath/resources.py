@@ -127,6 +127,11 @@ def read_jsonl(path: str, what: str) -> Iterator[tuple[int, object]]:
         yield i, doc
 
 
+def json_line(doc) -> str:
+    """One JSON Lines line, without its newline: sorted keys, text as written."""
+    return json.dumps(doc, sort_keys=True, ensure_ascii=False)
+
+
 def utc_now() -> str:
     """Second-resolution UTC timestamp for file headers."""
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())

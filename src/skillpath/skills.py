@@ -36,10 +36,6 @@ class ReasoningSkill(IntEnum):
     def description(self) -> str:
         return _DETAILS[self].description
 
-    @property
-    def example(self) -> str:
-        return _DETAILS[self].example
-
 
 @dataclass(frozen=True)
 class SkillDetail:

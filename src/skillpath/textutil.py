@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 # punctuation detached into standalone tokens at word edges
 _PUNCT = set(",.?!;:\"()[]{}")
 
-_WS = re.compile(r"\s+")
 _LINE = re.compile(r"[^\n]+")
 # ., ? or ! (plus closing quotes/brackets) and whitespace before a capital or
 # digit; the sentence ends just after the match's first character. A pattern
@@ -122,16 +121,13 @@ def norm_tokens(text: str) -> list[str]:
 
 
 def normalize_ws(text: str) -> str:
-    return _WS.sub(" ", text).strip()
+    """Whitespace runs collapsed to one space, ends trimmed."""
+    return " ".join(text.split())
 
 
 def sentence_key(text: str) -> str:
-    """Casefolded, whitespace-collapsed form used for sentence matching.
-
-    str.split() and the regex whitespace class agree on every code point,
-    so this equals normalize_ws(text.casefold()) without the regex pass.
-    """
-    return " ".join(text.casefold().split())
+    """Casefolded, whitespace-collapsed form used for sentence matching."""
+    return normalize_ws(text.casefold())
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -126,3 +128,25 @@ def test_traced_mock_run_fires_every_per_layer_hook(instrument, tmp_path):
 
 def test_entity_pool_loads():
     assert load_entity_pool()
+
+
+def test_importing_the_cli_loads_every_hooked_module(tmp_path):
+    # a fresh interpreter: in this one, other tests have imported every module already
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = (
+        "import importlib.util, sys\n"
+        "import skillpath.cli\n"
+        "loaded = set(sys.modules)\n"
+        "spec = importlib.util.spec_from_file_location('bench_instrument', sys.argv[1])\n"
+        "instrument = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(instrument)\n"
+        "missing = [m for m, _ in instrument.LAYERS.values() if m not in loaded]\n"
+        "assert not missing, missing\n"
+        "for module_name, targets in instrument.LAYERS.values():\n"
+        "    for target in targets:\n"
+        "        instrument._resolve(module_name, target)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code, os.path.abspath(INSTRUMENT)], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -9,7 +9,7 @@ import pytest
 from skillpath import cli
 from skillpath.canned import CannedProvider
 from skillpath.cli import ConfigError, _resolve_config, build_parser, main
-from skillpath.collection import example_to_record, restore_bundle
+from skillpath.collection import build_collection, example_to_record, persist_bundle, restore_bundle
 from skillpath.errors import ProviderError, StorageError
 from skillpath.providers import RecordingProvider
 from skillpath.skills import ReasoningSkill
@@ -54,6 +54,11 @@ def log_line(tokens=10, **changes):
     return {key: value for key, value in doc.items() if value is not None}
 
 
+def checkpoint_header(count):
+    """The first checkpoint line of a generate run with --count count and no other setting."""
+    return json.dumps({"settings": {"count": count, "delta": 7, "gen_mode": "guided-fill", "seed": None}})
+
+
 def resolve(argv):
     return _resolve_config(build_parser().parse_args(argv))
 
@@ -61,6 +66,20 @@ def resolve(argv):
 @pytest.fixture
 def corpus_path(tmp_path):
     return write_corpus(tmp_path / "corpus.jsonl", [eiffel_row()])
+
+
+@pytest.fixture
+def mock_calls(monkeypatch):
+    """The tag of every request the CLI's mock provider answers, in order."""
+    calls = []
+
+    class Counting(CannedProvider):
+        def _complete(self, request):
+            calls.append(request.tag)
+            return super()._complete(request)
+
+    monkeypatch.setattr(cli, "CannedProvider", Counting)
+    return calls
 
 
 def test_flag_beats_config_file_beats_env(tmp_path, corpus_path, monkeypatch):
@@ -186,7 +205,9 @@ def test_generate_resumes_from_checkpoint(tmp_path, corpus_path):
     bundle_path = str(tmp_path / "bundle.json")
     marker = make_example([ReasoningSkill.ABDUCTIVE], question="carried over from the checkpoint")
     with open(bundle_path + ".checkpoint.jsonl", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"question_id": "q1", "examples": [example_to_record(marker)]}) + "\n")
+        fh.write(checkpoint_header(2) + "\n")
+        fh.write(json.dumps({"question_id": "q1", "question": EIFFEL,
+                             "examples": [example_to_record(marker)]}) + "\n")
     code = main(["generate", "--provider", "mock", "--corpus", corpus_path,
                  "--collection", bundle_path, "--count", "2"])
     assert code == 0
@@ -363,11 +384,12 @@ def test_torn_checkpoint_tail_keeps_completed_questions(tmp_path):
     )
     bundle_path = str(tmp_path / "bundle.json")
     checkpoint = bundle_path + ".checkpoint.jsonl"
-    lines = []
+    lines = [checkpoint_header(1)]
     for qid in ("q1", "q2"):
         marker = make_example([ReasoningSkill.ABDUCTIVE], question=f"checkpointed {qid}")
-        lines.append(json.dumps({"question_id": qid, "examples": [example_to_record(marker)]}))
-    torn = json.dumps({"question_id": "q3", "examples": []})[:20]
+        lines.append(json.dumps({"question_id": qid, "question": EIFFEL,
+                                 "examples": [example_to_record(marker)]}))
+    torn = json.dumps({"question_id": "q3", "question": EIFFEL, "examples": []})[:20]
     with open(checkpoint, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n" + torn)
     # q4 fails, so the checkpoint outlives the run and can be inspected
@@ -379,7 +401,8 @@ def test_torn_checkpoint_tail_keeps_completed_questions(tmp_path):
     # the fragment is gone and q3's fresh line did not glue onto it
     with open(checkpoint, encoding="utf-8") as fh:
         kept = [json.loads(line) for line in fh]
-    assert [doc["question_id"] for doc in kept] == ["q1", "q2", "q3"]
+    assert kept[0] == json.loads(checkpoint_header(1))
+    assert [doc["question_id"] for doc in kept[1:]] == ["q1", "q2", "q3"]
 
 
 @pytest.mark.parametrize(
@@ -396,7 +419,8 @@ def test_invalid_checkpoint_example_starts_fresh(tmp_path, corpus_path, caplog, 
     )
     marker[field] = value
     with open(bundle_path + ".checkpoint.jsonl", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"question_id": "q1", "examples": [marker]}) + "\n")
+        fh.write(checkpoint_header(1) + "\n")
+        fh.write(json.dumps({"question_id": "q1", "question": EIFFEL, "examples": [marker]}) + "\n")
     code = main(["generate", "--provider", "mock", "--corpus", corpus_path,
                  "--collection", bundle_path, "--count", "1"])
     assert code == 0
@@ -428,7 +452,7 @@ def test_invalid_checkpoint_example_starts_fresh(tmp_path, corpus_path, caplog, 
 def test_malformed_run_log_line_exits_2(tmp_path, corpus_path, capsys, log, bad):
     logs = {name: tmp_path / f"{name}.jsonl" for name in ("run", "baseline")}
     for name, path in logs.items():
-        lines = [log_line(), bad if name == log else log_line()]
+        lines = [log_line(), bad] if name == log else [log_line()]
         path.write_text("".join(json.dumps(doc) + "\n" for doc in lines), encoding="utf-8")
     code = main(["eval", "--corpus", corpus_path, "--run-log", str(logs["run"]),
                  "--report", str(tmp_path / "report.json"),
@@ -541,3 +565,99 @@ def test_replay_of_a_bad_transcript_entry_exits_2_before_any_call(
     assert code == 2
     assert f"{transcript}:2:" in capsys.readouterr().err
     assert not run_log.exists()
+
+
+def test_replay_of_a_transcript_missing_entries_exits_2_before_any_call(tmp_path, fixtures_dir, capsys):
+    lines = Path(fixtures_dir, "transcript.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    transcript = tmp_path / "transcript.jsonl"
+    transcript.write_text("".join(lines[:-1]), encoding="utf-8")  # header says 6, 5 follow
+    run_log = tmp_path / "run.jsonl"
+    code = main(["answer", "--provider", "replay", "--transcript", str(transcript),
+                 "--corpus", f"{fixtures_dir}/corpus.jsonl",
+                 "--collection", f"{fixtures_dir}/collection.json", "--run-log", str(run_log)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(transcript) in err and "counts 6 entries, but 5 follow" in err
+    assert "[answer] question" not in err
+    assert not run_log.exists()
+
+
+@pytest.mark.parametrize("log", ["run", "baseline"])
+def test_eval_rejects_a_repeated_run_log_line(tmp_path, corpus_path, capsys, log):
+    logs = {name: tmp_path / f"{name}.jsonl" for name in ("run", "baseline")}
+    for name, path in logs.items():
+        copies = 3 if name == log else 1
+        path.write_text((json.dumps(log_line()) + "\n") * copies, encoding="utf-8")
+    code = main(["eval", "--corpus", corpus_path, "--run-log", str(logs["run"]),
+                 "--report", str(tmp_path / "report.json"),
+                 "--baseline-log", str(logs["baseline"])])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{logs[log]}:2:" in err and "'q1'" in err
+
+
+def test_random_selection_is_seeded_per_question(tmp_path):
+    qids = [f"q{i}" for i in range(20)]
+    corpus = write_corpus(tmp_path / "corpus.jsonl", [eiffel_row(qid) for qid in qids])
+    skills = list(ReasoningSkill)
+    examples = [make_example([skills[i]], question=f"example {i}") for i in range(5)]
+    bundle = str(tmp_path / "bundle.json")
+    persist_bundle({qid: build_collection(examples) for qid in qids}, bundle,
+                   construction_mode="guided-fill", delta=7)
+
+    def selected(run_log):
+        assert main(["answer", "--provider", "mock", "--corpus", corpus, "--collection", bundle,
+                     "--run-log", run_log, "--select-mode", "random", "--seed", "3"]) == 0
+        lines = Path(run_log).read_text(encoding="utf-8").splitlines()
+        return [json.loads(line)["selected_example_id"] for line in lines]
+
+    first = selected(str(tmp_path / "run1.jsonl"))
+    assert len(first) == 20 and len(set(first)) > 1
+    assert selected(str(tmp_path / "run2.jsonl")) == first
+
+
+@pytest.mark.parametrize(
+    "change",
+    [["--count", "2"], ["--delta", "8"], ["--gen-mode", "template-variation"], ["--seed", "5"],
+     "edited question"],
+    ids=["count", "delta", "gen-mode", "seed", "edited-question"],
+)
+def test_a_checkpoint_made_with_other_settings_starts_fresh(tmp_path, mock_calls, caplog, change):
+    rows = [eiffel_row("q1"), eiffel_row("q2", question="?!?")]
+    corpus = write_corpus(tmp_path / "corpus.jsonl", rows)
+    bundle_path = str(tmp_path / "bundle.json")
+    argv = ["generate", "--provider", "mock", "--corpus", corpus,
+            "--collection", bundle_path, "--count", "1"]
+    # q2 fails, so run 1 leaves its checkpoint behind
+    assert main(argv) == 1
+    assert os.path.exists(bundle_path + ".checkpoint.jsonl")
+
+    if change == "edited question":
+        rows[0] = eiffel_row("q1", question=EIFFEL.replace("taller", "older"))
+        write_corpus(tmp_path / "corpus.jsonl", rows)
+        change = []
+    mock_calls.clear()
+    assert main(argv + change) == 1
+    # q1 was generated again, not taken from run 1's checkpoint
+    assert mock_calls
+    assert "ignoring unreadable checkpoint" in caplog.text
+
+
+def test_a_checkpoint_made_with_the_same_settings_resumes(tmp_path, mock_calls):
+    corpus = write_corpus(tmp_path / "corpus.jsonl", [eiffel_row("q1"), eiffel_row("q2", question="?!?")])
+    bundle_path = str(tmp_path / "bundle.json")
+    argv = ["generate", "--provider", "mock", "--corpus", corpus,
+            "--collection", bundle_path, "--count", "1", "--seed", "4"]
+    assert main(argv) == 1
+    mock_calls.clear()
+    assert main(argv) == 1
+    assert mock_calls == []
+    assert set(restore_bundle(bundle_path)) == {"q1"}
+
+
+def test_generate_into_a_missing_directory_exits_2_before_any_call(tmp_path, corpus_path, mock_calls, capsys):
+    code = main(["generate", "--provider", "mock", "--corpus", corpus_path,
+                 "--collection", str(tmp_path / "missing" / "bundle.json"), "--count", "1"])
+    assert code == 2
+    assert "cannot write checkpoint" in capsys.readouterr().err
+    assert mock_calls == []

@@ -5,8 +5,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skillpath.decompose import (
-    RuleBasedTagger,
-    TokenLabel,
     _phrase_table,
     _scan_phrases,
     build_template,
@@ -27,19 +25,19 @@ EIFFEL_Q = "Which is taller, the Eiffel Tower or the Empire State Building?"
 
 def test_classify_finds_typed_entities_and_structural_remainder():
     tokens = classify_tokens(EIFFEL_Q)
-    entities = [(t.text, t.entity_type) for t in tokens if t.label is TokenLabel.ENTITY]
+    entities = [(t.text, t.entity_type) for t in tokens if t.entity_type is not None]
     assert entities == [
         ("taller", "adj"),
         ("Eiffel Tower", "place"),
         ("Empire State Building", "place"),
     ]
-    rest = [t.text for t in tokens if t.label is TokenLabel.STRUCTURAL]
+    rest = [t.text for t in tokens if t.entity_type is None]
     assert rest == ["Which", "is", ",", "or", "?"]
 
 
 def test_classify_absorbs_leading_articles():
     tokens = classify_tokens(EIFFEL_Q)
-    articles = [t.article for t in tokens if t.label is TokenLabel.ENTITY]
+    articles = [t.article for t in tokens if t.entity_type is not None]
     assert articles == ["", "the", "the"]
 
 
@@ -87,7 +85,7 @@ def test_render_validates_substitution_keys():
 
 def test_question_with_no_entities_is_all_structural():
     tokens = classify_tokens("Why?")
-    assert all(t.label is TokenLabel.STRUCTURAL for t in tokens)
+    assert all(t.entity_type is None for t in tokens)
     template = build_template(tokens)
     assert template.placeholders == []
     assert template.template_text == "Why?"

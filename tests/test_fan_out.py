@@ -322,7 +322,8 @@ def test_an_unexpected_error_leaves_the_same_work_done_at_every_parallelism(tmp_
             cli.main(["generate", "--provider", "mock", "--corpus", corpus, "--collection", str(bundle),
                       "--count", "3", "--parallelism", str(parallelism)])
         checkpoint = Path(f"{bundle}.checkpoint.jsonl").read_text(encoding="utf-8")
-        done = sorted(json.loads(line)["question_id"] for line in checkpoint.splitlines())
+        # the first line holds the settings, each later one a question
+        done = sorted(json.loads(line)["question_id"] for line in checkpoint.splitlines()[1:])
         return sent, done, bundle.exists()
 
     serial = run(1)
