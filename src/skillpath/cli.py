@@ -6,11 +6,12 @@ a run can be reproduced from its artifacts alone. Each command reads all
 of its input files before its first provider call.
 
 --parallelism N bounds the provider calls in flight. Questions, and the
-independent calls within each (the similarity scores of the candidates,
-the reference documents and the extractions of the strategy steps),
-overlap through the same providers.fan_out: up to N questions at once and
-up to N calls each, so at most N * N requests are in flight,
---parallelism 1 sends one at a time, and no thread outlives a command. A
+independent work within each (the similarity scores of the candidates,
+the synthesis of the kept candidates, the reference documents and the
+extractions of the strategy steps), overlap through the same
+providers.fan_out, up to N items at each level. One InFlightGate around
+the provider holds the requests in flight to at most N * N, so
+--parallelism 1 sends one at a time; no thread outlives a command. A
 question's SkillPathError is printed and fails that question only; any
 other error is raised once every question has run, the first in input
 order, at any N. Each question, and each call it overlaps, runs in a
@@ -40,6 +41,7 @@ from .errors import NoCandidates, SkillPathError, StorageError, UnmatchedQuestio
 from .matcher import SelectionMode
 from .providers import (
     CompletionResult,
+    InFlightGate,
     LiveProvider,
     PARALLELISM_ENV,
     Provider,
@@ -251,7 +253,8 @@ def _drop_torn_tail(path: str) -> None:
 
 def cmd_generate(config: RunConfig) -> int:
     records = corpus_mod.load_records(config.corpus)
-    provider = _build_provider(config)
+    backend = _build_provider(config)
+    provider = InFlightGate(backend, config.parallelism)
     mode = _GEN_MODES[config.gen_mode]
 
     checkpoint_path = config.collection + ".checkpoint.jsonl"
@@ -279,10 +282,11 @@ def cmd_generate(config: RunConfig) -> int:
         kept = examplegen.filter_candidates(scored, config.delta)
         if not kept:
             raise NoCandidates(qid)
-        examples = [
-            examplegen.synthesize_example(c.text, provider, mode, config.parallelism)
-            for c in kept[: config.count]
-        ]
+        examples = fan_out(
+            lambda c: examplegen.synthesize_example(c.text, provider, mode, config.parallelism),
+            kept[: config.count],
+            config.parallelism,
+        )
         built = collection_mod.build_collection(examples)
         stored = [collection_mod.example_to_record(e) for e in built.examples]
         line = {"question_id": qid, "question": record.question, "examples": stored}
@@ -293,8 +297,8 @@ def cmd_generate(config: RunConfig) -> int:
     bundle, failures = _run_questions(config, records, work)
 
     created_at = None
-    if isinstance(provider, ReplayProvider):
-        created_at = provider.transcript.created_at or None
+    if isinstance(backend, ReplayProvider):
+        created_at = backend.transcript.created_at or None
     if bundle:
         collection_mod.persist_bundle(
             bundle,
@@ -316,7 +320,7 @@ def cmd_generate(config: RunConfig) -> int:
 def cmd_answer(config: RunConfig) -> int:
     records = corpus_mod.load_records(config.corpus)
     bundle = collection_mod.restore_bundle(config.collection)
-    provider = _build_provider(config)
+    provider = InFlightGate(_build_provider(config), config.parallelism)
     mode = _SELECT_MODES[config.select_mode]
 
     def work(record: corpus_mod.QARecord) -> dict:

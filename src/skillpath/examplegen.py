@@ -6,7 +6,9 @@ similarity filter get a reasoning strategy (typed steps plus an answer
 from the same reply) and one short reference document per step, forming a
 SimilarExample ready for collection into a Γ. Given a parallelism above
 1, independent calls (the scores of the candidates, the reference
-documents of the steps) overlap through fan_out.
+documents of the steps) overlap through fan_out; the generate command
+also synthesizes the kept candidates through fan_out, and one gate
+around its provider bounds the requests in flight.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Completion backends: live HTTP, mock, recording, replay.
+"""Completion backends: live HTTP, mock, recording, replay, and a gate.
 
 Every pipeline stage talks to a Provider through one method, complete().
 The recording wrapper captures request and result pairs keyed by a stable
@@ -24,6 +24,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
+from queue import SimpleQueue
 
 import requests
 
@@ -40,7 +41,7 @@ PARALLELISM_ENV = "SKILLPATH_PARALLELISM"
 MAX_RETRIES_ENV = "SKILLPATH_MAX_RETRIES"
 RETRY_BACKOFF_ENV = "SKILLPATH_RETRY_BACKOFF"
 
-TRANSCRIPT_VERSION = 2
+TRANSCRIPT_VERSION = 3
 
 # positions of the fan_out items the current call runs inside, outermost first
 _scope: contextvars.ContextVar[tuple[int, ...]] = contextvars.ContextVar("skillpath_scope", default=())
@@ -158,8 +159,10 @@ def fan_out(fn, items, parallelism: int = 1) -> list:
     occurrence index. At parallelism 1 every item runs on the calling
     thread. The calling thread is one lane; each further lane is a thread
     started here, in a copy of the caller's context, and joined before
-    fan_out returns, so no thread outlives the call and nested fan_outs at
-    parallelism N have at most N * N lanes.
+    fan_out returns, so no thread outlives the call. Lanes are per level:
+    each nested fan_out has up to `parallelism` of its own. What bounds
+    the requests in flight is an InFlightGate around the provider, not
+    the lanes.
 
     Every item runs, also after another has failed. Once every started
     call has finished, the failure first in item order is raised, so the
@@ -233,6 +236,31 @@ class Provider:
 
     def _complete(self, request: CompletionRequest) -> CompletionResult:
         raise NotImplementedError
+
+
+class InFlightGate(Provider):
+    """Lets at most parallelism * parallelism calls through to `inner` at once.
+
+    Each call holds one token from a pre-filled queue while the inner
+    provider runs, so however deeply fan_outs nest, the backend sees at
+    most N * N requests in flight at parallelism N. A call waits here only
+    for a token; the gate changes neither the request nor its scope.
+    """
+
+    name = "gate"
+
+    def __init__(self, inner: Provider, parallelism: int):
+        self.inner = inner
+        self._tokens: SimpleQueue = SimpleQueue()
+        for _ in range(parallelism * parallelism):
+            self._tokens.put(None)
+
+    def _complete(self, request: CompletionRequest) -> CompletionResult:
+        self._tokens.get()
+        try:
+            return self.inner.complete(request)
+        finally:
+            self._tokens.put(None)
 
 
 class MockProvider(Provider):

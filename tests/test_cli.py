@@ -257,8 +257,8 @@ def test_a_checkpoint_that_cannot_be_removed_exits_2_before_any_call(tmp_path, c
     assert not os.path.exists(bundle_path)
 
 
-@pytest.mark.parametrize("header", [{"version": 1}, {"version": 99}, {}],
-                         ids=["version-1", "version-99", "no-version"])
+@pytest.mark.parametrize("header", [{"version": 1}, {"version": 2}, {"version": 99}, {}],
+                         ids=["version-1", "version-2", "version-99", "no-version"])
 def test_replay_of_a_transcript_of_another_version_exits_2_before_any_call(
     tmp_path, corpus_path, capsys, header
 ):

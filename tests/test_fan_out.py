@@ -23,13 +23,17 @@ import skillpath.providers as providers
 from skillpath.answerer import answer
 from skillpath.canned import CannedProvider, canned_reply
 from skillpath.collection import build_collection, persist_bundle
+from skillpath.decompose import decompose_question
 from skillpath.examplegen import (
     CandidateQuestion,
     ConstructionMode,
+    generate_candidates,
     score_candidates,
 )
 from skillpath.providers import (
+    CompletionRequest,
     CompletionResult,
+    InFlightGate,
     MockProvider,
     Provider,
     RecordingProvider,
@@ -222,6 +226,47 @@ def test_reference_documents_of_distinct_subquestions_overlap(tmp_path, monkeypa
                      "--collection", str(tmp_path / "bundle.json"), "--parallelism", "2"]) == 0
 
 
+def test_strategies_of_distinct_kept_candidates_overlap(tmp_path, monkeypatch):
+    barrier = threading.Barrier(2, timeout=5)
+
+    class Backend(Provider):
+        def _complete(self, request):
+            if request.tag == "strategy":
+                barrier.wait()  # the landmark question keeps two candidates
+            return CannedProvider().complete(request)
+
+    monkeypatch.setattr(cli, "CannedProvider", Backend)
+    assert cli.main(["generate", "--provider", "mock", "--corpus", _landmark_corpus(tmp_path, 1),
+                     "--collection", str(tmp_path / "bundle.json"), "--parallelism", "2"]) == 0
+
+
+def test_the_gate_lets_exactly_n_by_n_requests_through_at_once():
+    n = 2
+    barrier = threading.Barrier(n * n, timeout=5)
+    lock = threading.Lock()
+    running = [0]
+    peak = [0]
+
+    class Backend(Provider):
+        def _complete(self, request):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            try:
+                barrier.wait()  # breaks after 5 s unless n * n calls are in flight
+                time.sleep(0.01)  # callers let through too early would pile up here
+                return CompletionResult("ok", TokenUsage.zero())
+            finally:
+                with lock:
+                    running[0] -= 1
+
+    gate = InFlightGate(Backend(), n)
+    callers = 3 * n * n
+    replies = fan_out(lambda i: gate.complete(CompletionRequest(f"p{i}")).text, range(callers), callers)
+    assert replies == ["ok"] * callers
+    assert peak[0] == n * n
+
+
 class InFlight(Provider):
     """Canned replies after a short pause, counting the calls in flight."""
 
@@ -262,8 +307,9 @@ def test_parallelism_bounds_the_requests_in_flight(tmp_path, monkeypatch):
         return found
 
     assert peaks(4, 1) == [1, 1]  # one request at a time
-    # one question: only its own calls overlap (the canned strategies have two skills)
-    assert peaks(1, 2) == [2, 2]
+    # one question: only its own calls overlap; in generate its two kept
+    # candidates send two reference calls each, in answer its two steps extract
+    assert peaks(1, 2) == [4, 2]
     assert all(2 <= peak <= 4 for peak in peaks(4, 2))  # 2 questions at once, 2 calls each
 
 
@@ -330,6 +376,39 @@ def test_an_unexpected_error_leaves_the_same_work_done_at_every_parallelism(tmp_
     # the failing question is the second: the four after it still ran
     assert serial[1:] == (["q0", "q2", "q3", "q4", "q5"], False)
     assert run(4) == serial
+
+
+def test_a_failing_candidate_fails_its_question_after_the_others_ran(tmp_path, monkeypatch, capsys):
+    corpus = _landmark_corpus(tmp_path, 1)
+    question = json.loads(Path(corpus).read_text(encoding="utf-8"))["question"]
+    template = decompose_question(question)
+    first = generate_candidates(template, ConstructionMode.GUIDED_FILL, 10, CannedProvider())[0].text
+
+    def run(parallelism):
+        """The requests sent and what generate printed to stderr."""
+        sent = Counter()
+        lock = threading.Lock()
+
+        class Backend(Provider):
+            def _complete(self, request):
+                with lock:
+                    sent[request.tag, request.prompt] += 1
+                if request.tag == "strategy" and f'Input Question: "{first}"' in request.prompt:
+                    return CompletionResult("No steps in this reply.", TokenUsage.of(1, 5))
+                return CannedProvider().complete(request)
+
+        monkeypatch.setattr(cli, "CannedProvider", Backend)
+        assert cli.main(["generate", "--provider", "mock", "--corpus", corpus, "--collection",
+                         str(tmp_path / f"bundle{parallelism}.json"),
+                         "--parallelism", str(parallelism)]) == 1
+        return sent, capsys.readouterr().err
+
+    serial = run(1)
+    assert "[generate] question q0: reply contains no numbered steps" in serial[1]
+    # candidate 1 still built its strategy and its two reference documents
+    assert sum(n for (tag, _), n in serial[0].items() if tag == "strategy") == 2
+    assert sum(n for (tag, _), n in serial[0].items() if tag == "reference") == 2
+    assert run(3) == serial
 
 
 # ------------------------------------------------------------ record and replay
@@ -453,13 +532,14 @@ def test_generate_record_and_replay_are_byte_identical_under_jitter(tmp_path, mo
         doc = json.loads((tmp_path / f"{out}.json").read_text(encoding="utf-8"))
         return json.dumps(doc["collections"], sort_keys=True).encode("utf-8")
 
-    runs = _recorded_runs(tmp_path, monkeypatch, "generate", argv, outputs)
-    assert len(set(runs)) == 1
-    examples = json.loads(runs[0][0])["q1"]["examples"]
-    # every candidate asks the same two reference prompts, candidate by candidate
-    assert len(examples) == 2
-    docs = [example["reference_docs"] for example in examples]
-    assert docs == [[f"Reference note number {n} for this step."] * 2 for n in (0, 1)]
+    notes = {f"Reference note number {n} for this step." for n in (0, 1)}
+    for recorded, _ in _recorded_runs(tmp_path, monkeypatch, "generate", argv, outputs):
+        examples = json.loads(recorded)["q1"]["examples"]
+        assert len(examples) == 2
+        # both candidates send each step's reference prompt at once: which
+        # gets the first reply depends on timing, but replay repeats it
+        first, second = (example["reference_docs"] for example in examples)
+        assert all({a, b} == notes for a, b in zip(first, second, strict=True))
 
 
 class ArrivalOrder(Provider):
