@@ -3,8 +3,7 @@
 For each step of the chosen strategy the provider extracts the document
 sentences most relevant to that step's skill; the focused segments, the
 reasoning path and the worked example then frame one final completion.
-Given a parallelism above 1, the extractions of the steps overlap. The
-trace keeps everything downstream evaluation needs, including the full
+The trace keeps everything downstream evaluation needs, including the full
 completion text and aggregate token usage across every call.
 """
 
@@ -126,16 +125,9 @@ def extract_answer_span(completion: str) -> str:
     return completion.strip()
 
 
-def answer(
-    question: str,
-    document: str,
-    example: SimilarExample,
-    provider: Provider,
-    parallelism: int = 1,
-) -> AnswerTrace:
+def answer(question: str, document: str, example: SimilarExample, provider: Provider) -> AnswerTrace:
     """Run the guided path of one selected example against one document.
 
-    The extractions of the steps overlap, up to `parallelism` at once.
     Errors from extraction, prompt assembly or the final call are
     re-raised as PipelineStageError naming the stage that failed.
     """
@@ -146,7 +138,7 @@ def answer(
         calls = _CallLog(provider)
         return extract_relevant_segment(passage, skill, calls, question=question), calls.results
 
-    steps = _staged("extract", lambda: fan_out(extract, example.strategy.skills, parallelism))
+    steps = _staged("extract", lambda: fan_out(extract, example.strategy.skills))
     segments = [segment for segment, _ in steps]
 
     prompt = _staged(

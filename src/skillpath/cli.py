@@ -5,21 +5,23 @@ environment, and the resolved snapshot is written next to every output so
 a run can be reproduced from its artifacts alone. Each command reads all
 of its input files before its first provider call.
 
---parallelism N bounds the provider calls in flight. Questions, and the
-independent work within each (the similarity scores of the candidates,
-the synthesis of the kept candidates, the reference documents and the
-extractions of the strategy steps), overlap through the same
-providers.fan_out, up to N items at each level. One InFlightGate around
-the provider holds the requests in flight to at most N * N, so
---parallelism 1 sends one at a time; no thread outlives a command. A
-question's SkillPathError is printed and fails that question only; any
-other error is raised once every question has run, the first in input
-order, at any N. Each question, and each call it overlaps, runs in a
-scope of its own that its requests' fingerprints include, and recorded
-transcripts are sorted by fingerprint, so a recorded run replays byte for
-byte at any parallelism against the corpus it was recorded from, in that
-order. Files are always written by one writer in input order. A run log's
-latency_ms is the sum of a question's call latencies, not its wall time.
+--parallelism N bounds the provider calls in flight, and _run_questions
+is the one place that turns it into execution: it runs the questions
+through providers.fan_out with N lanes, and the independent work within
+each (the similarity scores of the candidates, the synthesis of the kept
+candidates, the reference documents and the extractions of the strategy
+steps) goes through nested fan_outs that inherit those lanes. One
+InFlightGate around the provider holds the requests in flight to at most
+N * N, so --parallelism 1 sends one at a time; no thread outlives a
+command. A question's SkillPathError is printed and fails that question
+only; any other error is raised once every question has run, the first
+in input order, at any N. Each question, and each call it overlaps, runs
+in a scope of its own that its requests' fingerprints include, and
+recorded transcripts are sorted by fingerprint, so a recorded run
+replays byte for byte at any parallelism against the corpus it was
+recorded from, in that order. Files are always written by one writer in
+input order. A run log's latency_ms is the sum of a question's call
+latencies, not its wall time.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .providers import (
     CompletionResult,
     InFlightGate,
     LiveProvider,
-    PARALLELISM_ENV,
     Provider,
     ReplayProvider,
     TokenUsage,
@@ -52,6 +53,8 @@ from .providers import (
 from .resources import json_line, read_json, read_jsonl, write_json, write_text
 
 log = logging.getLogger(__name__)
+
+PARALLELISM_ENV = "SKILLPATH_PARALLELISM"
 
 _GEN_MODES = {
     "random-fill": examplegen.ConstructionMode.RANDOM_FILL,
@@ -173,17 +176,22 @@ def _write_snapshot(config: RunConfig, output_path: str) -> None:
     write_json(output_path + ".config.json", config.snapshot(), "config snapshot")
 
 
-def _run_questions(config: RunConfig, records: list[corpus_mod.QARecord], attempt) -> tuple[dict, int]:
-    """attempt(record) for every record, up to config.parallelism questions at once.
+def _run_questions(
+    config: RunConfig, backend: Provider, records: list[corpus_mod.QARecord], attempt
+) -> tuple[dict, int]:
+    """attempt(record, provider) for every record, up to config.parallelism at once.
 
+    provider is the backend behind the command's one InFlightGate, and
+    every fan_out inside attempt inherits config.parallelism lanes.
     Returns the values of the questions that succeeded, by question id in
     input order, and how many failed. A SkillPathError fails its question
     and is printed; any other error is raised once every question has run.
     """
+    provider = InFlightGate(backend, config.parallelism)
 
     def outcome(record: corpus_mod.QARecord):
         try:
-            return attempt(record), None
+            return attempt(record, provider), None
         except SkillPathError as exc:
             return None, str(exc)
 
@@ -254,7 +262,6 @@ def _drop_torn_tail(path: str) -> None:
 def cmd_generate(config: RunConfig) -> int:
     records = corpus_mod.load_records(config.corpus)
     backend = _build_provider(config)
-    provider = InFlightGate(backend, config.parallelism)
     mode = _GEN_MODES[config.gen_mode]
 
     checkpoint_path = config.collection + ".checkpoint.jsonl"
@@ -265,7 +272,7 @@ def cmd_generate(config: RunConfig) -> int:
         log.info("resuming: %d question(s) already completed", len(done))
     checkpoint_lock = threading.Lock()
 
-    def work(record: corpus_mod.QARecord) -> collection_mod.ExampleCollection:
+    def work(record: corpus_mod.QARecord, provider: Provider) -> collection_mod.ExampleCollection:
         qid = record.question_id
         if qid in done:
             return done[qid]
@@ -278,14 +285,12 @@ def cmd_generate(config: RunConfig) -> int:
             provider=provider,
             rng=rng,
         )
-        scored = examplegen.score_candidates(record.question, candidates, provider, config.parallelism)
+        scored = examplegen.score_candidates(record.question, candidates, provider)
         kept = examplegen.filter_candidates(scored, config.delta)
         if not kept:
             raise NoCandidates(qid)
         examples = fan_out(
-            lambda c: examplegen.synthesize_example(c.text, provider, mode, config.parallelism),
-            kept[: config.count],
-            config.parallelism,
+            lambda c: examplegen.synthesize_example(c.text, provider, mode), kept[: config.count]
         )
         built = collection_mod.build_collection(examples)
         stored = [collection_mod.example_to_record(e) for e in built.examples]
@@ -294,7 +299,7 @@ def cmd_generate(config: RunConfig) -> int:
             fh.write(json_line(line) + "\n")
         return built
 
-    bundle, failures = _run_questions(config, records, work)
+    bundle, failures = _run_questions(config, backend, records, work)
 
     created_at = None
     if isinstance(backend, ReplayProvider):
@@ -320,10 +325,9 @@ def cmd_generate(config: RunConfig) -> int:
 def cmd_answer(config: RunConfig) -> int:
     records = corpus_mod.load_records(config.corpus)
     bundle = collection_mod.restore_bundle(config.collection)
-    provider = InFlightGate(_build_provider(config), config.parallelism)
     mode = _SELECT_MODES[config.select_mode]
 
-    def work(record: corpus_mod.QARecord) -> dict:
+    def work(record: corpus_mod.QARecord, provider: Provider) -> dict:
         qid = record.question_id
         if qid not in bundle:
             raise UnmatchedQuestionId(qid)
@@ -332,7 +336,7 @@ def cmd_answer(config: RunConfig) -> int:
         match = answerer.select_for(gamma, mode, f"{config.seed}:{qid}")
         document = "\n\n".join(record.documents)
         example = gamma.examples[match.selected_index]
-        trace = answerer.answer(record.question, document, example, provider, config.parallelism)
+        trace = answerer.answer(record.question, document, example, provider)
         return {
             **asdict(trace),
             "question_id": qid,
@@ -340,7 +344,7 @@ def cmd_answer(config: RunConfig) -> int:
             "match": match.to_record(),
         }
 
-    answered, failures = _run_questions(config, records, work)
+    answered, failures = _run_questions(config, _build_provider(config), records, work)
     lines = [json_line(line) for line in answered.values()]
     total_tokens = sum(line["usage"]["total_tokens"] for line in answered.values())
 
@@ -381,11 +385,15 @@ def _logged_answer(doc) -> _LoggedAnswer:
     return _LoggedAnswer(*texts, reply.usage, float(reply.latency_ms))
 
 
-def _load_run_log(path: str) -> list[_LoggedAnswer]:
-    """Every line of a run log, checked; a bad or repeated line is an error naming path:line."""
+def _load_run_log(path: str, what: str) -> list[_LoggedAnswer]:
+    """Every line of a run log, checked.
+
+    A bad or repeated line is an error naming path:line, a log with no
+    lines an error naming its path.
+    """
     entries = []
     seen: set[str] = set()
-    for line, doc in read_jsonl(path, "run log"):
+    for line, doc in read_jsonl(path, what):
         try:
             entry = _logged_answer(doc)
         except ValueError as exc:
@@ -394,13 +402,15 @@ def _load_run_log(path: str) -> list[_LoggedAnswer]:
             raise ValidationError(path, line, f"repeats question_id {entry.question_id!r}")
         seen.add(entry.question_id)
         entries.append(entry)
+    if not entries:
+        raise StorageError(f"{what} {path} has no lines")
     return entries
 
 
 def _baseline_token_mean(path: str) -> float:
-    totals = [entry.usage.total_tokens for entry in _load_run_log(path)]
-    if not totals:
-        raise StorageError(f"baseline log {path} has no lines")
+    totals = [entry.usage.total_tokens for entry in _load_run_log(path, "baseline log")]
+    if not any(totals):
+        raise StorageError(f"baseline log {path} has a mean of 0 total tokens to reduce against")
     return sum(totals) / len(totals)
 
 
@@ -410,7 +420,7 @@ def _fmt_rate(value: float | None) -> str:
 
 def cmd_eval(config: RunConfig) -> int:
     records = {r.question_id: r for r in corpus_mod.load_records(config.corpus)}
-    logged = _load_run_log(config.run_log)
+    logged = _load_run_log(config.run_log, "run log")
 
     eval_records = []
     for entry in logged:

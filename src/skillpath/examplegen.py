@@ -4,11 +4,7 @@ Candidates come from one of three construction modes: random pool fills,
 provider-guided fills, or free-form template variations. Survivors of the
 similarity filter get a reasoning strategy (typed steps plus an answer
 from the same reply) and one short reference document per step, forming a
-SimilarExample ready for collection into a Γ. Given a parallelism above
-1, independent calls (the scores of the candidates, the reference
-documents of the steps) overlap through fan_out; the generate command
-also synthesizes the kept candidates through fan_out, and one gate
-around its provider bounds the requests in flight.
+SimilarExample ready for collection into a Γ.
 """
 
 from __future__ import annotations
@@ -246,10 +242,10 @@ def score_similarity(original: str, candidate: str, provider: Provider) -> int:
 
 
 def score_candidates(
-    original: str, candidates: list[CandidateQuestion], provider: Provider, parallelism: int = 1
+    original: str, candidates: list[CandidateQuestion], provider: Provider
 ) -> list[CandidateQuestion]:
-    """Attach a similarity score to each candidate, up to `parallelism` calls at once."""
-    scores = fan_out(lambda c: score_similarity(original, c.text, provider), candidates, parallelism)
+    """Attach a similarity score to each candidate."""
+    scores = fan_out(lambda c: score_similarity(original, c.text, provider), candidates)
     return [dataclasses.replace(c, similarity_score=s) for c, s in zip(candidates, scores)]
 
 
@@ -310,11 +306,9 @@ def parse_strategy_reply(reply: str) -> tuple[ReasoningStrategy, str]:
     return ReasoningStrategy(tuple(subquestions), tuple(skills)), answer
 
 
-def build_reference_docs(
-    strategy: ReasoningStrategy, provider: Provider, parallelism: int = 1
-) -> list[str]:
-    """One short reference passage per strategy step, up to `parallelism` calls at once."""
-    return fan_out(lambda subq: _reference_doc(subq, provider), strategy.subquestions, parallelism)
+def build_reference_docs(strategy: ReasoningStrategy, provider: Provider) -> list[str]:
+    """One short reference passage per strategy step."""
+    return fan_out(lambda subq: _reference_doc(subq, provider), strategy.subquestions)
 
 
 def _reference_doc(subquestion: str, provider: Provider) -> str:
@@ -325,12 +319,10 @@ def _reference_doc(subquestion: str, provider: Provider) -> str:
     return text
 
 
-def synthesize_example(
-    question: str, provider: Provider, mode: ConstructionMode, parallelism: int = 1
-) -> SimilarExample:
+def synthesize_example(question: str, provider: Provider, mode: ConstructionMode) -> SimilarExample:
     """Strategy, reference docs and assembly for one candidate question."""
     strategy, answer = build_strategy(question, provider)
-    docs = build_reference_docs(strategy, provider, parallelism)
+    docs = build_reference_docs(strategy, provider)
     return SimilarExample(
         question=question,
         strategy=strategy,

@@ -21,10 +21,10 @@ import dataclasses
 import hashlib
 import json
 import os
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from queue import SimpleQueue
 
 import requests
 
@@ -37,7 +37,6 @@ DEFAULT_MAX_OUTPUT_TOKENS = 4096
 API_BASE_ENV = "SKILLPATH_API_BASE"
 MODEL_ENV = "SKILLPATH_MODEL"
 API_KEY_ENV = "SKILLPATH_API_KEY"
-PARALLELISM_ENV = "SKILLPATH_PARALLELISM"
 MAX_RETRIES_ENV = "SKILLPATH_MAX_RETRIES"
 RETRY_BACKOFF_ENV = "SKILLPATH_RETRY_BACKOFF"
 
@@ -45,6 +44,8 @@ TRANSCRIPT_VERSION = 3
 
 # positions of the fan_out items the current call runs inside, outermost first
 _scope: contextvars.ContextVar[tuple[int, ...]] = contextvars.ContextVar("skillpath_scope", default=())
+# lanes of the innermost fan_out the current call runs inside; 1 outside any
+_lanes: contextvars.ContextVar[int] = contextvars.ContextVar("skillpath_lanes", default=1)
 
 
 @dataclass(frozen=True)
@@ -112,8 +113,10 @@ class CompletionResult:
         if not isinstance(self.usage, TokenUsage):
             raise ValueError(f"usage must be a TokenUsage, got {self.usage!r}")
         latency = self.latency_ms
-        if isinstance(latency, bool) or not isinstance(latency, (int, float)) or not latency >= 0:
-            raise ValueError(f"latency_ms must be a non-negative number, got {latency!r}")
+        # inf, nan and ints past the largest float fail the range check
+        finite = isinstance(latency, (int, float)) and 0 <= latency <= sys.float_info.max
+        if isinstance(latency, bool) or not finite:
+            raise ValueError(f"latency_ms must be a finite non-negative number, got {latency!r}")
 
 
 def fingerprint(
@@ -151,18 +154,21 @@ class _OccurrenceCounter:
         return fingerprint(*key[:3], occ, scope)
 
 
-def fan_out(fn, items, parallelism: int = 1) -> list:
+def fan_out(fn, items, parallelism: int | None = None) -> list:
     """[fn(item) for item in items], up to `parallelism` items at a time.
 
+    Without `parallelism`, a fan_out runs with the lanes of the fan_out
+    it runs inside, or with 1 lane outside any; so the outermost caller
+    decides concurrency once, and the stages beneath it never name it.
     Item i runs in the scope of the caller plus (i,), which its requests'
     fingerprints include, so overlapping items never race for an
-    occurrence index. At parallelism 1 every item runs on the calling
-    thread. The calling thread is one lane; each further lane is a thread
-    started here, in a copy of the caller's context, and joined before
-    fan_out returns, so no thread outlives the call. Lanes are per level:
-    each nested fan_out has up to `parallelism` of its own. What bounds
-    the requests in flight is an InFlightGate around the provider, not
-    the lanes.
+    occurrence index. At 1 lane every item runs on the calling thread.
+    The calling thread is one lane; each further lane is a thread started
+    here, in a copy of the caller's context, and joined before fan_out
+    returns, so no thread outlives the call. Lanes are per level: each
+    nested fan_out has up to that many of its own. What bounds the
+    requests in flight is an InFlightGate around the provider, not the
+    lanes.
 
     Every item runs, also after another has failed. Once every started
     call has finished, the failure first in item order is raised, so the
@@ -170,6 +176,7 @@ def fan_out(fn, items, parallelism: int = 1) -> list:
     nor on parallelism.
     """
     items = list(items)
+    lanes = _lanes.get() if parallelism is None else parallelism
     parent = _scope.get()
     queue = collections.deque(range(len(items)))
     results: list = [None] * len(items)
@@ -198,22 +205,24 @@ def fan_out(fn, items, parallelism: int = 1) -> list:
             escaped.append(exc)
 
     helpers = []
+    lanes_token = _lanes.set(lanes)  # before the helpers copy the context
     try:
-        for _ in range(min(parallelism, len(items)) - 1):
-            helper = threading.Thread(
-                target=contextvars.copy_context().run, args=(helper_lane,),
-                name="skillpath-fan-out", daemon=True,
-            )
-            helper.start()
-            helpers.append(helper)
-    except RuntimeError:
-        pass  # no thread to be had: the calling thread runs what is left
-    try:
+        try:
+            for _ in range(min(lanes, len(items)) - 1):
+                helper = threading.Thread(
+                    target=contextvars.copy_context().run, args=(helper_lane,),
+                    name="skillpath-fan-out", daemon=True,
+                )
+                helper.start()
+                helpers.append(helper)
+        except RuntimeError:
+            pass  # no thread to be had: the calling thread runs what is left
         lane()
     finally:
         queue.clear()  # after an interrupt, items not yet begun are dropped
         for helper in helpers:
             helper.join()
+        _lanes.reset(lanes_token)
     if escaped:
         raise escaped[0]
     if failures:
@@ -241,26 +250,21 @@ class Provider:
 class InFlightGate(Provider):
     """Lets at most parallelism * parallelism calls through to `inner` at once.
 
-    Each call holds one token from a pre-filled queue while the inner
-    provider runs, so however deeply fan_outs nest, the backend sees at
-    most N * N requests in flight at parallelism N. A call waits here only
-    for a token; the gate changes neither the request nor its scope.
+    Each call holds one of N * N semaphore slots while the inner provider
+    runs, so however deeply fan_outs nest, the backend sees at most N * N
+    requests in flight at parallelism N. A call waits here only for a
+    slot; the gate changes neither the request nor its scope.
     """
 
     name = "gate"
 
     def __init__(self, inner: Provider, parallelism: int):
         self.inner = inner
-        self._tokens: SimpleQueue = SimpleQueue()
-        for _ in range(parallelism * parallelism):
-            self._tokens.put(None)
+        self._slots = threading.BoundedSemaphore(parallelism * parallelism)
 
     def _complete(self, request: CompletionRequest) -> CompletionResult:
-        self._tokens.get()
-        try:
+        with self._slots:
             return self.inner.complete(request)
-        finally:
-            self._tokens.put(None)
 
 
 class MockProvider(Provider):

@@ -15,7 +15,7 @@ from skillpath.collection import build_collection
 from skillpath.errors import PipelineStageError, SegmentNotInDocument
 from skillpath.examplegen import ConstructionMode, ReasoningStrategy, SimilarExample
 from skillpath.matcher import SelectionMode
-from skillpath.providers import MockProvider, RecordingProvider, TokenUsage
+from skillpath.providers import MockProvider, RecordingProvider, TokenUsage, fan_out
 from skillpath.skills import ReasoningSkill
 from skillpath.textutil import Passage
 
@@ -112,7 +112,8 @@ def test_answer_collects_trace_and_usage():
 
     provider = RecordingProvider(MockProvider(reply))
     example = example_for([S.DEDUCTIVE, S.INDUCTIVE])
-    trace = answer("Which is taller?", DOC, example, provider, parallelism=2)
+    # inside a fan_out of 2 lanes, the stage's own fan_out inherits both
+    (trace,) = fan_out(lambda _: answer("Which is taller?", DOC, example, provider), [None], 2)
     assert trace.answer == "the Eiffel Tower"
     assert trace.focused_segments == [
         "The Eiffel Tower was completed in 1889.",

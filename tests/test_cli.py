@@ -323,6 +323,33 @@ def test_eval_reports_reduction_against_baseline(tmp_path, corpus_path, capsys):
     assert "reduction vs baseline: 50.0%" in capsys.readouterr().out
 
 
+def test_eval_against_a_baseline_of_zero_tokens_exits_2(tmp_path, corpus_path, capsys):
+    current = tmp_path / "run.jsonl"
+    current.write_text(json.dumps(log_line(50)) + "\n", encoding="utf-8")
+    baseline = tmp_path / "baseline.jsonl"
+    zero = {"prompt_tokens": 0, "completion_tokens": 0, "total_tokens": 0}
+    baseline.write_text(json.dumps(log_line(usage=zero)) + "\n", encoding="utf-8")
+    report_path = tmp_path / "report.json"
+    code = main(["eval", "--corpus", corpus_path, "--run-log", str(current),
+                 "--report", str(report_path), "--baseline-log", str(baseline)])
+    assert code == 2
+    assert f"[eval] baseline log {baseline} " in capsys.readouterr().err
+    assert not report_path.exists()
+
+
+@pytest.mark.parametrize("log", ["run", "baseline"])
+def test_eval_of_an_empty_log_exits_2_naming_it(tmp_path, corpus_path, capsys, log):
+    logs = {name: tmp_path / f"{name}.jsonl" for name in ("run", "baseline")}
+    for name, path in logs.items():
+        path.write_text("\n" if name == log else json.dumps(log_line()) + "\n", encoding="utf-8")
+    report_path = tmp_path / "report.json"
+    code = main(["eval", "--corpus", corpus_path, "--run-log", str(logs["run"]),
+                 "--report", str(report_path), "--baseline-log", str(logs["baseline"])])
+    assert code == 2
+    assert f"[eval] {log} log {logs[log]} has no lines" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
 def test_live_transport_failures_surface_per_question(tmp_path, corpus_path, monkeypatch, capsys):
     monkeypatch.setenv("SKILLPATH_API_BASE", "http://127.0.0.1:9")
     monkeypatch.setenv("SKILLPATH_MODEL", "m")
@@ -438,6 +465,7 @@ def test_invalid_checkpoint_example_starts_fresh(tmp_path, corpus_path, caplog, 
         ("run", [1, 2]),
         ("run", log_line(latency_ms="fast")),
         ("run", log_line(latency_ms=-50.0)),
+        ("run", log_line(latency_ms=float("inf"))),  # written as Infinity; 1e999 reads the same
         ("run", log_line(answer=7)),
         ("run", log_line(completion=["x"])),
         ("run", log_line(usage=None)),
@@ -446,13 +474,15 @@ def test_invalid_checkpoint_example_starts_fresh(tmp_path, corpus_path, caplog, 
         ("baseline", log_line(usage=None)),
         ("baseline", "just a string"),
     ],
-    ids=["total-mismatch", "array", "latency-text", "negative-latency", "answer-number",
-         "completion-list", "no-usage", "token-text", "baseline-no-usage", "baseline-string"],
+    ids=["total-mismatch", "array", "latency-text", "negative-latency", "infinite-latency",
+         "answer-number", "completion-list", "no-usage", "token-text", "baseline-no-usage",
+         "baseline-string"],
 )
 def test_malformed_run_log_line_exits_2(tmp_path, corpus_path, capsys, log, bad):
     logs = {name: tmp_path / f"{name}.jsonl" for name in ("run", "baseline")}
     for name, path in logs.items():
-        lines = [log_line(), bad] if name == log else [log_line()]
+        # another question first, so a bad line is never caught as a repeat
+        lines = [log_line(question_id="q0"), bad] if name == log else [log_line()]
         path.write_text("".join(json.dumps(doc) + "\n" for doc in lines), encoding="utf-8")
     code = main(["eval", "--corpus", corpus_path, "--run-log", str(logs["run"]),
                  "--report", str(tmp_path / "report.json"),
@@ -538,8 +568,9 @@ def _half_a_token_more(usage):
         lambda result: result.update(
             usage={"prompt_tokens": True, "completion_tokens": False, "total_tokens": True}),
         lambda result: result.update(text=5),
+        lambda result: result.update(latency_ms=float("inf")),
     ],
-    ids=["float-counts", "bool-counts", "text-number"],
+    ids=["float-counts", "bool-counts", "text-number", "infinite-latency"],
 )
 def test_replay_of_a_bad_transcript_entry_exits_2_before_any_call(
     tmp_path, corpus_path, monkeypatch, capsys, tamper

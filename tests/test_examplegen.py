@@ -30,7 +30,7 @@ from skillpath.examplegen import (
     score_similarity,
     synthesize_example,
 )
-from skillpath.providers import MockProvider
+from skillpath.providers import MockProvider, fan_out
 from skillpath.skills import ReasoningSkill
 
 EIFFEL = "Which is taller, the Eiffel Tower or the Empire State Building?"
@@ -199,15 +199,8 @@ def test_score_candidates_attaches_scores_in_order():
     provider = MockProvider(
         replies_by_marker({"question: q1": "Score: 3", "question: q2": "Score: 9"})
     )
-    scored = score_candidates(
-        "orig",
-        [
-            CandidateQuestion("q1", ConstructionMode.GUIDED_FILL),
-            CandidateQuestion("q2", ConstructionMode.GUIDED_FILL),
-        ],
-        provider,
-        parallelism=2,
-    )
+    candidates = [CandidateQuestion(q, ConstructionMode.GUIDED_FILL) for q in ("q1", "q2")]
+    (scored,) = fan_out(lambda _: score_candidates("orig", candidates, provider), [None], 2)
     assert [c.similarity_score for c in scored] == [3, 9]
 
 
@@ -287,7 +280,7 @@ def test_reference_docs_one_per_subquestion():
             }
         )
     )
-    docs = build_reference_docs(strategy, provider, parallelism=2)
+    (docs,) = fan_out(lambda _: build_reference_docs(strategy, provider), [None], 2)
     assert docs == ["The tower was finished in 1889.", "It stands 330 metres tall."]
 
 

@@ -1,8 +1,9 @@
 """fan_out and the pipeline paths that overlap provider calls through it.
 
-Items overlap, up to the parallelism given, each in a scope of its own
-that its requests' fingerprints include, so record and replay see the
-same identity for every request no matter how the threads interleave.
+Items overlap, up to the parallelism given or inherited from the
+enclosing fan_out, each in a scope of its own that its requests'
+fingerprints include, so record and replay see the same identity for
+every request no matter how the threads interleave.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from skillpath.examplegen import (
     ConstructionMode,
     generate_candidates,
     score_candidates,
+    synthesize_example,
 )
 from skillpath.providers import (
     CompletionRequest,
@@ -184,6 +186,53 @@ def test_what_a_helper_lane_lets_through_is_raised_on_the_caller():
         fan_out(fn, range(4), parallelism=2)
 
 
+def test_a_nested_fan_out_given_its_own_parallelism_uses_it_not_the_inherited_one():
+    lock = threading.Lock()
+    running = [0]
+    peak = [0]
+    barrier = threading.Barrier(2, timeout=5)
+
+    def step(_):
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        barrier.wait()  # breaks after 5 s unless two steps run at once
+        time.sleep(0.01)  # steps on inherited lanes would pile up here
+        with lock:
+            running[0] -= 1
+        return threading.get_ident()
+
+    (stepped,) = fan_out(lambda _: fan_out(step, range(6), 2), [None], 4)
+    assert len(set(stepped)) == 2 and peak[0] == 2
+
+    def serial(_):
+        return threading.get_ident(), fan_out(lambda _: threading.get_ident(), range(6), 1)
+
+    for caller, ids in fan_out(serial, range(2), 4):
+        assert ids == [caller] * 6
+    assert providers._lanes.get() == 1
+
+
+def test_a_stage_outside_any_fan_out_makes_every_call_on_the_calling_thread():
+    threads = []
+
+    def reply(request):
+        threads.append(threading.get_ident())
+        return {
+            "similarity": "Score: 8",
+            "strategy": "1. How tall? (deductive)\n2. How old? (inductive)\nGenerated Answer: x",
+            "segment": "It stands 330 metres tall.",
+        }.get(request.tag, "<answer>330 metres</answer>")
+
+    provider = MockProvider(reply)
+    candidates = [CandidateQuestion(q, ConstructionMode.GUIDED_FILL) for q in ("q one", "q two")]
+    score_candidates("orig", candidates, provider)
+    synthesize_example("q one", provider, ConstructionMode.GUIDED_FILL)
+    answer("How tall?", DOC, make_example([S.DEDUCTIVE, S.INDUCTIVE]), provider)
+    # two scores; a strategy and two references; two extractions and the answer
+    assert threads == [threading.get_ident()] * 8
+
+
 # ------------------------------------------------------------ overlap
 
 def test_extractions_of_distinct_skills_overlap():
@@ -196,7 +245,7 @@ def test_extractions_of_distinct_skills_overlap():
         return "<answer>330 metres</answer>"
 
     example = make_example([S.DEDUCTIVE, S.INDUCTIVE])
-    trace = answer("How tall?", DOC, example, MockProvider(reply), parallelism=2)
+    (trace,) = fan_out(lambda _: answer("How tall?", DOC, example, MockProvider(reply)), [None], 2)
     assert trace.focused_segments == ["It stands 330 metres tall."] * 2
 
 
@@ -208,7 +257,7 @@ def test_similarity_scores_of_distinct_candidates_overlap():
         return "Score: 8"
 
     candidates = [CandidateQuestion(q, ConstructionMode.GUIDED_FILL) for q in ("q one", "q two")]
-    scored = score_candidates("orig", candidates, MockProvider(reply), parallelism=2)
+    (scored,) = fan_out(lambda _: score_candidates("orig", candidates, MockProvider(reply)), [None], 2)
     assert [c.similarity_score for c in scored] == [8, 8]
 
 
