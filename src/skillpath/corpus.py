@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
 from .resources import json_line, read_jsonl, write_text
-from .textutil import split_sentences
+from .textutil import norm_tokens, split_sentences
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,13 @@ def _validate_record(doc: dict, path: str, line: int) -> QARecord:
     if (
         not isinstance(gold_answers, list)
         or not gold_answers
-        or not all(isinstance(g, str) and g.strip() for g in gold_answers)
+        or not all(isinstance(g, str) for g in gold_answers)
     ):
-        raise ValidationError(path, line, "gold_answers must be a non-empty list of non-empty strings")
+        raise ValidationError(path, line, "gold_answers must be a non-empty list of strings")
+    for g in gold_answers:
+        if not norm_tokens(g):
+            # eval scores ROUGE-L against each gold answer, which needs a word
+            raise ValidationError(path, line, f"gold answer {g!r} has no word tokens")
 
     ids = None
     if doc.get("gold_sentence_ids") is not None:

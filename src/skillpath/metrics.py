@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from .errors import EmptyInput, EmptyReference, ZeroDenominator
 from .providers import TokenUsage
 from .resources import load_repair_cues
-from .textutil import ANSWER_SPAN, norm_tokens, normalize_answer, split_sentences
+from .textutil import ANSWER_SPAN, norm_tokens, normalize_answer, sentence_token_sets
 
 CITATION_CONTAINMENT = 0.8
 
@@ -142,14 +142,10 @@ _ANSWER_STATEMENT = re.compile(
 
 def _answer_assertions(text: str) -> list[tuple[int, str]]:
     """Positions and contents of every stated answer, marked or in prose."""
-    found: list[tuple[int, str]] = []
-    for m in ANSWER_SPAN.finditer(text):
-        found.append((m.start(), m.group(1).strip()))
+    spans = [(m.start(), m.end(), m.group(1).strip()) for m in ANSWER_SPAN.finditer(text)]
+    found = [(start, answer) for start, _, answer in spans]
     for m in _ANSWER_STATEMENT.finditer(text):
-        inside_span = any(
-            s.start() <= m.start() < s.end() for s in ANSWER_SPAN.finditer(text)
-        )
-        if not inside_span:
+        if not any(start <= m.start() < end for start, end, _ in spans):
             found.append((m.start(), m.group(1).strip()))
     found.sort(key=lambda pair: pair[0])
     return found
@@ -160,14 +156,17 @@ def detect_retrace(chain_text: str, cues: list[str] | None = None) -> bool:
 
     Fires on more than one <answer> marker, or on a repair cue with a
     stated answer before it and a different stated answer after it.
+    Cues and stated answers are both found in the casefolded text, so
+    their positions compare even where casefolding changes the length
+    ("ß" becomes "ss").
     """
     if len(_ANSWER_MARKER.findall(chain_text)) > 1:
         return True
     cues = cues if cues is not None else load_repair_cues()
-    assertions = _answer_assertions(chain_text)
+    folded = chain_text.casefold()
+    assertions = _answer_assertions(folded)
     if len(assertions) < 2:
         return False
-    folded = chain_text.casefold()
     for cue in cues:
         for m in re.finditer(r"\b" + re.escape(cue.casefold()) + r"\b", folded):
             before = [a for a in assertions if a[0] < m.start()]
@@ -219,11 +218,10 @@ def attribute_citations(chain_text: str, documents: list[str]) -> set[SentenceId
     A model sentence cites document sentence (d, j) when it contains at
     least CITATION_CONTAINMENT of that sentence's distinct normalized tokens.
     """
-    model_token_sets = [set(norm_tokens(s)) for s in split_sentences(chain_text)]
+    model_token_sets = sentence_token_sets(chain_text)
     cited: set[SentenceId] = set()
     for d, doc in enumerate(documents):
-        for j, sentence in enumerate(split_sentences(doc)):
-            doc_tokens = set(norm_tokens(sentence))
+        for j, doc_tokens in enumerate(sentence_token_sets(doc)):
             if not doc_tokens:
                 continue
             needed = CITATION_CONTAINMENT * len(doc_tokens)

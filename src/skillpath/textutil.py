@@ -11,7 +11,13 @@ Where documents are split:
   documents those ids reference are split, each once;
 - once per question in the answerer, which wraps the joined documents in
   a Passage and reuses its sentence-key index for every strategy step;
-- once per record at citation attribution.
+- once per record at citation attribution, through sentence_token_sets,
+  which tokenizes all of a document's sentences in one pass.
+
+split_sentences and sentence_token_sets each make a few C-level passes
+over the whole text (one regex substitution per terminator, one byte
+table) rather than a Python call per line or per sentence; hypothesis
+tests hold their outputs to the older per-sentence kernels.
 
 The split is not kept for the whole corpus. Holding every record's
 sentences from load to exit raised the peak memory of a long-document
@@ -28,13 +34,22 @@ from dataclasses import dataclass, field
 _PUNCT = set(",.?!;:\"()[]{}")
 
 _LINE = re.compile(r"[^\n]+")
-# ., ? or ! (plus closing quotes/brackets) and whitespace before a capital or
-# digit; the sentence ends just after the match's first character. A pattern
-# that starts with the terminator, rather than a lookbehind, runs about
-# twice as fast.
-_SENT_BOUNDARY = re.compile(r"[.?!][\)\"\']*\s+(?=[\"\'(]?[A-Z0-9])")
-# byte table for norm_tokens: ASCII 0-9 and a-z kept, every other byte a space
+# A sentence ends at ., ? or ! plus any closing quotes or brackets, where
+# whitespace follows before a capital or digit. _GAP is the part after the
+# terminator. Its whitespace excludes "\n", so a boundary never spans a
+# line break and every cut stays inside one line, as newline breaks already
+# separate sentences. split_sentences uses one pattern per terminator, each
+# starting with that literal: CPython's re finds a leading literal with a
+# fast search but tests every character against a leading class, so three
+# literal scans of a text beat one [.?!] scan. first_sentence searches a
+# line at a time and stops at its first boundary, so it keeps the class.
+_GAP = r"[\)\"\']*[^\S\n]+(?=[\"\'(]?[A-Z0-9])"
+_TERMINATOR_GAPS = tuple((re.compile(re.escape(t) + _GAP), t + "\n") for t in ".?!")
+_SENT_BOUNDARY = re.compile(r"[.?!]" + _GAP)
+# byte tables: ASCII 0-9 and a-z kept, every other byte a space; the
+# second also keeps "\n", which separates sentences in sentence_token_sets
 _NON_WORD = bytes(c if 48 <= c <= 57 or 97 <= c <= 122 else 32 for c in range(256))
+_NON_WORD_BUT_NL = _NON_WORD[:10] + b"\n" + _NON_WORD[11:]
 
 ARTICLES = ("a", "an", "the")
 
@@ -83,19 +98,12 @@ def split_sentences(text: str) -> list[str]:
 
     Blank-line and newline breaks always separate sentences; within a line a
     sentence ends at ., ? or ! followed by whitespace and a capital or digit.
+    Each terminator's boundaries become line breaks in one C-level pass, then
+    the text splits at every line break.
     """
-    sentences: list[str] = []
-    for line in text.split("\n"):
-        start = 0
-        for boundary in _SENT_BOUNDARY.finditer(line):
-            part = line[start : boundary.start() + 1].strip()
-            if part:
-                sentences.append(part)
-            start = boundary.end()
-        part = line[start:].strip()
-        if part:
-            sentences.append(part)
-    return sentences
+    for boundary, cut in _TERMINATOR_GAPS:
+        text = boundary.sub(cut, text)
+    return [s for s in map(str.strip, text.split("\n")) if s]
 
 
 def first_sentence(text: str) -> str | None:
@@ -118,6 +126,23 @@ def norm_tokens(text: str) -> list[str]:
     JSON input can carry, as separators.
     """
     return text.lower().encode("utf-8", "surrogatepass").translate(_NON_WORD).decode("ascii").split()
+
+
+def sentence_token_sets(text: str) -> list[set[str]]:
+    """[set(norm_tokens(s)) for s in split_sentences(text)], in one pass.
+
+    The sentences are joined with line feeds and tokenized together by a
+    byte table that keeps the line feed. That finds the same words as
+    norm_tokens per sentence: no sentence holds a line feed, str.lower()
+    makes none and maps each character alone (the final-sigma rule aside,
+    whose results are non-ASCII either way), and UTF-8 encodes no
+    non-ASCII character as an ASCII byte.
+    """
+    sentences = split_sentences(text)
+    if not sentences:
+        return []
+    joined = "\n".join(sentences).lower().encode("utf-8", "surrogatepass")
+    return [set(part.split()) for part in joined.translate(_NON_WORD_BUT_NL).decode("ascii").split("\n")]
 
 
 def normalize_ws(text: str) -> str:

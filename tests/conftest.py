@@ -3,12 +3,22 @@ from __future__ import annotations
 import os
 
 import pytest
+from hypothesis import strategies as st
 
 from skillpath.collection import build_collection
 from skillpath.examplegen import ConstructionMode, ReasoningStrategy, SimilarExample
 from skillpath.skills import ReasoningSkill
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+# characters where a byte-level or punctuation-first rewrite could diverge:
+# case mappings that change length or leave ASCII (İ, the Kelvin sign),
+# whitespace that is not a newline, lone surrogates, and the quotes and
+# brackets the boundary rule looks at
+TRICKY = st.sampled_from(
+    list("aZz09 .?!\"')(\n\t\r\x0b\x0c\x1c") + ["\x85", "\u2028", "\u00a0", "\u0130", "\u212a",
+                                               "\u00df", "\ud800", "\udfff", "\n\n\n"]
+)
 
 
 def make_example(skills, question="What is the answer?", answer="the answer"):

@@ -686,6 +686,25 @@ def test_a_checkpoint_made_with_the_same_settings_resumes(tmp_path, mock_calls):
     assert set(restore_bundle(bundle_path)) == {"q1"}
 
 
+@pytest.mark.parametrize("command", ["generate", "answer", "eval"])
+def test_a_gold_answer_without_word_tokens_exits_2_before_any_call(tmp_path, mock_calls, capsys, command):
+    # the other inputs are valid, so only the corpus check stops each command
+    row = dict(eiffel_row(), gold_answers=["\u2014"])
+    corpus = write_corpus(tmp_path / "corpus.jsonl", [row])
+    bundle, run_log = str(tmp_path / "bundle.json"), str(tmp_path / "run.jsonl")
+    persist_bundle({"q1": build_collection([make_example([ReasoningSkill.DEDUCTIVE])])}, bundle,
+                   construction_mode="guided-fill", delta=7)
+    write_corpus(run_log, [log_line()])
+    argv = {
+        "generate": ["--provider", "mock", "--collection", str(tmp_path / "new.json")],
+        "answer": ["--provider", "mock", "--collection", bundle, "--run-log", str(tmp_path / "out.jsonl")],
+        "eval": ["--run-log", run_log, "--report", str(tmp_path / "report.json")],
+    }[command]
+    assert main([command, "--corpus", corpus, *argv]) == 2
+    assert f"{corpus}:1:" in capsys.readouterr().err
+    assert mock_calls == []
+
+
 def test_generate_into_a_missing_directory_exits_2_before_any_call(tmp_path, corpus_path, mock_calls, capsys):
     code = main(["generate", "--provider", "mock", "--corpus", corpus_path,
                  "--collection", str(tmp_path / "missing" / "bundle.json"), "--count", "1"])

@@ -110,6 +110,17 @@ def test_load_rejects_empty_fields(tmp_path):
         load_records(path)
 
 
+@pytest.mark.parametrize("gold", ["\u2014", " "])
+def test_load_rejects_a_gold_answer_without_word_tokens(tmp_path, gold):
+    path = write_lines(
+        tmp_path / "c.jsonl", [record_line(), record_line(question_id="q2", gold_answers=["Paris", gold])]
+    )
+    with pytest.raises(ValidationError) as info:
+        load_records(path)
+    assert f"{path}:2:" in str(info.value)
+    assert "word tokens" in str(info.value)
+
+
 def test_round_trip_is_byte_identical(tmp_path, fixtures_dir):
     source = f"{fixtures_dir}/corpus.jsonl"
     records = load_records(source)

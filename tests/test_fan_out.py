@@ -317,49 +317,58 @@ def test_the_gate_lets_exactly_n_by_n_requests_through_at_once():
 
 
 class InFlight(Provider):
-    """Canned replies after a short pause, counting the calls in flight."""
+    """Canned replies, each held until `expected` calls have been in flight at once.
+
+    A call waits until the peak of calls in flight reaches `expected`, or
+    for at most 1 s where fewer can overlap, so the peak does not depend
+    on how fast helper threads are scheduled.
+    """
 
     name = "in-flight"
 
-    def __init__(self):
+    def __init__(self, expected):
         self._canned = CannedProvider()
-        self._lock = threading.Lock()
+        self._changed = threading.Condition()
+        self._expected = expected
         self._running = 0
         self.peak = 0
 
     def _complete(self, request):
-        with self._lock:
+        with self._changed:
             self._running += 1
             self.peak = max(self.peak, self._running)
+            self._changed.notify_all()
+            self._changed.wait_for(lambda: self.peak >= self._expected, timeout=1)
         try:
-            time.sleep(0.005)
+            time.sleep(0.005)  # callers let through too early would pile up here
             return self._canned.complete(request)
         finally:
-            with self._lock:
+            with self._changed:
                 self._running -= 1
 
 
 def test_parallelism_bounds_the_requests_in_flight(tmp_path, monkeypatch):
-    def peaks(questions, parallelism):
+    def peaks(questions, parallelism, expected):
         """The most requests in flight during generate, then during answer."""
         name = f"{questions}-{parallelism}"
         bundle, run_log = str(tmp_path / f"{name}.json"), str(tmp_path / f"{name}.jsonl")
         common = ["--provider", "mock", "--corpus", _landmark_corpus(tmp_path, questions),
                   "--parallelism", str(parallelism)]
         found = []
-        for argv in (["generate", *common, "--collection", bundle, "--count", "3"],
-                     ["answer", *common, "--collection", bundle, "--run-log", run_log]):
-            backend = InFlight()
+        for argv, wanted in zip((["generate", *common, "--collection", bundle, "--count", "3"],
+                                 ["answer", *common, "--collection", bundle, "--run-log", run_log]), expected):
+            backend = InFlight(wanted)
             monkeypatch.setattr(cli, "CannedProvider", lambda: backend)
             assert cli.main(argv) == 0
             found.append(backend.peak)
         return found
 
-    assert peaks(4, 1) == [1, 1]  # one request at a time
+    assert peaks(4, 1, (1, 1)) == [1, 1]  # one request at a time
     # one question: only its own calls overlap; in generate its two kept
     # candidates send two reference calls each, in answer its two steps extract
-    assert peaks(1, 2) == [4, 2]
-    assert all(2 <= peak <= 4 for peak in peaks(4, 2))  # 2 questions at once, 2 calls each
+    assert peaks(1, 2, (4, 2)) == [4, 2]
+    # 2 questions at once, 2 calls each
+    assert all(2 <= peak <= 4 for peak in peaks(4, 2, (2, 2)))
 
 
 def test_every_question_lane_overlaps_its_own_calls(tmp_path, monkeypatch):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, find, given
+from hypothesis import strategies as st
 
 from skillpath.errors import EmptyInput, EmptyReference, ZeroDenominator
 from skillpath.metrics import (
+    CITATION_CONTAINMENT,
     EvalRecord,
     attribute_citations,
     detect_retrace,
@@ -16,6 +19,9 @@ from skillpath.metrics import (
     token_stats,
 )
 from skillpath.providers import TokenUsage
+from skillpath.textutil import norm_tokens, split_sentences
+
+from conftest import TRICKY
 
 CUES = ["sorry", "actually", "let me rethink", "wait"]
 
@@ -139,6 +145,13 @@ def test_cue_matching_respects_word_boundaries():
     assert detect_retrace(text, CUES) is False
 
 
+def test_retrace_positions_survive_characters_that_grow_under_casefold():
+    # "ß" casefolds to "ss": cue and answer positions must come from one string
+    text = "The answer is A. " + "\u00df" * 40 + " Wait, the answer is B."
+    assert detect_retrace(text, CUES) is True
+    assert detect_retrace(text.replace("\u00df" * 40, ""), CUES) is True
+
+
 def test_single_marker_is_not_a_retrace():
     assert detect_retrace("Reasoning. <answer>Paris</answer>", CUES) is False
 
@@ -181,6 +194,49 @@ def test_attribution_spans_multiple_documents():
     docs = ["Alpha beta gamma. Delta epsilon.", "Zeta eta theta."]
     chain = "We note alpha beta gamma here. Also zeta eta theta."
     assert attribute_citations(chain, docs) == {(0, 0), (1, 0)}
+
+
+# ------------------------------------------------ reference attribution
+# The per-sentence attribution that sentence_token_sets replaced, kept as
+# an oracle: every sentence of the chain and of each document is split,
+# then tokenized on its own.
+
+def reference_attribute_citations(chain_text, documents):
+    model_token_sets = [set(norm_tokens(s)) for s in split_sentences(chain_text)]
+    cited = set()
+    for d, doc in enumerate(documents):
+        for j, sentence in enumerate(split_sentences(doc)):
+            doc_tokens = set(norm_tokens(sentence))
+            if not doc_tokens:
+                continue
+            needed = CITATION_CONTAINMENT * len(doc_tokens)
+            if any(len(doc_tokens & mt) >= needed for mt in model_token_sets):
+                cited.add((d, j))
+    return cited
+
+
+# sentences and halves of one that chain and documents share, so some
+# sentences are cited and some are cited only by a chain sentence's union
+_SHARED = st.sampled_from([
+    "The Tower stands ",
+    "330 metres tall. ",
+    "It opened in 1889!\n",
+    "Stra\u00dfe 9 is in \u0130stanbul? ",
+    "\"(The \u212aelvin) scale.\" ",
+])
+_PIECES = st.lists(_SHARED | TRICKY | st.characters(), max_size=20).map("".join)
+_ATTRIBUTION = st.tuples(_PIECES, st.lists(_PIECES, max_size=4))
+
+
+@given(_ATTRIBUTION)
+@example(("The Tower stands. 330 metres tall.", ["The Tower stands 330 metres tall.\nIt opened."]))
+def test_attribute_citations_equals_the_per_sentence_reference(case):
+    chain, docs = case
+    assert attribute_citations(chain, docs) == reference_attribute_citations(chain, docs)
+
+
+def test_the_attribution_strategy_draws_cited_sentences():
+    find(_ATTRIBUTION, lambda case: reference_attribute_citations(*case))
 
 
 def test_evaluate_records_aggregates_everything():

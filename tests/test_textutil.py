@@ -14,11 +14,14 @@ from skillpath.textutil import (
     normalize_answer,
     normalize_ws,
     sentence_key,
+    sentence_token_sets,
     split_sentences,
     squeeze_punct,
     texts_match,
     tokenize,
 )
+
+from conftest import TRICKY
 
 
 def test_tokenize_detaches_edge_punctuation():
@@ -62,6 +65,13 @@ def test_split_sentences_on_terminators_and_newlines():
 
 def test_split_sentences_ignores_blank_lines():
     assert split_sentences("One.\n\n\nTwo.") == ["One.", "Two."]
+
+
+def test_a_boundary_never_spans_a_line_break():
+    # a cut inside a line drops the closing quote after its terminator; one
+    # at a line break keeps it, as the line break alone ends the sentence
+    text = 'He left.)\nThen "Go." Now.\'\n(9 more'
+    assert split_sentences(text) == ["He left.)", 'Then "Go.', "Now.'", "(9 more"]
 
 
 def test_norm_tokens_strips_punct_and_lowercases():
@@ -176,15 +186,7 @@ def reference_norm_tokens(text: str) -> list[str]:
     return _WORD.findall(text.lower())
 
 
-# characters where a byte-level or punctuation-first rewrite could diverge:
-# case mappings that change length or leave ASCII (İ, the Kelvin sign),
-# whitespace that is not a newline, lone surrogates, and the quotes and
-# brackets the boundary rule looks at
-_TRICKY = st.sampled_from(
-    list("aZz09 .?!\"')(\n\t\r\x0b\x0c\x1c") + ["\x85", "\u2028", "\u00a0", "\u0130", "\u212a",
-                                               "\u00df", "\ud800", "\udfff", "\n\n\n"]
-)
-_ANY_TEXT = st.lists(_TRICKY | st.characters(), max_size=60).map("".join)
+_ANY_TEXT = st.lists(TRICKY | st.characters(), max_size=60).map("".join)
 
 
 @given(_ANY_TEXT)
@@ -205,3 +207,11 @@ def test_norm_tokens_equals_the_regex_reference(text):
 def test_first_sentence_equals_the_first_reference_sentence(text):
     sentences = reference_split_sentences(text)
     assert first_sentence(text) == (sentences[0] if sentences else None)
+
+
+@given(_ANY_TEXT)
+@example("\u039f\u03a3\nA. \u0130\u03a3 b? ")  # final sigma before the joining newline
+@example("a.\n\n")
+def test_sentence_token_sets_equals_the_per_sentence_reference(text):
+    expected = [set(reference_norm_tokens(s)) for s in reference_split_sentences(text)]
+    assert sentence_token_sets(text) == expected
