@@ -22,6 +22,10 @@ replays byte for byte at any parallelism against the corpus it was
 recorded from, in that order. Files are always written by one writer in
 input order. A run log's latency_ms is the sum of a question's call
 latencies, not its wall time.
+
+generate appends each finished question's collection to a checkpoint,
+in the record that the bundle stores, and a rerun with the same settings
+reuses it; eval reads each run-log line into a metrics.EvalRecord.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .providers import (
     TokenUsage,
     fan_out,
 )
-from .resources import json_line, read_json, read_jsonl, write_json, write_text
+from .resources import json_line, parse_jsonl, read_json, read_text, write_json, write_text
 
 log = logging.getLogger(__name__)
 
@@ -212,51 +216,39 @@ def _run_questions(
 def _load_checkpoint(
     path: str, settings: dict, questions: dict[str, str]
 ) -> dict[str, collection_mod.ExampleCollection]:
-    """Completed questions from the checkpoint; a torn last line is cut off.
+    """Completed questions from the checkpoint, which is then rewritten in one step.
 
     The first line holds the settings the checkpoint was made with, each
-    later line the question its collection was built from. A checkpoint
-    that cannot be read, was made with other settings or holds a question
-    that is not in `questions` as written is deleted, and a new one is
-    started, so that a later run can resume from what this run appends.
+    later line a question and its collection as the bundle stores it. The
+    rewrite keeps the whole lines: a torn last line, left by an append cut
+    short, would swallow the next one. A checkpoint that cannot be read,
+    was made with other settings or holds a question that is not in
+    `questions` as written is rewritten as a new one instead.
     """
     header = {"settings": settings}
+    kept = json_line(header) + "\n"
+    done = {}
     if os.path.exists(path):
         try:
-            _drop_torn_tail(path)
-            lines = read_jsonl(path, "checkpoint")
-            made_with = next(lines, (0, None))[1]
+            text = read_text(path, "checkpoint")
+            whole = text[: text.rfind("\n") + 1]
+            if whole != text:
+                log.warning("dropping a torn last line from checkpoint %s", path)
+            lines = list(parse_jsonl(whole, path))
+            made_with = lines[0][1] if lines else None
             if made_with != header:
                 raise ValueError(f"made with {made_with!r}, not {header!r}")
-            done = {}
-            for _, doc in lines:
+            for number, doc in lines[1:]:
                 qid = doc["question_id"]
                 if doc["question"] != questions.get(qid):
                     raise ValueError(f"question {qid!r} is not the corpus's question")
-                examples = [collection_mod.example_from_record(d) for d in doc["examples"]]
-                done[qid] = collection_mod.build_collection(examples)
-            return done
-        except (OSError, KeyError, TypeError, ValueError, SkillPathError) as exc:
+                done[qid] = collection_mod.collection_from_record(doc["collection"], f"{path}:{number}")
+            kept = whole
+        except (LookupError, TypeError, ValueError, SkillPathError) as exc:
             log.warning("ignoring unreadable checkpoint %s: %s", path, exc)
-            try:
-                os.remove(path)
-            except OSError as removal:
-                raise StorageError(f"cannot remove unreadable checkpoint {path}: {removal}") from removal
-    write_text(path, json_line(header) + "\n", "checkpoint")
-    return {}
-
-
-def _drop_torn_tail(path: str) -> None:
-    """Truncate after the last newline: every whole line ends with one.
-
-    An append cut short leaves a fragment without its newline; left in
-    place it would swallow the next appended line as well.
-    """
-    with open(path, "rb+") as fh:
-        data = fh.read()
-        if data and not data.endswith(b"\n"):
-            log.warning("dropping a torn last line from checkpoint %s", path)
-            fh.truncate(data.rfind(b"\n") + 1)
+            done = {}
+    write_text(path, kept, "checkpoint")
+    return done
 
 
 def cmd_generate(config: RunConfig) -> int:
@@ -293,10 +285,13 @@ def cmd_generate(config: RunConfig) -> int:
             lambda c: examplegen.synthesize_example(c.text, provider, mode), kept[: config.count]
         )
         built = collection_mod.build_collection(examples)
-        stored = [collection_mod.example_to_record(e) for e in built.examples]
-        line = {"question_id": qid, "question": record.question, "examples": stored}
-        with checkpoint_lock, open(checkpoint_path, "a", encoding="utf-8") as fh:
-            fh.write(json_line(line) + "\n")
+        stored = collection_mod.collection_to_record(built)
+        line = json_line({"question_id": qid, "question": record.question, "collection": stored})
+        try:
+            with checkpoint_lock, open(checkpoint_path, "a", encoding="utf-8") as fh:
+                fh.write(line + "\n")
+        except OSError as exc:
+            raise StorageError(f"cannot append to checkpoint {checkpoint_path}: {exc}") from exc
         return built
 
     bundle, failures = _run_questions(config, backend, records, work)
@@ -360,51 +355,41 @@ def cmd_answer(config: RunConfig) -> int:
 
 # -------------------------------------------------------------------- eval
 
-class _LoggedAnswer(typing.NamedTuple):
-    """The fields eval reads from one run-log line."""
-
-    question_id: str
-    answer: str
-    completion: str
-    usage: TokenUsage
-    latency_ms: float
-
-
-def _logged_answer(doc) -> _LoggedAnswer:
+def _logged_answer(doc) -> metrics.EvalRecord:
+    """One run-log line as a record whose gold fields eval fills in."""
     if not isinstance(doc, dict):
         raise ValueError("line is not a JSON object")
-    texts = [doc.get(key, "") for key in ("question_id", "answer", "completion")]
-    if not all(isinstance(text, str) for text in texts):
-        raise ValueError("question_id, answer and completion must be strings")
+    qid, answer, completion = [doc.get(key) for key in ("question_id", "answer", "completion")]
+    if not all(isinstance(text, str) for text in (qid, answer, completion)):
+        raise ValueError("question_id, answer and completion must each be a string")
     usage = doc.get("usage")
     if not isinstance(usage, dict):
         raise ValueError("usage must be an object of token counts")
     counts = [usage.get(key) for key in ("prompt_tokens", "completion_tokens", "total_tokens")]
     # the logged completion passes the same checks as a provider's reply
-    reply = CompletionResult(texts[2], TokenUsage(*counts), doc.get("latency_ms", 0.0))
-    return _LoggedAnswer(*texts, reply.usage, float(reply.latency_ms))
+    reply = CompletionResult(completion, TokenUsage(*counts), doc.get("latency_ms", 0.0))
+    return metrics.EvalRecord(qid, answer, gold_answers=[], chain_text=completion,
+                              usage=reply.usage, latency_ms=float(reply.latency_ms))
 
 
-def _load_run_log(path: str, what: str) -> list[_LoggedAnswer]:
+def _load_run_log(path: str, what: str) -> list[metrics.EvalRecord]:
     """Every line of a run log, checked.
 
     A bad or repeated line is an error naming path:line, a log with no
     lines an error naming its path.
     """
-    entries = []
-    seen: set[str] = set()
-    for line, doc in read_jsonl(path, what):
+    entries: dict[str, metrics.EvalRecord] = {}
+    for line, doc in parse_jsonl(read_text(path, what), path):
         try:
             entry = _logged_answer(doc)
         except ValueError as exc:
             raise ValidationError(path, line, str(exc)) from exc
-        if entry.question_id in seen:
+        if entry.question_id in entries:
             raise ValidationError(path, line, f"repeats question_id {entry.question_id!r}")
-        seen.add(entry.question_id)
-        entries.append(entry)
+        entries[entry.question_id] = entry
     if not entries:
         raise StorageError(f"{what} {path} has no lines")
-    return entries
+    return list(entries.values())
 
 
 def _baseline_token_mean(path: str) -> float:
@@ -420,26 +405,14 @@ def _fmt_rate(value: float | None) -> str:
 
 def cmd_eval(config: RunConfig) -> int:
     records = {r.question_id: r for r in corpus_mod.load_records(config.corpus)}
-    logged = _load_run_log(config.run_log, "run log")
-
-    eval_records = []
-    for entry in logged:
+    eval_records = _load_run_log(config.run_log, "run log")
+    for entry in eval_records:
         if entry.question_id not in records:
             raise UnmatchedQuestionId(entry.question_id)
         gold = records[entry.question_id]
-        gold_ids = set(gold.gold_sentence_ids) if gold.gold_sentence_ids is not None else None
-        eval_records.append(
-            metrics.EvalRecord(
-                question_id=entry.question_id,
-                prediction=entry.answer,
-                gold_answers=list(gold.gold_answers),
-                cited_sentences=metrics.attribute_citations(entry.completion, list(gold.documents)),
-                gold_sentences=gold_ids,
-                chain_text=entry.completion,
-                usage=entry.usage,
-                latency_ms=entry.latency_ms,
-            )
-        )
+        entry.gold_answers = list(gold.gold_answers)
+        entry.gold_sentences = None if gold.gold_sentence_ids is None else set(gold.gold_sentence_ids)
+        entry.cited_sentences = metrics.attribute_citations(entry.chain_text, list(gold.documents))
 
     report, rows = metrics.evaluate_records(eval_records)
     report_doc = report.to_record()

@@ -66,7 +66,8 @@ def example_from_record(doc: dict) -> SimilarExample:
     )
 
 
-def _collection_body(collection: ExampleCollection) -> dict:
+def collection_to_record(collection: ExampleCollection) -> dict:
+    """The stored form of a collection, as a bundle holds it for each question."""
     return {
         "n": len(collection.examples),
         "freq_index": {s.canonical: f for s, f in sorted(collection.freq_index.items())},
@@ -74,12 +75,13 @@ def _collection_body(collection: ExampleCollection) -> dict:
     }
 
 
-def _collection_from_body(doc: dict, source: str) -> ExampleCollection:
+def collection_from_record(doc: dict, source: str) -> ExampleCollection:
+    """A stored collection, its n and freq_index checked; errors name `source`."""
     try:
         examples = [example_from_record(d) for d in doc["examples"]]
         stored_n = doc["n"]
         stored_freq = {parse_skill(k): int(v) for k, v in doc["freq_index"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
         raise CorruptCollection(f"{source}: malformed collection: {exc}") from exc
     if not examples:
         raise CorruptCollection(f"{source}: collection holds zero examples")
@@ -105,7 +107,7 @@ def persist_bundle(
         "construction_mode": construction_mode,
         "delta": delta,
         "collections": {
-            qid: _collection_body(c) for qid, c in sorted(collections.items())
+            qid: collection_to_record(c) for qid, c in sorted(collections.items())
         },
     }
     write_json(path, doc, "collection bundle")
@@ -121,5 +123,5 @@ def restore_bundle(path: str) -> dict[str, ExampleCollection]:
     if not isinstance(body, dict):
         raise CorruptCollection(f"{path}: no collections table")
     return {
-        qid: _collection_from_body(entry, f"{path}[{qid}]") for qid, entry in body.items()
+        qid: collection_from_record(entry, f"{path}[{qid}]") for qid, entry in body.items()
     }

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
-from .resources import json_line, read_jsonl, write_text
+from .resources import json_line, parse_jsonl, read_text, write_text
 from .textutil import norm_tokens, split_sentences
 
 
@@ -105,7 +105,7 @@ def load_records(path: str) -> list[QARecord]:
     """Read and validate a line-delimited corpus file, order preserved."""
     records: list[QARecord] = []
     seen: set[str] = set()
-    for i, doc in read_jsonl(path, "corpus"):
+    for i, doc in parse_jsonl(read_text(path, "corpus"), path):
         if not isinstance(doc, dict):
             raise ParseError(path, i, "record is not a JSON object")
         record = _validate_record(doc, path, i)

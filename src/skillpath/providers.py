@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import requests
 
 from .errors import ProviderError, ReplayMiss, StorageError, TransportError, ValidationError
-from .resources import json_line, read_jsonl, utc_now, write_text
+from .resources import json_line, parse_jsonl, read_text, utc_now, write_text
 from .textutil import count_ws_tokens
 
 DEFAULT_MAX_OUTPUT_TOKENS = 4096
@@ -39,6 +39,7 @@ MODEL_ENV = "SKILLPATH_MODEL"
 API_KEY_ENV = "SKILLPATH_API_KEY"
 MAX_RETRIES_ENV = "SKILLPATH_MAX_RETRIES"
 RETRY_BACKOFF_ENV = "SKILLPATH_RETRY_BACKOFF"
+LIVE_TIMEOUT_S = 60.0
 
 TRANSCRIPT_VERSION = 3
 
@@ -333,7 +334,7 @@ class Transcript:
         A header whose entry count differs from the entries that follow
         is a StorageError: the file was cut short or edited.
         """
-        lines = read_jsonl(path, "transcript")
+        lines = parse_jsonl(read_text(path, "transcript"), path)
         _, header = next(lines, (0, None))
         if not isinstance(header, dict):
             raise StorageError(f"transcript {path} has no header line")
@@ -430,33 +431,25 @@ class ReplayProvider(Provider):
 class LiveProvider(Provider):
     """Talks to a chat-completions style HTTP endpoint.
 
-    Endpoint, model and secret come from arguments or the environment
+    Endpoint, model and secret come from the environment only
     (SKILLPATH_API_BASE, SKILLPATH_MODEL, SKILLPATH_API_KEY). Transient
-    failures are retried with exponential backoff; exhausting the retries
+    failures are retried SKILLPATH_MAX_RETRIES times with exponential
+    backoff from SKILLPATH_RETRY_BACKOFF seconds; exhausting the retries
     raises TransportError.
     """
 
     name = "live"
 
-    def __init__(
-        self,
-        base_url: str | None = None,
-        model: str | None = None,
-        api_key: str | None = None,
-        timeout: float = 60.0,
-        max_retries: int | None = None,
-        backoff: float | None = None,
-    ):
-        self.base_url = (base_url or os.environ.get(API_BASE_ENV, "")).rstrip("/")
-        self.model = model or os.environ.get(MODEL_ENV, "")
-        self.api_key = api_key or os.environ.get(API_KEY_ENV, "")
+    def __init__(self):
+        self.base_url = os.environ.get(API_BASE_ENV, "").rstrip("/")
+        self.model = os.environ.get(MODEL_ENV, "")
+        self.api_key = os.environ.get(API_KEY_ENV, "")
         if not self.base_url:
             raise TransportError("no endpoint configured: set " + API_BASE_ENV)
         if not self.model:
             raise TransportError("no model configured: set " + MODEL_ENV)
-        self.timeout = timeout
-        self.max_retries = _env_number(MAX_RETRIES_ENV, "3", int) if max_retries is None else max_retries
-        self.backoff = _env_number(RETRY_BACKOFF_ENV, "1.0", float) if backoff is None else backoff
+        self.max_retries = _env_number(MAX_RETRIES_ENV, "3", int)
+        self.backoff = _env_number(RETRY_BACKOFF_ENV, "1.0", float)
 
     def _complete(self, request: CompletionRequest) -> CompletionResult:
         url = f"{self.base_url}/chat/completions"
@@ -475,7 +468,7 @@ class LiveProvider(Provider):
                 time.sleep(self.backoff * (2 ** (attempt - 1)))
             started = time.monotonic()
             try:
-                resp = requests.post(url, json=payload, headers=headers, timeout=self.timeout)
+                resp = requests.post(url, json=payload, headers=headers, timeout=LIVE_TIMEOUT_S)
             except requests.RequestException as exc:
                 last_error = str(exc)
                 continue
@@ -504,8 +497,12 @@ class LiveProvider(Provider):
 
 
 def _env_number(name: str, default: str, kind: type):
+    """The environment variable as a finite, non-negative int or float."""
     raw = os.environ.get(name, default)
     try:
-        return kind(raw)
-    except ValueError as exc:
-        raise TransportError(f"{name} must be a number, got {raw!r}") from exc
+        value = kind(raw)
+        if 0 <= value < float("inf"):  # NaN fails both comparisons
+            return value
+    except ValueError:
+        pass
+    raise TransportError(f"{name} must be a non-negative finite number, got {raw!r}")

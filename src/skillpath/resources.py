@@ -5,8 +5,8 @@ template fills; the repair-cue list is the versioned configuration consumed
 by retrace detection. Both are plain JSON so deployments can ship edited
 copies via the override directory.
 
-Every input file is opened and decoded by read_text, which read_json and
-read_jsonl parse, and every whole-file write goes through write_text: an
+Every input file is opened and decoded by read_text, whose text read_json
+and parse_jsonl parse, and every whole-file write goes through write_text: an
 OS or decoding failure becomes a StorageError in one place, invalid JSON
 a ParseError naming path:line, and every whole-file output is replaced
 atomically.
@@ -115,9 +115,9 @@ def read_json(path: str, what: str):
         raise ParseError(path, exc.lineno, f"invalid JSON: {exc}") from exc
 
 
-def read_jsonl(path: str, what: str) -> Iterator[tuple[int, object]]:
-    """Yield (line number, parsed value) for every non-blank line."""
-    for i, line in enumerate(read_text(path, what).split("\n"), start=1):
+def parse_jsonl(text: str, path: str) -> Iterator[tuple[int, object]]:
+    """Yield (line number, parsed value) for every non-blank line of text read from path."""
+    for i, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

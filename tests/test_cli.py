@@ -9,7 +9,13 @@ import pytest
 from skillpath import cli
 from skillpath.canned import CannedProvider
 from skillpath.cli import ConfigError, _resolve_config, build_parser, main
-from skillpath.collection import build_collection, example_to_record, persist_bundle, restore_bundle
+from skillpath.collection import (
+    build_collection,
+    collection_to_record,
+    example_to_record,
+    persist_bundle,
+    restore_bundle,
+)
 from skillpath.errors import ProviderError, StorageError
 from skillpath.providers import RecordingProvider
 from skillpath.skills import ReasoningSkill
@@ -57,6 +63,17 @@ def log_line(tokens=10, **changes):
 def checkpoint_header(count):
     """The first checkpoint line of a generate run with --count count and no other setting."""
     return json.dumps({"settings": {"count": count, "delta": 7, "gen_mode": "guided-fill", "seed": None}})
+
+
+def checkpoint_line(qid, collection, question=EIFFEL):
+    """A checkpoint line: a question and its collection as the bundle stores it."""
+    return json.dumps({"question_id": qid, "question": question, "collection": collection})
+
+
+def marker_collection(question="carried over from the checkpoint"):
+    """The stored record of a one-example collection that generate would never build."""
+    example = make_example([ReasoningSkill.ABDUCTIVE], question=question)
+    return collection_to_record(build_collection([example]))
 
 
 def resolve(argv):
@@ -201,19 +218,19 @@ def test_generate_reports_per_question_failures(tmp_path, capsys):
     assert os.path.exists(bundle_path + ".checkpoint.jsonl")
 
 
-def test_generate_resumes_from_checkpoint(tmp_path, corpus_path):
+def test_generate_resumes_from_checkpoint(tmp_path, corpus_path, mock_calls):
     bundle_path = str(tmp_path / "bundle.json")
-    marker = make_example([ReasoningSkill.ABDUCTIVE], question="carried over from the checkpoint")
+    stored = marker_collection()
     with open(bundle_path + ".checkpoint.jsonl", "w", encoding="utf-8") as fh:
         fh.write(checkpoint_header(2) + "\n")
-        fh.write(json.dumps({"question_id": "q1", "question": EIFFEL,
-                             "examples": [example_to_record(marker)]}) + "\n")
+        fh.write(checkpoint_line("q1", stored) + "\n")
     code = main(["generate", "--provider", "mock", "--corpus", corpus_path,
                  "--collection", bundle_path, "--count", "2"])
     assert code == 0
-    bundle = restore_bundle(bundle_path)
-    # the checkpointed result was reused, not regenerated
-    assert bundle["q1"].examples[0].question == "carried over from the checkpoint"
+    # the checkpointed collection was reused, not regenerated, and cost no call
+    assert mock_calls == []
+    bundle = json.loads(Path(bundle_path).read_text(encoding="utf-8"))
+    assert bundle["collections"]["q1"] == stored
     assert not os.path.exists(bundle_path + ".checkpoint.jsonl")
 
 
@@ -247,14 +264,39 @@ def test_an_ignored_checkpoint_is_cleared_so_the_next_run_resumes(tmp_path, monk
     assert set(restore_bundle(bundle_path)) == {"q0", "q1"}
 
 
-def test_a_checkpoint_that_cannot_be_removed_exits_2_before_any_call(tmp_path, corpus_path, capsys):
+def test_a_checkpoint_that_cannot_be_written_exits_2_before_any_call(tmp_path, corpus_path, mock_calls,
+                                                                     capsys):
     bundle_path = str(tmp_path / "bundle.json")
-    os.mkdir(bundle_path + ".checkpoint.jsonl")  # unreadable as a file, and not removable as one
+    os.mkdir(bundle_path + ".checkpoint.jsonl")  # unreadable as a file, and not replaceable by one
     code = main(["generate", "--provider", "mock", "--corpus", corpus_path,
                  "--collection", bundle_path, "--count", "1"])
     assert code == 2
-    assert "cannot remove unreadable checkpoint" in capsys.readouterr().err
+    assert "cannot write checkpoint" in capsys.readouterr().err
+    assert mock_calls == []
     assert not os.path.exists(bundle_path)
+
+
+def test_a_failed_checkpoint_append_fails_its_question_only(tmp_path, monkeypatch, capsys):
+    corpus = write_corpus(tmp_path / "corpus.jsonl", [eiffel_row("q1"), eiffel_row("q2")])
+    bundle_path = str(tmp_path / "bundle.json")
+    checkpoint = Path(bundle_path + ".checkpoint.jsonl")
+
+    class Backend(CannedProvider):
+        def _complete(self, request):
+            # at N = 1 the first request after q1's line was appended is q2's first
+            if checkpoint.is_file() and len(checkpoint.read_text(encoding="utf-8").splitlines()) == 2:
+                checkpoint.unlink()
+                checkpoint.mkdir()
+            return super()._complete(request)
+
+    monkeypatch.setattr(cli, "CannedProvider", Backend)
+    code = main(["generate", "--provider", "mock", "--corpus", corpus,
+                 "--collection", bundle_path, "--count", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"[generate] question q2: cannot append to checkpoint {checkpoint}" in err
+    assert "question q1" not in err
+    assert set(restore_bundle(bundle_path)) == {"q1"}
 
 
 @pytest.mark.parametrize("header", [{"version": 1}, {"version": 2}, {"version": 99}, {}],
@@ -413,10 +455,8 @@ def test_torn_checkpoint_tail_keeps_completed_questions(tmp_path):
     checkpoint = bundle_path + ".checkpoint.jsonl"
     lines = [checkpoint_header(1)]
     for qid in ("q1", "q2"):
-        marker = make_example([ReasoningSkill.ABDUCTIVE], question=f"checkpointed {qid}")
-        lines.append(json.dumps({"question_id": qid, "question": EIFFEL,
-                                 "examples": [example_to_record(marker)]}))
-    torn = json.dumps({"question_id": "q3", "question": EIFFEL, "examples": []})[:20]
+        lines.append(checkpoint_line(qid, marker_collection(f"checkpointed {qid}")))
+    torn = checkpoint_line("q3", marker_collection("checkpointed q3"))[:-20]
     with open(checkpoint, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n" + torn)
     # q4 fails, so the checkpoint outlives the run and can be inspected
@@ -427,9 +467,25 @@ def test_torn_checkpoint_tail_keeps_completed_questions(tmp_path):
     assert bundle["q2"].examples[0].question == "checkpointed q2"
     # the fragment is gone and q3's fresh line did not glue onto it
     with open(checkpoint, encoding="utf-8") as fh:
-        kept = [json.loads(line) for line in fh]
-    assert kept[0] == json.loads(checkpoint_header(1))
-    assert [doc["question_id"] for doc in kept[1:]] == ["q1", "q2", "q3"]
+        kept = fh.read().split("\n")
+    assert kept[:3] == lines and kept[-1] == ""
+    assert [json.loads(line)["question_id"] for line in kept[1:-1]] == ["q1", "q2", "q3"]
+
+
+def _assert_checkpoint_starts_fresh(tmp_path, corpus_path, caplog, line, complaint):
+    """A checkpoint whose q1 line is `line` is ignored, with `complaint` in the warning."""
+    bundle_path = str(tmp_path / "bundle.json")
+    checkpoint = bundle_path + ".checkpoint.jsonl"
+    Path(checkpoint).write_text(checkpoint_header(1) + "\n" + line + "\n", encoding="utf-8")
+    code = main(["generate", "--provider", "mock", "--corpus", corpus_path,
+                 "--collection", bundle_path, "--count", "1"])
+    assert code == 0
+    assert f"ignoring unreadable checkpoint {checkpoint}: " in caplog.text
+    assert complaint in caplog.text
+    # regenerated from scratch, not taken from the checkpoint
+    assert restore_bundle(bundle_path)["q1"].examples[0].question != (
+        "carried over from the checkpoint"
+    )
 
 
 @pytest.mark.parametrize(
@@ -440,22 +496,30 @@ def test_torn_checkpoint_tail_keeps_completed_questions(tmp_path):
     ],
 )
 def test_invalid_checkpoint_example_starts_fresh(tmp_path, corpus_path, caplog, field, value):
-    bundle_path = str(tmp_path / "bundle.json")
-    marker = example_to_record(
-        make_example([ReasoningSkill.ABDUCTIVE], question="carried over from the checkpoint")
-    )
-    marker[field] = value
-    with open(bundle_path + ".checkpoint.jsonl", "w", encoding="utf-8") as fh:
-        fh.write(checkpoint_header(1) + "\n")
-        fh.write(json.dumps({"question_id": "q1", "question": EIFFEL, "examples": [marker]}) + "\n")
-    code = main(["generate", "--provider", "mock", "--corpus", corpus_path,
-                 "--collection", bundle_path, "--count", "1"])
-    assert code == 0
-    assert "ignoring unreadable checkpoint" in caplog.text
-    # regenerated from scratch, not taken from the checkpoint
-    assert restore_bundle(bundle_path)["q1"].examples[0].question != (
-        "carried over from the checkpoint"
-    )
+    stored = marker_collection()
+    stored["examples"][0][field] = value
+    _assert_checkpoint_starts_fresh(tmp_path, corpus_path, caplog, checkpoint_line("q1", stored),
+                                    "malformed collection")
+
+
+@pytest.mark.parametrize(
+    "field, value, complaint",
+    [("n", 2, "stored n=2 but found 1 examples"),
+     ("freq_index", {"deductive": 1}, "stored freq_index disagrees with examples")],
+    ids=["n", "freq_index"],
+)
+def test_a_checkpoint_collection_that_disagrees_with_its_examples_starts_fresh(
+    tmp_path, corpus_path, caplog, field, value, complaint
+):
+    stored = {**marker_collection(), field: value}
+    _assert_checkpoint_starts_fresh(tmp_path, corpus_path, caplog, checkpoint_line("q1", stored),
+                                    complaint)
+
+
+def test_a_checkpoint_in_the_old_examples_format_starts_fresh(tmp_path, corpus_path, caplog):
+    example = make_example([ReasoningSkill.ABDUCTIVE], question="carried over from the checkpoint")
+    line = json.dumps({"question_id": "q1", "question": EIFFEL, "examples": [example_to_record(example)]})
+    _assert_checkpoint_starts_fresh(tmp_path, corpus_path, caplog, line, "'collection'")
 
 
 @pytest.mark.parametrize(
@@ -473,10 +537,17 @@ def test_invalid_checkpoint_example_starts_fresh(tmp_path, corpus_path, caplog, 
                                  "total_tokens": 10})),
         ("baseline", log_line(usage=None)),
         ("baseline", "just a string"),
+        ("run", log_line(question_id=None)),
+        ("run", log_line(answer=None)),
+        ("run", log_line(completion=None)),
+        ("baseline", log_line(question_id=None)),
+        ("baseline", log_line(answer=None)),
+        ("baseline", log_line(completion=None)),
     ],
     ids=["total-mismatch", "array", "latency-text", "negative-latency", "infinite-latency",
          "answer-number", "completion-list", "no-usage", "token-text", "baseline-no-usage",
-         "baseline-string"],
+         "baseline-string", "missing-question-id", "missing-answer", "missing-completion",
+         "baseline-missing-question-id", "baseline-missing-answer", "baseline-missing-completion"],
 )
 def test_malformed_run_log_line_exits_2(tmp_path, corpus_path, capsys, log, bad):
     logs = {name: tmp_path / f"{name}.jsonl" for name in ("run", "baseline")}
@@ -501,10 +572,16 @@ def test_malformed_run_log_line_exits_2(tmp_path, corpus_path, capsys, log, bad)
         ({"provider": 3}, {}),
         ({"provider": "live"}, {"SKILLPATH_MAX_RETRIES": "x"}),
         ({"provider": "live"}, {"SKILLPATH_RETRY_BACKOFF": "soon"}),
+        ({"provider": "live"}, {"SKILLPATH_MAX_RETRIES": "-1"}),
+        ({"provider": "live"}, {"SKILLPATH_RETRY_BACKOFF": "-1"}),
+        ({"provider": "live"}, {"SKILLPATH_RETRY_BACKOFF": "nan"}),
+        ({"provider": "live"}, {"SKILLPATH_RETRY_BACKOFF": "inf"}),
     ],
 )
 def test_bad_config_and_environment_values_exit_2(tmp_path, corpus_path, monkeypatch, capsys,
                                                     config, env):
+    posts = []
+    monkeypatch.setattr("requests.post", lambda *args, **kwargs: posts.append(args))
     monkeypatch.setenv("SKILLPATH_API_BASE", "http://127.0.0.1:9")
     monkeypatch.setenv("SKILLPATH_MODEL", "m")
     for name, value in env.items():
@@ -515,6 +592,7 @@ def test_bad_config_and_environment_values_exit_2(tmp_path, corpus_path, monkeyp
                  "--config", str(config_file)])
     assert code == 2
     assert capsys.readouterr().err.startswith("[generate] ")
+    assert posts == []
 
 
 @pytest.mark.parametrize("prompt_tokens", ["n/a", -1])

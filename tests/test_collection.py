@@ -85,6 +85,14 @@ def test_restore_rejects_wrong_size(tmp_path):
         restore_bundle(str(path))
 
 
+def test_restore_rejects_a_freq_index_that_is_not_an_object(tmp_path):
+    path, body = bundle_doc(tmp_path, build_collection([make_example([ReasoningSkill.DEDUCTIVE])]))
+    body["collections"]["q1"]["freq_index"] = [["deductive", 1]]
+    path.write_text(json.dumps(body), encoding="utf-8")
+    with pytest.raises(CorruptCollection, match=r"\[q1\]: malformed collection"):
+        restore_bundle(str(path))
+
+
 def test_restore_rejects_unknown_version(tmp_path):
     path, body = bundle_doc(tmp_path, build_collection([make_example([ReasoningSkill.DEDUCTIVE])]))
     body["version"] = 99

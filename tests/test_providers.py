@@ -20,6 +20,14 @@ from skillpath.providers import (
 )
 
 
+@pytest.fixture
+def live_env(monkeypatch):
+    """An endpoint and model for LiveProvider, with no retries."""
+    monkeypatch.setenv("SKILLPATH_API_BASE", "http://endpoint.invalid")
+    monkeypatch.setenv("SKILLPATH_MODEL", "m")
+    monkeypatch.setenv("SKILLPATH_MAX_RETRIES", "0")
+
+
 def record(provider, requests):
     """Send each request through a RecordingProvider; return its transcript."""
     recorder = RecordingProvider(provider)
@@ -141,7 +149,9 @@ def test_live_requires_endpoint_configuration(monkeypatch):
 def test_live_unreachable_endpoint_fails_after_retries(monkeypatch):
     monkeypatch.setenv("SKILLPATH_API_BASE", "http://127.0.0.1:9")
     monkeypatch.setenv("SKILLPATH_MODEL", "m")
-    provider = LiveProvider(max_retries=1, backoff=0.01, timeout=0.5)
+    monkeypatch.setenv("SKILLPATH_MAX_RETRIES", "1")
+    monkeypatch.setenv("SKILLPATH_RETRY_BACKOFF", "0.01")
+    provider = LiveProvider()
     with pytest.raises(TransportError):
         provider.complete(CompletionRequest("hello"))
 
@@ -150,10 +160,25 @@ def test_live_reads_environment(monkeypatch):
     monkeypatch.setenv("SKILLPATH_API_BASE", "http://example.invalid/v1/")
     monkeypatch.setenv("SKILLPATH_MODEL", "test-model")
     monkeypatch.setenv("SKILLPATH_API_KEY", "secret")
-    provider = LiveProvider(max_retries=0, backoff=0.0)
+    monkeypatch.setenv("SKILLPATH_MAX_RETRIES", "2")
+    monkeypatch.setenv("SKILLPATH_RETRY_BACKOFF", "0")
+    provider = LiveProvider()
     assert provider.base_url == "http://example.invalid/v1"
     assert provider.model == "test-model"
     assert provider.api_key == "secret"
+    assert (provider.max_retries, provider.backoff) == (2, 0.0)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("SKILLPATH_MAX_RETRIES", "-1"), ("SKILLPATH_MAX_RETRIES", "1.5"),
+     ("SKILLPATH_RETRY_BACKOFF", "-1"), ("SKILLPATH_RETRY_BACKOFF", "nan"),
+     ("SKILLPATH_RETRY_BACKOFF", "inf"), ("SKILLPATH_RETRY_BACKOFF", "soon")],
+)
+def test_live_rejects_retry_settings_out_of_range(live_env, monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    with pytest.raises(TransportError, match=f"^{name} must be "):
+        LiveProvider()
 
 
 class _Reply:
@@ -181,9 +206,9 @@ class _Reply:
         [1],
     ],
 )
-def test_live_bad_usage_counts_raise_transport_error(monkeypatch, usage):
+def test_live_bad_usage_counts_raise_transport_error(live_env, monkeypatch, usage):
     monkeypatch.setattr("requests.post", lambda *args, **kwargs: _Reply(usage))
-    provider = LiveProvider(base_url="http://endpoint.invalid", model="m", max_retries=0)
+    provider = LiveProvider()
     with pytest.raises(TransportError):
         provider.complete(CompletionRequest("hello"))
 
@@ -249,9 +274,9 @@ def test_transcript_entry_errors_name_their_line(tmp_path):
     ],
     ids=["null-content", "null-content-with-usage", "number-content"],
 )
-def test_live_reply_that_makes_no_result_raises_transport_error(monkeypatch, doc):
+def test_live_reply_that_makes_no_result_raises_transport_error(live_env, monkeypatch, doc):
     reply = types.SimpleNamespace(status_code=200, text="", json=lambda: doc)
     monkeypatch.setattr("requests.post", lambda *args, **kwargs: reply)
-    provider = LiveProvider(base_url="http://endpoint.invalid", model="m", max_retries=0)
+    provider = LiveProvider()
     with pytest.raises(TransportError):
         provider.complete(CompletionRequest("hello"))
