@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import CorruptCollection, EmptyCollection
+from .errors import CorruptCollection, EmptyCollection, SkillPathError
 from .examplegen import ConstructionMode, ReasoningStrategy, SimilarExample
 from .resources import read_json, utc_now, write_json
 from .skills import ReasoningSkill, parse_skill
@@ -52,15 +52,29 @@ def example_to_record(example: SimilarExample) -> dict:
     }
 
 
+def _strings(value) -> tuple[str, ...]:
+    """A stored list of strings; a string or any other value is a ValueError."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"expected a list of strings, got {value!r}")
+    return tuple(value)
+
+
+def _count(value) -> int:
+    """A stored count; only a JSON integer is one, not a float or a bool."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer count, got {value!r}")
+    return value
+
+
 def example_from_record(doc: dict) -> SimilarExample:
     strategy = ReasoningStrategy(
-        tuple(doc["strategy"]["subquestions"]),
-        tuple(parse_skill(s) for s in doc["strategy"]["skills"]),
+        _strings(doc["strategy"]["subquestions"]),
+        tuple(parse_skill(s) for s in _strings(doc["strategy"]["skills"])),
     )
     return SimilarExample(
         question=doc["question"],
         strategy=strategy,
-        reference_docs=tuple(doc["reference_docs"]),
+        reference_docs=_strings(doc["reference_docs"]),
         answer=doc["answer"],
         construction_mode=ConstructionMode(doc["construction_mode"]),
     )
@@ -79,9 +93,9 @@ def collection_from_record(doc: dict, source: str) -> ExampleCollection:
     """A stored collection, its n and freq_index checked; errors name `source`."""
     try:
         examples = [example_from_record(d) for d in doc["examples"]]
-        stored_n = doc["n"]
-        stored_freq = {parse_skill(k): int(v) for k, v in doc["freq_index"].items()}
-    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        stored_n = _count(doc["n"])
+        stored_freq = {parse_skill(k): _count(v) for k, v in doc["freq_index"].items()}
+    except (AttributeError, LookupError, TypeError, ValueError, SkillPathError) as exc:
         raise CorruptCollection(f"{source}: malformed collection: {exc}") from exc
     if not examples:
         raise CorruptCollection(f"{source}: collection holds zero examples")

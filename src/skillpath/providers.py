@@ -19,15 +19,19 @@ import collections
 import contextvars
 import dataclasses
 import hashlib
+import http.client
 import json
+import math
 import os
+import re
 import sys
 import threading
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, field
 
-import requests
-
+from . import __version__
 from .errors import ProviderError, ReplayMiss, StorageError, TransportError, ValidationError
 from .resources import json_line, parse_jsonl, read_text, utc_now, write_text
 from .textutil import count_ws_tokens
@@ -446,14 +450,23 @@ class LiveProvider(Provider):
         self.api_key = os.environ.get(API_KEY_ENV, "")
         if not self.base_url:
             raise TransportError("no endpoint configured: set " + API_BASE_ENV)
+        if not re.match(r"(?i)https?://[^\s/?#:@]", self.base_url):
+            raise TransportError(f"{API_BASE_ENV} must be an http(s):// URL, got {self.base_url!r}")
         if not self.model:
             raise TransportError("no model configured: set " + MODEL_ENV)
         self.max_retries = _env_number(MAX_RETRIES_ENV, "3", int)
         self.backoff = _env_number(RETRY_BACKOFF_ENV, "1.0", float)
+        # the last wait, backoff * 2**(max_retries - 1), must suit time.sleep, which
+        # adds it to the monotonic clock: half of TIMEOUT_MAX leaves room for the clock
+        longest = threading.TIMEOUT_MAX / 2
+        if self.max_retries and self.backoff > math.ldexp(longest, 1 - self.max_retries):
+            raise TransportError(
+                f"{MAX_RETRIES_ENV}={self.max_retries} and {RETRY_BACKOFF_ENV}={self.backoff:g}"
+                f" make a wait longer than {longest:g} s"
+            )
 
     def _complete(self, request: CompletionRequest) -> CompletionResult:
-        url = f"{self.base_url}/chat/completions"
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json", "User-Agent": f"skillpath/{__version__}"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         payload = {
@@ -462,28 +475,34 @@ class LiveProvider(Provider):
             "temperature": request.temperature,
             "max_tokens": request.max_output_tokens,
         }
-        last_error = "no attempt made"
+        data = json.dumps(payload).encode("utf-8")
+        post = urllib.request.Request(f"{self.base_url}/chat/completions", data, headers)
         for attempt in range(self.max_retries + 1):
             if attempt:
                 time.sleep(self.backoff * (2 ** (attempt - 1)))
             started = time.monotonic()
             try:
-                resp = requests.post(url, json=payload, headers=headers, timeout=LIVE_TIMEOUT_S)
-            except requests.RequestException as exc:
+                try:
+                    with urllib.request.urlopen(post, timeout=LIVE_TIMEOUT_S) as resp:
+                        status, body = resp.status, resp.read()
+                except urllib.error.HTTPError as exc:  # an OSError, so caught first
+                    with exc:
+                        status, body = exc.code, exc.read()
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = str(exc)
                 continue
             elapsed_ms = (time.monotonic() - started) * 1000.0
-            if resp.status_code == 200:
-                return self._parse(request, resp, elapsed_ms)
-            last_error = f"HTTP {resp.status_code}: {resp.text[:200]}"
-            if resp.status_code not in (429,) and resp.status_code < 500:
+            if status == 200:
+                return self._parse(request, body, elapsed_ms)
+            last_error = f"HTTP {status}: {body.decode('utf-8', 'replace')[:200]}"
+            if status != 429 and status < 500:
                 break
-        raise TransportError(f"endpoint failed after {self.max_retries + 1} attempts: {last_error}")
+        raise TransportError(f"endpoint failed after {attempt + 1} attempt(s): {last_error}")
 
-    def _parse(self, request: CompletionRequest, resp, elapsed_ms: float) -> CompletionResult:
+    def _parse(self, request: CompletionRequest, body: bytes, elapsed_ms: float) -> CompletionResult:
         """The reply as a result; a reply that makes none is a TransportError."""
         try:
-            doc = resp.json()
+            doc = json.loads(body)
             text = doc["choices"][0]["message"]["content"]
             usage = doc.get("usage")
             if usage is None:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import http.server
+import json
 import os
+import threading
 
 import pytest
 from hypothesis import strategies as st
@@ -51,6 +54,74 @@ def worked_collection():
 @pytest.fixture
 def fixtures_dir():
     return FIXTURES
+
+
+class LiveEndpoint:
+    """What a local chat-completions endpoint serves, and what it was sent.
+
+    Each reply is (status, body), a dict body sent as JSON and a str as
+    text, or raw bytes written to the socket in place of a whole reply,
+    to break the HTTP exchange. Replies go out in order, the last one
+    for every later request. `received` holds (path, headers, body) of
+    each request, in the order they came.
+    """
+
+    def __init__(self):
+        self.replies = [(200, {"choices": [{"message": {"content": "ok"}}]})]
+        self.received = []
+        self._lock = threading.Lock()
+
+    def script(self, *replies):
+        self.replies = list(replies)
+
+    def take(self, path, headers, body):
+        """Record one request; the reply it gets."""
+        with self._lock:
+            self.received.append((path, headers, body))
+            return self.replies[min(len(self.received), len(self.replies)) - 1]
+
+
+@pytest.fixture
+def live_endpoint(monkeypatch):
+    """A LiveEndpoint on 127.0.0.1 that LiveProvider is pointed at, with no retries."""
+    endpoint = LiveEndpoint()
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            reply = endpoint.take(self.path, self.headers, body)
+            if isinstance(reply, bytes):
+                self.wfile.write(reply)
+                return
+            status, content = reply
+            data = (json.dumps(content) if isinstance(content, dict) else content).encode("utf-8")
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, format, *args):
+            pass  # no request log on stderr, which tests read
+
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server.daemon_threads = False  # so server_close joins every handler
+    # a short poll interval, as shutdown waits for the loop's next poll
+    thread = threading.Thread(target=server.serve_forever, args=(0.02,), name="live-endpoint")
+    thread.start()
+    try:
+        host, port = server.server_address[:2]
+        monkeypatch.setenv("SKILLPATH_API_BASE", f"http://{host}:{port}/v1")
+        monkeypatch.setenv("SKILLPATH_MODEL", "m")
+        monkeypatch.setenv("SKILLPATH_MAX_RETRIES", "0")
+        monkeypatch.setenv("SKILLPATH_RETRY_BACKOFF", "0")
+        monkeypatch.setenv("no_proxy", host)
+        yield endpoint
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -516,6 +516,52 @@ def test_a_checkpoint_collection_that_disagrees_with_its_examples_starts_fresh(
                                     complaint)
 
 
+# stored collections whose values only look right: a count that is not a
+# JSON integer, a string where a list of strings belongs, a list of numbers
+LOOSE_COLLECTIONS = {
+    "n-true": lambda c: c.update(n=True),
+    "n-float": lambda c: c.update(n=1.0),
+    "freq-float": lambda c: c["freq_index"].update(abductive=1.9),
+    "freq-text": lambda c: c["freq_index"].update(abductive="1"),
+    "freq-true": lambda c: c["freq_index"].update(abductive=True),
+    "docs-text": lambda c: c["examples"][0].update(reference_docs="r"),
+    "docs-text-two-chars": lambda c: c["examples"][0].update(reference_docs="ab"),
+    "docs-numbers": lambda c: c["examples"][0].update(reference_docs=[1]),
+    "subquestions-text": lambda c: c["examples"][0]["strategy"].update(subquestions="s"),
+    "subquestions-numbers": lambda c: c["examples"][0]["strategy"].update(subquestions=[1]),
+    "skills-text": lambda c: c["examples"][0]["strategy"].update(skills="abductive"),
+    "skill-unknown": lambda c: c["examples"][0]["strategy"].update(skills=["bogus"]),
+}
+
+
+def loose_collection(name):
+    stored = marker_collection()
+    LOOSE_COLLECTIONS[name](stored)
+    return stored
+
+
+@pytest.mark.parametrize("name", LOOSE_COLLECTIONS)
+def test_answer_on_a_bundle_with_a_loosely_typed_collection_exits_2(tmp_path, corpus_path, capsys,
+                                                                     name):
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps({"version": 1, "collections": {"q1": loose_collection(name)}}),
+                      encoding="utf-8")
+    run_log = tmp_path / "run.jsonl"
+    code = main(["answer", "--provider", "mock", "--corpus", corpus_path,
+                 "--collection", str(bundle), "--run-log", str(run_log)])
+    assert code == 2
+    assert f"{bundle}[q1]: malformed collection" in capsys.readouterr().err
+    assert not run_log.exists()
+
+
+@pytest.mark.parametrize("name", LOOSE_COLLECTIONS)
+def test_a_checkpoint_with_a_loosely_typed_collection_starts_fresh(tmp_path, corpus_path, caplog,
+                                                                    name):
+    _assert_checkpoint_starts_fresh(tmp_path, corpus_path, caplog,
+                                    checkpoint_line("q1", loose_collection(name)),
+                                    "malformed collection")
+
+
 def test_a_checkpoint_in_the_old_examples_format_starts_fresh(tmp_path, corpus_path, caplog):
     example = make_example([ReasoningSkill.ABDUCTIVE], question="carried over from the checkpoint")
     line = json.dumps({"question_id": "q1", "question": EIFFEL, "examples": [example_to_record(example)]})
@@ -576,14 +622,14 @@ def test_malformed_run_log_line_exits_2(tmp_path, corpus_path, capsys, log, bad)
         ({"provider": "live"}, {"SKILLPATH_RETRY_BACKOFF": "-1"}),
         ({"provider": "live"}, {"SKILLPATH_RETRY_BACKOFF": "nan"}),
         ({"provider": "live"}, {"SKILLPATH_RETRY_BACKOFF": "inf"}),
+        ({"provider": "live"}, {"SKILLPATH_RETRY_BACKOFF": "1e20", "SKILLPATH_MAX_RETRIES": "1"}),
+        ({"provider": "live"}, {"SKILLPATH_RETRY_BACKOFF": "1", "SKILLPATH_MAX_RETRIES": str(10**18)}),
+        ({"provider": "live"}, {"SKILLPATH_API_BASE": "endpoint.invalid/v1"}),
+        ({"provider": "live"}, {"SKILLPATH_API_BASE": "file:///etc/passwd"}),
     ],
 )
 def test_bad_config_and_environment_values_exit_2(tmp_path, corpus_path, monkeypatch, capsys,
-                                                    config, env):
-    posts = []
-    monkeypatch.setattr("requests.post", lambda *args, **kwargs: posts.append(args))
-    monkeypatch.setenv("SKILLPATH_API_BASE", "http://127.0.0.1:9")
-    monkeypatch.setenv("SKILLPATH_MODEL", "m")
+                                                    live_endpoint, config, env):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     config_file = tmp_path / "conf.json"
@@ -592,24 +638,13 @@ def test_bad_config_and_environment_values_exit_2(tmp_path, corpus_path, monkeyp
                  "--config", str(config_file)])
     assert code == 2
     assert capsys.readouterr().err.startswith("[generate] ")
-    assert posts == []
+    assert live_endpoint.received == []
 
 
 @pytest.mark.parametrize("prompt_tokens", ["n/a", -1])
-def test_live_bad_usage_counts_fail_the_question(tmp_path, monkeypatch, capsys, prompt_tokens):
-    class Reply:
-        status_code = 200
-        text = ""
-
-        def json(self):
-            return {
-                "choices": [{"message": {"content": "1. Paris"}}],
-                "usage": {"prompt_tokens": prompt_tokens, "completion_tokens": 2},
-            }
-
-    monkeypatch.setattr("requests.post", lambda *args, **kwargs: Reply())
-    monkeypatch.setenv("SKILLPATH_API_BASE", "http://endpoint.invalid")
-    monkeypatch.setenv("SKILLPATH_MODEL", "m")
+def test_live_bad_usage_counts_fail_the_question(tmp_path, capsys, live_endpoint, prompt_tokens):
+    live_endpoint.script((200, {"choices": [{"message": {"content": "1. Paris"}}],
+                                "usage": {"prompt_tokens": prompt_tokens, "completion_tokens": 2}}))
     corpus = write_corpus(tmp_path / "corpus.jsonl", [eiffel_row("q1"), eiffel_row("q2")])
     code = main(["generate", "--provider", "live", "--corpus", corpus,
                  "--collection", str(tmp_path / "bundle.json"), "--count", "1"])
@@ -617,6 +652,8 @@ def test_live_bad_usage_counts_fail_the_question(tmp_path, monkeypatch, capsys, 
     err = capsys.readouterr().err
     assert "[generate] question q1" in err
     assert "[generate] question q2" in err
+    assert err.count("malformed endpoint response") == 2
+    assert len(live_endpoint.received) == 2  # each question stopped at its first request
 
 
 @pytest.mark.parametrize("bad_input", ["bundle", "config"])

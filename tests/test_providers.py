@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import math
 import os
-import types
+import threading
 
 import pytest
 
+from skillpath import __version__
 from skillpath.errors import ProviderError, ReplayMiss, StorageError, TransportError, ValidationError
 from skillpath.providers import (
     CompletionRequest,
@@ -18,14 +20,6 @@ from skillpath.providers import (
     Transcript,
     fingerprint,
 )
-
-
-@pytest.fixture
-def live_env(monkeypatch):
-    """An endpoint and model for LiveProvider, with no retries."""
-    monkeypatch.setenv("SKILLPATH_API_BASE", "http://endpoint.invalid")
-    monkeypatch.setenv("SKILLPATH_MODEL", "m")
-    monkeypatch.setenv("SKILLPATH_MAX_RETRIES", "0")
 
 
 def record(provider, requests):
@@ -152,8 +146,92 @@ def test_live_unreachable_endpoint_fails_after_retries(monkeypatch):
     monkeypatch.setenv("SKILLPATH_MAX_RETRIES", "1")
     monkeypatch.setenv("SKILLPATH_RETRY_BACKOFF", "0.01")
     provider = LiveProvider()
-    with pytest.raises(TransportError):
+    with pytest.raises(TransportError, match="after 2 attempt"):
         provider.complete(CompletionRequest("hello"))
+
+
+def ok_reply(content="ok", **usage):
+    return 200, {"choices": [{"message": {"content": content}}], "usage": usage}
+
+
+@pytest.mark.parametrize("key", ["", "secret"])
+def test_live_sends_a_json_body_and_its_headers(live_endpoint, monkeypatch, key):
+    monkeypatch.setenv("SKILLPATH_API_KEY", key)
+    live_endpoint.script(ok_reply("Paris", prompt_tokens=3, completion_tokens=1))
+    result = LiveProvider().complete(CompletionRequest("où?", max_output_tokens=7, temperature=0.5))
+    assert (result.text, result.usage) == ("Paris", TokenUsage.of(3, 1))
+    [(path, headers, body)] = live_endpoint.received
+    assert path == "/v1/chat/completions"
+    assert body == (b'{"model": "m", "messages": [{"role": "user", "content": "o\\u00f9?"}], '
+                    b'"temperature": 0.5, "max_tokens": 7}')
+    assert headers["Content-Type"] == "application/json"
+    assert headers["User-Agent"] == f"skillpath/{__version__}"
+    assert headers.get("Authorization") == (f"Bearer {key}" if key else None)
+
+
+def test_live_retries_throttling_server_errors_and_broken_replies(live_endpoint, monkeypatch):
+    monkeypatch.setenv("SKILLPATH_MAX_RETRIES", "5")
+    live_endpoint.script(
+        (429, "slow down"),
+        (503, "busy"),
+        b"not an HTTP reply\r\n\r\n",
+        b"HTTP/1.0 200 OK\r\nContent-Length: 100\r\n\r\n{}",  # cut short
+        b"HTTP/1.0 500 Oops\r\nContent-Length: 100\r\n\r\nx",
+        ok_reply("fine"),
+    )
+    assert LiveProvider().complete(CompletionRequest("hello")).text == "fine"
+    assert len(live_endpoint.received) == 6
+
+
+@pytest.mark.parametrize("status", [201, 400, 401, 404])
+def test_live_other_statuses_stop_the_retries(live_endpoint, monkeypatch, status):
+    monkeypatch.setenv("SKILLPATH_MAX_RETRIES", "3")
+    live_endpoint.script((status, "no"), ok_reply())
+    with pytest.raises(TransportError, match=f"after 1 attempt\\(s\\): HTTP {status}: no$"):
+        LiveProvider().complete(CompletionRequest("hello"))
+    assert len(live_endpoint.received) == 1
+
+
+def test_live_counts_the_attempts_it_made(live_endpoint, monkeypatch):
+    monkeypatch.setenv("SKILLPATH_MAX_RETRIES", "2")
+    live_endpoint.script((503, "busy"))
+    with pytest.raises(TransportError, match="after 3 attempt\\(s\\): HTTP 503: busy$"):
+        LiveProvider().complete(CompletionRequest("hello"))
+    assert len(live_endpoint.received) == 3
+
+
+@pytest.mark.parametrize(
+    "base", ["endpoint.invalid", "ftp://host", "file:///etc/passwd", "http://", "http:///v1",
+             "http://:80", " http://host"],
+)
+def test_live_rejects_a_base_url_that_is_not_http(live_endpoint, monkeypatch, base):
+    monkeypatch.setenv("SKILLPATH_API_BASE", base)
+    with pytest.raises(TransportError, match="^SKILLPATH_API_BASE must be an http"):
+        LiveProvider()
+    assert live_endpoint.received == []
+
+
+# time.sleep adds a wait to the monotonic clock; the provider allows half of TIMEOUT_MAX
+LONGEST_WAIT = threading.TIMEOUT_MAX / 2
+
+
+@pytest.mark.parametrize(
+    "retries, backoff, ok",
+    [("1", repr(LONGEST_WAIT), True), ("2", repr(LONGEST_WAIT / 2), True),
+     (str(10**18), "0", True), ("0", "1e300", True),
+     ("1", repr(math.nextafter(LONGEST_WAIT, math.inf)), False), ("1", "1e20", False),
+     ("3", repr(LONGEST_WAIT / 2), False), (str(10**18), "1", False),
+     (str(10**18), "5e-324", False)],
+)
+def test_live_rejects_a_retry_schedule_time_sleep_cannot_keep(live_endpoint, monkeypatch,
+                                                              retries, backoff, ok):
+    monkeypatch.setenv("SKILLPATH_MAX_RETRIES", retries)
+    monkeypatch.setenv("SKILLPATH_RETRY_BACKOFF", backoff)
+    if ok:
+        LiveProvider()
+    else:
+        with pytest.raises(TransportError, match="make a wait longer than"):
+            LiveProvider()
 
 
 def test_live_reads_environment(monkeypatch):
@@ -175,23 +253,10 @@ def test_live_reads_environment(monkeypatch):
      ("SKILLPATH_RETRY_BACKOFF", "-1"), ("SKILLPATH_RETRY_BACKOFF", "nan"),
      ("SKILLPATH_RETRY_BACKOFF", "inf"), ("SKILLPATH_RETRY_BACKOFF", "soon")],
 )
-def test_live_rejects_retry_settings_out_of_range(live_env, monkeypatch, name, value):
+def test_live_rejects_retry_settings_out_of_range(live_endpoint, monkeypatch, name, value):
     monkeypatch.setenv(name, value)
     with pytest.raises(TransportError, match=f"^{name} must be "):
         LiveProvider()
-
-
-class _Reply:
-    """A stand-in for a 200 response of a chat-completions endpoint."""
-
-    status_code = 200
-    text = ""
-
-    def __init__(self, usage):
-        self._doc = {"choices": [{"message": {"content": "ok"}}], "usage": usage}
-
-    def json(self):
-        return self._doc
 
 
 @pytest.mark.parametrize(
@@ -206,11 +271,11 @@ class _Reply:
         [1],
     ],
 )
-def test_live_bad_usage_counts_raise_transport_error(live_env, monkeypatch, usage):
-    monkeypatch.setattr("requests.post", lambda *args, **kwargs: _Reply(usage))
-    provider = LiveProvider()
-    with pytest.raises(TransportError):
-        provider.complete(CompletionRequest("hello"))
+def test_live_bad_usage_counts_raise_transport_error(live_endpoint, usage):
+    live_endpoint.script((200, {"choices": [{"message": {"content": "ok"}}], "usage": usage}))
+    with pytest.raises(TransportError, match="^malformed endpoint response"):
+        LiveProvider().complete(CompletionRequest("hello"))
+    assert len(live_endpoint.received) == 1
 
 
 @pytest.mark.parametrize(
@@ -274,9 +339,8 @@ def test_transcript_entry_errors_name_their_line(tmp_path):
     ],
     ids=["null-content", "null-content-with-usage", "number-content"],
 )
-def test_live_reply_that_makes_no_result_raises_transport_error(live_env, monkeypatch, doc):
-    reply = types.SimpleNamespace(status_code=200, text="", json=lambda: doc)
-    monkeypatch.setattr("requests.post", lambda *args, **kwargs: reply)
-    provider = LiveProvider()
-    with pytest.raises(TransportError):
-        provider.complete(CompletionRequest("hello"))
+def test_live_reply_that_makes_no_result_raises_transport_error(live_endpoint, doc):
+    live_endpoint.script((200, doc))
+    with pytest.raises(TransportError, match="^malformed endpoint response"):
+        LiveProvider().complete(CompletionRequest("hello"))
+    assert len(live_endpoint.received) == 1
