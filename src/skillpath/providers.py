@@ -432,6 +432,13 @@ class ReplayProvider(Provider):
         return self._table[fp]
 
 
+class _NoRedirects(urllib.request.HTTPRedirectHandler):
+    """Follows no redirect, so the key never leaves the configured endpoint."""
+
+    def redirect_request(self, *args):
+        return None  # the 3xx then comes back as an HTTPError
+
+
 class LiveProvider(Provider):
     """Talks to a chat-completions style HTTP endpoint.
 
@@ -439,7 +446,7 @@ class LiveProvider(Provider):
     (SKILLPATH_API_BASE, SKILLPATH_MODEL, SKILLPATH_API_KEY). Transient
     failures are retried SKILLPATH_MAX_RETRIES times with exponential
     backoff from SKILLPATH_RETRY_BACKOFF seconds; exhausting the retries
-    raises TransportError.
+    raises TransportError. A redirect is not followed: it fails the call.
     """
 
     name = "live"
@@ -464,6 +471,7 @@ class LiveProvider(Provider):
                 f"{MAX_RETRIES_ENV}={self.max_retries} and {RETRY_BACKOFF_ENV}={self.backoff:g}"
                 f" make a wait longer than {longest:g} s"
             )
+        self._opener = urllib.request.build_opener(_NoRedirects)
 
     def _complete(self, request: CompletionRequest) -> CompletionResult:
         headers = {"Content-Type": "application/json", "User-Agent": f"skillpath/{__version__}"}
@@ -479,22 +487,25 @@ class LiveProvider(Provider):
         post = urllib.request.Request(f"{self.base_url}/chat/completions", data, headers)
         for attempt in range(self.max_retries + 1):
             if attempt:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
+                time.sleep(math.ldexp(self.backoff, attempt - 1))
             started = time.monotonic()
             try:
                 try:
-                    with urllib.request.urlopen(post, timeout=LIVE_TIMEOUT_S) as resp:
-                        status, body = resp.status, resp.read()
+                    with self._opener.open(post, timeout=LIVE_TIMEOUT_S) as resp:
+                        status, body, moved = resp.status, resp.read(), None
                 except urllib.error.HTTPError as exc:  # an OSError, so caught first
                     with exc:
-                        status, body = exc.code, exc.read()
+                        status, body, moved = exc.code, exc.read(), exc.headers.get("Location")
             except (OSError, http.client.HTTPException) as exc:
                 last_error = str(exc)
                 continue
             elapsed_ms = (time.monotonic() - started) * 1000.0
             if status == 200:
                 return self._parse(request, body, elapsed_ms)
-            last_error = f"HTTP {status}: {body.decode('utf-8', 'replace')[:200]}"
+            detail = body.decode("utf-8", "replace")[:200]
+            if moved:
+                detail = f"redirect to {moved} not followed"
+            last_error = f"HTTP {status}: {detail}"
             if status != 429 and status < 500:
                 break
         raise TransportError(f"endpoint failed after {attempt + 1} attempt(s): {last_error}")

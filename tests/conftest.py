@@ -101,6 +101,8 @@ def live_endpoint(monkeypatch):
             self.end_headers()
             self.wfile.write(data)
 
+        do_GET = do_POST  # so a followed redirect shows up in `received`
+
         def log_message(self, format, *args):
             pass  # no request log on stderr, which tests read
 

@@ -200,6 +200,34 @@ def test_live_counts_the_attempts_it_made(live_endpoint, monkeypatch):
     assert len(live_endpoint.received) == 3
 
 
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_live_follows_no_redirect(live_endpoint, monkeypatch, status):
+    monkeypatch.setenv("SKILLPATH_API_KEY", "secret")
+    monkeypatch.setenv("SKILLPATH_MAX_RETRIES", "3")
+    live_endpoint.script(
+        f"HTTP/1.0 {status} Moved\r\nLocation: /v1/elsewhere\r\nContent-Length: 0\r\n\r\n".encode(),
+        ok_reply(),
+    )
+    with pytest.raises(TransportError, match=f"after 1 attempt\\(s\\): HTTP {status}: "
+                                             "redirect to /v1/elsewhere not followed$"):
+        LiveProvider().complete(CompletionRequest("hello"))
+    # the key went only to the configured endpoint
+    assert [path for path, _, _ in live_endpoint.received] == ["/v1/chat/completions"]
+
+
+def test_live_waits_grow_without_building_big_integers(monkeypatch):
+    # 2**1024 does not fit a float: the 1025th attempt's wait must not be computed as one
+    monkeypatch.setenv("SKILLPATH_API_BASE", "http://127.0.0.1:9")
+    monkeypatch.setenv("SKILLPATH_MODEL", "m")
+    monkeypatch.setenv("SKILLPATH_MAX_RETRIES", "1100")
+    monkeypatch.setenv("SKILLPATH_RETRY_BACKOFF", "0")
+    waits = []
+    monkeypatch.setattr("skillpath.providers.time.sleep", waits.append)
+    with pytest.raises(TransportError, match="after 1101 attempt"):
+        LiveProvider().complete(CompletionRequest("hello"))
+    assert waits == [0.0] * 1100
+
+
 @pytest.mark.parametrize(
     "base", ["endpoint.invalid", "ftp://host", "file:///etc/passwd", "http://", "http:///v1",
              "http://:80", " http://host"],
