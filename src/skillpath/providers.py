@@ -45,7 +45,7 @@ MAX_RETRIES_ENV = "SKILLPATH_MAX_RETRIES"
 RETRY_BACKOFF_ENV = "SKILLPATH_RETRY_BACKOFF"
 LIVE_TIMEOUT_S = 60.0
 
-TRANSCRIPT_VERSION = 3
+TRANSCRIPT_VERSION = 4
 
 # positions of the fan_out items the current call runs inside, outermost first
 _scope: contextvars.ContextVar[tuple[int, ...]] = contextvars.ContextVar("skillpath_scope", default=())
@@ -127,19 +127,17 @@ class CompletionResult:
 def fingerprint(
     prompt: str, temperature: float, max_output_tokens: int, occurrence: int, scope: tuple[int, ...]
 ) -> str:
-    """Stable identity of one request within a run."""
-    payload = json.dumps(
-        {
-            "prompt": prompt,
-            "temperature": temperature,
-            "max_output_tokens": max_output_tokens,
-            "occurrence": occurrence,
-            "scope": scope,
-        },
-        sort_keys=True,
-        ensure_ascii=False,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """Stable identity of one request within a run.
+
+    The sha256 of the settings as one JSON line, a line feed, then the
+    prompt's UTF-8 bytes. A JSON line holds no raw line feed, so the first
+    one marks where the prompt starts.
+    """
+    settings = {"max_output_tokens": max_output_tokens, "occurrence": occurrence,
+                "scope": scope, "temperature": temperature}
+    digest = hashlib.sha256(json_line(settings).encode("utf-8") + b"\n")
+    digest.update(prompt.encode("utf-8"))
+    return digest.hexdigest()
 
 
 class _OccurrenceCounter:
@@ -521,7 +519,9 @@ class LiveProvider(Provider):
             counts = (usage.get("prompt_tokens"), usage.get("completion_tokens"))
             if None in counts:
                 counts = (count_ws_tokens(request.prompt), count_ws_tokens(text))
-            return CompletionResult(text=text, usage=TokenUsage.of(*counts), latency_ms=elapsed_ms)
+            result = CompletionResult(text=text, usage=TokenUsage.of(*counts), latency_ms=elapsed_ms)
+            text.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError, a ValueError
+            return result
         except (AttributeError, LookupError, TypeError, ValueError) as exc:
             raise TransportError(f"malformed endpoint response: {exc}") from exc
 

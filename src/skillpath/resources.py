@@ -8,8 +8,8 @@ copies via the override directory.
 Every input file is opened and decoded by read_text, whose text read_json
 and parse_jsonl parse, and every whole-file write goes through write_text: an
 OS or decoding failure becomes a StorageError in one place, invalid JSON
-a ParseError naming path:line, and every whole-file output is replaced
-atomically.
+or a string holding a lone surrogate a ParseError naming path:line, and
+every whole-file output is replaced atomically.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 import threading
 import time
 from collections.abc import Iterator
@@ -26,6 +27,12 @@ from importlib import resources
 from .errors import ParseError, StorageError
 
 DATA_DIR_ENV = "SKILLPATH_DATA_DIR"
+
+# a \u escape of a UTF-16 surrogate, D800-DFFF
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+# a JSON string literal; scanned from the start of a line of valid JSON, the
+# matches are its strings, as a JSON string holds no raw line feed
+_JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
 
 
 def read_bundled(folder: str, name: str, override_env: str, what: str) -> str:
@@ -52,7 +59,10 @@ def _names(value) -> list[str]:
 def _load_data(name: str, convert):
     """convert(document) of data file `name`; invalid JSON or a wrong shape is a StorageError."""
     try:
-        return convert(json.loads(read_bundled("data", name, DATA_DIR_ENV, "data")))
+        text = read_bundled("data", name, DATA_DIR_ENV, "data")
+        doc = json.loads(text)
+        _refuse_lone_surrogates(text, name)
+        return convert(doc)
     except (AttributeError, LookupError, TypeError, ValueError) as exc:
         raise StorageError(f"data file {name} is malformed: {exc!r}") from exc
 
@@ -109,10 +119,13 @@ def read_text(path: str, what: str) -> str:
 
 def read_json(path: str, what: str):
     """The one JSON document in the file at path."""
+    text = read_text(path, what)
     try:
-        return json.loads(read_text(path, what))
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, f"invalid JSON: {exc}") from exc
+    _refuse_lone_surrogates(text, path)
+    return doc
 
 
 def parse_jsonl(text: str, path: str) -> Iterator[tuple[int, object]]:
@@ -124,7 +137,26 @@ def parse_jsonl(text: str, path: str) -> Iterator[tuple[int, object]]:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(path, i, f"invalid JSON: {exc}") from exc
+        _refuse_lone_surrogates(line, path, i)
         yield i, doc
+
+
+def _refuse_lone_surrogates(text: str, path: str, first_line: int = 1) -> None:
+    """A ParseError naming path:line if a string of valid JSON text holds a lone surrogate.
+
+    UTF-8 cannot encode one, so it would fail the first write or hash of
+    the text. read_text decodes strictly, so only a \\u escape makes one:
+    text without a surrogate escape passes after one scan.
+    """
+    if not _SURROGATE_ESCAPE.search(text):
+        return
+    for offset, line in enumerate(text.split("\n")):
+        for literal in _JSON_STRING.findall(line):
+            try:
+                json.loads(literal).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                detail = f"lone surrogate in the string {literal[:80]}"
+                raise ParseError(path, first_line + offset, detail) from exc
 
 
 def json_line(doc) -> str:

@@ -11,6 +11,7 @@ Where documents are split:
   documents those ids reference are split, each once;
 - once per question in the answerer, which wraps the joined documents in
   a Passage and reuses its sentence-key index for every strategy step;
+  the index keys come from one casefold of the joined sentences;
 - once per record at citation attribution, through sentence_token_sets,
   which tokenizes all of a document's sentences in one pass.
 
@@ -50,6 +51,13 @@ _SENT_BOUNDARY = re.compile(r"[.?!]" + _GAP)
 # second also keeps "\n", which separates sentences in sentence_token_sets
 _NON_WORD = bytes(c if 48 <= c <= 57 or 97 <= c <= 122 else 32 for c in range(256))
 _NON_WORD_BUT_NL = _NON_WORD[:10] + b"\n" + _NON_WORD[11:]
+# every character str.isspace accepts except " " and "\n", written out: a
+# scan of every code point at import would cost each command about 0.1 s
+_IRREGULAR_WS = (
+    "\t", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u1680",
+    "\u2000", "\u2001", "\u2002", "\u2003", "\u2004", "\u2005", "\u2006", "\u2007", "\u2008",
+    "\u2009", "\u200a", "\u2028", "\u2029", "\u202f", "\u205f", "\u3000",
+)
 
 ARTICLES = ("a", "an", "the")
 
@@ -169,8 +177,21 @@ class Passage:
 
     @classmethod
     def of(cls, text: str) -> Passage:
+        """The passage of text, its keys made in one casefold of the joined sentences.
+
+        No sentence holds a line feed, and casefold maps each character
+        alone and never makes, drops or changes whitespace, so the folded
+        lines are the sentences casefolded. Sentences are stripped, so a
+        line is already its sentence_key unless it holds a run of spaces
+        or whitespace other than a space: only then is every line
+        normalized.
+        """
         sentences = tuple(split_sentences(text))
-        return cls(text, sentences, {sentence_key(s): s for s in sentences})
+        folded = "\n".join(sentences).casefold()
+        keys = folded.split("\n")
+        if "  " in folded or any(c in folded for c in _IRREGULAR_WS):
+            keys = [normalize_ws(key) for key in keys]
+        return cls(text, sentences, dict(zip(keys, sentences)))
 
 
 def squeeze_punct(text: str) -> str:

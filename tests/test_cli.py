@@ -299,8 +299,8 @@ def test_a_failed_checkpoint_append_fails_its_question_only(tmp_path, monkeypatc
     assert set(restore_bundle(bundle_path)) == {"q1"}
 
 
-@pytest.mark.parametrize("header", [{"version": 1}, {"version": 2}, {"version": 99}, {}],
-                         ids=["version-1", "version-2", "version-99", "no-version"])
+@pytest.mark.parametrize("header", [{"version": 1}, {"version": 2}, {"version": 3}, {"version": 99}, {}],
+                         ids=["version-1", "version-2", "version-3", "version-99", "no-version"])
 def test_replay_of_a_transcript_of_another_version_exits_2_before_any_call(
     tmp_path, corpus_path, capsys, header
 ):
@@ -825,4 +825,23 @@ def test_generate_into_a_missing_directory_exits_2_before_any_call(tmp_path, cor
                  "--collection", str(tmp_path / "missing" / "bundle.json"), "--count", "1"])
     assert code == 2
     assert "cannot write checkpoint" in capsys.readouterr().err
+    assert mock_calls == []
+
+
+@pytest.mark.parametrize("command", ["generate", "answer", "eval"])
+def test_a_lone_surrogate_in_the_corpus_exits_2_before_any_call(tmp_path, mock_calls, capsys, command):
+    # json.dumps writes the surrogate as the escape "\ud800", which json.loads reads back
+    doc = "The Eiffel Tower stands 330 metres tall \ud800. " + EIFFEL_DOC
+    corpus = write_corpus(tmp_path / "corpus.jsonl", [eiffel_row("q1"), dict(eiffel_row("q2"), documents=[doc])])
+    bundle, run_log = str(tmp_path / "bundle.json"), str(tmp_path / "run.jsonl")
+    persist_bundle({qid: build_collection([make_example([ReasoningSkill.DEDUCTIVE])]) for qid in ("q1", "q2")},
+                   bundle, construction_mode="guided-fill", delta=7)
+    write_corpus(run_log, [log_line(), log_line(question_id="q2")])
+    argv = {
+        "generate": ["--provider", "mock", "--collection", str(tmp_path / "new.json")],
+        "answer": ["--provider", "mock", "--collection", bundle, "--run-log", str(tmp_path / "out.jsonl")],
+        "eval": ["--run-log", run_log, "--report", str(tmp_path / "report.json")],
+    }[command]
+    assert main([command, "--corpus", corpus, *argv]) == 2
+    assert f"{corpus}:2:" in capsys.readouterr().err
     assert mock_calls == []

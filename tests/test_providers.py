@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import pytest
 from skillpath import __version__
 from skillpath.errors import ProviderError, ReplayMiss, StorageError, TransportError, ValidationError
 from skillpath.providers import (
+    TRANSCRIPT_VERSION,
     CompletionRequest,
     CompletionResult,
     LiveProvider,
@@ -20,6 +22,7 @@ from skillpath.providers import (
     Transcript,
     fingerprint,
 )
+from skillpath.resources import json_line
 
 
 def record(provider, requests):
@@ -70,6 +73,25 @@ def test_fingerprint_distinguishes_occurrences():
     assert fingerprint("p", 0.0, 4096, 0, ()) == a
     assert fingerprint("p", 0.0, 4096, 0, (0, 1)) != fingerprint("p", 0.0, 4096, 0, (1, 0))
     assert fingerprint("p", 0.0, 4096, 0, (0,)) != a
+
+
+def test_the_fingerprint_bytes_are_pinned_to_the_transcript_version():
+    # a saved transcript is keyed by these digests: a change to their bytes
+    # strands every transcript of this version, so it must bump the version
+    assert TRANSCRIPT_VERSION == 4
+    settings = b'{"max_output_tokens": 512, "occurrence": 1, "scope": [2, 0], "temperature": 0.5}'
+    prompt = "Stra\u00dfe \u00e9t\u00e9?\n\"quoted\"\tend"
+    digest = fingerprint(prompt, 0.5, 512, 1, (2, 0))
+    assert digest == hashlib.sha256(settings + b"\n" + prompt.encode("utf-8")).hexdigest()
+    assert digest == "ee56bf1a90800b374994395665ee80e752dbb15ae01708a9b3a575d43c490af2"
+
+
+def test_a_prompt_that_imitates_a_settings_line_keeps_its_own_identity():
+    other = {"max_output_tokens": 4096, "occurrence": 1, "scope": [0], "temperature": 0.0}
+    # the imitation puts the other request's settings line where a prompt starts
+    imitation = fingerprint(json_line(other) + "\nQ?", 0.0, 4096, 0, ())
+    assert imitation != fingerprint("Q?", 0.0, 4096, 1, (0,))
+    assert imitation != fingerprint("Q?", 0.0, 4096, 0, ())
 
 
 def test_record_and_replay_round_trip(tmp_path):
@@ -364,8 +386,10 @@ def test_transcript_entry_errors_name_their_line(tmp_path):
          "usage": {"prompt_tokens": 3, "completion_tokens": 1}},
         {"choices": [{"message": {"content": 5}}],
          "usage": {"prompt_tokens": 3, "completion_tokens": 1}},
+        {"choices": [{"message": {"content": "Paris \ud800"}}],
+         "usage": {"prompt_tokens": 3, "completion_tokens": 2}},
     ],
-    ids=["null-content", "null-content-with-usage", "number-content"],
+    ids=["null-content", "null-content-with-usage", "number-content", "lone-surrogate"],
 )
 def test_live_reply_that_makes_no_result_raises_transport_error(live_endpoint, doc):
     live_endpoint.script((200, doc))

@@ -10,8 +10,8 @@ import pytest
 
 import skillpath.prompts as prompts
 import skillpath.resources as resources
-from skillpath.errors import StorageError
-from skillpath.resources import write_text
+from skillpath.errors import ParseError, StorageError
+from skillpath.resources import parse_jsonl, read_json, write_text
 
 
 class _DiskFullAfterHalf:
@@ -107,9 +107,10 @@ def test_prompt_override_wins_and_a_file_it_lacks_is_read_from_the_package(
         ("repair_cues.json", json.dumps(["wait"])),
         ("repair_cues.json", json.dumps({"cues": "wait"})),
         ("repair_cues.json", "{not json"),
+        ("repair_cues.json", '{"cues": ["wait", "\\udc00"]}'),
     ],
     ids=["pool-no-types", "pool-types-list", "pool-names-string", "pool-name-number",
-         "pool-invalid-json", "cues-array", "cues-string", "cues-invalid-json"],
+         "pool-invalid-json", "cues-array", "cues-string", "cues-invalid-json", "cues-lone-surrogate"],
 )
 def test_a_malformed_data_file_is_a_storage_error(tmp_path, monkeypatch, uncached_loaders, name, text):
     (tmp_path / name).write_text(text, encoding="utf-8")
@@ -118,3 +119,33 @@ def test_a_malformed_data_file_is_a_storage_error(tmp_path, monkeypatch, uncache
               "repair_cues.json": resources.load_repair_cues}[name]
     with pytest.raises(StorageError, match=name):
         loader()
+
+
+# JSON text as a file holds it: each \u escape is six characters
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ('{"a": "x"}\n{"b": ["y", "caf\\ud800e"]}\n', 2),
+        ('{"a": "x"}\n\n{"b": "\\uDFFF"}\n', 3),
+        ('{"\\udc00": 1}\n', 1),
+        ('{"a": "\\ud83d\\ude00 \\\\ud800"}\n{"b": "\\ud83d"}\n', 2),
+        ('{"a": "\\ud83d\\ude00", "b": "\\\\ud800", "c": "\\\\\\"\\ud7ff"}\n', None),
+    ],
+    ids=["high", "low-upper-case", "in-a-key", "after-a-pair", "pair-and-escaped-backslash"],
+)
+def test_a_jsonl_string_with_a_lone_surrogate_is_a_parse_error_naming_its_line(text, line):
+    if line is None:
+        assert len(list(parse_jsonl(text, "in.jsonl"))) == 1
+        return
+    with pytest.raises(ParseError, match="lone surrogate") as raised:
+        list(parse_jsonl(text, "in.jsonl"))
+    assert (raised.value.path, raised.value.line) == ("in.jsonl", line)
+
+
+def test_a_json_document_with_a_lone_surrogate_is_a_parse_error_naming_its_line(tmp_path):
+    path = tmp_path / "bundle.json"
+    # json.dumps escapes the surrogate; the string lands on line 5
+    path.write_text(json.dumps({"collections": {"q1": ["fine", "caf\udc00"]}}, indent=2), encoding="utf-8")
+    with pytest.raises(ParseError, match="lone surrogate") as raised:
+        read_json(str(path), "bundle")
+    assert (raised.value.path, raised.value.line) == (str(path), 5)

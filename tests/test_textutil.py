@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import ast
+import inspect
 import re
 import sys
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from skillpath import textutil
 from skillpath.textutil import (
     Passage,
     detokenize,
@@ -113,8 +116,25 @@ def test_sentence_key_equals_the_regex_form(text):
     assert sentence_key(text) == re.sub(r"\s+", " ", text.casefold()).strip()
 
 
-_WORDS = st.sampled_from(["Tower", "tower", "TOWER", "stands", "Stands", "tall"])
-_GAPS = st.sampled_from([" ", "  ", "\t", "\u00a0", "\u2003"])
+def test_casefold_neither_makes_nor_changes_whitespace():
+    # Passage.of keys its sentences by one casefold of their joined text
+    made = [c for c in map(chr, range(sys.maxunicode + 1))
+            if not c.isspace() and any(map(str.isspace, c.casefold()))]
+    assert made == []
+    assert [c.casefold() for c in _WHITESPACE] == _WHITESPACE
+
+
+def test_the_irregular_whitespace_is_written_out_and_is_every_other_space():
+    # a literal, so importing textutil does not scan every code point
+    [assigned] = [node.value for node in ast.parse(inspect.getsource(textutil)).body
+                  if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_IRREGULAR_WS"]
+    assert ast.literal_eval(assigned) == textutil._IRREGULAR_WS
+    assert sorted(textutil._IRREGULAR_WS) == [c for c in _WHITESPACE if c not in " \n"]
+
+
+_WORDS = st.sampled_from(["Tower", "tower", "TOWER", "stands", "Stands", "tall", "\u039f\u03a3"])
+# every whitespace character, and TRICKY's characters whose casefold grows or leaves ASCII
+_GAPS = st.sampled_from([*_WHITESPACE, "  ", "\u00df", "\u0130", "\u212a"])
 
 
 @st.composite
@@ -124,6 +144,9 @@ def _sentence(draw):
 
 
 @given(st.lists(_sentence(), min_size=1, max_size=8))
+@example(["Tower stands.", "tower  stands."])
+@example(["TOWER\u3000STANDS.", "Tower stands."])
+@example(["Stra\u00dfe \u0130 \u212a.", "STRASSE i\u0307 k.", "\u039f\u03a3."])
 def test_passage_keeps_the_last_sentence_among_duplicate_keys(sentences):
     passage = Passage.of("\n".join(sentences))
     assert passage.text == "\n".join(sentences)
