@@ -19,7 +19,6 @@ import collections
 import contextvars
 import dataclasses
 import hashlib
-import http.client
 import json
 import math
 import os
@@ -27,8 +26,6 @@ import re
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -430,13 +427,6 @@ class ReplayProvider(Provider):
         return self._table[fp]
 
 
-class _NoRedirects(urllib.request.HTTPRedirectHandler):
-    """Follows no redirect, so the key never leaves the configured endpoint."""
-
-    def redirect_request(self, *args):
-        return None  # the 3xx then comes back as an HTTPError
-
-
 class LiveProvider(Provider):
     """Talks to a chat-completions style HTTP endpoint.
 
@@ -469,9 +459,22 @@ class LiveProvider(Provider):
                 f"{MAX_RETRIES_ENV}={self.max_retries} and {RETRY_BACKOFF_ENV}={self.backoff:g}"
                 f" make a wait longer than {longest:g} s"
             )
-        self._opener = urllib.request.build_opener(_NoRedirects)
+        import ssl  # the HTTP and TLS modules load only when a live provider is built
+        import urllib.request
+
+        class EveryStatus(urllib.request.HTTPErrorProcessor):
+            """Hands back every reply as it came, 3xx too, so no redirect takes the key elsewhere."""
+            def http_response(self, request, response):
+                return response
+            https_response = http_response
+
+        # one TLS context for all connections, where http.client builds one (reading the CA store) each
+        tls = ssl.create_default_context() if self.base_url[:6].lower() == "https:" else None
+        self._opener = urllib.request.build_opener(EveryStatus, urllib.request.HTTPSHandler(context=tls))
 
     def _complete(self, request: CompletionRequest) -> CompletionResult:
+        from http.client import HTTPException
+        from urllib.request import Request
         headers = {"Content-Type": "application/json", "User-Agent": f"skillpath/{__version__}"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -482,26 +485,22 @@ class LiveProvider(Provider):
             "max_tokens": request.max_output_tokens,
         }
         data = json.dumps(payload).encode("utf-8")
-        post = urllib.request.Request(f"{self.base_url}/chat/completions", data, headers)
+        post = Request(f"{self.base_url}/chat/completions", data, headers)
         for attempt in range(self.max_retries + 1):
             if attempt:
                 time.sleep(math.ldexp(self.backoff, attempt - 1))
             started = time.monotonic()
             try:
-                try:
-                    with self._opener.open(post, timeout=LIVE_TIMEOUT_S) as resp:
-                        status, body, moved = resp.status, resp.read(), None
-                except urllib.error.HTTPError as exc:  # an OSError, so caught first
-                    with exc:
-                        status, body, moved = exc.code, exc.read(), exc.headers.get("Location")
-            except (OSError, http.client.HTTPException) as exc:
+                with self._opener.open(post, timeout=LIVE_TIMEOUT_S) as resp:
+                    status, body, moved = resp.status, resp.read(), resp.headers.get("Location")
+            except (OSError, HTTPException) as exc:
                 last_error = str(exc)
                 continue
             elapsed_ms = (time.monotonic() - started) * 1000.0
             if status == 200:
                 return self._parse(request, body, elapsed_ms)
             detail = body.decode("utf-8", "replace")[:200]
-            if moved:
+            if moved and status >= 300:
                 detail = f"redirect to {moved} not followed"
             last_error = f"HTTP {status}: {detail}"
             if status != 429 and status < 500:

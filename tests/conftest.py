@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import http.server
 import json
 import os
@@ -81,10 +82,9 @@ class LiveEndpoint:
             return self.replies[min(len(self.received), len(self.replies)) - 1]
 
 
-@pytest.fixture
-def live_endpoint(monkeypatch):
-    """A LiveEndpoint on 127.0.0.1 that LiveProvider is pointed at, with no retries."""
-    endpoint = LiveEndpoint()
+@contextlib.contextmanager
+def serving(endpoint):
+    """Serves `endpoint` on 127.0.0.1 for the block; yields its (host, port)."""
 
     class Handler(http.server.BaseHTTPRequestHandler):
         def do_POST(self):
@@ -112,18 +112,34 @@ def live_endpoint(monkeypatch):
     thread = threading.Thread(target=server.serve_forever, args=(0.02,), name="live-endpoint")
     thread.start()
     try:
-        host, port = server.server_address[:2]
+        yield server.server_address[:2]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+@pytest.fixture
+def live_endpoint(monkeypatch):
+    """A LiveEndpoint on 127.0.0.1 that LiveProvider is pointed at, with no retries."""
+    endpoint = LiveEndpoint()
+    with serving(endpoint) as (host, port):
         monkeypatch.setenv("SKILLPATH_API_BASE", f"http://{host}:{port}/v1")
         monkeypatch.setenv("SKILLPATH_MODEL", "m")
         monkeypatch.setenv("SKILLPATH_MAX_RETRIES", "0")
         monkeypatch.setenv("SKILLPATH_RETRY_BACKOFF", "0")
         monkeypatch.setenv("no_proxy", host)
         yield endpoint
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-        assert not thread.is_alive()
+
+
+@pytest.fixture
+def proxy_endpoint():
+    """A second LiveEndpoint on 127.0.0.1, to stand as a proxy; `address` is its host:port."""
+    endpoint = LiveEndpoint()
+    with serving(endpoint) as (host, port):
+        endpoint.address = f"{host}:{port}"
+        yield endpoint
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -25,6 +25,7 @@ def imported_names(path):
             yield node.module.partition(".")[0]
 
 
+# ast.walk reaches imports inside functions too, such as LiveProvider's deferred HTTP stack
 @pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
 def test_every_import_is_the_standard_library_or_the_package(path):
     foreign = {name for name in imported_names(path)
@@ -32,10 +33,42 @@ def test_every_import_is_the_standard_library_or_the_package(path):
     assert foreign == set()
 
 
-def test_the_cli_loads_no_http_client_library():
-    probe = "import sys, skillpath.cli; print('requests' in sys.modules)"
+def run_fresh(probe, *args, **env):
+    """What `probe` prints, run with `args` in a fresh interpreter that finds the package."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                         timeout=60, check=True).stdout
+    env = {**os.environ, "PYTHONPATH": path, **env}
+    return subprocess.run([sys.executable, "-c", probe, *args], env=env, capture_output=True, text=True,
+                          timeout=60, check=True).stdout
+
+
+def test_the_cli_loads_no_http_client_library():
+    out = run_fresh("import sys, skillpath.cli; print('requests' in sys.modules)")
     assert out.strip() == "False"
+
+
+HTTP_STACK = ("http.client", "urllib.request", "ssl", "email")
+
+COLD_START = """
+import contextlib, io, os, sys
+from skillpath import cli
+from skillpath.providers import LiveProvider
+
+corpus, out, *stack = sys.argv[1:]
+bundle, run_log = os.path.join(out, "bundle.json"), os.path.join(out, "run.jsonl")
+steps = [
+    ["generate", "--provider", "mock", "--corpus", corpus, "--collection", bundle],
+    ["answer", "--provider", "mock", "--corpus", corpus, "--collection", bundle, "--run-log", run_log],
+    ["eval", "--corpus", corpus, "--run-log", run_log, "--report", os.path.join(out, "report.json")],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert [cli.main(argv) for argv in steps] == [0, 0, 0]
+print(sorted(name for name in stack if name in sys.modules))
+LiveProvider()
+print(sorted(name for name in stack if name in sys.modules))
+"""
+
+
+def test_only_a_live_provider_loads_the_http_stack(tmp_path, fixtures_dir):
+    out = run_fresh(COLD_START, os.path.join(fixtures_dir, "corpus.jsonl"), str(tmp_path), *HTTP_STACK,
+                    SKILLPATH_API_BASE="http://127.0.0.1:9", SKILLPATH_MODEL="m")
+    assert out.splitlines() == ["[]", str(sorted(HTTP_STACK))]

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import ssl
 import threading
 
 import pytest
@@ -172,6 +173,30 @@ def test_live_unreachable_endpoint_fails_after_retries(monkeypatch):
         provider.complete(CompletionRequest("hello"))
 
 
+@pytest.mark.parametrize("scheme, contexts", [("https", 1), ("http", 0)])
+def test_live_builds_one_tls_context_for_all_its_attempts(monkeypatch, scheme, contexts):
+    # a closed port refuses the connection before any handshake, so no certificate is needed
+    monkeypatch.setenv("SKILLPATH_API_BASE", f"{scheme}://127.0.0.1:9")
+    monkeypatch.setenv("SKILLPATH_MODEL", "m")
+    monkeypatch.setenv("SKILLPATH_MAX_RETRIES", "2")
+    monkeypatch.setenv("SKILLPATH_RETRY_BACKOFF", "0")
+    built = []
+
+    def counted(make):
+        def wrapper(*args, **kwargs):
+            built.append(make(*args, **kwargs))
+            return built[-1]
+        return wrapper
+
+    # http.client builds its own through the second when it is given no context
+    for name in ("create_default_context", "_create_default_https_context"):
+        monkeypatch.setattr(ssl, name, counted(getattr(ssl, name)))
+    with pytest.raises(TransportError, match="after 3 attempt"):
+        LiveProvider().complete(CompletionRequest("hello"))
+    assert len(built) == contexts
+    assert all(ctx.verify_mode == ssl.CERT_REQUIRED and ctx.check_hostname for ctx in built)
+
+
 def ok_reply(content="ok", **usage):
     return 200, {"choices": [{"message": {"content": content}}], "usage": usage}
 
@@ -235,6 +260,27 @@ def test_live_follows_no_redirect(live_endpoint, monkeypatch, status):
         LiveProvider().complete(CompletionRequest("hello"))
     # the key went only to the configured endpoint
     assert [path for path, _, _ in live_endpoint.received] == ["/v1/chat/completions"]
+
+
+def test_live_names_a_location_only_for_a_status_past_2xx(live_endpoint):
+    live_endpoint.script(b"HTTP/1.0 201 Created\r\nLocation: /v1/made\r\nContent-Length: 2\r\n\r\nno")
+    with pytest.raises(TransportError, match="after 1 attempt\\(s\\): HTTP 201: no$"):
+        LiveProvider().complete(CompletionRequest("hello"))
+
+
+@pytest.mark.parametrize("bypass", [False, True])
+def test_live_honours_http_proxy_and_no_proxy(live_endpoint, proxy_endpoint, monkeypatch, bypass):
+    for name in ("HTTP_PROXY", "NO_PROXY", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("http_proxy", f"http://{proxy_endpoint.address}")
+    if bypass:
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+    assert LiveProvider().complete(CompletionRequest("hello")).text == "ok"
+    url = os.environ["SKILLPATH_API_BASE"] + "/chat/completions"
+    reached, passed_by = (live_endpoint, proxy_endpoint) if bypass else (proxy_endpoint, live_endpoint)
+    # a proxy is sent the absolute URI, the endpoint itself only the path
+    assert [path for path, _, _ in reached.received] == [url[url.index("/v1"):] if bypass else url]
+    assert passed_by.received == []
 
 
 def test_live_waits_grow_without_building_big_integers(monkeypatch):
