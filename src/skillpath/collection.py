@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import CorruptCollection, EmptyCollection, SkillPathError
+from .errors import SkillPathError, StorageError
 from .examplegen import ConstructionMode, ReasoningStrategy, SimilarExample
 from .resources import read_json, utc_now, write_json
 from .skills import ReasoningSkill, parse_skill
@@ -31,7 +31,7 @@ class ExampleCollection:
 def build_collection(examples: list[SimilarExample]) -> ExampleCollection:
     """Assemble a collection and its membership frequency index."""
     if not examples:
-        raise EmptyCollection("cannot build a collection from zero examples")
+        raise ValueError("cannot build a collection from zero examples")
     freq: dict[ReasoningSkill, int] = {}
     for ex in examples:
         for skill in set(ex.strategy.skills):
@@ -96,14 +96,14 @@ def collection_from_record(doc: dict, source: str) -> ExampleCollection:
         stored_n = _count(doc["n"])
         stored_freq = {parse_skill(k): _count(v) for k, v in doc["freq_index"].items()}
     except (AttributeError, LookupError, TypeError, ValueError, SkillPathError) as exc:
-        raise CorruptCollection(f"{source}: malformed collection: {exc}") from exc
+        raise StorageError(f"{source}: malformed collection: {exc}") from exc
     if not examples:
-        raise CorruptCollection(f"{source}: collection holds zero examples")
+        raise StorageError(f"{source}: collection holds zero examples")
     rebuilt = build_collection(examples)
     if stored_n != len(examples):
-        raise CorruptCollection(f"{source}: stored n={stored_n} but found {len(examples)} examples")
+        raise StorageError(f"{source}: stored n={stored_n} but found {len(examples)} examples")
     if stored_freq != rebuilt.freq_index:
-        raise CorruptCollection(f"{source}: stored freq_index disagrees with examples")
+        raise StorageError(f"{source}: stored freq_index disagrees with examples")
     return rebuilt
 
 
@@ -132,10 +132,10 @@ def restore_bundle(path: str) -> dict[str, ExampleCollection]:
     doc = read_json(path, "collection bundle")
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != COLLECTION_VERSION:
-        raise CorruptCollection(f"{path}: unsupported collection version {version!r}")
+        raise StorageError(f"{path}: unsupported collection version {version!r}")
     body = doc.get("collections")
     if not isinstance(body, dict):
-        raise CorruptCollection(f"{path}: no collections table")
+        raise StorageError(f"{path}: no collections table")
     return {
         qid: collection_from_record(entry, f"{path}[{qid}]") for qid, entry in body.items()
     }

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .resources import json_line, parse_jsonl, read_text, write_text
 from .textutil import norm_tokens, split_sentences
 
@@ -107,7 +107,7 @@ def load_records(path: str) -> list[QARecord]:
     seen: set[str] = set()
     for i, doc in parse_jsonl(read_text(path, "corpus"), path):
         if not isinstance(doc, dict):
-            raise ParseError(path, i, "record is not a JSON object")
+            raise ValidationError(path, i, "record is not a JSON object")
         record = _validate_record(doc, path, i)
         if record.question_id in seen:
             raise ValidationError(path, i, f"duplicate question_id {record.question_id!r}")

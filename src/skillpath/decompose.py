@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import EmptyQuestion, MissingSubstitution, UnknownPlaceholder
+from .errors import EmptyQuestion
 from .resources import load_entity_pool
 from .textutil import ARTICLES, detokenize, tokenize
 
@@ -201,9 +201,9 @@ class RuleBasedTagger:
         return types
 
     def _type_for_run(self, words: list[str]) -> str:
-        if words[-1] in _PLACE_CUES or any(w in _PLACE_CUES for w in words):
+        if any(w in _PLACE_CUES for w in words):
             return "place"
-        if words[-1] in _ORG_CUES or any(w in _ORG_CUES for w in words):
+        if any(w in _ORG_CUES for w in words):
             return "organization"
         if all(w in _MONTHS or w.isdigit() for w in words):
             return "date"
@@ -297,19 +297,18 @@ def build_template(tokens: list[Token]) -> QuestionTemplate:
 def render_template(template: QuestionTemplate, substitutions: dict[str, str]) -> str:
     """Fill every slot of a template and return the question text.
 
-    Keys must cover the slots exactly: a missing slot raises
-    MissingSubstitution and an extra key raises UnknownPlaceholder. Each
-    slot label is substituted once, left to right, at its place in
-    template_text; a filled value is never searched again, so a value that
-    holds another slot's label stays as written.
+    Keys must cover the slots exactly: a missing slot or an extra key
+    raises ValueError. Each slot label is substituted once, left to right,
+    at its place in template_text; a filled value is never searched again,
+    so a value that holds another slot's label stays as written.
     """
     slots = [p.slot for p in template.placeholders]
     for s in slots:
         if s not in substitutions:
-            raise MissingSubstitution(s)
+            raise ValueError(f"no substitution provided for slot {s!r}")
     for key in substitutions:
         if key not in slots:
-            raise UnknownPlaceholder(key)
+            raise ValueError(f"substitution key {key!r} matches no template slot")
     template_text = template.template_text
     parts: list[str] = []
     end = 0

@@ -1,16 +1,20 @@
-"""Exception types shared across the package.
+"""Exception types for the failures that input can cause.
 
-Every error raised by this package derives from SkillPathError so callers
-can catch the whole family with one clause. Provider transport problems,
-replay misses and unparseable replies share the ProviderError base because
-they all mean "the completion backend did not give us a usable reply".
+Each SkillPathError subclass names one failure that a question, a reply,
+a file or a setting can bring about; the CLI fails the question on one
+or exits 2. A call that breaks a caller contract (slots that do not match
+a template, parallel sequences of different lengths, aggregating over no
+records) raises ValueError instead, as it is a bug. Provider transport
+problems, replay misses and unparseable replies share the ProviderError
+base because they all mean "the completion backend did not give us a
+usable reply".
 """
 
 from __future__ import annotations
 
 
 class SkillPathError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for the failures that input can cause."""
 
 
 class UnknownSkill(SkillPathError):
@@ -18,27 +22,10 @@ class UnknownSkill(SkillPathError):
 
     def __init__(self, label: str):
         super().__init__(f"unknown reasoning skill label: {label!r}")
-        self.label = label
 
 
 class EmptyQuestion(SkillPathError):
     """The question is empty or contains no word tokens."""
-
-
-class MissingSubstitution(SkillPathError):
-    """A template slot has no value in the substitution mapping."""
-
-    def __init__(self, slot: str):
-        super().__init__(f"no substitution provided for slot {slot!r}")
-        self.slot = slot
-
-
-class UnknownPlaceholder(SkillPathError):
-    """A substitution key does not match any slot in the template."""
-
-    def __init__(self, slot: str):
-        super().__init__(f"substitution key {slot!r} matches no template slot")
-        self.slot = slot
 
 
 class ProviderError(SkillPathError):
@@ -55,8 +42,6 @@ class ReplayMiss(ProviderError):
     def __init__(self, fingerprint: str, tag: str = ""):
         detail = f" (tag {tag!r})" if tag else ""
         super().__init__(f"no transcript entry for request fingerprint {fingerprint}{detail}")
-        self.fingerprint = fingerprint
-        self.tag = tag
 
 
 class StorageError(SkillPathError):
@@ -74,26 +59,12 @@ class UnparseableStrategy(ProviderError):
 class NoCandidates(SkillPathError):
     """Every candidate question fell below the similarity threshold."""
 
-    def __init__(self, question_id: str = ""):
-        detail = f" for question {question_id!r}" if question_id else ""
-        super().__init__(f"no candidate survived the similarity filter{detail}")
-        self.question_id = question_id
-
-
-class LengthMismatch(SkillPathError):
-    """Parallel sequences that must align have different lengths."""
+    def __init__(self, question_id: str):
+        super().__init__(f"no candidate survived the similarity filter for question {question_id!r}")
 
 
 class EmptyAnswer(SkillPathError):
     """An example or reply is missing its answer text."""
-
-
-class EmptyCollection(SkillPathError):
-    """An example collection has no examples."""
-
-
-class CorruptCollection(StorageError):
-    """A stored collection fails validation against its own contents."""
 
 
 class SegmentNotInDocument(SkillPathError):
@@ -105,15 +76,6 @@ class TemplateSlotMissing(SkillPathError):
 
     def __init__(self, slot: str):
         super().__init__(f"prompt template slot {slot!r} was not supplied")
-        self.slot = slot
-
-
-class EmptyInput(SkillPathError):
-    """A metric was asked to aggregate over zero records."""
-
-
-class EmptyReference(SkillPathError):
-    """A similarity score was requested against an empty reference text."""
 
 
 class ZeroDenominator(SkillPathError):
@@ -124,17 +86,8 @@ class ZeroDenominator(SkillPathError):
         self.hits = hits
 
 
-class ParseError(StorageError):
-    """A line of an input file is not valid JSON."""
-
-    def __init__(self, path: str, line: int, detail: str):
-        super().__init__(f"{path}:{line}: {detail}")
-        self.path = path
-        self.line = line
-
-
 class ValidationError(StorageError):
-    """A parsed line of a corpus, run log or transcript violates its schema."""
+    """A line of an input file is not valid JSON, or a parsed line violates its schema."""
 
     def __init__(self, path: str, line: int, detail: str):
         super().__init__(f"{path}:{line}: {detail}")
@@ -147,7 +100,6 @@ class UnmatchedQuestionId(SkillPathError):
 
     def __init__(self, question_id: str):
         super().__init__(f"run log references unknown question id {question_id!r}")
-        self.question_id = question_id
 
 
 class PipelineStageError(SkillPathError):

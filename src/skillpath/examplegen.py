@@ -19,7 +19,6 @@ from enum import Enum
 from .decompose import QuestionTemplate, render_template
 from .errors import (
     EmptyAnswer,
-    LengthMismatch,
     ProviderError,
     UnknownSkill,
     UnparseableScore,
@@ -63,7 +62,7 @@ class ReasoningStrategy:
         if not self.skills:
             raise ValueError("a strategy needs at least one step")
         if len(self.subquestions) != len(self.skills):
-            raise LengthMismatch(
+            raise ValueError(
                 f"{len(self.subquestions)} subquestions vs {len(self.skills)} skills"
             )
         for s in self.skills:
@@ -87,7 +86,7 @@ class SimilarExample:
         if not self.question.strip():
             raise ValueError("example question is empty")
         if len(self.reference_docs) != len(self.strategy.subquestions):
-            raise LengthMismatch(
+            raise ValueError(
                 f"{len(self.reference_docs)} reference docs vs "
                 f"{len(self.strategy.subquestions)} subquestions"
             )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import asdict, dataclass
 
-from .errors import EmptyInput, EmptyReference, ZeroDenominator
+from .errors import ZeroDenominator
 from .providers import TokenUsage
 from .resources import load_repair_cues
 from .textutil import ANSWER_SPAN, norm_tokens, normalize_answer, sentence_token_sets
@@ -72,7 +72,7 @@ def rouge_l(candidate: str, reference: str) -> float:
     """LCS F-measure with beta 1 over lowercased, punctuation-free tokens."""
     ref_tokens = norm_tokens(reference)
     if not ref_tokens:
-        raise EmptyReference("reference has no word tokens")
+        raise ValueError("reference has no word tokens")
     cand_tokens = norm_tokens(candidate)
     if not cand_tokens:
         return 0.0
@@ -107,7 +107,7 @@ def hits_and_error(records: list[EvalRecord], *, strict: bool = False) -> HitsEr
     carrying hits) when strict is set.
     """
     if not records:
-        raise EmptyInput("no records")
+        raise ValueError("no records")
     for r in records:
         if r.gold_sentences is None:
             raise ValueError(f"record {r.question_id!r} has no gold_sentences")
@@ -181,7 +181,7 @@ def detect_retrace(chain_text: str, cues: list[str] | None = None) -> bool:
 def retrace_rate(records: list[EvalRecord], cues: list[str] | None = None) -> float:
     """Fraction of records whose chain text shows a retrace."""
     if not records:
-        raise EmptyInput("no records")
+        raise ValueError("no records")
     flags = [detect_retrace(r.chain_text, cues) for r in records]
     return sum(flags) / len(flags)
 
@@ -201,7 +201,7 @@ class TokenStats:
 def token_stats(records: list[EvalRecord]) -> TokenStats:
     """Mean total tokens and mean latency across records."""
     if not records:
-        raise EmptyInput("no records")
+        raise ValueError("no records")
     for r in records:
         if r.usage is None:
             raise ValueError(f"record {r.question_id!r} carries no usage")
@@ -242,7 +242,7 @@ def evaluate_records(
     carry gold sentence sets; with no such records both come back None.
     """
     if not records:
-        raise EmptyInput("no records")
+        raise ValueError("no records")
     rows = per_record_rows(records, cues)
     annotated = [r for r in records if r.gold_sentences is not None]
     if annotated:

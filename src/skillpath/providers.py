@@ -22,7 +22,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import sys
 import threading
 import time
@@ -97,10 +96,18 @@ class CompletionRequest:
     tag: str = ""
 
     def __post_init__(self):
-        if not self.prompt:
-            raise ValueError("prompt must be non-empty")
-        if self.max_output_tokens < 1:
-            raise ValueError("max_output_tokens must be at least 1")
+        if not isinstance(self.prompt, str) or not self.prompt:
+            raise ValueError(f"prompt must be a non-empty string, got {self.prompt!r}")
+        limit = self.max_output_tokens
+        if type(limit) is not int or limit < 1:  # a bool is not a count
+            raise ValueError(f"max_output_tokens must be an integer of at least 1, got {limit!r}")
+        temperature = self.temperature
+        # nan and ints past the largest float fail the range check
+        finite = isinstance(temperature, (int, float)) and abs(temperature) <= sys.float_info.max
+        if isinstance(temperature, bool) or not finite:
+            raise ValueError(f"temperature must be a finite number, got {temperature!r}")
+        if not isinstance(self.tag, str):
+            raise ValueError(f"tag must be a string, got {self.tag!r}")
 
 
 @dataclass(frozen=True)
@@ -345,6 +352,8 @@ class Transcript:
         for line, doc in lines:
             try:
                 fp = doc["fingerprint"]
+                if not isinstance(fp, str):
+                    raise ValueError(f"fingerprint must be a string, got {fp!r}")
                 if fp in seen:
                     raise ValidationError(path, line, f"repeats fingerprint {fp}")
                 seen.add(fp)
@@ -440,13 +449,27 @@ class LiveProvider(Provider):
     name = "live"
 
     def __init__(self):
+        import ssl  # the HTTP and TLS modules load only when a live provider is built
+        import urllib.parse
+        import urllib.request
+
         self.base_url = os.environ.get(API_BASE_ENV, "").rstrip("/")
         self.model = os.environ.get(MODEL_ENV, "")
         self.api_key = os.environ.get(API_KEY_ENV, "")
         if not self.base_url:
             raise TransportError("no endpoint configured: set " + API_BASE_ENV)
-        if not re.match(r"(?i)https?://[^\s/?#:@]", self.base_url):
-            raise TransportError(f"{API_BASE_ENV} must be an http(s):// URL, got {self.base_url!r}")
+        url = urllib.parse.urlsplit(self.base_url)
+        try:
+            url.port  # a port that is not a number in 0-65535 is a ValueError
+        except ValueError:
+            url = None
+        # urlsplit drops whitespace and an empty query or fragment, so those are looked for as written
+        if (url is None or url.scheme not in ("http", "https") or not url.hostname or "@" in url.netloc
+                or not self.base_url.isprintable() or any(mark in self.base_url for mark in " ?#")):
+            raise TransportError(
+                f"{API_BASE_ENV} must be an http(s):// URL with a host and no user, query or fragment,"
+                f" got {self.base_url!r}"
+            )
         if not self.model:
             raise TransportError("no model configured: set " + MODEL_ENV)
         self.max_retries = _env_number(MAX_RETRIES_ENV, "3", int)
@@ -459,8 +482,6 @@ class LiveProvider(Provider):
                 f"{MAX_RETRIES_ENV}={self.max_retries} and {RETRY_BACKOFF_ENV}={self.backoff:g}"
                 f" make a wait longer than {longest:g} s"
             )
-        import ssl  # the HTTP and TLS modules load only when a live provider is built
-        import urllib.request
 
         class EveryStatus(urllib.request.HTTPErrorProcessor):
             """Hands back every reply as it came, 3xx too, so no redirect takes the key elsewhere."""
@@ -469,7 +490,7 @@ class LiveProvider(Provider):
             https_response = http_response
 
         # one TLS context for all connections, where http.client builds one (reading the CA store) each
-        tls = ssl.create_default_context() if self.base_url[:6].lower() == "https:" else None
+        tls = ssl.create_default_context() if url.scheme == "https" else None
         self._opener = urllib.request.build_opener(EveryStatus, urllib.request.HTTPSHandler(context=tls))
 
     def _complete(self, request: CompletionRequest) -> CompletionResult:

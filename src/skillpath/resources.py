@@ -8,7 +8,7 @@ copies via the override directory.
 Every input file is opened and decoded by read_text, whose text read_json
 and parse_jsonl parse, and every whole-file write goes through write_text: an
 OS or decoding failure becomes a StorageError in one place, invalid JSON
-or a string holding a lone surrogate a ParseError naming path:line, and
+or a string holding a lone surrogate a ValidationError naming path:line, and
 every whole-file output is replaced atomically.
 """
 
@@ -24,7 +24,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 from importlib import resources
 
-from .errors import ParseError, StorageError
+from .errors import StorageError, ValidationError
 
 DATA_DIR_ENV = "SKILLPATH_DATA_DIR"
 
@@ -123,7 +123,7 @@ def read_json(path: str, what: str):
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(path, exc.lineno, f"invalid JSON: {exc}") from exc
+        raise ValidationError(path, exc.lineno, f"invalid JSON: {exc}") from exc
     _refuse_lone_surrogates(text, path)
     return doc
 
@@ -136,13 +136,13 @@ def parse_jsonl(text: str, path: str) -> Iterator[tuple[int, object]]:
         try:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ParseError(path, i, f"invalid JSON: {exc}") from exc
+            raise ValidationError(path, i, f"invalid JSON: {exc}") from exc
         _refuse_lone_surrogates(line, path, i)
         yield i, doc
 
 
 def _refuse_lone_surrogates(text: str, path: str, first_line: int = 1) -> None:
-    """A ParseError naming path:line if a string of valid JSON text holds a lone surrogate.
+    """A ValidationError naming path:line if a string of valid JSON text holds a lone surrogate.
 
     UTF-8 cannot encode one, so it would fail the first write or hash of
     the text. read_text decodes strictly, so only a \\u escape makes one:
@@ -156,7 +156,7 @@ def _refuse_lone_surrogates(text: str, path: str, first_line: int = 1) -> None:
                 json.loads(literal).encode("utf-8")
             except UnicodeEncodeError as exc:
                 detail = f"lone surrogate in the string {literal[:80]}"
-                raise ParseError(path, first_line + offset, detail) from exc
+                raise ValidationError(path, first_line + offset, detail) from exc
 
 
 def json_line(doc) -> str:

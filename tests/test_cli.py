@@ -17,7 +17,7 @@ from skillpath.collection import (
     restore_bundle,
 )
 from skillpath.errors import ProviderError, StorageError
-from skillpath.providers import RecordingProvider
+from skillpath.providers import CompletionResult, RecordingProvider, TokenUsage
 from skillpath.skills import ReasoningSkill
 
 from conftest import make_example
@@ -297,6 +297,27 @@ def test_a_failed_checkpoint_append_fails_its_question_only(tmp_path, monkeypatc
     assert f"[generate] question q2: cannot append to checkpoint {checkpoint}" in err
     assert "question q1" not in err
     assert set(restore_bundle(bundle_path)) == {"q1"}
+
+
+def test_a_question_whose_candidates_all_score_low_fails_with_no_candidates(tmp_path, corpus_path,
+                                                                              monkeypatch, capsys):
+    class LowScores(CannedProvider):
+        def _complete(self, request):
+            if request.tag == "similarity":
+                return CompletionResult("Score (1-10): 1", TokenUsage.of(1, 1))
+            return super()._complete(request)
+
+    monkeypatch.setattr(cli, "CannedProvider", LowScores)
+    bundle_path = tmp_path / "bundle.json"
+    code = main(["generate", "--provider", "mock", "--corpus", corpus_path,
+                 "--collection", str(bundle_path)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert "[generate] question q1: no candidate survived the similarity filter for question 'q1'" in err
+    assert not bundle_path.exists()
+    checkpoint = tmp_path / "bundle.json.checkpoint.jsonl"
+    (settings,) = checkpoint.read_text(encoding="utf-8").splitlines()
+    assert list(json.loads(settings)) == ["settings"]
 
 
 @pytest.mark.parametrize("header", [{"version": 1}, {"version": 2}, {"version": 3}, {"version": 99}, {}],
@@ -626,6 +647,10 @@ def test_malformed_run_log_line_exits_2(tmp_path, corpus_path, capsys, log, bad)
         ({"provider": "live"}, {"SKILLPATH_RETRY_BACKOFF": "1", "SKILLPATH_MAX_RETRIES": str(10**18)}),
         ({"provider": "live"}, {"SKILLPATH_API_BASE": "endpoint.invalid/v1"}),
         ({"provider": "live"}, {"SKILLPATH_API_BASE": "file:///etc/passwd"}),
+        ({"provider": "live"}, {"SKILLPATH_API_BASE": "http://127.0.0.1:notaport/v1"}),
+        ({"provider": "live"}, {"SKILLPATH_API_BASE": "http://127.0.0.1:99999/v1"}),
+        ({"provider": "live"}, {"SKILLPATH_API_BASE": "http://user:pw@127.0.0.1:9/v1"}),
+        ({"provider": "live"}, {"SKILLPATH_API_BASE": "http://127.0.0.1:9/v1?x=1"}),
     ],
 )
 def test_bad_config_and_environment_values_exit_2(tmp_path, corpus_path, monkeypatch, capsys,

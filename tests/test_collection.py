@@ -12,7 +12,7 @@ from skillpath.collection import (
     persist_bundle,
     restore_bundle,
 )
-from skillpath.errors import CorruptCollection, EmptyCollection, ParseError
+from skillpath.errors import StorageError, ValidationError
 from skillpath.skills import ReasoningSkill
 
 from conftest import make_example
@@ -28,7 +28,7 @@ def test_frequency_counts_example_membership_not_occurrences(worked_collection):
 
 
 def test_build_collection_rejects_emptiness():
-    with pytest.raises(EmptyCollection):
+    with pytest.raises(ValueError, match="^cannot build a collection from zero examples$"):
         build_collection([])
 
 
@@ -73,7 +73,7 @@ def test_restore_rejects_tampered_frequency_index(tmp_path):
     path, body = bundle_doc(tmp_path, build_collection([make_example([ReasoningSkill.DEDUCTIVE])]))
     body["collections"]["q1"]["freq_index"]["inductive"] = 5
     path.write_text(json.dumps(body), encoding="utf-8")
-    with pytest.raises(CorruptCollection):
+    with pytest.raises(StorageError, match=r"\[q1\]: stored freq_index disagrees with examples$"):
         restore_bundle(str(path))
 
 
@@ -81,7 +81,7 @@ def test_restore_rejects_wrong_size(tmp_path):
     path, body = bundle_doc(tmp_path, build_collection([make_example([ReasoningSkill.DEDUCTIVE])]))
     body["collections"]["q1"]["n"] = 9
     path.write_text(json.dumps(body), encoding="utf-8")
-    with pytest.raises(CorruptCollection):
+    with pytest.raises(StorageError, match=r"\[q1\]: stored n=9 but found 1 examples$"):
         restore_bundle(str(path))
 
 
@@ -89,7 +89,7 @@ def test_restore_rejects_a_freq_index_that_is_not_an_object(tmp_path):
     path, body = bundle_doc(tmp_path, build_collection([make_example([ReasoningSkill.DEDUCTIVE])]))
     body["collections"]["q1"]["freq_index"] = [["deductive", 1]]
     path.write_text(json.dumps(body), encoding="utf-8")
-    with pytest.raises(CorruptCollection, match=r"\[q1\]: malformed collection"):
+    with pytest.raises(StorageError, match=r"\[q1\]: malformed collection"):
         restore_bundle(str(path))
 
 
@@ -97,14 +97,14 @@ def test_restore_rejects_unknown_version(tmp_path):
     path, body = bundle_doc(tmp_path, build_collection([make_example([ReasoningSkill.DEDUCTIVE])]))
     body["version"] = 99
     path.write_text(json.dumps(body), encoding="utf-8")
-    with pytest.raises(CorruptCollection):
+    with pytest.raises(StorageError, match="unsupported collection version 99$"):
         restore_bundle(str(path))
 
 
 def test_restore_rejects_malformed_json(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{oops", encoding="utf-8")
-    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:1: "):
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:1: invalid JSON: "):
         restore_bundle(str(path))
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from skillpath import corpus
 from skillpath.corpus import QARecord, load_records, record_to_json, save_records
-from skillpath.errors import ParseError, ValidationError
+from skillpath.errors import ValidationError
 
 
 def write_lines(path, lines):
@@ -55,7 +55,7 @@ def test_load_names_line_and_field_on_missing_key(tmp_path):
 
 def test_load_names_line_on_broken_json(tmp_path):
     path = write_lines(tmp_path / "c.jsonl", [record_line(), "{not json"])
-    with pytest.raises(ParseError) as info:
+    with pytest.raises(ValidationError, match=":2: invalid JSON: ") as info:
         load_records(path)
     assert ":2:" in str(info.value)
 

@@ -12,11 +12,7 @@ from skillpath.decompose import (
     decompose_question,
     render_template,
 )
-from skillpath.errors import (
-    EmptyQuestion,
-    MissingSubstitution,
-    UnknownPlaceholder,
-)
+from skillpath.errors import EmptyQuestion
 from skillpath.resources import load_entity_pool
 from skillpath.textutil import texts_match, tokenize
 
@@ -75,11 +71,11 @@ def test_render_validates_substitution_keys():
     subs = template.original_substitutions()
     missing = dict(subs)
     del missing["adj"]
-    with pytest.raises(MissingSubstitution):
+    with pytest.raises(ValueError, match="^no substitution provided for slot 'adj'$"):
         render_template(template, missing)
     extra = dict(subs)
     extra["nonsense"] = "x"
-    with pytest.raises(UnknownPlaceholder):
+    with pytest.raises(ValueError, match="^substitution key 'nonsense' matches no template slot$"):
         render_template(template, extra)
 
 
@@ -117,6 +113,28 @@ def test_rule_tagger_digits_and_comparatives():
     assert types["heavier"] == "adj"
     assert types["1889"] == "date"
     assert types["42"] == "number"
+
+
+# words the gazetteer does not hold, so the capitalized-run rules (pass 2)
+# and the single-token rules (pass 3) decide their types
+@pytest.mark.parametrize(
+    "question, text, entity_type",
+    [
+        ("Was it opened in 1850?", "1850", "date"),
+        ("Were 17 people there?", "17", "number"),
+        ("Is it brighter than the moon?", "brighter", "adj"),
+        ("Which is the smallest moon?", "smallest", "adj"),
+        ("Is the other moon brighter?", "other", None),
+        ("Did the Globex Institute hire him?", "Globex Institute", "organization"),
+        ("Was it a Tower of Thebes?", "Tower of Thebes", "place"),
+        ("Was it opened in June?", "June", "date"),
+        ("Did James Watt build it?", "James Watt", "person"),
+        ("Did he read Moby Dick?", "Moby Dick", "object"),
+    ],
+)
+def test_rule_tagger_types_words_outside_the_gazetteer(question, text, entity_type):
+    types = {t.text: t.entity_type for t in classify_tokens(question)}
+    assert types[text] == entity_type
 
 
 def test_round_trip_with_default_tagger_on_pool_sentences():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from skillpath.decompose import decompose_question
 from skillpath.errors import (
     EmptyAnswer,
-    LengthMismatch,
     ProviderError,
     SkillPathError,
     UnparseableScore,
@@ -261,7 +260,7 @@ def test_build_strategy_round_trips_through_provider():
 
 
 def test_strategy_validation():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ValueError, match="^2 subquestions vs 1 skills$"):
         ReasoningStrategy(("a", "b"), (ReasoningSkill.DEDUCTIVE,))
     with pytest.raises(ValueError):
         ReasoningStrategy((), ())
@@ -294,7 +293,7 @@ def test_similar_example_validates_shape():
     strategy = ReasoningStrategy(("a?",), (ReasoningSkill.DEDUCTIVE,))
     example = SimilarExample("q?", strategy, ["doc"], "ans", ConstructionMode.RANDOM_FILL)
     assert example.reference_docs == ("doc",)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ValueError, match="^2 reference docs vs 1 subquestions$"):
         SimilarExample("q?", strategy, ["doc", "extra"], "ans", ConstructionMode.RANDOM_FILL)
     with pytest.raises(EmptyAnswer):
         SimilarExample("q?", strategy, ["doc"], "  ", ConstructionMode.RANDOM_FILL)

@@ -1,8 +1,9 @@
-"""The package runs on the standard library alone."""
+"""The package runs on the standard library alone, and defines no exception it never raises."""
 
 from __future__ import annotations
 
 import ast
+import builtins
 import glob
 import os
 import subprocess
@@ -72,3 +73,29 @@ def test_only_a_live_provider_loads_the_http_stack(tmp_path, fixtures_dir):
     out = run_fresh(COLD_START, os.path.join(fixtures_dir, "corpus.jsonl"), str(tmp_path), *HTTP_STACK,
                     SKILLPATH_API_BASE="http://127.0.0.1:9", SKILLPATH_MODEL="m")
     assert out.splitlines() == ["[]", str(sorted(HTTP_STACK))]
+
+
+def test_every_exception_class_is_raised_or_is_the_base_of_one_that_is():
+    bases, raised = {}, set()
+    for path in MODULES:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [ast.unparse(base) for base in node.bases]
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+
+    def ancestors(name):
+        for base in bases.get(name, ()):
+            yield base
+            yield from ancestors(base)
+
+    builtin = {name for name, value in vars(builtins).items()
+               if isinstance(value, type) and issubclass(value, BaseException)}
+    defined = {name for name in bases if builtin & set(ancestors(name))}
+    covered = raised | {base for name in raised for base in ancestors(name)}
+    assert "SkillPathError" in defined
+    assert defined - covered == set()

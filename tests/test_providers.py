@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import ssl
 import threading
 
@@ -298,13 +299,21 @@ def test_live_waits_grow_without_building_big_integers(monkeypatch):
 
 @pytest.mark.parametrize(
     "base", ["endpoint.invalid", "ftp://host", "file:///etc/passwd", "http://", "http:///v1",
-             "http://:80", " http://host"],
+             "http://:80", " http://host", "http://exa mple/v1", "http://host\t/v1", "http://host/v1?",
+             "http://host/v1#", "http://@host/v1"],
 )
 def test_live_rejects_a_base_url_that_is_not_http(live_endpoint, monkeypatch, base):
     monkeypatch.setenv("SKILLPATH_API_BASE", base)
     with pytest.raises(TransportError, match="^SKILLPATH_API_BASE must be an http"):
         LiveProvider()
     assert live_endpoint.received == []
+
+
+@pytest.mark.parametrize("base", ["HTTP://127.0.0.1:9/v1", "http://[::1]:9", "https://host.invalid:443/v1/"])
+def test_live_accepts_a_plain_http_base_url(monkeypatch, base):
+    monkeypatch.setenv("SKILLPATH_API_BASE", base)
+    monkeypatch.setenv("SKILLPATH_MODEL", "m")
+    assert LiveProvider().base_url == base.rstrip("/")
 
 
 # time.sleep adds a wait to the monotonic clock; the provider allows half of TIMEOUT_MAX
@@ -404,24 +413,66 @@ def test_completion_result_checks_its_fields(fields):
         CompletionResult(**{**good, **fields})
 
 
-def test_transcript_entry_errors_name_their_line(tmp_path):
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"prompt": ""},
+        {"prompt": 5},
+        {"prompt": ["x"]},
+        {"max_output_tokens": 0},
+        {"max_output_tokens": True},
+        {"max_output_tokens": 2.5},
+        {"temperature": "hot"},
+        {"temperature": True},
+        {"temperature": math.nan},
+        {"temperature": math.inf},
+        {"temperature": 10**400},
+        {"tag": {}},
+        {"tag": None},
+    ],
+    ids=["prompt-empty", "prompt-number", "prompt-list", "max-tokens-zero", "max-tokens-bool",
+         "max-tokens-float", "temperature-text", "temperature-bool", "temperature-nan",
+         "temperature-infinite", "temperature-huge-int", "tag-object", "tag-none"],
+)
+def test_completion_request_checks_its_fields(fields):
+    good = {"prompt": "p", "max_output_tokens": 1, "temperature": 0, "tag": ""}
+    CompletionRequest(**good)
+    CompletionRequest(**{**good, "temperature": 0.7})
+    with pytest.raises(ValueError):
+        CompletionRequest(**{**good, **fields})
+
+
+# line 3 is the second entry with its field `key` (in `part`, or at the top level) set to `value`;
+# with no key, line 3 repeats line 2
+@pytest.mark.parametrize(
+    "part, key, value, message",
+    [
+        (None, None, None, "repeats fingerprint"),
+        (None, "fingerprint", 5, "fingerprint must be a string"),
+        ("result", "latency_ms", "slow", "latency_ms must be"),
+        ("request", "prompt", 5, "prompt must be"),
+        ("request", "prompt", ["x"], "prompt must be"),
+        ("request", "max_output_tokens", True, "max_output_tokens must be"),
+        ("request", "max_output_tokens", 2.5, "max_output_tokens must be"),
+        ("request", "temperature", "hot", "temperature must be"),
+        ("request", "tag", {}, "tag must be"),
+    ],
+    ids=["repeated-fingerprint", "fingerprint-number", "latency-text", "prompt-number", "prompt-list",
+         "max-tokens-bool", "max-tokens-float", "temperature-text", "tag-object"],
+)
+def test_transcript_entry_errors_name_their_line(tmp_path, part, key, value, message):
     transcript = record(MockProvider("x"), [CompletionRequest("p"), CompletionRequest("q")])
     path = tmp_path / "t.jsonl"
     transcript.save(str(path))
     header, first, second = path.read_text(encoding="utf-8").splitlines()
 
-    path.write_text("\n".join([header, first, first]) + "\n", encoding="utf-8")
-    with pytest.raises(ValidationError) as repeated:
+    changed = json.loads(first if key is None else second)
+    if key is not None:
+        (changed if part is None else changed[part])[key] = value
+    path.write_text("\n".join([header, first, json.dumps(changed)]) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:3: .*{message}") as raised:
         Transcript.load(str(path))
-    assert repeated.value.line == 3
-    assert "repeats fingerprint" in str(repeated.value)
-
-    broken = json.loads(second)
-    broken["result"]["latency_ms"] = "slow"
-    path.write_text("\n".join([header, first, json.dumps(broken)]) + "\n", encoding="utf-8")
-    with pytest.raises(ValidationError) as malformed:
-        Transcript.load(str(path))
-    assert malformed.value.line == 3
+    assert raised.value.line == 3
 
 
 @pytest.mark.parametrize(

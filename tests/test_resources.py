@@ -10,7 +10,7 @@ import pytest
 
 import skillpath.prompts as prompts
 import skillpath.resources as resources
-from skillpath.errors import ParseError, StorageError
+from skillpath.errors import StorageError, ValidationError
 from skillpath.resources import parse_jsonl, read_json, write_text
 
 
@@ -137,7 +137,7 @@ def test_a_jsonl_string_with_a_lone_surrogate_is_a_parse_error_naming_its_line(t
     if line is None:
         assert len(list(parse_jsonl(text, "in.jsonl"))) == 1
         return
-    with pytest.raises(ParseError, match="lone surrogate") as raised:
+    with pytest.raises(ValidationError, match="lone surrogate") as raised:
         list(parse_jsonl(text, "in.jsonl"))
     assert (raised.value.path, raised.value.line) == ("in.jsonl", line)
 
@@ -146,6 +146,6 @@ def test_a_json_document_with_a_lone_surrogate_is_a_parse_error_naming_its_line(
     path = tmp_path / "bundle.json"
     # json.dumps escapes the surrogate; the string lands on line 5
     path.write_text(json.dumps({"collections": {"q1": ["fine", "caf\udc00"]}}, indent=2), encoding="utf-8")
-    with pytest.raises(ParseError, match="lone surrogate") as raised:
+    with pytest.raises(ValidationError, match="lone surrogate") as raised:
         read_json(str(path), "bundle")
     assert (raised.value.path, raised.value.line) == (str(path), 5)
