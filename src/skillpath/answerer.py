@@ -15,8 +15,8 @@ from .collection import ExampleCollection
 from .errors import PipelineStageError, SegmentNotInDocument, SkillPathError
 from .examplegen import ReasoningStrategy, SimilarExample
 from .matcher import MatchResult, SelectionMode, select_best
-from .prompts import render_prompt
 from .providers import CompletionRequest, CompletionResult, Provider, TokenUsage, fan_out
+from .resources import render_prompt
 from .skills import ReasoningSkill
 from .textutil import ANSWER_SPAN, Passage, sentence_key, split_sentences
 
@@ -128,8 +128,9 @@ def extract_answer_span(completion: str) -> str:
 def answer(question: str, document: str, example: SimilarExample, provider: Provider) -> AnswerTrace:
     """Run the guided path of one selected example against one document.
 
-    Errors from extraction, prompt assembly or the final call are
-    re-raised as PipelineStageError naming the stage that failed.
+    A SkillPathError from extraction, prompt assembly or the final call
+    is re-raised as PipelineStageError naming the stage that failed; any
+    other error is a bug and propagates as it is.
     """
     # split and keyed once here, shared by every step's extraction
     passage = Passage.of(document)
@@ -173,7 +174,5 @@ def select_for(
 def _staged(stage: str, fn):
     try:
         return fn()
-    except PipelineStageError:
-        raise
-    except (SkillPathError, ValueError) as exc:
+    except SkillPathError as exc:
         raise PipelineStageError(stage, exc) from exc

@@ -2,12 +2,13 @@
 
 Each SkillPathError subclass names one failure that a question, a reply,
 a file or a setting can bring about; the CLI fails the question on one
-or exits 2. A call that breaks a caller contract (slots that do not match
-a template, parallel sequences of different lengths, aggregating over no
-records) raises ValueError instead, as it is a bug. Provider transport
-problems, replay misses and unparseable replies share the ProviderError
-base because they all mean "the completion backend did not give us a
-usable reply".
+or exits 2. A prompt template is an input file, so a fault in one is a
+StorageError. A call that breaks a caller contract (fills that do not
+match a question template's slots, parallel sequences of different
+lengths, aggregating over no records) raises ValueError instead, as it
+is a bug. Provider transport problems, replay misses and unparseable
+replies share the ProviderError base because they all mean "the
+completion backend did not give us a usable reply".
 """
 
 from __future__ import annotations
@@ -69,13 +70,6 @@ class EmptyAnswer(SkillPathError):
 
 class SegmentNotInDocument(SkillPathError):
     """The extraction reply was not made of document sentences, twice."""
-
-
-class TemplateSlotMissing(SkillPathError):
-    """A prompt template references a slot the caller did not supply."""
-
-    def __init__(self, slot: str):
-        super().__init__(f"prompt template slot {slot!r} was not supplied")
 
 
 class ZeroDenominator(SkillPathError):

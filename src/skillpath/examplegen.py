@@ -24,9 +24,8 @@ from .errors import (
     UnparseableScore,
     UnparseableStrategy,
 )
-from .prompts import render_prompt
 from .providers import CompletionRequest, Provider, fan_out
-from .resources import load_entity_pool
+from .resources import load_entity_pool, render_prompt
 from .skills import ReasoningSkill, parse_skill, skill_catalog
 from .textutil import ARTICLES, normalize_ws, squeeze_punct
 

@@ -338,7 +338,8 @@ class Transcript:
         """Read a saved transcript; a bad entry is an error naming path:line.
 
         A header whose entry count differs from the entries that follow
-        is a StorageError: the file was cut short or edited.
+        is a StorageError: the file was cut short or edited. So is a
+        header whose provider or created_at is there but not a string.
         """
         lines = parse_jsonl(read_text(path, "transcript"), path)
         _, header = next(lines, (0, None))
@@ -347,6 +348,10 @@ class Transcript:
         version = header.get("version")
         if version != TRANSCRIPT_VERSION:
             raise StorageError(f"transcript {path} has version {version!r}, not {TRANSCRIPT_VERSION}")
+        provider, created_at = header.get("provider", ""), header.get("created_at", "")
+        if not (isinstance(provider, str) and isinstance(created_at, str)):
+            raise StorageError(f"transcript {path} header's provider and created_at must be strings,"
+                               f" got {provider!r} and {created_at!r}")
         entries = []
         seen: set[str] = set()
         for line, doc in lines:
@@ -376,11 +381,7 @@ class Transcript:
             raise StorageError(
                 f"transcript {path} header counts {counted!r} entries, but {len(entries)} follow"
             )
-        return cls(
-            entries=entries,
-            provider=header.get("provider", ""),
-            created_at=header.get("created_at", ""),
-        )
+        return cls(entries=entries, provider=provider, created_at=created_at)
 
 
 class RecordingProvider(Provider):
@@ -470,6 +471,12 @@ class LiveProvider(Provider):
                 f"{API_BASE_ENV} must be an http(s):// URL with a host and no user, query or fragment,"
                 f" got {self.base_url!r}"
             )
+        # http.client sends the request line as ASCII (a host is IDNA-encoded) and header values
+        # as latin-1, refusing line breaks
+        if not url.path.isascii():
+            raise TransportError(f"{API_BASE_ENV} must have an ASCII path, got {url.path!r}")
+        if not self.api_key.isprintable() or max(self.api_key, default="") > "\xff":
+            raise TransportError(f"{API_KEY_ENV} must hold printable latin-1 characters only")
         if not self.model:
             raise TransportError("no model configured: set " + MODEL_ENV)
         self.max_retries = _env_number(MAX_RETRIES_ENV, "3", int)

@@ -1,9 +1,12 @@
-"""File access: bundled data files, plus the one file reader and writer.
+"""File access: bundled data files and prompt templates, plus the one file reader and writer.
 
 The entity pool feeds both the default tagger's gazetteer and random
 template fills; the repair-cue list is the versioned configuration consumed
 by retrace detection. Both are plain JSON so deployments can ship edited
-copies via the override directory.
+copies via the override directory. Prompt templates are plain text with
+$name slots, overridable the same way; rendering is strict, so a template
+that names a slot its caller does not supply, holds a $ that starts no
+slot, or renders to nothing is a StorageError naming the template.
 
 Every input file is opened and decoded by read_text, whose text read_json
 and parse_jsonl parse, and every whole-file write goes through write_text: an
@@ -18,6 +21,7 @@ import contextlib
 import json
 import os
 import re
+import string
 import threading
 import time
 from collections.abc import Iterator
@@ -27,6 +31,7 @@ from importlib import resources
 from .errors import StorageError, ValidationError
 
 DATA_DIR_ENV = "SKILLPATH_DATA_DIR"
+PROMPT_DIR_ENV = "SKILLPATH_PROMPT_DIR"
 
 # a \u escape of a UTF-16 surrogate, D800-DFFF
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
@@ -79,6 +84,28 @@ def load_entity_pool() -> dict[str, list[str]]:
 def load_repair_cues() -> list[str]:
     """Self-correction cue phrases, lowercase, from the versioned cue file."""
     return _load_data("repair_cues.json", lambda doc: [c.casefold() for c in _names(doc["cues"])])
+
+
+@lru_cache(maxsize=None)
+def load_prompt(name: str) -> str:
+    """Raw template text for prompts/<name>.txt, honoring the override dir."""
+    try:
+        return read_bundled("prompts", f"{name}.txt", PROMPT_DIR_ENV, "prompt")
+    except OSError as exc:
+        raise StorageError(f"no prompt template named {name!r}") from exc
+
+
+def render_prompt(name: str, **slots: str) -> str:
+    """Template <name> with its $slots filled; a template fault is a StorageError."""
+    try:
+        prompt = string.Template(load_prompt(name)).substitute(slots)
+    except KeyError as exc:
+        raise StorageError(f"prompt template {name}.txt names ${exc.args[0]}, which is not supplied") from exc
+    except ValueError as exc:  # a $ that starts no slot
+        raise StorageError(f"prompt template {name}.txt is malformed: {exc}") from exc
+    if not prompt:
+        raise StorageError(f"prompt template {name}.txt renders to an empty prompt")
+    return prompt
 
 
 def write_text(path: str, text: str, what: str) -> None:

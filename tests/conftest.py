@@ -9,6 +9,7 @@ import threading
 import pytest
 from hypothesis import strategies as st
 
+from skillpath import resources
 from skillpath.collection import build_collection
 from skillpath.examplegen import ConstructionMode, ReasoningStrategy, SimilarExample
 from skillpath.skills import ReasoningSkill
@@ -50,6 +51,17 @@ def worked_collection():
             make_example([S.INDUCTIVE, S.INDUCTIVE]),
         ]
     )
+
+
+@pytest.fixture
+def uncached_loaders():
+    """Clear the cached file loaders before and after, so each test reads its files."""
+    loaders = (resources.load_entity_pool, resources.load_repair_cues, resources.load_prompt)
+    for loader in loaders:
+        loader.cache_clear()
+    yield
+    for loader in loaders:
+        loader.cache_clear()
 
 
 @pytest.fixture

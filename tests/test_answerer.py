@@ -172,6 +172,17 @@ def test_stage_failures_name_their_stage():
     assert info.value.stage == "extract"
 
 
+@pytest.mark.parametrize("tag", ["segment", "answer"])
+def test_a_value_error_is_a_bug_and_propagates_unwrapped(tag):
+    def reply(request):
+        if request.tag == tag:
+            raise ValueError(f"bug in the {tag} reply")
+        return "It stands 330 metres tall."
+
+    with pytest.raises(ValueError, match=f"bug in the {tag} reply"):
+        answer("How tall?", DOC, example_for([S.DEDUCTIVE]), MockProvider(reply))
+
+
 def test_select_for_reports_breakdowns(worked_collection):
     match = select_for(worked_collection, SelectionMode.FULL)
     assert match.selected_index == 2

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from skillpath import cli
+from skillpath import cli, resources
 from skillpath.canned import CannedProvider
 from skillpath.cli import ConfigError, _resolve_config, build_parser, main
 from skillpath.collection import (
@@ -264,6 +264,29 @@ def test_an_ignored_checkpoint_is_cleared_so_the_next_run_resumes(tmp_path, monk
     assert set(restore_bundle(bundle_path)) == {"q0", "q1"}
 
 
+def test_a_value_error_in_answer_is_raised_after_every_question_ran(tmp_path, monkeypatch):
+    corpus = write_corpus(tmp_path / "corpus.jsonl", [eiffel_row("q0"), eiffel_row("q1")])
+    bundle_path = str(tmp_path / "bundle.json")
+    assert main(["generate", "--provider", "mock", "--corpus", corpus,
+                 "--collection", bundle_path, "--count", "1"]) == 0
+    answers = []
+
+    class Backend(CannedProvider):
+        def _complete(self, request):
+            if request.tag == "answer":
+                answers.append(request)
+                raise ValueError(f"bug {len(answers)}")
+            return super()._complete(request)
+
+    monkeypatch.setattr(cli, "CannedProvider", Backend)
+    run_log = tmp_path / "run.jsonl"
+    with pytest.raises(ValueError, match="^bug 1$"):
+        main(["answer", "--provider", "mock", "--corpus", corpus,
+              "--collection", bundle_path, "--run-log", str(run_log)])
+    assert len(answers) == 2
+    assert not run_log.exists()
+
+
 def test_a_checkpoint_that_cannot_be_written_exits_2_before_any_call(tmp_path, corpus_path, mock_calls,
                                                                      capsys):
     bundle_path = str(tmp_path / "bundle.json")
@@ -320,6 +343,41 @@ def test_a_question_whose_candidates_all_score_low_fails_with_no_candidates(tmp_
     assert list(json.loads(settings)) == ["settings"]
 
 
+@pytest.mark.parametrize(
+    "command, name, text",
+    [
+        ("generate", "similarity_scoring", "Compare $original_question with $candidate_question: $ 10"),
+        ("generate", "reference_document", "Notes on $subquestion and $missing"),
+        ("generate", "similarity_scoring", ""),
+        ("answer", "segment_extraction", "Pick from $document for $skill_name, at 5$"),
+        ("answer", "segment_extraction", ""),
+    ],
+    ids=["generate-stray-dollar", "generate-missing-slot", "generate-empty", "answer-stray-dollar",
+         "answer-empty"],
+)
+def test_a_faulty_prompt_template_override_fails_every_question(tmp_path, monkeypatch, capsys,
+                                                                 uncached_loaders, command, name, text):
+    corpus = write_corpus(tmp_path / "corpus.jsonl", [eiffel_row("q1"), eiffel_row("q2")])
+    bundle = str(tmp_path / "bundle.json")
+    if command == "answer":
+        assert main(["generate", "--provider", "mock", "--corpus", corpus,
+                     "--collection", bundle, "--count", "1"]) == 0
+        resources.load_prompt.cache_clear()
+    overrides = tmp_path / "prompts"
+    overrides.mkdir()
+    (overrides / f"{name}.txt").write_text(text, encoding="utf-8")
+    monkeypatch.setenv(resources.PROMPT_DIR_ENV, str(overrides))
+    capsys.readouterr()
+    outputs = {"generate": ["--collection", bundle, "--count", "1"],
+               "answer": ["--collection", bundle, "--run-log", str(tmp_path / "run.jsonl")]}[command]
+    assert main([command, "--provider", "mock", "--corpus", corpus, *outputs]) == 1
+    err = capsys.readouterr().err
+    failed = [line for line in err.splitlines() if line.startswith(f"[{command}] ")]
+    assert [line.split(":")[0] for line in failed] == [f"[{command}] question q1", f"[{command}] question q2"]
+    assert all(f"prompt template {name}.txt" in line for line in failed)
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("header", [{"version": 1}, {"version": 2}, {"version": 3}, {"version": 99}, {}],
                          ids=["version-1", "version-2", "version-3", "version-99", "no-version"])
 def test_replay_of_a_transcript_of_another_version_exits_2_before_any_call(
@@ -339,6 +397,24 @@ def test_replay_of_a_transcript_of_another_version_exits_2_before_any_call(
     err = capsys.readouterr().err
     assert str(transcript) in err and f"version {header.get('version')!r}" in err
     assert not run_log.exists()
+
+
+@pytest.mark.parametrize("header", [{"provider": 7}, {"created_at": ["x"]}],
+                         ids=["provider-number", "created-at-list"])
+def test_replay_of_a_transcript_with_a_header_of_the_wrong_type_exits_2_before_any_call(
+    tmp_path, corpus_path, capsys, header
+):
+    transcript = tmp_path / "transcript.jsonl"
+    transcript.write_text(json.dumps({"version": 4, "provider": "mock", "created_at": "", "entries": 0,
+                                      **header}) + "\n", encoding="utf-8")
+    bundle = tmp_path / "bundle.json"
+    code = main(["generate", "--provider", "replay", "--transcript", str(transcript),
+                 "--corpus", corpus_path, "--collection", str(bundle), "--count", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(transcript) in err and "must be strings" in err
+    assert "[generate] question" not in err
+    assert not bundle.exists()
 
 
 def test_answer_flags_questions_missing_from_bundle(tmp_path, corpus_path, capsys):
@@ -651,6 +727,9 @@ def test_malformed_run_log_line_exits_2(tmp_path, corpus_path, capsys, log, bad)
         ({"provider": "live"}, {"SKILLPATH_API_BASE": "http://127.0.0.1:99999/v1"}),
         ({"provider": "live"}, {"SKILLPATH_API_BASE": "http://user:pw@127.0.0.1:9/v1"}),
         ({"provider": "live"}, {"SKILLPATH_API_BASE": "http://127.0.0.1:9/v1?x=1"}),
+        ({"provider": "live"}, {"SKILLPATH_API_BASE": "http://127.0.0.1:9/vé"}),
+        ({"provider": "live"}, {"SKILLPATH_API_KEY": "clé€"}),
+        ({"provider": "live"}, {"SKILLPATH_API_KEY": "abc\ndef"}),
     ],
 )
 def test_bad_config_and_environment_values_exit_2(tmp_path, corpus_path, monkeypatch, capsys,

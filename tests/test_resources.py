@@ -4,11 +4,11 @@ import builtins
 import errno
 import json
 import os
+import string
 from importlib.resources import files
 
 import pytest
 
-import skillpath.prompts as prompts
 import skillpath.resources as resources
 from skillpath.errors import StorageError, ValidationError
 from skillpath.resources import parse_jsonl, read_json, write_text
@@ -63,17 +63,6 @@ def test_write_into_missing_directory_raises_storage_error(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
-@pytest.fixture
-def uncached_loaders():
-    """Clear the cached file loaders before and after, so each test reads its files."""
-    loaders = (resources.load_entity_pool, resources.load_repair_cues, prompts.load_prompt)
-    for loader in loaders:
-        loader.cache_clear()
-    yield
-    for loader in loaders:
-        loader.cache_clear()
-
-
 def test_data_override_wins_and_a_file_it_lacks_is_read_from_the_package(
     tmp_path, monkeypatch, uncached_loaders
 ):
@@ -90,10 +79,38 @@ def test_prompt_override_wins_and_a_file_it_lacks_is_read_from_the_package(
     tmp_path, monkeypatch, uncached_loaders
 ):
     (tmp_path / "segment_extraction.txt").write_text("Edited $document", encoding="utf-8")
-    monkeypatch.setenv(prompts.PROMPT_DIR_ENV, str(tmp_path))
-    assert prompts.load_prompt("segment_extraction") == "Edited $document"
+    monkeypatch.setenv(resources.PROMPT_DIR_ENV, str(tmp_path))
+    assert resources.load_prompt("segment_extraction") == "Edited $document"
     bundled = files("skillpath").joinpath("prompts", "guided_answer.txt").read_text(encoding="utf-8")
-    assert prompts.load_prompt("guided_answer") == bundled
+    assert resources.load_prompt("guided_answer") == bundled
+
+
+# each bundled template's $ slots: exactly what its one caller passes
+BUNDLED_TEMPLATE_SLOTS = {
+    "entity_substitution": {"template_text", "slot_lines", "count"},
+    "template_variation": {"question", "template_text", "count"},
+    "similarity_scoring": {"original_question", "candidate_question"},
+    "strategy_generation": {"skill_catalog", "question"},
+    "reference_document": {"subquestion"},
+    "segment_extraction": {"question_line", "skill_name", "skill_description", "document"},
+    "guided_answer": {"question", "documents", "reasoning_path", "skills", "demonstration"},
+}
+
+
+def test_the_slot_table_covers_every_bundled_template():
+    bundled = {entry.name for entry in files("skillpath").joinpath("prompts").iterdir()}
+    assert bundled == {f"{name}.txt" for name in BUNDLED_TEMPLATE_SLOTS}
+
+
+@pytest.mark.parametrize("name, slots", sorted(BUNDLED_TEMPLATE_SLOTS.items()),
+                         ids=sorted(BUNDLED_TEMPLATE_SLOTS))
+def test_a_bundled_template_names_exactly_its_callers_slots(monkeypatch, uncached_loaders, name, slots):
+    monkeypatch.delenv(resources.PROMPT_DIR_ENV, raising=False)
+    text = files("skillpath").joinpath("prompts", f"{name}.txt").read_text(encoding="utf-8")
+    found = list(string.Template.pattern.finditer(text))
+    assert [m.group(0) for m in found if m.group("invalid") is not None] == []
+    assert {m.group("named") or m.group("braced") for m in found if m.group("escaped") is None} == slots
+    assert resources.render_prompt(name, **{slot: "x" for slot in slots})
 
 
 @pytest.mark.parametrize(
