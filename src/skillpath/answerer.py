@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .collection import ExampleCollection
-from .errors import PipelineStageError, SegmentNotInDocument, SkillPathError
+from .errors import SegmentNotInDocument
 from .examplegen import ReasoningStrategy, SimilarExample
 from .matcher import MatchResult, SelectionMode, select_best
 from .providers import CompletionRequest, CompletionResult, Provider, TokenUsage, fan_out
@@ -128,9 +128,9 @@ def extract_answer_span(completion: str) -> str:
 def answer(question: str, document: str, example: SimilarExample, provider: Provider) -> AnswerTrace:
     """Run the guided path of one selected example against one document.
 
-    A SkillPathError from extraction, prompt assembly or the final call
-    is re-raised as PipelineStageError naming the stage that failed; any
-    other error is a bug and propagates as it is.
+    Errors propagate as raised: a failed extraction is SegmentNotInDocument,
+    a bad template a StorageError naming its file, and a ProviderError
+    names the tag of the request that failed.
     """
     # split and keyed once here, shared by every step's extraction
     passage = Passage.of(document)
@@ -139,15 +139,10 @@ def answer(question: str, document: str, example: SimilarExample, provider: Prov
         calls = _CallLog(provider)
         return extract_relevant_segment(passage, skill, calls, question=question), calls.results
 
-    steps = _staged("extract", lambda: fan_out(extract, example.strategy.skills))
+    steps = fan_out(extract, example.strategy.skills)
     segments = [segment for segment, _ in steps]
-
-    prompt = _staged(
-        "format", lambda: format_prompt(question, segments, example.strategy, example)
-    )
-    result = _staged(
-        "answer", lambda: provider.complete(CompletionRequest(prompt, tag="answer"))
-    )
+    prompt = format_prompt(question, segments, example.strategy, example)
+    result = provider.complete(CompletionRequest(prompt, tag="answer"))
     completion = result.text
 
     # summed in step order, then call order within a step, as a serial run
@@ -170,9 +165,3 @@ def select_for(
     """Pick the example whose skill path answer() follows, with the breakdown."""
     return select_best(collection, mode, seed)
 
-
-def _staged(stage: str, fn):
-    try:
-        return fn()
-    except SkillPathError as exc:
-        raise PipelineStageError(stage, exc) from exc

@@ -25,7 +25,7 @@ latencies, not its wall time.
 
 generate appends each finished question's collection to a checkpoint,
 in the record that the bundle stores, and a rerun with the same settings
-reuses it; eval reads each run-log line into a metrics.EvalRecord.
+and backend reuses it; eval reads each run-log line into a metrics.EvalRecord.
 """
 
 from __future__ import annotations
@@ -60,17 +60,9 @@ log = logging.getLogger(__name__)
 
 PARALLELISM_ENV = "SKILLPATH_PARALLELISM"
 
-_GEN_MODES = {
-    "random-fill": examplegen.ConstructionMode.RANDOM_FILL,
-    "guided-fill": examplegen.ConstructionMode.GUIDED_FILL,
-    "template-variation": examplegen.ConstructionMode.TEMPLATE_VARIATION,
-}
-_SELECT_MODES = {
-    "full": SelectionMode.FULL,
-    "coverage": SelectionMode.COVERAGE_ONLY,
-    "uniqueness": SelectionMode.UNIQUENESS_ONLY,
-    "random": SelectionMode.RANDOM,
-}
+# flag value -> mode; a construction mode's flag spells its value with dashes
+_GEN_MODES = {mode.value.replace("_", "-"): mode for mode in examplegen.ConstructionMode}
+_SELECT_MODES = {mode.value: mode for mode in SelectionMode}
 # candidates requested per question before filtering trims to --count
 _OVERGENERATION = 2
 
@@ -257,8 +249,11 @@ def cmd_generate(config: RunConfig) -> int:
     mode = _GEN_MODES[config.gen_mode]
 
     checkpoint_path = config.collection + ".checkpoint.jsonl"
-    # a checkpoint made with other settings than these is stale
-    settings = {name: getattr(config, name) for name in ("count", "delta", "gen_mode", "seed")}
+    # a checkpoint made with other settings or another backend than these is stale
+    settings = {name: getattr(config, name)
+                for name in ("count", "delta", "gen_mode", "provider", "seed", "transcript")}
+    if isinstance(backend, LiveProvider):
+        settings["model"] = backend.model
     done = _load_checkpoint(checkpoint_path, settings, {r.question_id: r.question for r in records})
     if done:
         log.info("resuming: %d question(s) already completed", len(done))
@@ -325,7 +320,7 @@ def cmd_answer(config: RunConfig) -> int:
     def work(record: corpus_mod.QARecord, provider: Provider) -> dict:
         qid = record.question_id
         if qid not in bundle:
-            raise UnmatchedQuestionId(qid)
+            raise UnmatchedQuestionId(f"bundle {config.collection} holds no collection for question {qid!r}")
         gamma = bundle[qid]
         # seeded per question, so random selection draws anew for each one
         match = answerer.select_for(gamma, mode, f"{config.seed}:{qid}")
@@ -408,7 +403,7 @@ def cmd_eval(config: RunConfig) -> int:
     eval_records = _load_run_log(config.run_log, "run log")
     for entry in eval_records:
         if entry.question_id not in records:
-            raise UnmatchedQuestionId(entry.question_id)
+            raise UnmatchedQuestionId(f"run log references unknown question id {entry.question_id!r}")
         gold = records[entry.question_id]
         entry.gold_answers = list(gold.gold_answers)
         entry.gold_sentences = None if gold.gold_sentence_ids is None else set(gold.gold_sentence_ids)

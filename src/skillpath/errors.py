@@ -1,14 +1,16 @@
 """Exception types for the failures that input can cause.
 
 Each SkillPathError subclass names one failure that a question, a reply,
-a file or a setting can bring about; the CLI fails the question on one
-or exits 2. A prompt template is an input file, so a fault in one is a
-StorageError. A call that breaks a caller contract (fills that do not
-match a question template's slots, parallel sequences of different
-lengths, aggregating over no records) raises ValueError instead, as it
-is a bug. Provider transport problems, replay misses and unparseable
-replies share the ProviderError base because they all mean "the
-completion backend did not give us a usable reply".
+a file or a setting can bring about; the CLI prints a question's error as
+raised and fails that question only, or exits 2. A prompt template is an
+input file, so a fault in one is a StorageError naming the file. A call
+that breaks a caller contract (fills that do not match a question
+template's slots, parallel sequences of different lengths, aggregating
+over no records) raises ValueError instead, as it is a bug. Provider
+transport problems, replay misses and unparseable replies share the
+ProviderError base because they all mean "the completion backend did not
+give us a usable reply"; one a backend raises for a request names the
+request's stage tag.
 """
 
 from __future__ import annotations
@@ -39,10 +41,6 @@ class TransportError(ProviderError):
 
 class ReplayMiss(ProviderError):
     """A replayed run issued a request absent from the transcript."""
-
-    def __init__(self, fingerprint: str, tag: str = ""):
-        detail = f" (tag {tag!r})" if tag else ""
-        super().__init__(f"no transcript entry for request fingerprint {fingerprint}{detail}")
 
 
 class StorageError(SkillPathError):
@@ -90,16 +88,5 @@ class ValidationError(StorageError):
 
 
 class UnmatchedQuestionId(SkillPathError):
-    """A run-log entry references a question id absent from the corpus."""
+    """A question id in one input has no counterpart in the input it is matched against."""
 
-    def __init__(self, question_id: str):
-        super().__init__(f"run log references unknown question id {question_id!r}")
-
-
-class PipelineStageError(SkillPathError):
-    """Wraps an error from one stage of a multi-stage run with its label."""
-
-    def __init__(self, stage: str, cause: BaseException):
-        super().__init__(f"[{stage}] {cause}")
-        self.stage = stage
-        self.__cause__ = cause

@@ -128,6 +128,11 @@ class CompletionResult:
             raise ValueError(f"latency_ms must be a finite non-negative number, got {latency!r}")
 
 
+def _tag_note(request: CompletionRequest) -> str:
+    """The " (tag 'x')" that names the stage of the request an error is about; "" if it has no tag."""
+    return f" (tag {request.tag!r})" if request.tag else ""
+
+
 def fingerprint(
     prompt: str, temperature: float, max_output_tokens: int, occurrence: int, scope: tuple[int, ...]
 ) -> str:
@@ -297,7 +302,7 @@ class MockProvider(Provider):
         if self._queue is not None:
             with self._seq_lock:
                 if not self._queue:
-                    raise ProviderError("mock provider ran out of scripted replies")
+                    raise ProviderError(f"mock provider ran out of scripted replies{_tag_note(request)}")
                 text = self._queue.pop(0)
         elif callable(self._reply):
             text = self._reply(request)
@@ -433,7 +438,7 @@ class ReplayProvider(Provider):
     def _complete(self, request: CompletionRequest) -> CompletionResult:
         fp = self._counter.fingerprint(request)
         if fp not in self._table:
-            raise ReplayMiss(fp, request.tag)
+            raise ReplayMiss(f"no transcript entry for request fingerprint {fp}{_tag_note(request)}")
         return self._table[fp]
 
 
@@ -533,7 +538,9 @@ class LiveProvider(Provider):
             last_error = f"HTTP {status}: {detail}"
             if status != 429 and status < 500:
                 break
-        raise TransportError(f"endpoint failed after {attempt + 1} attempt(s): {last_error}")
+        raise TransportError(
+            f"endpoint failed after {attempt + 1} attempt(s){_tag_note(request)}: {last_error}"
+        )
 
     def _parse(self, request: CompletionRequest, body: bytes, elapsed_ms: float) -> CompletionResult:
         """The reply as a result; a reply that makes none is a TransportError."""
@@ -550,7 +557,7 @@ class LiveProvider(Provider):
             text.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError, a ValueError
             return result
         except (AttributeError, LookupError, TypeError, ValueError) as exc:
-            raise TransportError(f"malformed endpoint response: {exc}") from exc
+            raise TransportError(f"malformed endpoint response{_tag_note(request)}: {exc}") from exc
 
 
 def _env_number(name: str, default: str, kind: type):

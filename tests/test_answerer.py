@@ -12,7 +12,7 @@ from skillpath.answerer import (
     select_for,
 )
 from skillpath.collection import build_collection
-from skillpath.errors import PipelineStageError, SegmentNotInDocument
+from skillpath.errors import ProviderError, SegmentNotInDocument
 from skillpath.examplegen import ConstructionMode, ReasoningStrategy, SimilarExample
 from skillpath.matcher import SelectionMode
 from skillpath.providers import MockProvider, RecordingProvider, TokenUsage, fan_out
@@ -167,9 +167,11 @@ def test_answer_respects_explicit_example_index():
 
 def test_stage_failures_name_their_stage():
     bad_extractor = MockProvider(["nope.", "still nope.", "unused"])
-    with pytest.raises(PipelineStageError) as info:
+    with pytest.raises(SegmentNotInDocument, match="^extraction reply is not made of document sentences"):
         answer("q?", DOC, example_for([S.DEDUCTIVE]), bad_extractor)
-    assert info.value.stage == "extract"
+    # a provider's own error names the tag of the request it failed, and arrives unwrapped
+    with pytest.raises(ProviderError, match=r"^mock provider ran out of scripted replies \(tag 'answer'\)$"):
+        answer("q?", DOC, example_for([S.DEDUCTIVE]), MockProvider(["It stands 330 metres tall."]))
 
 
 @pytest.mark.parametrize("tag", ["segment", "answer"])

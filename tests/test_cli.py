@@ -17,7 +17,7 @@ from skillpath.collection import (
     restore_bundle,
 )
 from skillpath.errors import ProviderError, StorageError
-from skillpath.providers import CompletionResult, RecordingProvider, TokenUsage
+from skillpath.providers import CompletionResult, RecordingProvider, TokenUsage, Transcript
 from skillpath.skills import ReasoningSkill
 
 from conftest import make_example
@@ -61,8 +61,9 @@ def log_line(tokens=10, **changes):
 
 
 def checkpoint_header(count):
-    """The first checkpoint line of a generate run with --count count and no other setting."""
-    return json.dumps({"settings": {"count": count, "delta": 7, "gen_mode": "guided-fill", "seed": None}})
+    """The first checkpoint line of a mock generate run with --count count and no other setting."""
+    return json.dumps({"settings": {"count": count, "delta": 7, "gen_mode": "guided-fill", "provider": "mock",
+                                    "seed": None, "transcript": None}})
 
 
 def checkpoint_line(qid, collection, question=EIFFEL):
@@ -428,7 +429,9 @@ def test_answer_flags_questions_missing_from_bundle(tmp_path, corpus_path, capsy
     code = main(["answer", "--provider", "mock", "--corpus", corpus2,
                  "--collection", bundle_path, "--run-log", run_log])
     assert code == 1
-    assert "q9" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"[answer] question q9: bundle {bundle_path} holds no collection for question 'q9'" in err
+    assert "run log" not in err
     lines = [json.loads(l) for l in Path(run_log).read_text(encoding="utf-8").splitlines() if l.strip()]
     assert [l["question_id"] for l in lines] == ["q1"]
 
@@ -760,6 +763,23 @@ def test_live_bad_usage_counts_fail_the_question(tmp_path, capsys, live_endpoint
     assert len(live_endpoint.received) == 2  # each question stopped at its first request
 
 
+@pytest.mark.parametrize("command, tag", [("generate", "substitution"), ("answer", "segment")])
+def test_a_failed_live_call_names_its_stage(tmp_path, corpus_path, capsys, live_endpoint, command, tag):
+    live_endpoint.script((400, "bad request"))
+    bundle_path = str(tmp_path / "bundle.json")
+    argv = {
+        "generate": ["--collection", bundle_path, "--count", "1"],
+        "answer": ["--collection", bundle_path, "--run-log", str(tmp_path / "run.jsonl")],
+    }
+    if command == "answer":
+        assert main(["generate", "--provider", "mock", "--corpus", corpus_path, *argv["generate"]]) == 0
+    capsys.readouterr()
+    assert main([command, "--provider", "live", "--corpus", corpus_path, *argv[command]]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"[{command}] question q1: endpoint failed after 1 attempt(s) (tag {tag!r}): HTTP 400: bad request"
+    ]
+
+
 @pytest.mark.parametrize("bad_input", ["bundle", "config"])
 def test_input_file_with_invalid_utf8_exits_2(tmp_path, corpus_path, capsys, bad_input):
     bad = tmp_path / "bad.json"
@@ -903,6 +923,39 @@ def test_a_checkpoint_made_with_the_same_settings_resumes(tmp_path, mock_calls):
     assert main(argv) == 1
     assert mock_calls == []
     assert set(restore_bundle(bundle_path)) == {"q1"}
+
+
+@pytest.mark.parametrize("backend", ["live", "replay"])
+def test_a_checkpoint_made_by_another_backend_starts_fresh(tmp_path, live_endpoint, caplog, capsys, backend):
+    corpus = write_corpus(tmp_path / "corpus.jsonl", [eiffel_row("q1"), eiffel_row("q2", question="?!?")])
+    bundle_path = str(tmp_path / "bundle.json")
+    argv = ["generate", "--corpus", corpus, "--collection", bundle_path, "--count", "1"]
+    # q2 fails, so the mock run leaves its checkpoint behind
+    assert main(argv + ["--provider", "mock"]) == 1
+    transcript = tmp_path / "empty.jsonl"
+    Transcript(provider="mock").save(str(transcript))
+    capsys.readouterr()
+    second = {"live": [], "replay": ["--transcript", str(transcript)]}[backend]
+    assert main(argv + ["--provider", backend, *second]) == 1
+    # q1 was asked of the second backend, not taken from the mock's checkpoint
+    assert "resuming" not in caplog.text
+    assert "[generate] question q1: " in capsys.readouterr().err
+    assert bool(live_endpoint.received) == (backend == "live")
+
+
+@pytest.mark.parametrize("model, resumed", [("m", True), ("another", False)])
+def test_a_checkpoint_made_with_another_live_model_starts_fresh(tmp_path, live_endpoint, monkeypatch,
+                                                                model, resumed):
+    corpus = write_corpus(tmp_path / "corpus.jsonl", [eiffel_row("q1"), eiffel_row("q2", question="?!?")])
+    bundle_path = str(tmp_path / "bundle.json")
+    header = json.loads(checkpoint_header(1))
+    header["settings"].update(provider="live", model="m")
+    Path(bundle_path + ".checkpoint.jsonl").write_text(
+        json.dumps(header) + "\n" + checkpoint_line("q1", marker_collection()) + "\n", encoding="utf-8")
+    monkeypatch.setenv("SKILLPATH_MODEL", model)
+    assert main(["generate", "--provider", "live", "--corpus", corpus,
+                 "--collection", bundle_path, "--count", "1"]) == 1
+    assert (live_endpoint.received == []) == resumed
 
 
 @pytest.mark.parametrize("command", ["generate", "answer", "eval"])

@@ -1,4 +1,5 @@
-"""The package runs on the standard library alone, and defines no exception it never raises."""
+"""The package runs on the standard library alone, defines no exception it never raises, and
+tags every request with a stage the mock backend answers."""
 
 from __future__ import annotations
 
@@ -11,15 +12,21 @@ import sys
 
 import pytest
 
+from skillpath import canned
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 MODULES = sorted(glob.glob(os.path.join(SRC, "skillpath", "*.py")))
 
 
+def nodes(path):
+    """Every node of the syntax tree of the module at `path`."""
+    with open(path, encoding="utf-8") as fh:
+        return ast.walk(ast.parse(fh.read(), path))
+
+
 def imported_names(path):
     """The top-level name of every absolute import in the module at `path`."""
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), path)
-    for node in ast.walk(tree):
+    for node in nodes(path):
         if isinstance(node, ast.Import):
             yield from (alias.name.partition(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -78,9 +85,7 @@ def test_only_a_live_provider_loads_the_http_stack(tmp_path, fixtures_dir):
 def test_every_exception_class_is_raised_or_is_the_base_of_one_that_is():
     bases, raised = {}, set()
     for path in MODULES:
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), path)
-        for node in ast.walk(tree):
+        for node in nodes(path):
             if isinstance(node, ast.ClassDef):
                 bases[node.name] = [ast.unparse(base) for base in node.bases]
             elif isinstance(node, ast.Raise) and node.exc is not None:
@@ -99,3 +104,19 @@ def test_every_exception_class_is_raised_or_is_the_base_of_one_that_is():
     covered = raised | {base for name in raised for base in ancestors(name)}
     assert "SkillPathError" in defined
     assert defined - covered == set()
+
+
+def test_every_request_names_a_stage_the_mock_answers():
+    tags = set()
+    for path in MODULES:
+        for node in nodes(path):
+            if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "CompletionRequest"):
+                continue
+            keywords = {keyword.arg: keyword.value for keyword in node.keywords}
+            if None in keywords:
+                continue  # CompletionRequest(**fields) rebuilds a recorded request
+            tag = keywords.get("tag")
+            where = f"{os.path.basename(path)}:{node.lineno}"
+            assert isinstance(tag, ast.Constant) and isinstance(tag.value, str), f"{where} has no literal tag="
+            tags.add(tag.value)
+    assert tags == set(canned._HANDLERS)
