@@ -3,8 +3,10 @@
 For each step of the chosen strategy the provider extracts the document
 sentences most relevant to that step's skill; the focused segments, the
 reasoning path and the worked example then frame one final completion.
-The trace keeps everything downstream evaluation needs, including the full
-completion text and aggregate token usage across every call.
+Each extraction returns the results of its calls, and the trace sums
+them with the final call's: it keeps everything downstream evaluation
+needs, including the full completion text, the token usage and the
+latency of every call.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 from .collection import ExampleCollection
 from .errors import SegmentNotInDocument
-from .examplegen import ReasoningStrategy, SimilarExample
+from .examplegen import SimilarExample
 from .matcher import MatchResult, SelectionMode, select_best
 from .providers import CompletionRequest, CompletionResult, Provider, TokenUsage, fan_out
 from .resources import render_prompt
@@ -34,49 +36,32 @@ class AnswerTrace:
     latency_ms: float
 
 
-class _CallLog:
-    """Forwards to a provider and keeps every result, in call order."""
-
-    def __init__(self, inner: Provider):
-        self.inner = inner
-        self.results: list[CompletionResult] = []
-
-    def complete(self, request: CompletionRequest) -> CompletionResult:
-        result = self.inner.complete(request)
-        self.results.append(result)
-        return result
-
-
 def extract_relevant_segment(
-    passage: Passage,
-    skill: ReasoningSkill,
-    provider: Provider,
-    *,
-    question: str | None = None,
-) -> str:
+    passage: Passage, skill: ReasoningSkill, provider: Provider, *, question: str
+) -> tuple[str, list[CompletionResult]]:
     """Have the provider pick the document sentences serving one skill.
 
     The reply must consist of sentences present in the passage, compared
     casefolded with collapsed whitespace. A reply that fails the check is
-    retried once; failing again raises SegmentNotInDocument. The returned
-    text is the matching passage sentences in the reply's order.
+    retried once; failing again raises SegmentNotInDocument. Returns the
+    matching passage sentences in the reply's order, joined, and the
+    results of the one or two calls made, in call order.
     """
-    question_line = f"\nOriginal question: {question}" if question else ""
     prompt = render_prompt(
         "segment_extraction",
-        question_line=question_line,
+        question_line=f"\nOriginal question: {question}",
         skill_name=skill.display_name,
         skill_description=skill.description,
         document=passage.text,
     )
-    last_reply = ""
+    results = []
     for _ in range(2):
-        last_reply = provider.complete(CompletionRequest(prompt, tag="segment")).text
-        picked = _match_sentences(last_reply, passage.by_key)
+        results.append(provider.complete(CompletionRequest(prompt, tag="segment")))
+        picked = _match_sentences(results[-1].text, passage.by_key)
         if picked is not None:
-            return " ".join(picked)
+            return " ".join(picked), results
     raise SegmentNotInDocument(
-        f"extraction reply is not made of document sentences: {last_reply[:120]!r}"
+        f"extraction reply is not made of document sentences: {results[-1].text[:120]!r}"
     )
 
 
@@ -93,13 +78,9 @@ def _match_sentences(reply: str, by_key: dict[str, str]) -> list[str] | None:
     return picked
 
 
-def format_prompt(
-    question: str,
-    focused_segments: list[str],
-    strategy: ReasoningStrategy,
-    example: SimilarExample,
-) -> str:
-    """Assemble the final guided-answer prompt."""
+def format_prompt(question: str, focused_segments: list[str], example: SimilarExample) -> str:
+    """Assemble the final guided-answer prompt around the example's strategy."""
+    strategy = example.strategy
     path_lines = [
         f"{i + 1}. {subq} ({skill.canonical})"
         for i, (subq, skill) in enumerate(zip(strategy.subquestions, strategy.skills))
@@ -128,20 +109,20 @@ def extract_answer_span(completion: str) -> str:
 def answer(question: str, document: str, example: SimilarExample, provider: Provider) -> AnswerTrace:
     """Run the guided path of one selected example against one document.
 
+    The steps' extractions run in a fan_out; the trace's usage and latency
+    sum every result they return, in step order, and the final call's.
     Errors propagate as raised: a failed extraction is SegmentNotInDocument,
     a bad template a StorageError naming its file, and a ProviderError
     names the tag of the request that failed.
     """
     # split and keyed once here, shared by every step's extraction
     passage = Passage.of(document)
-
-    def extract(skill: ReasoningSkill):
-        calls = _CallLog(provider)
-        return extract_relevant_segment(passage, skill, calls, question=question), calls.results
-
-    steps = fan_out(extract, example.strategy.skills)
+    steps = fan_out(
+        lambda skill: extract_relevant_segment(passage, skill, provider, question=question),
+        example.strategy.skills,
+    )
     segments = [segment for segment, _ in steps]
-    prompt = format_prompt(question, segments, example.strategy, example)
+    prompt = format_prompt(question, segments, example)
     result = provider.complete(CompletionRequest(prompt, tag="answer"))
     completion = result.text
 

@@ -254,6 +254,10 @@ def cmd_generate(config: RunConfig) -> int:
                 for name in ("count", "delta", "gen_mode", "provider", "seed", "transcript")}
     if isinstance(backend, LiveProvider):
         settings["model"] = backend.model
+    if isinstance(backend, ReplayProvider):
+        # the path alone would take a rewritten transcript for the one recorded
+        settings["transcript_created_at"] = backend.transcript.created_at
+        settings["transcript_entries"] = len(backend.transcript.entries)
     done = _load_checkpoint(checkpoint_path, settings, {r.question_id: r.question for r in records})
     if done:
         log.info("resuming: %d question(s) already completed", len(done))
@@ -423,7 +427,8 @@ def cmd_eval(config: RunConfig) -> int:
 
     write_json(config.report, report_doc, "report")
 
-    columns = ["question_id", "rouge_l", "em", "retrace", "hit", "cited", "gold", "tokens", "latency_ms"]
+    # _load_run_log refuses an empty log, so there is a first row
+    columns = list(rows[0])
     table_lines = ["\t".join(columns)]
     for row in rows:
         cells = []

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import SkillPathError, StorageError
 from .examplegen import ConstructionMode, ReasoningStrategy, SimilarExample
-from .resources import read_json, utc_now, write_json
+from .resources import read_json, strings, utc_now, write_json
 from .skills import ReasoningSkill, parse_skill
 
 COLLECTION_VERSION = 1
@@ -52,13 +52,6 @@ def example_to_record(example: SimilarExample) -> dict:
     }
 
 
-def _strings(value) -> tuple[str, ...]:
-    """A stored list of strings; a string or any other value is a ValueError."""
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ValueError(f"expected a list of strings, got {value!r}")
-    return tuple(value)
-
-
 def _count(value) -> int:
     """A stored count; only a JSON integer is one, not a float or a bool."""
     if type(value) is not int:
@@ -68,13 +61,13 @@ def _count(value) -> int:
 
 def example_from_record(doc: dict) -> SimilarExample:
     strategy = ReasoningStrategy(
-        _strings(doc["strategy"]["subquestions"]),
-        tuple(parse_skill(s) for s in _strings(doc["strategy"]["skills"])),
+        strings(doc["strategy"]["subquestions"]),
+        tuple(parse_skill(s) for s in strings(doc["strategy"]["skills"])),
     )
     return SimilarExample(
         question=doc["question"],
         strategy=strategy,
-        reference_docs=_strings(doc["reference_docs"]),
+        reference_docs=strings(doc["reference_docs"]),
         answer=doc["answer"],
         construction_mode=ConstructionMode(doc["construction_mode"]),
     )

@@ -49,6 +49,10 @@ class Placeholder:
     article: str
     slot: str
 
+    def spell(self, value: str) -> str:
+        """value as this slot's fill: after the slot's article, if it has one."""
+        return f"{self.article} {value}" if self.article else value
+
 
 @dataclass
 class QuestionTemplate:
@@ -58,10 +62,7 @@ class QuestionTemplate:
 
     def original_substitutions(self) -> dict[str, str]:
         """Slot values that regenerate the original question."""
-        out: dict[str, str] = {}
-        for p in self.placeholders:
-            out[p.slot] = f"{p.article} {p.entity_text}" if p.article else p.entity_text
-        return out
+        return {p.slot: p.spell(p.entity_text) for p in self.placeholders}
 
 
 # suffix cue words for typing capitalized spans the gazetteer does not know

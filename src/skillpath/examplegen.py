@@ -105,7 +105,7 @@ def generate_candidates(
     count: int,
     provider: Provider | None = None,
     rng: random.Random | None = None,
-    pool: dict[str, list[str]] | None = None,
+    pool: dict[str, tuple[str, ...]] | None = None,
 ) -> list[CandidateQuestion]:
     """Produce up to `count` new questions from a template.
 
@@ -143,7 +143,7 @@ def _random_fill(
     template: QuestionTemplate,
     count: int,
     rng: random.Random,
-    pool: dict[str, list[str]] | None,
+    pool: dict[str, tuple[str, ...]] | None,
 ) -> list[str]:
     pool = pool if pool is not None else load_entity_pool()
     texts = []
@@ -153,7 +153,7 @@ def _random_fill(
             options = [e for e in pool.get(p.entity_type, []) if e != p.entity_text]
             # no alternative of this type in the pool: keep the original
             entity = rng.choice(options) if options else p.entity_text
-            fills[p.slot] = f"{p.article} {entity}" if p.article else entity
+            fills[p.slot] = p.spell(entity)
         texts.append(render_template(template, fills))
     return texts
 
@@ -173,8 +173,7 @@ def _guided_fill(template: QuestionTemplate, count: int, provider: Provider) -> 
         count=str(count),
     )
     reply = provider.complete(CompletionRequest(prompt, tag="substitution")).text
-    slot_names = {p.slot for p in template.placeholders}
-    articles = {p.slot: p.article for p in template.placeholders}
+    slots = {p.slot: p for p in template.placeholders}
     texts = []
     for line in reply.splitlines():
         m = _NUMBERED.match(line)
@@ -187,11 +186,11 @@ def _guided_fill(template: QuestionTemplate, count: int, provider: Provider) -> 
             key, _, value = part.partition("=")
             key = normalize_ws(key)
             value = value.strip()
-            if key in slot_names and value:
+            if key in slots and value:
                 # a value that brings its own article keeps it instead of the slot's
                 own_article = value.split()[0].lower() in ARTICLES
-                fills[key] = f"{articles[key]} {value}" if articles[key] and not own_article else value
-        if set(fills) == slot_names:
+                fills[key] = value if own_article else slots[key].spell(value)
+        if fills.keys() == slots.keys():
             texts.append(render_template(template, fills))
         else:
             log.debug("dropping malformed fill line: %r", line)

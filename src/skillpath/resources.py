@@ -55,10 +55,11 @@ def read_bundled(folder: str, name: str, override_env: str, what: str) -> str:
     return resources.files("skillpath").joinpath(folder, name).read_text(encoding="utf-8")
 
 
-def _names(value) -> list[str]:
-    if not (isinstance(value, list) and all(isinstance(name, str) for name in value)):
-        raise TypeError(f"expected a list of strings, got {value!r}")
-    return list(value)
+def strings(value) -> tuple[str, ...]:
+    """A stored list of strings; a string or any other value is a ValueError."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"expected a list of strings, got {value!r}")
+    return tuple(value)
 
 
 def _load_data(name: str, convert):
@@ -73,17 +74,17 @@ def _load_data(name: str, convert):
 
 
 @lru_cache(maxsize=None)
-def load_entity_pool() -> dict[str, list[str]]:
-    """Entity candidates per type, e.g. {"place": ["Eiffel Tower", ...]}."""
+def load_entity_pool() -> dict[str, tuple[str, ...]]:
+    """Entity candidates per type, e.g. {"place": ("Eiffel Tower", ...)}."""
     return _load_data(
-        "entity_pool.json", lambda doc: {t: _names(names) for t, names in doc["types"].items()}
+        "entity_pool.json", lambda doc: {t: strings(names) for t, names in doc["types"].items()}
     )
 
 
 @lru_cache(maxsize=None)
 def load_repair_cues() -> list[str]:
     """Self-correction cue phrases, lowercase, from the versioned cue file."""
-    return _load_data("repair_cues.json", lambda doc: [c.casefold() for c in _names(doc["cues"])])
+    return _load_data("repair_cues.json", lambda doc: [c.casefold() for c in strings(doc["cues"])])
 
 
 @lru_cache(maxsize=None)

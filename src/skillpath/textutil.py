@@ -11,7 +11,8 @@ Where documents are split:
   documents those ids reference are split, each once;
 - once per question in the answerer, which wraps the joined documents in
   a Passage and reuses its sentence-key index for every strategy step;
-  the index keys come from one casefold of the joined sentences;
+  the index keys come from one casefold of the joined sentences, and the
+  Passage keeps only the text and that index;
 - once per record at citation attribution, through sentence_token_sets,
   which tokenizes all of a document's sentences in one pass.
 
@@ -165,14 +166,13 @@ def sentence_key(text: str) -> str:
 
 @dataclass(frozen=True)
 class Passage:
-    """A document split into sentences once, with its sentence-key index.
+    """A document and its sentence-key index, built from one split.
 
     by_key maps sentence_key(sentence) to the sentence; among sentences
     sharing a key the last one wins.
     """
 
     text: str
-    sentences: tuple[str, ...]
     by_key: dict[str, str] = field(compare=False, repr=False)
 
     @classmethod
@@ -186,12 +186,12 @@ class Passage:
         or whitespace other than a space: only then is every line
         normalized.
         """
-        sentences = tuple(split_sentences(text))
+        sentences = split_sentences(text)
         folded = "\n".join(sentences).casefold()
         keys = folded.split("\n")
         if "  " in folded or any(c in folded for c in _IRREGULAR_WS):
             keys = [normalize_ws(key) for key in keys]
-        return cls(text, sentences, dict(zip(keys, sentences)))
+        return cls(text, dict(zip(keys, sentences)))
 
 
 def squeeze_punct(text: str) -> str:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 import skillpath.answerer as answerer_module
@@ -15,7 +17,14 @@ from skillpath.collection import build_collection
 from skillpath.errors import ProviderError, SegmentNotInDocument
 from skillpath.examplegen import ConstructionMode, ReasoningStrategy, SimilarExample
 from skillpath.matcher import SelectionMode
-from skillpath.providers import MockProvider, RecordingProvider, TokenUsage, fan_out
+from skillpath.providers import (
+    CompletionResult,
+    MockProvider,
+    Provider,
+    RecordingProvider,
+    TokenUsage,
+    fan_out,
+)
 from skillpath.skills import ReasoningSkill
 from skillpath.textutil import Passage
 
@@ -28,15 +37,20 @@ DOC = (
 )
 
 
+def extract(provider):
+    """The segment extract_relevant_segment picks from DOC, and the texts of its calls' results."""
+    segment, results = extract_relevant_segment(Passage.of(DOC), S.DEDUCTIVE, provider, question="How tall?")
+    return segment, [r.text for r in results]
+
+
 def test_extraction_returns_document_sentences_verbatim():
     provider = MockProvider("It stands 330 metres tall.")
-    segment = extract_relevant_segment(Passage.of(DOC), S.DEDUCTIVE, provider)
-    assert segment == "It stands 330 metres tall."
+    assert extract(provider) == ("It stands 330 metres tall.", ["It stands 330 metres tall."])
 
 
 def test_extraction_normalizes_case_and_spacing_back_to_source():
     provider = MockProvider("the  eiffel tower was completed in 1889.")
-    segment = extract_relevant_segment(Passage.of(DOC), S.DEDUCTIVE, provider)
+    segment, _ = extract(provider)
     assert segment == "The Eiffel Tower was completed in 1889."
 
 
@@ -45,7 +59,7 @@ def test_extraction_preserves_reply_order_of_sentences():
         "The Empire State Building was completed in 1931. "
         "The Eiffel Tower was completed in 1889."
     )
-    segment = extract_relevant_segment(Passage.of(DOC), S.DEDUCTIVE, provider)
+    segment, _ = extract(provider)
     assert segment == (
         "The Empire State Building was completed in 1931. "
         "The Eiffel Tower was completed in 1889."
@@ -54,11 +68,13 @@ def test_extraction_preserves_reply_order_of_sentences():
 
 def test_extraction_retries_once_then_fails_loudly():
     provider = MockProvider(["I made this sentence up.", "It stands 330 metres tall."])
-    assert extract_relevant_segment(Passage.of(DOC), S.DEDUCTIVE, provider) == "It stands 330 metres tall."
+    assert extract(provider) == (
+        "It stands 330 metres tall.", ["I made this sentence up.", "It stands 330 metres tall."]
+    )
 
     stubborn = MockProvider(["Invented one.", "Invented two.", "unused"])
-    with pytest.raises(SegmentNotInDocument):
-        extract_relevant_segment(Passage.of(DOC), S.DEDUCTIVE, stubborn)
+    with pytest.raises(SegmentNotInDocument, match="Invented two"):
+        extract(stubborn)
 
 
 def example_for(skills, subquestions=None):
@@ -76,9 +92,7 @@ def example_for(skills, subquestions=None):
 
 def test_prompt_contains_all_guidance_blocks():
     example = example_for([S.DEDUCTIVE, S.ANALOGICAL], ["Find both dates", "Compare them"])
-    prompt = format_prompt(
-        "Which is taller?", ["seg one.", "seg two."], example.strategy, example
-    )
+    prompt = format_prompt("Which is taller?", ["seg one.", "seg two."], example)
     assert "Which is taller?" in prompt
     assert "seg one.\nseg two." in prompt
     assert "1. Find both dates (deductive)" in prompt
@@ -127,6 +141,60 @@ def test_answer_collects_trace_and_usage():
     assert trace.usage.total_tokens > 0
     assert trace.latency_ms >= 0.0
     assert trace.prompt.count("seg") or trace.prompt  # prompt captured verbatim
+
+
+class _OverlappingSteps(Provider):
+    """Two steps' extractions, the deductive one retried, that overlap.
+
+    The deductive step's first call completes only once the inductive
+    step's call has, so the results complete out of step order.
+    """
+
+    REPLY = {("deductive", 1): "I made this sentence up.", ("deductive", 2): "It stands 330 metres tall.",
+             ("inductive", 1): "The Eiffel Tower was completed in 1889.",
+             ("answer", 1): "<answer>330 metres</answer>"}
+    LATENCY = {("deductive", 1): 0.1, ("deductive", 2): 0.2, ("inductive", 1): 0.6, ("answer", 1): 0.4}
+
+    def __init__(self):
+        self.inductive_done = threading.Event()
+        self.lock = threading.Lock()
+        self.attempts = {"deductive": 0, "inductive": 0, "answer": 0}
+        self.results: list[CompletionResult] = []
+
+    def _complete(self, request):
+        if request.tag == "answer":
+            step = "answer"
+        else:
+            step = "deductive" if f"step: {S.DEDUCTIVE.display_name} (" in request.prompt else "inductive"
+        with self.lock:
+            self.attempts[step] += 1
+            call = step, self.attempts[step]
+        if call == ("deductive", 1):
+            assert self.inductive_done.wait(10), "the steps did not overlap"
+        latency = self.LATENCY[call]
+        result = CompletionResult(self.REPLY[call], TokenUsage.of(round(latency * 100), call[1]), latency)
+        with self.lock:
+            self.results.append(result)
+        if step == "inductive":
+            self.inductive_done.set()
+        return result
+
+
+def test_answer_sums_every_call_of_overlapping_steps_in_step_order():
+    provider = _OverlappingSteps()
+    example = example_for([S.DEDUCTIVE, S.INDUCTIVE])
+    (trace,) = fan_out(lambda _: answer("How tall?", DOC, example, provider), [None], 2)
+    assert trace.focused_segments == [
+        "It stands 330 metres tall.",
+        "The Eiffel Tower was completed in 1889.",
+    ]
+    # a retried extraction counts both of its calls
+    assert [r.latency_ms for r in provider.results] == [0.6, 0.1, 0.2, 0.4]
+    assert trace.usage == sum((r.usage for r in provider.results), TokenUsage.zero())
+    # step order, then call order within a step, then the final answer call;
+    # summed in the order the calls completed, the float would differ
+    assert trace.latency_ms == 0.0 + 0.1 + 0.2 + 0.6 + 0.4
+    assert trace.latency_ms != 0.0 + 0.6 + 0.1 + 0.2 + 0.4
 
 
 def test_answer_splits_its_document_once(monkeypatch):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 from pathlib import Path
 
@@ -927,6 +928,7 @@ def test_a_checkpoint_made_with_the_same_settings_resumes(tmp_path, mock_calls):
 
 @pytest.mark.parametrize("backend", ["live", "replay"])
 def test_a_checkpoint_made_by_another_backend_starts_fresh(tmp_path, live_endpoint, caplog, capsys, backend):
+    caplog.set_level(logging.INFO)
     corpus = write_corpus(tmp_path / "corpus.jsonl", [eiffel_row("q1"), eiffel_row("q2", question="?!?")])
     bundle_path = str(tmp_path / "bundle.json")
     argv = ["generate", "--corpus", corpus, "--collection", bundle_path, "--count", "1"]
@@ -956,6 +958,32 @@ def test_a_checkpoint_made_with_another_live_model_starts_fresh(tmp_path, live_e
     assert main(["generate", "--provider", "live", "--corpus", corpus,
                  "--collection", bundle_path, "--count", "1"]) == 1
     assert (live_endpoint.received == []) == resumed
+
+
+def test_a_checkpoint_made_by_replaying_another_transcript_starts_fresh(tmp_path, monkeypatch, caplog):
+    corpus = write_corpus(tmp_path / "corpus.jsonl", [eiffel_row("q1"), eiffel_row("q2", question="?!?")])
+    bundle_path = str(tmp_path / "bundle.json")
+    transcript = tmp_path / "t.jsonl"
+    argv = ["generate", "--corpus", corpus, "--collection", bundle_path, "--count", "1"]
+    recorder = RecordingProvider(CannedProvider())
+    monkeypatch.setattr(cli, "CannedProvider", lambda: recorder)
+    # q2 fails in every run, so each leaves its checkpoint behind
+    assert main(argv + ["--provider", "mock"]) == 1
+    recorder.transcript.save(str(transcript))
+    replay = argv + ["--provider", "replay", "--transcript", str(transcript)]
+    assert main(replay) == 1
+    assert set(restore_bundle(bundle_path)) == {"q1"}
+    caplog.set_level(logging.INFO)
+    assert main(replay) == 1
+    assert "resuming: 1 question(s) already completed" in caplog.text
+
+    # the same path now holds a transcript that cannot reproduce q1
+    Transcript(provider="mock").save(str(transcript))
+    os.remove(bundle_path)
+    caplog.clear()
+    assert main(replay) == 1
+    assert "resuming" not in caplog.text
+    assert not os.path.exists(bundle_path)
 
 
 @pytest.mark.parametrize("command", ["generate", "answer", "eval"])

@@ -70,7 +70,7 @@ def test_data_override_wins_and_a_file_it_lacks_is_read_from_the_package(
         json.dumps({"types": {"place": ["Atlantis"]}}), encoding="utf-8"
     )
     monkeypatch.setenv(resources.DATA_DIR_ENV, str(tmp_path))
-    assert resources.load_entity_pool() == {"place": ["Atlantis"]}
+    assert resources.load_entity_pool() == {"place": ("Atlantis",)}
     bundled = files("skillpath").joinpath("data", "repair_cues.json").read_text(encoding="utf-8")
     assert resources.load_repair_cues() == [c.casefold() for c in json.loads(bundled)["cues"]]
 
