@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass, fields
 from . import answerer, collection as collection_mod, corpus as corpus_mod, examplegen, metrics
 from .canned import CannedProvider
 from .decompose import decompose_question
-from .errors import NoCandidates, SkillPathError, StorageError, UnmatchedQuestionId, ValidationError
+from .errors import NoCandidates, SkillPathError, StorageError, UnmatchedQuestionId
 from .matcher import SelectionMode
 from .providers import (
     CompletionResult,
@@ -54,7 +54,8 @@ from .providers import (
     TokenUsage,
     fan_out,
 )
-from .resources import json_line, parse_jsonl, read_json, read_text, write_json, write_text
+from .resources import (check_writable, json_line, parse_jsonl, read_json, read_keyed, read_text,
+                        write_json, write_text)
 
 log = logging.getLogger(__name__)
 
@@ -103,7 +104,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     valid = {f.name for f in fields(RunConfig)} - {"command"}
 
     env_parallelism = os.environ.get(PARALLELISM_ENV)
-    if env_parallelism:
+    if env_parallelism and args.command != "eval":
         try:
             config.parallelism = int(env_parallelism)
         except ValueError as exc:
@@ -133,8 +134,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _validate_config(config: RunConfig) -> None:
-    if config.provider not in ("live", "mock", "replay"):
-        raise ConfigError(f"unknown provider {config.provider!r}")
     if config.gen_mode not in _GEN_MODES:
         raise ConfigError(f"unknown generation mode {config.gen_mode!r}")
     if config.select_mode not in _SELECT_MODES:
@@ -143,12 +142,16 @@ def _validate_config(config: RunConfig) -> None:
         raise ConfigError(f"delta must lie in [1, 10], got {config.delta}")
     if config.count < 1:
         raise ConfigError("count must be at least 1")
-    if config.parallelism < 1:
-        raise ConfigError("parallelism must be at least 1")
-    if config.select_mode == "random" and config.seed is None:
-        raise ConfigError("selection mode random requires --seed")
-    if config.provider == "replay" and not config.transcript:
-        raise ConfigError("provider replay requires --transcript")
+    # eval makes no provider call, so it reads none of the settings that pick, pace or seed one
+    if config.command != "eval":
+        if config.select_mode == "random" and config.seed is None:
+            raise ConfigError("selection mode random requires --seed")
+        if config.provider not in ("live", "mock", "replay"):
+            raise ConfigError(f"unknown provider {config.provider!r}")
+        if config.parallelism < 1:
+            raise ConfigError("parallelism must be at least 1")
+        if config.provider == "replay" and not config.transcript:
+            raise ConfigError("provider replay requires --transcript")
 
     required = {
         "generate": ("corpus", "collection"),
@@ -320,6 +323,8 @@ def cmd_answer(config: RunConfig) -> int:
     records = corpus_mod.load_records(config.corpus)
     bundle = collection_mod.restore_bundle(config.collection)
     mode = _SELECT_MODES[config.select_mode]
+    # a run log that cannot be written fails the command before its first call
+    check_writable(config.run_log, "run log")
 
     def work(record: corpus_mod.QARecord, provider: Provider) -> dict:
         qid = record.question_id
@@ -354,17 +359,15 @@ def cmd_answer(config: RunConfig) -> int:
 
 # -------------------------------------------------------------------- eval
 
-def _logged_answer(doc) -> metrics.EvalRecord:
+def _logged_answer(doc: dict) -> metrics.EvalRecord:
     """One run-log line as a record whose gold fields eval fills in."""
-    if not isinstance(doc, dict):
-        raise ValueError("line is not a JSON object")
-    qid, answer, completion = [doc.get(key) for key in ("question_id", "answer", "completion")]
+    qid, answer, completion = [doc[key] for key in ("question_id", "answer", "completion")]
     if not all(isinstance(text, str) for text in (qid, answer, completion)):
         raise ValueError("question_id, answer and completion must each be a string")
-    usage = doc.get("usage")
+    usage = doc["usage"]
     if not isinstance(usage, dict):
         raise ValueError("usage must be an object of token counts")
-    counts = [usage.get(key) for key in ("prompt_tokens", "completion_tokens", "total_tokens")]
+    counts = [usage[key] for key in ("prompt_tokens", "completion_tokens", "total_tokens")]
     # the logged completion passes the same checks as a provider's reply
     reply = CompletionResult(completion, TokenUsage(*counts), doc.get("latency_ms", 0.0))
     return metrics.EvalRecord(qid, answer, gold_answers=[], chain_text=completion,
@@ -372,20 +375,8 @@ def _logged_answer(doc) -> metrics.EvalRecord:
 
 
 def _load_run_log(path: str, what: str) -> list[metrics.EvalRecord]:
-    """Every line of a run log, checked.
-
-    A bad or repeated line is an error naming path:line, a log with no
-    lines an error naming its path.
-    """
-    entries: dict[str, metrics.EvalRecord] = {}
-    for line, doc in parse_jsonl(read_text(path, what), path):
-        try:
-            entry = _logged_answer(doc)
-        except ValueError as exc:
-            raise ValidationError(path, line, str(exc)) from exc
-        if entry.question_id in entries:
-            raise ValidationError(path, line, f"repeats question_id {entry.question_id!r}")
-        entries[entry.question_id] = entry
+    """Every line of a run log, checked; a log with no lines is an error naming its path."""
+    entries = read_keyed(parse_jsonl(read_text(path, what), path), path, "question_id", _logged_answer)
     if not entries:
         raise StorageError(f"{what} {path} has no lines")
     return list(entries.values())
@@ -459,14 +450,6 @@ def cmd_eval(config: RunConfig) -> int:
 
 # -------------------------------------------------------------------- main
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file, overridden by explicit flags")
-    parser.add_argument("--provider", choices=["live", "mock", "replay"])
-    parser.add_argument("--transcript", help="transcript file for the replay provider")
-    parser.add_argument("--parallelism", type=int)
-    parser.add_argument("--seed", type=int)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skillpath",
@@ -480,21 +463,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--delta", type=int, help="similarity threshold, 1 to 10")
     p_gen.add_argument("--count", type=int, help="target examples per question")
     p_gen.add_argument("--gen-mode", dest="gen_mode", choices=sorted(_GEN_MODES))
-    _add_common(p_gen)
 
     p_ans = sub.add_parser("answer", help="answer a corpus with guided reasoning paths")
     p_ans.add_argument("--corpus")
     p_ans.add_argument("--collection")
     p_ans.add_argument("--run-log", dest="run_log", help="output trace log path")
     p_ans.add_argument("--select-mode", dest="select_mode", choices=sorted(_SELECT_MODES))
-    _add_common(p_ans)
 
     p_eval = sub.add_parser("eval", help="score a run log against gold records")
     p_eval.add_argument("--corpus")
     p_eval.add_argument("--run-log", dest="run_log")
     p_eval.add_argument("--report", help="output report path")
     p_eval.add_argument("--baseline-log", dest="baseline_log", help="run log to compute token reduction against")
-    _add_common(p_eval)
+
+    for command in (p_gen, p_ans, p_eval):
+        command.add_argument("--config", help="JSON config file, overridden by explicit flags")
+    # eval makes no provider call, so it takes no flag that picks, paces or seeds one
+    for command in (p_gen, p_ans):
+        command.add_argument("--provider", choices=["live", "mock", "replay"])
+        command.add_argument("--transcript", help="transcript file for the replay provider")
+        command.add_argument("--parallelism", type=int)
+        command.add_argument("--seed", type=int)
     return parser
 
 

@@ -124,7 +124,7 @@ def restore_bundle(path: str) -> dict[str, ExampleCollection]:
     """Load a bundle, re-deriving and checking each collection's n and freq_index."""
     doc = read_json(path, "collection bundle")
     version = doc.get("version") if isinstance(doc, dict) else None
-    if version != COLLECTION_VERSION:
+    if type(version) is not int or version != COLLECTION_VERSION:  # true and 1.0 equal 1
         raise StorageError(f"{path}: unsupported collection version {version!r}")
     body = doc.get("collections")
     if not isinstance(body, dict):

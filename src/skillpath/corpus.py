@@ -3,7 +3,8 @@
 One record per line: {question_id, question, documents[], gold_answers[],
 gold_sentence_ids[[d,s],...]}. Gold sentence ids are bounds-checked with
 the shared sentence splitter so they always reference positions that the
-answerer and the evaluator will agree on.
+answerer and the evaluator will agree on. resources.read_keyed reads the
+lines, so a record that fails a check here is an error naming path:line.
 
 Converting a public dataset into this shape is a few lines per source:
 a reading-comprehension file with one passage per question maps its
@@ -16,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ValidationError
-from .resources import json_line, parse_jsonl, read_text, write_text
+from .resources import json_line, parse_jsonl, read_keyed, read_text, write_text
 from .textutil import norm_tokens, split_sentences
 
 
@@ -30,42 +30,35 @@ class QARecord:
     gold_sentence_ids: frozenset[tuple[int, int]] | None = None
 
 
-def _validate_record(doc: dict, path: str, line: int) -> QARecord:
-    for fieldname in ("question_id", "question", "documents", "gold_answers"):
-        if fieldname not in doc:
-            raise ValidationError(path, line, f"missing field {fieldname!r}")
-
-    qid = doc["question_id"]
-    question = doc["question"]
-    documents = doc["documents"]
-    gold_answers = doc["gold_answers"]
-
+def _validate_record(doc: dict) -> QARecord:
+    qid, question = doc["question_id"], doc["question"]
+    documents, gold_answers = doc["documents"], doc["gold_answers"]
     if not isinstance(qid, str) or not qid.strip():
-        raise ValidationError(path, line, "question_id must be a non-empty string")
+        raise ValueError("question_id must be a non-empty string")
     if not isinstance(question, str) or not question.strip():
-        raise ValidationError(path, line, "question must be a non-empty string")
+        raise ValueError("question must be a non-empty string")
     if (
         not isinstance(documents, list)
         or not documents
         or not all(isinstance(d, str) and d.strip() for d in documents)
     ):
-        raise ValidationError(path, line, "documents must be a non-empty list of non-empty strings")
+        raise ValueError("documents must be a non-empty list of non-empty strings")
     if (
         not isinstance(gold_answers, list)
         or not gold_answers
         or not all(isinstance(g, str) for g in gold_answers)
     ):
-        raise ValidationError(path, line, "gold_answers must be a non-empty list of strings")
+        raise ValueError("gold_answers must be a non-empty list of strings")
     for g in gold_answers:
         if not norm_tokens(g):
             # eval scores ROUGE-L against each gold answer, which needs a word
-            raise ValidationError(path, line, f"gold answer {g!r} has no word tokens")
+            raise ValueError(f"gold answer {g!r} has no word tokens")
 
     ids = None
     if doc.get("gold_sentence_ids") is not None:
         raw = doc["gold_sentence_ids"]
         if not isinstance(raw, list):
-            raise ValidationError(path, line, "gold_sentence_ids must be a list of [d, s] pairs")
+            raise ValueError("gold_sentence_ids must be a list of [d, s] pairs")
         # only the documents a pair names are split, each at most once
         sentence_counts: dict[int, int] = {}
         pairs = set()
@@ -75,19 +68,15 @@ def _validate_record(doc: dict, path: str, line: int) -> QARecord:
                 or len(pair) != 2
                 or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
             ):
-                raise ValidationError(path, line, f"gold_sentence_ids entry {pair!r} is not an [int, int] pair")
+                raise ValueError(f"gold_sentence_ids entry {pair!r} is not an [int, int] pair")
             d, s = pair
             if not 0 <= d < len(documents):
-                raise ValidationError(
-                    path, line, f"gold_sentence_ids references document {d} of {len(documents)}"
-                )
+                raise ValueError(f"gold_sentence_ids references document {d} of {len(documents)}")
             if d not in sentence_counts:
                 sentence_counts[d] = len(split_sentences(documents[d]))
             if not 0 <= s < sentence_counts[d]:
-                raise ValidationError(
-                    path,
-                    line,
-                    f"gold_sentence_ids references sentence {s} of {sentence_counts[d]} in document {d}",
+                raise ValueError(
+                    f"gold_sentence_ids references sentence {s} of {sentence_counts[d]} in document {d}"
                 )
             pairs.add((d, s))
         ids = frozenset(pairs)
@@ -103,17 +92,8 @@ def _validate_record(doc: dict, path: str, line: int) -> QARecord:
 
 def load_records(path: str) -> list[QARecord]:
     """Read and validate a line-delimited corpus file, order preserved."""
-    records: list[QARecord] = []
-    seen: set[str] = set()
-    for i, doc in parse_jsonl(read_text(path, "corpus"), path):
-        if not isinstance(doc, dict):
-            raise ValidationError(path, i, "record is not a JSON object")
-        record = _validate_record(doc, path, i)
-        if record.question_id in seen:
-            raise ValidationError(path, i, f"duplicate question_id {record.question_id!r}")
-        seen.add(record.question_id)
-        records.append(record)
-    return records
+    lines = parse_jsonl(read_text(path, "corpus"), path)
+    return list(read_keyed(lines, path, "question_id", _validate_record).values())
 
 
 def record_to_json(record: QARecord) -> str:

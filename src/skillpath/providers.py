@@ -28,8 +28,8 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
-from .errors import ProviderError, ReplayMiss, StorageError, TransportError, ValidationError
-from .resources import json_line, parse_jsonl, read_text, utc_now, write_text
+from .errors import ProviderError, ReplayMiss, StorageError, TransportError
+from .resources import json_line, parse_jsonl, read_keyed, read_text, utc_now, write_text
 from .textutil import count_ws_tokens
 
 DEFAULT_MAX_OUTPUT_TOKENS = 4096
@@ -340,10 +340,11 @@ class Transcript:
 
     @classmethod
     def load(cls, path: str) -> Transcript:
-        """Read a saved transcript; a bad entry is an error naming path:line.
+        """Read a saved transcript; resources.read_keyed judges its entry lines.
 
-        A header whose entry count differs from the entries that follow
-        is a StorageError: the file was cut short or edited. So is a
+        A header of another version, or whose entry count differs from the
+        entries that follow (the file was cut short or edited), is a
+        StorageError; only a JSON integer is a version or a count. So is a
         header whose provider or created_at is there but not a string.
         """
         lines = parse_jsonl(read_text(path, "transcript"), path)
@@ -351,42 +352,29 @@ class Transcript:
         if not isinstance(header, dict):
             raise StorageError(f"transcript {path} has no header line")
         version = header.get("version")
-        if version != TRANSCRIPT_VERSION:
+        if type(version) is not int or version != TRANSCRIPT_VERSION:
             raise StorageError(f"transcript {path} has version {version!r}, not {TRANSCRIPT_VERSION}")
         provider, created_at = header.get("provider", ""), header.get("created_at", "")
         if not (isinstance(provider, str) and isinstance(created_at, str)):
             raise StorageError(f"transcript {path} header's provider and created_at must be strings,"
                                f" got {provider!r} and {created_at!r}")
-        entries = []
-        seen: set[str] = set()
-        for line, doc in lines:
-            try:
-                fp = doc["fingerprint"]
-                if not isinstance(fp, str):
-                    raise ValueError(f"fingerprint must be a string, got {fp!r}")
-                if fp in seen:
-                    raise ValidationError(path, line, f"repeats fingerprint {fp}")
-                seen.add(fp)
-                res = doc["result"]
-                entries.append(
-                    TranscriptEntry(
-                        fingerprint=fp,
-                        request=CompletionRequest(**doc["request"]),
-                        result=CompletionResult(
-                            text=res["text"],
-                            usage=TokenUsage(**res["usage"]),
-                            latency_ms=res.get("latency_ms", 0.0),
-                        ),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(path, line, f"malformed transcript entry: {exc}") from exc
+        entries = list(read_keyed(lines, path, "fingerprint", _entry).values())
         counted = header.get("entries")
-        if counted != len(entries):
+        if type(counted) is not int or counted != len(entries):
             raise StorageError(
                 f"transcript {path} header counts {counted!r} entries, but {len(entries)} follow"
             )
         return cls(entries=entries, provider=provider, created_at=created_at)
+
+
+def _entry(doc: dict) -> TranscriptEntry:
+    """A transcript entry line, its fields checked as a live reply's are."""
+    if not isinstance(doc["fingerprint"], str):
+        raise ValueError(f"fingerprint must be a string, got {doc['fingerprint']!r}")
+    result = doc["result"]
+    usage = TokenUsage(**result["usage"])
+    return TranscriptEntry(doc["fingerprint"], CompletionRequest(**doc["request"]),
+                           CompletionResult(result["text"], usage, result.get("latency_ms", 0.0)))
 
 
 class RecordingProvider(Provider):

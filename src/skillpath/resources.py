@@ -12,7 +12,8 @@ Every input file is opened and decoded by read_text, whose text read_json
 and parse_jsonl parse, and every whole-file write goes through write_text: an
 OS or decoding failure becomes a StorageError in one place, invalid JSON
 or a string holding a lone surrogate a ValidationError naming path:line, and
-every whole-file output is replaced atomically.
+every whole-file output is replaced atomically. read_keyed judges the lines
+of the corpus, run logs and transcripts by one contract.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import re
 import string
 import threading
 import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
 from importlib import resources
 
@@ -117,7 +118,7 @@ def write_text(path: str, text: str, what: str) -> None:
     part-way leaves the previous file as it was. The temporary name is
     unique per process and thread, and a failed write removes it.
     """
-    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    tmp = _temporary(path)
     try:
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
@@ -129,6 +130,21 @@ def write_text(path: str, text: str, what: str) -> None:
             raise
     except OSError as exc:
         raise StorageError(f"cannot write {what} {path}: {exc}") from exc
+
+
+def check_writable(path: str, what: str) -> None:
+    """Make and remove write_text's temporary file for path, so a path it cannot write fails now."""
+    tmp = _temporary(path)
+    try:
+        open(tmp, "w").close()
+        os.remove(tmp)
+    except OSError as exc:
+        raise StorageError(f"cannot write {what} {path}: {exc}") from exc
+
+
+def _temporary(path: str) -> str:
+    """The temporary file next to path, unique per process and thread."""
+    return f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
 
 
 def write_json(path: str, doc: dict, what: str) -> None:
@@ -167,6 +183,30 @@ def parse_jsonl(text: str, path: str) -> Iterator[tuple[int, object]]:
             raise ValidationError(path, i, f"invalid JSON: {exc}") from exc
         _refuse_lone_surrogates(line, path, i)
         yield i, doc
+
+
+def read_keyed(lines: Iterable[tuple[int, object]], path: str, key: str, convert: Callable) -> dict:
+    """{doc[key]: convert(doc)} for the (line number, doc) pairs of parse_jsonl, in line order.
+
+    convert checks a line's object, its key field too, and builds its value.
+    A line is a ValidationError naming path:line if it is not a JSON object,
+    if convert raises KeyError (a missing field) or another LookupError,
+    TypeError or ValueError (its text), or if it repeats an earlier key.
+    """
+    values = {}
+    for line, doc in lines:
+        try:
+            if not isinstance(doc, dict):
+                raise ValueError("line is not a JSON object")
+            value = convert(doc)
+            if doc[key] in values:
+                raise ValueError(f"repeats {key} {doc[key]!r}")
+        except KeyError as exc:
+            raise ValidationError(path, line, f"missing field {exc}") from exc
+        except (LookupError, TypeError, ValueError) as exc:
+            raise ValidationError(path, line, str(exc)) from exc
+        values[doc[key]] = value
+    return values
 
 
 def _refuse_lone_surrogates(text: str, path: str, first_line: int = 1) -> None:

@@ -380,8 +380,10 @@ def test_a_faulty_prompt_template_override_fails_every_question(tmp_path, monkey
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("header", [{"version": 1}, {"version": 2}, {"version": 3}, {"version": 99}, {}],
-                         ids=["version-1", "version-2", "version-3", "version-99", "no-version"])
+# 4.0 equals 4 in Python, but it is not the JSON integer a version is
+@pytest.mark.parametrize("header", [{"version": 1}, {"version": 2}, {"version": 3}, {"version": 99}, {},
+                                    {"version": 4.0}],
+                         ids=["version-1", "version-2", "version-3", "version-99", "no-version", "version-float"])
 def test_replay_of_a_transcript_of_another_version_exits_2_before_any_call(
     tmp_path, corpus_path, capsys, header
 ):
@@ -867,6 +869,25 @@ def test_eval_rejects_a_repeated_run_log_line(tmp_path, corpus_path, capsys, log
     assert f"{logs[log]}:2:" in err and "'q1'" in err
 
 
+# eval makes no provider call, so a shared config's provider settings pass it unread
+@pytest.mark.parametrize("config, env", [({"provider": "replay"}, {}), ({}, {"SKILLPATH_PARALLELISM": "0"})],
+                         ids=["replay-without-transcript", "parallelism-zero"])
+def test_eval_ignores_the_settings_of_provider_calls(tmp_path, corpus_path, monkeypatch, config, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    run_log = write_corpus(tmp_path / "run.jsonl", [log_line()])
+    assert main(["eval", "--config", str(config_path), "--corpus", corpus_path, "--run-log", run_log,
+                 "--report", str(tmp_path / "report.json")]) == 0
+
+
+@pytest.mark.parametrize("flag", ["--provider=mock", "--transcript=t.jsonl", "--parallelism=2", "--seed=1"])
+def test_eval_takes_no_flag_of_provider_calls(flag):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["eval", flag])
+
+
 def test_random_selection_is_seeded_per_question(tmp_path):
     qids = [f"q{i}" for i in range(20)]
     corpus = write_corpus(tmp_path / "corpus.jsonl", [eiffel_row(qid) for qid in qids])
@@ -1010,6 +1031,15 @@ def test_generate_into_a_missing_directory_exits_2_before_any_call(tmp_path, cor
                  "--collection", str(tmp_path / "missing" / "bundle.json"), "--count", "1"])
     assert code == 2
     assert "cannot write checkpoint" in capsys.readouterr().err
+    assert mock_calls == []
+
+
+def test_answer_into_a_missing_directory_exits_2_before_any_call(tmp_path, fixtures_dir, mock_calls, capsys):
+    code = main(["answer", "--provider", "mock", "--corpus", f"{fixtures_dir}/corpus.jsonl",
+                 "--collection", f"{fixtures_dir}/collection.json",
+                 "--run-log", str(tmp_path / "missing" / "run.jsonl")])
+    assert code == 2
+    assert "cannot write run log" in capsys.readouterr().err
     assert mock_calls == []
 
 

@@ -101,6 +101,16 @@ def test_restore_rejects_unknown_version(tmp_path):
         restore_bundle(str(path))
 
 
+# true and 1.0 equal 1 in Python, but neither is the JSON integer a version is
+@pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+def test_restore_rejects_a_version_that_is_not_a_json_integer(tmp_path, version):
+    path, body = bundle_doc(tmp_path, build_collection([make_example([ReasoningSkill.DEDUCTIVE])]))
+    body["version"] = version
+    path.write_text(json.dumps(body), encoding="utf-8")
+    with pytest.raises(StorageError, match=f"unsupported collection version {version!r}$"):
+        restore_bundle(str(path))
+
+
 def test_restore_rejects_malformed_json(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{oops", encoding="utf-8")

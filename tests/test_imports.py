@@ -1,5 +1,5 @@
-"""The package runs on the standard library alone, defines no exception it never raises, and
-tags every request with a stage the mock backend answers."""
+"""The package runs on the standard library alone, defines no exception it never raises, judges
+every input line in one module, and tags every request with a stage the mock backend answers."""
 
 from __future__ import annotations
 
@@ -104,6 +104,14 @@ def test_every_exception_class_is_raised_or_is_the_base_of_one_that_is():
     covered = raised | {base for name in raised for base in ancestors(name)}
     assert "SkillPathError" in defined
     assert defined - covered == set()
+
+
+def test_only_resources_constructs_a_validation_error():
+    # one module judges every input line, so every path:line error reads alike
+    constructed = {f"{os.path.basename(path)}:{node.lineno}" for path in MODULES for node in nodes(path)
+                   if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("ValidationError")}
+    assert any(where.startswith("resources.py:") for where in constructed)
+    assert {where for where in constructed if not where.startswith("resources.py:")} == set()
 
 
 def test_every_request_names_a_stage_the_mock_answers():

@@ -157,6 +157,18 @@ def test_transcript_load_rejects_duplicate_fingerprints(tmp_path):
         Transcript.load(str(path))
 
 
+# true and 1.0 equal 1 in Python, but neither is the JSON integer an entry count is
+@pytest.mark.parametrize("entries", [True, 1.0], ids=["true", "float"])
+def test_transcript_entry_count_must_be_a_json_integer(tmp_path, entries):
+    path = tmp_path / "t.jsonl"
+    record(MockProvider("x"), [CompletionRequest("p")]).save(str(path))
+    header, entry = path.read_text(encoding="utf-8").splitlines()
+    path.write_text(json.dumps({**json.loads(header), "entries": entries}) + "\n" + entry + "\n",
+                    encoding="utf-8")
+    with pytest.raises(StorageError, match=f"counts {entries!r} entries, but 1 follow"):
+        Transcript.load(str(path))
+
+
 def test_live_requires_endpoint_configuration(monkeypatch):
     monkeypatch.delenv("SKILLPATH_API_BASE", raising=False)
     monkeypatch.delenv("SKILLPATH_MODEL", raising=False)

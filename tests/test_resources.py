@@ -4,14 +4,17 @@ import builtins
 import errno
 import json
 import os
+import re
 import string
 from importlib.resources import files
 
 import pytest
 
 import skillpath.resources as resources
+from skillpath import cli, corpus
 from skillpath.errors import StorageError, ValidationError
-from skillpath.resources import parse_jsonl, read_json, write_text
+from skillpath.providers import TRANSCRIPT_VERSION, Transcript
+from skillpath.resources import check_writable, parse_jsonl, read_json, write_text
 
 
 class _DiskFullAfterHalf:
@@ -61,6 +64,16 @@ def test_write_into_missing_directory_raises_storage_error(tmp_path):
     with pytest.raises(StorageError):
         write_text(str(tmp_path / "absent" / "out.json"), "x", "run log")
     assert os.listdir(tmp_path) == []
+
+
+def test_a_writable_check_leaves_the_target_and_no_temporary_file(tmp_path):
+    target = tmp_path / "run.jsonl"
+    target.write_text("kept\n", encoding="utf-8")
+    check_writable(str(target), "run log")
+    assert os.listdir(tmp_path) == ["run.jsonl"]
+    assert target.read_text(encoding="utf-8") == "kept\n"
+    with pytest.raises(StorageError, match="^cannot write run log "):
+        check_writable(str(tmp_path / "missing" / "run.jsonl"), "run log")
 
 
 def test_data_override_wins_and_a_file_it_lacks_is_read_from_the_package(
@@ -166,3 +179,43 @@ def test_a_json_document_with_a_lone_surrogate_is_a_parse_error_naming_its_line(
     with pytest.raises(ValidationError, match="lone surrogate") as raised:
         read_json(str(path), "bundle")
     assert (raised.value.path, raised.value.line) == (str(path), 5)
+
+
+USAGE = {"prompt_tokens": 1, "completion_tokens": 1, "total_tokens": 2}
+
+# every line-delimited reader: (load the file at a path, the key its lines are unique by, a field
+# a line needs, the lines before the keyed ones, a valid line with a given key)
+READERS = {
+    "corpus": (corpus.load_records, "question_id", "question", [],
+               lambda key: {"question_id": key, "question": "Who?", "documents": ["A sentence."],
+                            "gold_answers": ["A"]}),
+    "run-log": (lambda path: cli._load_run_log(path, "run log"), "question_id", "answer", [],
+                lambda key: {"question_id": key, "answer": "A", "completion": "A", "usage": USAGE}),
+    "baseline-log": (cli._baseline_token_mean, "question_id", "completion", [],
+                     lambda key: {"question_id": key, "answer": "A", "completion": "A", "usage": USAGE}),
+    "transcript": (Transcript.load, "fingerprint", "result", [{"version": TRANSCRIPT_VERSION, "entries": 2}],
+                   lambda key: {"fingerprint": key, "request": {"prompt": "p"},
+                                "result": {"text": "t", "usage": USAGE}}),
+}
+
+
+@pytest.mark.parametrize("fault", ["not-an-object", "missing-field", "repeated-key", "invalid-json"])
+@pytest.mark.parametrize("reader", READERS)
+def test_every_line_reader_words_a_bad_line_alike_and_names_its_line(tmp_path, reader, fault):
+    load, key, field, head, line = READERS[reader]
+    # the bad line follows a valid one keyed "k1"
+    bad, message = {
+        "not-an-object": ("[1, 2]", "line is not a JSON object"),
+        "missing-field": (json.dumps({k: v for k, v in line("k2").items() if k != field}),
+                          f"missing field {field!r}"),
+        "repeated-key": (json.dumps(line("k1")), f"repeats {key} 'k1'"),
+        "invalid-json": ("{oops", "invalid JSON: "),
+    }[fault]
+    path = tmp_path / "input.jsonl"
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in [*head, line("k1")]) + bad + "\n",
+                    encoding="utf-8")
+    number = len(head) + 2
+    where = re.escape(f"{path}:{number}: {message}")
+    with pytest.raises(ValidationError, match=f"^{where}") as raised:
+        load(str(path))
+    assert raised.value.line == number
