@@ -1,9 +1,11 @@
 """Batch front end: generate collections, answer corpora, evaluate runs.
 
-Configuration resolves in three layers, flags over config file over
-environment, and the resolved snapshot is written next to every output so
-a run can be reproduced from its artifacts alone. Each command reads all
-of its input files before its first provider call.
+COMMANDS says which settings each command reads and takes flags for; a
+shared config file's other known keys are type-checked, then ignored.
+Flags beat a config file, which beats the environment, and the snapshot
+next to every output lists exactly the settings read, as a valid
+--config file, so a run can be reproduced from its artifacts alone.
+Each command reads all of its input files before its first provider call.
 
 --parallelism N bounds the provider calls in flight, and _run_questions
 is the one place that turns it into execution: it runs the questions
@@ -38,7 +40,7 @@ import random
 import sys
 import threading
 import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 from . import answerer, collection as collection_mod, corpus as corpus_mod, examplegen, metrics
 from .canned import CannedProvider
@@ -61,9 +63,10 @@ log = logging.getLogger(__name__)
 
 PARALLELISM_ENV = "SKILLPATH_PARALLELISM"
 
-# flag value -> mode; a construction mode's flag spells its value with dashes
-_GEN_MODES = {mode.value.replace("_", "-"): mode for mode in examplegen.ConstructionMode}
-_SELECT_MODES = {mode.value: mode for mode in SelectionMode}
+# setting -> the values it takes; a construction mode is spelled with dashes
+_CHOICES = {"gen_mode": tuple(sorted(mode.value.replace("_", "-") for mode in examplegen.ConstructionMode)),
+            "select_mode": tuple(sorted(mode.value for mode in SelectionMode)),
+            "provider": ("live", "mock", "replay")}
 # candidates requested per question before filtering trims to --count
 _OVERGENERATION = 2
 
@@ -85,14 +88,14 @@ class RunConfig:
     seed: int | None = None
     parallelism: int = 1
 
-    def snapshot(self) -> dict:
-        return {"command": self.command, "config": asdict(self)}
+    def settings(self) -> dict:
+        """The settings its command reads, by name."""
+        return {name: getattr(self, name) for name in COMMANDS[self.command].settings}
 
 
-# field name -> the value types a config file may give it
-_FIELD_TYPES = {
-    name: typing.get_args(hint) or (hint,) for name, hint in typing.get_type_hints(RunConfig).items()
-}
+# setting -> the value types a config file may give it
+_FIELD_TYPES = {name: typing.get_args(hint) or (hint,)
+                for name, hint in typing.get_type_hints(RunConfig).items() if name != "command"}
 
 
 class ConfigError(SkillPathError):
@@ -101,65 +104,56 @@ class ConfigError(SkillPathError):
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(command=args.command)
-    valid = {f.name for f in fields(RunConfig)} - {"command"}
+    reads = COMMANDS[args.command].settings
 
     env_parallelism = os.environ.get(PARALLELISM_ENV)
-    if env_parallelism and args.command != "eval":
+    if env_parallelism and "parallelism" in reads:
         try:
             config.parallelism = int(env_parallelism)
         except ValueError as exc:
             raise ConfigError(f"{PARALLELISM_ENV} must be an integer") from exc
 
-    config_path = getattr(args, "config", None)
-    if config_path:
-        doc = read_json(config_path, "config file")
+    if args.config:
+        doc = read_json(args.config, "config file")
         if not isinstance(doc, dict):
-            raise ConfigError(f"config file {config_path} must hold a JSON object")
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
         for key, value in doc.items():
             attr = key.replace("-", "_")
-            if attr not in valid:
-                raise ConfigError(f"config file {config_path}: unknown setting {key!r}")
+            if attr not in _FIELD_TYPES:
+                raise ConfigError(f"config file {args.config}: unknown setting {key!r}")
             expected = _FIELD_TYPES[attr]
             if not isinstance(value, expected) or (isinstance(value, bool) and bool not in expected):
-                raise ConfigError(f"config file {config_path}: {key} has the wrong type: {value!r}")
-            setattr(config, attr, value)
+                raise ConfigError(f"config file {args.config}: {key} has the wrong type: {value!r}")
+            # a shared file's settings that this command does not read keep their defaults
+            if attr in reads:
+                setattr(config, attr, value)
 
-    for f in fields(RunConfig):
-        flag_value = getattr(args, f.name, None)
+    for name in reads:
+        flag_value = getattr(args, name)
         if flag_value is not None:
-            setattr(config, f.name, flag_value)
+            setattr(config, name, flag_value)
 
     _validate_config(config)
     return config
 
 
 def _validate_config(config: RunConfig) -> None:
-    if config.gen_mode not in _GEN_MODES:
-        raise ConfigError(f"unknown generation mode {config.gen_mode!r}")
-    if config.select_mode not in _SELECT_MODES:
-        raise ConfigError(f"unknown selection mode {config.select_mode!r}")
+    """Checks that every default passes, so a setting the command does not read never fails it."""
+    for name, choices in _CHOICES.items():
+        if getattr(config, name) not in choices:
+            raise ConfigError(f"unknown {name.replace('_', ' ')} {getattr(config, name)!r}")
     if not 1 <= config.delta <= 10:
         raise ConfigError(f"delta must lie in [1, 10], got {config.delta}")
     if config.count < 1:
         raise ConfigError("count must be at least 1")
-    # eval makes no provider call, so it reads none of the settings that pick, pace or seed one
-    if config.command != "eval":
-        if config.select_mode == "random" and config.seed is None:
-            raise ConfigError("selection mode random requires --seed")
-        if config.provider not in ("live", "mock", "replay"):
-            raise ConfigError(f"unknown provider {config.provider!r}")
-        if config.parallelism < 1:
-            raise ConfigError("parallelism must be at least 1")
-        if config.provider == "replay" and not config.transcript:
-            raise ConfigError("provider replay requires --transcript")
-
-    required = {
-        "generate": ("corpus", "collection"),
-        "answer": ("corpus", "collection", "run_log"),
-        "eval": ("corpus", "run_log", "report"),
-    }[config.command]
-    for name in required:
-        if not getattr(config, name):
+    if config.select_mode == "random" and config.seed is None:
+        raise ConfigError("selection mode random requires --seed")
+    if config.parallelism < 1:
+        raise ConfigError("parallelism must be at least 1")
+    if config.provider == "replay" and not config.transcript:
+        raise ConfigError("provider replay requires --transcript")
+    for name in _REQUIRED:
+        if name in COMMANDS[config.command].settings and not getattr(config, name):
             raise ConfigError(f"--{name.replace('_', '-')} is required for {config.command}")
 
 
@@ -172,7 +166,8 @@ def _build_provider(config: RunConfig) -> Provider:
 
 
 def _write_snapshot(config: RunConfig, output_path: str) -> None:
-    write_json(output_path + ".config.json", config.snapshot(), "config snapshot")
+    write_json(output_path + ".config.json", {"command": config.command, "config": config.settings()},
+               "config snapshot")
 
 
 def _run_questions(
@@ -249,12 +244,12 @@ def _load_checkpoint(
 def cmd_generate(config: RunConfig) -> int:
     records = corpus_mod.load_records(config.corpus)
     backend = _build_provider(config)
-    mode = _GEN_MODES[config.gen_mode]
+    mode = examplegen.ConstructionMode(config.gen_mode.replace("-", "_"))
 
     checkpoint_path = config.collection + ".checkpoint.jsonl"
-    # a checkpoint made with other settings or another backend than these is stale
-    settings = {name: getattr(config, name)
-                for name in ("count", "delta", "gen_mode", "provider", "seed", "transcript")}
+    # a checkpoint made with other settings or another backend is stale; parallelism changes no output
+    settings = {name: value for name, value in config.settings().items()
+                if name not in ("corpus", "collection", "parallelism")}
     if isinstance(backend, LiveProvider):
         settings["model"] = backend.model
     if isinstance(backend, ReplayProvider):
@@ -322,7 +317,7 @@ def cmd_generate(config: RunConfig) -> int:
 def cmd_answer(config: RunConfig) -> int:
     records = corpus_mod.load_records(config.corpus)
     bundle = collection_mod.restore_bundle(config.collection)
-    mode = _SELECT_MODES[config.select_mode]
+    mode = SelectionMode(config.select_mode)
     # a run log that cannot be written fails the command before its first call
     check_writable(config.run_log, "run log")
 
@@ -450,51 +445,53 @@ def cmd_eval(config: RunConfig) -> int:
 
 # -------------------------------------------------------------------- main
 
+class Command(typing.NamedTuple):
+    run: typing.Callable[[RunConfig], int]
+    help: str
+    settings: tuple[str, ...]  # the settings it reads, and the only flags it takes besides --config
+
+
+# the settings that pick, pace and seed a provider; eval makes no provider call
+_PROVIDER_SETTINGS = ("provider", "transcript", "parallelism", "seed")
+
+COMMANDS = {
+    "generate": Command(cmd_generate, "synthesize a per-question example collection",
+                        ("corpus", "collection", "delta", "count", "gen_mode", *_PROVIDER_SETTINGS)),
+    "answer": Command(cmd_answer, "answer a corpus with guided reasoning paths",
+                      ("corpus", "collection", "run_log", "select_mode", *_PROVIDER_SETTINGS)),
+    "eval": Command(cmd_eval, "score a run log against gold records",
+                    ("corpus", "run_log", "report", "baseline_log")),
+}
+
+_REQUIRED = ("corpus", "collection", "run_log", "report")  # a command that reads one of these needs it
+# setting -> the help of its flag
+_HELP = {"delta": "similarity threshold, 1 to 10", "count": "target examples per question",
+         "report": "output report path", "baseline_log": "run log to compute token reduction against",
+         "transcript": "transcript file for the replay provider"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skillpath",
         description="Generate reasoning-path collections, answer questions with them, evaluate runs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("generate", help="synthesize a per-question example collection")
-    p_gen.add_argument("--corpus")
-    p_gen.add_argument("--collection", help="output collection bundle path")
-    p_gen.add_argument("--delta", type=int, help="similarity threshold, 1 to 10")
-    p_gen.add_argument("--count", type=int, help="target examples per question")
-    p_gen.add_argument("--gen-mode", dest="gen_mode", choices=sorted(_GEN_MODES))
-
-    p_ans = sub.add_parser("answer", help="answer a corpus with guided reasoning paths")
-    p_ans.add_argument("--corpus")
-    p_ans.add_argument("--collection")
-    p_ans.add_argument("--run-log", dest="run_log", help="output trace log path")
-    p_ans.add_argument("--select-mode", dest="select_mode", choices=sorted(_SELECT_MODES))
-
-    p_eval = sub.add_parser("eval", help="score a run log against gold records")
-    p_eval.add_argument("--corpus")
-    p_eval.add_argument("--run-log", dest="run_log")
-    p_eval.add_argument("--report", help="output report path")
-    p_eval.add_argument("--baseline-log", dest="baseline_log", help="run log to compute token reduction against")
-
-    for command in (p_gen, p_ans, p_eval):
-        command.add_argument("--config", help="JSON config file, overridden by explicit flags")
-    # eval makes no provider call, so it takes no flag that picks, paces or seeds one
-    for command in (p_gen, p_ans):
-        command.add_argument("--provider", choices=["live", "mock", "replay"])
-        command.add_argument("--transcript", help="transcript file for the replay provider")
-        command.add_argument("--parallelism", type=int)
-        command.add_argument("--seed", type=int)
+    for name, command in COMMANDS.items():
+        flags = sub.add_parser(name, help=command.help)
+        for setting in command.settings:
+            kind = int if int in _FIELD_TYPES[setting] else None
+            flags.add_argument("--" + setting.replace("_", "-"), type=kind, choices=_CHOICES.get(setting),
+                               help=_HELP.get(setting))
+        flags.add_argument("--config", help="JSON config file, overridden by explicit flags")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = _resolve_config(args)
-        command = {"generate": cmd_generate, "answer": cmd_answer, "eval": cmd_eval}[config.command]
-        return command(config)
+        return COMMANDS[config.command].run(config)
     except SkillPathError as exc:
         print(f"[{args.command}] {exc}", file=sys.stderr)
         return 2

@@ -35,6 +35,8 @@ def _validate_record(doc: dict) -> QARecord:
     documents, gold_answers = doc["documents"], doc["gold_answers"]
     if not isinstance(qid, str) or not qid.strip():
         raise ValueError("question_id must be a non-empty string")
+    if not qid.isprintable():  # it is a cell of eval's record table and part of a one-line message
+        raise ValueError(f"question_id {qid!r} must be printable")
     if not isinstance(question, str) or not question.strip():
         raise ValueError("question must be a non-empty string")
     if (

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -1060,3 +1061,82 @@ def test_a_lone_surrogate_in_the_corpus_exits_2_before_any_call(tmp_path, mock_c
     assert main([command, "--corpus", corpus, *argv]) == 2
     assert f"{corpus}:2:" in capsys.readouterr().err
     assert mock_calls == []
+
+
+# the flags each command takes besides --config and --help
+COMMAND_FLAGS = {
+    "generate": {"--corpus", "--collection", "--delta", "--count", "--gen-mode",
+                 "--provider", "--transcript", "--parallelism", "--seed"},
+    "answer": {"--corpus", "--collection", "--run-log", "--select-mode",
+               "--provider", "--transcript", "--parallelism", "--seed"},
+    "eval": {"--corpus", "--run-log", "--report", "--baseline-log"},
+}
+
+
+def runnable_argv(tmp_path, command):
+    """Flags that run `command` to exit 0 on a one-question corpus, and the paths of its outputs."""
+    corpus = write_corpus(tmp_path / "corpus.jsonl", [eiffel_row()])
+    bundle, run_log = str(tmp_path / "bundle.json"), str(tmp_path / "run.jsonl")
+    persist_bundle({"q1": build_collection([make_example([ReasoningSkill.DEDUCTIVE])])}, bundle,
+                   construction_mode="guided-fill", delta=7)
+    write_corpus(run_log, [log_line()])
+    out = str(tmp_path / "out")
+    argv, outputs = {
+        "generate": (["--provider", "mock", "--collection", out, "--count", "1"], [out]),
+        "answer": (["--provider", "mock", "--collection", bundle, "--run-log", out], [out]),
+        "eval": (["--run-log", run_log, "--report", out], [out, out + ".records.tsv"]),
+    }[command]
+    return [command, "--corpus", corpus, *argv], outputs
+
+
+def subparser(command):
+    [commands] = [action for action in build_parser()._actions if action.dest == "command"]
+    return commands.choices[command]
+
+
+@pytest.mark.parametrize(
+    "command, config, code",
+    [("eval", {"count": 0}, 0), ("answer", {"gen_mode": "bogus"}, 0), ("generate", {"select_mode": "random"}, 0)]
+    + [(command, config, 2) for command in COMMAND_FLAGS for config in ({"countt": 1}, {"count": "x"})],
+    ids=lambda value: json.dumps(value) if isinstance(value, dict) else str(value),
+)
+def test_a_config_key_is_type_checked_for_every_command_and_applied_only_where_read(tmp_path, capsys, command,
+                                                                                    config, code):
+    argv, _ = runnable_argv(tmp_path, command)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main([*argv, "--config", str(config_path)]) == code
+    if code == 2:
+        assert capsys.readouterr().err.startswith(f"[{command}] config file {config_path}: ")
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_a_snapshot_lists_the_settings_read_and_reruns_as_a_config_file(tmp_path, command):
+    argv, outputs = runnable_argv(tmp_path, command)
+    assert main(argv) == 0
+    snapshot = json.loads(Path(outputs[0] + ".config.json").read_text(encoding="utf-8"))
+    dests = {action.dest for action in subparser(command)._actions if action.option_strings} - {"help"}
+    assert snapshot["command"] == command
+    assert set(snapshot["config"]) == dests - {"config"}
+
+    def produced():
+        if command == "generate":
+            return json.loads(Path(outputs[0]).read_text(encoding="utf-8"))["collections"]
+        return [Path(path).read_bytes() for path in outputs]
+
+    first = produced()
+    for path in outputs:
+        os.remove(path)
+    config_path = tmp_path / "snapshot.json"
+    config_path.write_text(json.dumps(snapshot["config"]), encoding="utf-8")
+    assert main([command, "--config", str(config_path)]) == 0
+    assert produced() == first
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_help_lists_exactly_the_flags_of_its_command(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == COMMAND_FLAGS[command] | {"--config", "--help"}

@@ -144,3 +144,13 @@ def test_record_to_json_sorts_ids_and_keys():
     assert body["gold_sentence_ids"] == [[0, 0], [0, 1]]
     assert list(body) == sorted(body)
     assert record_to_json(record) == line
+
+
+@pytest.mark.parametrize("qid", ["q\t1", "q\n2", "q\u20283"], ids=["tab", "newline", "line-separator"])
+def test_load_rejects_a_question_id_that_cannot_be_printed(tmp_path, qid):
+    # a question id is a cell of eval's record table and part of a one-line failure message
+    path = write_lines(tmp_path / "c.jsonl", [record_line(), record_line(question_id=qid)])
+    with pytest.raises(ValidationError) as info:
+        load_records(path)
+    assert str(info.value).startswith(f"{path}:2: ")
+    assert "printable" in str(info.value)
