@@ -2,32 +2,33 @@
 
 COMMANDS says which settings each command reads and takes flags for; a
 shared config file's other known keys are type-checked, then ignored.
-Flags beat a config file, which beats the environment, and the snapshot
-next to every output lists exactly the settings read, as a valid
---config file, so a run can be reproduced from its artifacts alone.
+Flags beat a config file, the one other source of settings, and the
+snapshot next to every output lists exactly the settings read, as a
+valid --config file, so a run can be reproduced from its artifacts alone.
 Each command reads all of its input files before its first provider call.
 
---parallelism N bounds the provider calls in flight, and _run_questions
-is the one place that turns it into execution: it runs the questions
-through providers.fan_out with N lanes, and the independent work within
-each (the similarity scores of the candidates, the synthesis of the kept
-candidates, the reference documents and the extractions of the strategy
-steps) goes through nested fan_outs that inherit those lanes. One
-InFlightGate around the provider holds the requests in flight to at most
-N * N, so --parallelism 1 sends one at a time; no thread outlives a
-command. A question's SkillPathError is printed and fails that question
-only; any other error is raised once every question has run, the first
-in input order, at any N. Each question, and each call it overlaps, runs
-in a scope of its own that its requests' fingerprints include, and
-recorded transcripts are sorted by fingerprint, so a recorded run
-replays byte for byte at any parallelism against the corpus it was
-recorded from, in that order. Files are always written by one writer in
-input order. A run log's latency_ms is the sum of a question's call
-latencies, not its wall time.
+--parallelism N runs up to N questions at once and lets at most N * N
+provider calls through. _run_questions is the one place that turns it
+into execution: it runs the questions through providers.fan_out with N
+lanes, and the independent work within each (the similarity scores of
+the candidates, the synthesis of the kept candidates, the reference
+documents and the extractions of the strategy steps) goes through nested
+fan_outs that inherit those lanes. One InFlightGate around the provider
+holds the requests in flight to at most N * N, so --parallelism 1 sends
+one at a time; no thread outlives a command. A question's SkillPathError
+is printed and fails that question only; any other error is raised once
+every question has run, the first in input order, at any N. Each
+question, and each call it overlaps, runs in a scope of its own that its
+requests' fingerprints include, and recorded transcripts are sorted by
+fingerprint, so a recorded run replays byte for byte at any parallelism
+against the corpus it was recorded from, in that order. Files are always
+written by one writer in input order. A run log's latency_ms is the sum
+of a question's call latencies, not its wall time.
 
 generate appends each finished question's collection to a checkpoint,
 in the record that the bundle stores, and a rerun with the same settings
-and backend reuses it; eval reads each run-log line into a metrics.EvalRecord.
+and backend reuses it; eval reads each run-log line, which must be of a
+corpus question, into a metrics.EvalRecord.
 """
 
 from __future__ import annotations
@@ -60,8 +61,6 @@ from .resources import (check_writable, json_line, parse_jsonl, read_json, read_
                         write_json, write_text)
 
 log = logging.getLogger(__name__)
-
-PARALLELISM_ENV = "SKILLPATH_PARALLELISM"
 
 # setting -> the values it takes; a construction mode is spelled with dashes
 _CHOICES = {"gen_mode": tuple(sorted(mode.value.replace("_", "-") for mode in examplegen.ConstructionMode)),
@@ -106,21 +105,19 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(command=args.command)
     reads = COMMANDS[args.command].settings
 
-    env_parallelism = os.environ.get(PARALLELISM_ENV)
-    if env_parallelism and "parallelism" in reads:
-        try:
-            config.parallelism = int(env_parallelism)
-        except ValueError as exc:
-            raise ConfigError(f"{PARALLELISM_ENV} must be an integer") from exc
-
     if args.config:
         doc = read_json(args.config, "config file")
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
+        spelled = {}  # setting -> the key that names it
         for key, value in doc.items():
             attr = key.replace("-", "_")
             if attr not in _FIELD_TYPES:
                 raise ConfigError(f"config file {args.config}: unknown setting {key!r}")
+            if attr in spelled:
+                raise ConfigError(f"config file {args.config}: {spelled[attr]!r} and {key!r}"
+                                  " name one setting")
+            spelled[attr] = key
             expected = _FIELD_TYPES[attr]
             if not isinstance(value, expected) or (isinstance(value, bool) and bool not in expected):
                 raise ConfigError(f"config file {args.config}: {key} has the wrong type: {value!r}")
@@ -354,11 +351,13 @@ def cmd_answer(config: RunConfig) -> int:
 
 # -------------------------------------------------------------------- eval
 
-def _logged_answer(doc: dict) -> metrics.EvalRecord:
-    """One run-log line as a record whose gold fields eval fills in."""
+def _logged_answer(doc: dict, questions: typing.Container[str]) -> metrics.EvalRecord:
+    """One run-log line, of a question in `questions`, as a record whose gold fields eval fills in."""
     qid, answer, completion = [doc[key] for key in ("question_id", "answer", "completion")]
     if not all(isinstance(text, str) for text in (qid, answer, completion)):
         raise ValueError("question_id, answer and completion must each be a string")
+    if qid not in questions:
+        raise ValueError(f"question_id {qid!r} is not in the corpus")
     usage = doc["usage"]
     if not isinstance(usage, dict):
         raise ValueError("usage must be an object of token counts")
@@ -369,16 +368,17 @@ def _logged_answer(doc: dict) -> metrics.EvalRecord:
                               usage=reply.usage, latency_ms=float(reply.latency_ms))
 
 
-def _load_run_log(path: str, what: str) -> list[metrics.EvalRecord]:
+def _load_run_log(path: str, what: str, questions: typing.Container[str]) -> list[metrics.EvalRecord]:
     """Every line of a run log, checked; a log with no lines is an error naming its path."""
-    entries = read_keyed(parse_jsonl(read_text(path, what), path), path, "question_id", _logged_answer)
+    entries = read_keyed(parse_jsonl(read_text(path, what), path), path, "question_id",
+                         lambda doc: _logged_answer(doc, questions))
     if not entries:
         raise StorageError(f"{what} {path} has no lines")
     return list(entries.values())
 
 
-def _baseline_token_mean(path: str) -> float:
-    totals = [entry.usage.total_tokens for entry in _load_run_log(path, "baseline log")]
+def _baseline_token_mean(path: str, questions: typing.Container[str]) -> float:
+    totals = [entry.usage.total_tokens for entry in _load_run_log(path, "baseline log", questions)]
     if not any(totals):
         raise StorageError(f"baseline log {path} has a mean of 0 total tokens to reduce against")
     return sum(totals) / len(totals)
@@ -390,10 +390,8 @@ def _fmt_rate(value: float | None) -> str:
 
 def cmd_eval(config: RunConfig) -> int:
     records = {r.question_id: r for r in corpus_mod.load_records(config.corpus)}
-    eval_records = _load_run_log(config.run_log, "run log")
+    eval_records = _load_run_log(config.run_log, "run log", records)
     for entry in eval_records:
-        if entry.question_id not in records:
-            raise UnmatchedQuestionId(f"run log references unknown question id {entry.question_id!r}")
         gold = records[entry.question_id]
         entry.gold_answers = list(gold.gold_answers)
         entry.gold_sentences = None if gold.gold_sentence_ids is None else set(gold.gold_sentence_ids)
@@ -404,7 +402,7 @@ def cmd_eval(config: RunConfig) -> int:
 
     reduction = None
     if config.baseline_log:
-        baseline_mean = _baseline_token_mean(config.baseline_log)
+        baseline_mean = _baseline_token_mean(config.baseline_log, records)
         reduction = metrics.TokenStats(report.token_mean, report.time_mean_ms).reduction_vs(
             baseline_mean
         )
@@ -467,7 +465,8 @@ _REQUIRED = ("corpus", "collection", "run_log", "report")  # a command that read
 # setting -> the help of its flag
 _HELP = {"delta": "similarity threshold, 1 to 10", "count": "target examples per question",
          "report": "output report path", "baseline_log": "run log to compute token reduction against",
-         "transcript": "transcript file for the replay provider"}
+         "transcript": "transcript file for the replay provider",
+         "parallelism": "questions run at once, N; at most N * N provider calls are in flight"}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,12 +5,13 @@ The recording wrapper captures request and result pairs keyed by a stable
 fingerprint, and the replay provider serves them back bit for bit, which
 is what makes end-to-end runs reproducible without network access.
 
-The fingerprint covers prompt, temperature, max_output_tokens, scope and
-an occurrence index. fan_out runs each item in a scope of its own, so
-calls that overlap never share one; within a scope calls run in program
-order, which numbers repeated identical requests (a retry after a failed
-extraction, say). Record and replay of the same inputs in the same order
-therefore stay aligned call for call at any parallelism.
+A request is a prompt and a stage tag; the fingerprint covers the
+prompt, a scope and an occurrence index. fan_out runs each item in a
+scope of its own, so calls that overlap never share one; within a scope
+calls run in program order, which numbers repeated identical prompts (a
+retry after a failed extraction, say). Record and replay of the same
+inputs in the same order therefore stay aligned call for call at any
+parallelism.
 """
 
 from __future__ import annotations
@@ -32,16 +33,17 @@ from .errors import ProviderError, ReplayMiss, StorageError, TransportError
 from .resources import json_line, parse_jsonl, read_keyed, read_text, utc_now, write_text
 from .textutil import count_ws_tokens
 
-DEFAULT_MAX_OUTPUT_TOKENS = 4096
-
 API_BASE_ENV = "SKILLPATH_API_BASE"
 MODEL_ENV = "SKILLPATH_MODEL"
 API_KEY_ENV = "SKILLPATH_API_KEY"
 MAX_RETRIES_ENV = "SKILLPATH_MAX_RETRIES"
 RETRY_BACKOFF_ENV = "SKILLPATH_RETRY_BACKOFF"
 LIVE_TIMEOUT_S = 60.0
+# every live request is sent with these sampling settings
+LIVE_TEMPERATURE = 0.0
+LIVE_MAX_TOKENS = 4096
 
-TRANSCRIPT_VERSION = 4
+TRANSCRIPT_VERSION = 5
 
 # positions of the fan_out items the current call runs inside, outermost first
 _scope: contextvars.ContextVar[tuple[int, ...]] = contextvars.ContextVar("skillpath_scope", default=())
@@ -91,21 +93,11 @@ class CompletionRequest:
     """
 
     prompt: str
-    max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS
-    temperature: float = 0.0
     tag: str = ""
 
     def __post_init__(self):
         if not isinstance(self.prompt, str) or not self.prompt:
             raise ValueError(f"prompt must be a non-empty string, got {self.prompt!r}")
-        limit = self.max_output_tokens
-        if type(limit) is not int or limit < 1:  # a bool is not a count
-            raise ValueError(f"max_output_tokens must be an integer of at least 1, got {limit!r}")
-        temperature = self.temperature
-        # nan and ints past the largest float fail the range check
-        finite = isinstance(temperature, (int, float)) and abs(temperature) <= sys.float_info.max
-        if isinstance(temperature, bool) or not finite:
-            raise ValueError(f"temperature must be a finite number, got {temperature!r}")
         if not isinstance(self.tag, str):
             raise ValueError(f"tag must be a string, got {self.tag!r}")
 
@@ -133,24 +125,21 @@ def _tag_note(request: CompletionRequest) -> str:
     return f" (tag {request.tag!r})" if request.tag else ""
 
 
-def fingerprint(
-    prompt: str, temperature: float, max_output_tokens: int, occurrence: int, scope: tuple[int, ...]
-) -> str:
+def fingerprint(prompt: str, occurrence: int, scope: tuple[int, ...]) -> str:
     """Stable identity of one request within a run.
 
-    The sha256 of the settings as one JSON line, a line feed, then the
-    prompt's UTF-8 bytes. A JSON line holds no raw line feed, so the first
-    one marks where the prompt starts.
+    The sha256 of {"occurrence", "scope"} as one JSON line, a line feed,
+    then the prompt's UTF-8 bytes. A JSON line holds no raw line feed, so
+    the first one marks where the prompt starts.
     """
-    settings = {"max_output_tokens": max_output_tokens, "occurrence": occurrence,
-                "scope": scope, "temperature": temperature}
+    settings = {"occurrence": occurrence, "scope": scope}
     digest = hashlib.sha256(json_line(settings).encode("utf-8") + b"\n")
     digest.update(prompt.encode("utf-8"))
     return digest.hexdigest()
 
 
 class _OccurrenceCounter:
-    """Counts how many times each (prompt, temperature, max) has been seen per scope."""
+    """Counts how many times each prompt has been seen per scope."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -159,11 +148,11 @@ class _OccurrenceCounter:
     def fingerprint(self, request: CompletionRequest) -> str:
         """The request's fingerprint at its next occurrence in the current scope."""
         scope = _scope.get()
-        key = (request.prompt, request.temperature, request.max_output_tokens, scope)
+        key = (request.prompt, scope)
         with self._lock:
             occ = self._counts.get(key, 0)
             self._counts[key] = occ + 1
-        return fingerprint(*key[:3], occ, scope)
+        return fingerprint(request.prompt, occ, scope)
 
 
 def fan_out(fn, items, parallelism: int | None = None) -> list:
@@ -502,8 +491,8 @@ class LiveProvider(Provider):
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": request.prompt}],
-            "temperature": request.temperature,
-            "max_tokens": request.max_output_tokens,
+            "temperature": LIVE_TEMPERATURE,
+            "max_tokens": LIVE_MAX_TOKENS,
         }
         data = json.dumps(payload).encode("utf-8")
         post = Request(f"{self.base_url}/chat/completions", data, headers)

@@ -102,8 +102,7 @@ def mock_calls(monkeypatch):
     return calls
 
 
-def test_flag_beats_config_file_beats_env(tmp_path, corpus_path, monkeypatch):
-    monkeypatch.setenv("SKILLPATH_PARALLELISM", "3")
+def test_flag_beats_config_file(tmp_path, corpus_path):
     config_file = tmp_path / "conf.json"
     config_file.write_text(json.dumps({"parallelism": 2, "provider": "mock"}), encoding="utf-8")
     base = [
@@ -114,11 +113,17 @@ def test_flag_beats_config_file_beats_env(tmp_path, corpus_path, monkeypatch):
     ]
     assert resolve(base + ["--parallelism", "4"]).parallelism == 4
     assert resolve(base).parallelism == 2
-    monkeypatch.setenv("SKILLPATH_PARALLELISM", "5")
-    no_file = ["generate", "--corpus", corpus_path, "--collection", str(tmp_path / "o.json"),
-               "--provider", "mock"]
-    assert resolve(no_file).provider == "mock"
-    assert resolve(no_file).parallelism == 5
+
+
+def test_config_file_that_names_a_setting_twice_exits_2(tmp_path, corpus_path, capsys):
+    config_file = tmp_path / "conf.json"
+    config_file.write_text(json.dumps({"run-log": "x.jsonl", "run_log": "r.jsonl"}), encoding="utf-8")
+    report_path = tmp_path / "report.json"
+    code = main(["eval", "--config", str(config_file), "--corpus", corpus_path, "--report", str(report_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"[eval] config file {config_file}: ") and "'run-log'" in err and "'run_log'" in err
+    assert not report_path.exists()
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, corpus_path):
@@ -381,10 +386,11 @@ def test_a_faulty_prompt_template_override_fails_every_question(tmp_path, monkey
     assert "Traceback" not in err
 
 
-# 4.0 equals 4 in Python, but it is not the JSON integer a version is
-@pytest.mark.parametrize("header", [{"version": 1}, {"version": 2}, {"version": 3}, {"version": 99}, {},
-                                    {"version": 4.0}],
-                         ids=["version-1", "version-2", "version-3", "version-99", "no-version", "version-float"])
+# 5.0 equals 5 in Python, but it is not the JSON integer a version is
+@pytest.mark.parametrize("header", [{"version": 1}, {"version": 2}, {"version": 3}, {"version": 4},
+                                    {"version": 99}, {}, {"version": 5.0}],
+                         ids=["version-1", "version-2", "version-3", "version-4", "version-99", "no-version",
+                              "version-float"])
 def test_replay_of_a_transcript_of_another_version_exits_2_before_any_call(
     tmp_path, corpus_path, capsys, header
 ):
@@ -410,7 +416,7 @@ def test_replay_of_a_transcript_with_a_header_of_the_wrong_type_exits_2_before_a
     tmp_path, corpus_path, capsys, header
 ):
     transcript = tmp_path / "transcript.jsonl"
-    transcript.write_text(json.dumps({"version": 4, "provider": "mock", "created_at": "", "entries": 0,
+    transcript.write_text(json.dumps({"version": 5, "provider": "mock", "created_at": "", "entries": 0,
                                       **header}) + "\n", encoding="utf-8")
     bundle = tmp_path / "bundle.json"
     code = main(["generate", "--provider", "replay", "--transcript", str(transcript),
@@ -693,23 +699,28 @@ def test_a_checkpoint_in_the_old_examples_format_starts_fresh(tmp_path, corpus_p
         ("baseline", log_line(question_id=None)),
         ("baseline", log_line(answer=None)),
         ("baseline", log_line(completion=None)),
+        ("run", log_line(question_id="q9")),
+        ("baseline", log_line(question_id="q9")),
     ],
     ids=["total-mismatch", "array", "latency-text", "negative-latency", "infinite-latency",
          "answer-number", "completion-list", "no-usage", "token-text", "baseline-no-usage",
          "baseline-string", "missing-question-id", "missing-answer", "missing-completion",
-         "baseline-missing-question-id", "baseline-missing-answer", "baseline-missing-completion"],
+         "baseline-missing-question-id", "baseline-missing-answer", "baseline-missing-completion",
+         "question-not-in-corpus", "baseline-question-not-in-corpus"],
 )
-def test_malformed_run_log_line_exits_2(tmp_path, corpus_path, capsys, log, bad):
+def test_malformed_run_log_line_exits_2(tmp_path, capsys, log, bad):
+    corpus = write_corpus(tmp_path / "corpus.jsonl", [eiffel_row("q0"), eiffel_row()])
     logs = {name: tmp_path / f"{name}.jsonl" for name in ("run", "baseline")}
     for name, path in logs.items():
         # another question first, so a bad line is never caught as a repeat
         lines = [log_line(question_id="q0"), bad] if name == log else [log_line()]
         path.write_text("".join(json.dumps(doc) + "\n" for doc in lines), encoding="utf-8")
-    code = main(["eval", "--corpus", corpus_path, "--run-log", str(logs["run"]),
+    code = main(["eval", "--corpus", corpus, "--run-log", str(logs["run"]),
                  "--report", str(tmp_path / "report.json"),
                  "--baseline-log", str(logs["baseline"])])
     assert code == 2
-    assert f"{logs[log]}:2:" in capsys.readouterr().err
+    assert f"[eval] {logs[log]}:2: " in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -871,11 +882,9 @@ def test_eval_rejects_a_repeated_run_log_line(tmp_path, corpus_path, capsys, log
 
 
 # eval makes no provider call, so a shared config's provider settings pass it unread
-@pytest.mark.parametrize("config, env", [({"provider": "replay"}, {}), ({}, {"SKILLPATH_PARALLELISM": "0"})],
+@pytest.mark.parametrize("config", [{"provider": "replay"}, {"parallelism": 0}],
                          ids=["replay-without-transcript", "parallelism-zero"])
-def test_eval_ignores_the_settings_of_provider_calls(tmp_path, corpus_path, monkeypatch, config, env):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+def test_eval_ignores_the_settings_of_provider_calls(tmp_path, corpus_path, config):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
     run_log = write_corpus(tmp_path / "run.jsonl", [log_line()])

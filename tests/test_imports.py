@@ -1,5 +1,6 @@
 """The package runs on the standard library alone, defines no exception it never raises, judges
-every input line in one module, and tags every request with a stage the mock backend answers."""
+every input line in one module, tags every request with a stage the mock backend answers, and
+reads exactly the environment variables its README names."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import ast
 import builtins
 import glob
 import os
+import re
 import subprocess
 import sys
 
@@ -14,7 +16,8 @@ import pytest
 
 from skillpath import canned
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 MODULES = sorted(glob.glob(os.path.join(SRC, "skillpath", "*.py")))
 
 
@@ -128,3 +131,15 @@ def test_every_request_names_a_stage_the_mock_answers():
             assert isinstance(tag, ast.Constant) and isinstance(tag.value, str), f"{where} has no literal tag="
             tags.add(tag.value)
     assert tags == set(canned._HANDLERS)
+
+
+ENV_NAME = re.compile(r"SKILLPATH_[A-Z0-9_]*[A-Z0-9]")
+
+
+def test_the_readme_names_exactly_the_environment_variables_the_code_reads():
+    # a name is a whole string constant; a docstring that mentions one is not counted
+    in_code = {node.value for path in MODULES for node in nodes(path)
+               if isinstance(node, ast.Constant) and ENV_NAME.fullmatch(str(node.value))}
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        in_readme = set(ENV_NAME.findall(fh.read()))
+    assert in_code == in_readme

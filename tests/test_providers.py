@@ -52,12 +52,6 @@ def test_mock_scripted_sequence_runs_dry_loudly():
         provider.complete(CompletionRequest("p"))
 
 
-def test_request_defaults():
-    request = CompletionRequest("p")
-    assert request.max_output_tokens == 4096
-    assert request.temperature == 0.0
-
-
 def test_request_rejects_empty_prompt():
     with pytest.raises(ValueError):
         CompletionRequest("")
@@ -69,31 +63,31 @@ def test_token_usage_consistency_enforced():
 
 
 def test_fingerprint_distinguishes_occurrences():
-    a = fingerprint("p", 0.0, 4096, 0, ())
-    b = fingerprint("p", 0.0, 4096, 1, ())
+    a = fingerprint("p", 0, ())
+    b = fingerprint("p", 1, ())
     assert a != b
-    assert fingerprint("p", 0.0, 4096, 0, ()) == a
-    assert fingerprint("p", 0.0, 4096, 0, (0, 1)) != fingerprint("p", 0.0, 4096, 0, (1, 0))
-    assert fingerprint("p", 0.0, 4096, 0, (0,)) != a
+    assert fingerprint("p", 0, ()) == a
+    assert fingerprint("p", 0, (0, 1)) != fingerprint("p", 0, (1, 0))
+    assert fingerprint("p", 0, (0,)) != a
 
 
 def test_the_fingerprint_bytes_are_pinned_to_the_transcript_version():
     # a saved transcript is keyed by these digests: a change to their bytes
     # strands every transcript of this version, so it must bump the version
-    assert TRANSCRIPT_VERSION == 4
-    settings = b'{"max_output_tokens": 512, "occurrence": 1, "scope": [2, 0], "temperature": 0.5}'
+    assert TRANSCRIPT_VERSION == 5
+    settings = b'{"occurrence": 1, "scope": [2, 0]}'
     prompt = "Stra\u00dfe \u00e9t\u00e9?\n\"quoted\"\tend"
-    digest = fingerprint(prompt, 0.5, 512, 1, (2, 0))
+    digest = fingerprint(prompt, 1, (2, 0))
     assert digest == hashlib.sha256(settings + b"\n" + prompt.encode("utf-8")).hexdigest()
-    assert digest == "ee56bf1a90800b374994395665ee80e752dbb15ae01708a9b3a575d43c490af2"
+    assert digest == "0869083d173ef171930eba93518f465f3a5781d996f9e1d7fa398b2246639a72"
 
 
 def test_a_prompt_that_imitates_a_settings_line_keeps_its_own_identity():
-    other = {"max_output_tokens": 4096, "occurrence": 1, "scope": [0], "temperature": 0.0}
+    other = {"occurrence": 1, "scope": [0]}
     # the imitation puts the other request's settings line where a prompt starts
-    imitation = fingerprint(json_line(other) + "\nQ?", 0.0, 4096, 0, ())
-    assert imitation != fingerprint("Q?", 0.0, 4096, 1, (0,))
-    assert imitation != fingerprint("Q?", 0.0, 4096, 0, ())
+    imitation = fingerprint(json_line(other) + "\nQ?", 0, ())
+    assert imitation != fingerprint("Q?", 1, (0,))
+    assert imitation != fingerprint("Q?", 0, ())
 
 
 def test_record_and_replay_round_trip(tmp_path):
@@ -218,12 +212,12 @@ def ok_reply(content="ok", **usage):
 def test_live_sends_a_json_body_and_its_headers(live_endpoint, monkeypatch, key):
     monkeypatch.setenv("SKILLPATH_API_KEY", key)
     live_endpoint.script(ok_reply("Paris", prompt_tokens=3, completion_tokens=1))
-    result = LiveProvider().complete(CompletionRequest("où?", max_output_tokens=7, temperature=0.5))
+    result = LiveProvider().complete(CompletionRequest("où?", tag="answer"))
     assert (result.text, result.usage) == ("Paris", TokenUsage.of(3, 1))
     [(path, headers, body)] = live_endpoint.received
     assert path == "/v1/chat/completions"
     assert body == (b'{"model": "m", "messages": [{"role": "user", "content": "o\\u00f9?"}], '
-                    b'"temperature": 0.5, "max_tokens": 7}')
+                    b'"temperature": 0.0, "max_tokens": 4096}')
     assert headers["Content-Type"] == "application/json"
     assert headers["User-Agent"] == f"skillpath/{__version__}"
     assert headers.get("Authorization") == (f"Bearer {key}" if key else None)
@@ -431,25 +425,14 @@ def test_completion_result_checks_its_fields(fields):
         {"prompt": ""},
         {"prompt": 5},
         {"prompt": ["x"]},
-        {"max_output_tokens": 0},
-        {"max_output_tokens": True},
-        {"max_output_tokens": 2.5},
-        {"temperature": "hot"},
-        {"temperature": True},
-        {"temperature": math.nan},
-        {"temperature": math.inf},
-        {"temperature": 10**400},
         {"tag": {}},
         {"tag": None},
     ],
-    ids=["prompt-empty", "prompt-number", "prompt-list", "max-tokens-zero", "max-tokens-bool",
-         "max-tokens-float", "temperature-text", "temperature-bool", "temperature-nan",
-         "temperature-infinite", "temperature-huge-int", "tag-object", "tag-none"],
+    ids=["prompt-empty", "prompt-number", "prompt-list", "tag-object", "tag-none"],
 )
 def test_completion_request_checks_its_fields(fields):
-    good = {"prompt": "p", "max_output_tokens": 1, "temperature": 0, "tag": ""}
+    good = {"prompt": "p", "tag": ""}
     CompletionRequest(**good)
-    CompletionRequest(**{**good, "temperature": 0.7})
     with pytest.raises(ValueError):
         CompletionRequest(**{**good, **fields})
 
@@ -464,13 +447,10 @@ def test_completion_request_checks_its_fields(fields):
         ("result", "latency_ms", "slow", "latency_ms must be"),
         ("request", "prompt", 5, "prompt must be"),
         ("request", "prompt", ["x"], "prompt must be"),
-        ("request", "max_output_tokens", True, "max_output_tokens must be"),
-        ("request", "max_output_tokens", 2.5, "max_output_tokens must be"),
-        ("request", "temperature", "hot", "temperature must be"),
         ("request", "tag", {}, "tag must be"),
     ],
     ids=["repeated-fingerprint", "fingerprint-number", "latency-text", "prompt-number", "prompt-list",
-         "max-tokens-bool", "max-tokens-float", "temperature-text", "tag-object"],
+         "tag-object"],
 )
 def test_transcript_entry_errors_name_their_line(tmp_path, part, key, value, message):
     transcript = record(MockProvider("x"), [CompletionRequest("p"), CompletionRequest("q")])
