@@ -126,6 +126,25 @@ def test_config_file_that_names_a_setting_twice_exits_2(tmp_path, corpus_path, c
     assert not report_path.exists()
 
 
+# settings come from flags and a config file only; the environment names none of them
+def test_the_environment_sets_no_setting(tmp_path, corpus_path, monkeypatch):
+    monkeypatch.setenv("SKILLPATH_PARALLELISM", "5")
+    argv = ["generate", "--corpus", corpus_path, "--collection", str(tmp_path / "o.json"), "--provider", "mock"]
+    assert resolve(argv).parallelism == 1
+
+
+def test_a_setting_the_command_does_not_read_named_twice_still_exits_2(tmp_path, corpus_path, capsys):
+    config_file = tmp_path / "conf.json"
+    config_file.write_text(json.dumps({"baseline-log": "x.jsonl", "baseline_log": "b.jsonl"}), encoding="utf-8")
+    collection = tmp_path / "o.json"
+    code = main(["generate", "--config", str(config_file), "--corpus", corpus_path, "--collection",
+                 str(collection), "--provider", "mock"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"[generate] config file {config_file}: ") and "'baseline-log'" in err
+    assert not collection.exists()
+
+
 def test_config_file_rejects_unknown_keys(tmp_path, corpus_path):
     config_file = tmp_path / "conf.json"
     config_file.write_text(json.dumps({"providr": "mock"}), encoding="utf-8")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -50,6 +51,18 @@ def test_mock_scripted_sequence_runs_dry_loudly():
     assert provider.complete(CompletionRequest("p")).text == "two"
     with pytest.raises(ProviderError):
         provider.complete(CompletionRequest("p"))
+
+
+def test_a_request_is_its_prompt_and_its_tag():
+    assert [field.name for field in dataclasses.fields(CompletionRequest)] == ["prompt", "tag"]
+    assert CompletionRequest("p").tag == ""
+
+
+# a caller that still passes a sampling setting fails loudly instead of being ignored
+@pytest.mark.parametrize("setting", ["max_output_tokens", "temperature"])
+def test_a_request_refuses_a_sampling_setting(setting):
+    with pytest.raises(TypeError, match=setting):
+        CompletionRequest("p", **{setting: 1})
 
 
 def test_request_rejects_empty_prompt():
@@ -106,6 +119,15 @@ def test_record_and_replay_round_trip(tmp_path):
     assert replay.complete(CompletionRequest("first prompt")).text == "a"
     assert replay.complete(CompletionRequest("second prompt")).text == "b"
     assert replay.complete(CompletionRequest("first prompt")).text == "c"
+
+
+def test_the_tag_stays_out_of_the_fingerprint():
+    # a relabeled stage still replays, and one prompt under two tags is two occurrences of it
+    transcript = record(MockProvider(["a", "b"]), [CompletionRequest("p", tag="old"), CompletionRequest("p")])
+    assert len({e.fingerprint for e in transcript.entries}) == 2
+    replay = ReplayProvider(transcript)
+    assert replay.complete(CompletionRequest("p", tag="new")).text == "a"
+    assert replay.complete(CompletionRequest("p", tag="new")).text == "b"
 
 
 def test_replay_off_script_raises_miss(tmp_path):
@@ -448,9 +470,12 @@ def test_completion_request_checks_its_fields(fields):
         ("request", "prompt", 5, "prompt must be"),
         ("request", "prompt", ["x"], "prompt must be"),
         ("request", "tag", {}, "tag must be"),
+        # an entry written by a version that still kept sampling settings
+        ("request", "max_output_tokens", 4096, "max_output_tokens"),
+        ("request", "temperature", 0.0, "temperature"),
     ],
     ids=["repeated-fingerprint", "fingerprint-number", "latency-text", "prompt-number", "prompt-list",
-         "tag-object"],
+         "tag-object", "stale-max-output-tokens", "stale-temperature"],
 )
 def test_transcript_entry_errors_name_their_line(tmp_path, part, key, value, message):
     transcript = record(MockProvider("x"), [CompletionRequest("p"), CompletionRequest("q")])
