@@ -30,7 +30,7 @@ scored = score_candidates(QUESTION, candidates, provider)
 kept = filter_candidates(scored, delta=7)
 print(f"\nkept {len(kept)} of {len(scored)} at delta=7")
 
-example = synthesize_example(kept[0].text, provider, ConstructionMode.GUIDED_FILL)
+example = synthesize_example(kept[0].text, provider)
 print("\nsynthesized example")
 print("question:", example.question)
 for i, (subq, skill) in enumerate(zip(example.strategy.subquestions, example.strategy.skills)):

@@ -6,7 +6,7 @@ how many examples in the collection use that skill at all. Rare skills
 are worth more; a skill used by every example is worth almost nothing.
 """
 from skillpath.collection import build_collection
-from skillpath.examplegen import ConstructionMode, ReasoningStrategy, SimilarExample
+from skillpath.examplegen import ReasoningStrategy, SimilarExample
 from skillpath.matcher import SelectionMode, select_best
 from skillpath.skills import ReasoningSkill
 
@@ -22,7 +22,6 @@ def example(skills, label):
         ),
         reference_docs=tuple(f"doc {i + 1}" for i in range(n)),
         answer="n/a",
-        construction_mode=ConstructionMode.GUIDED_FILL,
     )
 
 

@@ -275,9 +275,7 @@ def cmd_generate(config: RunConfig) -> int:
         kept = examplegen.filter_candidates(scored, config.delta)
         if not kept:
             raise NoCandidates(qid)
-        examples = fan_out(
-            lambda c: examplegen.synthesize_example(c.text, provider, mode), kept[: config.count]
-        )
+        examples = fan_out(lambda c: examplegen.synthesize_example(c.text, provider), kept[: config.count])
         built = collection_mod.build_collection(examples)
         stored = collection_mod.collection_to_record(built)
         line = json_line({"question_id": qid, "question": record.question, "collection": stored})
@@ -294,13 +292,7 @@ def cmd_generate(config: RunConfig) -> int:
     if isinstance(backend, ReplayProvider):
         created_at = backend.transcript.created_at or None
     if bundle:
-        collection_mod.persist_bundle(
-            bundle,
-            config.collection,
-            construction_mode=mode.value,
-            delta=config.delta,
-            created_at=created_at,
-        )
+        collection_mod.persist_bundle(bundle, config.collection, created_at=created_at)
         _write_snapshot(config, config.collection)
     if failures == 0 and os.path.exists(checkpoint_path):
         os.remove(checkpoint_path)

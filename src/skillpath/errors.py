@@ -79,10 +79,10 @@ class ZeroDenominator(SkillPathError):
 
 
 class ValidationError(StorageError):
-    """A line of an input file is not valid JSON, or a parsed line violates its schema."""
+    """An input file is not valid JSON, or a parsed line violates its schema; names the line if known."""
 
-    def __init__(self, path: str, line: int, detail: str):
-        super().__init__(f"{path}:{line}: {detail}")
+    def __init__(self, path: str, line: int | None, detail: str):
+        super().__init__(f"{path}:{line}: {detail}" if line else f"{path}: {detail}")
         self.path = path
         self.line = line
 

@@ -78,7 +78,6 @@ class SimilarExample:
     strategy: ReasoningStrategy
     reference_docs: tuple[str, ...]
     answer: str
-    construction_mode: ConstructionMode
 
     def __post_init__(self):
         object.__setattr__(self, "reference_docs", tuple(self.reference_docs))
@@ -316,14 +315,8 @@ def _reference_doc(subquestion: str, provider: Provider) -> str:
     return text
 
 
-def synthesize_example(question: str, provider: Provider, mode: ConstructionMode) -> SimilarExample:
+def synthesize_example(question: str, provider: Provider) -> SimilarExample:
     """Strategy, reference docs and assembly for one candidate question."""
     strategy, answer = build_strategy(question, provider)
     docs = build_reference_docs(strategy, provider)
-    return SimilarExample(
-        question=question,
-        strategy=strategy,
-        reference_docs=docs,
-        answer=answer,
-        construction_mode=mode,
-    )
+    return SimilarExample(question=question, strategy=strategy, reference_docs=docs, answer=answer)

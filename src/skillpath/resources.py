@@ -11,9 +11,10 @@ slot, or renders to nothing is a StorageError naming the template.
 Every input file is opened and decoded by read_text, whose text read_json
 and parse_jsonl parse, and every whole-file write goes through write_text: an
 OS or decoding failure becomes a StorageError in one place, invalid JSON
-or a string holding a lone surrogate a ValidationError naming path:line, and
-every whole-file output is replaced atomically. read_keyed judges the lines
-of the corpus, run logs and transcripts by one contract.
+or a string holding a lone surrogate a ValidationError naming path:line, an
+object that repeats a key one naming the key, and every whole-file output
+is replaced atomically. read_keyed judges the lines of the corpus, run logs
+and transcripts by one contract.
 """
 
 from __future__ import annotations
@@ -66,10 +67,7 @@ def strings(value) -> tuple[str, ...]:
 def _load_data(name: str, convert):
     """convert(document) of data file `name`; invalid JSON or a wrong shape is a StorageError."""
     try:
-        text = read_bundled("data", name, DATA_DIR_ENV, "data")
-        doc = json.loads(text)
-        _refuse_lone_surrogates(text, name)
-        return convert(doc)
+        return convert(_loads(read_bundled("data", name, DATA_DIR_ENV, "data"), name))
     except (AttributeError, LookupError, TypeError, ValueError) as exc:
         raise StorageError(f"data file {name} is malformed: {exc!r}") from exc
 
@@ -163,26 +161,45 @@ def read_text(path: str, what: str) -> str:
 
 def read_json(path: str, what: str):
     """The one JSON document in the file at path."""
-    text = read_text(path, what)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(path, exc.lineno, f"invalid JSON: {exc}") from exc
-    _refuse_lone_surrogates(text, path)
-    return doc
+    return _loads(read_text(path, what), path)
 
 
 def parse_jsonl(text: str, path: str) -> Iterator[tuple[int, object]]:
     """Yield (line number, parsed value) for every non-blank line of text read from path."""
     for i, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(path, i, f"invalid JSON: {exc}") from exc
-        _refuse_lone_surrogates(line, path, i)
-        yield i, doc
+        if line.strip():
+            yield i, _loads(line, path, i)
+
+
+class _RepeatedKey(Exception):
+    """The key a JSON object repeats."""
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        raise _RepeatedKey(next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i])))
+    return doc
+
+
+# one decoder for every read: json.loads with a hook would build a new one per call
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def _loads(text: str, path: str, line: int | None = None):
+    """The JSON value of text read from path, which is line `line` of it for a line-delimited file.
+
+    Invalid JSON, a lone surrogate and an object that repeats a key, whose
+    last value would otherwise win silently, are each a ValidationError.
+    """
+    try:
+        doc = _DECODER.decode(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(path, line or exc.lineno, f"invalid JSON: {exc}") from exc
+    except _RepeatedKey as exc:
+        raise ValidationError(path, line, f"an object repeats the key {exc.args[0]!r}") from None
+    _refuse_lone_surrogates(text, path, line or 1)
+    return doc
 
 
 def read_keyed(lines: Iterable[tuple[int, object]], path: str, key: str, convert: Callable) -> dict:

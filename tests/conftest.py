@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from skillpath import resources
 from skillpath.collection import build_collection
-from skillpath.examplegen import ConstructionMode, ReasoningStrategy, SimilarExample
+from skillpath.examplegen import ReasoningStrategy, SimilarExample
 from skillpath.skills import ReasoningSkill
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -36,7 +36,6 @@ def make_example(skills, question="What is the answer?", answer="the answer"):
         ),
         reference_docs=tuple(f"reference {i + 1}" for i in range(n)),
         answer=answer,
-        construction_mode=ConstructionMode.GUIDED_FILL,
     )
 
 

@@ -15,7 +15,7 @@ from skillpath.answerer import (
 )
 from skillpath.collection import build_collection
 from skillpath.errors import ProviderError, SegmentNotInDocument
-from skillpath.examplegen import ConstructionMode, ReasoningStrategy, SimilarExample
+from skillpath.examplegen import ReasoningStrategy, SimilarExample
 from skillpath.matcher import SelectionMode
 from skillpath.providers import (
     CompletionResult,
@@ -86,7 +86,6 @@ def example_for(skills, subquestions=None):
         ),
         reference_docs=tuple(f"note {i + 1}" for i in range(n)),
         answer="the Brooklyn Bridge",
-        construction_mode=ConstructionMode.GUIDED_FILL,
     )
 
 

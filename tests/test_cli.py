@@ -12,6 +12,7 @@ from skillpath import cli, resources
 from skillpath.canned import CannedProvider
 from skillpath.cli import ConfigError, _resolve_config, build_parser, main
 from skillpath.collection import (
+    COLLECTION_VERSION,
     build_collection,
     collection_to_record,
     example_to_record,
@@ -113,6 +114,16 @@ def test_flag_beats_config_file(tmp_path, corpus_path):
     ]
     assert resolve(base + ["--parallelism", "4"]).parallelism == 4
     assert resolve(base).parallelism == 2
+
+
+def test_config_file_that_repeats_a_key_exits_2_before_any_call(tmp_path, corpus_path, mock_calls, capsys):
+    config_file = tmp_path / "conf.json"
+    config_file.write_text('{"count": 0, "count": 2}', encoding="utf-8")
+    code = main(["generate", "--provider", "mock", "--corpus", corpus_path,
+                 "--collection", str(tmp_path / "out.json"), "--config", str(config_file)])
+    assert code == 2
+    assert f"{config_file}: an object repeats the key 'count'" in capsys.readouterr().err
+    assert mock_calls == []
 
 
 def test_config_file_that_names_a_setting_twice_exits_2(tmp_path, corpus_path, capsys):
@@ -617,42 +628,58 @@ def _assert_checkpoint_starts_fresh(tmp_path, corpus_path, caplog, line, complai
     )
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("construction_mode", "bogus"),
-        ("question", ""),
-    ],
-)
-def test_invalid_checkpoint_example_starts_fresh(tmp_path, corpus_path, caplog, field, value):
+def test_invalid_checkpoint_example_starts_fresh(tmp_path, corpus_path, caplog):
     stored = marker_collection()
-    stored["examples"][0][field] = value
+    stored["examples"][0]["question"] = ""
     _assert_checkpoint_starts_fresh(tmp_path, corpus_path, caplog, checkpoint_line("q1", stored),
                                     "malformed collection")
 
 
-@pytest.mark.parametrize(
-    "field, value, complaint",
-    [("n", 2, "stored n=2 but found 1 examples"),
-     ("freq_index", {"deductive": 1}, "stored freq_index disagrees with examples")],
-    ids=["n", "freq_index"],
-)
-def test_a_checkpoint_collection_that_disagrees_with_its_examples_starts_fresh(
-    tmp_path, corpus_path, caplog, field, value, complaint
-):
-    stored = {**marker_collection(), field: value}
-    _assert_checkpoint_starts_fresh(tmp_path, corpus_path, caplog, checkpoint_line("q1", stored),
-                                    complaint)
+def test_a_checkpoint_line_that_repeats_a_key_starts_fresh(tmp_path, corpus_path, caplog):
+    line = checkpoint_line("q1", marker_collection())[:-1] + ', "question_id": "q1"}'
+    _assert_checkpoint_starts_fresh(tmp_path, corpus_path, caplog, line,
+                                    "an object repeats the key 'question_id'")
 
 
-# stored collections whose values only look right: a count that is not a
-# JSON integer, a string where a list of strings belongs, a list of numbers
+def version_1_collection():
+    """marker_collection() as bundle version 1 stored it: with n, freq_index and each example's mode."""
+    stored = marker_collection()
+    stored["examples"][0]["construction_mode"] = "guided_fill"
+    return {**stored, "n": 1, "freq_index": {"abductive": 1}}
+
+
+def test_answer_on_a_version_1_bundle_exits_2_before_any_call(tmp_path, corpus_path, mock_calls, capsys):
+    bundle = tmp_path / "bundle.json"
+    doc = {"version": 1, "created_at": "2026-01-01T00:00:00Z", "construction_mode": "guided_fill", "delta": 7,
+           "collections": {"q1": version_1_collection()}}
+    bundle.write_text(json.dumps(doc), encoding="utf-8")
+    run_log = tmp_path / "run.jsonl"
+    code = main(["answer", "--provider", "mock", "--corpus", corpus_path,
+                 "--collection", str(bundle), "--run-log", str(run_log)])
+    assert code == 2
+    assert f"{bundle}: unsupported collection version 1" in capsys.readouterr().err
+    assert mock_calls == []
+    assert not run_log.exists()
+
+
+def test_a_checkpoint_line_of_bundle_version_1_resumes_into_a_version_2_bundle(tmp_path, corpus_path,
+                                                                                mock_calls):
+    bundle_path = tmp_path / "bundle.json"
+    Path(f"{bundle_path}.checkpoint.jsonl").write_text(
+        checkpoint_header(1) + "\n" + checkpoint_line("q1", version_1_collection()) + "\n", encoding="utf-8")
+    assert main(["generate", "--provider", "mock", "--corpus", corpus_path,
+                 "--collection", str(bundle_path), "--count", "1"]) == 0
+    assert mock_calls == []
+    stored = json.loads(bundle_path.read_text(encoding="utf-8"))["collections"]["q1"]
+    assert set(stored) == {"examples"}
+    assert "construction_mode" not in stored["examples"][0]
+    assert stored == marker_collection()
+
+
+# stored collections whose values only look right: no example, a string where
+# a list of strings belongs, a list of numbers, a skill outside the taxonomy
 LOOSE_COLLECTIONS = {
-    "n-true": lambda c: c.update(n=True),
-    "n-float": lambda c: c.update(n=1.0),
-    "freq-float": lambda c: c["freq_index"].update(abductive=1.9),
-    "freq-text": lambda c: c["freq_index"].update(abductive="1"),
-    "freq-true": lambda c: c["freq_index"].update(abductive=True),
+    "no-examples": lambda c: c.update(examples=[]),
     "docs-text": lambda c: c["examples"][0].update(reference_docs="r"),
     "docs-text-two-chars": lambda c: c["examples"][0].update(reference_docs="ab"),
     "docs-numbers": lambda c: c["examples"][0].update(reference_docs=[1]),
@@ -673,8 +700,8 @@ def loose_collection(name):
 def test_answer_on_a_bundle_with_a_loosely_typed_collection_exits_2(tmp_path, corpus_path, capsys,
                                                                      name):
     bundle = tmp_path / "bundle.json"
-    bundle.write_text(json.dumps({"version": 1, "collections": {"q1": loose_collection(name)}}),
-                      encoding="utf-8")
+    doc = {"version": COLLECTION_VERSION, "collections": {"q1": loose_collection(name)}}
+    bundle.write_text(json.dumps(doc), encoding="utf-8")
     run_log = tmp_path / "run.jsonl"
     code = main(["answer", "--provider", "mock", "--corpus", corpus_path,
                  "--collection", str(bundle), "--run-log", str(run_log)])
@@ -923,8 +950,7 @@ def test_random_selection_is_seeded_per_question(tmp_path):
     skills = list(ReasoningSkill)
     examples = [make_example([skills[i]], question=f"example {i}") for i in range(5)]
     bundle = str(tmp_path / "bundle.json")
-    persist_bundle({qid: build_collection(examples) for qid in qids}, bundle,
-                   construction_mode="guided-fill", delta=7)
+    persist_bundle({qid: build_collection(examples) for qid in qids}, bundle)
 
     def selected(run_log):
         assert main(["answer", "--provider", "mock", "--corpus", corpus, "--collection", bundle,
@@ -1042,8 +1068,7 @@ def test_a_gold_answer_without_word_tokens_exits_2_before_any_call(tmp_path, moc
     row = dict(eiffel_row(), gold_answers=["\u2014"])
     corpus = write_corpus(tmp_path / "corpus.jsonl", [row])
     bundle, run_log = str(tmp_path / "bundle.json"), str(tmp_path / "run.jsonl")
-    persist_bundle({"q1": build_collection([make_example([ReasoningSkill.DEDUCTIVE])])}, bundle,
-                   construction_mode="guided-fill", delta=7)
+    persist_bundle({"q1": build_collection([make_example([ReasoningSkill.DEDUCTIVE])])}, bundle)
     write_corpus(run_log, [log_line()])
     argv = {
         "generate": ["--provider", "mock", "--collection", str(tmp_path / "new.json")],
@@ -1079,7 +1104,7 @@ def test_a_lone_surrogate_in_the_corpus_exits_2_before_any_call(tmp_path, mock_c
     corpus = write_corpus(tmp_path / "corpus.jsonl", [eiffel_row("q1"), dict(eiffel_row("q2"), documents=[doc])])
     bundle, run_log = str(tmp_path / "bundle.json"), str(tmp_path / "run.jsonl")
     persist_bundle({qid: build_collection([make_example([ReasoningSkill.DEDUCTIVE])]) for qid in ("q1", "q2")},
-                   bundle, construction_mode="guided-fill", delta=7)
+                   bundle)
     write_corpus(run_log, [log_line(), log_line(question_id="q2")])
     argv = {
         "generate": ["--provider", "mock", "--collection", str(tmp_path / "new.json")],
@@ -1105,8 +1130,7 @@ def runnable_argv(tmp_path, command):
     """Flags that run `command` to exit 0 on a one-question corpus, and the paths of its outputs."""
     corpus = write_corpus(tmp_path / "corpus.jsonl", [eiffel_row()])
     bundle, run_log = str(tmp_path / "bundle.json"), str(tmp_path / "run.jsonl")
-    persist_bundle({"q1": build_collection([make_example([ReasoningSkill.DEDUCTIVE])])}, bundle,
-                   construction_mode="guided-fill", delta=7)
+    persist_bundle({"q1": build_collection([make_example([ReasoningSkill.DEDUCTIVE])])}, bundle)
     write_corpus(run_log, [log_line()])
     out = str(tmp_path / "out")
     argv, outputs = {

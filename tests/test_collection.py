@@ -6,6 +6,7 @@ import re
 import pytest
 
 from skillpath.collection import (
+    ExampleCollection,
     build_collection,
     example_from_record,
     example_to_record,
@@ -58,38 +59,33 @@ def test_persist_restore_round_trip(tmp_path):
         ]
     )
     path = tmp_path / "c.json"
-    persist_bundle({"q1": collection}, str(path), construction_mode="guided_fill", delta=7)
-    restored = restore_bundle(str(path))
-    assert restored == {"q1": collection}
-
-    body = json.loads(path.read_text(encoding="utf-8"))
-    assert body["version"] == 1
-    assert body["collections"]["q1"]["n"] == 2
-    assert body["construction_mode"] == "guided_fill"
-    assert body["delta"] == 7
+    persist_bundle({"q1": collection}, str(path))
+    assert restore_bundle(str(path)) == {"q1": collection}
 
 
-def test_restore_rejects_tampered_frequency_index(tmp_path):
+def test_a_bundle_stores_its_examples_and_nothing_derived_from_them(tmp_path):
+    # n and freq_index follow from the examples; the construction mode is in the config snapshot
+    example = make_example([ReasoningSkill.DEDUCTIVE, ReasoningSkill.INDUCTIVE])
+    _, body = bundle_doc(tmp_path, build_collection([example, example]))
+    assert set(body) == {"version", "created_at", "collections"}
+    assert body["version"] == 2
+    assert set(body["collections"]["q1"]) == {"examples"}
+    assert [set(stored) for stored in body["collections"]["q1"]["examples"]] == [
+        {"question", "strategy", "reference_docs", "answer"}
+    ] * 2
+
+
+def test_a_collection_has_no_default_frequency_index():
+    # built directly with a default, it would score every skill as unused
+    with pytest.raises(TypeError):
+        ExampleCollection([make_example([ReasoningSkill.DEDUCTIVE])])
+
+
+def test_restore_rejects_a_repeated_key(tmp_path):
     path, body = bundle_doc(tmp_path, build_collection([make_example([ReasoningSkill.DEDUCTIVE])]))
-    body["collections"]["q1"]["freq_index"]["inductive"] = 5
-    path.write_text(json.dumps(body), encoding="utf-8")
-    with pytest.raises(StorageError, match=r"\[q1\]: stored freq_index disagrees with examples$"):
-        restore_bundle(str(path))
-
-
-def test_restore_rejects_wrong_size(tmp_path):
-    path, body = bundle_doc(tmp_path, build_collection([make_example([ReasoningSkill.DEDUCTIVE])]))
-    body["collections"]["q1"]["n"] = 9
-    path.write_text(json.dumps(body), encoding="utf-8")
-    with pytest.raises(StorageError, match=r"\[q1\]: stored n=9 but found 1 examples$"):
-        restore_bundle(str(path))
-
-
-def test_restore_rejects_a_freq_index_that_is_not_an_object(tmp_path):
-    path, body = bundle_doc(tmp_path, build_collection([make_example([ReasoningSkill.DEDUCTIVE])]))
-    body["collections"]["q1"]["freq_index"] = [["deductive", 1]]
-    path.write_text(json.dumps(body), encoding="utf-8")
-    with pytest.raises(StorageError, match=r"\[q1\]: malformed collection"):
+    path.write_text(json.dumps(body)[:-1] + ', "created_at": "2026-01-01T00:00:00Z"}', encoding="utf-8")
+    where = re.escape(f"{path}: an object repeats the key 'created_at'")
+    with pytest.raises(ValidationError, match=f"^{where}$"):
         restore_bundle(str(path))
 
 

@@ -291,12 +291,12 @@ def test_reference_docs_reject_empty_replies():
 
 def test_similar_example_validates_shape():
     strategy = ReasoningStrategy(("a?",), (ReasoningSkill.DEDUCTIVE,))
-    example = SimilarExample("q?", strategy, ["doc"], "ans", ConstructionMode.RANDOM_FILL)
+    example = SimilarExample("q?", strategy, ["doc"], "ans")
     assert example.reference_docs == ("doc",)
     with pytest.raises(ValueError, match="^2 reference docs vs 1 subquestions$"):
-        SimilarExample("q?", strategy, ["doc", "extra"], "ans", ConstructionMode.RANDOM_FILL)
+        SimilarExample("q?", strategy, ["doc", "extra"], "ans")
     with pytest.raises(EmptyAnswer):
-        SimilarExample("q?", strategy, ["doc"], "  ", ConstructionMode.RANDOM_FILL)
+        SimilarExample("q?", strategy, ["doc"], "  ")
 
 
 def test_synthesize_example_end_to_end_with_mock():
@@ -307,13 +307,10 @@ def test_synthesize_example_end_to_end_with_mock():
         "The patent office recorded the filing.",
         "The record survives today.",
     ]
-    example = synthesize_example(
-        "Who invented the telephone?", MockProvider(replies), ConstructionMode.GUIDED_FILL
-    )
+    example = synthesize_example("Who invented the telephone?", MockProvider(replies))
     assert example.question == "Who invented the telephone?"
     assert example.answer == "Alexander Graham Bell"
     assert len(example.reference_docs) == len(example.strategy)
-    assert example.construction_mode is ConstructionMode.GUIDED_FILL
 
 
 # one line of text: no character that str.splitlines() breaks on

@@ -227,7 +227,7 @@ def test_a_stage_outside_any_fan_out_makes_every_call_on_the_calling_thread():
     provider = MockProvider(reply)
     candidates = [CandidateQuestion(q, ConstructionMode.GUIDED_FILL) for q in ("q one", "q two")]
     score_candidates("orig", candidates, provider)
-    synthesize_example("q one", provider, ConstructionMode.GUIDED_FILL)
+    synthesize_example("q one", provider)
     answer("How tall?", DOC, make_example([S.DEDUCTIVE, S.INDUCTIVE]), provider)
     # two scores; a strategy and two references; two extractions and the answer
     assert threads == [threading.get_ident()] * 8
@@ -396,7 +396,7 @@ def test_every_question_lane_overlaps_its_own_calls(tmp_path, monkeypatch):
     bundle = str(tmp_path / "bundle.json")
     example = make_example([S.DEDUCTIVE, S.INDUCTIVE])
     persist_bundle({row["question_id"]: build_collection([example]) for row in rows},
-                   bundle, construction_mode="guided_fill", delta=7, created_at=STAMP)
+                   bundle, created_at=STAMP)
     monkeypatch.setattr(cli, "CannedProvider", Backend)
     assert cli.main(["answer", "--provider", "mock", "--corpus", str(corpus), "--collection", bundle,
                      "--run-log", str(tmp_path / "run.jsonl"), "--parallelism", str(width)]) == 0
@@ -555,7 +555,7 @@ def test_answer_record_and_replay_are_byte_identical_under_jitter(tmp_path, monk
     example = make_example([S.DEDUCTIVE, S.DEDUCTIVE, S.DECOMPOSITIONAL])
     persist_bundle(
         {row["question_id"]: build_collection([example]) for row in rows},
-        bundle, construction_mode="guided_fill", delta=7, created_at=STAMP,
+        bundle, created_at=STAMP,
     )
 
     def argv(out):

@@ -200,7 +200,8 @@ READERS = {
 }
 
 
-@pytest.mark.parametrize("fault", ["not-an-object", "missing-field", "repeated-key", "invalid-json"])
+@pytest.mark.parametrize("fault", ["not-an-object", "missing-field", "repeated-key", "repeated-json-key",
+                                   "invalid-json"])
 @pytest.mark.parametrize("reader", READERS)
 def test_every_line_reader_words_a_bad_line_alike_and_names_its_line(tmp_path, reader, fault):
     load, key, field, head, line = READERS[reader]
@@ -210,6 +211,9 @@ def test_every_line_reader_words_a_bad_line_alike_and_names_its_line(tmp_path, r
         "missing-field": (json.dumps({k: v for k, v in line("k2").items() if k != field}),
                           f"missing field {field!r}"),
         "repeated-key": (json.dumps(line("k1")), f"repeats {key} 'k1'"),
+        # the last value would win silently
+        "repeated-json-key": (json.dumps(line("k2"))[:-1] + f', "{key}": "k2"}}',
+                              f"an object repeats the key {key!r}"),
         "invalid-json": ("{oops", "invalid JSON: "),
     }[fault]
     path = tmp_path / "input.jsonl"
@@ -220,3 +224,36 @@ def test_every_line_reader_words_a_bad_line_alike_and_names_its_line(tmp_path, r
     with pytest.raises(ValidationError, match=f"^{where}") as raised:
         load(str(path))
     assert raised.value.line == number
+
+
+def test_a_transcript_header_that_repeats_a_key_names_its_line(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text(f'{{"version": {TRANSCRIPT_VERSION}, "entries": 1, "entries": 0}}\n', encoding="utf-8")
+    where = re.escape(f"{path}:1: an object repeats the key 'entries'")
+    with pytest.raises(ValidationError, match=f"^{where}$"):
+        Transcript.load(str(path))
+
+
+def test_a_data_file_that_repeats_a_key_is_a_validation_error(tmp_path, monkeypatch, uncached_loaders):
+    (tmp_path / "repair_cues.json").write_text('{"cues": ["wait"], "cues": ["hold on"]}', encoding="utf-8")
+    monkeypatch.setenv(resources.DATA_DIR_ENV, str(tmp_path))
+    with pytest.raises(ValidationError, match="^repair_cues.json: an object repeats the key 'cues'$"):
+        resources.load_repair_cues()
+
+
+@pytest.mark.parametrize(
+    "text, repeated",
+    [
+        ('{"a": {"b": 1, "b": 2}}', "b"),
+        ('[{"b": 1}, {"b": 2, "c": 3, "c": 3}]', "c"),
+        ('{"a": {"b": 1}, "c": {"b": 2}}', None),
+    ],
+    ids=["nested", "in-an-array", "one-key-in-two-objects"],
+)
+def test_a_key_is_refused_when_one_object_repeats_it_at_any_depth(text, repeated):
+    lines = parse_jsonl("{}\n" + text + "\n", "in.jsonl")
+    if repeated is None:
+        assert len(list(lines)) == 2
+        return
+    with pytest.raises(ValidationError, match=f"^in.jsonl:2: an object repeats the key '{repeated}'$"):
+        list(lines)

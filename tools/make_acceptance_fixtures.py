@@ -17,7 +17,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from skillpath import answerer, corpus
 from skillpath.collection import build_collection, persist_bundle
-from skillpath.examplegen import ConstructionMode, ReasoningStrategy, SimilarExample
+from skillpath.examplegen import ReasoningStrategy, SimilarExample
 from skillpath.matcher import SelectionMode, select_best
 from skillpath.providers import MockProvider, RecordingProvider, Transcript, fan_out
 from skillpath.skills import ReasoningSkill as S
@@ -75,7 +75,6 @@ def build_bundle():
             "A question about the subject of a film resolves to the person the film portrays.",
         ),
         answer="The subject of the film Rocketman was born in Pinner.",
-        construction_mode=ConstructionMode.GUIDED_FILL,
     )
     q1_shallow = SimilarExample(
         question="In what city was the subject of the film Gandhi born?",
@@ -85,7 +84,6 @@ def build_bundle():
         ),
         reference_docs=("Gandhi, the subject of the film Gandhi, was born in Porbandar.",),
         answer="The subject of the film Gandhi was born in Porbandar.",
-        construction_mode=ConstructionMode.GUIDED_FILL,
     )
     q2_single = SimilarExample(
         question="In what year was the Brooklyn Bridge constructed?",
@@ -95,7 +93,6 @@ def build_bundle():
         ),
         reference_docs=("The Brooklyn Bridge was constructed in 1883.",),
         answer="The Brooklyn Bridge was constructed in 1883.",
-        construction_mode=ConstructionMode.GUIDED_FILL,
     )
     return {
         "q1": build_collection([q1_deep, q1_shallow]),
@@ -142,13 +139,7 @@ def main() -> None:
     corpus.save_records(RECORDS, os.path.join(FIXTURES, "corpus.jsonl"))
 
     bundle = build_bundle()
-    persist_bundle(
-        bundle,
-        os.path.join(FIXTURES, "collection.json"),
-        construction_mode=ConstructionMode.GUIDED_FILL.value,
-        delta=7,
-        created_at=STAMP,
-    )
+    persist_bundle(bundle, os.path.join(FIXTURES, "collection.json"), created_at=STAMP)
 
     recorder = RecordingProvider(MockProvider(scripted_reply))
 
