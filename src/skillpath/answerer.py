@@ -11,7 +11,7 @@ latency of every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .collection import ExampleCollection
 from .errors import SegmentNotInDocument
@@ -23,8 +23,7 @@ from .skills import ReasoningSkill
 from .textutil import ANSWER_SPAN, Passage, sentence_key, split_sentences
 
 
-@dataclass
-class AnswerTrace:
+class AnswerTrace(NamedTuple):
     """Everything recorded about one guided answering run."""
 
     question: str

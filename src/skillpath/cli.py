@@ -41,7 +41,6 @@ import random
 import sys
 import threading
 import typing
-from dataclasses import asdict, dataclass
 
 from . import answerer, collection as collection_mod, corpus as corpus_mod, examplegen, metrics
 from .canned import CannedProvider
@@ -70,8 +69,9 @@ _CHOICES = {"gen_mode": tuple(sorted(mode.value.replace("_", "-") for mode in ex
 _OVERGENERATION = 2
 
 
-@dataclass
 class RunConfig:
+    """A command's settings: a default here, then its config file's value, then its flag's."""
+
     command: str = ""
     corpus: str | None = None
     collection: str | None = None
@@ -86,6 +86,9 @@ class RunConfig:
     count: int = 5
     seed: int | None = None
     parallelism: int = 1
+
+    def __init__(self, **settings):
+        vars(self).update(settings)
 
     def settings(self) -> dict:
         """The settings its command reads, by name."""
@@ -321,7 +324,8 @@ def cmd_answer(config: RunConfig) -> int:
         example = gamma.examples[match.selected_index]
         trace = answerer.answer(record.question, document, example, provider)
         return {
-            **asdict(trace),
+            **trace._asdict(),
+            "usage": trace.usage._asdict(),
             "question_id": qid,
             "selected_example_id": match.selected_index,
             "match": match.to_record(),

@@ -11,7 +11,7 @@ generated with live in its config snapshot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SkillPathError, StorageError
 from .examplegen import ReasoningStrategy, SimilarExample
@@ -21,8 +21,7 @@ from .skills import ReasoningSkill, parse_skill
 COLLECTION_VERSION = 2
 
 
-@dataclass
-class ExampleCollection:
+class ExampleCollection(NamedTuple):
     examples: list[SimilarExample]
     freq_index: dict[ReasoningSkill, int]
 

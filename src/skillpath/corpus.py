@@ -15,14 +15,13 @@ into [document index, sentence index]. Converters stay outside the core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .resources import json_line, parse_jsonl, read_keyed, read_text, write_text
 from .textutil import norm_tokens, split_sentences
 
 
-@dataclass(frozen=True)
-class QARecord:
+class QARecord(NamedTuple):
     question_id: str
     question: str
     documents: tuple[str, ...]

@@ -15,16 +15,15 @@ rather than keeping a dangling "the" in front of each slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import EmptyQuestion
 from .resources import load_entity_pool
 from .textutil import ARTICLES, detokenize, tokenize
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One template token. Multiword entities are a single Token.
 
     entity_type is None exactly for structural tokens. article holds a
@@ -42,8 +41,7 @@ class Token:
         return f"{self.article} {self.text}" if self.article else self.text
 
 
-@dataclass(frozen=True)
-class Placeholder:
+class Placeholder(NamedTuple):
     entity_text: str
     entity_type: str
     article: str
@@ -54,8 +52,7 @@ class Placeholder:
         return f"{self.article} {value}" if self.article else value
 
 
-@dataclass
-class QuestionTemplate:
+class QuestionTemplate(NamedTuple):
     original: str
     placeholders: list[Placeholder]
     template_text: str

@@ -9,12 +9,11 @@ SimilarExample ready for collection into a Γ.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import random
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .decompose import QuestionTemplate, render_template
 from .errors import (
@@ -41,23 +40,20 @@ class ConstructionMode(Enum):
     TEMPLATE_VARIATION = "template_variation"
 
 
-@dataclass(frozen=True)
-class CandidateQuestion:
+class CandidateQuestion(NamedTuple):
     text: str
     mode: ConstructionMode
     similarity_score: int | None = None
 
 
-@dataclass(frozen=True)
 class ReasoningStrategy:
-    """Ordered subquestions with one reasoning skill per step."""
+    """Ordered subquestions with one reasoning skill per step; its length is its number of steps."""
 
-    subquestions: tuple[str, ...]
-    skills: tuple[ReasoningSkill, ...]
+    __slots__ = ("subquestions", "skills")
 
-    def __post_init__(self):
-        object.__setattr__(self, "subquestions", tuple(self.subquestions))
-        object.__setattr__(self, "skills", tuple(self.skills))
+    def __init__(self, subquestions: tuple[str, ...], skills: tuple[ReasoningSkill, ...]):
+        object.__setattr__(self, "subquestions", tuple(subquestions))
+        object.__setattr__(self, "skills", tuple(skills))
         if not self.skills:
             raise ValueError("a strategy needs at least one step")
         if len(self.subquestions) != len(self.skills):
@@ -68,28 +64,46 @@ class ReasoningStrategy:
             if not isinstance(s, ReasoningSkill):
                 raise ValueError(f"not a taxonomy member: {s!r}")
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not ReasoningStrategy:
+            return NotImplemented
+        return (self.subquestions, self.skills) == (other.subquestions, other.skills)
+
+    def __hash__(self) -> int:
+        return hash((self.subquestions, self.skills))
+
+    def __repr__(self) -> str:
+        return f"ReasoningStrategy(subquestions={self.subquestions!r}, skills={self.skills!r})"
+
     def __len__(self) -> int:
         return len(self.skills)
 
 
-@dataclass(frozen=True)
-class SimilarExample:
+class _SimilarExample(NamedTuple):
     question: str
     strategy: ReasoningStrategy
     reference_docs: tuple[str, ...]
     answer: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "reference_docs", tuple(self.reference_docs))
-        if not self.question.strip():
+
+class SimilarExample(_SimilarExample):
+    __slots__ = ()
+
+    def __new__(cls, question: str, strategy: ReasoningStrategy, reference_docs: tuple[str, ...], answer: str):
+        reference_docs = tuple(reference_docs)
+        if not question.strip():
             raise ValueError("example question is empty")
-        if len(self.reference_docs) != len(self.strategy.subquestions):
+        if len(reference_docs) != len(strategy.subquestions):
             raise ValueError(
-                f"{len(self.reference_docs)} reference docs vs "
-                f"{len(self.strategy.subquestions)} subquestions"
+                f"{len(reference_docs)} reference docs vs "
+                f"{len(strategy.subquestions)} subquestions"
             )
-        if not self.answer.strip():
+        if not answer.strip():
             raise EmptyAnswer("example has no answer text")
+        return super().__new__(cls, question, strategy, reference_docs, answer)
 
 
 _NUMBERED = re.compile(r"^\s*(\d+)[.)]\s*(.*\S)\s*$")
@@ -242,7 +256,7 @@ def score_candidates(
 ) -> list[CandidateQuestion]:
     """Attach a similarity score to each candidate."""
     scores = fan_out(lambda c: score_similarity(original, c.text, provider), candidates)
-    return [dataclasses.replace(c, similarity_score=s) for c, s in zip(candidates, scores)]
+    return [c._replace(similarity_score=s) for c, s in zip(candidates, scores)]
 
 
 def filter_candidates(candidates: list[CandidateQuestion], delta: int) -> list[CandidateQuestion]:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .collection import ExampleCollection
 from .examplegen import ReasoningStrategy, SimilarExample
@@ -33,15 +33,13 @@ class SelectionMode(Enum):
     RANDOM = "random"
 
 
-@dataclass(frozen=True)
-class ScoreBreakdown:
+class ScoreBreakdown(NamedTuple):
     coverage: float
     uniqueness_sum: float
     total: float
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     selected_index: int
     per_example: tuple[ScoreBreakdown, ...]
     mode: SelectionMode
@@ -50,7 +48,7 @@ class MatchResult:
         return {
             "mode": self.mode.value,
             "selected_index": self.selected_index,
-            "per_example": [asdict(b) for b in self.per_example],
+            "per_example": [b._asdict() for b in self.per_example],
         }
 
 

@@ -11,7 +11,7 @@ never as 0.
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .errors import ZeroDenominator
 from .providers import TokenUsage
@@ -23,22 +23,23 @@ CITATION_CONTAINMENT = 0.8
 SentenceId = tuple[int, int]
 
 
-@dataclass
 class EvalRecord:
-    """One scored response joined with its gold data."""
+    """One scored response joined with its gold data, which eval fills in after reading the response."""
 
-    question_id: str
-    prediction: str
-    gold_answers: list[str]
-    cited_sentences: set[SentenceId] | None = None
-    gold_sentences: set[SentenceId] | None = None
-    chain_text: str = ""
-    usage: TokenUsage | None = None
-    latency_ms: float = 0.0
+    def __init__(self, question_id: str, prediction: str, gold_answers: list[str],
+                 cited_sentences: set[SentenceId] | None = None, gold_sentences: set[SentenceId] | None = None,
+                 chain_text: str = "", usage: TokenUsage | None = None, latency_ms: float = 0.0):
+        self.question_id = question_id
+        self.prediction = prediction
+        self.gold_answers = gold_answers
+        self.cited_sentences = cited_sentences
+        self.gold_sentences = gold_sentences
+        self.chain_text = chain_text
+        self.usage = usage
+        self.latency_ms = latency_ms
 
 
-@dataclass
-class EvalReport:
+class EvalReport(NamedTuple):
     rouge_l_mean: float
     em_mean: float
     hits: float | None
@@ -49,7 +50,7 @@ class EvalReport:
     n: int
 
     def to_record(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
@@ -92,8 +93,7 @@ def exact_match(prediction: str, gold_answers: list[str]) -> int:
     return int(any(pred == normalize_answer(g) for g in gold_answers))
 
 
-@dataclass(frozen=True)
-class HitsError:
+class HitsError(NamedTuple):
     hits: float
     error: float | None
 
@@ -186,8 +186,7 @@ def retrace_rate(records: list[EvalRecord], cues: list[str] | None = None) -> fl
     return sum(flags) / len(flags)
 
 
-@dataclass(frozen=True)
-class TokenStats:
+class TokenStats(NamedTuple):
     token_mean: float
     time_mean_ms: float
 

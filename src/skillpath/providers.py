@@ -18,15 +18,13 @@ from __future__ import annotations
 
 import collections
 import contextvars
-import dataclasses
-import hashlib
 import json
 import math
 import os
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import __version__
 from .errors import ProviderError, ReplayMiss, StorageError, TransportError
@@ -51,22 +49,26 @@ _scope: contextvars.ContextVar[tuple[int, ...]] = contextvars.ContextVar("skillp
 _lanes: contextvars.ContextVar[int] = contextvars.ContextVar("skillpath_lanes", default=1)
 
 
-@dataclass(frozen=True)
-class TokenUsage:
-    """Token counts; every count read from a reply or a file is checked here."""
-
+class _TokenUsage(NamedTuple):
     prompt_tokens: int
     completion_tokens: int
     total_tokens: int
 
-    def __post_init__(self):
-        counts = (self.prompt_tokens, self.completion_tokens, self.total_tokens)
+
+class TokenUsage(_TokenUsage):
+    """Token counts; every count read from a reply or a file is checked here."""
+
+    __slots__ = ()
+
+    def __new__(cls, prompt_tokens: int, completion_tokens: int, total_tokens: int):
+        counts = (prompt_tokens, completion_tokens, total_tokens)
         if not all(type(count) is int for count in counts):  # a bool is not a count
             raise ValueError(f"token counts must be integers, got {counts!r}")
         if min(counts) < 0:
             raise ValueError(f"token counts must be non-negative, got {counts!r}")
-        if self.total_tokens != self.prompt_tokens + self.completion_tokens:
+        if total_tokens != prompt_tokens + completion_tokens:
             raise ValueError(f"total_tokens must equal prompt plus completion, got {counts!r}")
+        return super().__new__(cls, *counts)
 
     @classmethod
     def of(cls, prompt_tokens: int, completion_tokens: int) -> TokenUsage:
@@ -83,8 +85,12 @@ class TokenUsage:
         )
 
 
-@dataclass(frozen=True)
-class CompletionRequest:
+class _CompletionRequest(NamedTuple):
+    prompt: str
+    tag: str = ""
+
+
+class CompletionRequest(_CompletionRequest):
     """One prompt for the backend.
 
     tag is a short stage label ("similarity", "segment", ...) used in error
@@ -92,32 +98,35 @@ class CompletionRequest:
     relabeled pipeline still replays old transcripts.
     """
 
-    prompt: str
-    tag: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.prompt, str) or not self.prompt:
-            raise ValueError(f"prompt must be a non-empty string, got {self.prompt!r}")
-        if not isinstance(self.tag, str):
-            raise ValueError(f"tag must be a string, got {self.tag!r}")
+    def __new__(cls, prompt: str, tag: str = ""):
+        if not isinstance(prompt, str) or not prompt:
+            raise ValueError(f"prompt must be a non-empty string, got {prompt!r}")
+        if not isinstance(tag, str):
+            raise ValueError(f"tag must be a string, got {tag!r}")
+        return super().__new__(cls, prompt, tag)
 
 
-@dataclass(frozen=True)
-class CompletionResult:
+class _CompletionResult(NamedTuple):
     text: str
     usage: TokenUsage
     latency_ms: float = 0.0
 
-    def __post_init__(self):
-        if not isinstance(self.text, str):
-            raise ValueError(f"reply text must be a string, got {self.text!r}")
-        if not isinstance(self.usage, TokenUsage):
-            raise ValueError(f"usage must be a TokenUsage, got {self.usage!r}")
-        latency = self.latency_ms
+
+class CompletionResult(_CompletionResult):
+    __slots__ = ()
+
+    def __new__(cls, text: str, usage: TokenUsage, latency_ms: float = 0.0):
+        if not isinstance(text, str):
+            raise ValueError(f"reply text must be a string, got {text!r}")
+        if not isinstance(usage, TokenUsage):
+            raise ValueError(f"usage must be a TokenUsage, got {usage!r}")
         # inf, nan and ints past the largest float fail the range check
-        finite = isinstance(latency, (int, float)) and 0 <= latency <= sys.float_info.max
-        if isinstance(latency, bool) or not finite:
-            raise ValueError(f"latency_ms must be a finite non-negative number, got {latency!r}")
+        finite = isinstance(latency_ms, (int, float)) and 0 <= latency_ms <= sys.float_info.max
+        if isinstance(latency_ms, bool) or not finite:
+            raise ValueError(f"latency_ms must be a finite non-negative number, got {latency_ms!r}")
+        return super().__new__(cls, text, usage, latency_ms)
 
 
 def _tag_note(request: CompletionRequest) -> str:
@@ -132,6 +141,8 @@ def fingerprint(prompt: str, occurrence: int, scope: tuple[int, ...]) -> str:
     then the prompt's UTF-8 bytes. A JSON line holds no raw line feed, so
     the first one marks where the prompt starts.
     """
+    import hashlib  # OpenSSL loads only in a run that makes fingerprints: record or replay
+
     settings = {"occurrence": occurrence, "scope": scope}
     digest = hashlib.sha256(json_line(settings).encode("utf-8") + b"\n")
     digest.update(prompt.encode("utf-8"))
@@ -301,20 +312,24 @@ class MockProvider(Provider):
         return CompletionResult(text=text, usage=usage, latency_ms=0.0)
 
 
-@dataclass(frozen=True)
-class TranscriptEntry:
+class TranscriptEntry(NamedTuple):
     fingerprint: str
     request: CompletionRequest
     result: CompletionResult
 
+    def to_record(self) -> dict:
+        """The entry as a transcript line stores it; _entry reads it back."""
+        return {"fingerprint": self.fingerprint, "request": self.request._asdict(),
+                "result": {**self.result._asdict(), "usage": self.result.usage._asdict()}}
 
-@dataclass
+
 class Transcript:
     """A record of completed requests, one fingerprint each."""
 
-    entries: list[TranscriptEntry] = field(default_factory=list)
-    provider: str = ""
-    created_at: str = ""
+    def __init__(self, entries: list[TranscriptEntry] | None = None, provider: str = "", created_at: str = ""):
+        self.entries = [] if entries is None else entries
+        self.provider = provider
+        self.created_at = created_at
 
     def save(self, path: str) -> None:
         """Write the transcript as line-delimited JSON with a header line."""
@@ -324,7 +339,7 @@ class Transcript:
             "created_at": self.created_at,
             "entries": len(self.entries),
         }
-        docs = [header] + [dataclasses.asdict(e) for e in self.entries]
+        docs = [header] + [e.to_record() for e in self.entries]
         write_text(path, "".join(json_line(doc) + "\n" for doc in docs), "transcript")
 
     @classmethod

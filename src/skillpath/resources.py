@@ -189,13 +189,16 @@ _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 def _loads(text: str, path: str, line: int | None = None):
     """The JSON value of text read from path, which is line `line` of it for a line-delimited file.
 
-    Invalid JSON, a lone surrogate and an object that repeats a key, whose
-    last value would otherwise win silently, are each a ValidationError.
+    Invalid JSON, an integer past CPython's digit limit, a lone surrogate
+    and an object that repeats a key, whose last value would otherwise win
+    silently, are each a ValidationError.
     """
     try:
         doc = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(path, line or exc.lineno, f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # the digit limit, which names no position
+        raise ValidationError(path, line, f"unreadable JSON: {exc}") from exc
     except _RepeatedKey as exc:
         raise ValidationError(path, line, f"an object repeats the key {exc.args[0]!r}") from None
     _refuse_lone_surrogates(text, path, line or 1)

@@ -8,8 +8,8 @@ source of truth for both membership and position.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 from .errors import UnknownSkill
 
@@ -37,8 +37,7 @@ class ReasoningSkill(IntEnum):
         return _DETAILS[self].description
 
 
-@dataclass(frozen=True)
-class SkillDetail:
+class SkillDetail(NamedTuple):
     display_name: str
     description: str
     example: str

@@ -30,7 +30,7 @@ question it is working on.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # punctuation detached into standalone tokens at word edges
 _PUNCT = set(",.?!;:\"()[]{}")
@@ -164,8 +164,7 @@ def sentence_key(text: str) -> str:
     return normalize_ws(text.casefold())
 
 
-@dataclass(frozen=True)
-class Passage:
+class Passage(NamedTuple):
     """A document and its sentence-key index, built from one split.
 
     by_key maps sentence_key(sentence) to the sentence; among sentences
@@ -173,7 +172,7 @@ class Passage:
     """
 
     text: str
-    by_key: dict[str, str] = field(compare=False, repr=False)
+    by_key: dict[str, str]
 
     @classmethod
     def of(cls, text: str) -> Passage:

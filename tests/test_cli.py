@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from skillpath import cli, resources
+from skillpath import cli, collection as collection_mod, providers, resources
 from skillpath.canned import CannedProvider
 from skillpath.cli import ConfigError, _resolve_config, build_parser, main
 from skillpath.collection import (
@@ -126,6 +127,16 @@ def test_config_file_that_repeats_a_key_exits_2_before_any_call(tmp_path, corpus
     assert mock_calls == []
 
 
+def test_config_file_with_a_huge_integer_exits_2_before_any_call(tmp_path, corpus_path, mock_calls, capsys):
+    config_file = tmp_path / "conf.json"
+    config_file.write_text('{"count": ' + "9" * 5000 + "}", encoding="utf-8")
+    code = main(["generate", "--provider", "mock", "--corpus", corpus_path,
+                 "--collection", str(tmp_path / "out.json"), "--config", str(config_file)])
+    assert code == 2
+    assert f"{config_file}: unreadable JSON: Exceeds the limit (4300 digits)" in capsys.readouterr().err
+    assert mock_calls == []
+
+
 def test_config_file_that_names_a_setting_twice_exits_2(tmp_path, corpus_path, capsys):
     config_file = tmp_path / "conf.json"
     config_file.write_text(json.dumps({"run-log": "x.jsonl", "run_log": "r.jsonl"}), encoding="utf-8")
@@ -238,6 +249,40 @@ def test_generate_answer_eval_with_mock_provider(tmp_path, corpus_path, capsys):
     out = capsys.readouterr().out
     assert "ROUGE-L:" in out
     assert "Retrace:" in out
+
+
+# sha256 of every output of a mock generate, answer and eval on the fixture corpus, at a fixed clock;
+# two runs that agree with each other could still both write a record in a new shape
+PINNED_OUTPUTS = {
+    "bundle.json": "7c6693cb3bf0c2515c5474c6a5ff4a0449454daee0a224aedc00adcb575c97b8",
+    "generate.transcript.jsonl": "462f13a40f74500fcb0c2f4f4dbe069c072d5414dbf60457f415659e12ea8d33",
+    "run.jsonl": "61f305472a4342f962ea17b54885e8d1566090a30d502c51829e695d5dd7bcc6",
+    "answer.transcript.jsonl": "d7b881cdd66dcddbea08043bc5b01e07fc99d241a24dcd8c11c5187c74fd2c75",
+    "report.json": "97a12e92913049ffd19a1f30474063896a92047db810a09c26dc5e71d7252367",
+    "report.json.records.tsv": "fae0bf256cb0756de0f23dbed7384e63a92eee441fa510655bbbd4452f52df90",
+}
+
+
+def test_a_mock_run_on_the_fixture_corpus_writes_the_pinned_bytes(tmp_path, fixtures_dir, monkeypatch):
+    monkeypatch.setattr(collection_mod, "utc_now", lambda: "2026-01-01T00:00:00Z")
+    monkeypatch.setattr(providers, "utc_now", lambda: "2026-01-01T00:00:00Z")
+    recorders = []
+
+    def recorded():
+        recorders.append(RecordingProvider(CannedProvider()))
+        return recorders[-1]
+
+    monkeypatch.setattr(cli, "CannedProvider", recorded)
+    corpus, out = os.path.join(fixtures_dir, "corpus.jsonl"), str(tmp_path)
+    bundle, run_log, report = (os.path.join(out, name) for name in ("bundle.json", "run.jsonl", "report.json"))
+    for command, argv in [("generate", ["--provider", "mock", "--collection", bundle]),
+                          ("answer", ["--provider", "mock", "--collection", bundle, "--run-log", run_log]),
+                          ("eval", ["--run-log", run_log, "--report", report])]:
+        assert main([command, "--corpus", corpus, *argv]) == 0
+        if command != "eval":
+            recorders[-1].transcript.save(os.path.join(out, f"{command}.transcript.jsonl"))
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PINNED_OUTPUTS}
+    assert digests == PINNED_OUTPUTS
 
 
 def test_generate_reports_per_question_failures(tmp_path, capsys):

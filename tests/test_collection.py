@@ -89,6 +89,14 @@ def test_restore_rejects_a_repeated_key(tmp_path):
         restore_bundle(str(path))
 
 
+def test_restore_rejects_a_huge_integer(tmp_path):
+    path, body = bundle_doc(tmp_path, build_collection([make_example([ReasoningSkill.DEDUCTIVE])]))
+    path.write_text(json.dumps(body)[:-1] + ', "n": ' + "9" * 5000 + "}", encoding="utf-8")
+    where = re.escape(f"{path}: unreadable JSON: Exceeds the limit (4300 digits)")
+    with pytest.raises(ValidationError, match=f"^{where}"):
+        restore_bundle(str(path))
+
+
 def test_restore_rejects_unknown_version(tmp_path):
     path, body = bundle_doc(tmp_path, build_collection([make_example([ReasoningSkill.DEDUCTIVE])]))
     body["version"] = 99

@@ -1,6 +1,6 @@
 """The package runs on the standard library alone, defines no exception it never raises, judges
-every input line in one module, tags every request with a stage the mock backend answers, and
-reads exactly the environment variables its README names."""
+every input line in one module, tags every request with a stage the mock backend answers, reads
+exactly the environment variables its README names, and keeps its immutable records immutable."""
 
 from __future__ import annotations
 
@@ -15,6 +15,17 @@ import sys
 import pytest
 
 from skillpath import canned
+from skillpath.collection import build_collection
+from skillpath.corpus import QARecord
+from skillpath.decompose import classify_tokens, decompose_question
+from skillpath.examplegen import CandidateQuestion, ConstructionMode, ReasoningStrategy
+from skillpath.matcher import ScoreBreakdown, select_best
+from skillpath.metrics import HitsError, TokenStats
+from skillpath.providers import CompletionRequest, CompletionResult, TokenUsage, TranscriptEntry
+from skillpath.skills import ReasoningSkill, SkillDetail
+from skillpath.textutil import Passage
+
+from conftest import make_example
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -64,25 +75,38 @@ import contextlib, io, os, sys
 from skillpath import cli
 from skillpath.providers import LiveProvider
 
-corpus, out, *stack = sys.argv[1:]
+fixtures, out, then, *names = sys.argv[1:]
+corpus = os.path.join(fixtures, "corpus.jsonl")
 bundle, run_log = os.path.join(out, "bundle.json"), os.path.join(out, "run.jsonl")
 steps = [
     ["generate", "--provider", "mock", "--corpus", corpus, "--collection", bundle],
     ["answer", "--provider", "mock", "--corpus", corpus, "--collection", bundle, "--run-log", run_log],
     ["eval", "--corpus", corpus, "--run-log", run_log, "--report", os.path.join(out, "report.json")],
 ]
+replay = ["answer", "--provider", "replay", "--transcript", os.path.join(fixtures, "transcript.jsonl"),
+          "--corpus", corpus, "--collection", os.path.join(fixtures, "collection.json"), "--run-log", run_log]
 with contextlib.redirect_stdout(io.StringIO()):
     assert [cli.main(argv) for argv in steps] == [0, 0, 0]
-print(sorted(name for name in stack if name in sys.modules))
-LiveProvider()
-print(sorted(name for name in stack if name in sys.modules))
+print(sorted(name for name in names if name in sys.modules))
+if then == "live":
+    LiveProvider()
+else:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(replay) == 0
+print(sorted(name for name in names if name in sys.modules))
 """
 
 
 def test_only_a_live_provider_loads_the_http_stack(tmp_path, fixtures_dir):
-    out = run_fresh(COLD_START, os.path.join(fixtures_dir, "corpus.jsonl"), str(tmp_path), *HTTP_STACK,
+    out = run_fresh(COLD_START, fixtures_dir, str(tmp_path), "live", *HTTP_STACK,
                     SKILLPATH_API_BASE="http://127.0.0.1:9", SKILLPATH_MODEL="m")
     assert out.splitlines() == ["[]", str(sorted(HTTP_STACK))]
+
+
+def test_a_cold_start_builds_no_dataclass_and_only_record_or_replay_loads_hashlib(tmp_path, fixtures_dir):
+    # dataclasses pulls in inspect, and hashlib loads OpenSSL: work no mock command or eval needs
+    out = run_fresh(COLD_START, fixtures_dir, str(tmp_path), "replay", "dataclasses", "hashlib", "inspect")
+    assert out.splitlines() == ["[]", "['hashlib']"]
 
 
 def test_every_exception_class_is_raised_or_is_the_base_of_one_that_is():
@@ -143,3 +167,36 @@ def test_the_readme_names_exactly_the_environment_variables_the_code_reads():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         in_readme = set(ENV_NAME.findall(fh.read()))
     assert in_code == in_readme
+
+
+# each record the package builds and never changes, made by a call that makes a new one
+IMMUTABLE = {
+    "TokenUsage": lambda: TokenUsage.of(2, 1),
+    "CompletionRequest": lambda: CompletionRequest("prompt", "answer"),
+    "CompletionResult": lambda: CompletionResult("reply", TokenUsage.of(2, 1), 1.5),
+    "TranscriptEntry": lambda: TranscriptEntry("f", CompletionRequest("p"), CompletionResult("r", TokenUsage.zero())),
+    "CandidateQuestion": lambda: CandidateQuestion("Q?", ConstructionMode.RANDOM_FILL, 7),
+    "ReasoningStrategy": lambda: ReasoningStrategy(("step 1",), (ReasoningSkill.DEDUCTIVE,)),
+    "SimilarExample": lambda: make_example([ReasoningSkill.DEDUCTIVE, ReasoningSkill.ANALOGICAL]),
+    "Token": lambda: classify_tokens("Who built the Eiffel Tower?")[-2],
+    "Placeholder": lambda: decompose_question("Who built the Eiffel Tower?").placeholders[0],
+    "QARecord": lambda: QARecord("q", "Q?", ("Doc.",), ("A",), frozenset({(0, 0)})),
+    "ScoreBreakdown": lambda: ScoreBreakdown(0.25, 1.5, 1.75),
+    "MatchResult": lambda: select_best(build_collection([make_example([ReasoningSkill.DEDUCTIVE])])),
+    "HitsError": lambda: HitsError(0.5, None),
+    "TokenStats": lambda: TokenStats(3.0, 1.5),
+    "SkillDetail": lambda: SkillDetail("Deductive", "From a rule.", "All A are B."),
+    "Passage": lambda: Passage.of("One. Two."),
+}
+
+
+@pytest.mark.parametrize("name", IMMUTABLE)
+def test_an_immutable_record_refuses_assignment_and_equals_one_of_the_same_fields(name):
+    record, same = IMMUTABLE[name](), IMMUTABLE[name]()
+    assert type(record).__name__ == name
+    assert record == same and record is not same
+    if name != "Passage":  # its sentence index is a dict
+        assert hash(record) == hash(same)
+    for field in record._fields if isinstance(record, tuple) else record.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))

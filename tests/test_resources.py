@@ -201,7 +201,7 @@ READERS = {
 
 
 @pytest.mark.parametrize("fault", ["not-an-object", "missing-field", "repeated-key", "repeated-json-key",
-                                   "invalid-json"])
+                                   "invalid-json", "huge-integer"])
 @pytest.mark.parametrize("reader", READERS)
 def test_every_line_reader_words_a_bad_line_alike_and_names_its_line(tmp_path, reader, fault):
     load, key, field, head, line = READERS[reader]
@@ -215,6 +215,9 @@ def test_every_line_reader_words_a_bad_line_alike_and_names_its_line(tmp_path, r
         "repeated-json-key": (json.dumps(line("k2"))[:-1] + f', "{key}": "k2"}}',
                               f"an object repeats the key {key!r}"),
         "invalid-json": ("{oops", "invalid JSON: "),
+        # valid JSON, but past the digits CPython converts to an int
+        "huge-integer": (json.dumps(line("k2"))[:-1] + ', "n": ' + "9" * 5000 + "}",
+                         "unreadable JSON: Exceeds the limit (4300 digits)"),
     }[fault]
     path = tmp_path / "input.jsonl"
     path.write_text("".join(json.dumps(doc) + "\n" for doc in [*head, line("k1")]) + bad + "\n",
