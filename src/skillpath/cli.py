@@ -56,8 +56,8 @@ from .providers import (
     TokenUsage,
     fan_out,
 )
-from .resources import (check_writable, json_line, parse_jsonl, read_json, read_keyed, read_text,
-                        write_json, write_text)
+from .resources import (check_writable, json_line, parse_jsonl, read_json, read_keyed, read_lines, read_text,
+                        write_json, write_lines, write_text)
 
 log = logging.getLogger(__name__)
 
@@ -224,7 +224,7 @@ def _load_checkpoint(
             whole = text[: text.rfind("\n") + 1]
             if whole != text:
                 log.warning("dropping a torn last line from checkpoint %s", path)
-            lines = list(parse_jsonl(whole, path))
+            lines = list(parse_jsonl(whole.split("\n"), path))
             made_with = lines[0][1] if lines else None
             if made_with != header:
                 raise ValueError(f"made with {made_with!r}, not {header!r}")
@@ -254,8 +254,8 @@ def cmd_generate(config: RunConfig) -> int:
         settings["model"] = backend.model
     if isinstance(backend, ReplayProvider):
         # the path alone would take a rewritten transcript for the one recorded
-        settings["transcript_created_at"] = backend.transcript.created_at
-        settings["transcript_entries"] = len(backend.transcript.entries)
+        settings["transcript_created_at"] = backend.created_at
+        settings["transcript_entries"] = backend.entry_count
     done = _load_checkpoint(checkpoint_path, settings, {r.question_id: r.question for r in records})
     if done:
         log.info("resuming: %d question(s) already completed", len(done))
@@ -293,7 +293,7 @@ def cmd_generate(config: RunConfig) -> int:
 
     created_at = None
     if isinstance(backend, ReplayProvider):
-        created_at = backend.transcript.created_at or None
+        created_at = backend.created_at or None
     if bundle:
         collection_mod.persist_bundle(bundle, config.collection, created_at=created_at)
         _write_snapshot(config, config.collection)
@@ -332,14 +332,13 @@ def cmd_answer(config: RunConfig) -> int:
         }
 
     answered, failures = _run_questions(config, _build_provider(config), records, work)
-    lines = [json_line(line) for line in answered.values()]
     total_tokens = sum(line["usage"]["total_tokens"] for line in answered.values())
 
-    write_text(config.run_log, "".join(line + "\n" for line in lines), "run log")
+    write_lines(config.run_log, (json_line(line) + "\n" for line in answered.values()), "run log")
     _write_snapshot(config, config.run_log)
 
     print(
-        f"answered {len(lines)} of {len(records)} record(s), "
+        f"answered {len(answered)} of {len(records)} record(s), "
         f"{failures} failure(s), {total_tokens} total tokens"
     )
     return 0 if failures == 0 else 1
@@ -366,7 +365,7 @@ def _logged_answer(doc: dict, questions: typing.Container[str]) -> metrics.EvalR
 
 def _load_run_log(path: str, what: str, questions: typing.Container[str]) -> list[metrics.EvalRecord]:
     """Every line of a run log, checked; a log with no lines is an error naming its path."""
-    entries = read_keyed(parse_jsonl(read_text(path, what), path), path, "question_id",
+    entries = read_keyed(parse_jsonl(read_lines(path, what), path), path, "question_id",
                          lambda doc: _logged_answer(doc, questions))
     if not entries:
         raise StorageError(f"{what} {path} has no lines")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .resources import json_line, parse_jsonl, read_keyed, read_text, write_text
+from .resources import json_line, parse_jsonl, read_keyed, read_lines, write_lines
 from .textutil import norm_tokens, split_sentences
 
 
@@ -93,7 +93,7 @@ def _validate_record(doc: dict) -> QARecord:
 
 def load_records(path: str) -> list[QARecord]:
     """Read and validate a line-delimited corpus file, order preserved."""
-    lines = parse_jsonl(read_text(path, "corpus"), path)
+    lines = parse_jsonl(read_lines(path, "corpus"), path)
     return list(read_keyed(lines, path, "question_id", _validate_record).values())
 
 
@@ -111,4 +111,4 @@ def record_to_json(record: QARecord) -> str:
 
 
 def save_records(records: list[QARecord], path: str) -> None:
-    write_text(path, "".join(record_to_json(r) + "\n" for r in records), "corpus")
+    write_lines(path, (record_to_json(r) + "\n" for r in records), "corpus")

@@ -4,6 +4,8 @@ Every pipeline stage talks to a Provider through one method, complete().
 The recording wrapper captures request and result pairs keyed by a stable
 fingerprint, and the replay provider serves them back bit for bit, which
 is what makes end-to-end runs reproducible without network access.
+Transcripts are written and read a line at a time, and the replay
+provider keeps only the results: no recorded prompt outlives the read.
 
 A request is a prompt and a stage tag; the fingerprint covers the
 prompt, a scope and an occurrence index. fan_out runs each item in a
@@ -18,17 +20,19 @@ from __future__ import annotations
 
 import collections
 import contextvars
+import itertools
 import json
 import math
 import os
 import sys
 import threading
 import time
+from collections.abc import Callable
 from typing import NamedTuple
 
 from . import __version__
 from .errors import ProviderError, ReplayMiss, StorageError, TransportError
-from .resources import json_line, parse_jsonl, read_keyed, read_text, utc_now, write_text
+from .resources import json_line, parse_jsonl, read_keyed, read_lines, utc_now, write_lines
 from .textutil import count_ws_tokens
 
 API_BASE_ENV = "SKILLPATH_API_BASE"
@@ -332,52 +336,72 @@ class Transcript:
         self.created_at = created_at
 
     def save(self, path: str) -> None:
-        """Write the transcript as line-delimited JSON with a header line."""
+        """Write the transcript as line-delimited JSON with a header line, one line at a time."""
         header = {
             "version": TRANSCRIPT_VERSION,
             "provider": self.provider,
             "created_at": self.created_at,
             "entries": len(self.entries),
         }
-        docs = [header] + [e.to_record() for e in self.entries]
-        write_text(path, "".join(json_line(doc) + "\n" for doc in docs), "transcript")
+        docs = itertools.chain([header], (e.to_record() for e in self.entries))
+        write_lines(path, (json_line(doc) + "\n" for doc in docs), "transcript")
 
     @classmethod
     def load(cls, path: str) -> Transcript:
-        """Read a saved transcript; resources.read_keyed judges its entry lines.
+        """Read a saved transcript; _read_transcript judges its lines."""
+        provider, created_at, entries = _read_transcript(path, _entry)
+        return cls(entries=list(entries.values()), provider=provider, created_at=created_at)
 
-        A header of another version, or whose entry count differs from the
-        entries that follow (the file was cut short or edited), is a
-        StorageError; only a JSON integer is a version or a count. So is a
-        header whose provider or created_at is there but not a string.
-        """
-        lines = parse_jsonl(read_text(path, "transcript"), path)
-        _, header = next(lines, (0, None))
-        if not isinstance(header, dict):
-            raise StorageError(f"transcript {path} has no header line")
-        version = header.get("version")
-        if type(version) is not int or version != TRANSCRIPT_VERSION:
-            raise StorageError(f"transcript {path} has version {version!r}, not {TRANSCRIPT_VERSION}")
-        provider, created_at = header.get("provider", ""), header.get("created_at", "")
-        if not (isinstance(provider, str) and isinstance(created_at, str)):
-            raise StorageError(f"transcript {path} header's provider and created_at must be strings,"
-                               f" got {provider!r} and {created_at!r}")
-        entries = list(read_keyed(lines, path, "fingerprint", _entry).values())
-        counted = header.get("entries")
-        if type(counted) is not int or counted != len(entries):
-            raise StorageError(
-                f"transcript {path} header counts {counted!r} entries, but {len(entries)} follow"
-            )
-        return cls(entries=entries, provider=provider, created_at=created_at)
+
+def _read_transcript(path: str, convert: Callable[[dict], object]) -> tuple[str, str, dict]:
+    """(provider, created_at, {fingerprint: convert(entry line)}) of the transcript at path.
+
+    resources.read_keyed judges the entry lines. A header of another
+    version, or whose entry count differs from the entries that follow
+    (the file was cut short or edited), is a StorageError; only a JSON
+    integer is a version or a count. So is a header whose provider or
+    created_at is there but not a string.
+    """
+    lines = parse_jsonl(read_lines(path, "transcript"), path)
+    _, header = next(lines, (0, None))
+    if not isinstance(header, dict):
+        raise StorageError(f"transcript {path} has no header line")
+    version = header.get("version")
+    if type(version) is not int or version != TRANSCRIPT_VERSION:
+        raise StorageError(f"transcript {path} has version {version!r}, not {TRANSCRIPT_VERSION}")
+    provider, created_at = header.get("provider", ""), header.get("created_at", "")
+    if not (isinstance(provider, str) and isinstance(created_at, str)):
+        raise StorageError(f"transcript {path} header's provider and created_at must be strings,"
+                           f" got {provider!r} and {created_at!r}")
+    entries = read_keyed(lines, path, "fingerprint", convert)
+    counted = header.get("entries")
+    if type(counted) is not int or counted != len(entries):
+        raise StorageError(
+            f"transcript {path} header counts {counted!r} entries, but {len(entries)} follow"
+        )
+    return provider, created_at, entries
+
+
+def _fields(doc: dict, name: str, required: set[str], optional: set[str] = frozenset()) -> dict:
+    """doc[name], an object with every required field and no other field but the optional ones."""
+    fields = doc[name]
+    if not isinstance(fields, dict):
+        raise ValueError(f"{name} must be an object, got {fields!r}")
+    stray = (fields.keys() ^ required) - optional  # each field missing or unknown
+    if stray:
+        field = min(stray)
+        raise KeyError(field) if field in required else ValueError(f"unknown field {field!r}")
+    return fields
 
 
 def _entry(doc: dict) -> TranscriptEntry:
     """A transcript entry line, its fields checked as a live reply's are."""
     if not isinstance(doc["fingerprint"], str):
         raise ValueError(f"fingerprint must be a string, got {doc['fingerprint']!r}")
-    result = doc["result"]
-    usage = TokenUsage(**result["usage"])
-    return TranscriptEntry(doc["fingerprint"], CompletionRequest(**doc["request"]),
+    request = _fields(doc, "request", {"prompt"}, {"tag"})
+    result = _fields(doc, "result", {"text", "usage"}, {"latency_ms"})
+    usage = TokenUsage(**_fields(result, "usage", {*TokenUsage._fields}))
+    return TranscriptEntry(doc["fingerprint"], CompletionRequest(**request),
                            CompletionResult(result["text"], usage, result.get("latency_ms", 0.0)))
 
 
@@ -414,18 +438,23 @@ class RecordingProvider(Provider):
 
 
 class ReplayProvider(Provider):
-    """Serves results from a transcript; a request off script is an error."""
+    """Serves recorded results by fingerprint; a request off script is an error.
+
+    It holds only the results, so from_file drops each entry's request once checked.
+    """
 
     name = "replay"
 
-    def __init__(self, transcript: Transcript):
-        self.transcript = transcript
-        self._table = {e.fingerprint: e.result for e in transcript.entries}
+    def __init__(self, results: dict[str, CompletionResult], created_at: str = ""):
+        self._table = results
+        self.created_at = created_at
+        self.entry_count = len(results)
         self._counter = _OccurrenceCounter()
 
     @classmethod
     def from_file(cls, path: str) -> ReplayProvider:
-        return cls(Transcript.load(path))
+        _, created_at, results = _read_transcript(path, lambda doc: _entry(doc).result)
+        return cls(results, created_at)
 
     def _complete(self, request: CompletionRequest) -> CompletionResult:
         fp = self._counter.fingerprint(request)

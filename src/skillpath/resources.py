@@ -8,13 +8,13 @@ $name slots, overridable the same way; rendering is strict, so a template
 that names a slot its caller does not supply, holds a $ that starts no
 slot, or renders to nothing is a StorageError naming the template.
 
-Every input file is opened and decoded by read_text, whose text read_json
-and parse_jsonl parse, and every whole-file write goes through write_text: an
-OS or decoding failure becomes a StorageError in one place, invalid JSON
-or a string holding a lone surrogate a ValidationError naming path:line, an
-object that repeats a key one naming the key, and every whole-file output
-is replaced atomically. read_keyed judges the lines of the corpus, run logs
-and transcripts by one contract.
+Every input file is opened and decoded by read_lines, a line at a time for
+parse_jsonl, or whole by read_text for read_json, and every whole-file write
+goes through write_lines, a line at a time: an OS or decoding failure becomes
+a StorageError in one place, invalid JSON or a string holding a lone surrogate
+a ValidationError naming path:line, an object that repeats a key one naming
+the key, and every whole-file output is replaced atomically. read_keyed
+judges the lines of the corpus, run logs and transcripts by one contract.
 """
 
 from __future__ import annotations
@@ -108,19 +108,20 @@ def render_prompt(name: str, **slots: str) -> str:
     return prompt
 
 
-def write_text(path: str, text: str, what: str) -> None:
-    """Write a whole UTF-8 file; `what` names it in the error message.
+def write_lines(path: str, lines: Iterable[str], what: str) -> None:
+    """Write a whole UTF-8 file from lines that hold their own line ends; `what` names it in errors.
 
-    The text goes to a temporary file next to the target, which then
-    replaces the target in one step: a write that fails or is killed
-    part-way leaves the previous file as it was. The temporary name is
-    unique per process and thread, and a failed write removes it.
+    The lines go one at a time to a temporary file next to the target, which
+    then replaces the target in one step: a write that fails, is killed or
+    whose lines raise part-way leaves the previous file as it was. The
+    temporary name is unique per process and thread; a failed write removes it.
     """
     tmp = _temporary(path)
     try:
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                for line in lines:
+                    fh.write(line)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -130,8 +131,13 @@ def write_text(path: str, text: str, what: str) -> None:
         raise StorageError(f"cannot write {what} {path}: {exc}") from exc
 
 
+def write_text(path: str, text: str, what: str) -> None:
+    """Write a whole UTF-8 file through write_lines."""
+    write_lines(path, (text,), what)
+
+
 def check_writable(path: str, what: str) -> None:
-    """Make and remove write_text's temporary file for path, so a path it cannot write fails now."""
+    """Make and remove write_lines's temporary file for path, so a path it cannot write fails now."""
     tmp = _temporary(path)
     try:
         open(tmp, "w").close()
@@ -159,14 +165,27 @@ def read_text(path: str, what: str) -> str:
         raise StorageError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def read_lines(path: str, what: str) -> Iterator[str]:
+    """The lines of the UTF-8 file at path, one at a time and without their ends, decoded as by read_text.
+
+    So \\r\\n and a bare \\r end a line too; a failure part-way raises after the lines before it.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                yield line.rstrip("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise StorageError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def read_json(path: str, what: str):
     """The one JSON document in the file at path."""
     return _loads(read_text(path, what), path)
 
 
-def parse_jsonl(text: str, path: str) -> Iterator[tuple[int, object]]:
-    """Yield (line number, parsed value) for every non-blank line of text read from path."""
-    for i, line in enumerate(text.split("\n"), start=1):
+def parse_jsonl(lines: Iterable[str], path: str) -> Iterator[tuple[int, object]]:
+    """Yield (line number, parsed value) for every non-blank one of the lines read from path."""
+    for i, line in enumerate(lines, start=1):
         if line.strip():
             yield i, _loads(line, path, i)
 
@@ -233,7 +252,7 @@ def _refuse_lone_surrogates(text: str, path: str, first_line: int = 1) -> None:
     """A ValidationError naming path:line if a string of valid JSON text holds a lone surrogate.
 
     UTF-8 cannot encode one, so it would fail the first write or hash of
-    the text. read_text decodes strictly, so only a \\u escape makes one:
+    the text. Files are decoded strictly, so only a \\u escape makes one:
     text without a surrogate escape passes after one scan.
     """
     if not _SURROGATE_ESCAPE.search(text):

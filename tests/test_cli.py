@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import logging
 import os
@@ -1094,6 +1095,9 @@ def test_a_checkpoint_made_by_replaying_another_transcript_starts_fresh(tmp_path
     replay = argv + ["--provider", "replay", "--transcript", str(transcript)]
     assert main(replay) == 1
     assert set(restore_bundle(bundle_path)) == {"q1"}
+    settings = json.loads(Path(bundle_path + ".checkpoint.jsonl").read_text(encoding="utf-8").split("\n")[0])
+    assert settings["settings"]["transcript_created_at"] == recorder.transcript.created_at
+    assert settings["settings"]["transcript_entries"] == len(recorder.transcript.entries)
     caplog.set_level(logging.INFO)
     assert main(replay) == 1
     assert "resuming: 1 question(s) already completed" in caplog.text
@@ -1105,6 +1109,26 @@ def test_a_checkpoint_made_by_replaying_another_transcript_starts_fresh(tmp_path
     assert main(replay) == 1
     assert "resuming" not in caplog.text
     assert not os.path.exists(bundle_path)
+
+
+def test_a_run_log_whose_lines_fail_part_way_leaves_the_previous_log(tmp_path, fixtures_dir, monkeypatch):
+    run_log = tmp_path / "run.jsonl"
+    run_log.write_bytes(b"the previous run log\n")
+    written = []
+
+    def second_line_fails(doc):
+        if written:
+            raise RuntimeError("the second line cannot be made")
+        written.append(doc)
+        return resources.json_line(doc)
+
+    monkeypatch.setattr(cli, "json_line", second_line_fails)
+    with pytest.raises(RuntimeError):
+        main(["answer", "--provider", "mock", "--corpus", f"{fixtures_dir}/corpus.jsonl",
+              "--collection", f"{fixtures_dir}/collection.json", "--run-log", str(run_log)])
+    assert len(written) == 1
+    assert run_log.read_bytes() == b"the previous run log\n"
+    assert os.listdir(tmp_path) == ["run.jsonl"]
 
 
 @pytest.mark.parametrize("command", ["generate", "answer", "eval"])
@@ -1122,6 +1146,18 @@ def test_a_gold_answer_without_word_tokens_exits_2_before_any_call(tmp_path, moc
     }[command]
     assert main([command, "--corpus", corpus, *argv]) == 2
     assert f"{corpus}:1:" in capsys.readouterr().err
+    assert mock_calls == []
+
+
+def test_a_corpus_undecodable_past_the_first_chunk_exits_2_before_any_call(tmp_path, mock_calls, capsys):
+    # the valid lines fill several of the reader's chunks, and parse, before the bad byte is read
+    corpus = write_corpus(tmp_path / "corpus.jsonl", [eiffel_row(f"q{i}") for i in range(300)])
+    with open(corpus, "ab") as fh:
+        fh.write(b'{"question_id": "\xff"}\n')
+    assert os.path.getsize(corpus) > 8 * io.DEFAULT_BUFFER_SIZE
+    code = main(["generate", "--provider", "mock", "--corpus", corpus, "--collection", str(tmp_path / "b.json")])
+    assert code == 2
+    assert f"cannot read corpus {corpus}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
     assert mock_calls == []
 
 

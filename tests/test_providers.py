@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -7,10 +8,11 @@ import os
 import re
 import ssl
 import threading
+import types
 
 import pytest
 
-from skillpath import __version__
+from skillpath import __version__, providers
 from skillpath.errors import ProviderError, ReplayMiss, StorageError, TransportError, ValidationError
 from skillpath.providers import (
     TRANSCRIPT_VERSION,
@@ -33,6 +35,11 @@ def record(provider, requests):
     for request in requests:
         recorder.complete(request)
     return recorder.transcript
+
+
+def replaying(transcript):
+    """A ReplayProvider of the transcript's results."""
+    return ReplayProvider({e.fingerprint: e.result for e in transcript.entries})
 
 
 def test_mock_fixed_reply_and_whitespace_accounting():
@@ -114,7 +121,7 @@ def test_record_and_replay_round_trip(tmp_path):
 
     path = tmp_path / "t.jsonl"
     transcript.save(str(path))
-    replay = ReplayProvider(Transcript.load(str(path)))
+    replay = ReplayProvider.from_file(str(path))
     assert replay.complete(CompletionRequest("first prompt")).text == "a"
     assert replay.complete(CompletionRequest("second prompt")).text == "b"
     assert replay.complete(CompletionRequest("first prompt")).text == "c"
@@ -124,17 +131,17 @@ def test_the_tag_stays_out_of_the_fingerprint():
     # a relabeled stage still replays, and one prompt under two tags is two occurrences of it
     transcript = record(MockProvider(["a", "b"]), [CompletionRequest("p", tag="old"), CompletionRequest("p")])
     assert len({e.fingerprint for e in transcript.entries}) == 2
-    replay = ReplayProvider(transcript)
+    replay = replaying(transcript)
     assert replay.complete(CompletionRequest("p", tag="new")).text == "a"
     assert replay.complete(CompletionRequest("p", tag="new")).text == "b"
 
 
 def test_replay_off_script_raises_miss(tmp_path):
     transcript = record(MockProvider("x"), [CompletionRequest("known")])
-    replay = ReplayProvider(transcript)
+    replay = replaying(transcript)
     with pytest.raises(ReplayMiss):
         replay.complete(CompletionRequest("unknown"))
-    replay2 = ReplayProvider(transcript)
+    replay2 = replaying(transcript)
     replay2.complete(CompletionRequest("known"))
     with pytest.raises(ReplayMiss):
         # second occurrence was never recorded
@@ -148,6 +155,55 @@ def test_replay_results_bit_identical(tmp_path):
     recorder.transcript.save(str(path))
     replayed = ReplayProvider.from_file(str(path)).complete(CompletionRequest("a prompt"))
     assert replayed == original
+
+
+def _reachable(root):
+    """Every object reachable from root through the objects' own data, not through classes or modules."""
+    seen, todo = set(), [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        yield obj
+        todo.extend(gc.get_referents(obj))
+
+
+def test_replay_from_a_file_keeps_results_only(tmp_path):
+    document = "A long document sentence. " * 20000
+    recorder = RecordingProvider(MockProvider("the reply"))
+    recorder.complete(CompletionRequest(f"Extract from: {document}", tag="segment"))
+    path = tmp_path / "t.jsonl"
+    recorder.transcript.save(str(path))
+
+    replay = ReplayProvider.from_file(str(path))
+    assert (replay.created_at, replay.entry_count) == (recorder.transcript.created_at, 1)
+    assert not hasattr(replay, "transcript")
+    reached = list(_reachable(replay))
+    assert {type(obj) for obj in reached if isinstance(obj, tuple)} == {CompletionResult, TokenUsage}
+    assert not [obj for obj in reached if isinstance(obj, str) and document in obj]
+    assert replay.complete(CompletionRequest(f"Extract from: {document}")).text == "the reply"
+
+
+def test_a_transcript_whose_lines_fail_part_way_leaves_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "t.jsonl"
+    record(MockProvider("x"), [CompletionRequest("p")]).save(str(path))
+    previous = path.read_bytes()
+    longer = record(MockProvider("y"), [CompletionRequest(prompt) for prompt in "abc"])
+    written = []
+
+    def third_line_fails(doc):
+        if len(written) == 2:
+            raise RuntimeError("the third line cannot be made")
+        written.append(doc)
+        return json_line(doc)
+
+    monkeypatch.setattr(providers, "json_line", third_line_fails)
+    with pytest.raises(RuntimeError):
+        longer.save(str(path))
+    assert len(written) == 2
+    assert path.read_bytes() == previous
+    assert os.listdir(tmp_path) == ["t.jsonl"]
 
 
 def test_transcript_load_rejects_garbage(tmp_path):

@@ -14,7 +14,7 @@ import skillpath.resources as resources
 from skillpath import cli, corpus
 from skillpath.errors import StorageError, ValidationError
 from skillpath.providers import TRANSCRIPT_VERSION, Transcript
-from skillpath.resources import check_writable, parse_jsonl, read_json, write_text
+from skillpath.resources import check_writable, parse_jsonl, read_json, write_lines, write_text
 
 
 class _DiskFullAfterHalf:
@@ -74,6 +74,21 @@ def test_a_writable_check_leaves_the_target_and_no_temporary_file(tmp_path):
     assert target.read_text(encoding="utf-8") == "kept\n"
     with pytest.raises(StorageError, match="^cannot write run log "):
         check_writable(str(tmp_path / "missing" / "run.jsonl"), "run log")
+
+
+def test_a_writable_check_makes_the_temporary_file_that_the_writer_writes_through(tmp_path, monkeypatch):
+    opened = []
+
+    def recording_open(path, *args, **kwargs):
+        opened.append(path)
+        return builtins.open(path, *args, **kwargs)
+
+    monkeypatch.setattr(resources, "open", recording_open, raising=False)
+    target = str(tmp_path / "run.jsonl")
+    check_writable(target, "run log")
+    write_lines(target, ["a line\n"], "run log")
+    assert len(opened) == 2
+    assert opened[0] == opened[1] != target
 
 
 def test_data_override_wins_and_a_file_it_lacks_is_read_from_the_package(
@@ -165,10 +180,10 @@ def test_a_malformed_data_file_is_a_storage_error(tmp_path, monkeypatch, uncache
 )
 def test_a_jsonl_string_with_a_lone_surrogate_is_a_parse_error_naming_its_line(text, line):
     if line is None:
-        assert len(list(parse_jsonl(text, "in.jsonl"))) == 1
+        assert len(list(parse_jsonl(text.split("\n"), "in.jsonl"))) == 1
         return
     with pytest.raises(ValidationError, match="lone surrogate") as raised:
-        list(parse_jsonl(text, "in.jsonl"))
+        list(parse_jsonl(text.split("\n"), "in.jsonl"))
     assert (raised.value.path, raised.value.line) == ("in.jsonl", line)
 
 
@@ -229,6 +244,62 @@ def test_every_line_reader_words_a_bad_line_alike_and_names_its_line(tmp_path, r
     assert raised.value.line == number
 
 
+def _by_value(loaded):
+    """A reader's result as values that compare equal when the records read are the same."""
+    return [getattr(item, "__dict__", item) for item in (loaded if isinstance(loaded, list) else [loaded])]
+
+
+# a line ends at \n, \r\n or a bare \r, as universal newlines have it
+@pytest.mark.parametrize("final", [True, False], ids=["final-end", "no-final-end"])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("reader", READERS)
+def test_every_line_reader_takes_any_line_end_and_skips_blank_lines(tmp_path, reader, end, final):
+    load, _, _, head, line = READERS[reader]
+    docs = [json.dumps(doc) for doc in [*head, line("k1"), line("k2")]]
+    plain = tmp_path / "plain.jsonl"
+    plain.write_text("".join(doc + "\n" for doc in docs), encoding="utf-8")
+    spaced = tmp_path / "spaced.jsonl"
+    spaced.write_bytes((end.join(["", *docs[:-1], " \t", "", docs[-1]]) + end * final).encode("utf-8"))
+    assert _by_value(load(str(spaced))) == _by_value(load(str(plain)))
+
+    # the bad line follows a blank line, the head and "k1", and two blank lines
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes((end.join(["", *docs[:-1], "", " \t", "[1, 2]"]) + end * final).encode("utf-8"))
+    number = len(docs) + 3
+    where = re.escape(f"{bad}:{number}: line is not a JSON object")
+    with pytest.raises(ValidationError, match=f"^{where}$"):
+        load(str(bad))
+
+
+# a transcript entry's request, result and usage are read field by field; None drops the field
+@pytest.mark.parametrize(
+    "part, field, value, message",
+    [
+        ("request", "model", "m", "unknown field 'model'"),
+        ("request", "prompt", None, "missing field 'prompt'"),
+        ("result", "finish_reason", "stop", "unknown field 'finish_reason'"),
+        ("result", "text", None, "missing field 'text'"),
+        ("usage", "cached_tokens", 0, "unknown field 'cached_tokens'"),
+        ("usage", "total_tokens", None, "missing field 'total_tokens'"),
+    ],
+    ids=["request-unknown", "request-missing", "result-unknown", "result-missing", "usage-unknown",
+         "usage-missing"],
+)
+def test_a_transcript_entry_names_its_missing_or_unknown_field(tmp_path, part, field, value, message):
+    load, _, _, head, line = READERS["transcript"]
+    entry = json.loads(json.dumps(line("k2")))  # a copy: its usage is the shared USAGE
+    fields = entry["result"]["usage"] if part == "usage" else entry[part]
+    if value is None:
+        del fields[field]
+    else:
+        fields[field] = value
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in [*head, line("k1"), entry]), encoding="utf-8")
+    where = re.escape(f"{path}:3: {message}")
+    with pytest.raises(ValidationError, match=f"^{where}$"):
+        load(str(path))
+
+
 def test_a_transcript_header_that_repeats_a_key_names_its_line(tmp_path):
     path = tmp_path / "t.jsonl"
     path.write_text(f'{{"version": {TRANSCRIPT_VERSION}, "entries": 1, "entries": 0}}\n', encoding="utf-8")
@@ -254,7 +325,7 @@ def test_a_data_file_that_repeats_a_key_is_a_validation_error(tmp_path, monkeypa
     ids=["nested", "in-an-array", "one-key-in-two-objects"],
 )
 def test_a_key_is_refused_when_one_object_repeats_it_at_any_depth(text, repeated):
-    lines = parse_jsonl("{}\n" + text + "\n", "in.jsonl")
+    lines = parse_jsonl(["{}", text], "in.jsonl")
     if repeated is None:
         assert len(list(lines)) == 2
         return
