@@ -108,8 +108,10 @@ def extract_answer_span(completion: str) -> str:
 def answer(question: str, document: str, example: SimilarExample, provider: Provider) -> AnswerTrace:
     """Run the guided path of one selected example against one document.
 
-    The steps' extractions run in a fan_out; the trace's usage and latency
-    sum every result they return, in step order, and the final call's.
+    The steps' extractions run in a fan_out, one after the other on the
+    calling thread, each step in a scope of its own; the trace's usage and
+    latency sum every result they return, in step order, and the final
+    call's.
     Errors propagate as raised: a failed extraction is SegmentNotInDocument,
     a bad template a StorageError naming its file, and a ProviderError
     names the tag of the request that failed.
@@ -125,8 +127,7 @@ def answer(question: str, document: str, example: SimilarExample, provider: Prov
     result = provider.complete(CompletionRequest(prompt, tag="answer"))
     completion = result.text
 
-    # summed in step order, then call order within a step, as a serial run
-    # would, so the float latency total does not depend on thread timing
+    # summed in step order, then call order within a step, then the answer call
     results = [r for _, step_results in steps for r in step_results] + [result]
     return AnswerTrace(
         question=question,

@@ -7,23 +7,23 @@ snapshot next to every output lists exactly the settings read, as a
 valid --config file, so a run can be reproduced from its artifacts alone.
 Each command reads all of its input files before its first provider call.
 
---parallelism N runs up to N questions at once and lets at most N * N
-provider calls through. _run_questions is the one place that turns it
-into execution: it runs the questions through providers.fan_out with N
-lanes, and the independent work within each (the similarity scores of
-the candidates, the synthesis of the kept candidates, the reference
-documents and the extractions of the strategy steps) goes through nested
-fan_outs that inherit those lanes. One InFlightGate around the provider
-holds the requests in flight to at most N * N, so --parallelism 1 sends
-one at a time; no thread outlives a command. A question's SkillPathError
-is printed and fails that question only; any other error is raised once
-every question has run, the first in input order, at any N. Each
-question, and each call it overlaps, runs in a scope of its own that its
-requests' fingerprints include, and recorded transcripts are sorted by
-fingerprint, so a recorded run replays byte for byte at any parallelism
-against the corpus it was recorded from, in that order. Files are always
-written by one writer in input order. A run log's latency_ms is the sum
-of a question's call latencies, not its wall time.
+--parallelism N runs N * N questions at once, each one call at a time, so
+at most N * N provider calls are in flight. _run_questions is the one
+place that turns it into execution: it runs the questions through
+providers.fan_out with N * N lanes, and the fan_outs within each
+question (the similarity scores of the candidates, the synthesis of the
+kept candidates, the reference documents and the extractions of the
+strategy steps) run on that question's thread in item order. So
+--parallelism 1 sends one request at a time, and no thread outlives a
+command. A question's SkillPathError is printed and fails that question
+only; any other error is raised once every question has run, the first
+in input order, at any N. Each question, and each fan_out item within
+it, runs in a scope of its own that its requests' fingerprints include,
+and recorded transcripts are sorted by fingerprint, so a recorded run
+replays byte for byte at any parallelism against the corpus it was
+recorded from, in that order. Files are always written by one writer in
+input order. A run log's latency_ms is the sum of a question's call
+latencies, not its wall time.
 
 generate appends each finished question's collection to a checkpoint,
 in the record that the bundle stores, and a rerun with the same settings
@@ -49,7 +49,6 @@ from .errors import NoCandidates, SkillPathError, StorageError, UnmatchedQuestio
 from .matcher import SelectionMode
 from .providers import (
     CompletionResult,
-    InFlightGate,
     LiveProvider,
     Provider,
     ReplayProvider,
@@ -171,27 +170,25 @@ def _write_snapshot(config: RunConfig, output_path: str) -> None:
 
 
 def _run_questions(
-    config: RunConfig, backend: Provider, records: list[corpus_mod.QARecord], attempt
+    config: RunConfig, records: list[corpus_mod.QARecord], attempt
 ) -> tuple[dict, int]:
-    """attempt(record, provider) for every record, up to config.parallelism at once.
+    """attempt(record) for every record, N * N at once at parallelism N.
 
-    provider is the backend behind the command's one InFlightGate, and
-    every fan_out inside attempt inherits config.parallelism lanes.
+    Every fan_out inside attempt runs on its question's thread, so each
+    question has at most one provider call in flight.
     Returns the values of the questions that succeeded, by question id in
     input order, and how many failed. A SkillPathError fails its question
     and is printed; any other error is raised once every question has run.
     """
-    provider = InFlightGate(backend, config.parallelism)
-
     def outcome(record: corpus_mod.QARecord):
         try:
-            return attempt(record, provider), None
+            return attempt(record), None
         except SkillPathError as exc:
             return None, str(exc)
 
     done = {}
     failures = 0
-    results = fan_out(outcome, records, config.parallelism)
+    results = fan_out(outcome, records, config.parallelism * config.parallelism)
     for record, (value, error) in zip(records, results):
         if error is not None:
             failures += 1
@@ -261,7 +258,7 @@ def cmd_generate(config: RunConfig) -> int:
         log.info("resuming: %d question(s) already completed", len(done))
     checkpoint_lock = threading.Lock()
 
-    def work(record: corpus_mod.QARecord, provider: Provider) -> collection_mod.ExampleCollection:
+    def work(record: corpus_mod.QARecord) -> collection_mod.ExampleCollection:
         qid = record.question_id
         if qid in done:
             return done[qid]
@@ -271,14 +268,14 @@ def cmd_generate(config: RunConfig) -> int:
             template,
             mode,
             count=config.count * _OVERGENERATION,
-            provider=provider,
+            provider=backend,
             rng=rng,
         )
-        scored = examplegen.score_candidates(record.question, candidates, provider)
+        scored = examplegen.score_candidates(record.question, candidates, backend)
         kept = examplegen.filter_candidates(scored, config.delta)
         if not kept:
             raise NoCandidates(qid)
-        examples = fan_out(lambda c: examplegen.synthesize_example(c.text, provider), kept[: config.count])
+        examples = fan_out(lambda c: examplegen.synthesize_example(c.text, backend), kept[: config.count])
         built = collection_mod.build_collection(examples)
         stored = collection_mod.collection_to_record(built)
         line = json_line({"question_id": qid, "question": record.question, "collection": stored})
@@ -289,7 +286,7 @@ def cmd_generate(config: RunConfig) -> int:
             raise StorageError(f"cannot append to checkpoint {checkpoint_path}: {exc}") from exc
         return built
 
-    bundle, failures = _run_questions(config, backend, records, work)
+    bundle, failures = _run_questions(config, records, work)
 
     created_at = None
     if isinstance(backend, ReplayProvider):
@@ -313,7 +310,9 @@ def cmd_answer(config: RunConfig) -> int:
     # a run log that cannot be written fails the command before its first call
     check_writable(config.run_log, "run log")
 
-    def work(record: corpus_mod.QARecord, provider: Provider) -> dict:
+    provider = _build_provider(config)
+
+    def work(record: corpus_mod.QARecord) -> dict:
         qid = record.question_id
         if qid not in bundle:
             raise UnmatchedQuestionId(f"bundle {config.collection} holds no collection for question {qid!r}")
@@ -331,7 +330,7 @@ def cmd_answer(config: RunConfig) -> int:
             "match": match.to_record(),
         }
 
-    answered, failures = _run_questions(config, _build_provider(config), records, work)
+    answered, failures = _run_questions(config, records, work)
     total_tokens = sum(line["usage"]["total_tokens"] for line in answered.values())
 
     write_lines(config.run_log, (json_line(line) + "\n" for line in answered.values()), "run log")
@@ -461,7 +460,8 @@ _REQUIRED = ("corpus", "collection", "run_log", "report")  # a command that read
 _HELP = {"delta": "similarity threshold, 1 to 10", "count": "target examples per question",
          "report": "output report path", "baseline_log": "run log to compute token reduction against",
          "transcript": "transcript file for the replay provider",
-         "parallelism": "questions run at once, N; at most N * N provider calls are in flight"}
+         "parallelism": "N * N questions at once, each one call at a time;"
+                        " at most N * N provider calls in flight"}
 
 
 def build_parser() -> argparse.ArgumentParser:

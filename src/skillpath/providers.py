@@ -1,4 +1,4 @@
-"""Completion backends: live HTTP, mock, recording, replay, and a gate.
+"""Completion backends: live HTTP, mock, recording and replay, and fan_out.
 
 Every pipeline stage talks to a Provider through one method, complete().
 The recording wrapper captures request and result pairs keyed by a stable
@@ -9,7 +9,7 @@ provider keeps only the results: no recorded prompt outlives the read.
 
 A request is a prompt and a stage tag; the fingerprint covers the
 prompt, a scope and an occurrence index. fan_out runs each item in a
-scope of its own, so calls that overlap never share one; within a scope
+scope of its own, so items that overlap never share one; within a scope
 calls run in program order, which numbers repeated identical prompts (a
 retry after a failed extraction, say). Record and replay of the same
 inputs in the same order therefore stay aligned call for call at any
@@ -49,8 +49,6 @@ TRANSCRIPT_VERSION = 5
 
 # positions of the fan_out items the current call runs inside, outermost first
 _scope: contextvars.ContextVar[tuple[int, ...]] = contextvars.ContextVar("skillpath_scope", default=())
-# lanes of the innermost fan_out the current call runs inside; 1 outside any
-_lanes: contextvars.ContextVar[int] = contextvars.ContextVar("skillpath_lanes", default=1)
 
 
 class _TokenUsage(NamedTuple):
@@ -170,21 +168,17 @@ class _OccurrenceCounter:
         return fingerprint(request.prompt, occ, scope)
 
 
-def fan_out(fn, items, parallelism: int | None = None) -> list:
+def fan_out(fn, items, parallelism: int = 1) -> list:
     """[fn(item) for item in items], up to `parallelism` items at a time.
 
-    Without `parallelism`, a fan_out runs with the lanes of the fan_out
-    it runs inside, or with 1 lane outside any; so the outermost caller
-    decides concurrency once, and the stages beneath it never name it.
     Item i runs in the scope of the caller plus (i,), which its requests'
-    fingerprints include, so overlapping items never race for an
-    occurrence index. At 1 lane every item runs on the calling thread.
-    The calling thread is one lane; each further lane is a thread started
-    here, in a copy of the caller's context, and joined before fan_out
-    returns, so no thread outlives the call. Lanes are per level: each
-    nested fan_out has up to that many of its own. What bounds the
-    requests in flight is an InFlightGate around the provider, not the
-    lanes.
+    fingerprints include, so items that overlap never race for an
+    occurrence index. At 1 lane, the default, every item runs on the
+    calling thread in item order: a fan_out not given lanes of its own,
+    nested in another's item, runs on that item's thread, one item after
+    the other. The calling thread is one lane; each further lane is a
+    thread started here, in a copy of the caller's context, and joined
+    before fan_out returns, so no thread outlives the call.
 
     Every item runs, also after another has failed. Once every started
     call has finished, the failure first in item order is raised, so the
@@ -192,7 +186,6 @@ def fan_out(fn, items, parallelism: int | None = None) -> list:
     nor on parallelism.
     """
     items = list(items)
-    lanes = _lanes.get() if parallelism is None else parallelism
     parent = _scope.get()
     queue = collections.deque(range(len(items)))
     results: list = [None] * len(items)
@@ -221,10 +214,9 @@ def fan_out(fn, items, parallelism: int | None = None) -> list:
             escaped.append(exc)
 
     helpers = []
-    lanes_token = _lanes.set(lanes)  # before the helpers copy the context
     try:
         try:
-            for _ in range(min(lanes, len(items)) - 1):
+            for _ in range(min(parallelism, len(items)) - 1):
                 helper = threading.Thread(
                     target=contextvars.copy_context().run, args=(helper_lane,),
                     name="skillpath-fan-out", daemon=True,
@@ -238,7 +230,6 @@ def fan_out(fn, items, parallelism: int | None = None) -> list:
         queue.clear()  # after an interrupt, items not yet begun are dropped
         for helper in helpers:
             helper.join()
-        _lanes.reset(lanes_token)
     if escaped:
         raise escaped[0]
     if failures:
@@ -261,26 +252,6 @@ class Provider:
 
     def _complete(self, request: CompletionRequest) -> CompletionResult:
         raise NotImplementedError
-
-
-class InFlightGate(Provider):
-    """Lets at most parallelism * parallelism calls through to `inner` at once.
-
-    Each call holds one of N * N semaphore slots while the inner provider
-    runs, so however deeply fan_outs nest, the backend sees at most N * N
-    requests in flight at parallelism N. A call waits here only for a
-    slot; the gate changes neither the request nor its scope.
-    """
-
-    name = "gate"
-
-    def __init__(self, inner: Provider, parallelism: int):
-        self.inner = inner
-        self._slots = threading.BoundedSemaphore(parallelism * parallelism)
-
-    def _complete(self, request: CompletionRequest) -> CompletionResult:
-        with self._slots:
-            return self.inner.complete(request)
 
 
 class MockProvider(Provider):

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 import skillpath.answerer as answerer_module
@@ -23,7 +21,6 @@ from skillpath.providers import (
     Provider,
     RecordingProvider,
     TokenUsage,
-    fan_out,
 )
 from skillpath.skills import ReasoningSkill
 from skillpath.textutil import Passage
@@ -117,7 +114,7 @@ def test_answer_collects_trace_and_usage():
     }
 
     def reply(request):
-        # the two steps' extractions overlap: reply by skill, not by call order
+        # reply by skill, not by call order
         if request.tag == "answer":
             return "Given the segments, the height wins. <answer>the Eiffel Tower</answer>"
         (text,) = [text for name, text in replies.items() if f"step: {name} (" in request.prompt]
@@ -125,8 +122,7 @@ def test_answer_collects_trace_and_usage():
 
     provider = RecordingProvider(MockProvider(reply))
     example = example_for([S.DEDUCTIVE, S.INDUCTIVE])
-    # inside a fan_out of 2 lanes, the stage's own fan_out inherits both
-    (trace,) = fan_out(lambda _: answer("Which is taller?", DOC, example, provider), [None], 2)
+    trace = answer("Which is taller?", DOC, example, provider)
     assert trace.answer == "the Eiffel Tower"
     assert trace.focused_segments == [
         "The Eiffel Tower was completed in 1889.",
@@ -142,12 +138,8 @@ def test_answer_collects_trace_and_usage():
     assert trace.prompt.count("seg") or trace.prompt  # prompt captured verbatim
 
 
-class _OverlappingSteps(Provider):
-    """Two steps' extractions, the deductive one retried, that overlap.
-
-    The deductive step's first call completes only once the inductive
-    step's call has, so the results complete out of step order.
-    """
+class _RetriedStep(Provider):
+    """Two steps' extractions, the deductive one retried, then the answer."""
 
     REPLY = {("deductive", 1): "I made this sentence up.", ("deductive", 2): "It stands 330 metres tall.",
              ("inductive", 1): "The Eiffel Tower was completed in 1889.",
@@ -155,9 +147,7 @@ class _OverlappingSteps(Provider):
     LATENCY = {("deductive", 1): 0.1, ("deductive", 2): 0.2, ("inductive", 1): 0.6, ("answer", 1): 0.4}
 
     def __init__(self):
-        self.inductive_done = threading.Event()
-        self.lock = threading.Lock()
-        self.attempts = {"deductive": 0, "inductive": 0, "answer": 0}
+        self.calls: list[tuple[str, int]] = []
         self.results: list[CompletionResult] = []
 
     def _complete(self, request):
@@ -165,33 +155,26 @@ class _OverlappingSteps(Provider):
             step = "answer"
         else:
             step = "deductive" if f"step: {S.DEDUCTIVE.display_name} (" in request.prompt else "inductive"
-        with self.lock:
-            self.attempts[step] += 1
-            call = step, self.attempts[step]
-        if call == ("deductive", 1):
-            assert self.inductive_done.wait(10), "the steps did not overlap"
+        call = step, 1 + sum(step == made for made, _ in self.calls)
         latency = self.LATENCY[call]
-        result = CompletionResult(self.REPLY[call], TokenUsage.of(round(latency * 100), call[1]), latency)
-        with self.lock:
-            self.results.append(result)
-        if step == "inductive":
-            self.inductive_done.set()
-        return result
+        self.calls.append(call)
+        self.results.append(CompletionResult(self.REPLY[call], TokenUsage.of(round(latency * 100), call[1]),
+                                             latency))
+        return self.results[-1]
 
 
-def test_answer_sums_every_call_of_overlapping_steps_in_step_order():
-    provider = _OverlappingSteps()
-    example = example_for([S.DEDUCTIVE, S.INDUCTIVE])
-    (trace,) = fan_out(lambda _: answer("How tall?", DOC, example, provider), [None], 2)
+def test_answer_sums_every_call_of_its_steps_in_step_order():
+    provider = _RetriedStep()
+    trace = answer("How tall?", DOC, example_for([S.DEDUCTIVE, S.INDUCTIVE]), provider)
     assert trace.focused_segments == [
         "It stands 330 metres tall.",
         "The Eiffel Tower was completed in 1889.",
     ]
-    # a retried extraction counts both of its calls
-    assert [r.latency_ms for r in provider.results] == [0.6, 0.1, 0.2, 0.4]
+    # one step after the other, in step order, and a retried extraction counts both of its calls
+    assert provider.calls == [("deductive", 1), ("deductive", 2), ("inductive", 1), ("answer", 1)]
     assert trace.usage == sum((r.usage for r in provider.results), TokenUsage.zero())
     # step order, then call order within a step, then the final answer call;
-    # summed in the order the calls completed, the float would differ
+    # summed in another order, the float would differ
     assert trace.latency_ms == 0.0 + 0.1 + 0.2 + 0.6 + 0.4
     assert trace.latency_ms != 0.0 + 0.6 + 0.1 + 0.2 + 0.4
 

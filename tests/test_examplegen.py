@@ -29,7 +29,7 @@ from skillpath.examplegen import (
     score_similarity,
     synthesize_example,
 )
-from skillpath.providers import MockProvider, fan_out
+from skillpath.providers import MockProvider
 from skillpath.skills import ReasoningSkill
 
 EIFFEL = "Which is taller, the Eiffel Tower or the Empire State Building?"
@@ -181,11 +181,7 @@ def test_filter_validates_inputs():
 
 
 def replies_by_marker(replies):
-    """A reply function picking the reply whose marker appears in the prompt.
-
-    Calls for distinct prompts may overlap, so a scripted sequence would
-    hand out its replies in an undefined order.
-    """
+    """A reply function picking the reply whose marker appears in the prompt."""
 
     def reply(request):
         (text,) = [text for marker, text in replies.items() if marker in request.prompt]
@@ -199,7 +195,7 @@ def test_score_candidates_attaches_scores_in_order():
         replies_by_marker({"question: q1": "Score: 3", "question: q2": "Score: 9"})
     )
     candidates = [CandidateQuestion(q, ConstructionMode.GUIDED_FILL) for q in ("q1", "q2")]
-    (scored,) = fan_out(lambda _: score_candidates("orig", candidates, provider), [None], 2)
+    scored = score_candidates("orig", candidates, provider)
     assert [c.similarity_score for c in scored] == [3, 9]
 
 
@@ -279,7 +275,7 @@ def test_reference_docs_one_per_subquestion():
             }
         )
     )
-    (docs,) = fan_out(lambda _: build_reference_docs(strategy, provider), [None], 2)
+    docs = build_reference_docs(strategy, provider)
     assert docs == ["The tower was finished in 1889.", "It stands 330 metres tall."]
 
 

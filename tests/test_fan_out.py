@@ -1,9 +1,11 @@
-"""fan_out and the pipeline paths that overlap provider calls through it.
+"""fan_out and the pipeline paths that run provider calls through it.
 
-Items overlap, up to the parallelism given or inherited from the
-enclosing fan_out, each in a scope of its own that its requests'
-fingerprints include, so record and replay see the same identity for
-every request no matter how the threads interleave.
+Items overlap up to the parallelism a fan_out is given, and a fan_out
+given none runs its items on the calling thread in item order, so the
+commands overlap questions and run each question's calls one at a time.
+Each item runs in a scope of its own that its requests' fingerprints
+include, so record and replay see the same identity for every request
+no matter how the threads interleave.
 """
 
 from __future__ import annotations
@@ -33,9 +35,7 @@ from skillpath.examplegen import (
     synthesize_example,
 )
 from skillpath.providers import (
-    CompletionRequest,
     CompletionResult,
-    InFlightGate,
     MockProvider,
     Provider,
     RecordingProvider,
@@ -139,13 +139,13 @@ def test_every_item_runs_after_a_failure():
 
 
 def test_fan_out_inside_fan_out_finishes_with_every_pool_thread_busy():
-    # more outer lanes than cores, each running an inner fan_out: inner
+    # every outer lane runs an inner fan_out with lanes of its own: inner
     # items run on the lane that asked and on helpers it starts itself,
     # so no lane waits for a thread that another lane holds
     def outer(i):
-        return fan_out(lambda j: (i, j), range(5), parallelism=8)
+        return fan_out(lambda j: (i, j), range(5), parallelism=4)
 
-    width = 4 * (os.cpu_count() or 1) + 8
+    width = 8  # 7 outer helpers and 3 inner ones per lane: 31 threads at most
     found = []
     runner = threading.Thread(
         target=lambda: found.append(fan_out(outer, range(width), parallelism=width)),
@@ -186,7 +186,7 @@ def test_what_a_helper_lane_lets_through_is_raised_on_the_caller():
         fan_out(fn, range(4), parallelism=2)
 
 
-def test_a_nested_fan_out_given_its_own_parallelism_uses_it_not_the_inherited_one():
+def test_a_nested_fan_out_runs_on_its_items_thread_unless_given_lanes():
     lock = threading.Lock()
     running = [0]
     peak = [0]
@@ -197,7 +197,7 @@ def test_a_nested_fan_out_given_its_own_parallelism_uses_it_not_the_inherited_on
             running[0] += 1
             peak[0] = max(peak[0], running[0])
         barrier.wait()  # breaks after 5 s unless two steps run at once
-        time.sleep(0.01)  # steps on inherited lanes would pile up here
+        time.sleep(0.01)  # steps on more lanes would pile up here
         with lock:
             running[0] -= 1
         return threading.get_ident()
@@ -205,12 +205,11 @@ def test_a_nested_fan_out_given_its_own_parallelism_uses_it_not_the_inherited_on
     (stepped,) = fan_out(lambda _: fan_out(step, range(6), 2), [None], 4)
     assert len(set(stepped)) == 2 and peak[0] == 2
 
-    def serial(_):
-        return threading.get_ident(), fan_out(lambda _: threading.get_ident(), range(6), 1)
+    def serial(i):
+        return threading.get_ident(), fan_out(lambda j: (j, threading.get_ident()), range(6))
 
-    for caller, ids in fan_out(serial, range(2), 4):
-        assert ids == [caller] * 6
-    assert providers._lanes.get() == 1
+    for caller, steps in fan_out(serial, range(4), 4):
+        assert steps == [(j, caller) for j in range(6)]
 
 
 def test_a_stage_outside_any_fan_out_makes_every_call_on_the_calling_thread():
@@ -233,87 +232,99 @@ def test_a_stage_outside_any_fan_out_makes_every_call_on_the_calling_thread():
     assert threads == [threading.get_ident()] * 8
 
 
-# ------------------------------------------------------------ overlap
+# ------------------------------------------------------------ one call at a time per question
 
-def test_extractions_of_distinct_skills_overlap():
-    barrier = threading.Barrier(2, timeout=5)
+@pytest.mark.parametrize("command", ["generate", "answer"])
+def test_every_call_of_a_question_runs_on_its_lane_in_program_order(tmp_path, monkeypatch, command):
+    corpus = _landmark_corpus(tmp_path, 6)
+    bundle = str(tmp_path / "bundle.json")
+    assert cli.main(["generate", "--provider", "mock", "--corpus", corpus, "--collection", bundle,
+                     "--count", "3"]) == 0
+    argv = {"generate": ["--collection", str(tmp_path / "out.json"), "--count", "3"],
+            "answer": ["--collection", bundle, "--run-log", str(tmp_path / "run.jsonl")]}[command]
 
-    def reply(request):
-        if request.tag == "segment":
-            barrier.wait()  # breaks after 5 s if the two steps run one after the other
-            return "It stands 330 metres tall."
-        return "<answer>330 metres</answer>"
+    def calls(parallelism):
+        """question position -> [(scope, tag, prompt)] in arrival order, and the threads that sent them."""
+        sent: dict[int, list] = {}
+        threads: dict[int, set] = {}
+        lock = threading.Lock()
 
-    example = make_example([S.DEDUCTIVE, S.INDUCTIVE])
-    (trace,) = fan_out(lambda _: answer("How tall?", DOC, example, MockProvider(reply)), [None], 2)
-    assert trace.focused_segments == ["It stands 330 metres tall."] * 2
-
-
-def test_similarity_scores_of_distinct_candidates_overlap():
-    barrier = threading.Barrier(2, timeout=5)
-
-    def reply(request):
-        barrier.wait()
-        return "Score: 8"
-
-    candidates = [CandidateQuestion(q, ConstructionMode.GUIDED_FILL) for q in ("q one", "q two")]
-    (scored,) = fan_out(lambda _: score_candidates("orig", candidates, MockProvider(reply)), [None], 2)
-    assert [c.similarity_score for c in scored] == [8, 8]
-
-
-def test_reference_documents_of_distinct_subquestions_overlap(tmp_path, monkeypatch):
-    barrier = threading.Barrier(2, timeout=5)
-
-    class Backend(Provider):
-        def _complete(self, request):
-            if request.tag == "reference":
-                barrier.wait()  # the canned strategies have two distinct subquestions
-            return CannedProvider().complete(request)
-
-    monkeypatch.setattr(cli, "CannedProvider", Backend)
-    assert cli.main(["generate", "--provider", "mock", "--corpus", _landmark_corpus(tmp_path, 1),
-                     "--collection", str(tmp_path / "bundle.json"), "--parallelism", "2"]) == 0
-
-
-def test_strategies_of_distinct_kept_candidates_overlap(tmp_path, monkeypatch):
-    barrier = threading.Barrier(2, timeout=5)
-
-    class Backend(Provider):
-        def _complete(self, request):
-            if request.tag == "strategy":
-                barrier.wait()  # the landmark question keeps two candidates
-            return CannedProvider().complete(request)
-
-    monkeypatch.setattr(cli, "CannedProvider", Backend)
-    assert cli.main(["generate", "--provider", "mock", "--corpus", _landmark_corpus(tmp_path, 1),
-                     "--collection", str(tmp_path / "bundle.json"), "--parallelism", "2"]) == 0
-
-
-def test_the_gate_lets_exactly_n_by_n_requests_through_at_once():
-    n = 2
-    barrier = threading.Barrier(n * n, timeout=5)
-    lock = threading.Lock()
-    running = [0]
-    peak = [0]
-
-    class Backend(Provider):
-        def _complete(self, request):
-            with lock:
-                running[0] += 1
-                peak[0] = max(peak[0], running[0])
-            try:
-                barrier.wait()  # breaks after 5 s unless n * n calls are in flight
-                time.sleep(0.01)  # callers let through too early would pile up here
-                return CompletionResult("ok", TokenUsage.zero())
-            finally:
+        class Backend(Provider):
+            def _complete(self, request):
+                scope = providers._scope.get()
                 with lock:
-                    running[0] -= 1
+                    sent.setdefault(scope[0], []).append((scope, request.tag, request.prompt))
+                    threads.setdefault(scope[0], set()).add(threading.get_ident())
+                time.sleep(0.002)  # a second call of the question would overlap this one
+                return CannedProvider().complete(request)
 
-    gate = InFlightGate(Backend(), n)
-    callers = 3 * n * n
-    replies = fan_out(lambda i: gate.complete(CompletionRequest(f"p{i}")).text, range(callers), callers)
-    assert replies == ["ok"] * callers
-    assert peak[0] == n * n
+        monkeypatch.setattr(cli, "CannedProvider", Backend)
+        assert cli.main([command, "--provider", "mock", "--corpus", corpus,
+                         "--parallelism", str(parallelism), *argv]) == 0
+        return sent, threads
+
+    serial, _ = calls(1)
+    parallel, threads = calls(2)
+    assert sorted(serial) == list(range(6))
+    assert parallel == serial  # each question's calls in the same order at both N
+    assert all(len(ids) == 1 for ids in threads.values())
+
+
+@pytest.mark.parametrize("parallelism", [1, 3])
+def test_identical_requests_inside_a_question_go_in_program_order(tmp_path, monkeypatch, parallelism):
+    # steps 0 and 1 share a skill, so they send one extraction prompt, and
+    # the backend numbers each prompt's arrivals
+    sentences = split_sentences(DOC)
+    seen: Counter = Counter()
+    lock = threading.Lock()
+
+    class ArrivalOrderSegments(Provider):
+        def _complete(self, request):
+            if request.tag != "segment":
+                return CannedProvider().complete(request)
+            if providers._scope.get()[-1] == 0:
+                time.sleep(0.01)  # step 0 is slow to arrive: sent at once, step 1 would come first
+            with lock:
+                arrival = seen[request.prompt]
+                seen[request.prompt] += 1
+            return CompletionResult(sentences[arrival], TokenUsage.of(1, 1))
+
+    rows = [{"question_id": f"q{i}", "question": f"How tall is tower {i}?", "documents": [DOC],
+             "gold_answers": ["x"]} for i in range(6)]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    bundle = str(tmp_path / "bundle.json")
+    example = make_example([S.DEDUCTIVE, S.DEDUCTIVE, S.DECOMPOSITIONAL])
+    persist_bundle({row["question_id"]: build_collection([example]) for row in rows},
+                   bundle, created_at=STAMP)
+    monkeypatch.setattr(cli, "CannedProvider", ArrivalOrderSegments)
+    run_log = tmp_path / "run.jsonl"
+    assert cli.main(["answer", "--provider", "mock", "--corpus", str(corpus), "--collection", bundle,
+                     "--run-log", str(run_log), "--parallelism", str(parallelism)]) == 0
+    logged = [json.loads(line) for line in run_log.read_text(encoding="utf-8").splitlines()]
+    # step 0 gets the first reply to the shared prompt, step 1 the second
+    assert [line["focused_segments"] for line in logged] == [[sentences[0], sentences[1], sentences[0]]] * 6
+
+
+@pytest.mark.parametrize("command", ["generate", "answer"])
+def test_parallelism_40_on_three_questions_starts_two_helper_threads(tmp_path, monkeypatch, command):
+    common = ["--provider", "mock", "--corpus", _landmark_corpus(tmp_path, 3)]
+    bundle = str(tmp_path / "bundle.json")
+    argv = {"generate": ["--collection", bundle, "--count", "3"],
+            "answer": ["--collection", bundle, "--run-log", str(tmp_path / "run.jsonl")]}
+    if command == "answer":
+        assert cli.main(["generate", *common, *argv["generate"]]) == 0
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread.name)
+        start(thread)  # the lane still runs
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    assert cli.main([command, *common, *argv[command], "--parallelism", "40"]) == 0
+    # three question lanes: the calling thread and two helpers, and no thread within a question
+    assert len(started) == 2
 
 
 class InFlight(Provider):
@@ -364,43 +375,11 @@ def test_parallelism_bounds_the_requests_in_flight(tmp_path, monkeypatch):
         return found
 
     assert peaks(4, 1, (1, 1)) == [1, 1]  # one request at a time
-    # one question: only its own calls overlap; in generate its two kept
-    # candidates send two reference calls each, in answer its two steps extract
-    assert peaks(1, 2, (4, 2)) == [4, 2]
-    # 2 questions at once, 2 calls each
-    assert all(2 <= peak <= 4 for peak in peaks(4, 2, (2, 2)))
-
-
-def test_every_question_lane_overlaps_its_own_calls(tmp_path, monkeypatch):
-    # one question more than a thread pool of Python's default size has
-    # threads: each question and both of its extractions hold a request at once
-    width = min(32, (os.cpu_count() or 1) + 4) + 1
-    barrier = threading.Barrier(2 * width, timeout=5)
-    lock = threading.Lock()
-    segments = [0]
-
-    class Backend(Provider):
-        def _complete(self, request):
-            if request.tag == "segment":
-                with lock:
-                    segments[0] += 1
-                    waits = segments[0] <= 2 * width
-                if waits:
-                    barrier.wait()  # breaks after 5 s unless all 2 * width are in flight
-            return CannedProvider().complete(request)
-
-    rows = [{"question_id": f"q{i}", "question": f"How tall is tower {i}?", "documents": [DOC],
-             "gold_answers": ["x"]} for i in range(width)]
-    corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
-    bundle = str(tmp_path / "bundle.json")
-    example = make_example([S.DEDUCTIVE, S.INDUCTIVE])
-    persist_bundle({row["question_id"]: build_collection([example]) for row in rows},
-                   bundle, created_at=STAMP)
-    monkeypatch.setattr(cli, "CannedProvider", Backend)
-    assert cli.main(["answer", "--provider", "mock", "--corpus", str(corpus), "--collection", bundle,
-                     "--run-log", str(tmp_path / "run.jsonl"), "--parallelism", str(width)]) == 0
-    assert segments[0] == 2 * width
+    # one question makes one call at a time at any N
+    assert peaks(1, 2, (1, 1)) == [1, 1]
+    # N * N questions at once, one call each, and never more
+    assert peaks(12, 2, (4, 4)) == [4, 4]
+    assert peaks(12, 3, (9, 9)) == [9, 9]
 
 
 def test_an_unexpected_error_leaves_the_same_work_done_at_every_parallelism(tmp_path, monkeypatch):
@@ -567,10 +546,8 @@ def test_answer_record_and_replay_are_byte_identical_under_jitter(tmp_path, monk
     sentences = split_sentences(DOC)
     for recorded, _ in _recorded_runs(tmp_path, monkeypatch, "answer", argv, outputs):
         for line in (json.loads(line) for line in recorded.splitlines()):
-            # the two deductive steps send one prompt at once: which gets
-            # its first reply depends on timing, but replay repeats it
-            first, second, third = line["focused_segments"]
-            assert {first, second} == set(sentences[:2]) and third == sentences[0]
+            # the two deductive steps send one prompt, one after the other
+            assert line["focused_segments"] == [sentences[0], sentences[1], sentences[0]]
             # summed in step order: 0.2 and 0.3 for the deductive steps, 0.1
             # for the decompositional one, then 0.1 for the answer; any other
             # order of these float additions gives 0.7000000000000001
@@ -590,14 +567,12 @@ def test_generate_record_and_replay_are_byte_identical_under_jitter(tmp_path, mo
         doc = json.loads((tmp_path / f"{out}.json").read_text(encoding="utf-8"))
         return json.dumps(doc["collections"], sort_keys=True).encode("utf-8")
 
-    notes = {f"Reference note number {n} for this step." for n in (0, 1)}
     for recorded, _ in _recorded_runs(tmp_path, monkeypatch, "generate", argv, outputs):
         examples = json.loads(recorded)["q1"]["examples"]
-        assert len(examples) == 2
-        # both candidates send each step's reference prompt at once: which
-        # gets the first reply depends on timing, but replay repeats it
-        first, second = (example["reference_docs"] for example in examples)
-        assert all({a, b} == notes for a, b in zip(first, second, strict=True))
+        # both candidates send each step's reference prompt, the first candidate first
+        assert [example["reference_docs"] for example in examples] == [
+            [f"Reference note number {n} for this step."] * 2 for n in (0, 1)
+        ]
 
 
 class ArrivalOrder(Provider):
