@@ -56,7 +56,7 @@ def extract_relevant_segment(
     results = []
     for _ in range(2):
         results.append(provider.complete(CompletionRequest(prompt, tag="segment")))
-        picked = _match_sentences(results[-1].text, passage.by_key)
+        picked = _match_sentences(results[-1].text, passage)
         if picked is not None:
             return " ".join(picked), results
     raise SegmentNotInDocument(
@@ -64,16 +64,16 @@ def extract_relevant_segment(
     )
 
 
-def _match_sentences(reply: str, by_key: dict[str, str]) -> list[str] | None:
+def _match_sentences(reply: str, passage: Passage) -> list[str] | None:
     candidates = split_sentences(reply)
     if not candidates:
         return None
     picked = []
     for c in candidates:
-        key = sentence_key(c)
-        if key not in by_key:
+        sentence = passage.sentence(sentence_key(c))
+        if sentence is None:
             return None
-        picked.append(by_key[key])
+        picked.append(sentence)
     return picked
 
 
@@ -116,7 +116,7 @@ def answer(question: str, document: str, example: SimilarExample, provider: Prov
     a bad template a StorageError naming its file, and a ProviderError
     names the tag of the request that failed.
     """
-    # split and keyed once here, shared by every step's extraction
+    # casefolded once here, shared by every step's extraction, which splits only the lines it needs
     passage = Passage.of(document)
     steps = fan_out(
         lambda skill: extract_relevant_segment(passage, skill, provider, question=question),

@@ -152,20 +152,24 @@ def fingerprint(prompt: str, occurrence: int, scope: tuple[int, ...]) -> str:
 
 
 class _OccurrenceCounter:
-    """Counts how many times each prompt has been seen per scope."""
+    """Counts how many times each prompt has been seen per scope.
+
+    A count is keyed by the fingerprint of the prompt's first occurrence
+    in the scope, so the counter holds no prompt.
+    """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._counts: dict[tuple, int] = {}
+        self._counts: dict[str, int] = {}
 
     def fingerprint(self, request: CompletionRequest) -> str:
         """The request's fingerprint at its next occurrence in the current scope."""
         scope = _scope.get()
-        key = (request.prompt, scope)
+        first = fingerprint(request.prompt, 0, scope)
         with self._lock:
-            occ = self._counts.get(key, 0)
-            self._counts[key] = occ + 1
-        return fingerprint(request.prompt, occ, scope)
+            occ = self._counts.get(first, 0)
+            self._counts[first] = occ + 1
+        return first if occ == 0 else fingerprint(request.prompt, occ, scope)
 
 
 def fan_out(fn, items, parallelism: int = 1) -> list:

@@ -9,10 +9,13 @@ Where documents are split:
 
 - at corpus validation, to bounds-check gold sentence ids: only the
   documents those ids reference are split, each once;
-- once per question in the answerer, which wraps the joined documents in
-  a Passage and reuses its sentence-key index for every strategy step;
-  the index keys come from one casefold of the joined sentences, and the
-  Passage keeps only the text and that index;
+- in the answerer, only the lines that hold an extraction reply's
+  sentences: Passage.of casefolds a question's joined documents once, and
+  Passage.sentence finds a sentence key in that casefold and splits the
+  line it lands on, each line at most once per question. A text holding
+  a run of spaces or whitespace other than " " and "\n" has each line of
+  its casefold whitespace-normalized too, so that its sentence keys occur
+  in it;
 - once per record at citation attribution, through sentence_token_sets,
   which tokenizes all of a document's sentences in one pass.
 
@@ -159,38 +162,77 @@ def normalize_ws(text: str) -> str:
     return " ".join(text.split())
 
 
+def _fold_lines(text: str) -> str:
+    """text casefolded, each line whitespace-normalized if any holds irregular whitespace.
+
+    Irregular whitespace is a run of spaces or any whitespace other than
+    " " and "\n". Without it a stripped line's casefold is already its
+    sentence_key, so a text of stripped sentences joined by line feeds
+    folds to their keys joined by line feeds.
+    """
+    folded = text.casefold()
+    if "  " in folded or any(c in folded for c in _IRREGULAR_WS):
+        return "\n".join(map(normalize_ws, folded.split("\n")))
+    return folded
+
+
 def sentence_key(text: str) -> str:
     """Casefolded, whitespace-collapsed form used for sentence matching."""
     return normalize_ws(text.casefold())
 
 
 class Passage(NamedTuple):
-    """A document and its sentence-key index, built from one split.
+    """A document, and what finds its sentences by sentence_key.
 
-    by_key maps sentence_key(sentence) to the sentence; among sentences
-    sharing a key the last one wins.
+    folded is _fold_lines(text) and lines are the text's lines.
+    sentence() splits only the lines its key occurs in, each at most once,
+    keeping each such line's sentences in split by line number, keyed by
+    sentence_key, the last one winning among sentences of a line sharing
+    a key.
     """
 
     text: str
-    by_key: dict[str, str]
+    folded: str
+    lines: list[str]
+    split: dict[int, dict[str, str]]
 
     @classmethod
     def of(cls, text: str) -> Passage:
-        """The passage of text, its keys made in one casefold of the joined sentences.
+        """The passage of text, casefolded once, splitting nothing."""
+        return cls(text, _fold_lines(text), text.split("\n"), {})
 
-        No sentence holds a line feed, and casefold maps each character
-        alone and never makes, drops or changes whitespace, so the folded
-        lines are the sentences casefolded. Sentences are stripped, so a
-        line is already its sentence_key unless it holds a run of spaces
-        or whitespace other than a space: only then is every line
-        normalized.
+    def sentence(self, key: str) -> str | None:
+        """The last sentence whose sentence_key is key; None if no sentence has it.
+
+        A sentence never crosses a line feed, and casefold maps each
+        character alone, never making or dropping whitespace. A stripped
+        sentence is a piece of its line that starts and ends with a
+        non-space, so each whitespace run inside it is a whole run of the
+        line, and its key occurs inside its own line of folded. The search
+        starts at the last occurrence and moves to earlier lines while the
+        line it lands on holds no sentence keyed key, scanning the text
+        once in all.
         """
-        sentences = split_sentences(text)
-        folded = "\n".join(sentences).casefold()
-        keys = folded.split("\n")
-        if "  " in folded or any(c in folded for c in _IRREGULAR_WS):
-            keys = [normalize_ws(key) for key in keys]
-        return cls(text, dict(zip(keys, sentences)))
+        folded = self.folded
+        at = folded.rfind(key)
+        if at < 0:
+            return None
+        line = folded.count("\n", 0, at)
+        while True:
+            keyed = self.split.get(line)
+            if keyed is None:
+                sentences = split_sentences(self.lines[line])
+                keys = _fold_lines("\n".join(sentences)).split("\n")
+                keyed = self.split[line] = dict(zip(keys, sentences))
+            if key in keyed:
+                return keyed[key]
+            end = folded.rfind("\n", 0, at)  # the line feed that ends the line before
+            if end < 0:
+                return None
+            at = folded.rfind(key, 0, end)
+            if at < 0:
+                return None
+            line -= 1 + folded.count("\n", at, end)
 
 
 def squeeze_punct(text: str) -> str:

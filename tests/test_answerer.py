@@ -198,6 +198,26 @@ def test_answer_splits_its_document_once(monkeypatch):
     assert split_texts.count(DOC) == 1
 
 
+def test_answer_splits_only_the_line_that_holds_the_reply(monkeypatch):
+    example = example_for([S.DEDUCTIVE, S.INDUCTIVE])
+    docs = ["The Eiffel Tower was completed in 1889.", "It stands 330 metres tall.",
+            "The Empire State Building was completed in 1931. It stands 443 metres tall."]
+    reply = "It stands 443 metres tall."
+    provider = MockProvider([reply] * 2 + ["<answer>443 metres</answer>"])
+    split_texts = []
+    real_split = textutil.split_sentences
+
+    def counting_split(text):
+        split_texts.append(text)
+        return real_split(text)
+
+    for module in (textutil, answerer_module):
+        monkeypatch.setattr(module, "split_sentences", counting_split, raising=False)
+    trace = answer("How tall?", "\n\n".join(docs), example, provider)
+    assert trace.focused_segments == [reply, reply]
+    assert [text for text in split_texts if text != reply] == [docs[2]]
+
+
 def test_answer_respects_explicit_example_index():
     collection = build_collection(
         [example_for([S.DEDUCTIVE]), example_for([S.ABDUCTIVE])]

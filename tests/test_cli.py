@@ -264,7 +264,8 @@ PINNED_OUTPUTS = {
 }
 
 
-def test_a_mock_run_on_the_fixture_corpus_writes_the_pinned_bytes(tmp_path, fixtures_dir, monkeypatch):
+def _pinned_mock_run(corpus, out, monkeypatch, names):
+    """sha256 of each named output of a mock generate, answer and eval on corpus, at a fixed clock."""
     monkeypatch.setattr(collection_mod, "utc_now", lambda: "2026-01-01T00:00:00Z")
     monkeypatch.setattr(providers, "utc_now", lambda: "2026-01-01T00:00:00Z")
     recorders = []
@@ -274,16 +275,47 @@ def test_a_mock_run_on_the_fixture_corpus_writes_the_pinned_bytes(tmp_path, fixt
         return recorders[-1]
 
     monkeypatch.setattr(cli, "CannedProvider", recorded)
-    corpus, out = os.path.join(fixtures_dir, "corpus.jsonl"), str(tmp_path)
-    bundle, run_log, report = (os.path.join(out, name) for name in ("bundle.json", "run.jsonl", "report.json"))
+    bundle, run_log, report = (str(out / name) for name in ("bundle.json", "run.jsonl", "report.json"))
     for command, argv in [("generate", ["--provider", "mock", "--collection", bundle]),
                           ("answer", ["--provider", "mock", "--collection", bundle, "--run-log", run_log]),
                           ("eval", ["--run-log", run_log, "--report", report])]:
-        assert main([command, "--corpus", corpus, *argv]) == 0
+        assert main([command, "--corpus", str(corpus), *argv]) == 0
         if command != "eval":
-            recorders[-1].transcript.save(os.path.join(out, f"{command}.transcript.jsonl"))
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PINNED_OUTPUTS}
-    assert digests == PINNED_OUTPUTS
+            recorders[-1].transcript.save(str(out / f"{command}.transcript.jsonl"))
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+
+def test_a_mock_run_on_the_fixture_corpus_writes_the_pinned_bytes(tmp_path, fixtures_dir, monkeypatch):
+    corpus = os.path.join(fixtures_dir, "corpus.jsonl")
+    assert _pinned_mock_run(corpus, tmp_path, monkeypatch, PINNED_OUTPUTS) == PINNED_OUTPUTS
+
+
+# documents whose sentences hold a tab, an NBSP, a double space, "\r\n", "ß" and "İ": the
+# answerer matches their extraction replies through the full sentence-key index
+IRREGULAR_CORPUS = [
+    {"question_id": "q1", "question": "How long is the Hauptstra\u00dfe in Berlin?",
+     "documents": ["The Hauptstra\u00dfe\tin Berlin is  two kilometres long. It was paved in 1901.",
+                   "Berlin is the capital of Germany."],
+     "gold_answers": ["two kilometres"], "gold_sentence_ids": [[0, 0]]},
+    {"question_id": "q2", "question": "Which city lies on the Bosphorus?",
+     "documents": ["\u0130stanbul\u00a0lies on the Bosphorus.\r\nIt was once called Constantinople.",
+                   "The Bosphorus  joins the Black Sea to the Sea of Marmara."],
+     "gold_answers": ["\u0130stanbul"], "gold_sentence_ids": [[0, 0]]},
+    {"question_id": "q3", "question": "When was the Golden Gate Bridge opened?",
+     "documents": ["The Golden Gate Bridge opened in 1937.\r\nIts main span is 1280 metres long.",
+                   "San Francisco lies\tnorth of San Jose. The STRASSE sign is a joke."],
+     "gold_answers": ["1937"], "gold_sentence_ids": [[0, 0]]},
+]
+# sha256 of the run log and the report of a mock run on IRREGULAR_CORPUS, at a fixed clock
+IRREGULAR_PINNED = {
+    "run.jsonl": "35a4205994dd61ebb2200d31ecd4fdd2615f953ad136da8ed85b502d492fc0da",
+    "report.json": "d1ab25385dcfafef9cbce27482060694c315758d92a80ab8685feafa94e16a37",
+}
+
+
+def test_a_mock_run_on_irregular_whitespace_writes_the_pinned_bytes(tmp_path, monkeypatch):
+    corpus = write_corpus(tmp_path / "corpus.jsonl", IRREGULAR_CORPUS)
+    assert _pinned_mock_run(corpus, tmp_path, monkeypatch, IRREGULAR_PINNED) == IRREGULAR_PINNED
 
 
 def test_generate_reports_per_question_failures(tmp_path, capsys):

@@ -185,6 +185,22 @@ def test_replay_from_a_file_keeps_results_only(tmp_path):
     assert replay.complete(CompletionRequest(f"Extract from: {document}")).text == "the reply"
 
 
+def test_replay_holds_no_prompt_it_was_sent():
+    document = "A long document sentence. " * 2000
+    prompts = [f"Extract from {n}: {document}" for n in range(3)]
+    # the first prompt again, and each prompt in a scope of its own
+    requests = [CompletionRequest(prompt) for prompt in [*prompts, prompts[0]]]
+    recorder = RecordingProvider(MockProvider(["a", "b", "c", "d", "e", "f", "g"]))
+    for request in requests:
+        recorder.complete(request)
+    providers.fan_out(recorder.complete, requests[:3])
+
+    replay = replaying(recorder.transcript)
+    assert [replay.complete(request).text for request in requests] == ["a", "b", "c", "d"]
+    assert providers.fan_out(lambda request: replay.complete(request).text, requests[:3]) == ["e", "f", "g"]
+    assert not [obj for obj in _reachable(replay) if isinstance(obj, str) and document in obj]
+
+
 def test_a_transcript_whose_lines_fail_part_way_leaves_the_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "t.jsonl"
     record(MockProvider("x"), [CompletionRequest("p")]).save(str(path))

@@ -117,7 +117,7 @@ def test_sentence_key_equals_the_regex_form(text):
 
 
 def test_casefold_neither_makes_nor_changes_whitespace():
-    # Passage.of keys its sentences by one casefold of their joined text
+    # Passage.sentence finds sentence keys in one casefold of the text
     made = [c for c in map(chr, range(sys.maxunicode + 1))
             if not c.isspace() and any(map(str.isspace, c.casefold()))]
     assert made == []
@@ -133,31 +133,59 @@ def test_the_irregular_whitespace_is_written_out_and_is_every_other_space():
 
 
 _WORDS = st.sampled_from(["Tower", "tower", "TOWER", "stands", "Stands", "tall", "\u039f\u03a3"])
-# every whitespace character, and TRICKY's characters whose casefold grows or leaves ASCII
-_GAPS = st.sampled_from([*_WHITESPACE, "  ", "\u00df", "\u0130", "\u212a"])
+# TRICKY's characters whose casefold grows or leaves ASCII
+_FOLDING = ["\u00df", "\u0130", "\u212a"]
+# between words: a space only, or also every whitespace character and a run of spaces
+_GAPS = [st.sampled_from([" ", *_FOLDING]), st.sampled_from([*_WHITESPACE, "  ", *_FOLDING])]
 
 
 @st.composite
-def _sentence(draw):
+def _sentence(draw, gaps):
     words = draw(st.lists(_WORDS, min_size=1, max_size=3))
-    return "".join(w + draw(_GAPS) for w in words[:-1]) + words[-1] + "."
+    return "".join(w + draw(gaps) for w in words[:-1]) + words[-1] + "."
 
 
-@given(st.lists(_sentence(), min_size=1, max_size=8))
+@st.composite
+def _lines(draw):
+    """Lines of one to three sentences, some ending in "\r", so joined with "\n" some break at "\r\n"."""
+    gaps = draw(st.sampled_from(_GAPS))
+    line = st.builds(lambda sentences, end: " ".join(sentences) + end,
+                     st.lists(_sentence(gaps), min_size=1, max_size=3), st.sampled_from(["", "", "\r"]))
+    return draw(st.lists(line, min_size=1, max_size=4))
+
+
+@given(_lines())
 @example(["Tower stands.", "tower  stands."])
 @example(["TOWER\u3000STANDS.", "Tower stands."])
 @example(["Stra\u00dfe \u0130 \u212a.", "STRASSE i\u0307 k.", "\u039f\u03a3."])
-def test_passage_keeps_the_last_sentence_among_duplicate_keys(sentences):
-    passage = Passage.of("\n".join(sentences))
-    assert passage.text == "\n".join(sentences)
-    split = split_sentences(passage.text)
-    expected = {}
-    for s in split:
-        expected[sentence_key(s)] = s
-    assert passage.by_key == expected
-    for key, kept in passage.by_key.items():
-        same_key = [s for s in split if sentence_key(s) == key]
-        assert kept == same_key[-1]
+@example(["Tower stands. TOWER STANDS.", "Tall. tower stands. Tower stands."])
+@example(["Tall.", "Tower stands. TOWER STANDS. Tall."])
+@example(["Tower stands.", "Tall tower stands. Tower. Stands tall."])
+@example(["Tower stands. Tall.\r", "TOWER STANDS.\r", "Tall tower."])
+def test_passage_finds_the_last_sentence_of_each_key(lines):
+    text = "\n".join(lines)
+    passage = Passage.of(text)
+    assert passage.text == text
+    split = split_sentences(text)
+    reference = {sentence_key(s): s for s in split}  # the last sentence of a key wins
+    for key, kept in reference.items():
+        assert passage.sentence(key) == kept
+    keys = [sentence_key(s) for s in split]
+    # every sentence ends in ".": a prefix, a span of two sentences, another terminator
+    probes = [k[:-1] for k in keys] + [a + " " + b for a, b in zip(keys, keys[1:])]
+    for probe in probes:
+        assert passage.sentence(probe) == reference.get(probe)
+    assert [passage.sentence(k[:-1] + "?") for k in keys] == [None] * len(keys)
+
+
+def test_a_key_that_ends_a_sentence_of_every_line_is_found_where_it_is_a_whole_sentence():
+    # "yes." ends a sentence of every line and is a whole sentence of the first only
+    text = "\n".join(["Yes."] + [f"We said yes. Line {i} said yes." for i in range(3000)])
+    passage = Passage.of(text)
+    assert passage.sentence("yes.") == "Yes."
+    assert passage.sentence("said yes.") is None
+    assert passage.sentence("line 2999 said yes.") == "Line 2999 said yes."
+    assert passage.sentence("we said yes.") == "We said yes."
 
 
 _DOC_TEXT = st.text(
