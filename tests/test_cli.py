@@ -740,6 +740,76 @@ def test_answer_on_a_version_1_bundle_exits_2_before_any_call(tmp_path, corpus_p
     assert not run_log.exists()
 
 
+def answer_on_the_fixture_bundle(tmp_path, fixtures_dir, capsys, edit):
+    """answer's exit code and stderr on the fixture bundle after edit(doc), and whether a run log was written."""
+    doc = json.loads(Path(fixtures_dir, "collection.json").read_text(encoding="utf-8"))
+    edit(doc)
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(doc), encoding="utf-8")
+    run_log = tmp_path / "run.jsonl"
+    capsys.readouterr()
+    code = main(["answer", "--provider", "mock", "--corpus", f"{fixtures_dir}/corpus.jsonl",
+                 "--collection", str(bundle), "--run-log", str(run_log)])
+    return code, capsys.readouterr().err, run_log.exists()
+
+
+# the objects of a stored collection whose fields are fixed: the collection, an example, a strategy
+STORED_OBJECTS = {
+    "collection": lambda collections: collections["q1"],
+    "example": lambda collections: collections["q1"]["examples"][0],
+    "strategy": lambda collections: collections["q1"]["examples"][0]["strategy"],
+}
+
+
+@pytest.mark.parametrize("level", STORED_OBJECTS)
+def test_answer_on_a_bundle_with_an_unknown_field_exits_2_before_any_call(tmp_path, fixtures_dir, mock_calls,
+                                                                          capsys, level):
+    def edit(doc):
+        STORED_OBJECTS[level](doc["collections"])["zz_unknown"] = 1
+
+    code, err, logged = answer_on_the_fixture_bundle(tmp_path, fixtures_dir, capsys, edit)
+    assert code == 2
+    assert f"{tmp_path / 'bundle.json'}[q1]: malformed collection: unknown field 'zz_unknown'" in err
+    assert (mock_calls, logged) == ([], False)
+
+
+@pytest.mark.parametrize("level, field", [("collection", "examples"), ("example", "answer"),
+                                          ("strategy", "skills")])
+def test_answer_on_a_bundle_with_a_missing_field_exits_2_before_any_call(tmp_path, fixtures_dir, mock_calls,
+                                                                         capsys, level, field):
+    def edit(doc):
+        del STORED_OBJECTS[level](doc["collections"])[field]
+
+    code, err, logged = answer_on_the_fixture_bundle(tmp_path, fixtures_dir, capsys, edit)
+    assert code == 2
+    assert f"{tmp_path / 'bundle.json'}[q1]: malformed collection: missing field {field!r}" in err
+    assert (mock_calls, logged) == ([], False)
+
+
+def test_answer_on_a_bundle_whose_created_at_is_not_a_string_exits_2(tmp_path, fixtures_dir, mock_calls, capsys):
+    code, err, logged = answer_on_the_fixture_bundle(tmp_path, fixtures_dir, capsys,
+                                                     lambda doc: doc.update(created_at=["x"]))
+    assert code == 2
+    assert f"{tmp_path / 'bundle.json'}: created_at must be a string, got ['x']" in err
+    assert (mock_calls, logged) == ([], False)
+
+
+def test_a_bundle_without_created_at_and_with_an_unknown_top_level_key_is_read(tmp_path, fixtures_dir, capsys):
+    def edit(doc):
+        del doc["created_at"]
+        doc["zz_unknown"] = 1
+
+    assert answer_on_the_fixture_bundle(tmp_path, fixtures_dir, capsys, edit)[::2] == (0, True)
+
+
+@pytest.mark.parametrize("level", STORED_OBJECTS)
+def test_a_checkpoint_line_with_an_unknown_field_starts_fresh(tmp_path, corpus_path, caplog, level):
+    collections = {"q1": marker_collection()}
+    STORED_OBJECTS[level](collections)["zz_unknown"] = 1
+    _assert_checkpoint_starts_fresh(tmp_path, corpus_path, caplog, checkpoint_line("q1", collections["q1"]),
+                                    "malformed collection: unknown field 'zz_unknown'")
+
+
 def test_a_checkpoint_line_of_bundle_version_1_resumes_into_a_version_2_bundle(tmp_path, corpus_path,
                                                                                 mock_calls):
     bundle_path = tmp_path / "bundle.json"

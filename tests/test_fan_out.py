@@ -624,6 +624,51 @@ def test_questions_sharing_prompts_replay_their_own_replies_at_parallelism_8(tmp
         assert [qid for qid in recorded if replayed[qid] != recorded[qid]] == []
 
 
+def test_a_recording_replays_any_subset_of_its_questions_in_any_order(tmp_path, monkeypatch):
+    # questions share the canned strategies' reference prompts, so the recorded
+    # collections depend on the order in which the questions' calls arrived
+    places = ["Eiffel Tower", "Empire State Building", "Golden Gate Bridge", "Taj Mahal"]
+    pairs = [(adj, a, b) for adj in ("tall", "old") for a in places for b in places if a != b]
+    rows = [{"question_id": f"q{i}", "question": f"Which is {adj}er, the {a} or the {b}?",
+             "documents": [f"The {a} is {adj}. The {b} is {adj}er. Both are landmarks.", DOC],
+             "gold_answers": [b]}
+            for i, (adj, a, b) in enumerate(pairs)]
+    assert len(rows) == 24
+
+    def corpus(name, subset):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in subset), encoding="utf-8")
+        return str(path)
+
+    def run(command, name, provider_args, corpus_path, bundle):
+        """The command's bundle collections or run-log lines, by question id."""
+        out = str(tmp_path / name)
+        outputs = ["--collection", out, "--count", "2"] if command == "generate" else [
+            "--collection", bundle, "--run-log", out]
+        assert cli.main([command, *provider_args, "--corpus", corpus_path, "--parallelism", "3", *outputs]) == 0
+        if command == "generate":
+            return json.loads(Path(out).read_text(encoding="utf-8"))["collections"]
+        return {json.loads(line)["question_id"]: line for line in Path(out).read_text(encoding="utf-8").splitlines()}
+
+    whole = corpus("whole", rows)
+    recorded, transcripts = {}, {}
+    for command in ("generate", "answer"):
+        recorder = RecordingProvider(ArrivalOrder())
+        monkeypatch.setattr(cli, "CannedProvider", lambda: recorder)
+        recorded[command] = run(command, f"recorded-{command}", ["--provider", "mock"], whole,
+                                str(tmp_path / "recorded-generate"))
+        transcripts[command] = str(tmp_path / f"{command}.transcript.jsonl")
+        recorder.transcript.save(transcripts[command])
+    assert len(recorded["generate"]) == len(recorded["answer"]) == 24
+
+    for name, subset in (("reversed", rows[::-1]), ("one", rows[7:8])):
+        for command in ("generate", "answer"):
+            replay = ["--provider", "replay", "--transcript", transcripts[command]]
+            replayed = run(command, f"{name}-{command}", replay, corpus(name, subset),
+                           str(tmp_path / "recorded-generate"))
+            assert replayed == {row["question_id"]: recorded[command][row["question_id"]] for row in subset}
+
+
 # ------------------------------------------------------------ stress
 
 def _landmark_corpus(tmp_path, limit=None) -> str:
