@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .errors import SkillPathError, StorageError
 from .examplegen import ReasoningStrategy, SimilarExample
-from .resources import read_json, strings, utc_now, write_json
+from .resources import fields, read_json, strings, utc_now, write_json
 from .skills import ReasoningSkill, parse_skill
 
 COLLECTION_VERSION = 2
@@ -53,9 +53,12 @@ def example_to_record(example: SimilarExample) -> dict:
 
 
 def example_from_record(doc: dict) -> SimilarExample:
+    """A stored example; a field missing or unknown, in it or its strategy, is a KeyError or ValueError."""
+    doc = fields(doc, "example", {"question", "strategy", "reference_docs", "answer"})
+    stored = fields(doc["strategy"], "strategy", {"subquestions", "skills"})
     strategy = ReasoningStrategy(
-        strings(doc["strategy"]["subquestions"]),
-        tuple(parse_skill(s) for s in strings(doc["strategy"]["skills"])),
+        strings(stored["subquestions"]),
+        tuple(parse_skill(s) for s in strings(stored["skills"])),
     )
     return SimilarExample(
         question=doc["question"],
@@ -73,7 +76,10 @@ def collection_to_record(collection: ExampleCollection) -> dict:
 def collection_from_record(doc: dict, source: str) -> ExampleCollection:
     """A stored collection, its freq_index derived from its examples; errors name `source`."""
     try:
-        return build_collection([example_from_record(d) for d in doc["examples"]])
+        examples = fields(doc, "collection", {"examples"})["examples"]
+        return build_collection([example_from_record(d) for d in examples])
+    except KeyError as exc:
+        raise StorageError(f"{source}: malformed collection: missing field {exc}") from exc
     except (AttributeError, LookupError, TypeError, ValueError, SkillPathError) as exc:
         raise StorageError(f"{source}: malformed collection: {exc}") from exc
 
@@ -98,6 +104,9 @@ def restore_bundle(path: str) -> dict[str, ExampleCollection]:
     version = doc.get("version") if isinstance(doc, dict) else None
     if type(version) is not int or version != COLLECTION_VERSION:  # true and 1.0 equal 1
         raise StorageError(f"{path}: unsupported collection version {version!r}")
+    created_at = doc.get("created_at", "")
+    if not isinstance(created_at, str):
+        raise StorageError(f"{path}: created_at must be a string, got {created_at!r}")
     body = doc.get("collections")
     if not isinstance(body, dict):
         raise StorageError(f"{path}: no collections table")

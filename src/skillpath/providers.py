@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .errors import ProviderError, ReplayMiss, StorageError, TransportError
-from .resources import json_line, parse_jsonl, read_keyed, read_lines, utc_now, write_lines
+from .resources import fields, json_line, parse_jsonl, read_keyed, read_lines, utc_now, write_lines
 from .textutil import count_ws_tokens
 
 API_BASE_ENV = "SKILLPATH_API_BASE"
@@ -357,25 +357,13 @@ def _read_transcript(path: str, convert: Callable[[dict], object]) -> tuple[str,
     return provider, created_at, entries
 
 
-def _fields(doc: dict, name: str, required: set[str], optional: set[str] = frozenset()) -> dict:
-    """doc[name], an object with every required field and no other field but the optional ones."""
-    fields = doc[name]
-    if not isinstance(fields, dict):
-        raise ValueError(f"{name} must be an object, got {fields!r}")
-    stray = (fields.keys() ^ required) - optional  # each field missing or unknown
-    if stray:
-        field = min(stray)
-        raise KeyError(field) if field in required else ValueError(f"unknown field {field!r}")
-    return fields
-
-
 def _entry(doc: dict) -> TranscriptEntry:
     """A transcript entry line, its fields checked as a live reply's are."""
     if not isinstance(doc["fingerprint"], str):
         raise ValueError(f"fingerprint must be a string, got {doc['fingerprint']!r}")
-    request = _fields(doc, "request", {"prompt"}, {"tag"})
-    result = _fields(doc, "result", {"text", "usage"}, {"latency_ms"})
-    usage = TokenUsage(**_fields(result, "usage", {*TokenUsage._fields}))
+    request = fields(doc["request"], "request", {"prompt"}, {"tag"})
+    result = fields(doc["result"], "result", {"text", "usage"}, {"latency_ms"})
+    usage = TokenUsage(**fields(result["usage"], "usage", {*TokenUsage._fields}))
     return TranscriptEntry(doc["fingerprint"], CompletionRequest(**request),
                            CompletionResult(result["text"], usage, result.get("latency_ms", 0.0)))
 

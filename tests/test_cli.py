@@ -810,18 +810,10 @@ def test_a_checkpoint_line_with_an_unknown_field_starts_fresh(tmp_path, corpus_p
                                     "malformed collection: unknown field 'zz_unknown'")
 
 
-def test_a_checkpoint_line_of_bundle_version_1_resumes_into_a_version_2_bundle(tmp_path, corpus_path,
-                                                                                mock_calls):
-    bundle_path = tmp_path / "bundle.json"
-    Path(f"{bundle_path}.checkpoint.jsonl").write_text(
-        checkpoint_header(1) + "\n" + checkpoint_line("q1", version_1_collection()) + "\n", encoding="utf-8")
-    assert main(["generate", "--provider", "mock", "--corpus", corpus_path,
-                 "--collection", str(bundle_path), "--count", "1"]) == 0
-    assert mock_calls == []
-    stored = json.loads(bundle_path.read_text(encoding="utf-8"))["collections"]["q1"]
-    assert set(stored) == {"examples"}
-    assert "construction_mode" not in stored["examples"][0]
-    assert stored == marker_collection()
+def test_a_checkpoint_line_of_bundle_version_1_starts_fresh(tmp_path, corpus_path, caplog):
+    # its n, freq_index and construction_mode are fields a stored collection does not have
+    _assert_checkpoint_starts_fresh(tmp_path, corpus_path, caplog, checkpoint_line("q1", version_1_collection()),
+                                    "malformed collection: unknown field 'freq_index'")
 
 
 # stored collections whose values only look right: no example, a string where
