@@ -1,10 +1,11 @@
 """Record a provider session to a transcript, then replay it offline.
 
-Every completion request gets a fingerprint from its prompt, sampling
-settings, scope and occurrence index. The scope is the position of the
-fan_out item the request was sent from (empty here, outside any
-fan_out); within one scope requests run in program order, so a repeated
-prompt's occurrence index is the same on replay at any parallelism.
+Every completion request gets a fingerprint from its prompt, scope and
+occurrence index. The scope is the id of the question the request was
+sent for (empty here, outside any question: the commands run each
+question in providers.question_scope); a question sends its requests in
+program order, so a repeated prompt's occurrence index is the same on
+replay at any parallelism, whichever other questions are replayed.
 Replays answer only requests that were recorded, byte for byte, so
 downstream runs are reproducible without touching a model endpoint.
 """

@@ -17,7 +17,7 @@ from .collection import ExampleCollection
 from .errors import SegmentNotInDocument
 from .examplegen import SimilarExample
 from .matcher import MatchResult, SelectionMode, select_best
-from .providers import CompletionRequest, CompletionResult, Provider, TokenUsage, fan_out
+from .providers import CompletionRequest, CompletionResult, Provider, TokenUsage
 from .resources import render_prompt
 from .skills import ReasoningSkill
 from .textutil import ANSWER_SPAN, Passage, sentence_key, split_sentences
@@ -108,20 +108,16 @@ def extract_answer_span(completion: str) -> str:
 def answer(question: str, document: str, example: SimilarExample, provider: Provider) -> AnswerTrace:
     """Run the guided path of one selected example against one document.
 
-    The steps' extractions run in a fan_out, one after the other on the
-    calling thread, each step in a scope of its own; the trace's usage and
-    latency sum every result they return, in step order, and the final
-    call's.
+    The trace's usage and latency sum the results of every step's
+    extraction, in step order, and the final call's.
     Errors propagate as raised: a failed extraction is SegmentNotInDocument,
     a bad template a StorageError naming its file, and a ProviderError
     names the tag of the request that failed.
     """
     # casefolded once here, shared by every step's extraction, which splits only the lines it needs
     passage = Passage.of(document)
-    steps = fan_out(
-        lambda skill: extract_relevant_segment(passage, skill, provider, question=question),
-        example.strategy.skills,
-    )
+    steps = [extract_relevant_segment(passage, skill, provider, question=question)
+             for skill in example.strategy.skills]
     segments = [segment for segment, _ in steps]
     prompt = format_prompt(question, segments, example)
     result = provider.complete(CompletionRequest(prompt, tag="answer"))

@@ -10,20 +10,15 @@ Each command reads all of its input files before its first provider call.
 --parallelism N runs N * N questions at once, each one call at a time, so
 at most N * N provider calls are in flight. _run_questions is the one
 place that turns it into execution: it runs the questions through
-providers.fan_out with N * N lanes, and the fan_outs within each
-question (the similarity scores of the candidates, the synthesis of the
-kept candidates, the reference documents and the extractions of the
-strategy steps) run on that question's thread in item order. So
+providers.fan_out with N * N lanes, each question on one thread, so
 --parallelism 1 sends one request at a time, and no thread outlives a
 command. A question's SkillPathError is printed and fails that question
 only; any other error is raised once every question has run, the first
-in input order, at any N. Each question, and each fan_out item within
-it, runs in a scope of its own that its requests' fingerprints include,
-and recorded transcripts are sorted by fingerprint, so a recorded run
-replays byte for byte at any parallelism against the corpus it was
-recorded from, in that order. Files are always written by one writer in
-input order. A run log's latency_ms is the sum of a question's call
-latencies, not its wall time.
+in input order, at any N. A question's requests are fingerprinted under
+its id (providers.question_scope), so a recorded run replays byte for
+byte at any parallelism, for any subset of its questions in any order.
+Files are always written by one writer in input order. A run log's
+latency_ms is the sum of a question's call latencies, not its wall time.
 
 generate appends each finished question's collection to a checkpoint,
 in the record that the bundle stores, and a rerun with the same settings
@@ -54,6 +49,7 @@ from .providers import (
     ReplayProvider,
     TokenUsage,
     fan_out,
+    question_scope,
 )
 from .resources import (check_writable, json_line, parse_jsonl, read_json, read_keyed, read_lines, read_text,
                         write_json, write_lines, write_text)
@@ -172,17 +168,16 @@ def _write_snapshot(config: RunConfig, output_path: str) -> None:
 def _run_questions(
     config: RunConfig, records: list[corpus_mod.QARecord], attempt
 ) -> tuple[dict, int]:
-    """attempt(record) for every record, N * N at once at parallelism N.
+    """attempt(record) for every record in its question's scope, N * N at once at parallelism N.
 
-    Every fan_out inside attempt runs on its question's thread, so each
-    question has at most one provider call in flight.
     Returns the values of the questions that succeeded, by question id in
     input order, and how many failed. A SkillPathError fails its question
     and is printed; any other error is raised once every question has run.
     """
     def outcome(record: corpus_mod.QARecord):
         try:
-            return attempt(record), None
+            with question_scope(record.question_id):
+                return attempt(record), None
         except SkillPathError as exc:
             return None, str(exc)
 
@@ -275,7 +270,7 @@ def cmd_generate(config: RunConfig) -> int:
         kept = examplegen.filter_candidates(scored, config.delta)
         if not kept:
             raise NoCandidates(qid)
-        examples = fan_out(lambda c: examplegen.synthesize_example(c.text, backend), kept[: config.count])
+        examples = [examplegen.synthesize_example(c.text, backend) for c in kept[: config.count]]
         built = collection_mod.build_collection(examples)
         stored = collection_mod.collection_to_record(built)
         line = json_line({"question_id": qid, "question": record.question, "collection": stored})

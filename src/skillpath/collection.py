@@ -53,7 +53,7 @@ def example_to_record(example: SimilarExample) -> dict:
 
 
 def example_from_record(doc: dict) -> SimilarExample:
-    """A stored example; a field missing or unknown, in it or its strategy, is a KeyError or ValueError."""
+    """A stored example; a field missing or unknown, in it or its strategy, is a ValueError."""
     doc = fields(doc, "example", {"question", "strategy", "reference_docs", "answer"})
     stored = fields(doc["strategy"], "strategy", {"subquestions", "skills"})
     strategy = ReasoningStrategy(
@@ -78,8 +78,6 @@ def collection_from_record(doc: dict, source: str) -> ExampleCollection:
     try:
         examples = fields(doc, "collection", {"examples"})["examples"]
         return build_collection([example_from_record(d) for d in examples])
-    except KeyError as exc:
-        raise StorageError(f"{source}: malformed collection: missing field {exc}") from exc
     except (AttributeError, LookupError, TypeError, ValueError, SkillPathError) as exc:
         raise StorageError(f"{source}: malformed collection: {exc}") from exc
 

@@ -23,7 +23,7 @@ from .errors import (
     UnparseableScore,
     UnparseableStrategy,
 )
-from .providers import CompletionRequest, Provider, fan_out
+from .providers import CompletionRequest, Provider
 from .resources import load_entity_pool, render_prompt
 from .skills import ReasoningSkill, parse_skill, skill_catalog
 from .textutil import ARTICLES, normalize_ws, squeeze_punct
@@ -255,8 +255,7 @@ def score_candidates(
     original: str, candidates: list[CandidateQuestion], provider: Provider
 ) -> list[CandidateQuestion]:
     """Attach a similarity score to each candidate."""
-    scores = fan_out(lambda c: score_similarity(original, c.text, provider), candidates)
-    return [c._replace(similarity_score=s) for c, s in zip(candidates, scores)]
+    return [c._replace(similarity_score=score_similarity(original, c.text, provider)) for c in candidates]
 
 
 def filter_candidates(candidates: list[CandidateQuestion], delta: int) -> list[CandidateQuestion]:
@@ -318,7 +317,7 @@ def parse_strategy_reply(reply: str) -> tuple[ReasoningStrategy, str]:
 
 def build_reference_docs(strategy: ReasoningStrategy, provider: Provider) -> list[str]:
     """One short reference passage per strategy step."""
-    return fan_out(lambda subq: _reference_doc(subq, provider), strategy.subquestions)
+    return [_reference_doc(subq, provider) for subq in strategy.subquestions]
 
 
 def _reference_doc(subquestion: str, provider: Provider) -> str:

@@ -8,17 +8,18 @@ Transcripts are written and read a line at a time, and the replay
 provider keeps only the results: no recorded prompt outlives the read.
 
 A request is a prompt and a stage tag; the fingerprint covers the
-prompt, a scope and an occurrence index. fan_out runs each item in a
-scope of its own, so items that overlap never share one; within a scope
-calls run in program order, which numbers repeated identical prompts (a
-retry after a failed extraction, say). Record and replay of the same
-inputs in the same order therefore stay aligned call for call at any
-parallelism.
+prompt, a scope and an occurrence index. The scope is the question a
+call is made for (question_scope), and a question makes its calls one
+after another on one thread, so the occurrence index numbers repeated
+identical prompts (a retry after a failed extraction, say) in program
+order. A recording therefore replays any subset of its questions, in
+any order, at any parallelism.
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
 import contextvars
 import itertools
 import json
@@ -45,10 +46,10 @@ LIVE_TIMEOUT_S = 60.0
 LIVE_TEMPERATURE = 0.0
 LIVE_MAX_TOKENS = 4096
 
-TRANSCRIPT_VERSION = 5
+TRANSCRIPT_VERSION = 6
 
-# positions of the fan_out items the current call runs inside, outermost first
-_scope: contextvars.ContextVar[tuple[int, ...]] = contextvars.ContextVar("skillpath_scope", default=())
+# (question id,) inside question_scope, () outside any question
+_scope: contextvars.ContextVar[tuple[str, ...]] = contextvars.ContextVar("skillpath_scope", default=())
 
 
 class _TokenUsage(NamedTuple):
@@ -136,7 +137,7 @@ def _tag_note(request: CompletionRequest) -> str:
     return f" (tag {request.tag!r})" if request.tag else ""
 
 
-def fingerprint(prompt: str, occurrence: int, scope: tuple[int, ...]) -> str:
+def fingerprint(prompt: str, occurrence: int, scope: tuple[str, ...]) -> str:
     """Stable identity of one request within a run.
 
     The sha256 of {"occurrence", "scope"} as one JSON line, a line feed,
@@ -172,25 +173,30 @@ class _OccurrenceCounter:
         return first if occ == 0 else fingerprint(request.prompt, occ, scope)
 
 
+@contextlib.contextmanager
+def question_scope(question_id: str):
+    """Fingerprint the requests made in the block under (question_id,), then restore the scope."""
+    token = _scope.set((question_id,))
+    try:
+        yield
+    finally:
+        _scope.reset(token)
+
+
 def fan_out(fn, items, parallelism: int = 1) -> list:
     """[fn(item) for item in items], up to `parallelism` items at a time.
 
-    Item i runs in the scope of the caller plus (i,), which its requests'
-    fingerprints include, so items that overlap never race for an
-    occurrence index. At 1 lane, the default, every item runs on the
-    calling thread in item order: a fan_out not given lanes of its own,
-    nested in another's item, runs on that item's thread, one item after
-    the other. The calling thread is one lane; each further lane is a
-    thread started here, in a copy of the caller's context, and joined
-    before fan_out returns, so no thread outlives the call.
+    The calling thread is one lane; each further lane is a thread started
+    here and joined before fan_out returns, so no thread outlives the
+    call. At 1 lane, the default, every item runs on the calling thread
+    in item order.
 
     Every item runs, also after another has failed. Once every started
     call has finished, the failure first in item order is raised, so the
-    requests sent and the error reported depend neither on thread timing
-    nor on parallelism.
+    items run and the error reported depend neither on thread timing nor
+    on parallelism.
     """
     items = list(items)
-    parent = _scope.get()
     queue = collections.deque(range(len(items)))
     results: list = [None] * len(items)
     failures: dict[int, Exception] = {}
@@ -203,13 +209,10 @@ def fan_out(fn, items, parallelism: int = 1) -> list:
                 index = queue.popleft()
             except IndexError:
                 return
-            token = _scope.set(parent + (index,))
             try:
                 results[index] = fn(items[index])
             except Exception as exc:
                 failures[index] = exc
-            finally:
-                _scope.reset(token)
 
     def helper_lane() -> None:
         try:
@@ -221,10 +224,7 @@ def fan_out(fn, items, parallelism: int = 1) -> list:
     try:
         try:
             for _ in range(min(parallelism, len(items)) - 1):
-                helper = threading.Thread(
-                    target=contextvars.copy_context().run, args=(helper_lane,),
-                    name="skillpath-fan-out", daemon=True,
-                )
+                helper = threading.Thread(target=helper_lane, name="skillpath-fan-out", daemon=True)
                 helper.start()
                 helpers.append(helper)
         except RuntimeError:

@@ -65,16 +65,13 @@ def strings(value) -> tuple[str, ...]:
 
 
 def fields(doc, what: str, required: set[str], optional: set[str] = frozenset()) -> dict:
-    """doc, an object `what` with every required field and no other field but the optional ones.
-
-    A missing field is a KeyError naming it; an unknown one, or a doc that is not an object, a ValueError.
-    """
+    """doc, an object `what` with every required field and no other field but the optional ones."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be an object, got {doc!r}")
     stray = (doc.keys() ^ required) - optional  # each field missing or unknown
     if stray:
         field = min(stray)
-        raise KeyError(field) if field in required else ValueError(f"unknown field {field!r}")
+        raise ValueError(f"{'missing' if field in required else 'unknown'} field {field!r}")
     return doc
 
 

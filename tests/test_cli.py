@@ -256,9 +256,9 @@ def test_generate_answer_eval_with_mock_provider(tmp_path, corpus_path, capsys):
 # two runs that agree with each other could still both write a record in a new shape
 PINNED_OUTPUTS = {
     "bundle.json": "7c6693cb3bf0c2515c5474c6a5ff4a0449454daee0a224aedc00adcb575c97b8",
-    "generate.transcript.jsonl": "462f13a40f74500fcb0c2f4f4dbe069c072d5414dbf60457f415659e12ea8d33",
+    "generate.transcript.jsonl": "49866deb165ea30c539e78e596285e7eca3026aad52ab1a34f6bdcf425508e0f",
     "run.jsonl": "61f305472a4342f962ea17b54885e8d1566090a30d502c51829e695d5dd7bcc6",
-    "answer.transcript.jsonl": "d7b881cdd66dcddbea08043bc5b01e07fc99d241a24dcd8c11c5187c74fd2c75",
+    "answer.transcript.jsonl": "4390938b6e72033c8916c8f53623016b7c9398ee925ef61f00c921fa043c9814",
     "report.json": "97a12e92913049ffd19a1f30474063896a92047db810a09c26dc5e71d7252367",
     "report.json.records.tsv": "fae0bf256cb0756de0f23dbed7384e63a92eee441fa510655bbbd4452f52df90",
 }
@@ -494,13 +494,15 @@ def test_a_faulty_prompt_template_override_fails_every_question(tmp_path, monkey
     assert "Traceback" not in err
 
 
-# 5.0 equals 5 in Python, but it is not the JSON integer a version is
+# 6.0 equals 6 in Python, but it is not the JSON integer a version is
 @pytest.mark.parametrize("header", [{"version": 1}, {"version": 2}, {"version": 3}, {"version": 4},
-                                    {"version": 99}, {}, {"version": 5.0}],
-                         ids=["version-1", "version-2", "version-3", "version-4", "version-99", "no-version",
-                              "version-float"])
+                                    {"version": 5}, {"version": 99}, {},
+                                    {"version": float(providers.TRANSCRIPT_VERSION)}],
+                         ids=["version-1", "version-2", "version-3", "version-4", "version-5", "version-99",
+                              "no-version", "version-float"])
+@pytest.mark.parametrize("command", ["generate", "answer"])
 def test_replay_of_a_transcript_of_another_version_exits_2_before_any_call(
-    tmp_path, corpus_path, capsys, header
+    tmp_path, corpus_path, capsys, header, command
 ):
     bundle = str(tmp_path / "bundle.json")
     assert main(["generate", "--provider", "mock", "--corpus", corpus_path,
@@ -509,13 +511,16 @@ def test_replay_of_a_transcript_of_another_version_exits_2_before_any_call(
     transcript.write_text(json.dumps({"provider": "mock", "entries": 0, **header}) + "\n",
                           encoding="utf-8")
     capsys.readouterr()
-    run_log = tmp_path / "replayed.jsonl"
-    code = main(["answer", "--provider", "replay", "--transcript", str(transcript),
-                 "--corpus", corpus_path, "--collection", bundle, "--run-log", str(run_log)])
+    output = tmp_path / "replayed"
+    outputs = {"generate": ["--collection", str(output), "--count", "1"],
+               "answer": ["--collection", bundle, "--run-log", str(output)]}[command]
+    code = main([command, "--provider", "replay", "--transcript", str(transcript),
+                 "--corpus", corpus_path, *outputs])
     assert code == 2
     err = capsys.readouterr().err
     assert str(transcript) in err and f"version {header.get('version')!r}" in err
-    assert not run_log.exists()
+    assert f"[{command}] question" not in err
+    assert not output.exists()
 
 
 @pytest.mark.parametrize("header", [{"provider": 7}, {"created_at": ["x"]}],
@@ -524,7 +529,7 @@ def test_replay_of_a_transcript_with_a_header_of_the_wrong_type_exits_2_before_a
     tmp_path, corpus_path, capsys, header
 ):
     transcript = tmp_path / "transcript.jsonl"
-    transcript.write_text(json.dumps({"version": 5, "provider": "mock", "created_at": "", "entries": 0,
+    transcript.write_text(json.dumps({"version": providers.TRANSCRIPT_VERSION, "provider": "mock", "created_at": "", "entries": 0,
                                       **header}) + "\n", encoding="utf-8")
     bundle = tmp_path / "bundle.json"
     code = main(["generate", "--provider", "replay", "--transcript", str(transcript),

@@ -1,11 +1,11 @@
-"""fan_out and the pipeline paths that run provider calls through it.
+"""fan_out, question_scope and the pipeline paths that run provider calls through them.
 
 Items overlap up to the parallelism a fan_out is given, and a fan_out
-given none runs its items on the calling thread in item order, so the
-commands overlap questions and run each question's calls one at a time.
-Each item runs in a scope of its own that its requests' fingerprints
-include, so record and replay see the same identity for every request
-no matter how the threads interleave.
+given none runs its items on the calling thread in item order. The
+commands overlap questions and run each question's calls one at a time,
+inside the question's scope that its requests' fingerprints include, so
+record and replay see the same identity for every request no matter how
+the threads interleave, and which other questions run.
 """
 
 from __future__ import annotations
@@ -68,13 +68,18 @@ def test_results_come_back_in_item_order():
     assert fan_out(slower_for_larger, [3, 1, 2, 0], parallelism=4) == [30, 10, 20, 0]
 
 
-def test_each_item_runs_in_the_callers_scope_plus_its_position():
-    def inner(_):
-        return fan_out(lambda _: providers._scope.get(), range(3), parallelism=3)
-
-    for parallelism in (1, 2):
-        assert fan_out(inner, range(2), parallelism) == [[(i, j) for j in range(3)] for i in range(2)]
-        assert providers._scope.get() == ()
+def test_a_question_scope_is_its_id_and_restores_the_previous_scope():
+    with providers.question_scope("q1"):
+        assert providers._scope.get() == ("q1",)
+        with pytest.raises(KeyError):
+            with providers.question_scope("q2"):
+                assert providers._scope.get() == ("q2",)
+                raise KeyError("q2")
+        assert providers._scope.get() == ("q1",)
+        # fan_out sets no scope of its own, on the calling thread or a helper
+        assert fan_out(lambda _: providers._scope.get(), range(2)) == [("q1",)] * 2
+    assert providers._scope.get() == ()
+    assert fan_out(lambda _: providers._scope.get(), range(4), parallelism=4) == [()] * 4
 
 
 def test_parallelism_one_runs_on_the_calling_thread():
@@ -244,17 +249,17 @@ def test_every_call_of_a_question_runs_on_its_lane_in_program_order(tmp_path, mo
             "answer": ["--collection", bundle, "--run-log", str(tmp_path / "run.jsonl")]}[command]
 
     def calls(parallelism):
-        """question position -> [(scope, tag, prompt)] in arrival order, and the threads that sent them."""
-        sent: dict[int, list] = {}
-        threads: dict[int, set] = {}
+        """question id -> [(tag, prompt)] in arrival order, and the threads that sent them."""
+        sent: dict[str, list] = {}
+        threads: dict[str, set] = {}
         lock = threading.Lock()
 
         class Backend(Provider):
             def _complete(self, request):
-                scope = providers._scope.get()
+                (qid,) = providers._scope.get()
                 with lock:
-                    sent.setdefault(scope[0], []).append((scope, request.tag, request.prompt))
-                    threads.setdefault(scope[0], set()).add(threading.get_ident())
+                    sent.setdefault(qid, []).append((request.tag, request.prompt))
+                    threads.setdefault(qid, set()).add(threading.get_ident())
                 time.sleep(0.002)  # a second call of the question would overlap this one
                 return CannedProvider().complete(request)
 
@@ -265,7 +270,7 @@ def test_every_call_of_a_question_runs_on_its_lane_in_program_order(tmp_path, mo
 
     serial, _ = calls(1)
     parallel, threads = calls(2)
-    assert sorted(serial) == list(range(6))
+    assert sorted(serial) == [f"q{i}" for i in range(6)]
     assert parallel == serial  # each question's calls in the same order at both N
     assert all(len(ids) == 1 for ids in threads.values())
 
@@ -276,13 +281,17 @@ def test_identical_requests_inside_a_question_go_in_program_order(tmp_path, monk
     # the backend numbers each prompt's arrivals
     sentences = split_sentences(DOC)
     seen: Counter = Counter()
+    started: set = set()
     lock = threading.Lock()
 
     class ArrivalOrderSegments(Provider):
         def _complete(self, request):
             if request.tag != "segment":
                 return CannedProvider().complete(request)
-            if providers._scope.get()[-1] == 0:
+            with lock:
+                first = providers._scope.get() not in started
+                started.add(providers._scope.get())
+            if first:
                 time.sleep(0.01)  # step 0 is slow to arrive: sent at once, step 1 would come first
             with lock:
                 arrival = seen[request.prompt]
@@ -415,7 +424,7 @@ def test_an_unexpected_error_leaves_the_same_work_done_at_every_parallelism(tmp_
     assert run(4) == serial
 
 
-def test_a_failing_candidate_fails_its_question_after_the_others_ran(tmp_path, monkeypatch, capsys):
+def test_a_failing_candidate_fails_its_question_before_the_next_candidate_is_sent(tmp_path, monkeypatch, capsys):
     corpus = _landmark_corpus(tmp_path, 1)
     question = json.loads(Path(corpus).read_text(encoding="utf-8"))["question"]
     template = decompose_question(question)
@@ -442,9 +451,9 @@ def test_a_failing_candidate_fails_its_question_after_the_others_ran(tmp_path, m
 
     serial = run(1)
     assert "[generate] question q0: reply contains no numbered steps" in serial[1]
-    # candidate 1 still built its strategy and its two reference documents
-    assert sum(n for (tag, _), n in serial[0].items() if tag == "strategy") == 2
-    assert sum(n for (tag, _), n in serial[0].items() if tag == "reference") == 2
+    # candidate 0's strategy was the question's last request: candidate 1 sent neither of its kinds
+    assert sum(n for (tag, _), n in serial[0].items() if tag == "strategy") == 1
+    assert sum(n for (tag, _), n in serial[0].items() if tag == "reference") == 0
     assert run(3) == serial
 
 
@@ -640,23 +649,25 @@ def test_a_recording_replays_any_subset_of_its_questions_in_any_order(tmp_path, 
         path.write_text("".join(json.dumps(row) + "\n" for row in subset), encoding="utf-8")
         return str(path)
 
-    def run(command, name, provider_args, corpus_path, bundle):
+    bundle = str(tmp_path / "recorded-generate")  # the bundle that every answer run reads
+
+    def run(command, name, provider_args, corpus_path):
         """The command's bundle collections or run-log lines, by question id."""
-        out = str(tmp_path / name)
-        outputs = ["--collection", out, "--count", "2"] if command == "generate" else [
-            "--collection", bundle, "--run-log", out]
+        out = tmp_path / name
+        outputs = {"generate": ["--collection", str(out), "--count", "2"],
+                   "answer": ["--collection", bundle, "--run-log", str(out)]}[command]
         assert cli.main([command, *provider_args, "--corpus", corpus_path, "--parallelism", "3", *outputs]) == 0
+        text = out.read_text(encoding="utf-8")
         if command == "generate":
-            return json.loads(Path(out).read_text(encoding="utf-8"))["collections"]
-        return {json.loads(line)["question_id"]: line for line in Path(out).read_text(encoding="utf-8").splitlines()}
+            return json.loads(text)["collections"]
+        return {json.loads(line)["question_id"]: line for line in text.splitlines()}
 
     whole = corpus("whole", rows)
     recorded, transcripts = {}, {}
     for command in ("generate", "answer"):
         recorder = RecordingProvider(ArrivalOrder())
         monkeypatch.setattr(cli, "CannedProvider", lambda: recorder)
-        recorded[command] = run(command, f"recorded-{command}", ["--provider", "mock"], whole,
-                                str(tmp_path / "recorded-generate"))
+        recorded[command] = run(command, f"recorded-{command}", ["--provider", "mock"], whole)
         transcripts[command] = str(tmp_path / f"{command}.transcript.jsonl")
         recorder.transcript.save(transcripts[command])
     assert len(recorded["generate"]) == len(recorded["answer"]) == 24
@@ -664,8 +675,7 @@ def test_a_recording_replays_any_subset_of_its_questions_in_any_order(tmp_path, 
     for name, subset in (("reversed", rows[::-1]), ("one", rows[7:8])):
         for command in ("generate", "answer"):
             replay = ["--provider", "replay", "--transcript", transcripts[command]]
-            replayed = run(command, f"{name}-{command}", replay, corpus(name, subset),
-                           str(tmp_path / "recorded-generate"))
+            replayed = run(command, f"{name}-{command}", replay, corpus(name, subset))
             assert replayed == {row["question_id"]: recorded[command][row["question_id"]] for row in subset}
 
 

@@ -86,26 +86,27 @@ def test_fingerprint_distinguishes_occurrences():
     b = fingerprint("p", 1, ())
     assert a != b
     assert fingerprint("p", 0, ()) == a
-    assert fingerprint("p", 0, (0, 1)) != fingerprint("p", 0, (1, 0))
-    assert fingerprint("p", 0, (0,)) != a
+    # a question id that is a prefix of another, and no question, are three scopes
+    assert len({fingerprint("p", 0, ("q1",)), fingerprint("p", 0, ("q10",)), a}) == 3
 
 
 def test_the_fingerprint_bytes_are_pinned_to_the_transcript_version():
     # a saved transcript is keyed by these digests: a change to their bytes
     # strands every transcript of this version, so it must bump the version
-    assert TRANSCRIPT_VERSION == 5
-    settings = b'{"occurrence": 1, "scope": [2, 0]}'
+    assert TRANSCRIPT_VERSION == 6
+    # the scope is the question id, written as json_line writes it: the quote escaped, the é as UTF-8
+    settings = '{"occurrence": 1, "scope": ["q\\"\u00e9"]}'.encode("utf-8")
     prompt = "Stra\u00dfe \u00e9t\u00e9?\n\"quoted\"\tend"
-    digest = fingerprint(prompt, 1, (2, 0))
+    digest = fingerprint(prompt, 1, ('q"\u00e9',))
     assert digest == hashlib.sha256(settings + b"\n" + prompt.encode("utf-8")).hexdigest()
-    assert digest == "0869083d173ef171930eba93518f465f3a5781d996f9e1d7fa398b2246639a72"
+    assert digest == "204de5ff420f04bf2dae6329af96ea12d331a19a400d2f174f4972f76959494c"
 
 
 def test_a_prompt_that_imitates_a_settings_line_keeps_its_own_identity():
-    other = {"occurrence": 1, "scope": [0]}
+    other = {"occurrence": 1, "scope": ["q0"]}
     # the imitation puts the other request's settings line where a prompt starts
     imitation = fingerprint(json_line(other) + "\nQ?", 0, ())
-    assert imitation != fingerprint("Q?", 1, (0,))
+    assert imitation != fingerprint("Q?", 1, ("q0",))
     assert imitation != fingerprint("Q?", 0, ())
 
 
@@ -188,16 +189,19 @@ def test_replay_from_a_file_keeps_results_only(tmp_path):
 def test_replay_holds_no_prompt_it_was_sent():
     document = "A long document sentence. " * 2000
     prompts = [f"Extract from {n}: {document}" for n in range(3)]
-    # the first prompt again, and each prompt in a scope of its own
+    # the first prompt again, then the first three inside a question
     requests = [CompletionRequest(prompt) for prompt in [*prompts, prompts[0]]]
     recorder = RecordingProvider(MockProvider(["a", "b", "c", "d", "e", "f", "g"]))
     for request in requests:
         recorder.complete(request)
-    providers.fan_out(recorder.complete, requests[:3])
+    with providers.question_scope("q1"):
+        for request in requests[:3]:
+            recorder.complete(request)
 
     replay = replaying(recorder.transcript)
     assert [replay.complete(request).text for request in requests] == ["a", "b", "c", "d"]
-    assert providers.fan_out(lambda request: replay.complete(request).text, requests[:3]) == ["e", "f", "g"]
+    with providers.question_scope("q1"):
+        assert [replay.complete(request).text for request in requests[:3]] == ["e", "f", "g"]
     assert not [obj for obj in _reachable(replay) if isinstance(obj, str) and document in obj]
 
 

@@ -2,10 +2,10 @@
 
 Builds a two-question corpus, a handcrafted collection bundle, and a
 recorded transcript of a scripted answering run. The transcript is
-produced by driving the same library call the answer command uses, one
-fan_out item per question as the command runs them, with the provider
-wrapped in a recorder, so replaying it through the CLI hits every
-fingerprint. Rerunning this script writes identical bytes.
+produced by driving the same library call the answer command uses, each
+question in its own question scope as the command runs it, with the
+provider wrapped in a recorder, so replaying it through the CLI hits
+every fingerprint. Rerunning this script writes identical bytes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from skillpath import answerer, corpus
 from skillpath.collection import build_collection, persist_bundle
 from skillpath.examplegen import ReasoningStrategy, SimilarExample
 from skillpath.matcher import SelectionMode, select_best
-from skillpath.providers import MockProvider, RecordingProvider, Transcript, fan_out
+from skillpath.providers import MockProvider, RecordingProvider, Transcript, question_scope
 from skillpath.skills import ReasoningSkill as S
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "tests", "fixtures")
@@ -149,8 +149,9 @@ def main() -> None:
         document = "\n\n".join(record.documents)
         answerer.answer(record.question, document, example, recorder)
 
-    # questions are fan_out items in the answer command too, so the scopes match
-    fan_out(answer_one, RECORDS)
+    for record in RECORDS:
+        with question_scope(record.question_id):
+            answer_one(record)
     transcript = Transcript(
         entries=recorder.transcript.entries, provider="mock", created_at=STAMP
     )
