@@ -55,10 +55,10 @@ def example_to_record(example: SimilarExample) -> dict:
 def example_from_record(doc: dict) -> SimilarExample:
     """A stored example; a field missing or unknown, in it or its strategy, is a ValueError."""
     doc = fields(doc, "example", {"question", "strategy", "reference_docs", "answer"})
-    stored = fields(doc["strategy"], "strategy", {"subquestions", "skills"})
+    steps = fields(doc["strategy"], "strategy", {"subquestions", "skills"})
     strategy = ReasoningStrategy(
-        strings(stored["subquestions"]),
-        tuple(parse_skill(s) for s in strings(stored["skills"])),
+        strings(steps["subquestions"]),
+        tuple(parse_skill(s) for s in strings(steps["skills"])),
     )
     return SimilarExample(
         question=doc["question"],

@@ -1,4 +1,4 @@
-"""Completion backends: live HTTP, mock, recording and replay, and fan_out.
+"""Completion backends: live HTTP, mock, recording and replay; question scopes and fan_out.
 
 Every pipeline stage talks to a Provider through one method, complete().
 The recording wrapper captures request and result pairs keyed by a stable
