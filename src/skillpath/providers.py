@@ -187,9 +187,9 @@ def fan_out(fn, items, parallelism: int = 1) -> list:
     """[fn(item) for item in items], up to `parallelism` items at a time.
 
     The calling thread is one lane; each further lane is a thread started
-    here and joined before fan_out returns, so no thread outlives the
-    call. At 1 lane, the default, every item runs on the calling thread
-    in item order.
+    here, in a new context and so outside any question scope, and joined
+    before fan_out returns, so no thread outlives the call. At 1 lane, the
+    default, every item runs on the calling thread in item order.
 
     Every item runs, also after another has failed. Once every started
     call has finished, the failure first in item order is raised, so the

@@ -500,9 +500,8 @@ def test_a_faulty_prompt_template_override_fails_every_question(tmp_path, monkey
                                     {"version": float(providers.TRANSCRIPT_VERSION)}],
                          ids=["version-1", "version-2", "version-3", "version-4", "version-5", "version-99",
                               "no-version", "version-float"])
-@pytest.mark.parametrize("command", ["generate", "answer"])
 def test_replay_of_a_transcript_of_another_version_exits_2_before_any_call(
-    tmp_path, corpus_path, capsys, header, command
+    tmp_path, corpus_path, capsys, header
 ):
     bundle = str(tmp_path / "bundle.json")
     assert main(["generate", "--provider", "mock", "--corpus", corpus_path,
@@ -510,17 +509,17 @@ def test_replay_of_a_transcript_of_another_version_exits_2_before_any_call(
     transcript = tmp_path / "transcript.jsonl"
     transcript.write_text(json.dumps({"provider": "mock", "entries": 0, **header}) + "\n",
                           encoding="utf-8")
-    capsys.readouterr()
     output = tmp_path / "replayed"
-    outputs = {"generate": ["--collection", str(output), "--count", "1"],
-               "answer": ["--collection", bundle, "--run-log", str(output)]}[command]
-    code = main([command, "--provider", "replay", "--transcript", str(transcript),
-                 "--corpus", corpus_path, *outputs])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert str(transcript) in err and f"version {header.get('version')!r}" in err
-    assert f"[{command}] question" not in err
-    assert not output.exists()
+    for command, outputs in [("generate", ["--collection", str(output), "--count", "1"]),
+                             ("answer", ["--collection", bundle, "--run-log", str(output)])]:
+        capsys.readouterr()
+        code = main([command, "--provider", "replay", "--transcript", str(transcript),
+                     "--corpus", corpus_path, *outputs])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(transcript) in err and f"version {header.get('version')!r}" in err
+        assert f"[{command}] question" not in err
+        assert not output.exists()
 
 
 @pytest.mark.parametrize("header", [{"provider": 7}, {"created_at": ["x"]}],
