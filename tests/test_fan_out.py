@@ -288,11 +288,12 @@ def test_identical_requests_inside_a_question_go_in_program_order(tmp_path, monk
         def _complete(self, request):
             if request.tag != "segment":
                 return CannedProvider().complete(request)
+            scope = providers._scope.get()
             with lock:
-                first = providers._scope.get() not in started
-                started.add(providers._scope.get())
+                first = scope not in started
+                started.add(scope)
             if first:
-                time.sleep(0.01)  # step 0 is slow to arrive: sent at once, step 1 would come first
+                time.sleep(0.01)  # the question's step 0 is slow to arrive: sent at once, step 1 would come first
             with lock:
                 arrival = seen[request.prompt]
                 seen[request.prompt] += 1
