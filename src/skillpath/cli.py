@@ -9,9 +9,9 @@ Each command reads all of its input files before its first provider call.
 
 --parallelism N runs N * N questions at once, each one call at a time, so
 at most N * N provider calls are in flight. _run_questions is the one
-place that turns it into execution: it runs the questions through
-providers.fan_out with N * N lanes, each question on one thread, so
---parallelism 1 sends one request at a time, and no thread outlives a
+place that schedules work: it runs the questions on min(N * N, questions)
+lanes, the calling thread and helper threads it joins before it returns,
+so --parallelism 1 sends one request at a time, and no thread outlives a
 command. A question's SkillPathError is printed and fails that question
 only; any other error is raised once every question has run, the first
 in input order, at any N. A question's requests are fingerprinted under
@@ -29,6 +29,7 @@ corpus question, into a metrics.EvalRecord.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import logging
 import os
@@ -48,7 +49,6 @@ from .providers import (
     Provider,
     ReplayProvider,
     TokenUsage,
-    fan_out,
     question_scope,
 )
 from .resources import (check_writable, json_line, parse_jsonl, read_json, read_keyed, read_lines, read_text,
@@ -168,29 +168,67 @@ def _write_snapshot(config: RunConfig, output_path: str) -> None:
 def _run_questions(
     config: RunConfig, records: list[corpus_mod.QARecord], attempt
 ) -> tuple[dict, int]:
-    """attempt(record) for every record in its question's scope, N * N at once at parallelism N.
+    """attempt(record) for every record in its question's scope, N * N questions at once at parallelism N.
 
-    Returns the values of the questions that succeeded, by question id in
-    input order, and how many failed. A SkillPathError fails its question
-    and is printed; any other error is raised once every question has run.
+    The calling thread is one lane and each further lane a helper thread,
+    joined before this returns; each lane takes the next question left
+    until none is. Where no thread can be started, the calling thread runs
+    what is left. Returns the values of the questions that succeeded, by
+    question id in input order, and how many failed. A SkillPathError
+    fails its question and is printed. Every question runs, also after an
+    unexpected error; the first one in input order is then raised, so the
+    questions run and the error reported depend neither on thread timing
+    nor on N.
     """
-    def outcome(record: corpus_mod.QARecord):
-        try:
-            with question_scope(record.question_id):
-                return attempt(record), None
-        except SkillPathError as exc:
-            return None, str(exc)
+    queue = collections.deque(range(len(records)))
+    results: list = [None] * len(records)
+    failures: dict[int, Exception] = {}
+    escaped: list[BaseException] = []
 
+    def lane() -> None:
+        while True:
+            try:
+                index = queue.popleft()
+            except IndexError:
+                return
+            try:
+                with question_scope(records[index].question_id):
+                    results[index] = attempt(records[index])
+            except Exception as exc:
+                failures[index] = exc
+
+    def helper_lane() -> None:
+        try:
+            lane()
+        except BaseException as exc:  # re-raised on the calling thread
+            escaped.append(exc)
+
+    helpers = []
+    try:
+        try:
+            for _ in range(min(config.parallelism * config.parallelism, len(records)) - 1):
+                helper = threading.Thread(target=helper_lane, name="skillpath-question", daemon=True)
+                helper.start()
+                helpers.append(helper)
+        except RuntimeError:
+            pass  # no thread to be had
+        lane()
+    finally:
+        queue.clear()  # after an interrupt, questions not yet begun are dropped
+        for helper in helpers:
+            helper.join()
+    if escaped:
+        raise escaped[0]
+    unexpected = [exc for _, exc in sorted(failures.items()) if not isinstance(exc, SkillPathError)]
+    if unexpected:
+        raise unexpected[0]
     done = {}
-    failures = 0
-    results = fan_out(outcome, records, config.parallelism * config.parallelism)
-    for record, (value, error) in zip(records, results):
-        if error is not None:
-            failures += 1
-            print(f"[{config.command}] question {record.question_id}: {error}", file=sys.stderr)
+    for index, record in enumerate(records):
+        if index in failures:
+            print(f"[{config.command}] question {record.question_id}: {failures[index]}", file=sys.stderr)
         else:
-            done[record.question_id] = value
-    return done, failures
+            done[record.question_id] = results[index]
+    return done, len(failures)
 
 
 # ---------------------------------------------------------------- generate

@@ -1,4 +1,4 @@
-"""Completion backends: live HTTP, mock, recording and replay; question scopes and fan_out.
+"""Completion backends: live HTTP, mock, recording and replay; question scopes and transcripts.
 
 Every pipeline stage talks to a Provider through one method, complete().
 The recording wrapper captures request and result pairs keyed by a stable
@@ -13,12 +13,12 @@ call is made for (question_scope), and a question makes its calls one
 after another on one thread, so the occurrence index numbers repeated
 identical prompts (a retry after a failed extraction, say) in program
 order. A recording therefore replays any subset of its questions, in
-any order, at any parallelism.
+any order, at any parallelism. Nothing here starts a thread; the CLI
+schedules the questions (cli._run_questions).
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import contextvars
 import itertools
@@ -181,64 +181,6 @@ def question_scope(question_id: str):
         yield
     finally:
         _scope.reset(token)
-
-
-def fan_out(fn, items, parallelism: int = 1) -> list:
-    """[fn(item) for item in items], up to `parallelism` items at a time.
-
-    The calling thread is one lane; each further lane is a thread started
-    here, in a new context and so outside any question scope, and joined
-    before fan_out returns, so no thread outlives the call. At 1 lane, the
-    default, every item runs on the calling thread in item order.
-
-    Every item runs, also after another has failed. Once every started
-    call has finished, the failure first in item order is raised, so the
-    items run and the error reported depend neither on thread timing nor
-    on parallelism.
-    """
-    items = list(items)
-    queue = collections.deque(range(len(items)))
-    results: list = [None] * len(items)
-    failures: dict[int, Exception] = {}
-    escaped: list[BaseException] = []
-
-    def lane() -> None:
-        # items off the shared queue until it is empty
-        while True:
-            try:
-                index = queue.popleft()
-            except IndexError:
-                return
-            try:
-                results[index] = fn(items[index])
-            except Exception as exc:
-                failures[index] = exc
-
-    def helper_lane() -> None:
-        try:
-            lane()
-        except BaseException as exc:  # re-raised on the calling thread
-            escaped.append(exc)
-
-    helpers = []
-    try:
-        try:
-            for _ in range(min(parallelism, len(items)) - 1):
-                helper = threading.Thread(target=helper_lane, name="skillpath-fan-out", daemon=True)
-                helper.start()
-                helpers.append(helper)
-        except RuntimeError:
-            pass  # no thread to be had: the calling thread runs what is left
-        lane()
-    finally:
-        queue.clear()  # after an interrupt, items not yet begun are dropped
-        for helper in helpers:
-            helper.join()
-    if escaped:
-        raise escaped[0]
-    if failures:
-        raise failures[min(failures)]
-    return results
 
 
 class Provider:

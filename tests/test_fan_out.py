@@ -1,11 +1,11 @@
-"""fan_out, question_scope and the pipeline paths that run provider calls through them.
+"""The question lanes of cli._run_questions, question_scope, and the calls made on them.
 
-Items overlap up to the parallelism a fan_out is given, and a fan_out
-given none runs its items on the calling thread in item order. The
-commands overlap questions and run each question's calls one at a time,
-inside the question's scope that its requests' fingerprints include, so
-record and replay see the same identity for every request no matter how
-the threads interleave, and which other questions run.
+The commands run N * N questions at once and each question's calls one
+at a time, on its lane, inside the question's scope that its requests'
+fingerprints include, so record and replay see the same identity for
+every request no matter how the threads interleave, and which other
+questions run. A stage function called outside the commands makes its
+calls on the calling thread.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ import skillpath.providers as providers
 from skillpath.answerer import answer
 from skillpath.canned import CannedProvider, canned_reply
 from skillpath.collection import build_collection, persist_bundle
+from skillpath.corpus import QARecord
 from skillpath.decompose import decompose_question
+from skillpath.errors import UnparseableStrategy
 from skillpath.examplegen import (
     CandidateQuestion,
     ConstructionMode,
@@ -41,7 +43,6 @@ from skillpath.providers import (
     RecordingProvider,
     TokenUsage,
     Transcript,
-    fan_out,
 )
 from skillpath.skills import ReasoningSkill as S
 from skillpath.textutil import count_ws_tokens, split_sentences
@@ -57,15 +58,23 @@ EIFFEL = "Which is taller, the Eiffel Tower or the Empire State Building?"
 STAMP = "2026-01-01T00:00:00Z"
 
 
-# ------------------------------------------------------------ the helper
+# ------------------------------------------------------------ the question lanes
 
-def test_results_come_back_in_item_order():
-    def slower_for_larger(i):
-        time.sleep(0.01 * i)
-        return i * 10
+def _run(parallelism, attempt, ids):
+    """cli._run_questions of generate at `parallelism` over questions with these ids."""
+    config = cli.RunConfig(command="generate", parallelism=parallelism)
+    records = [QARecord(qid, f"Question {qid}?", ("Doc.",), ("A",)) for qid in ids]
+    return cli._run_questions(config, records, attempt)
 
-    # later items finish first
-    assert fan_out(slower_for_larger, [3, 1, 2, 0], parallelism=4) == [30, 10, 20, 0]
+
+def test_results_come_back_in_input_order():
+    def slower_for_earlier(record):
+        time.sleep(0.01 * int(record.question_id[1:]))
+        return record.question_id
+
+    # at parallelism 2, all four questions run at once and later ones finish first
+    done, failures = _run(2, slower_for_earlier, ["q3", "q1", "q2", "q0"])
+    assert list(done.items()) == [(q, q) for q in ("q3", "q1", "q2", "q0")] and failures == 0
 
 
 def test_a_question_scope_is_its_id_and_restores_the_previous_scope():
@@ -76,101 +85,63 @@ def test_a_question_scope_is_its_id_and_restores_the_previous_scope():
                 assert providers._scope.get() == ("q2",)
                 raise KeyError("q2")
         assert providers._scope.get() == ("q1",)
-        # fan_out sets no scope of its own, on the calling thread or a helper
-        assert fan_out(lambda _: providers._scope.get(), range(2)) == [("q1",)] * 2
     assert providers._scope.get() == ()
-    assert fan_out(lambda _: providers._scope.get(), range(4), parallelism=4) == [()] * 4
 
 
-def test_parallelism_one_runs_on_the_calling_thread():
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_each_question_runs_in_its_own_scope_on_any_lane(parallelism):
     caller = threading.get_ident()
-    assert fan_out(lambda _: threading.get_ident(), [1, 2, 3]) == [caller] * 3
-    assert fan_out(lambda _: 1, [], parallelism=4) == []
+
+    def attempt(record):
+        time.sleep(0.005)  # the questions overlap at parallelism 2
+        return providers._scope.get(), threading.get_ident() == caller
+
+    done, _ = _run(parallelism, attempt, ["q0", "q1", "q2", "q3"])
+    assert [scope for scope, _ in done.values()] == [("q0",), ("q1",), ("q2",), ("q3",)]
+    # at parallelism 1 every question runs on the calling thread
+    assert all(on_caller for _, on_caller in done.values()) == (parallelism == 1)
+    assert providers._scope.get() == ()
+    assert _run(parallelism, attempt, []) == ({}, 0)
 
 
-def test_no_more_groups_than_parallelism_run_at_once():
-    lock = threading.Lock()
-    running = [0]
-    peak = [0]
-
-    def fn(i):
-        with lock:
-            running[0] += 1
-            peak[0] = max(peak[0], running[0])
-        time.sleep(0.01)
-        with lock:
-            running[0] -= 1
-        return i
-
-    assert fan_out(fn, range(8), parallelism=3) == list(range(8))
-    assert peak[0] <= 3
-    peak[0] = 0
-    assert fan_out(fn, range(4)) == list(range(4))
-    assert peak[0] == 1
-
-
-def test_first_failure_in_item_order_is_raised_after_slower_siblings_finish():
+def test_first_unexpected_error_in_input_order_is_raised_after_slower_questions_finish():
     finished = []
+    plan = {"a": (0.0, None), "b": (0.0, UnparseableStrategy("b")), "c": (0.05, ValueError("c")),
+            "d": (0.0, ValueError("d")), "e": (0.15, None)}
 
-    def fn(item):
-        name, delay, fails = item
+    def attempt(record):
+        delay, error = plan[record.question_id]
         time.sleep(delay)
-        finished.append(name)
-        if fails:
-            raise ValueError(name)
-        return name
+        finished.append(record.question_id)
+        if error is not None:
+            raise error
+        return record.question_id
 
-    items = [("a", 0.0, False), ("b", 0.05, True), ("c", 0.0, True), ("d", 0.15, False)]
-    with pytest.raises(ValueError, match="^b$"):
-        fan_out(fn, items, parallelism=4)
-    # c failed first in time, but b comes first in item order; d was slowest
-    assert sorted(finished) == ["a", "b", "c", "d"]
-
-
-def test_every_item_runs_after_a_failure():
-    ran = []
-
-    def fn(i):
-        ran.append(i)
-        if i == 1:
-            raise KeyError(i)
-        return i
-
-    for parallelism in (1, 2):
-        ran.clear()
-        with pytest.raises(KeyError):
-            fan_out(fn, [0, 1, 2, 3, 4, 5], parallelism=parallelism)
-        assert sorted(ran) == [0, 1, 2, 3, 4, 5]
+    for parallelism in (1, 3):
+        finished.clear()
+        # d failed first in time, but c comes first in input order; b failed
+        # its question only, and e was slowest
+        with pytest.raises(ValueError, match="^c$"):
+            _run(parallelism, attempt, list(plan))
+        assert sorted(finished) == list(plan)
 
 
-def test_fan_out_inside_fan_out_finishes_with_every_pool_thread_busy():
-    # every outer lane runs an inner fan_out with lanes of its own: inner
-    # items run on the lane that asked and on helpers it starts itself,
-    # so no lane waits for a thread that another lane holds
-    def outer(i):
-        return fan_out(lambda j: (i, j), range(5), parallelism=4)
+def test_questions_run_on_the_calling_thread_when_no_thread_can_start(tmp_path, monkeypatch):
+    corpus = _landmark_corpus(tmp_path, 6)
 
-    width = 8  # 7 outer helpers and 3 inner ones per lane: 31 threads at most
-    found = []
-    runner = threading.Thread(
-        target=lambda: found.append(fan_out(outer, range(width), parallelism=width)),
-        daemon=True,
-    )
-    runner.start()
-    runner.join(timeout=30)
-    assert not runner.is_alive()
-    assert found == [[[(i, j) for j in range(5)] for i in range(width)]]
+    def collections(name, parallelism):
+        bundle = tmp_path / f"{name}.json"
+        assert cli.main(["generate", "--provider", "mock", "--corpus", corpus, "--collection", str(bundle),
+                         "--count", "3", "--parallelism", str(parallelism)]) == 0
+        return json.loads(bundle.read_text(encoding="utf-8"))["collections"]
 
+    serial = collections("serial", 1)
 
-def test_groups_run_on_the_calling_thread_when_no_thread_can_start(monkeypatch):
     def refuse(self):
         raise RuntimeError("can't start new thread")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    caller = threading.get_ident()
-    assert fan_out(lambda i: (i, threading.get_ident()), [0, 1, 2], parallelism=3) == [
-        (0, caller), (1, caller), (2, caller)
-    ]
+    assert collections("refused", 3) == serial
 
 
 def test_what_a_helper_lane_lets_through_is_raised_on_the_caller():
@@ -180,44 +151,18 @@ def test_what_a_helper_lane_lets_through_is_raised_on_the_caller():
     caller = threading.get_ident()
     helper_ran = threading.Event()
 
-    def fn(i):
+    def attempt(record):
         if threading.get_ident() != caller:
             helper_ran.set()
-            raise Stop(i)  # not an Exception, so the helper's lane ends here
+            raise Stop(record.question_id)  # not an Exception, so the helper's lane ends here
         assert helper_ran.wait(timeout=5)
-        return i
+        return record.question_id
 
     with pytest.raises(Stop):
-        fan_out(fn, range(4), parallelism=2)
+        _run(2, attempt, ["q0", "q1", "q2", "q3"])
 
 
-def test_a_nested_fan_out_runs_on_its_items_thread_unless_given_lanes():
-    lock = threading.Lock()
-    running = [0]
-    peak = [0]
-    barrier = threading.Barrier(2, timeout=5)
-
-    def step(_):
-        with lock:
-            running[0] += 1
-            peak[0] = max(peak[0], running[0])
-        barrier.wait()  # breaks after 5 s unless two steps run at once
-        time.sleep(0.01)  # steps on more lanes would pile up here
-        with lock:
-            running[0] -= 1
-        return threading.get_ident()
-
-    (stepped,) = fan_out(lambda _: fan_out(step, range(6), 2), [None], 4)
-    assert len(set(stepped)) == 2 and peak[0] == 2
-
-    def serial(i):
-        return threading.get_ident(), fan_out(lambda j: (j, threading.get_ident()), range(6))
-
-    for caller, steps in fan_out(serial, range(4), 4):
-        assert steps == [(j, caller) for j in range(6)]
-
-
-def test_a_stage_outside_any_fan_out_makes_every_call_on_the_calling_thread():
+def test_a_stage_makes_every_call_on_the_calling_thread():
     threads = []
 
     def reply(request):

@@ -200,3 +200,26 @@ def test_an_immutable_record_refuses_assignment_and_equals_one_of_the_same_field
     for field in record._fields if isinstance(record, tuple) else record.__slots__:
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
+
+
+
+def starts_threads(node):
+    """Whether the node names a Thread, or imports a module that starts threads or processes."""
+    if isinstance(node, ast.Import | ast.ImportFrom):
+        modules = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+        return any(name.partition(".")[0] in ("_thread", "concurrent", "multiprocessing") for name in modules)
+    named = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}.get(type(node))
+    return named is not None and getattr(node, named) == "Thread"
+
+
+def test_only_the_question_lanes_of_the_cli_build_a_thread():
+    # cli._run_questions is the one scheduler; a thread built anywhere else would be a second one
+    found = set()
+    for path in MODULES:
+        module = os.path.basename(path).removesuffix(".py")
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for top in tree.body:  # named by the module-level def or class it is in
+            if any(starts_threads(node) for node in ast.walk(top)):
+                found.add(f"{module}.{getattr(top, 'name', '<module>')}")
+    assert found == {"cli._run_questions"}
