@@ -149,6 +149,25 @@ def test_config_file_that_names_a_setting_twice_exits_2(tmp_path, corpus_path, c
     assert not report_path.exists()
 
 
+@pytest.mark.parametrize("setting, value, problem", [
+    ("provider", "full", "unknown provider 'full'"),
+    ("parallelism", 0, "parallelism must be at least 1"),
+    ("count", 0, "count must be at least 1"),
+    ("delta", 11, "delta must lie in [1, 10], got 11"),
+])
+def test_a_bad_value_from_a_config_file_is_named_with_the_file(tmp_path, corpus_path, capsys, setting, value,
+                                                               problem):
+    config_file = tmp_path / "conf.json"
+    config_file.write_text(json.dumps({"provider": "mock", setting: value}), encoding="utf-8")
+    argv = ["generate", "--corpus", corpus_path, "--collection", str(tmp_path / "o.json")]
+    assert main([*argv, "--config", str(config_file)]) == 2
+    assert capsys.readouterr().err == f"[generate] config file {config_file}: {problem}\n"
+    if setting != "provider":  # a flag's unknown choice is argparse's to refuse
+        # a flag's value is its own, so the message names no file
+        assert main([*argv, "--config", str(config_file), f"--{setting}", str(value)]) == 2
+        assert capsys.readouterr().err == f"[generate] {problem}\n"
+
+
 # settings come from flags and a config file only; the environment names none of them
 def test_the_environment_sets_no_setting(tmp_path, corpus_path, monkeypatch):
     monkeypatch.setenv("SKILLPATH_PARALLELISM", "5")
@@ -787,6 +806,16 @@ def test_answer_on_a_bundle_with_a_missing_field_exits_2_before_any_call(tmp_pat
     code, err, logged = answer_on_the_fixture_bundle(tmp_path, fixtures_dir, capsys, edit)
     assert code == 2
     assert f"{tmp_path / 'bundle.json'}[q1]: malformed collection: missing field {field!r}" in err
+    assert (mock_calls, logged) == ([], False)
+
+
+def test_a_bundle_question_id_that_holds_a_line_break_is_named_on_one_line(tmp_path, fixtures_dir, mock_calls,
+                                                                          capsys):
+    code, err, logged = answer_on_the_fixture_bundle(tmp_path, fixtures_dir, capsys,
+                                                     lambda doc: doc["collections"].update({"a\nb": None}))
+    assert code == 2
+    assert err.splitlines() == [f"[answer] {tmp_path / 'bundle.json'}['a\\nb']: malformed collection:"
+                                " collection must be an object, got None"]
     assert (mock_calls, logged) == ([], False)
 
 
