@@ -102,6 +102,7 @@ class ConfigError(SkillPathError):
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(command=args.command)
     reads = COMMANDS[args.command].settings
+    from_file = set()  # the settings whose value the config file gives
 
     if args.config:
         doc = read_json(args.config, "config file")
@@ -122,34 +123,37 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             # a shared file's settings that this command does not read keep their defaults
             if attr in reads:
                 setattr(config, attr, value)
+                from_file.add(attr)
 
     for name in reads:
         flag_value = getattr(args, name)
         if flag_value is not None:
             setattr(config, name, flag_value)
+            from_file.discard(name)
 
-    _validate_config(config)
+    for name, problem in _problems(config):  # the first check that fails
+        raise ConfigError(f"config file {args.config}: {problem}" if name in from_file else problem)
     return config
 
 
-def _validate_config(config: RunConfig) -> None:
-    """Checks that every default passes, so a setting the command does not read never fails it."""
+def _problems(config: RunConfig):
+    """(setting, what is wrong with it) of each check that fails; every default passes them all."""
     for name, choices in _CHOICES.items():
         if getattr(config, name) not in choices:
-            raise ConfigError(f"unknown {name.replace('_', ' ')} {getattr(config, name)!r}")
+            yield name, f"unknown {name.replace('_', ' ')} {getattr(config, name)!r}"
     if not 1 <= config.delta <= 10:
-        raise ConfigError(f"delta must lie in [1, 10], got {config.delta}")
+        yield "delta", f"delta must lie in [1, 10], got {config.delta}"
     if config.count < 1:
-        raise ConfigError("count must be at least 1")
+        yield "count", "count must be at least 1"
     if config.select_mode == "random" and config.seed is None:
-        raise ConfigError("selection mode random requires --seed")
+        yield "select_mode", "selection mode random requires --seed"
     if config.parallelism < 1:
-        raise ConfigError("parallelism must be at least 1")
+        yield "parallelism", "parallelism must be at least 1"
     if config.provider == "replay" and not config.transcript:
-        raise ConfigError("provider replay requires --transcript")
+        yield "provider", "provider replay requires --transcript"
     for name in _REQUIRED:
         if name in COMMANDS[config.command].settings and not getattr(config, name):
-            raise ConfigError(f"--{name.replace('_', '-')} is required for {config.command}")
+            yield name, f"--{name.replace('_', '-')} is required for {config.command}"
 
 
 def _build_provider(config: RunConfig) -> Provider:

@@ -109,5 +109,6 @@ def restore_bundle(path: str) -> dict[str, ExampleCollection]:
     if not isinstance(body, dict):
         raise StorageError(f"{path}: no collections table")
     return {
-        qid: collection_from_record(entry, f"{path}[{qid}]") for qid, entry in body.items()
+        qid: collection_from_record(entry, f"{path}[{qid if qid.isprintable() else repr(qid)}]")
+        for qid, entry in body.items()
     }
