@@ -102,13 +102,12 @@ class ConfigError(SkillPathError):
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(command=args.command)
     reads = COMMANDS[args.command].settings
-    from_file = set()  # the settings whose value the config file gives
+    spelled = {}  # setting -> the config file's key that names it
 
     if args.config:
         doc = read_json(args.config, "config file")
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
-        spelled = {}  # setting -> the key that names it
         for key, value in doc.items():
             attr = key.replace("-", "_")
             if attr not in _FIELD_TYPES:
@@ -123,21 +122,20 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             # a shared file's settings that this command does not read keep their defaults
             if attr in reads:
                 setattr(config, attr, value)
-                from_file.add(attr)
 
     for name in reads:
         flag_value = getattr(args, name)
         if flag_value is not None:
             setattr(config, name, flag_value)
-            from_file.discard(name)
 
     for name, problem in _problems(config):  # the first check that fails
-        raise ConfigError(f"config file {args.config}: {problem}" if name in from_file else problem)
+        from_file = name in spelled and getattr(args, name, None) is None
+        raise ConfigError(f"config file {args.config}: {problem}" if from_file else problem)
     return config
 
 
 def _problems(config: RunConfig):
-    """(setting, what is wrong with it) of each check that fails; every default passes them all."""
+    """(setting, what is wrong) of each failing check; every default passes, so an unread setting fails none."""
     for name, choices in _CHOICES.items():
         if getattr(config, name) not in choices:
             yield name, f"unknown {name.replace('_', ' ')} {getattr(config, name)!r}"
@@ -186,7 +184,8 @@ def _run_questions(
     """
     queue = collections.deque(range(len(records)))
     results: list = [None] * len(records)
-    failures: dict[int, Exception] = {}
+    failures: dict[int, str] = {}
+    unexpected: dict[int, Exception] = {}
     escaped: list[BaseException] = []
 
     def lane() -> None:
@@ -198,8 +197,10 @@ def _run_questions(
             try:
                 with question_scope(records[index].question_id):
                     results[index] = attempt(records[index])
+            except SkillPathError as exc:
+                failures[index] = str(exc)  # a kept error would tie results into a cycle through its traceback
             except Exception as exc:
-                failures[index] = exc
+                unexpected[index] = exc
 
     def helper_lane() -> None:
         try:
@@ -223,9 +224,8 @@ def _run_questions(
             helper.join()
     if escaped:
         raise escaped[0]
-    unexpected = [exc for _, exc in sorted(failures.items()) if not isinstance(exc, SkillPathError)]
     if unexpected:
-        raise unexpected[0]
+        raise unexpected[min(unexpected)]
     done = {}
     for index, record in enumerate(records):
         if index in failures:

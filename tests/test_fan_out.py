@@ -10,12 +10,14 @@ calls on the calling thread.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
 import sys
 import threading
 import time
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -124,6 +126,25 @@ def test_first_unexpected_error_in_input_order_is_raised_after_slower_questions_
         with pytest.raises(ValueError, match="^c$"):
             _run(parallelism, attempt, list(plan))
         assert sorted(finished) == list(plan)
+
+
+def test_a_failed_question_leaves_no_reference_cycle_that_holds_its_data():
+    class Data:
+        pass
+
+    held = []
+
+    def attempt(record):
+        data = Data()  # a local of the failing call, as a question's documents are
+        held.append(weakref.ref(data))
+        raise UnparseableStrategy(record.question_id)
+
+    gc.disable()  # so only reference counts free what the run leaves
+    try:
+        assert _run(1, attempt, ["q0", "q1"]) == ({}, 2)
+        assert [ref() for ref in held] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_questions_run_on_the_calling_thread_when_no_thread_can_start(tmp_path, monkeypatch):
