@@ -27,7 +27,7 @@ HUGE = "\x00huge"
 TEXT = st.lists(TRICKY, max_size=6).map("".join)
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(), st.just(HUGE),
-    TEXT, st.sampled_from(["", "q1", "mock", "replay", "full", "2026-01-01T00:00:00Z"]),
+    TEXT, st.sampled_from(["", "q1", "live", "mock", "replay", "random", "2026-01-01T00:00:00Z"]),
 )
 VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
                       | st.dictionaries(TEXT, inner, max_size=3), max_leaves=4)
@@ -46,7 +46,7 @@ def inputs(tmp_path_factory):
         shutil.copy(os.path.join(FIXTURES, name), root / name)
     (root / "config.json").write_text(json.dumps(CONFIG, indent=2) + "\n", encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main([*answer(root), "--provider", "replay", "--run-log", str(root / "run.jsonl")]) == 0
+        assert cli.main([*answer(root, "run.jsonl"), "--provider", "replay"]) == 0
     with pytest.MonkeyPatch.context() as env:
         for name in [name for name in os.environ if name.startswith("SKILLPATH_")]:
             env.delenv(name)
@@ -57,9 +57,9 @@ def inputs(tmp_path_factory):
         yield root
 
 
-def answer(root):
+def answer(root, run_log="out.jsonl"):
     return ["answer", "--corpus", str(root / "corpus.jsonl"), "--collection", str(root / "collection.json"),
-            "--transcript", str(root / "transcript.jsonl"), "--run-log", str(root / "out.jsonl")]
+            "--transcript", str(root / "transcript.jsonl"), "--run-log", str(root / run_log)]
 
 
 def replay(root):
@@ -102,12 +102,11 @@ def mutated_line(draw, doc):
     """One JSON line or document with one value or key changed, as text."""
     path, node = draw(st.sampled_from(list(nodes(doc))))
     if isinstance(node, dict) and draw(st.booleans()):
-        keys = draw(st.sampled_from(["delete", "rename", "add"])) if node else "add"
+        how = draw(st.sampled_from(["delete", "rename", "add"])) if node else "add"
         new = dict(node)
-        if keys != "add":
-            old = draw(st.sampled_from(sorted(node)))
-            value = new.pop(old)
-            if keys == "rename":
+        if how != "add":
+            value = new.pop(draw(st.sampled_from(sorted(node))))
+            if how == "rename":
                 new[draw(KEYS)] = value
         else:
             new[draw(KEYS)] = draw(VALUES)
