@@ -7,6 +7,13 @@ request's tag and prompt and produces the smallest reply the downstream
 parser accepts, all without network access; CannedProvider is the
 MockProvider that answers with it. Replies are heuristic, not clever; they
 exercise plumbing, not quality.
+
+A segment or answer reply is the first sentence of the prompt's document
+block, found with str.find at the template's fixed anchors: the leftmost
+opening anchor and the first closing anchor after it. That is exactly
+what the lazy DOTALL regex opening(.*?)closing matches, since a later
+opening has no closing after it when the leftmost one has none, but
+without a regex test at every character of the document.
 """
 
 from __future__ import annotations
@@ -19,8 +26,6 @@ from .textutil import first_sentence
 _SLOT_LINE = re.compile(r"^- slot (?P<slot>.+?) \(type (?P<type>.+?)\), currently: (?P<text>.+)$")
 _COUNT = re.compile(r"Propose (\d+) alternative")
 _ORIGINAL_Q = re.compile(r"^Original question: (.+)$", re.MULTILINE)
-_DOC_BLOCK = re.compile(r"<<<\n(.*?)\n>>>", re.DOTALL)
-_CONTEXT_BLOCK = re.compile(r"- A document or context:\n(.*?)\n- A selected reasoning path:", re.DOTALL)
 
 
 def _substitution(prompt: str) -> str:
@@ -80,14 +85,24 @@ def _reference(prompt: str) -> str:
     return "The fact needed for this step is stated plainly in standard reference material."
 
 
+def _block(prompt: str, opening: str, closing: str) -> str | None:
+    """The text between the leftmost opening and the first closing after it, or None."""
+    start = prompt.find(opening)
+    if start < 0:
+        return None
+    start += len(opening)
+    end = prompt.find(closing, start)
+    return None if end < 0 else prompt[start:end]
+
+
 def _segment(prompt: str) -> str:
-    m = _DOC_BLOCK.search(prompt)
-    return (m and first_sentence(m.group(1))) or "No document provided."
+    block = _block(prompt, "<<<\n", "\n>>>")
+    return (block and first_sentence(block)) or "No document provided."
 
 
 def _answer(prompt: str) -> str:
-    m = _CONTEXT_BLOCK.search(prompt)
-    span = (m and first_sentence(m.group(1))) or "The provided material does not state the answer."
+    block = _block(prompt, "- A document or context:\n", "\n- A selected reasoning path:")
+    span = (block and first_sentence(block)) or "The provided material does not state the answer."
     return f"The focused material states: {span} <answer>{span}</answer>"
 
 

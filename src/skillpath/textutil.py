@@ -63,6 +63,9 @@ _IRREGULAR_WS = (
     "\u2009", "\u200a", "\u2028", "\u2029", "\u202f", "\u205f", "\u3000",
 )
 
+# every ASCII byte str.split treats as whitespace a space, every other byte an "x"
+_WS_MARKS = bytes(32 if c in b" \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f" else 120 for c in range(256))
+
 ARTICLES = ("a", "an", "the")
 
 # the final answer a completion marks up, <answer>...</answer>
@@ -266,5 +269,16 @@ def normalize_answer(text: str) -> str:
 
 
 def count_ws_tokens(text: str) -> int:
-    """Whitespace token count, the accounting rule for mock completions."""
-    return len(text.split())
+    """Whitespace token count, len(text.split()): the accounting rule for mock completions.
+
+    An ASCII text is translated through _WS_MARKS and its word starts
+    counted, each "x" that begins the text or follows a space: a few
+    C-level passes, without a string per word. _WS_MARKS maps to a space
+    the ten bytes str.split splits at, "\\x1c"-"\\x1f" among them, which
+    bytes.split would miss. A text that is not ASCII keeps str.split, the
+    only rule that knows every Unicode space.
+    """
+    if not text.isascii():
+        return len(text.split())
+    marks = text.encode("ascii").translate(_WS_MARKS)
+    return marks.count(b" x") + (marks[:1] == b"x")

@@ -5,12 +5,13 @@ import inspect
 import re
 import sys
 
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skillpath import textutil
 from skillpath.textutil import (
     Passage,
+    count_ws_tokens,
     detokenize,
     first_sentence,
     norm_tokens,
@@ -266,3 +267,28 @@ def test_first_sentence_equals_the_first_reference_sentence(text):
 def test_sentence_token_sets_equals_the_per_sentence_reference(text):
     expected = [set(reference_norm_tokens(s)) for s in reference_split_sentences(text)]
     assert sentence_token_sets(text) == expected
+
+
+# every ASCII byte str.split splits at, "\x1c"-"\x1f" among them, and
+# Unicode spaces that only str.split knows
+_WS_TEXT = st.lists(
+    st.sampled_from([" ", "\t", "\n", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f",
+                     "\x85", "\xa0", "\u2028", "\u3000", "\ud800", "\udfff", "a", "Z", "9", ".", "\x00"])
+    | st.characters(),
+    max_size=40,
+).map("".join)
+
+
+@settings(derandomize=True, database=None)
+@given(_WS_TEXT)
+@example("")
+@example(" ")
+@example("a")
+@example(" \t a b\x1cc\x1fd \n")
+@example("\x1c\x1d\x1e\x1f")
+@example("a\x85b\xa0c\u2028d\u3000e")
+@example("\ud800 \udfff")
+def test_count_ws_tokens_equals_str_split(text):
+    count = count_ws_tokens(text)
+    assert count == len(text.split())
+    assert type(count) is int
