@@ -1014,6 +1014,31 @@ def test_a_failed_live_call_names_its_stage(tmp_path, corpus_path, capsys, live_
     ]
 
 
+def test_a_live_error_body_of_several_lines_prints_one_line(tmp_path, corpus_path, capsys, live_endpoint):
+    live_endpoint.script((400, "bad request\nsecond line of the body\n"))
+    code = main(["generate", "--provider", "live", "--corpus", corpus_path,
+                 "--collection", str(tmp_path / "bundle.json"), "--count", "1"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "[generate] question q1: endpoint failed after 1 attempt(s) (tag 'substitution'):"
+        " HTTP 400: bad request second line of the body"
+    ]
+
+
+@pytest.mark.parametrize("command", ["generate", "answer", "eval"])
+def test_a_corpus_with_no_records_exits_2_naming_it(tmp_path, capsys, mock_calls, command):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n", encoding="utf-8")
+    outputs = {"generate": ["--collection", str(tmp_path / "bundle.json")],
+               "answer": ["--collection", str(tmp_path / "bundle.json"), "--run-log", str(tmp_path / "run.jsonl")],
+               "eval": ["--run-log", str(tmp_path / "run.jsonl"), "--report", str(tmp_path / "report.json")]}
+    provider = [] if command == "eval" else ["--provider", "mock"]
+    assert main([command, *provider, "--corpus", str(corpus), *outputs[command]]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"[{command}] corpus {corpus} has no records"]
+    assert mock_calls == []
+    assert sorted(os.listdir(tmp_path)) == ["corpus.jsonl"]
+
+
 @pytest.mark.parametrize("bad_input", ["bundle", "config"])
 def test_input_file_with_invalid_utf8_exits_2(tmp_path, corpus_path, capsys, bad_input):
     bad = tmp_path / "bad.json"
