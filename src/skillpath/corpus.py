@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .errors import StorageError
 from .resources import json_line, parse_jsonl, read_keyed, read_lines, write_lines
 from .textutil import norm_tokens, split_sentences
 
@@ -92,9 +93,12 @@ def _validate_record(doc: dict) -> QARecord:
 
 
 def load_records(path: str) -> list[QARecord]:
-    """Read and validate a line-delimited corpus file, order preserved."""
+    """Read and validate a line-delimited corpus file, order preserved; one with no records is an error."""
     lines = parse_jsonl(read_lines(path, "corpus"), path)
-    return list(read_keyed(lines, path, "question_id", _validate_record).values())
+    records = read_keyed(lines, path, "question_id", _validate_record)
+    if not records:
+        raise StorageError(f"corpus {path} has no records")
+    return list(records.values())
 
 
 def record_to_json(record: QARecord) -> str:

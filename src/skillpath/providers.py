@@ -458,7 +458,7 @@ class LiveProvider(Provider):
             elapsed_ms = (time.monotonic() - started) * 1000.0
             if status == 200:
                 return self._parse(request, body, elapsed_ms)
-            detail = body.decode("utf-8", "replace")[:200]
+            detail = " ".join(body.decode("utf-8", "replace")[:200].split())  # the message is one line
             if moved and status >= 300:
                 detail = f"redirect to {moved} not followed"
             last_error = f"HTTP {status}: {detail}"
