@@ -9,9 +9,10 @@ import threading
 import pytest
 from hypothesis import strategies as st
 
-from skillpath import resources
+from skillpath import canned, resources
 from skillpath.collection import build_collection
 from skillpath.examplegen import ReasoningStrategy, SimilarExample
+from skillpath.providers import CompletionRequest
 from skillpath.skills import ReasoningSkill
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -37,6 +38,12 @@ def make_example(skills, question="What is the answer?", answer="the answer"):
         reference_docs=tuple(f"reference {i + 1}" for i in range(n)),
         answer=answer,
     )
+
+
+def replies(*texts):
+    """A MockProvider reply function that answers with texts, one a call, in order."""
+    queue = list(texts)
+    return lambda request: queue.pop(0)
 
 
 @pytest.fixture
@@ -74,12 +81,14 @@ class LiveEndpoint:
     Each reply is (status, body), a dict body sent as JSON and a str as
     text, or raw bytes written to the socket in place of a whole reply,
     to break the HTTP exchange. Replies go out in order, the last one
-    for every later request. `received` holds (path, headers, body) of
+    for every later request, unless `reply` is set: then each request
+    gets reply(request body). `received` holds (path, headers, body) of
     each request, in the order they came.
     """
 
     def __init__(self):
         self.replies = [(200, {"choices": [{"message": {"content": "ok"}}]})]
+        self.reply = None
         self.received = []
         self._lock = threading.Lock()
 
@@ -90,7 +99,29 @@ class LiveEndpoint:
         """Record one request; the reply it gets."""
         with self._lock:
             self.received.append((path, headers, body))
-            return self.replies[min(len(self.received), len(self.replies)) - 1]
+            if self.reply is None:
+                return self.replies[min(len(self.received), len(self.replies)) - 1]
+        return self.reply(body)
+
+
+# prompt template -> the stage tag of the requests made from it
+STAGES = {"entity_substitution": "substitution", "template_variation": "variation",
+          "similarity_scoring": "similarity", "strategy_generation": "strategy",
+          "reference_document": "reference", "segment_extraction": "segment", "guided_answer": "answer"}
+
+
+def stage_of(prompt):
+    """The stage tag of a pipeline prompt, told by the fixed text that starts its template."""
+    (tag,) = [tag for name, tag in STAGES.items()
+              if prompt.startswith(resources.load_prompt(name).partition("$")[0])]
+    return tag
+
+
+def canned_completion(body):
+    """An endpoint's reply to a request body as the mock answers its prompt: canned_reply, and no usage."""
+    prompt = json.loads(body)["messages"][0]["content"]
+    text = canned.canned_reply(CompletionRequest(prompt, stage_of(prompt)))
+    return 200, {"choices": [{"message": {"content": text}}]}
 
 
 @contextlib.contextmanager
@@ -117,7 +148,10 @@ def serving(endpoint):
         def log_message(self, format, *args):
             pass  # no request log on stderr, which tests read
 
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    class Server(http.server.ThreadingHTTPServer):
+        request_queue_size = 64  # the default 5 drops connections that N * N question lanes open at once
+
+    server = Server(("127.0.0.1", 0), Handler)
     server.daemon_threads = False  # so server_close joins every handler
     # a short poll interval, as shutdown waits for the loop's next poll
     thread = threading.Thread(target=server.serve_forever, args=(0.02,), name="live-endpoint")
