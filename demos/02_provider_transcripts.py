@@ -20,7 +20,9 @@ from skillpath.providers import (
     ReplayProvider,
 )
 
-recorder = RecordingProvider(MockProvider(["Paris", "1889", "Paris again"]))
+# the mock answers each request with its reply function; this one reads a script in order
+script = iter(["Paris", "1889", "Paris again"])
+recorder = RecordingProvider(MockProvider(lambda request: next(script)))
 
 for prompt in ["Capital of France?", "Year the tower opened?", "Capital of France?"]:
     result = recorder.complete(CompletionRequest(prompt))

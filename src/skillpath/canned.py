@@ -1,8 +1,9 @@
 """Canned replies that understand the pipeline's prompts, for the mock backend.
 
-A MockProvider scripted with a fixed reply is right for tests but useless
-for an end-to-end smoke run: generation needs parseable fills and scores,
-extraction needs verbatim document sentences. canned_reply inspects each
+A MockProvider answers each request with a reply function of it. A test
+passes one that returns what the test needs; an end-to-end smoke run
+needs one that answers every stage: generation needs parseable fills and
+scores, extraction needs verbatim document sentences. canned_reply inspects each
 request's tag and prompt and produces the smallest reply the downstream
 parser accepts, all without network access; CannedProvider is the
 MockProvider that answers with it. Replies are heuristic, not clever; they

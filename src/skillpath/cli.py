@@ -23,7 +23,8 @@ latency_ms is the sum of a question's call latencies, not its wall time.
 generate appends each finished question's collection to a checkpoint,
 in the record that the bundle stores, and a rerun with the same settings
 and backend reuses it; eval reads each run-log line, which must be of a
-corpus question, into a metrics.EvalRecord.
+corpus question, into a metrics.EvalRecord that holds the question's gold
+answers and sentences.
 """
 
 from __future__ import annotations
@@ -382,12 +383,12 @@ def cmd_answer(config: RunConfig) -> int:
 
 # -------------------------------------------------------------------- eval
 
-def _logged_answer(doc: dict, questions: typing.Container[str]) -> metrics.EvalRecord:
-    """One run-log line, of a question in `questions`, as a record whose gold fields eval fills in."""
+def _logged_answer(doc: dict, records: dict[str, corpus_mod.QARecord]) -> metrics.EvalRecord:
+    """One run-log line, of a question in `records`, joined with that question's gold answers and sentences."""
     qid, answer, completion = [doc[key] for key in ("question_id", "answer", "completion")]
     if not all(isinstance(text, str) for text in (qid, answer, completion)):
         raise ValueError("question_id, answer and completion must each be a string")
-    if qid not in questions:
+    if qid not in records:
         raise ValueError(f"question_id {qid!r} is not in the corpus")
     usage = doc["usage"]
     if not isinstance(usage, dict):
@@ -395,21 +396,22 @@ def _logged_answer(doc: dict, questions: typing.Container[str]) -> metrics.EvalR
     counts = [usage[key] for key in ("prompt_tokens", "completion_tokens", "total_tokens")]
     # the logged completion passes the same checks as a provider's reply
     reply = CompletionResult(completion, TokenUsage(*counts), doc.get("latency_ms", 0.0))
-    return metrics.EvalRecord(qid, answer, gold_answers=[], chain_text=completion,
-                              usage=reply.usage, latency_ms=float(reply.latency_ms))
+    gold = records[qid]
+    return metrics.EvalRecord(qid, answer, gold.gold_answers, gold_sentences=gold.gold_sentence_ids,
+                              chain_text=completion, usage=reply.usage, latency_ms=float(reply.latency_ms))
 
 
-def _load_run_log(path: str, what: str, questions: typing.Container[str]) -> list[metrics.EvalRecord]:
+def _load_run_log(path: str, what: str, records: dict[str, corpus_mod.QARecord]) -> list[metrics.EvalRecord]:
     """Every line of a run log, checked; a log with no lines is an error naming its path."""
     entries = read_keyed(parse_jsonl(read_lines(path, what), path), path, "question_id",
-                         lambda doc: _logged_answer(doc, questions))
+                         lambda doc: _logged_answer(doc, records))
     if not entries:
         raise StorageError(f"{what} {path} has no lines")
     return list(entries.values())
 
 
-def _baseline_token_mean(path: str, questions: typing.Container[str]) -> float:
-    totals = [entry.usage.total_tokens for entry in _load_run_log(path, "baseline log", questions)]
+def _baseline_token_mean(path: str, records: dict[str, corpus_mod.QARecord]) -> float:
+    totals = [entry.usage.total_tokens for entry in _load_run_log(path, "baseline log", records)]
     if not any(totals):
         raise StorageError(f"baseline log {path} has a mean of 0 total tokens to reduce against")
     return sum(totals) / len(totals)
@@ -421,12 +423,11 @@ def _fmt_rate(value: float | None) -> str:
 
 def cmd_eval(config: RunConfig) -> int:
     records = {r.question_id: r for r in corpus_mod.load_records(config.corpus)}
-    eval_records = _load_run_log(config.run_log, "run log", records)
-    for entry in eval_records:
-        gold = records[entry.question_id]
-        entry.gold_answers = list(gold.gold_answers)
-        entry.gold_sentences = None if gold.gold_sentence_ids is None else set(gold.gold_sentence_ids)
-        entry.cited_sentences = metrics.attribute_citations(entry.chain_text, list(gold.documents))
+    eval_records = [
+        entry._replace(cited_sentences=metrics.attribute_citations(
+            entry.chain_text, list(records[entry.question_id].documents)))
+        for entry in _load_run_log(config.run_log, "run log", records)
+    ]
 
     report, rows = metrics.evaluate_records(eval_records)
     report_doc = report.to_record()

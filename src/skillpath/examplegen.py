@@ -46,40 +46,26 @@ class CandidateQuestion(NamedTuple):
     similarity_score: int | None = None
 
 
-class ReasoningStrategy:
-    """Ordered subquestions with one reasoning skill per step; its length is its number of steps."""
+class _ReasoningStrategy(NamedTuple):
+    subquestions: tuple[str, ...]
+    skills: tuple[ReasoningSkill, ...]
 
-    __slots__ = ("subquestions", "skills")
 
-    def __init__(self, subquestions: tuple[str, ...], skills: tuple[ReasoningSkill, ...]):
-        object.__setattr__(self, "subquestions", tuple(subquestions))
-        object.__setattr__(self, "skills", tuple(skills))
-        if not self.skills:
+class ReasoningStrategy(_ReasoningStrategy):
+    """Ordered subquestions with one reasoning skill per step."""
+
+    __slots__ = ()
+
+    def __new__(cls, subquestions: tuple[str, ...], skills: tuple[ReasoningSkill, ...]):
+        subquestions, skills = tuple(subquestions), tuple(skills)
+        if not skills:
             raise ValueError("a strategy needs at least one step")
-        if len(self.subquestions) != len(self.skills):
-            raise ValueError(
-                f"{len(self.subquestions)} subquestions vs {len(self.skills)} skills"
-            )
-        for s in self.skills:
+        if len(subquestions) != len(skills):
+            raise ValueError(f"{len(subquestions)} subquestions vs {len(skills)} skills")
+        for s in skills:
             if not isinstance(s, ReasoningSkill):
                 raise ValueError(f"not a taxonomy member: {s!r}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not ReasoningStrategy:
-            return NotImplemented
-        return (self.subquestions, self.skills) == (other.subquestions, other.skills)
-
-    def __hash__(self) -> int:
-        return hash((self.subquestions, self.skills))
-
-    def __repr__(self) -> str:
-        return f"ReasoningStrategy(subquestions={self.subquestions!r}, skills={self.skills!r})"
-
-    def __len__(self) -> int:
-        return len(self.skills)
+        return super().__new__(cls, subquestions, skills)
 
 
 class _SimilarExample(NamedTuple):

@@ -11,6 +11,7 @@ never as 0.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence, Set
 from typing import NamedTuple
 
 from .errors import ZeroDenominator
@@ -23,20 +24,17 @@ CITATION_CONTAINMENT = 0.8
 SentenceId = tuple[int, int]
 
 
-class EvalRecord:
-    """One scored response joined with its gold data, which eval fills in after reading the response."""
+class EvalRecord(NamedTuple):
+    """One scored response joined with its gold data."""
 
-    def __init__(self, question_id: str, prediction: str, gold_answers: list[str],
-                 cited_sentences: set[SentenceId] | None = None, gold_sentences: set[SentenceId] | None = None,
-                 chain_text: str = "", usage: TokenUsage | None = None, latency_ms: float = 0.0):
-        self.question_id = question_id
-        self.prediction = prediction
-        self.gold_answers = gold_answers
-        self.cited_sentences = cited_sentences
-        self.gold_sentences = gold_sentences
-        self.chain_text = chain_text
-        self.usage = usage
-        self.latency_ms = latency_ms
+    question_id: str
+    prediction: str
+    gold_answers: Sequence[str]
+    cited_sentences: Set[SentenceId] | None = None
+    gold_sentences: Set[SentenceId] | None = None
+    chain_text: str = ""
+    usage: TokenUsage | None = None
+    latency_ms: float = 0.0
 
 
 class EvalReport(NamedTuple):

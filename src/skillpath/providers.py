@@ -32,7 +32,7 @@ from collections.abc import Callable
 from typing import NamedTuple
 
 from . import __version__
-from .errors import ProviderError, ReplayMiss, StorageError, TransportError
+from .errors import ReplayMiss, StorageError, TransportError
 from .resources import fields, json_line, parse_jsonl, read_keyed, read_lines, utc_now, write_lines
 from .textutil import count_ws_tokens
 
@@ -201,34 +201,15 @@ class Provider:
 
 
 class MockProvider(Provider):
-    """Offline backend with canned replies and whitespace token accounting.
-
-    reply may be a fixed string, a callable of the request, or a finite
-    sequence consumed in order. Running a sequence dry raises
-    ProviderError so a misconfigured script fails loudly instead of
-    looping.
-    """
+    """Offline backend: reply(request) is the reply text, and tokens are counted at whitespace."""
 
     name = "mock"
 
-    def __init__(self, reply):
+    def __init__(self, reply: Callable[[CompletionRequest], str]):
         self._reply = reply
-        self._seq_lock = threading.Lock()
-        if isinstance(reply, (list, tuple)):
-            self._queue = list(reply)
-        else:
-            self._queue = None
 
     def _complete(self, request: CompletionRequest) -> CompletionResult:
-        if self._queue is not None:
-            with self._seq_lock:
-                if not self._queue:
-                    raise ProviderError(f"mock provider ran out of scripted replies{_tag_note(request)}")
-                text = self._queue.pop(0)
-        elif callable(self._reply):
-            text = self._reply(request)
-        else:
-            text = self._reply
+        text = self._reply(request)
         usage = TokenUsage.of(count_ws_tokens(request.prompt), count_ws_tokens(text))
         return CompletionResult(text=text, usage=usage, latency_ms=0.0)
 

@@ -12,7 +12,7 @@ from skillpath.answerer import (
     select_for,
 )
 from skillpath.collection import build_collection
-from skillpath.errors import ProviderError, SegmentNotInDocument
+from skillpath.errors import ReplayMiss, SegmentNotInDocument
 from skillpath.examplegen import ReasoningStrategy, SimilarExample
 from skillpath.matcher import SelectionMode
 from skillpath.providers import (
@@ -20,10 +20,13 @@ from skillpath.providers import (
     MockProvider,
     Provider,
     RecordingProvider,
+    ReplayProvider,
     TokenUsage,
 )
 from skillpath.skills import ReasoningSkill
 from skillpath.textutil import Passage
+
+from conftest import replies
 
 S = ReasoningSkill
 
@@ -41,21 +44,21 @@ def extract(provider):
 
 
 def test_extraction_returns_document_sentences_verbatim():
-    provider = MockProvider("It stands 330 metres tall.")
+    provider = MockProvider(lambda request: "It stands 330 metres tall.")
     assert extract(provider) == ("It stands 330 metres tall.", ["It stands 330 metres tall."])
 
 
 def test_extraction_normalizes_case_and_spacing_back_to_source():
-    provider = MockProvider("the  eiffel tower was completed in 1889.")
+    provider = MockProvider(lambda request: "the  eiffel tower was completed in 1889.")
     segment, _ = extract(provider)
     assert segment == "The Eiffel Tower was completed in 1889."
 
 
 def test_extraction_preserves_reply_order_of_sentences():
-    provider = MockProvider(
+    provider = MockProvider(lambda request: (
         "The Empire State Building was completed in 1931. "
         "The Eiffel Tower was completed in 1889."
-    )
+    ))
     segment, _ = extract(provider)
     assert segment == (
         "The Empire State Building was completed in 1931. "
@@ -64,12 +67,12 @@ def test_extraction_preserves_reply_order_of_sentences():
 
 
 def test_extraction_retries_once_then_fails_loudly():
-    provider = MockProvider(["I made this sentence up.", "It stands 330 metres tall."])
+    provider = MockProvider(replies("I made this sentence up.", "It stands 330 metres tall."))
     assert extract(provider) == (
         "It stands 330 metres tall.", ["I made this sentence up.", "It stands 330 metres tall."]
     )
 
-    stubborn = MockProvider(["Invented one.", "Invented two.", "unused"])
+    stubborn = MockProvider(replies("Invented one.", "Invented two.", "unused"))
     with pytest.raises(SegmentNotInDocument, match="Invented two"):
         extract(stubborn)
 
@@ -181,9 +184,7 @@ def test_answer_sums_every_call_of_its_steps_in_step_order():
 
 def test_answer_splits_its_document_once(monkeypatch):
     example = example_for([S.DEDUCTIVE, S.INDUCTIVE, S.ANALOGICAL])
-    provider = MockProvider(
-        ["It stands 330 metres tall."] * 3 + ["<answer>330 metres</answer>"]
-    )
+    provider = MockProvider(replies(*["It stands 330 metres tall."] * 3, "<answer>330 metres</answer>"))
     split_texts = []
     real_split = textutil.split_sentences
 
@@ -203,7 +204,7 @@ def test_answer_splits_only_the_line_that_holds_the_reply(monkeypatch):
     docs = ["The Eiffel Tower was completed in 1889.", "It stands 330 metres tall.",
             "The Empire State Building was completed in 1931. It stands 443 metres tall."]
     reply = "It stands 443 metres tall."
-    provider = MockProvider([reply] * 2 + ["<answer>443 metres</answer>"])
+    provider = MockProvider(replies(reply, reply, "<answer>443 metres</answer>"))
     split_texts = []
     real_split = textutil.split_sentences
 
@@ -223,7 +224,7 @@ def test_answer_respects_explicit_example_index():
         [example_for([S.DEDUCTIVE]), example_for([S.ABDUCTIVE])]
     )
     provider = RecordingProvider(
-        MockProvider(["It stands 330 metres tall.", "<answer>330 metres</answer>"])
+        MockProvider(replies("It stands 330 metres tall.", "<answer>330 metres</answer>"))
     )
     trace = answer("How tall?", DOC, collection.examples[1], provider)
     segment_prompts = [
@@ -236,12 +237,17 @@ def test_answer_respects_explicit_example_index():
 
 
 def test_stage_failures_name_their_stage():
-    bad_extractor = MockProvider(["nope.", "still nope.", "unused"])
+    bad_extractor = MockProvider(replies("nope.", "still nope.", "unused"))
     with pytest.raises(SegmentNotInDocument, match="^extraction reply is not made of document sentences"):
         answer("q?", DOC, example_for([S.DEDUCTIVE]), bad_extractor)
-    # a provider's own error names the tag of the request it failed, and arrives unwrapped
-    with pytest.raises(ProviderError, match=r"^mock provider ran out of scripted replies \(tag 'answer'\)$"):
-        answer("q?", DOC, example_for([S.DEDUCTIVE]), MockProvider(["It stands 330 metres tall."]))
+    # a provider's own error names the tag of the request it failed, and arrives unwrapped:
+    # a replay that holds the segment call but not the answer call misses on the answer call
+    recorder = RecordingProvider(MockProvider(replies("It stands 330 metres tall.", "<answer>330 metres</answer>")))
+    answer("q?", DOC, example_for([S.DEDUCTIVE]), recorder)
+    segment_only = ReplayProvider({e.fingerprint: e.result for e in recorder.transcript.entries
+                                   if e.request.tag == "segment"})
+    with pytest.raises(ReplayMiss, match=r"^no transcript entry for request fingerprint [0-9a-f]{64} \(tag 'answer'\)$"):
+        answer("q?", DOC, example_for([S.DEDUCTIVE]), segment_only)
 
 
 @pytest.mark.parametrize("tag", ["segment", "answer"])

@@ -32,6 +32,8 @@ from skillpath.examplegen import (
 from skillpath.providers import MockProvider
 from skillpath.skills import ReasoningSkill
 
+from conftest import replies
+
 EIFFEL = "Which is taller, the Eiffel Tower or the Empire State Building?"
 
 
@@ -88,7 +90,7 @@ def test_guided_fill_parses_slot_assignments():
         "3. adj=taller; place 1=Big Ben; place 2=Space Needle\n"
     )
     candidates = generate_candidates(
-        template, ConstructionMode.GUIDED_FILL, 3, provider=MockProvider(reply)
+        template, ConstructionMode.GUIDED_FILL, 3, provider=MockProvider(lambda request: reply)
     )
     # line 2 misses a slot and is dropped rather than rendered half-filled
     assert [c.text for c in candidates] == [
@@ -105,7 +107,7 @@ def test_guided_fill_keeps_an_article_the_value_already_has():
         "3. adj=older; place 1=a  Tower; place 2=theatre Royal\n"
     )
     candidates = generate_candidates(
-        template, ConstructionMode.GUIDED_FILL, 3, provider=MockProvider(reply)
+        template, ConstructionMode.GUIDED_FILL, 3, provider=MockProvider(lambda request: reply)
     )
     assert [c.text for c in candidates] == [
         "Which is older, the Louvre or the Big Ben?",
@@ -122,7 +124,7 @@ def test_template_variation_takes_numbered_questions():
         '2. "Which is deeper, Lake Baikal or Crater Lake?"\n'
     )
     candidates = generate_candidates(
-        template, ConstructionMode.TEMPLATE_VARIATION, 2, provider=MockProvider(reply)
+        template, ConstructionMode.TEMPLATE_VARIATION, 2, provider=MockProvider(lambda request: reply)
     )
     assert [c.text for c in candidates] == [
         "Which is longer, the Nile or the Amazon?",
@@ -138,7 +140,7 @@ def test_duplicate_candidates_collapse():
         "3. Which is deeper, Lake Baikal or Crater Lake?\n"
     )
     candidates = generate_candidates(
-        template, ConstructionMode.TEMPLATE_VARIATION, 3, provider=MockProvider(reply)
+        template, ConstructionMode.TEMPLATE_VARIATION, 3, provider=MockProvider(lambda request: reply)
     )
     assert len(candidates) == 2
 
@@ -150,15 +152,15 @@ def test_provider_modes_refuse_to_run_without_provider():
 
 
 def test_score_reads_last_integer():
-    provider = MockProvider("Both compare two landmarks on 1 shared axis. Score (1-10): 8")
+    provider = MockProvider(lambda request: "Both compare two landmarks on 1 shared axis. Score (1-10): 8")
     assert score_similarity("a", "b", provider) == 8
 
 
 def test_score_rejects_missing_or_out_of_scale():
     with pytest.raises(UnparseableScore):
-        score_similarity("a", "b", MockProvider("no digits here"))
+        score_similarity("a", "b", MockProvider(lambda request: "no digits here"))
     with pytest.raises(UnparseableScore):
-        score_similarity("a", "b", MockProvider("Score: 37"))
+        score_similarity("a", "b", MockProvider(lambda request: "Score: 37"))
 
 
 def test_filter_keeps_at_or_above_threshold():
@@ -180,11 +182,11 @@ def test_filter_validates_inputs():
         filter_candidates([CandidateQuestion("q", ConstructionMode.RANDOM_FILL)], 7)
 
 
-def replies_by_marker(replies):
+def replies_by_marker(texts):
     """A reply function picking the reply whose marker appears in the prompt."""
 
     def reply(request):
-        (text,) = [text for marker, text in replies.items() if marker in request.prompt]
+        (text,) = [text for marker, text in texts.items() if marker in request.prompt]
         return text
 
     return reply
@@ -250,8 +252,8 @@ def test_parse_strategy_rejects_steplessness():
 
 
 def test_build_strategy_round_trips_through_provider():
-    strategy, answer = build_strategy("Who invented the telephone?", MockProvider(STRATEGY_REPLY))
-    assert len(strategy) == 4
+    strategy, answer = build_strategy("Who invented the telephone?", MockProvider(lambda request: STRATEGY_REPLY))
+    assert len(strategy.skills) == 4
     assert answer == "Alexander Graham Bell"
 
 
@@ -282,7 +284,7 @@ def test_reference_docs_one_per_subquestion():
 def test_reference_docs_reject_empty_replies():
     strategy = ReasoningStrategy(("a?",), (ReasoningSkill.DEDUCTIVE,))
     with pytest.raises(ProviderError):
-        build_reference_docs(strategy, MockProvider("   "))
+        build_reference_docs(strategy, MockProvider(lambda request: "   "))
 
 
 def test_similar_example_validates_shape():
@@ -296,17 +298,17 @@ def test_similar_example_validates_shape():
 
 
 def test_synthesize_example_end_to_end_with_mock():
-    replies = [
+    provider = MockProvider(replies(
         STRATEGY_REPLY,
         "Bell filed the telephone patent in 1876.",
         "A patent names its inventor.",
         "The patent office recorded the filing.",
         "The record survives today.",
-    ]
-    example = synthesize_example("Who invented the telephone?", MockProvider(replies))
+    ))
+    example = synthesize_example("Who invented the telephone?", provider)
     assert example.question == "Who invented the telephone?"
     assert example.answer == "Alexander Graham Bell"
-    assert len(example.reference_docs) == len(example.strategy)
+    assert len(example.reference_docs) == len(example.strategy.skills)
 
 
 # one line of text: no character that str.splitlines() breaks on
@@ -340,7 +342,7 @@ _EIFFEL_TEMPLATE = eiffel_template()
 @example("7" * 4301)  # more digits than int() converts
 def test_reply_parsers_raise_nothing_but_package_errors(reply):
     """A SkillPathError fails one question; any other error stops the command."""
-    provider = MockProvider(reply)
+    provider = MockProvider(lambda request: reply)
     parsers = [
         lambda: parse_strategy_reply(reply),
         lambda: score_similarity(EIFFEL, "Which is older?", provider),

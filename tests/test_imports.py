@@ -20,7 +20,7 @@ from skillpath.corpus import QARecord
 from skillpath.decompose import classify_tokens, decompose_question
 from skillpath.examplegen import CandidateQuestion, ConstructionMode, ReasoningStrategy
 from skillpath.matcher import ScoreBreakdown, select_best
-from skillpath.metrics import HitsError, TokenStats
+from skillpath.metrics import EvalRecord, HitsError, TokenStats
 from skillpath.providers import CompletionRequest, CompletionResult, TokenUsage, TranscriptEntry
 from skillpath.skills import ReasoningSkill, SkillDetail
 from skillpath.textutil import Passage
@@ -184,6 +184,8 @@ IMMUTABLE = {
     "ScoreBreakdown": lambda: ScoreBreakdown(0.25, 1.5, 1.75),
     "MatchResult": lambda: select_best(build_collection([make_example([ReasoningSkill.DEDUCTIVE])])),
     "HitsError": lambda: HitsError(0.5, None),
+    "EvalRecord": lambda: EvalRecord("q", "x", ("x",), frozenset({(0, 0)}), frozenset({(0, 0)}), "<answer>x</answer>",
+                                     TokenUsage.of(2, 1), 1.5),
     "TokenStats": lambda: TokenStats(3.0, 1.5),
     "SkillDetail": lambda: SkillDetail("Deductive", "From a rule.", "All A are B."),
     "Passage": lambda: Passage.of("One. Two."),

@@ -13,7 +13,7 @@ import types
 import pytest
 
 from skillpath import __version__, providers
-from skillpath.errors import ProviderError, ReplayMiss, StorageError, TransportError, ValidationError
+from skillpath.errors import ReplayMiss, StorageError, TransportError, ValidationError
 from skillpath.providers import (
     TRANSCRIPT_VERSION,
     CompletionRequest,
@@ -27,6 +27,8 @@ from skillpath.providers import (
     fingerprint,
 )
 from skillpath.resources import json_line
+
+from conftest import replies
 
 
 def record(provider, requests):
@@ -43,20 +45,12 @@ def replaying(transcript):
 
 
 def test_mock_fixed_reply_and_whitespace_accounting():
-    provider = MockProvider("Paris")
+    provider = MockProvider(lambda request: "Paris")
     result = provider.complete(CompletionRequest("What is the capital of France?"))
     assert result.text == "Paris"
     assert result.usage == TokenUsage.of(6, 1)
     again = provider.complete(CompletionRequest("What is the capital of France?"))
     assert again == result
-
-
-def test_mock_scripted_sequence_runs_dry_loudly():
-    provider = MockProvider(["one", "two"])
-    assert provider.complete(CompletionRequest("p")).text == "one"
-    assert provider.complete(CompletionRequest("p")).text == "two"
-    with pytest.raises(ProviderError):
-        provider.complete(CompletionRequest("p"))
 
 
 def test_a_request_is_its_prompt_and_its_tag():
@@ -116,7 +110,7 @@ def test_record_and_replay_round_trip(tmp_path):
         CompletionRequest("second prompt"),
         CompletionRequest("first prompt"),
     ]
-    transcript = record(MockProvider(["a", "b", "c"]), requests)
+    transcript = record(MockProvider(replies("a", "b", "c")), requests)
     assert len(transcript.entries) == 3
     assert len({e.fingerprint for e in transcript.entries}) == 3
 
@@ -130,7 +124,7 @@ def test_record_and_replay_round_trip(tmp_path):
 
 def test_the_tag_stays_out_of_the_fingerprint():
     # a relabeled stage still replays, and one prompt under two tags is two occurrences of it
-    transcript = record(MockProvider(["a", "b"]), [CompletionRequest("p", tag="old"), CompletionRequest("p")])
+    transcript = record(MockProvider(replies("a", "b")), [CompletionRequest("p", tag="old"), CompletionRequest("p")])
     assert len({e.fingerprint for e in transcript.entries}) == 2
     replay = replaying(transcript)
     assert replay.complete(CompletionRequest("p", tag="new")).text == "a"
@@ -138,7 +132,7 @@ def test_the_tag_stays_out_of_the_fingerprint():
 
 
 def test_replay_off_script_raises_miss(tmp_path):
-    transcript = record(MockProvider("x"), [CompletionRequest("known")])
+    transcript = record(MockProvider(lambda request: "x"), [CompletionRequest("known")])
     replay = replaying(transcript)
     with pytest.raises(ReplayMiss):
         replay.complete(CompletionRequest("unknown"))
@@ -150,7 +144,7 @@ def test_replay_off_script_raises_miss(tmp_path):
 
 
 def test_replay_results_bit_identical(tmp_path):
-    recorder = RecordingProvider(MockProvider("the reply text"))
+    recorder = RecordingProvider(MockProvider(lambda request: "the reply text"))
     original = recorder.complete(CompletionRequest("a prompt"))
     path = tmp_path / "t.jsonl"
     recorder.transcript.save(str(path))
@@ -172,7 +166,7 @@ def _reachable(root):
 
 def test_replay_from_a_file_keeps_results_only(tmp_path):
     document = "A long document sentence. " * 20000
-    recorder = RecordingProvider(MockProvider("the reply"))
+    recorder = RecordingProvider(MockProvider(lambda request: "the reply"))
     recorder.complete(CompletionRequest(f"Extract from: {document}", tag="segment"))
     path = tmp_path / "t.jsonl"
     recorder.transcript.save(str(path))
@@ -191,7 +185,7 @@ def test_replay_holds_no_prompt_it_was_sent():
     prompts = [f"Extract from {n}: {document}" for n in range(3)]
     # the first prompt again, then the first three inside a question
     requests = [CompletionRequest(prompt) for prompt in [*prompts, prompts[0]]]
-    recorder = RecordingProvider(MockProvider(["a", "b", "c", "d", "e", "f", "g"]))
+    recorder = RecordingProvider(MockProvider(replies("a", "b", "c", "d", "e", "f", "g")))
     for request in requests:
         recorder.complete(request)
     with providers.question_scope("q1"):
@@ -207,9 +201,9 @@ def test_replay_holds_no_prompt_it_was_sent():
 
 def test_a_transcript_whose_lines_fail_part_way_leaves_the_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "t.jsonl"
-    record(MockProvider("x"), [CompletionRequest("p")]).save(str(path))
+    record(MockProvider(lambda request: "x"), [CompletionRequest("p")]).save(str(path))
     previous = path.read_bytes()
-    longer = record(MockProvider("y"), [CompletionRequest(prompt) for prompt in "abc"])
+    longer = record(MockProvider(lambda request: "y"), [CompletionRequest(prompt) for prompt in "abc"])
     written = []
 
     def third_line_fails(doc):
@@ -239,7 +233,7 @@ def test_transcript_load_rejects_garbage(tmp_path):
 
 
 def test_transcript_load_rejects_duplicate_fingerprints(tmp_path):
-    transcript = record(MockProvider("x"), [CompletionRequest("p")])
+    transcript = record(MockProvider(lambda request: "x"), [CompletionRequest("p")])
     path = tmp_path / "dup.jsonl"
     transcript.save(str(path))
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -252,7 +246,7 @@ def test_transcript_load_rejects_duplicate_fingerprints(tmp_path):
 @pytest.mark.parametrize("entries", [True, 1.0], ids=["true", "float"])
 def test_transcript_entry_count_must_be_a_json_integer(tmp_path, entries):
     path = tmp_path / "t.jsonl"
-    record(MockProvider("x"), [CompletionRequest("p")]).save(str(path))
+    record(MockProvider(lambda request: "x"), [CompletionRequest("p")]).save(str(path))
     header, entry = path.read_text(encoding="utf-8").splitlines()
     path.write_text(json.dumps({**json.loads(header), "entries": entries}) + "\n" + entry + "\n",
                     encoding="utf-8")
@@ -553,7 +547,7 @@ def test_completion_request_checks_its_fields(fields):
          "tag-object", "stale-max-output-tokens", "stale-temperature"],
 )
 def test_transcript_entry_errors_name_their_line(tmp_path, part, key, value, message):
-    transcript = record(MockProvider("x"), [CompletionRequest("p"), CompletionRequest("q")])
+    transcript = record(MockProvider(lambda request: "x"), [CompletionRequest("p"), CompletionRequest("q")])
     path = tmp_path / "t.jsonl"
     transcript.save(str(path))
     header, first, second = path.read_text(encoding="utf-8").splitlines()

@@ -197,7 +197,8 @@ def test_a_json_document_with_a_lone_surrogate_is_a_parse_error_naming_its_line(
 
 
 USAGE = {"prompt_tokens": 1, "completion_tokens": 1, "total_tokens": 2}
-QUESTIONS = {"k1", "k2"}  # the corpus a run log is checked against
+# the corpus a run log is checked against
+CORPUS = {qid: corpus.QARecord(qid, "Who?", ("A sentence.",), ("A",)) for qid in ("k1", "k2")}
 
 # every line-delimited reader: (load the file at a path, the key its lines are unique by, a field
 # a line needs, the lines before the keyed ones, a valid line with a given key)
@@ -205,9 +206,9 @@ READERS = {
     "corpus": (corpus.load_records, "question_id", "question", [],
                lambda key: {"question_id": key, "question": "Who?", "documents": ["A sentence."],
                             "gold_answers": ["A"]}),
-    "run-log": (lambda path: cli._load_run_log(path, "run log", QUESTIONS), "question_id", "answer", [],
+    "run-log": (lambda path: cli._load_run_log(path, "run log", CORPUS), "question_id", "answer", [],
                 lambda key: {"question_id": key, "answer": "A", "completion": "A", "usage": USAGE}),
-    "baseline-log": (lambda path: cli._baseline_token_mean(path, QUESTIONS), "question_id", "completion", [],
+    "baseline-log": (lambda path: cli._baseline_token_mean(path, CORPUS), "question_id", "completion", [],
                      lambda key: {"question_id": key, "answer": "A", "completion": "A", "usage": USAGE}),
     "transcript": (Transcript.load, "fingerprint", "result", [{"version": TRANSCRIPT_VERSION, "entries": 2}],
                    lambda key: {"fingerprint": key, "request": {"prompt": "p"},
