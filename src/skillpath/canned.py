@@ -1,13 +1,12 @@
 """Canned replies that understand the pipeline's prompts, for the mock backend.
 
-A MockProvider answers each request with a reply function of it. A test
-passes one that returns what the test needs; an end-to-end smoke run
+A MockProvider answers each request with its reply function. A smoke run
 needs one that answers every stage: generation needs parseable fills and
-scores, extraction needs verbatim document sentences. canned_reply inspects each
-request's tag and prompt and produces the smallest reply the downstream
-parser accepts, all without network access; CannedProvider is the
-MockProvider that answers with it. Replies are heuristic, not clever; they
-exercise plumbing, not quality.
+scores, extraction verbatim document sentences. canned_reply inspects
+each request's tag and prompt and produces the smallest reply the
+downstream parser accepts, all without network access; CannedProvider is
+the MockProvider that answers with it. Replies are heuristic, not clever;
+they exercise plumbing, not quality.
 
 A segment or answer reply is the first sentence of the prompt's document
 block, found with str.find at the template's fixed anchors: the leftmost

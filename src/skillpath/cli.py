@@ -23,8 +23,7 @@ latency_ms is the sum of a question's call latencies, not its wall time.
 generate appends each finished question's collection to a checkpoint,
 in the record that the bundle stores, and a rerun with the same settings
 and backend reuses it; eval reads each run-log line, which must be of a
-corpus question, into a metrics.EvalRecord that holds the question's gold
-answers and sentences.
+corpus question, into a metrics.EvalRecord with that question's gold data.
 """
 
 from __future__ import annotations
