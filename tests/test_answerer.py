@@ -246,7 +246,8 @@ def test_stage_failures_name_their_stage():
     answer("q?", DOC, example_for([S.DEDUCTIVE]), recorder)
     segment_only = ReplayProvider({e.fingerprint: e.result for e in recorder.transcript.entries
                                    if e.request.tag == "segment"})
-    with pytest.raises(ReplayMiss, match=r"^no transcript entry for request fingerprint [0-9a-f]{64} \(tag 'answer'\)$"):
+    miss = r"^no transcript entry for request fingerprint [0-9a-f]{64} \(tag 'answer'\)$"
+    with pytest.raises(ReplayMiss, match=miss):
         answer("q?", DOC, example_for([S.DEDUCTIVE]), segment_only)
 
 
