@@ -1330,6 +1330,23 @@ def test_answer_into_a_missing_directory_exits_2_before_any_call(tmp_path, fixtu
     assert mock_calls == []
 
 
+@pytest.mark.parametrize("command", ["generate", "answer"])
+def test_an_output_path_that_is_a_directory_exits_2_before_any_call(tmp_path, fixtures_dir, mock_calls, capsys,
+                                                                     command):
+    # a file cannot replace a directory, so the write at the end of the run would fail
+    output = tmp_path / "out"
+    output.mkdir()
+    inputs = ["--provider", "mock", "--corpus", f"{fixtures_dir}/corpus.jsonl"]
+    code = main({"generate": ["generate", *inputs, "--collection", str(output), "--count", "1"],
+                 "answer": ["answer", *inputs, "--collection", f"{fixtures_dir}/collection.json",
+                            "--run-log", str(output)]}[command])
+    assert code == 2
+    what = {"generate": "collection bundle", "answer": "run log"}[command]
+    assert f"[{command}] cannot write {what} {output}: " in capsys.readouterr().err
+    assert mock_calls == []
+    assert output.is_dir() and list(output.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["generate", "answer", "eval"])
 def test_a_lone_surrogate_in_the_corpus_exits_2_before_any_call(tmp_path, mock_calls, capsys, command):
     # json.dumps writes the surrogate as the escape "\ud800", which json.loads reads back
