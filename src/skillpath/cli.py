@@ -291,6 +291,7 @@ def cmd_generate(config: RunConfig) -> int:
         settings["transcript_created_at"] = backend.created_at
         settings["transcript_entries"] = backend.entry_count
     done = _load_checkpoint(checkpoint_path, settings, {r.question_id: r.question for r in records})
+    check_writable(config.collection, "collection bundle")
     if done:
         log.info("resuming: %d question(s) already completed", len(done))
     checkpoint_lock = threading.Lock()

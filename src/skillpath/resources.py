@@ -148,7 +148,12 @@ def write_text(path: str, text: str, what: str) -> None:
 
 
 def check_writable(path: str, what: str) -> None:
-    """Make and remove write_lines's temporary file for path, so a path it cannot write fails now."""
+    """Make and remove write_lines's temporary file for path, so a path it cannot write fails now.
+
+    A directory fails too: the temporary file could not replace it.
+    """
+    if os.path.isdir(path):
+        raise StorageError(f"cannot write {what} {path}: it is a directory")
     tmp = _temporary(path)
     try:
         open(tmp, "w").close()
