@@ -43,21 +43,14 @@ from .canned import CannedProvider
 from .decompose import decompose_question
 from .errors import NoCandidates, SkillPathError, StorageError, UnmatchedQuestionId
 from .matcher import SelectionMode
-from .providers import (
-    CompletionResult,
-    LiveProvider,
-    Provider,
-    ReplayProvider,
-    TokenUsage,
-    question_scope,
-)
-from .resources import (check_writable, json_line, parse_jsonl, read_json, read_keyed, read_lines, read_text,
-                        write_json, write_lines, write_text)
+from .providers import CompletionResult, LiveProvider, Provider, ReplayProvider, TokenUsage, question_scope
+from .resources import (check_writable, json_line, parse_jsonl, read_json, read_keyed, read_lines, write_json,
+                        write_lines, write_text)
 
 log = logging.getLogger(__name__)
 
-# setting -> the values it takes; a construction mode is spelled with dashes
-_CHOICES = {"gen_mode": tuple(sorted(mode.value.replace("_", "-") for mode in examplegen.ConstructionMode)),
+# setting -> the values it takes
+_CHOICES = {"gen_mode": tuple(sorted(mode.value for mode in examplegen.ConstructionMode)),
             "select_mode": tuple(sorted(mode.value for mode in SelectionMode)),
             "provider": ("live", "mock", "replay")}
 # candidates requested per question before filtering trims to --count
@@ -243,53 +236,49 @@ def _load_checkpoint(
     """Completed questions from the checkpoint, which is then rewritten in one step.
 
     The first line holds the settings the checkpoint was made with, each
-    later line a question and its collection as the bundle stores it. The
+    later line a question and its collection as the bundle stores it,
+    read by the contract of every line-delimited input (read_keyed). The
     rewrite keeps the whole lines: a torn last line, left by an append cut
     short, would swallow the next one. A checkpoint that cannot be read,
-    was made with other settings or holds a question that is not in
-    `questions` as written is rewritten as a new one instead.
+    was made with other settings, repeats a question or holds one that is
+    not in `questions` as written is rewritten as a new one instead.
     """
     header = {"settings": settings}
-    kept = json_line(header) + "\n"
+    kept = [json_line(header) + "\n"]
     done = {}
+
+    def completed(doc: dict) -> collection_mod.ExampleCollection:
+        qid = doc["question_id"]
+        if doc["question"] != questions.get(qid):
+            raise ValueError(f"question {qid!r} is not the corpus's question")
+        return collection_mod.collection_from_record(doc["collection"], f"{path}[{qid}]")
+
     if os.path.exists(path):
         try:
-            text = read_text(path, "checkpoint")
-            whole = text[: text.rfind("\n") + 1]
-            if whole != text:
+            lines = list(read_lines(path, "checkpoint"))
+            if lines and not lines[-1].endswith("\n"):
                 log.warning("dropping a torn last line from checkpoint %s", path)
-            lines = list(parse_jsonl(whole.split("\n"), path))
-            made_with = lines[0][1] if lines else None
+                lines.pop()
+            docs = parse_jsonl(lines, path)
+            made_with = next(docs, (0, None))[1]
             if made_with != header:
                 raise ValueError(f"made with {made_with!r}, not {header!r}")
-            for number, doc in lines[1:]:
-                qid = doc["question_id"]
-                if doc["question"] != questions.get(qid):
-                    raise ValueError(f"question {qid!r} is not the corpus's question")
-                done[qid] = collection_mod.collection_from_record(doc["collection"], f"{path}:{number}")
-            kept = whole
-        except (LookupError, TypeError, ValueError, SkillPathError) as exc:
+            done, kept = read_keyed(docs, path, "question_id", completed), lines
+        except (ValueError, SkillPathError) as exc:
             log.warning("ignoring unreadable checkpoint %s: %s", path, exc)
-            done = {}
-    write_text(path, kept, "checkpoint")
+    write_lines(path, kept, "checkpoint")
     return done
 
 
 def cmd_generate(config: RunConfig) -> int:
     records = corpus_mod.load_records(config.corpus)
     backend = _build_provider(config)
-    mode = examplegen.ConstructionMode(config.gen_mode.replace("-", "_"))
+    mode = examplegen.ConstructionMode(config.gen_mode)
 
     checkpoint_path = config.collection + ".checkpoint.jsonl"
     # a checkpoint made with other settings or another backend is stale; parallelism changes no output
     settings = {name: value for name, value in config.settings().items()
-                if name not in ("corpus", "collection", "parallelism")}
-    if isinstance(backend, LiveProvider):
-        settings["model"] = backend.model
-    if isinstance(backend, ReplayProvider):
-        # the path alone would take a rewritten transcript for the one recorded
-        settings["transcript_created_at"] = backend.created_at
-        settings["transcript_entries"] = backend.entry_count
+                if name not in ("corpus", "collection", "parallelism")} | backend.identity
     done = _load_checkpoint(checkpoint_path, settings, {r.question_id: r.question for r in records})
     check_writable(config.collection, "collection bundle")
     if done:
@@ -326,10 +315,9 @@ def cmd_generate(config: RunConfig) -> int:
 
     bundle, failures = _run_questions(config, records, work)
 
-    created_at = None
-    if isinstance(backend, ReplayProvider):
-        created_at = backend.created_at or None
     if bundle:
+        # a replayed bundle is stamped as its transcript was, so a replay writes the recorded bytes
+        created_at = backend.identity.get("transcript_created_at")
         collection_mod.persist_bundle(bundle, config.collection, created_at=created_at)
         _write_snapshot(config, config.collection)
     if failures == 0 and os.path.exists(checkpoint_path):

@@ -35,9 +35,9 @@ SIMILARITY_MAX = 10
 
 
 class ConstructionMode(Enum):
-    RANDOM_FILL = "random_fill"
-    GUIDED_FILL = "guided_fill"
-    TEMPLATE_VARIATION = "template_variation"
+    RANDOM_FILL = "random-fill"
+    GUIDED_FILL = "guided-fill"
+    TEMPLATE_VARIATION = "template-variation"
 
 
 class CandidateQuestion(NamedTuple):

@@ -39,6 +39,11 @@ class ScoreBreakdown(NamedTuple):
     total: float
 
 
+# ranking mode -> the ScoreBreakdown field it ranks by
+_RANKED_BY = {SelectionMode.FULL: "total", SelectionMode.COVERAGE_ONLY: "coverage",
+              SelectionMode.UNIQUENESS_ONLY: "uniqueness_sum"}
+
+
 class MatchResult(NamedTuple):
     selected_index: int
     per_example: tuple[ScoreBreakdown, ...]
@@ -76,8 +81,8 @@ def select_best(
 ) -> MatchResult:
     """Pick one example index under the given mode.
 
-    Full ranks by total, the single-signal modes by their component, and
-    Random draws uniformly from a seeded RNG; a missing seed is an error
+    Full, coverage and uniqueness each rank by their field in _RANKED_BY,
+    and Random draws uniformly from a seeded RNG; a missing seed is an error
     because unseeded selection cannot be replayed. Every mode reports the
     full per-example breakdown.
     """
@@ -88,19 +93,7 @@ def select_best(
         index = random.Random(seed).randrange(len(collection.examples))
         return MatchResult(index, breakdowns, mode)
 
-    if mode is SelectionMode.FULL:
-        key = [b.total for b in breakdowns]
-    elif mode is SelectionMode.COVERAGE_ONLY:
-        key = [b.coverage for b in breakdowns]
-    elif mode is SelectionMode.UNIQUENESS_ONLY:
-        key = [b.uniqueness_sum for b in breakdowns]
-    else:
-        raise ValueError(f"unknown selection mode: {mode!r}")
-
-    best = 0
-    best_key = round(key[0], _TIE_DECIMALS)
-    for i in range(1, len(key)):
-        k = round(key[i], _TIE_DECIMALS)
-        if k > best_key:
-            best, best_key = i, k
+    field = _RANKED_BY[mode]
+    # max keeps the first of equal keys, so a tie goes to the lowest index
+    best = max(range(len(breakdowns)), key=lambda i: round(getattr(breakdowns[i], field), _TIE_DECIMALS))
     return MatchResult(best, breakdowns, mode)

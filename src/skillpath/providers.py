@@ -188,10 +188,14 @@ class Provider:
 
     complete() is the one entry point every caller uses; subclasses
     implement _complete() and never override complete(), so a wrapper
-    around complete() sees every call.
+    around complete() sees every call. identity names what, besides the
+    provider setting that chose the backend, makes its replies differ: a
+    live model, a replayed transcript; callers read it, and never ask
+    which backend they hold.
     """
 
     name = "base"
+    identity: dict = {}
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         return self._complete(request)
@@ -333,8 +337,8 @@ class ReplayProvider(Provider):
 
     def __init__(self, results: dict[str, CompletionResult], created_at: str = ""):
         self._table = results
-        self.created_at = created_at
-        self.entry_count = len(results)
+        # the path alone would take a rewritten transcript for the one recorded
+        self.identity = {"transcript_created_at": created_at, "transcript_entries": len(results)}
         self._counter = _OccurrenceCounter()
 
     @classmethod
@@ -391,6 +395,7 @@ class LiveProvider(Provider):
             raise TransportError(f"{API_KEY_ENV} must hold printable latin-1 characters only")
         if not self.model:
             raise TransportError("no model configured: set " + MODEL_ENV)
+        self.identity = {"model": self.model}
         self.max_retries = _env_number(MAX_RETRIES_ENV, "3", int)
         self.backoff = _env_number(RETRY_BACKOFF_ENV, "1.0", float)
         # the last wait, backoff * 2**(max_retries - 1), must suit time.sleep, which

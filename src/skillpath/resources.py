@@ -182,14 +182,14 @@ def read_text(path: str, what: str) -> str:
 
 
 def read_lines(path: str, what: str) -> Iterator[str]:
-    """The lines of the UTF-8 file at path, one at a time and without their ends, decoded as by read_text.
+    """The lines of the UTF-8 file at path, one at a time, each with its \\n; only a last line can lack one.
 
-    So \\r\\n and a bare \\r end a line too; a failure part-way raises after the lines before it.
+    Decoded as by read_text, so \\r\\n and a bare \\r end a line too, read
+    as \\n; a failure part-way raises after the lines before it.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                yield line.rstrip("\n")
+            yield from fh
     except (OSError, UnicodeDecodeError) as exc:
         raise StorageError(f"cannot read {what} {path}: {exc}") from exc
 
@@ -203,7 +203,8 @@ def parse_jsonl(lines: Iterable[str], path: str) -> Iterator[tuple[int, object]]
     """Yield (line number, parsed value) for every non-blank one of the lines read from path."""
     for i, line in enumerate(lines, start=1):
         if line.strip():
-            yield i, _loads(line, path, i)
+            # without its \n, so an error at the end of the line names the column of that end
+            yield i, _loads(line.rstrip("\n"), path, i)
 
 
 class _RepeatedKey(Exception):

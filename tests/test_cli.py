@@ -742,6 +742,13 @@ def test_a_checkpoint_line_that_repeats_a_key_starts_fresh(tmp_path, corpus_path
                                     "an object repeats the key 'question_id'")
 
 
+def test_a_checkpoint_that_repeats_a_question_starts_fresh(tmp_path, corpus_path, caplog):
+    # read as every line-delimited input is, so a later line does not silently win
+    line = checkpoint_line("q1", marker_collection())
+    _assert_checkpoint_starts_fresh(tmp_path, corpus_path, caplog, line + "\n" + line,
+                                    ".checkpoint.jsonl:3: repeats question_id 'q1'")
+
+
 def version_1_collection():
     """marker_collection() as bundle version 1 stored it: with n, freq_index and each example's mode."""
     stored = marker_collection()

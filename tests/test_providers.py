@@ -172,7 +172,7 @@ def test_replay_from_a_file_keeps_results_only(tmp_path):
     recorder.transcript.save(str(path))
 
     replay = ReplayProvider.from_file(str(path))
-    assert (replay.created_at, replay.entry_count) == (recorder.transcript.created_at, 1)
+    assert replay.identity == {"transcript_created_at": recorder.transcript.created_at, "transcript_entries": 1}
     assert not hasattr(replay, "transcript")
     reached = list(_reachable(replay))
     assert {type(obj) for obj in reached if isinstance(obj, tuple)} == {CompletionResult, TokenUsage}
