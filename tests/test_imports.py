@@ -141,6 +141,41 @@ def test_only_resources_constructs_a_validation_error():
     assert {where for where in constructed if not where.startswith("resources.py:")} == set()
 
 
+def test_only_resources_reads_a_whole_file():
+    # every other input is read a line at a time through resources.read_lines
+    calls = {f"{os.path.basename(path)}:{node.lineno}" for path in MODULES for node in nodes(path)
+             if isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2] == "read_text"}
+    assert any(where.startswith("resources.py:") for where in calls)
+    assert {where for where in calls if not where.startswith("resources.py:")} == set()
+
+
+def provider_classes():
+    """The names of Provider and of every class in the package that derives from it."""
+    bases = {node.name: [ast.unparse(base).rpartition(".")[2] for base in node.bases]
+             for path in MODULES for node in nodes(path) if isinstance(node, ast.ClassDef)}
+
+    def derives(name):
+        return name == "Provider" or any(derives(base) for base in bases.get(name, ()))
+
+    return {name for name in bases if derives(name)}
+
+
+def test_no_module_but_providers_asks_which_backend_it_holds():
+    # a backend names what makes its replies differ in Provider.identity, so callers need not tell them apart
+    classes = provider_classes()
+    assert {"Provider", "LiveProvider", "ReplayProvider", "MockProvider", "CannedProvider"} <= classes
+    found = set()
+    for path in MODULES:
+        if os.path.basename(path) == "providers.py":
+            continue
+        for node in nodes(path):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance" and len(node.args) == 2:
+                named = {ast.unparse(part).rpartition(".")[2] for part in ast.walk(node.args[1])}
+                if named & classes:
+                    found.add(f"{os.path.basename(path)}:{node.lineno}")
+    assert found == set()
+
+
 def test_every_request_names_a_stage_the_mock_answers():
     tags = set()
     for path in MODULES:
