@@ -5,7 +5,8 @@ shared config file's other known keys are type-checked, then ignored.
 Flags beat a config file, the one other source of settings, and the
 snapshot next to every output lists exactly the settings read, as a
 valid --config file, so a run can be reproduced from its artifacts alone.
-Each command reads all of its input files before its first provider call.
+Each command reads all of its input files, and checks that it can write
+its bundle or run log, before its first provider call.
 
 --parallelism N runs N * N questions at once, each one call at a time, so
 at most N * N provider calls are in flight. _run_questions is the one
@@ -22,8 +23,10 @@ latency_ms is the sum of a question's call latencies, not its wall time.
 
 generate appends each finished question's collection to a checkpoint,
 in the record that the bundle stores, and a rerun with the same settings
-and backend reuses it; eval reads each run-log line, which must be of a
-corpus question, into a metrics.EvalRecord with that question's gold data.
+and backend identity (Provider.identity) reuses it, its lines judged as
+every line-delimited input's are (resources.read_keyed); eval reads each
+run-log line, which must be of a corpus question, into a
+metrics.EvalRecord with that question's gold data.
 """
 
 from __future__ import annotations
@@ -317,8 +320,7 @@ def cmd_generate(config: RunConfig) -> int:
 
     if bundle:
         # a replayed bundle is stamped as its transcript was, so a replay writes the recorded bytes
-        created_at = backend.identity.get("transcript_created_at")
-        collection_mod.persist_bundle(bundle, config.collection, created_at=created_at)
+        collection_mod.persist_bundle(bundle, config.collection, backend.identity.get("transcript_created_at"))
         _write_snapshot(config, config.collection)
     if failures == 0 and os.path.exists(checkpoint_path):
         os.remove(checkpoint_path)

@@ -8,13 +8,15 @@ $name slots, overridable the same way; rendering is strict, so a template
 that names a slot its caller does not supply, holds a $ that starts no
 slot, or renders to nothing is a StorageError naming the template.
 
-Every input file is opened and decoded by read_lines, a line at a time for
-parse_jsonl, or whole by read_text for read_json, and every whole-file write
-goes through write_lines, a line at a time: an OS or decoding failure becomes
-a StorageError in one place, invalid JSON or a string holding a lone surrogate
+Every input file is opened and decoded here: by read_lines, a line at a
+time with its line end, for parse_jsonl, or whole by read_text for
+read_json and the override files. Every whole-file write goes through
+write_lines, a line at a time: an OS or decoding failure becomes a
+StorageError in one place, invalid JSON or a string holding a lone surrogate
 a ValidationError naming path:line, an object that repeats a key one naming
 the key, and every whole-file output is replaced atomically. read_keyed
-judges the lines of the corpus, run logs and transcripts by one contract.
+judges the lines of the corpus, run logs, transcripts and the generate
+checkpoint by one contract.
 """
 
 from __future__ import annotations
