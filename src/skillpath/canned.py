@@ -26,6 +26,7 @@ from .textutil import first_sentence
 _SLOT_LINE = re.compile(r"^- slot (?P<slot>.+?) \(type (?P<type>.+?)\), currently: (?P<text>.+)$")
 _COUNT = re.compile(r"Propose (\d+) alternative")
 _ORIGINAL_Q = re.compile(r"^Original question: (.+)$", re.MULTILINE)
+_LISTED_STEP = re.compile(r"^(\d+)\. ", re.MULTILINE)
 
 
 def _substitution(prompt: str) -> str:
@@ -82,7 +83,9 @@ def _strategy(prompt: str) -> str:
 
 
 def _reference(prompt: str) -> str:
-    return "The fact needed for this step is stated plainly in standard reference material."
+    """One numbered passage per step that the prompt lists."""
+    return "\n".join(f"{n}. The fact needed for this step is stated plainly in standard reference material."
+                     for n in _LISTED_STEP.findall(prompt))
 
 
 def _block(prompt: str, opening: str, closing: str) -> str | None:

@@ -6,7 +6,7 @@ Flags beat a config file, the one other source of settings, and the
 snapshot next to every output lists exactly the settings read, as a
 valid --config file, so a run can be reproduced from its artifacts alone.
 Each command reads all of its input files, and checks that it can write
-its bundle or run log, before its first provider call.
+its output and the snapshot beside it, before its first provider call.
 
 --parallelism N runs N * N questions at once, each one call at a time, so
 at most N * N provider calls are in flight. _run_questions is the one
@@ -158,6 +158,12 @@ def _build_provider(config: RunConfig) -> Provider:
     return LiveProvider()
 
 
+def _check_outputs(output_path: str, what: str) -> None:
+    """Fail now where the output or the config snapshot beside it cannot be written."""
+    check_writable(output_path, what)
+    check_writable(output_path + ".config.json", "config snapshot")
+
+
 def _write_snapshot(config: RunConfig, output_path: str) -> None:
     write_json(output_path + ".config.json", {"command": config.command, "config": config.settings()},
                "config snapshot")
@@ -283,7 +289,7 @@ def cmd_generate(config: RunConfig) -> int:
     settings = {name: value for name, value in config.settings().items()
                 if name not in ("corpus", "collection", "parallelism")} | backend.identity
     done = _load_checkpoint(checkpoint_path, settings, {r.question_id: r.question for r in records})
-    check_writable(config.collection, "collection bundle")
+    _check_outputs(config.collection, "collection bundle")
     if done:
         log.info("resuming: %d question(s) already completed", len(done))
     checkpoint_lock = threading.Lock()
@@ -336,7 +342,7 @@ def cmd_answer(config: RunConfig) -> int:
     bundle = collection_mod.restore_bundle(config.collection)
     mode = SelectionMode(config.select_mode)
     # a run log that cannot be written fails the command before its first call
-    check_writable(config.run_log, "run log")
+    _check_outputs(config.run_log, "run log")
 
     provider = _build_provider(config)
 
@@ -418,6 +424,7 @@ def cmd_eval(config: RunConfig) -> int:
             entry.chain_text, list(records[entry.question_id].documents)))
         for entry in _load_run_log(config.run_log, "run log", records)
     ]
+    _check_outputs(config.report, "report")
 
     report, rows = metrics.evaluate_records(eval_records)
     report_doc = report.to_record()

@@ -3,8 +3,8 @@
 Candidates come from one of three construction modes: random pool fills,
 provider-guided fills, or free-form template variations. Survivors of the
 similarity filter get a reasoning strategy (typed steps plus an answer
-from the same reply) and one short reference document per step, forming a
-SimilarExample ready for collection into a Γ.
+from the same reply) and one short reference passage per step, all from
+one more reply, forming a SimilarExample ready for collection into a Γ.
 """
 
 from __future__ import annotations
@@ -96,6 +96,9 @@ _NUMBERED = re.compile(r"^\s*(\d+)[.)]\s*(.*\S)\s*$")
 _STEP_WITH_SKILL = re.compile(r"^(?P<body>.*\S)\s*\((?P<skill>[^()]+)\)\s*[.:]?$")
 _GENERATED_ANSWER = re.compile(r"Generated Answer:\s*(.*)", re.IGNORECASE)
 _INT = re.compile(r"\d+")
+_DECIMAL = re.compile(r"\d[.,]\d")
+# a scale written beside a score, its top bound captured: "1-10", "1 to 10", "/10", "out of 10"
+_SCALE = re.compile(r"(?:\d+\s*(?:-|–|\bto\b)|/|\bout of)\s*(\d+)")
 
 
 def generate_candidates(
@@ -215,9 +218,10 @@ def _template_variation(template: QuestionTemplate, count: int, provider: Provid
 def score_similarity(original: str, candidate: str, provider: Provider) -> int:
     """Ask the provider how similar a candidate is, on the 1 to 10 scale.
 
-    The score is read as the last integer in the reply, which tolerates a
-    leading explanation. A reply with no integer, or one outside the
-    scale, raises UnparseableScore.
+    The score is the last integer on the reply's last line that holds one,
+    once the scale written there ("1-10", "/10", "out of 10") is taken out.
+    An ambiguous reply is refused, not guessed: a decimal, a scale not to
+    10, no integer but the scale's, or a score outside it is UnparseableScore.
     """
     prompt = render_prompt(
         "similarity_scoring",
@@ -225,9 +229,10 @@ def score_similarity(original: str, candidate: str, provider: Provider) -> int:
         candidate_question=candidate,
     )
     reply = provider.complete(CompletionRequest(prompt, tag="similarity")).text
-    numbers = _INT.findall(reply)
-    if not numbers:
-        raise UnparseableScore(f"no integer score in reply: {reply[:120]!r}")
+    last = next((line for line in reversed(reply.splitlines()) if _INT.search(line)), "")
+    numbers = _INT.findall(_SCALE.sub(" ", last))
+    if not numbers or _DECIMAL.search(last) or any(top != "10" for top in _SCALE.findall(last)):
+        raise UnparseableScore(f"no score on the 1 to 10 scale in reply: {reply[:120]!r}")
     try:
         score = int(numbers[-1])
     except ValueError as exc:  # more digits than int() converts
@@ -302,16 +307,20 @@ def parse_strategy_reply(reply: str) -> tuple[ReasoningStrategy, str]:
 
 
 def build_reference_docs(strategy: ReasoningStrategy, provider: Provider) -> list[str]:
-    """One short reference passage per strategy step."""
-    return [_reference_doc(subq, provider) for subq in strategy.subquestions]
+    """One short reference passage per strategy step, all from one provider call.
 
-
-def _reference_doc(subquestion: str, provider: Provider) -> str:
-    prompt = render_prompt("reference_document", subquestion=subquestion)
-    text = provider.complete(CompletionRequest(prompt, tag="reference")).text.strip()
-    if not text:
-        raise ProviderError(f"empty reference document for step {subquestion!r}")
-    return text
+    The prompt lists the subquestions numbered in step order. The reply must
+    number one non-empty passage per step, exactly 1 to k in order, or it is
+    a ProviderError; unnumbered lines are ignored, as in a strategy reply.
+    """
+    listed = "\n".join(f"{n}. {subq}" for n, subq in enumerate(strategy.subquestions, start=1))
+    prompt = render_prompt("reference_document", subquestions=listed)
+    reply = provider.complete(CompletionRequest(prompt, tag="reference")).text
+    numbered = [m.groups() for m in map(_NUMBERED.match, reply.splitlines()) if m]
+    steps = len(strategy.subquestions)
+    if [n for n, _ in numbered] != [str(n) for n in range(1, steps + 1)]:
+        raise ProviderError(f"reference reply does not number one passage per step, 1 to {steps}: {reply[:120]!r}")
+    return [passage for _, passage in numbered]
 
 
 def synthesize_example(question: str, provider: Provider) -> SimilarExample:

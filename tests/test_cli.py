@@ -275,7 +275,7 @@ def test_generate_answer_eval_with_mock_provider(tmp_path, corpus_path, capsys):
 # two runs that agree with each other could still both write a record in a new shape
 PINNED_OUTPUTS = {
     "bundle.json": "7c6693cb3bf0c2515c5474c6a5ff4a0449454daee0a224aedc00adcb575c97b8",
-    "generate.transcript.jsonl": "49866deb165ea30c539e78e596285e7eca3026aad52ab1a34f6bdcf425508e0f",
+    "generate.transcript.jsonl": "31e28982ddb0113b6dae726a80f47defe190e4bbc0b481d17c437e0ecfd75ab2",
     "run.jsonl": "61f305472a4342f962ea17b54885e8d1566090a30d502c51829e695d5dd7bcc6",
     "answer.transcript.jsonl": "4390938b6e72033c8916c8f53623016b7c9398ee925ef61f00c921fa043c9814",
     "report.json": "97a12e92913049ffd19a1f30474063896a92047db810a09c26dc5e71d7252367",
@@ -482,13 +482,14 @@ def test_a_question_whose_candidates_all_score_low_fails_with_no_candidates(tmp_
     "command, name, text",
     [
         ("generate", "similarity_scoring", "Compare $original_question with $candidate_question: $ 10"),
-        ("generate", "reference_document", "Notes on $subquestion and $missing"),
+        ("generate", "reference_document", "Notes on $subquestions and $missing"),
+        ("generate", "reference_document", "Notes on $subquestion"),
         ("generate", "similarity_scoring", ""),
         ("answer", "segment_extraction", "Pick from $document for $skill_name, at 5$"),
         ("answer", "segment_extraction", ""),
     ],
-    ids=["generate-stray-dollar", "generate-missing-slot", "generate-empty", "answer-stray-dollar",
-         "answer-empty"],
+    ids=["generate-stray-dollar", "generate-missing-slot", "generate-one-step-slot", "generate-empty",
+         "answer-stray-dollar", "answer-empty"],
 )
 def test_a_faulty_prompt_template_override_fails_every_question(tmp_path, monkeypatch, capsys,
                                                                  uncached_loaders, command, name, text):
@@ -685,6 +686,25 @@ def test_failed_config_snapshot_write_exits_2(tmp_path, corpus_path, capsys):
                  "--report", str(report_path)])
     assert code == 2
     assert "config snapshot" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["generate", "answer", "eval"])
+def test_a_config_snapshot_path_that_is_a_directory_exits_2_before_any_call(tmp_path, corpus_path, mock_calls,
+                                                                             capsys, command):
+    bundle, run_log, report = (str(tmp_path / name) for name in ("bundle.json", "run.jsonl", "report.json"))
+    argv = {"generate": ["--provider", "mock", "--collection", bundle, "--count", "1"],
+            "answer": ["--provider", "mock", "--collection", bundle, "--run-log", run_log],
+            "eval": ["--run-log", run_log, "--report", report]}
+    for earlier in {"generate": [], "answer": ["generate"], "eval": ["generate", "answer"]}[command]:
+        assert main([earlier, "--corpus", corpus_path, *argv[earlier]]) == 0
+    output = {"generate": bundle, "answer": run_log, "eval": report}[command]
+    os.mkdir(output + ".config.json")
+    mock_calls.clear()
+    capsys.readouterr()
+    assert main([command, "--corpus", corpus_path, *argv[command]]) == 2
+    assert "cannot write config snapshot" in capsys.readouterr().err
+    assert mock_calls == []
+    assert not os.path.exists(output)
 
 
 def test_torn_checkpoint_tail_keeps_completed_questions(tmp_path):

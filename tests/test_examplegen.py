@@ -29,7 +29,8 @@ from skillpath.examplegen import (
     score_similarity,
     synthesize_example,
 )
-from skillpath.providers import MockProvider
+from skillpath.canned import canned_reply
+from skillpath.providers import CompletionRequest, MockProvider
 from skillpath.skills import ReasoningSkill
 
 from conftest import replies
@@ -156,6 +157,33 @@ def test_score_reads_last_integer():
     assert score_similarity("a", "b", provider) == 8
 
 
+# a similarity reply -> the score read from it, or None where it is UnparseableScore
+SCORE_REPLIES = {
+    "canned": (canned_reply(CompletionRequest("x", tag="similarity")), 10),
+    "slash-ten": ("Score: 8/10", 8),
+    "out-of-ten": ("I would rate this 7 out of 10.", 7),
+    "scale-after": ("Rating: 3 (on a scale of 1-10)", 3),
+    "scale-in-words": ("Score (1 to 10): 6", 6),
+    "explanation-lines-first": ("It asks for 2 facts, not 1.\nScore: 9", 9),
+    "decimal": ("9.5", None),
+    "decimal-out-of-ten": ("Score: 7.5 out of 10", None),
+    "other-scale": ("Score: 4/5", None),
+    "other-range": ("Rating: 3 (on a scale of 1-5)", None),
+    "only-the-bounds": ("Score (1-10): see above", None),
+    "zero": ("Score: 0/10", None),
+}
+
+
+@pytest.mark.parametrize("reply, score", SCORE_REPLIES.values(), ids=SCORE_REPLIES)
+def test_a_similarity_reply_is_read_as_written_or_refused(reply, score):
+    provider = MockProvider(lambda request: reply)
+    if score is None:
+        with pytest.raises(UnparseableScore):
+            score_similarity("a", "b", provider)
+    else:
+        assert score_similarity("a", "b", provider) == score
+
+
 def test_score_rejects_missing_or_out_of_scale():
     with pytest.raises(UnparseableScore):
         score_similarity("a", "b", MockProvider(lambda request: "no digits here"))
@@ -269,16 +297,64 @@ def test_reference_docs_one_per_subquestion():
         ("When was the tower finished?", "How tall is it?"),
         (ReasoningSkill.DEDUCTIVE, ReasoningSkill.DEDUCTIVE),
     )
-    provider = MockProvider(
-        replies_by_marker(
-            {
-                "When was the tower finished?": "The tower was finished in 1889.",
-                "How tall is it?": "It stands 330 metres tall.",
-            }
-        )
-    )
-    docs = build_reference_docs(strategy, provider)
+    prompts = []
+
+    def reply(request):
+        prompts.append(request.prompt)
+        return "1. The tower was finished in 1889.\n2. It stands 330 metres tall."
+
+    docs = build_reference_docs(strategy, MockProvider(reply))
     assert docs == ["The tower was finished in 1889.", "It stands 330 metres tall."]
+    (prompt,) = prompts
+    assert prompt.endswith("\n1. When was the tower finished?\n2. How tall is it?\n")
+
+
+THREE_STEPS = ReasoningStrategy(("a?", "b?", "c?"), (ReasoningSkill.DEDUCTIVE,) * 3)
+
+
+# a reference reply to THREE_STEPS -> the passages read from it, or None where it is a ProviderError
+REFERENCE_REPLIES = {
+    "canned": (canned_reply(CompletionRequest("1. a?\n2. b?\n3. c?", tag="reference")),
+               ["The fact needed for this step is stated plainly in standard reference material."] * 3),
+    "paren-numbers": ("1) Alpha.\n2) Beta.\n3) Gamma.", ["Alpha.", "Beta.", "Gamma."]),
+    "preface-line": ("Here are the passages:\n1. Alpha.\n2. Beta.\n3. Gamma.", ["Alpha.", "Beta.", "Gamma."]),
+    "blank-lines": ("\n1. Alpha.\n\n  2.  Beta.  \n\n3. Gamma.\n", ["Alpha.", "Beta.", "Gamma."]),
+    "missing-number": ("1. Alpha.\n3. Gamma.", None),
+    "duplicate-number": ("1. Alpha.\n2. Beta.\n2. Beta again.\n3. Gamma.", None),
+    "out-of-order": ("1. Alpha.\n3. Gamma.\n2. Beta.", None),
+    "extra-number": ("1. Alpha.\n2. Beta.\n3. Gamma.\n4. Delta.", None),
+    "empty-passage": ("1. Alpha.\n2.\n3. Gamma.", None),
+    "zero-based": ("0. Alpha.\n1. Beta.\n2. Gamma.", None),
+    "unnumbered": ("Alpha. Beta. Gamma.", None),
+}
+
+
+@pytest.mark.parametrize("reply, passages", REFERENCE_REPLIES.values(), ids=REFERENCE_REPLIES)
+def test_a_reference_reply_is_read_as_numbered_or_refused(reply, passages):
+    provider = MockProvider(lambda request: reply)
+    if passages is None:
+        with pytest.raises(ProviderError, match="^reference reply does not number one passage per step, 1 to 3:"):
+            build_reference_docs(THREE_STEPS, provider)
+    else:
+        assert build_reference_docs(THREE_STEPS, provider) == passages
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 4, 5])
+def test_synthesize_example_makes_two_calls_whatever_its_steps(steps):
+    subquestions = [f"Which fact number {n} matters?" for n in range(1, steps + 1)]
+    strategy_reply = "".join(f"{n}. {q} (deductive)\n" for n, q in enumerate(subquestions, 1))
+    requests = []
+
+    def reply(request):
+        requests.append(request)
+        return strategy_reply + "Generated Answer: x" if request.tag == "strategy" else canned_reply(request)
+
+    example = synthesize_example("q?", MockProvider(reply))
+    assert [r.tag for r in requests] == ["strategy", "reference"]
+    listed = requests[1].prompt.split("Questions:\n", 1)[1]
+    assert listed == "".join(f"{n}. {q}\n" for n, q in enumerate(subquestions, 1))
+    assert example.strategy.subquestions == tuple(subquestions)
+    assert len(example.reference_docs) == steps
 
 
 def test_reference_docs_reject_empty_replies():
@@ -300,15 +376,16 @@ def test_similar_example_validates_shape():
 def test_synthesize_example_end_to_end_with_mock():
     provider = MockProvider(replies(
         STRATEGY_REPLY,
-        "Bell filed the telephone patent in 1876.",
-        "A patent names its inventor.",
-        "The patent office recorded the filing.",
-        "The record survives today.",
+        "1. Bell filed the telephone patent in 1876.\n"
+        "2. A patent names its inventor.\n"
+        "3. The patent office recorded the filing.\n"
+        "4. The record survives today.",
     ))
     example = synthesize_example("Who invented the telephone?", provider)
     assert example.question == "Who invented the telephone?"
     assert example.answer == "Alexander Graham Bell"
-    assert len(example.reference_docs) == len(example.strategy.skills)
+    assert example.reference_docs == ("Bell filed the telephone patent in 1876.", "A patent names its inventor.",
+                                      "The patent office recorded the filing.", "The record survives today.")
 
 
 # one line of text: no character that str.splitlines() breaks on
@@ -347,6 +424,7 @@ def test_reply_parsers_raise_nothing_but_package_errors(reply):
         lambda: parse_strategy_reply(reply),
         lambda: score_similarity(EIFFEL, "Which is older?", provider),
         lambda: generate_candidates(_EIFFEL_TEMPLATE, ConstructionMode.GUIDED_FILL, 3, provider=provider),
+        lambda: build_reference_docs(THREE_STEPS, provider),
     ]
     for parse in parsers:
         try:

@@ -191,6 +191,7 @@ def test_a_stage_makes_every_call_on_the_calling_thread():
         return {
             "similarity": "Score: 8",
             "strategy": "1. How tall? (deductive)\n2. How old? (inductive)\nGenerated Answer: x",
+            "reference": "1. It stands 330 metres tall.\n2. It opened in 1889.",
             "segment": "It stands 330 metres tall.",
         }.get(request.tag, "<answer>330 metres</answer>")
 
@@ -199,8 +200,8 @@ def test_a_stage_makes_every_call_on_the_calling_thread():
     score_candidates("orig", candidates, provider)
     synthesize_example("q one", provider)
     answer("How tall?", DOC, make_example([S.DEDUCTIVE, S.INDUCTIVE]), provider)
-    # two scores; a strategy and two references; two extractions and the answer
-    assert threads == [threading.get_ident()] * 8
+    # two scores; a strategy and one reference call for both steps; two extractions and the answer
+    assert threads == [threading.get_ident()] * 7
 
 
 # ------------------------------------------------------------ one call at a time per question
@@ -468,8 +469,14 @@ class JitteryBackend(Provider):
         if request.tag == "answer":
             return f"Seen {occurrence} times before. <answer>{occurrence}</answer>"
         if request.tag == "reference":
-            return f"Reference note number {occurrence} for this step."
+            return _numbered_notes(request, occurrence)
         return canned_reply(request)
+
+
+def _numbered_notes(request, arrival: int) -> str:
+    """A reference reply to request that names, for each of its steps, the arrival number of its prompt."""
+    steps = len(canned_reply(request).splitlines())
+    return "\n".join(f"{n}. Reference note number {arrival} for this step." for n in range(1, steps + 1))
 
 
 def _recorded_runs(tmp_path, monkeypatch, command, argv, outputs, seeds=range(5)):
@@ -545,7 +552,7 @@ def test_generate_record_and_replay_are_byte_identical_under_jitter(tmp_path, mo
 
     for recorded, _ in _recorded_runs(tmp_path, monkeypatch, "generate", argv, outputs):
         examples = json.loads(recorded)["q1"]["examples"]
-        # both candidates send each step's reference prompt, the first candidate first
+        # both candidates send one reference prompt, the same for both, the first candidate first
         assert [example["reference_docs"] for example in examples] == [
             [f"Reference note number {n} for this step."] * 2 for n in (0, 1)
         ]
@@ -566,12 +573,12 @@ class ArrivalOrder(Provider):
         with self._lock:
             arrival = self._seen[request.prompt]
             self._seen[request.prompt] += 1
-        text = f"Reference note number {arrival} for this step."
+        text = _numbered_notes(request, arrival)
         return CompletionResult(text, TokenUsage.of(count_ws_tokens(request.prompt), 7))
 
 
 def test_questions_sharing_prompts_replay_their_own_replies_at_parallelism_8(tmp_path, monkeypatch):
-    # every question asks the canned strategies' two reference prompts, so
+    # every question asks the canned strategies' one reference prompt, so
     # questions running at once race for the arrival numbers in the replies
     places = ["Eiffel Tower", "Empire State Building", "Golden Gate Bridge", "Taj Mahal"]
     questions = [f"Which is {adj}, the {a} or the {b}?"
@@ -601,7 +608,7 @@ def test_questions_sharing_prompts_replay_their_own_replies_at_parallelism_8(tmp
 
 
 def test_a_recording_replays_any_subset_of_its_questions_in_any_order(tmp_path, monkeypatch):
-    # questions share the canned strategies' reference prompts, so the recorded
+    # questions share the canned strategies' reference prompt, so the recorded
     # collections depend on the order in which the questions' calls arrived
     places = ["Eiffel Tower", "Empire State Building", "Golden Gate Bridge", "Taj Mahal"]
     pairs = [(adj, a, b) for adj in ("tall", "old") for a in places for b in places if a != b]

@@ -119,7 +119,7 @@ BUNDLED_TEMPLATE_SLOTS = {
     "template_variation": {"question", "template_text", "count"},
     "similarity_scoring": {"original_question", "candidate_question"},
     "strategy_generation": {"skill_catalog", "question"},
-    "reference_document": {"subquestion"},
+    "reference_document": {"subquestions"},
     "segment_extraction": {"question_line", "skill_name", "skill_description", "document"},
     "guided_answer": {"question", "documents", "reasoning_path", "skills", "demonstration"},
 }
