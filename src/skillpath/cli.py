@@ -21,12 +21,10 @@ byte at any parallelism, for any subset of its questions in any order.
 Files are always written by one writer in input order. A run log's
 latency_ms is the sum of a question's call latencies, not its wall time.
 
-generate appends each finished question's collection to a checkpoint,
-in the record that the bundle stores, and a rerun with the same settings
-and backend identity (Provider.identity) reuses it, its lines judged as
-every line-delimited input's are (resources.read_keyed); eval reads each
-run-log line, which must be of a corpus question, into a
-metrics.EvalRecord with that question's gold data.
+A live backend's replies go to a journal beside the output, removed once
+every question succeeds, so a rerun sends only the requests it lacks
+(providers.JournalProvider). eval reads each run-log line, which must be
+of a corpus question, into a metrics.EvalRecord with its gold data.
 """
 
 from __future__ import annotations
@@ -46,11 +44,10 @@ from .canned import CannedProvider
 from .decompose import decompose_question
 from .errors import NoCandidates, SkillPathError, StorageError, UnmatchedQuestionId
 from .matcher import SelectionMode
-from .providers import CompletionResult, LiveProvider, Provider, ReplayProvider, TokenUsage, question_scope
+from .providers import (CompletionResult, JournalProvider, LiveProvider, Provider, ReplayProvider, TokenUsage,
+                        question_scope)
 from .resources import (check_writable, json_line, parse_jsonl, read_json, read_keyed, read_lines, write_json,
                         write_lines, write_text)
-
-log = logging.getLogger(__name__)
 
 # setting -> the values it takes
 _CHOICES = {"gen_mode": tuple(sorted(mode.value for mode in examplegen.ConstructionMode)),
@@ -150,18 +147,20 @@ def _problems(config: RunConfig):
             yield name, f"--{name.replace('_', '-')} is required for {config.command}"
 
 
-def _build_provider(config: RunConfig) -> Provider:
+def _build_provider(config: RunConfig, output_path: str) -> tuple[Provider, str | None]:
+    """The backend, and the journal it keeps beside the output; only a live backend, whose calls cost, keeps one."""
     if config.provider == "mock":
-        return CannedProvider()
+        return CannedProvider(), None
     if config.provider == "replay":
-        return ReplayProvider.from_file(config.transcript)
-    return LiveProvider()
+        return ReplayProvider.from_file(config.transcript), None
+    journal = output_path + ".journal.jsonl"
+    return JournalProvider(LiveProvider(), journal), journal
 
 
-def _check_outputs(output_path: str, what: str) -> None:
-    """Fail now where the output or the config snapshot beside it cannot be written."""
-    check_writable(output_path, what)
-    check_writable(output_path + ".config.json", "config snapshot")
+def _check_outputs(output_path: str, what: str, *beside: tuple[str, str]) -> None:
+    """Fail now where the output, its config snapshot or a (suffix, what) file beside it cannot be written."""
+    for suffix, kind in (("", what), (".config.json", "config snapshot"), *beside):
+        check_writable(output_path + suffix, kind)
 
 
 def _write_snapshot(config: RunConfig, output_path: str) -> None:
@@ -239,88 +238,24 @@ def _run_questions(
 
 # ---------------------------------------------------------------- generate
 
-def _load_checkpoint(
-    path: str, settings: dict, questions: dict[str, str]
-) -> dict[str, collection_mod.ExampleCollection]:
-    """Completed questions from the checkpoint, which is then rewritten in one step.
-
-    The first line holds the settings the checkpoint was made with, each
-    later line a question and its collection as the bundle stores it,
-    read by the contract of every line-delimited input (read_keyed). The
-    rewrite keeps the whole lines: a torn last line, left by an append cut
-    short, would swallow the next one. A checkpoint that cannot be read,
-    was made with other settings, repeats a question or holds one that is
-    not in `questions` as written is rewritten as a new one instead.
-    """
-    header = {"settings": settings}
-    kept = [json_line(header) + "\n"]
-    done = {}
-
-    def completed(doc: dict) -> collection_mod.ExampleCollection:
-        qid = doc["question_id"]
-        if doc["question"] != questions.get(qid):
-            raise ValueError(f"question {qid!r} is not the corpus's question")
-        return collection_mod.collection_from_record(doc["collection"], f"{path}[{qid}]")
-
-    if os.path.exists(path):
-        try:
-            lines = list(read_lines(path, "checkpoint"))
-            if lines and not lines[-1].endswith("\n"):
-                log.warning("dropping a torn last line from checkpoint %s", path)
-                lines.pop()
-            docs = parse_jsonl(lines, path)
-            made_with = next(docs, (0, None))[1]
-            if made_with != header:
-                raise ValueError(f"made with {made_with!r}, not {header!r}")
-            done, kept = read_keyed(docs, path, "question_id", completed), lines
-        except (ValueError, SkillPathError) as exc:
-            log.warning("ignoring unreadable checkpoint %s: %s", path, exc)
-    write_lines(path, kept, "checkpoint")
-    return done
-
-
 def cmd_generate(config: RunConfig) -> int:
     records = corpus_mod.load_records(config.corpus)
-    backend = _build_provider(config)
     mode = examplegen.ConstructionMode(config.gen_mode)
-
-    checkpoint_path = config.collection + ".checkpoint.jsonl"
-    # a checkpoint made with other settings or another backend is stale; parallelism changes no output
-    settings = {name: value for name, value in config.settings().items()
-                if name not in ("corpus", "collection", "parallelism")} | backend.identity
-    done = _load_checkpoint(checkpoint_path, settings, {r.question_id: r.question for r in records})
     _check_outputs(config.collection, "collection bundle")
-    if done:
-        log.info("resuming: %d question(s) already completed", len(done))
-    checkpoint_lock = threading.Lock()
+    backend, journal = _build_provider(config, config.collection)
 
     def work(record: corpus_mod.QARecord) -> collection_mod.ExampleCollection:
         qid = record.question_id
-        if qid in done:
-            return done[qid]
         template = decompose_question(record.question)
         rng = random.Random(f"{config.seed if config.seed is not None else 0}:{qid}")
-        candidates = examplegen.generate_candidates(
-            template,
-            mode,
-            count=config.count * _OVERGENERATION,
-            provider=backend,
-            rng=rng,
-        )
+        candidates = examplegen.generate_candidates(template, mode, count=config.count * _OVERGENERATION,
+                                                    provider=backend, rng=rng)
         scored = examplegen.score_candidates(record.question, candidates, backend)
         kept = examplegen.filter_candidates(scored, config.delta)
         if not kept:
             raise NoCandidates(qid)
         examples = [examplegen.synthesize_example(c.text, backend) for c in kept[: config.count]]
-        built = collection_mod.build_collection(examples)
-        stored = collection_mod.collection_to_record(built)
-        line = json_line({"question_id": qid, "question": record.question, "collection": stored})
-        try:
-            with checkpoint_lock, open(checkpoint_path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-        except OSError as exc:
-            raise StorageError(f"cannot append to checkpoint {checkpoint_path}: {exc}") from exc
-        return built
+        return collection_mod.build_collection(examples)
 
     bundle, failures = _run_questions(config, records, work)
 
@@ -328,8 +263,8 @@ def cmd_generate(config: RunConfig) -> int:
         # a replayed bundle is stamped as its transcript was, so a replay writes the recorded bytes
         collection_mod.persist_bundle(bundle, config.collection, backend.identity.get("transcript_created_at"))
         _write_snapshot(config, config.collection)
-    if failures == 0 and os.path.exists(checkpoint_path):
-        os.remove(checkpoint_path)
+    if journal and not failures:
+        os.remove(journal)
 
     print(f"generated collections for {len(bundle)} of {len(records)} question(s)")
     return 0 if failures == 0 else 1
@@ -341,10 +276,8 @@ def cmd_answer(config: RunConfig) -> int:
     records = corpus_mod.load_records(config.corpus)
     bundle = collection_mod.restore_bundle(config.collection)
     mode = SelectionMode(config.select_mode)
-    # a run log that cannot be written fails the command before its first call
     _check_outputs(config.run_log, "run log")
-
-    provider = _build_provider(config)
+    provider, journal = _build_provider(config, config.run_log)
 
     def work(record: corpus_mod.QARecord) -> dict:
         qid = record.question_id
@@ -369,6 +302,8 @@ def cmd_answer(config: RunConfig) -> int:
 
     write_lines(config.run_log, (json_line(line) + "\n" for line in answered.values()), "run log")
     _write_snapshot(config, config.run_log)
+    if journal and not failures:
+        os.remove(journal)
 
     print(
         f"answered {len(answered)} of {len(records)} record(s), "
@@ -424,7 +359,7 @@ def cmd_eval(config: RunConfig) -> int:
             entry.chain_text, list(records[entry.question_id].documents)))
         for entry in _load_run_log(config.run_log, "run log", records)
     ]
-    _check_outputs(config.report, "report")
+    _check_outputs(config.report, "report", (".records.tsv", "record table"))
 
     report, rows = metrics.evaluate_records(eval_records)
     report_doc = report.to_record()

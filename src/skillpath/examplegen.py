@@ -99,6 +99,7 @@ _INT = re.compile(r"\d+")
 _DECIMAL = re.compile(r"\d[.,]\d")
 # a scale written beside a score, its top bound captured: "1-10", "1 to 10", "/10", "out of 10"
 _SCALE = re.compile(r"(?:\d+\s*(?:-|–|\bto\b)|/|\bout of)\s*(\d+)")
+_SCORE_LABEL = re.compile(r"\b(?:score|rating)\b", re.IGNORECASE)
 
 
 def generate_candidates(
@@ -218,8 +219,9 @@ def _template_variation(template: QuestionTemplate, count: int, provider: Provid
 def score_similarity(original: str, candidate: str, provider: Provider) -> int:
     """Ask the provider how similar a candidate is, on the 1 to 10 scale.
 
-    The score is the last integer on the reply's last line that holds one,
-    once the scale written there ("1-10", "/10", "out of 10") is taken out.
+    On the reply's last line that holds an integer, once the scale written
+    there ("1-10", "/10", "out of 10") is taken out, the score is the first
+    integer after a "Score" or "Rating" label, or else the last integer.
     An ambiguous reply is refused, not guessed: a decimal, a scale not to
     10, no integer but the scale's, or a score outside it is UnparseableScore.
     """
@@ -230,7 +232,9 @@ def score_similarity(original: str, candidate: str, provider: Provider) -> int:
     )
     reply = provider.complete(CompletionRequest(prompt, tag="similarity")).text
     last = next((line for line in reversed(reply.splitlines()) if _INT.search(line)), "")
-    numbers = _INT.findall(_SCALE.sub(" ", last))
+    unscaled = _SCALE.sub(" ", last)
+    label = _SCORE_LABEL.search(unscaled)
+    numbers = _INT.findall(unscaled, label.end())[:1] if label else _INT.findall(unscaled)
     if not numbers or _DECIMAL.search(last) or any(top != "10" for top in _SCALE.findall(last)):
         raise UnparseableScore(f"no score on the 1 to 10 scale in reply: {reply[:120]!r}")
     try:

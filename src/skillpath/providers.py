@@ -1,4 +1,4 @@
-"""Completion backends: live HTTP, mock, recording and replay; question scopes and transcripts.
+"""Completion backends: live HTTP, mock, recording, replay and a live journal; question scopes and transcripts.
 
 Every pipeline stage talks to a Provider through one method, complete().
 The recording wrapper captures request and result pairs keyed by a stable
@@ -6,6 +6,8 @@ fingerprint, and the replay provider serves them back bit for bit, which
 is what makes end-to-end runs reproducible without network access.
 Transcripts are written and read a line at a time, and the replay
 provider keeps only the results: no recorded prompt outlives the read.
+The journal wrapper keeps a live backend's replies in a file as they
+arrive, so a rerun sends only the requests the file lacks.
 
 A request is a prompt and a stage tag; the fingerprint covers the
 prompt, a scope and an occurrence index. The scope is the question a
@@ -23,6 +25,7 @@ import contextlib
 import contextvars
 import itertools
 import json
+import logging
 import math
 import os
 import sys
@@ -32,8 +35,9 @@ from collections.abc import Callable
 from typing import NamedTuple
 
 from . import __version__
-from .errors import ReplayMiss, StorageError, TransportError
-from .resources import fields, json_line, parse_jsonl, read_keyed, read_lines, utc_now, write_lines
+from .errors import ReplayMiss, SkillPathError, StorageError, TransportError
+from .resources import (append_line, fields, json_line, parse_jsonl, read_keyed, read_lines, utc_now,
+                        write_lines)
 from .textutil import count_ws_tokens
 
 API_BASE_ENV = "SKILLPATH_API_BASE"
@@ -47,6 +51,8 @@ LIVE_TEMPERATURE = 0.0
 LIVE_MAX_TOKENS = 4096
 
 TRANSCRIPT_VERSION = 6
+
+log = logging.getLogger(__name__)
 
 # (question id,) inside question_scope, () outside any question
 _scope: contextvars.ContextVar[tuple[str, ...]] = contextvars.ContextVar("skillpath_scope", default=())
@@ -284,15 +290,19 @@ def _read_transcript(path: str, convert: Callable[[dict], object]) -> tuple[str,
     return provider, created_at, entries
 
 
-def _entry(doc: dict) -> TranscriptEntry:
-    """A transcript entry line, its fields checked as a live reply's are."""
+def _result(doc: dict) -> CompletionResult:
+    """The result of a transcript entry or journal line, its fields checked as a live reply's are."""
     if not isinstance(doc["fingerprint"], str):
         raise ValueError(f"fingerprint must be a string, got {doc['fingerprint']!r}")
-    request = fields(doc["request"], "request", {"prompt"}, {"tag"})
     result = fields(doc["result"], "result", {"text", "usage"}, {"latency_ms"})
     usage = TokenUsage(**fields(result["usage"], "usage", {*TokenUsage._fields}))
-    return TranscriptEntry(doc["fingerprint"], CompletionRequest(**request),
-                           CompletionResult(result["text"], usage, result.get("latency_ms", 0.0)))
+    return CompletionResult(result["text"], usage, result.get("latency_ms", 0.0))
+
+
+def _entry(doc: dict) -> TranscriptEntry:
+    """A transcript entry line, checked by _result and field by field in its request."""
+    request = fields(doc["request"], "request", {"prompt"}, {"tag"})
+    return TranscriptEntry(doc["fingerprint"], CompletionRequest(**request), _result(doc))
 
 
 class RecordingProvider(Provider):
@@ -337,8 +347,8 @@ class ReplayProvider(Provider):
 
     def __init__(self, results: dict[str, CompletionResult], created_at: str = ""):
         self._table = results
-        # the path alone would take a rewritten transcript for the one recorded
-        self.identity = {"transcript_created_at": created_at, "transcript_entries": len(results)}
+        # a replayed bundle is stamped as its transcript was
+        self.identity = {"transcript_created_at": created_at}
         self._counter = _OccurrenceCounter()
 
     @classmethod
@@ -351,6 +361,52 @@ class ReplayProvider(Provider):
         if fp not in self._table:
             raise ReplayMiss(f"no transcript entry for request fingerprint {fp}{_tag_note(request)}")
         return self._table[fp]
+
+
+class JournalProvider(Provider):
+    """Wraps a backend whose calls cost something, and keeps its replies in a journal file.
+
+    The journal is a header line, {"version", "identity"}, then a {"fingerprint", "result"} line
+    per reply, appended as it arrives; a request the journal holds is answered from it, not sent.
+    A journal of another version or identity, or one that cannot be read, is ignored with a
+    warning, and a torn last line is dropped; either way the file is rewritten before any call.
+    """
+
+    name = "journal"
+
+    def __init__(self, inner: Provider, path: str):
+        self.inner = inner
+        self.identity = inner.identity
+        self.path = path
+        self._counter = _OccurrenceCounter()
+        self._lock = threading.Lock()
+        header = {"version": TRANSCRIPT_VERSION, "identity": inner.identity}
+        kept, self._results = [json_line(header) + "\n"], {}
+        if os.path.exists(path):
+            try:
+                lines = list(read_lines(path, "journal"))
+                if lines and not lines[-1].endswith("\n"):
+                    log.warning("dropping a torn last line from journal %s", path)
+                    lines.pop()
+                docs = parse_jsonl(lines, path)
+                made_with = next(docs, (0, None))[1]
+                if made_with != header:
+                    raise ValueError(f"made with {made_with!r}, not {header!r}")
+                self._results, kept = read_keyed(docs, path, "fingerprint", _result), lines
+            except (ValueError, SkillPathError) as exc:
+                log.warning("ignoring unreadable journal %s: %s", path, exc)
+        write_lines(path, kept, "journal")
+
+    def _complete(self, request: CompletionRequest) -> CompletionResult:
+        fp = self._counter.fingerprint(request)
+        stored = self._results.pop(fp, None)  # a fingerprint is asked for once per run
+        if stored is not None:
+            return stored
+        result = self.inner.complete(request)
+        line = json_line({"fingerprint": fp, "result": {**result._asdict(), "usage": result.usage._asdict()}})
+        with self._lock:
+            append_line(self.path, line + "\n", "journal")
+        return result
 
 
 class LiveProvider(Provider):

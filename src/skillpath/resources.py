@@ -11,12 +11,12 @@ slot, or renders to nothing is a StorageError naming the template.
 Every input file is opened and decoded here: by read_lines, a line at a
 time with its line end, for parse_jsonl, or whole by read_text for
 read_json and the override files. Every whole-file write goes through
-write_lines, a line at a time: an OS or decoding failure becomes a
-StorageError in one place, invalid JSON or a string holding a lone surrogate
-a ValidationError naming path:line, an object that repeats a key one naming
-the key, and every whole-file output is replaced atomically. read_keyed
-judges the lines of the corpus, run logs, transcripts and the generate
-checkpoint by one contract.
+write_lines, a line at a time, and a journal line is added by append_line:
+an OS or decoding failure becomes a StorageError in one place, invalid JSON
+or a string holding a lone surrogate a ValidationError naming path:line, an
+object that repeats a key one naming the key, and every whole-file output
+is replaced atomically. read_keyed judges the lines of the corpus, run
+logs, transcripts and journals by one contract.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import json
 import os
 import re
 import string
-import threading
 import time
 from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
@@ -126,10 +125,11 @@ def write_lines(path: str, lines: Iterable[str], what: str) -> None:
 
     The lines go one at a time to a temporary file next to the target, which
     then replaces the target in one step: a write that fails, is killed or
-    whose lines raise part-way leaves the previous file as it was. The
-    temporary name is unique per process and thread; a failed write removes it.
+    whose lines raise part-way leaves the previous file as it was. A failed
+    write removes its temporary file, <path>.tmp; the next write replaces
+    the one a killed write left.
     """
-    tmp = _temporary(path)
+    tmp = path + ".tmp"
     try:
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
@@ -144,6 +144,15 @@ def write_lines(path: str, lines: Iterable[str], what: str) -> None:
         raise StorageError(f"cannot write {what} {path}: {exc}") from exc
 
 
+def append_line(path: str, line: str, what: str) -> None:
+    """Append one line, which holds its own line end, to the UTF-8 file at path, and close it again."""
+    try:
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line)
+    except OSError as exc:
+        raise StorageError(f"cannot append to {what} {path}: {exc}") from exc
+
+
 def write_text(path: str, text: str, what: str) -> None:
     """Write a whole UTF-8 file through write_lines."""
     write_lines(path, (text,), what)
@@ -156,17 +165,12 @@ def check_writable(path: str, what: str) -> None:
     """
     if os.path.isdir(path):
         raise StorageError(f"cannot write {what} {path}: it is a directory")
-    tmp = _temporary(path)
+    tmp = path + ".tmp"
     try:
         open(tmp, "w").close()
         os.remove(tmp)
     except OSError as exc:
         raise StorageError(f"cannot write {what} {path}: {exc}") from exc
-
-
-def _temporary(path: str) -> str:
-    """The temporary file next to path, unique per process and thread."""
-    return f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
 
 
 def write_json(path: str, doc: dict, what: str) -> None:

@@ -76,6 +76,13 @@ def test_extraction_retries_once_then_fails_loudly():
     with pytest.raises(SegmentNotInDocument, match="Invented two"):
         extract(stubborn)
 
+    # a reply that holds no sentence at all is retried the same way
+    assert extract(MockProvider(replies("", "It stands 330 metres tall."))) == (
+        "It stands 330 metres tall.", ["", "It stands 330 metres tall."]
+    )
+    with pytest.raises(SegmentNotInDocument, match="^extraction reply is not made of document sentences: ' '$"):
+        extract(MockProvider(replies("", " ", "unused")))
+
 
 def example_for(skills, subquestions=None):
     n = len(skills)

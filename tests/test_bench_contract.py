@@ -75,7 +75,8 @@ def test_mock_commands_build_one_provider_through_cli_canned(tmp_path, monkeypat
         return canned(*args, **kwargs)
 
     monkeypatch.setattr(cli, "CannedProvider", counting)
-    assert isinstance(cli._build_provider(cli.RunConfig(provider="mock")), MockProvider)
+    provider, journal = cli._build_provider(cli.RunConfig(provider="mock"), str(tmp_path / "out.json"))
+    assert isinstance(provider, MockProvider) and journal is None
     assert built == [((), {})]
 
     corpus = tmp_path / "corpus.jsonl"

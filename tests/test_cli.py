@@ -3,9 +3,11 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import logging
 import os
 import re
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,15 +19,13 @@ from skillpath.collection import (
     COLLECTION_VERSION,
     build_collection,
     collection_to_record,
-    example_to_record,
     persist_bundle,
     restore_bundle,
 )
-from skillpath.errors import ProviderError, StorageError
 from skillpath.providers import CompletionResult, RecordingProvider, TokenUsage, Transcript
 from skillpath.skills import ReasoningSkill
 
-from conftest import make_example
+from conftest import canned_completion, make_example, stage_of
 
 EIFFEL = "Which is taller, the Eiffel Tower or the Empire State Building?"
 EIFFEL_DOC = (
@@ -65,18 +65,7 @@ def log_line(tokens=10, **changes):
     return {key: value for key, value in doc.items() if value is not None}
 
 
-def checkpoint_header(count):
-    """The first checkpoint line of a mock generate run with --count count and no other setting."""
-    return json.dumps({"settings": {"count": count, "delta": 7, "gen_mode": "guided-fill", "provider": "mock",
-                                    "seed": None, "transcript": None}})
-
-
-def checkpoint_line(qid, collection, question=EIFFEL):
-    """A checkpoint line: a question and its collection as the bundle stores it."""
-    return json.dumps({"question_id": qid, "question": question, "collection": collection})
-
-
-def marker_collection(question="carried over from the checkpoint"):
+def marker_collection(question="a question generate would never write"):
     """The stored record of a one-example collection that generate would never build."""
     example = make_example([ReasoningSkill.ABDUCTIVE], question=question)
     return collection_to_record(build_collection([example]))
@@ -219,6 +208,13 @@ def test_delta_bounds_checked(tmp_path, corpus_path):
                  "--collection", str(tmp_path / "o.json"), "--delta", "11"])
 
 
+def test_generate_without_a_corpus_exits_2_naming_the_flag(tmp_path, mock_calls, capsys):
+    assert main(["generate", "--provider", "mock", "--collection", str(tmp_path / "o.json")]) == 2
+    assert capsys.readouterr().err == "[generate] --corpus is required for generate\n"
+    assert mock_calls == []
+    assert os.listdir(tmp_path) == []
+
+
 def test_missing_input_exits_2(tmp_path, capsys):
     code = main(["generate", "--provider", "mock",
                  "--corpus", str(tmp_path / "nope.jsonl"),
@@ -234,7 +230,7 @@ def test_generate_answer_eval_with_mock_provider(tmp_path, corpus_path, capsys):
     assert code == 0
     assert os.path.exists(bundle_path)
     assert os.path.exists(bundle_path + ".config.json")
-    assert not os.path.exists(bundle_path + ".checkpoint.jsonl")
+    assert not os.path.exists(bundle_path + ".journal.jsonl")
     bundle = restore_bundle(bundle_path)
     assert "q1" in bundle
     assert len(bundle["q1"].examples) >= 1
@@ -348,55 +344,9 @@ def test_generate_reports_per_question_failures(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "[generate] question q2" in err
-    # the good question still ships, and the checkpoint stays for a retry
+    # the good question still ships; a mock run keeps no journal, as its calls cost nothing
     assert set(restore_bundle(bundle_path)) == {"q1"}
-    assert os.path.exists(bundle_path + ".checkpoint.jsonl")
-
-
-def test_generate_resumes_from_checkpoint(tmp_path, corpus_path, mock_calls):
-    bundle_path = str(tmp_path / "bundle.json")
-    stored = marker_collection()
-    with open(bundle_path + ".checkpoint.jsonl", "w", encoding="utf-8") as fh:
-        fh.write(checkpoint_header(2) + "\n")
-        fh.write(checkpoint_line("q1", stored) + "\n")
-    code = main(["generate", "--provider", "mock", "--corpus", corpus_path,
-                 "--collection", bundle_path, "--count", "2"])
-    assert code == 0
-    # the checkpointed collection was reused, not regenerated, and cost no call
-    assert mock_calls == []
-    bundle = json.loads(Path(bundle_path).read_text(encoding="utf-8"))
-    assert bundle["collections"]["q1"] == stored
-    assert not os.path.exists(bundle_path + ".checkpoint.jsonl")
-
-
-def test_an_ignored_checkpoint_is_cleared_so_the_next_run_resumes(tmp_path, monkeypatch):
-    corpus = write_corpus(tmp_path / "corpus.jsonl", [eiffel_row("q0"), eiffel_row("q1")])
-    bundle_path = str(tmp_path / "bundle.json")
-    Path(bundle_path + ".checkpoint.jsonl").write_text("not json\n", encoding="utf-8")
-    substitutions = []
-
-    class Backend(CannedProvider):
-        def __init__(self, fail_second):
-            super().__init__()
-            self.fail_second = fail_second
-
-        def _complete(self, request):
-            if request.tag == "substitution":
-                substitutions.append(request)
-                if self.fail_second and len(substitutions) == 2:
-                    raise ProviderError("backend down")
-            return super()._complete(request)
-
-    argv = ["generate", "--provider", "mock", "--corpus", corpus,
-            "--collection", bundle_path, "--count", "1"]
-    monkeypatch.setattr(cli, "CannedProvider", lambda: Backend(fail_second=True))
-    assert main(argv) == 1  # q0 done, q1 failed
-    substitutions.clear()
-    monkeypatch.setattr(cli, "CannedProvider", lambda: Backend(fail_second=False))
-    assert main(argv) == 0
-    # q0 came from the checkpoint; only q1 was generated again
-    assert len(substitutions) == 1
-    assert set(restore_bundle(bundle_path)) == {"q0", "q1"}
+    assert sorted(os.listdir(tmp_path)) == ["bundle.json", "bundle.json.config.json", "corpus.jsonl"]
 
 
 def test_a_value_error_in_answer_is_raised_after_every_question_ran(tmp_path, monkeypatch):
@@ -422,41 +372,6 @@ def test_a_value_error_in_answer_is_raised_after_every_question_ran(tmp_path, mo
     assert not run_log.exists()
 
 
-def test_a_checkpoint_that_cannot_be_written_exits_2_before_any_call(tmp_path, corpus_path, mock_calls,
-                                                                     capsys):
-    bundle_path = str(tmp_path / "bundle.json")
-    os.mkdir(bundle_path + ".checkpoint.jsonl")  # unreadable as a file, and not replaceable by one
-    code = main(["generate", "--provider", "mock", "--corpus", corpus_path,
-                 "--collection", bundle_path, "--count", "1"])
-    assert code == 2
-    assert "cannot write checkpoint" in capsys.readouterr().err
-    assert mock_calls == []
-    assert not os.path.exists(bundle_path)
-
-
-def test_a_failed_checkpoint_append_fails_its_question_only(tmp_path, monkeypatch, capsys):
-    corpus = write_corpus(tmp_path / "corpus.jsonl", [eiffel_row("q1"), eiffel_row("q2")])
-    bundle_path = str(tmp_path / "bundle.json")
-    checkpoint = Path(bundle_path + ".checkpoint.jsonl")
-
-    class Backend(CannedProvider):
-        def _complete(self, request):
-            # at N = 1 the first request after q1's line was appended is q2's first
-            if checkpoint.is_file() and len(checkpoint.read_text(encoding="utf-8").splitlines()) == 2:
-                checkpoint.unlink()
-                checkpoint.mkdir()
-            return super()._complete(request)
-
-    monkeypatch.setattr(cli, "CannedProvider", Backend)
-    code = main(["generate", "--provider", "mock", "--corpus", corpus,
-                 "--collection", bundle_path, "--count", "1"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert f"[generate] question q2: cannot append to checkpoint {checkpoint}" in err
-    assert "question q1" not in err
-    assert set(restore_bundle(bundle_path)) == {"q1"}
-
-
 def test_a_question_whose_candidates_all_score_low_fails_with_no_candidates(tmp_path, corpus_path,
                                                                               monkeypatch, capsys):
     class LowScores(CannedProvider):
@@ -473,9 +388,7 @@ def test_a_question_whose_candidates_all_score_low_fails_with_no_candidates(tmp_
     err = capsys.readouterr().err.splitlines()
     assert "[generate] question q1: no candidate survived the similarity filter for question 'q1'" in err
     assert not bundle_path.exists()
-    checkpoint = tmp_path / "bundle.json.checkpoint.jsonl"
-    (settings,) = checkpoint.read_text(encoding="utf-8").splitlines()
-    assert list(json.loads(settings)) == ["settings"]
+    assert sorted(os.listdir(tmp_path)) == ["corpus.jsonl"]
 
 
 @pytest.mark.parametrize(
@@ -707,66 +620,16 @@ def test_a_config_snapshot_path_that_is_a_directory_exits_2_before_any_call(tmp_
     assert not os.path.exists(output)
 
 
-def test_torn_checkpoint_tail_keeps_completed_questions(tmp_path):
-    corpus = write_corpus(
-        tmp_path / "corpus.jsonl",
-        [eiffel_row("q1"), eiffel_row("q2"), eiffel_row("q3"), eiffel_row("q4", question="?!?")],
-    )
-    bundle_path = str(tmp_path / "bundle.json")
-    checkpoint = bundle_path + ".checkpoint.jsonl"
-    lines = [checkpoint_header(1)]
-    for qid in ("q1", "q2"):
-        lines.append(checkpoint_line(qid, marker_collection(f"checkpointed {qid}")))
-    torn = checkpoint_line("q3", marker_collection("checkpointed q3"))[:-20]
-    with open(checkpoint, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n" + torn)
-    # q4 fails, so the checkpoint outlives the run and can be inspected
-    assert main(["generate", "--provider", "mock", "--corpus", corpus,
-                 "--collection", bundle_path, "--count", "1"]) == 1
-    bundle = restore_bundle(bundle_path)
-    assert bundle["q1"].examples[0].question == "checkpointed q1"
-    assert bundle["q2"].examples[0].question == "checkpointed q2"
-    # the fragment is gone and q3's fresh line did not glue onto it
-    with open(checkpoint, encoding="utf-8") as fh:
-        kept = fh.read().split("\n")
-    assert kept[:3] == lines and kept[-1] == ""
-    assert [json.loads(line)["question_id"] for line in kept[1:-1]] == ["q1", "q2", "q3"]
-
-
-def _assert_checkpoint_starts_fresh(tmp_path, corpus_path, caplog, line, complaint):
-    """A checkpoint whose q1 line is `line` is ignored, with `complaint` in the warning."""
-    bundle_path = str(tmp_path / "bundle.json")
-    checkpoint = bundle_path + ".checkpoint.jsonl"
-    Path(checkpoint).write_text(checkpoint_header(1) + "\n" + line + "\n", encoding="utf-8")
-    code = main(["generate", "--provider", "mock", "--corpus", corpus_path,
-                 "--collection", bundle_path, "--count", "1"])
-    assert code == 0
-    assert f"ignoring unreadable checkpoint {checkpoint}: " in caplog.text
-    assert complaint in caplog.text
-    # regenerated from scratch, not taken from the checkpoint
-    assert restore_bundle(bundle_path)["q1"].examples[0].question != (
-        "carried over from the checkpoint"
-    )
-
-
-def test_invalid_checkpoint_example_starts_fresh(tmp_path, corpus_path, caplog):
-    stored = marker_collection()
-    stored["examples"][0]["question"] = ""
-    _assert_checkpoint_starts_fresh(tmp_path, corpus_path, caplog, checkpoint_line("q1", stored),
-                                    "malformed collection")
-
-
-def test_a_checkpoint_line_that_repeats_a_key_starts_fresh(tmp_path, corpus_path, caplog):
-    line = checkpoint_line("q1", marker_collection())[:-1] + ', "question_id": "q1"}'
-    _assert_checkpoint_starts_fresh(tmp_path, corpus_path, caplog, line,
-                                    "an object repeats the key 'question_id'")
-
-
-def test_a_checkpoint_that_repeats_a_question_starts_fresh(tmp_path, corpus_path, caplog):
-    # read as every line-delimited input is, so a later line does not silently win
-    line = checkpoint_line("q1", marker_collection())
-    _assert_checkpoint_starts_fresh(tmp_path, corpus_path, caplog, line + "\n" + line,
-                                    ".checkpoint.jsonl:3: repeats question_id 'q1'")
+def test_a_record_table_path_that_is_a_directory_exits_2_before_eval_writes(tmp_path, fixtures_dir, capsys):
+    corpus = f"{fixtures_dir}/corpus.jsonl"
+    run_log, report = tmp_path / "run.jsonl", tmp_path / "report.json"
+    assert main(["answer", "--provider", "mock", "--corpus", corpus, "--collection",
+                 f"{fixtures_dir}/collection.json", "--run-log", str(run_log)]) == 0
+    os.mkdir(f"{report}.records.tsv")
+    capsys.readouterr()
+    assert main(["eval", "--corpus", corpus, "--run-log", str(run_log), "--report", str(report)]) == 2
+    assert capsys.readouterr().err == f"[eval] cannot write record table {report}.records.tsv: it is a directory\n"
+    assert not report.exists() and not os.path.exists(f"{report}.config.json")
 
 
 def version_1_collection():
@@ -846,6 +709,14 @@ def test_a_bundle_question_id_that_holds_a_line_break_is_named_on_one_line(tmp_p
     assert (mock_calls, logged) == ([], False)
 
 
+def test_answer_on_a_bundle_without_collections_exits_2(tmp_path, fixtures_dir, mock_calls, capsys):
+    code, err, logged = answer_on_the_fixture_bundle(tmp_path, fixtures_dir, capsys,
+                                                     lambda doc: doc.pop("collections"))
+    assert code == 2
+    assert err == f"[answer] {tmp_path / 'bundle.json'}: no collections table\n"
+    assert (mock_calls, logged) == ([], False)
+
+
 def test_answer_on_a_bundle_whose_created_at_is_not_a_string_exits_2(tmp_path, fixtures_dir, mock_calls, capsys):
     code, err, logged = answer_on_the_fixture_bundle(tmp_path, fixtures_dir, capsys,
                                                      lambda doc: doc.update(created_at=["x"]))
@@ -860,20 +731,6 @@ def test_a_bundle_without_created_at_and_with_an_unknown_top_level_key_is_read(t
         doc["zz_unknown"] = 1
 
     assert answer_on_the_fixture_bundle(tmp_path, fixtures_dir, capsys, edit)[::2] == (0, True)
-
-
-@pytest.mark.parametrize("level", STORED_OBJECTS)
-def test_a_checkpoint_line_with_an_unknown_field_starts_fresh(tmp_path, corpus_path, caplog, level):
-    collections = {"q1": marker_collection()}
-    STORED_OBJECTS[level](collections)["zz_unknown"] = 1
-    _assert_checkpoint_starts_fresh(tmp_path, corpus_path, caplog, checkpoint_line("q1", collections["q1"]),
-                                    "malformed collection: unknown field 'zz_unknown'")
-
-
-def test_a_checkpoint_line_of_bundle_version_1_starts_fresh(tmp_path, corpus_path, caplog):
-    # its n, freq_index and construction_mode are fields a stored collection does not have
-    _assert_checkpoint_starts_fresh(tmp_path, corpus_path, caplog, checkpoint_line("q1", version_1_collection()),
-                                    "malformed collection: unknown field 'freq_index'")
 
 
 # stored collections whose values only look right: no example, a string where
@@ -910,20 +767,6 @@ def test_answer_on_a_bundle_with_a_loosely_typed_collection_exits_2(tmp_path, co
     assert not run_log.exists()
 
 
-@pytest.mark.parametrize("name", LOOSE_COLLECTIONS)
-def test_a_checkpoint_with_a_loosely_typed_collection_starts_fresh(tmp_path, corpus_path, caplog,
-                                                                    name):
-    _assert_checkpoint_starts_fresh(tmp_path, corpus_path, caplog,
-                                    checkpoint_line("q1", loose_collection(name)),
-                                    "malformed collection")
-
-
-def test_a_checkpoint_in_the_old_examples_format_starts_fresh(tmp_path, corpus_path, caplog):
-    example = make_example([ReasoningSkill.ABDUCTIVE], question="carried over from the checkpoint")
-    line = json.dumps({"question_id": "q1", "question": EIFFEL, "examples": [example_to_record(example)]})
-    _assert_checkpoint_starts_fresh(tmp_path, corpus_path, caplog, line, "'collection'")
-
-
 @pytest.mark.parametrize(
     "log, bad",
     [
@@ -935,6 +778,7 @@ def test_a_checkpoint_in_the_old_examples_format_starts_fresh(tmp_path, corpus_p
         ("run", log_line(answer=7)),
         ("run", log_line(completion=["x"])),
         ("run", log_line(usage=None)),
+        ("run", log_line(usage=5)),
         ("run", log_line(usage={"prompt_tokens": "9", "completion_tokens": 1,
                                  "total_tokens": 10})),
         ("baseline", log_line(usage=None)),
@@ -949,7 +793,7 @@ def test_a_checkpoint_in_the_old_examples_format_starts_fresh(tmp_path, corpus_p
         ("baseline", log_line(question_id="q9")),
     ],
     ids=["total-mismatch", "array", "latency-text", "negative-latency", "infinite-latency",
-         "answer-number", "completion-list", "no-usage", "token-text", "baseline-no-usage",
+         "answer-number", "completion-list", "no-usage", "usage-number", "token-text", "baseline-no-usage",
          "baseline-string", "missing-question-id", "missing-answer", "missing-completion",
          "baseline-missing-question-id", "baseline-missing-answer", "baseline-missing-completion",
          "question-not-in-corpus", "baseline-question-not-in-corpus"],
@@ -994,12 +838,16 @@ def test_malformed_run_log_line_exits_2(tmp_path, capsys, log, bad):
         ({"provider": "live"}, {"SKILLPATH_API_BASE": "http://127.0.0.1:9/vé"}),
         ({"provider": "live"}, {"SKILLPATH_API_KEY": "clé€"}),
         ({"provider": "live"}, {"SKILLPATH_API_KEY": "abc\ndef"}),
+        ({"provider": "live"}, {"SKILLPATH_MODEL": None}),
     ],
 )
 def test_bad_config_and_environment_values_exit_2(tmp_path, corpus_path, monkeypatch, capsys,
                                                     live_endpoint, config, env):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+    for name, value in env.items():  # None unsets the variable
+        if value is None:
+            monkeypatch.delenv(name)
+        else:
+            monkeypatch.setenv(name, value)
     config_file = tmp_path / "conf.json"
     config_file.write_text(json.dumps({"provider": "mock", **config}), encoding="utf-8")
     code = main(["generate", "--corpus", corpus_path, "--collection", str(tmp_path / "o.json"),
@@ -1188,108 +1036,6 @@ def test_random_selection_is_seeded_per_question(tmp_path):
     assert selected(str(tmp_path / "run2.jsonl")) == first
 
 
-@pytest.mark.parametrize(
-    "change",
-    [["--count", "2"], ["--delta", "8"], ["--gen-mode", "template-variation"], ["--seed", "5"],
-     "edited question"],
-    ids=["count", "delta", "gen-mode", "seed", "edited-question"],
-)
-def test_a_checkpoint_made_with_other_settings_starts_fresh(tmp_path, mock_calls, caplog, change):
-    rows = [eiffel_row("q1"), eiffel_row("q2", question="?!?")]
-    corpus = write_corpus(tmp_path / "corpus.jsonl", rows)
-    bundle_path = str(tmp_path / "bundle.json")
-    argv = ["generate", "--provider", "mock", "--corpus", corpus,
-            "--collection", bundle_path, "--count", "1"]
-    # q2 fails, so run 1 leaves its checkpoint behind
-    assert main(argv) == 1
-    assert os.path.exists(bundle_path + ".checkpoint.jsonl")
-
-    if change == "edited question":
-        rows[0] = eiffel_row("q1", question=EIFFEL.replace("taller", "older"))
-        write_corpus(tmp_path / "corpus.jsonl", rows)
-        change = []
-    mock_calls.clear()
-    assert main(argv + change) == 1
-    # q1 was generated again, not taken from run 1's checkpoint
-    assert mock_calls
-    assert "ignoring unreadable checkpoint" in caplog.text
-
-
-def test_a_checkpoint_made_with_the_same_settings_resumes(tmp_path, mock_calls):
-    corpus = write_corpus(tmp_path / "corpus.jsonl", [eiffel_row("q1"), eiffel_row("q2", question="?!?")])
-    bundle_path = str(tmp_path / "bundle.json")
-    argv = ["generate", "--provider", "mock", "--corpus", corpus,
-            "--collection", bundle_path, "--count", "1", "--seed", "4"]
-    assert main(argv) == 1
-    mock_calls.clear()
-    assert main(argv) == 1
-    assert mock_calls == []
-    assert set(restore_bundle(bundle_path)) == {"q1"}
-
-
-@pytest.mark.parametrize("backend", ["live", "replay"])
-def test_a_checkpoint_made_by_another_backend_starts_fresh(tmp_path, live_endpoint, caplog, capsys, backend):
-    caplog.set_level(logging.INFO)
-    corpus = write_corpus(tmp_path / "corpus.jsonl", [eiffel_row("q1"), eiffel_row("q2", question="?!?")])
-    bundle_path = str(tmp_path / "bundle.json")
-    argv = ["generate", "--corpus", corpus, "--collection", bundle_path, "--count", "1"]
-    # q2 fails, so the mock run leaves its checkpoint behind
-    assert main(argv + ["--provider", "mock"]) == 1
-    transcript = tmp_path / "empty.jsonl"
-    Transcript(provider="mock").save(str(transcript))
-    capsys.readouterr()
-    second = {"live": [], "replay": ["--transcript", str(transcript)]}[backend]
-    assert main(argv + ["--provider", backend, *second]) == 1
-    # q1 was asked of the second backend, not taken from the mock's checkpoint
-    assert "resuming" not in caplog.text
-    assert "[generate] question q1: " in capsys.readouterr().err
-    assert bool(live_endpoint.received) == (backend == "live")
-
-
-@pytest.mark.parametrize("model, resumed", [("m", True), ("another", False)])
-def test_a_checkpoint_made_with_another_live_model_starts_fresh(tmp_path, live_endpoint, monkeypatch,
-                                                                model, resumed):
-    corpus = write_corpus(tmp_path / "corpus.jsonl", [eiffel_row("q1"), eiffel_row("q2", question="?!?")])
-    bundle_path = str(tmp_path / "bundle.json")
-    header = json.loads(checkpoint_header(1))
-    header["settings"].update(provider="live", model="m")
-    Path(bundle_path + ".checkpoint.jsonl").write_text(
-        json.dumps(header) + "\n" + checkpoint_line("q1", marker_collection()) + "\n", encoding="utf-8")
-    monkeypatch.setenv("SKILLPATH_MODEL", model)
-    assert main(["generate", "--provider", "live", "--corpus", corpus,
-                 "--collection", bundle_path, "--count", "1"]) == 1
-    assert (live_endpoint.received == []) == resumed
-
-
-def test_a_checkpoint_made_by_replaying_another_transcript_starts_fresh(tmp_path, monkeypatch, caplog):
-    corpus = write_corpus(tmp_path / "corpus.jsonl", [eiffel_row("q1"), eiffel_row("q2", question="?!?")])
-    bundle_path = str(tmp_path / "bundle.json")
-    transcript = tmp_path / "t.jsonl"
-    argv = ["generate", "--corpus", corpus, "--collection", bundle_path, "--count", "1"]
-    recorder = RecordingProvider(CannedProvider())
-    monkeypatch.setattr(cli, "CannedProvider", lambda: recorder)
-    # q2 fails in every run, so each leaves its checkpoint behind
-    assert main(argv + ["--provider", "mock"]) == 1
-    recorder.transcript.save(str(transcript))
-    replay = argv + ["--provider", "replay", "--transcript", str(transcript)]
-    assert main(replay) == 1
-    assert set(restore_bundle(bundle_path)) == {"q1"}
-    settings = json.loads(Path(bundle_path + ".checkpoint.jsonl").read_text(encoding="utf-8").split("\n")[0])
-    assert settings["settings"]["transcript_created_at"] == recorder.transcript.created_at
-    assert settings["settings"]["transcript_entries"] == len(recorder.transcript.entries)
-    caplog.set_level(logging.INFO)
-    assert main(replay) == 1
-    assert "resuming: 1 question(s) already completed" in caplog.text
-
-    # the same path now holds a transcript that cannot reproduce q1
-    Transcript(provider="mock").save(str(transcript))
-    os.remove(bundle_path)
-    caplog.clear()
-    assert main(replay) == 1
-    assert "resuming" not in caplog.text
-    assert not os.path.exists(bundle_path)
-
-
 def test_a_run_log_whose_lines_fail_part_way_leaves_the_previous_log(tmp_path, fixtures_dir, monkeypatch):
     run_log = tmp_path / "run.jsonl"
     run_log.write_bytes(b"the previous run log\n")
@@ -1308,6 +1054,33 @@ def test_a_run_log_whose_lines_fail_part_way_leaves_the_previous_log(tmp_path, f
     assert len(written) == 1
     assert run_log.read_bytes() == b"the previous run log\n"
     assert os.listdir(tmp_path) == ["run.jsonl"]
+
+
+# answer on the fixtures, in a child that exits inside os.replace of the run-log write
+KILLED_AT_THE_RUN_LOG_REPLACE = """
+import os, sys
+from skillpath import cli
+
+fixtures, run_log = sys.argv[1:]
+replace = os.replace
+os.replace = lambda source, target: os._exit(9) if target == run_log else replace(source, target)
+cli.main(["answer", "--provider", "mock", "--corpus", os.path.join(fixtures, "corpus.jsonl"),
+          "--collection", os.path.join(fixtures, "collection.json"), "--run-log", run_log])
+"""
+
+
+def test_a_write_killed_before_its_replace_leaves_no_temporary_file_after_the_next_write(tmp_path, fixtures_dir):
+    run_log = tmp_path / "run.jsonl"
+    run_log.write_bytes(b"the previous run log\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    killed = subprocess.run([sys.executable, "-c", KILLED_AT_THE_RUN_LOG_REPLACE, fixtures_dir, str(run_log)],
+                            env=env, capture_output=True, timeout=60)
+    assert killed.returncode == 9
+    assert run_log.read_bytes() == b"the previous run log\n"
+    assert main(["answer", "--provider", "mock", "--corpus", f"{fixtures_dir}/corpus.jsonl",
+                 "--collection", f"{fixtures_dir}/collection.json", "--run-log", str(run_log)]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["run.jsonl", "run.jsonl.config.json"]
 
 
 @pytest.mark.parametrize("command", ["generate", "answer", "eval"])
@@ -1344,7 +1117,7 @@ def test_generate_into_a_missing_directory_exits_2_before_any_call(tmp_path, cor
     code = main(["generate", "--provider", "mock", "--corpus", corpus_path,
                  "--collection", str(tmp_path / "missing" / "bundle.json"), "--count", "1"])
     assert code == 2
-    assert "cannot write checkpoint" in capsys.readouterr().err
+    assert "cannot write collection bundle" in capsys.readouterr().err
     assert mock_calls == []
 
 
@@ -1469,3 +1242,225 @@ def test_help_lists_exactly_the_flags_of_its_command(capsys, command):
     assert info.value.code == 0
     listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
     assert listed == COMMAND_FLAGS[command] | {"--config", "--help"}
+
+
+# ------------------------------------------------------------------ the live journal
+
+# q2 decomposes into no template, so it fails before any call and a live run keeps its journal
+JOURNAL_ROWS = [eiffel_row("q1"), eiffel_row("q2", question="?!?")]
+JOURNAL_HEADER = {"identity": {"model": "m"}, "version": providers.TRANSCRIPT_VERSION}
+
+
+@pytest.fixture
+def canned_endpoint(live_endpoint):
+    """The live endpoint, answering each prompt as the mock does."""
+    live_endpoint.reply = canned_completion
+    return live_endpoint
+
+
+def sent_prompts(endpoint, since=0):
+    """The prompts of the requests the endpoint received, from its request `since` on, with their counts."""
+    return Counter(json.loads(body)["messages"][0]["content"] for _, _, body in endpoint.received[since:])
+
+
+def generate_live(tmp_path, endpoint, *flags, folder="out", code=1):
+    """The prompts a live generate on the corpus in tmp_path sent, writing into tmp_path/folder, and its journal."""
+    (tmp_path / folder).mkdir(exist_ok=True)
+    bundle = tmp_path / folder / "bundle.json"
+    since = len(endpoint.received)
+    assert main(["generate", "--provider", "live", "--corpus", str(tmp_path / "corpus.jsonl"),
+                 "--collection", str(bundle), "--count", "1", *flags]) == code
+    return sent_prompts(endpoint, since), Path(f"{bundle}.journal.jsonl")
+
+
+def stored_collections(folder):
+    return json.loads((folder / "bundle.json").read_text(encoding="utf-8"))["collections"]
+
+
+def test_a_live_rerun_sends_no_request_its_journal_holds(tmp_path, canned_endpoint):
+    write_corpus(tmp_path / "corpus.jsonl", JOURNAL_ROWS)
+    sent, journal = generate_live(tmp_path, canned_endpoint)
+    lines = journal.read_text(encoding="utf-8").splitlines()
+    assert json.loads(lines[0]) == JOURNAL_HEADER
+    assert [sorted(json.loads(line)) for line in lines[1:]] == [["fingerprint", "result"]] * sent.total()
+    collections = stored_collections(tmp_path / "out")
+    assert generate_live(tmp_path, canned_endpoint)[0] == Counter()
+    assert stored_collections(tmp_path / "out") == collections
+
+
+def test_a_reply_that_failed_to_parse_is_replayed_not_asked_again(tmp_path, canned_endpoint, capsys):
+    write_corpus(tmp_path / "corpus.jsonl", JOURNAL_ROWS)
+
+    def reply(body):
+        if stage_of(json.loads(body)["messages"][0]["content"]) == "similarity":
+            return 200, {"choices": [{"message": {"content": "They are alike."}}]}
+        return canned_completion(body)
+
+    canned_endpoint.reply = reply
+    generate_live(tmp_path, canned_endpoint)
+    err = capsys.readouterr().err
+    assert "[generate] question q1: no score on the 1 to 10 scale in reply: 'They are alike.'" in err
+    assert generate_live(tmp_path, canned_endpoint)[0] == Counter()
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize(
+    "change",
+    [["--delta", "8"], ["--count", "2"], ["--gen-mode", "template-variation"], ["--seed", "5"], "edited question"],
+    ids=["delta", "count", "gen-mode", "seed", "edited-question"],
+)
+def test_a_live_rerun_with_other_settings_sends_only_the_requests_its_journal_lacks(tmp_path, canned_endpoint,
+                                                                                     change):
+    rows = list(JOURNAL_ROWS)
+    write_corpus(tmp_path / "corpus.jsonl", rows)
+    first, _ = generate_live(tmp_path, canned_endpoint)
+    if change == "edited question":
+        rows[0] = eiffel_row("q1", question=EIFFEL.replace("taller", "older"))
+        write_corpus(tmp_path / "corpus.jsonl", rows)
+        change = []
+    rerun, _ = generate_live(tmp_path, canned_endpoint, *change)
+    fresh, _ = generate_live(tmp_path, canned_endpoint, *change, folder="fresh")
+    assert rerun == fresh - first
+    assert stored_collections(tmp_path / "out") == stored_collections(tmp_path / "fresh")
+    if change == ["--delta", "8"]:
+        assert rerun == Counter()  # the same replies, filtered at another threshold
+
+
+def test_a_mock_rerun_makes_its_calls_again(tmp_path, mock_calls):
+    corpus = write_corpus(tmp_path / "corpus.jsonl", JOURNAL_ROWS)
+    argv = ["generate", "--provider", "mock", "--corpus", corpus, "--collection", str(tmp_path / "bundle.json"),
+            "--count", "1", "--seed", "4"]
+    assert main(argv) == 1
+    first = list(mock_calls)
+    mock_calls.clear()
+    assert main(argv) == 1
+    assert mock_calls == first != []
+
+
+@pytest.mark.parametrize("backend", ["mock", "replay", "live"])
+def test_only_a_live_run_keeps_a_journal(tmp_path, canned_endpoint, monkeypatch, backend):
+    corpus = write_corpus(tmp_path / "corpus.jsonl", JOURNAL_ROWS)
+    transcript = tmp_path / "empty.jsonl"
+    Transcript(provider="mock").save(str(transcript))
+    fingerprints = []
+    fingerprint = providers.fingerprint
+    monkeypatch.setattr(providers, "fingerprint", lambda *args: fingerprints.append(args) or fingerprint(*args))
+    bundle = tmp_path / "bundle.json"
+    flags = ["--transcript", str(transcript)] if backend == "replay" else []
+    # q1 fails under replay too, as the empty transcript holds none of its requests
+    assert main(["generate", "--provider", backend, "--corpus", corpus, "--collection", str(bundle),
+                 "--count", "1", *flags]) == 1
+    assert os.path.exists(f"{bundle}.journal.jsonl") == (backend == "live")
+    assert bool(fingerprints) == (backend != "mock")
+
+
+@pytest.mark.parametrize("command", ["generate", "answer"])
+def test_a_live_run_removes_its_journal_once_every_question_succeeds(tmp_path, corpus_path, canned_endpoint,
+                                                                      command):
+    bundle, run_log = tmp_path / "bundle.json", tmp_path / "run.jsonl"
+    generate = ["generate", "--corpus", corpus_path, "--collection", str(bundle), "--count", "1"]
+    assert main(generate + ["--provider", "live" if command == "generate" else "mock"]) == 0
+    if command == "answer":
+        assert main(["answer", "--provider", "live", "--corpus", corpus_path, "--collection", str(bundle),
+                     "--run-log", str(run_log)]) == 0
+    assert canned_endpoint.received
+    assert not [name for name in os.listdir(tmp_path) if name.endswith(".journal.jsonl")]
+
+
+@pytest.mark.parametrize("command", ["generate", "answer"])
+def test_a_journal_that_cannot_be_written_exits_2_before_any_call(tmp_path, corpus_path, canned_endpoint, capsys,
+                                                                  command):
+    bundle, run_log = tmp_path / "bundle.json", tmp_path / "run.jsonl"
+    flags = {"generate": ["--collection", str(bundle), "--count", "1"],
+             "answer": ["--collection", str(bundle), "--run-log", str(run_log)]}
+    if command == "answer":
+        assert main(["generate", "--provider", "mock", "--corpus", corpus_path, *flags["generate"]]) == 0
+    output = {"generate": bundle, "answer": run_log}[command]
+    os.mkdir(f"{output}.journal.jsonl")  # unreadable as a file, and not replaceable by one
+    capsys.readouterr()
+    assert main([command, "--provider", "live", "--corpus", corpus_path, *flags[command]]) == 2
+    assert f"[{command}] cannot write journal {output}.journal.jsonl: " in capsys.readouterr().err
+    assert canned_endpoint.received == []
+    assert not output.exists()
+
+
+def test_a_failed_journal_append_fails_its_question_only(tmp_path, canned_endpoint, monkeypatch, capsys):
+    write_corpus(tmp_path / "corpus.jsonl", [eiffel_row("q1"), eiffel_row("q2")])
+    journal = tmp_path / "out" / "bundle.json.journal.jsonl"
+    append = providers.append_line
+
+    def q2_finds_a_directory(path, line, what):
+        if providers._scope.get() == ("q2",) and journal.is_file():
+            journal.unlink()
+            journal.mkdir()
+        append(path, line, what)
+
+    monkeypatch.setattr(providers, "append_line", q2_finds_a_directory)
+    generate_live(tmp_path, canned_endpoint)
+    err = capsys.readouterr().err
+    assert f"[generate] question q2: cannot append to journal {journal}: " in err
+    assert "question q1" not in err
+    assert set(stored_collections(tmp_path / "out")) == {"q1"}
+
+
+def test_a_torn_last_journal_line_is_dropped_and_asked_again(tmp_path, canned_endpoint, caplog):
+    write_corpus(tmp_path / "corpus.jsonl", JOURNAL_ROWS)
+    _, journal = generate_live(tmp_path, canned_endpoint)
+    lines = journal.read_text(encoding="utf-8").splitlines(keepends=True)
+    journal.write_text("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2], encoding="utf-8")
+    sent, _ = generate_live(tmp_path, canned_endpoint)
+    assert f"dropping a torn last line from journal {journal}" in caplog.text
+    # only the reply the torn line held was asked for again, and its line is whole again
+    assert sent.total() == 1
+    rewritten = journal.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert rewritten[:-1] == lines[:-1]
+    assert json.loads(rewritten[-1])["fingerprint"] == json.loads(lines[-1])["fingerprint"]
+
+
+@pytest.mark.parametrize("model, resumed", [("m", True), ("another", False)])
+def test_a_journal_made_with_another_live_model_is_ignored_with_a_warning(tmp_path, canned_endpoint, monkeypatch,
+                                                                          caplog, model, resumed):
+    write_corpus(tmp_path / "corpus.jsonl", JOURNAL_ROWS)
+    first, journal = generate_live(tmp_path, canned_endpoint)
+    monkeypatch.setenv("SKILLPATH_MODEL", model)
+    rerun, _ = generate_live(tmp_path, canned_endpoint)
+    assert rerun == (Counter() if resumed else first)
+    assert (f"ignoring unreadable journal {journal}: made with " in caplog.text) != resumed
+    assert json.loads(journal.read_text(encoding="utf-8").split("\n")[0])["identity"] == {"model": model}
+
+
+def journal_line(fingerprint="f", **result):
+    """A journal line whose result is a one-word reply of 2 tokens, with the changes in `result`."""
+    doc = {"text": "x", "usage": {"prompt_tokens": 1, "completion_tokens": 1, "total_tokens": 2}, **result}
+    return json.dumps({"fingerprint": fingerprint, "result": doc})
+
+
+# what a journal holds after its header -> what the warning that ignores it names
+UNREADABLE_JOURNALS = {
+    "not-json": ("not json", ".journal.jsonl:2: invalid JSON"),
+    "not-an-object": ("[1]", ".journal.jsonl:2: line is not a JSON object"),
+    "repeated-key": (journal_line()[:-1] + ', "fingerprint": "g"}', "an object repeats the key 'fingerprint'"),
+    "repeated-fingerprint": (journal_line() + "\n" + journal_line(), ".journal.jsonl:3: repeats fingerprint 'f'"),
+    "fingerprint-number": (journal_line(7), "fingerprint must be a string, got 7"),
+    "unknown-result-field": (journal_line(model="m"), "unknown field 'model'"),
+    "missing-usage": (json.dumps({"fingerprint": "f", "result": {"text": "x"}}), "missing field 'usage'"),
+    "counts-that-do-not-add-up": (journal_line(usage={"prompt_tokens": 1, "completion_tokens": 1,
+                                                      "total_tokens": 5}), "total_tokens must equal"),
+    "negative-latency": (journal_line(latency_ms=-1.0), "latency_ms must be a finite non-negative number"),
+}
+
+
+@pytest.mark.parametrize("body, complaint", UNREADABLE_JOURNALS.values(), ids=UNREADABLE_JOURNALS)
+def test_an_unreadable_journal_is_ignored_and_started_anew_so_the_next_run_resumes(tmp_path, canned_endpoint, caplog,
+                                                                                   body, complaint):
+    write_corpus(tmp_path / "corpus.jsonl", JOURNAL_ROWS)
+    journal = tmp_path / "out" / "bundle.json.journal.jsonl"
+    journal.parent.mkdir()
+    journal.write_text(json.dumps(JOURNAL_HEADER) + "\n" + body + "\n", encoding="utf-8")
+    sent, _ = generate_live(tmp_path, canned_endpoint)
+    assert f"ignoring unreadable journal {journal}: " in caplog.text
+    assert complaint in caplog.text
+    # the journal holds the header and this run's replies only, so the next run asks for none of them
+    lines = journal.read_text(encoding="utf-8").splitlines()
+    assert json.loads(lines[0]) == JOURNAL_HEADER and len(lines) == 1 + sent.total()
+    assert generate_live(tmp_path, canned_endpoint)[0] == Counter()

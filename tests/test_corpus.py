@@ -101,6 +101,17 @@ def test_load_rejects_boolean_indices(tmp_path):
         load_records(path)
 
 
+@pytest.mark.parametrize("field, value, problem", [
+    ("question", " ", "question must be a non-empty string"),
+    ("gold_sentence_ids", 5, "gold_sentence_ids must be a list of [d, s] pairs"),
+], ids=["blank-question", "gold-ids-number"])
+def test_load_names_the_line_and_the_check_a_field_fails(tmp_path, field, value, problem):
+    path = write_lines(tmp_path / "c.jsonl", [record_line(), record_line(question_id="q2", **{field: value})])
+    with pytest.raises(ValidationError) as info:
+        load_records(path)
+    assert str(info.value) == f"{path}:2: {problem}"
+
+
 def test_load_rejects_empty_fields(tmp_path):
     path = write_lines(tmp_path / "c.jsonl", [record_line(gold_answers=[])])
     with pytest.raises(ValidationError):

@@ -165,6 +165,8 @@ SCORE_REPLIES = {
     "scale-after": ("Rating: 3 (on a scale of 1-10)", 3),
     "scale-in-words": ("Score (1 to 10): 6", 6),
     "explanation-lines-first": ("It asks for 2 facts, not 1.\nScore: 9", 9),
+    "bound-explained-after": ("Score: 8 (10 means identical)", 8),
+    "bound-named-after": ("Score: 8, where 10 is identical", 8),
     "decimal": ("9.5", None),
     "decimal-out-of-ten": ("Score: 7.5 out of 10", None),
     "other-scale": ("Score: 4/5", None),

@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import skillpath.cli as cli
+import skillpath.collection as collection_mod
 import skillpath.providers as providers
 from skillpath.answerer import answer
 from skillpath.canned import CannedProvider, canned_reply
@@ -363,10 +364,15 @@ def test_an_unexpected_error_leaves_the_same_work_done_at_every_parallelism(tmp_
     corpus = _landmark_corpus(tmp_path, 6)
     failing = json.loads(Path(corpus).read_text(encoding="utf-8").splitlines()[1])["question"]
 
+    build = collection_mod.build_collection
+
     def run(parallelism):
-        """The requests sent, the checkpointed questions, whether a bundle was written."""
+        """The requests sent, the questions whose collections were built, whether a bundle was written."""
         sent = Counter()
         lock = threading.Lock()
+        built = []
+        monkeypatch.setattr(collection_mod, "build_collection",
+                            lambda examples: built.append(providers._scope.get()[0]) or build(examples))
 
         class Backend(Provider):
             def _complete(self, request):
@@ -381,10 +387,7 @@ def test_an_unexpected_error_leaves_the_same_work_done_at_every_parallelism(tmp_
         with pytest.raises(RuntimeError, match="^backend crashed$"):
             cli.main(["generate", "--provider", "mock", "--corpus", corpus, "--collection", str(bundle),
                       "--count", "3", "--parallelism", str(parallelism)])
-        checkpoint = Path(f"{bundle}.checkpoint.jsonl").read_text(encoding="utf-8")
-        # the first line holds the settings, each later one a question
-        done = sorted(json.loads(line)["question_id"] for line in checkpoint.splitlines()[1:])
-        return sent, done, bundle.exists()
+        return sent, sorted(built), bundle.exists()
 
     serial = run(1)
     # the failing question is the second: the four after it still ran

@@ -1,7 +1,8 @@
 """generate then answer over the live provider, against a loopback endpoint that answers each prompt as
 the mock does and reports no usage, give the mock's bundle collections and run log at any parallelism.
 Faults the endpoint injects change that only as predicted: a retried one changes no output, and a
-refused prompt fails exactly the questions that send it, which a rerun then resumes."""
+refused prompt fails exactly the questions that send it. A rerun, after a refusal or an interrupt, sends only
+the requests that the live run's journal lacks."""
 
 from __future__ import annotations
 
@@ -200,10 +201,60 @@ def test_refused_prompts_fail_the_predicted_questions_and_a_rerun_resumes_the_re
         [until_refused(prompts) for prompts in mock.generate.values()]
         + [until_refused(prompts) for qid, prompts in mock.answer.items() if qid not in failed_generate])
 
-    # with the faults off, a rerun sends only the requests of the questions the checkpoint does not hold
+    def from_refused(prompts):
+        """A question's prompts from its first refused one on, which its journal lacks; none if none is refused."""
+        return next((prompts[n:] for n, prompt in enumerate(prompts) if prompt in refused), [])
+
+    # with the faults off, a rerun sends only the refused requests and the requests after them in their questions
     since = len(live_endpoint.received)
     live_endpoint.reply = canned_completion
     assert main(argv(tmp_path, "generate", "live", parallelism)) == 1
     assert prompts_received(live_endpoint, since) == mock.prompts(
-        [mock.generate[qid] for qid in failed_generate if qid in mock.generate])
+        [from_refused(prompts) for prompts in mock.generate.values()])
     assert collections_of(tmp_path / f"live-{parallelism}") == bundle
+
+
+@pytest.mark.parametrize("parallelism", [1, 3])
+@pytest.mark.parametrize("command", ["generate", "answer"])
+def test_a_live_run_interrupted_after_k_calls_resumes_from_its_journal(tmp_path, monkeypatch, live_endpoint, mock,
+                                                                       command, parallelism):
+    live_endpoint.reply = canned_completion
+    _, _, bundle, lines = mock.outputs
+    sent = mock.generate if command == "generate" else mock.answer
+    total = sum(len(prompts) for prompts in sent.values())
+    complete, lock = providers.LiveProvider._complete, threading.Lock()
+    for k in (1, total // 3, total - 1):
+        out = tmp_path / f"{command}-{parallelism}-{k}"
+        out.mkdir()
+        args = [command, "--provider", "live", "--corpus", str(tmp_path / "corpus.jsonl"),
+                "--parallelism", str(parallelism)]
+        args += (["--collection", str(out / "bundle.json"), "--count", "2"] if command == "generate" else
+                 ["--collection", str(tmp_path / "mock-1" / "bundle.json"), "--run-log", str(out / "run.jsonl")])
+        calls = []
+
+        def interrupted(provider, request):
+            with lock:
+                calls.append(request)
+                if len(calls) > k:
+                    raise KeyboardInterrupt
+            return complete(provider, request)
+
+        since = len(live_endpoint.received)
+        monkeypatch.setattr(providers.LiveProvider, "_complete", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(args)
+        monkeypatch.setattr(providers.LiveProvider, "_complete", complete)
+        first = prompts_received(live_endpoint, since)
+        assert first.total() == k
+        since = len(live_endpoint.received)
+        assert main(args) == 1  # the question with no entity fails every run
+        # together the two runs sent each request of an uninterrupted run once
+        assert first + prompts_received(live_endpoint, since) == mock.prompts(list(sent.values()))
+        if command == "generate":
+            assert collections_of(out) == bundle
+        else:
+            with open(out / "run.jsonl", encoding="utf-8") as fh:
+                resumed = [json.loads(line) for line in fh]
+            for line in resumed:
+                del line["latency_ms"]
+            assert resumed == lines
