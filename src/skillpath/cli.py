@@ -181,7 +181,8 @@ def _run_questions(
     fails its question and is printed. Every question runs, also after an
     unexpected error; the first one in input order is then raised, so the
     questions run and the error reported depend neither on thread timing
-    nor on N.
+    nor on N. Any other BaseException, on any lane, stops the queue and is
+    raised once the lanes are joined.
     """
     queue = collections.deque(range(len(records)))
     results: list = [None] * len(records)
@@ -207,6 +208,7 @@ def _run_questions(
         try:
             lane()
         except BaseException as exc:  # re-raised on the calling thread
+            queue.clear()  # so no lane begins another question
             escaped.append(exc)
 
     helpers = []

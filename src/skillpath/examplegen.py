@@ -99,7 +99,8 @@ _INT = re.compile(r"\d+")
 _DECIMAL = re.compile(r"\d[.,]\d")
 # a scale written beside a score, its top bound captured: "1-10", "1 to 10", "/10", "out of 10"
 _SCALE = re.compile(r"(?:\d+\s*(?:-|–|\bto\b)|/|\bout of)\s*(\d+)")
-_SCORE_LABEL = re.compile(r"\b(?:score|rating)\b", re.IGNORECASE)
+# a "Score" or "Rating" label, the first integer after it captured
+_SCORE_LABEL = re.compile(r"\b(?:score|rating)\b\D*(\d+)", re.IGNORECASE)
 
 
 def generate_candidates(
@@ -219,9 +220,10 @@ def _template_variation(template: QuestionTemplate, count: int, provider: Provid
 def score_similarity(original: str, candidate: str, provider: Provider) -> int:
     """Ask the provider how similar a candidate is, on the 1 to 10 scale.
 
-    On the reply's last line that holds an integer, once the scale written
-    there ("1-10", "/10", "out of 10") is taken out, the score is the first
-    integer after a "Score" or "Rating" label, or else the last integer.
+    Once the scale written on a line ("1-10", "/10", "out of 10") is taken
+    out, the score is the first integer after a "Score" or "Rating" label on
+    the last line that has one, or else the last integer of the last line
+    that holds an integer.
     An ambiguous reply is refused, not guessed: a decimal, a scale not to
     10, no integer but the scale's, or a score outside it is UnparseableScore.
     """
@@ -231,10 +233,11 @@ def score_similarity(original: str, candidate: str, provider: Provider) -> int:
         candidate_question=candidate,
     )
     reply = provider.complete(CompletionRequest(prompt, tag="similarity")).text
-    last = next((line for line in reversed(reply.splitlines()) if _INT.search(line)), "")
-    unscaled = _SCALE.sub(" ", last)
+    lines = [(line, _SCALE.sub(" ", line)) for line in reversed(reply.splitlines())]
+    labelled = [pair for pair in lines if _SCORE_LABEL.search(pair[1])]
+    last, unscaled = (labelled or [pair for pair in lines if _INT.search(pair[0])] or [("", "")])[0]
     label = _SCORE_LABEL.search(unscaled)
-    numbers = _INT.findall(unscaled, label.end())[:1] if label else _INT.findall(unscaled)
+    numbers = [label[1]] if label else _INT.findall(unscaled)
     if not numbers or _DECIMAL.search(last) or any(top != "10" for top in _SCALE.findall(last)):
         raise UnparseableScore(f"no score on the 1 to 10 scale in reply: {reply[:120]!r}")
     try:

@@ -1,13 +1,13 @@
-"""Completion backends: live HTTP, mock, recording, replay and a live journal; question scopes and transcripts.
+"""Completion backends: live HTTP, mock, and one reply store by fingerprint; question scopes and transcripts.
 
 Every pipeline stage talks to a Provider through one method, complete().
-The recording wrapper captures request and result pairs keyed by a stable
-fingerprint, and the replay provider serves them back bit for bit, which
-is what makes end-to-end runs reproducible without network access.
-Transcripts are written and read a line at a time, and the replay
-provider keeps only the results: no recorded prompt outlives the read.
-The journal wrapper keeps a live backend's replies in a file as they
-arrive, so a rerun sends only the requests the file lacks.
+ReplayProvider, the one store of results keyed by a stable fingerprint,
+serves a transcript's back bit for bit, which makes end-to-end runs
+reproducible without network access. With an inner backend it asks it on
+a miss and keeps the exchange: in a transcript (RecordingProvider), or as
+a transcript entry line in a live run's journal (JournalProvider), so a
+rerun sends only the requests the journal lacks. Transcripts are written
+and read a line at a time, and replay keeps only the results.
 
 A request is a prompt and a stage tag; the fingerprint covers the
 prompt, a scope and an occurrence index. The scope is the question a
@@ -290,39 +290,66 @@ def _read_transcript(path: str, convert: Callable[[dict], object]) -> tuple[str,
     return provider, created_at, entries
 
 
-def _result(doc: dict) -> CompletionResult:
-    """The result of a transcript entry or journal line, its fields checked as a live reply's are."""
+def _entry(doc: dict) -> TranscriptEntry:
+    """A transcript entry line or journal line, its fields checked as a live reply's are."""
     if not isinstance(doc["fingerprint"], str):
         raise ValueError(f"fingerprint must be a string, got {doc['fingerprint']!r}")
+    request = fields(doc["request"], "request", {"prompt"}, {"tag"})
     result = fields(doc["result"], "result", {"text", "usage"}, {"latency_ms"})
     usage = TokenUsage(**fields(result["usage"], "usage", {*TokenUsage._fields}))
-    return CompletionResult(result["text"], usage, result.get("latency_ms", 0.0))
+    return TranscriptEntry(doc["fingerprint"], CompletionRequest(**request),
+                           CompletionResult(result["text"], usage, result.get("latency_ms", 0.0)))
 
 
-def _entry(doc: dict) -> TranscriptEntry:
-    """A transcript entry line, checked by _result and field by field in its request."""
-    request = fields(doc["request"], "request", {"prompt"}, {"tag"})
-    return TranscriptEntry(doc["fingerprint"], CompletionRequest(**request), _result(doc))
+class ReplayProvider(Provider):
+    """The one store of replies by fingerprint, each served once: replay, recording and the journal.
+
+    On a miss, a store with no inner backend (a replayed transcript) raises ReplayMiss; a
+    subclass with an inner asks it and keeps the exchange in its _keep, under the store's lock.
+    It holds only the results, so from_file drops each entry's request once checked.
+    """
+
+    name = "replay"
+    inner: Provider | None = None
+
+    def __init__(self, results: dict[str, CompletionResult], created_at: str = ""):
+        self._results = results
+        # a replayed bundle is stamped as its transcript was
+        self.identity = {"transcript_created_at": created_at}
+        self._counter = _OccurrenceCounter()
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def from_file(path: str) -> ReplayProvider:
+        _, created_at, results = _read_transcript(path, lambda doc: _entry(doc).result)
+        return ReplayProvider(results, created_at)
+
+    def _complete(self, request: CompletionRequest) -> CompletionResult:
+        fp = self._counter.fingerprint(request)
+        stored = self._results.pop(fp, None)  # a fingerprint is asked for once per store
+        if stored is not None:
+            return stored
+        if self.inner is None:
+            raise ReplayMiss(f"no transcript entry for request fingerprint {fp}{_tag_note(request)}")
+        result = self.inner.complete(request)
+        with self._lock:
+            self._keep(TranscriptEntry(fp, request, result))
+        return result
 
 
-class RecordingProvider(Provider):
+class RecordingProvider(ReplayProvider):
     """Wraps another provider and captures every exchange."""
 
     name = "recording"
 
     def __init__(self, inner: Provider):
-        self.inner = inner
-        self._counter = _OccurrenceCounter()
-        self._entries_lock = threading.Lock()
+        super().__init__({})
+        self.inner, self.identity = inner, inner.identity
         self._entries: list[TranscriptEntry] = []
         self._created_at = utc_now()
 
-    def _complete(self, request: CompletionRequest) -> CompletionResult:
-        fp = self._counter.fingerprint(request)
-        result = self.inner.complete(request)
-        with self._entries_lock:
-            self._entries.append(TranscriptEntry(fp, request, result))
-        return result
+    def _keep(self, entry: TranscriptEntry) -> None:
+        self._entries.append(entry)
 
     @property
     def transcript(self) -> Transcript:
@@ -332,56 +359,25 @@ class RecordingProvider(Provider):
         transcript independent of thread timing. Replay looks entries up
         by fingerprint, so the order carries no meaning.
         """
-        with self._entries_lock:
+        with self._lock:
             entries = sorted(self._entries, key=lambda e: e.fingerprint)
         return Transcript(entries=entries, provider=self.inner.name, created_at=self._created_at)
 
 
-class ReplayProvider(Provider):
-    """Serves recorded results by fingerprint; a request off script is an error.
-
-    It holds only the results, so from_file drops each entry's request once checked.
-    """
-
-    name = "replay"
-
-    def __init__(self, results: dict[str, CompletionResult], created_at: str = ""):
-        self._table = results
-        # a replayed bundle is stamped as its transcript was
-        self.identity = {"transcript_created_at": created_at}
-        self._counter = _OccurrenceCounter()
-
-    @classmethod
-    def from_file(cls, path: str) -> ReplayProvider:
-        _, created_at, results = _read_transcript(path, lambda doc: _entry(doc).result)
-        return cls(results, created_at)
-
-    def _complete(self, request: CompletionRequest) -> CompletionResult:
-        fp = self._counter.fingerprint(request)
-        if fp not in self._table:
-            raise ReplayMiss(f"no transcript entry for request fingerprint {fp}{_tag_note(request)}")
-        return self._table[fp]
-
-
-class JournalProvider(Provider):
+class JournalProvider(ReplayProvider):
     """Wraps a backend whose calls cost something, and keeps its replies in a journal file.
 
-    The journal is a header line, {"version", "identity"}, then a {"fingerprint", "result"} line
-    per reply, appended as it arrives; a request the journal holds is answered from it, not sent.
-    A journal of another version or identity, or one that cannot be read, is ignored with a
-    warning, and a torn last line is dropped; either way the file is rewritten before any call.
+    The journal is a header line, {"version", "identity"}, then a transcript entry line per reply,
+    appended as it arrives; a request the journal holds is answered from it, not sent. A journal
+    of another version or identity, or one that cannot be read, is ignored with a warning, and a
+    torn last line is dropped; either way the file is rewritten before any call.
     """
 
     name = "journal"
 
     def __init__(self, inner: Provider, path: str):
-        self.inner = inner
-        self.identity = inner.identity
-        self.path = path
-        self._counter = _OccurrenceCounter()
-        self._lock = threading.Lock()
         header = {"version": TRANSCRIPT_VERSION, "identity": inner.identity}
-        kept, self._results = [json_line(header) + "\n"], {}
+        kept, results = [json_line(header) + "\n"], {}
         if os.path.exists(path):
             try:
                 lines = list(read_lines(path, "journal"))
@@ -392,21 +388,15 @@ class JournalProvider(Provider):
                 made_with = next(docs, (0, None))[1]
                 if made_with != header:
                     raise ValueError(f"made with {made_with!r}, not {header!r}")
-                self._results, kept = read_keyed(docs, path, "fingerprint", _result), lines
+                results, kept = read_keyed(docs, path, "fingerprint", lambda doc: _entry(doc).result), lines
             except (ValueError, SkillPathError) as exc:
                 log.warning("ignoring unreadable journal %s: %s", path, exc)
         write_lines(path, kept, "journal")
+        super().__init__(results)
+        self.inner, self.identity, self.path = inner, inner.identity, path
 
-    def _complete(self, request: CompletionRequest) -> CompletionResult:
-        fp = self._counter.fingerprint(request)
-        stored = self._results.pop(fp, None)  # a fingerprint is asked for once per run
-        if stored is not None:
-            return stored
-        result = self.inner.complete(request)
-        line = json_line({"fingerprint": fp, "result": {**result._asdict(), "usage": result.usage._asdict()}})
-        with self._lock:
-            append_line(self.path, line + "\n", "journal")
-        return result
+    def _keep(self, entry: TranscriptEntry) -> None:
+        append_line(self.path, json_line(entry.to_record()) + "\n", "journal")
 
 
 class LiveProvider(Provider):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from skillpath import cli, collection as collection_mod, providers, resources
-from skillpath.canned import CannedProvider
+from skillpath.canned import _HANDLERS, CannedProvider
 from skillpath.cli import ConfigError, _resolve_config, build_parser, main
 from skillpath.collection import (
     COLLECTION_VERSION,
@@ -1282,7 +1282,10 @@ def test_a_live_rerun_sends_no_request_its_journal_holds(tmp_path, canned_endpoi
     sent, journal = generate_live(tmp_path, canned_endpoint)
     lines = journal.read_text(encoding="utf-8").splitlines()
     assert json.loads(lines[0]) == JOURNAL_HEADER
-    assert [sorted(json.loads(line)) for line in lines[1:]] == [["fingerprint", "result"]] * sent.total()
+    entries = [json.loads(line) for line in lines[1:]]
+    assert [sorted(entry) for entry in entries] == [["fingerprint", "request", "result"]] * sent.total()
+    # each line is a transcript entry, so it names the stage that made its request
+    assert all(entry["request"]["tag"] == stage_of(entry["request"]["prompt"]) in _HANDLERS for entry in entries)
     collections = stored_collections(tmp_path / "out")
     assert generate_live(tmp_path, canned_endpoint)[0] == Counter()
     assert stored_collections(tmp_path / "out") == collections
@@ -1429,10 +1432,13 @@ def test_a_journal_made_with_another_live_model_is_ignored_with_a_warning(tmp_pa
     assert json.loads(journal.read_text(encoding="utf-8").split("\n")[0])["identity"] == {"model": model}
 
 
+JOURNAL_REQUEST = {"prompt": "p", "tag": "answer"}
+
+
 def journal_line(fingerprint="f", **result):
     """A journal line whose result is a one-word reply of 2 tokens, with the changes in `result`."""
     doc = {"text": "x", "usage": {"prompt_tokens": 1, "completion_tokens": 1, "total_tokens": 2}, **result}
-    return json.dumps({"fingerprint": fingerprint, "result": doc})
+    return json.dumps({"fingerprint": fingerprint, "request": JOURNAL_REQUEST, "result": doc})
 
 
 # what a journal holds after its header -> what the warning that ignores it names
@@ -1443,7 +1449,11 @@ UNREADABLE_JOURNALS = {
     "repeated-fingerprint": (journal_line() + "\n" + journal_line(), ".journal.jsonl:3: repeats fingerprint 'f'"),
     "fingerprint-number": (journal_line(7), "fingerprint must be a string, got 7"),
     "unknown-result-field": (journal_line(model="m"), "unknown field 'model'"),
-    "missing-usage": (json.dumps({"fingerprint": "f", "result": {"text": "x"}}), "missing field 'usage'"),
+    "missing-usage": (json.dumps({"fingerprint": "f", "request": JOURNAL_REQUEST, "result": {"text": "x"}}),
+                      "missing field 'usage'"),
+    # a line as journals were written before their lines were transcript entries
+    "missing-request": (json.dumps({"fingerprint": "f", "result": json.loads(journal_line())["result"]}),
+                        "missing field 'request'"),
     "counts-that-do-not-add-up": (journal_line(usage={"prompt_tokens": 1, "completion_tokens": 1,
                                                       "total_tokens": 5}), "total_tokens must equal"),
     "negative-latency": (journal_line(latency_ms=-1.0), "latency_ms must be a finite non-negative number"),

@@ -167,6 +167,8 @@ SCORE_REPLIES = {
     "explanation-lines-first": ("It asks for 2 facts, not 1.\nScore: 9", 9),
     "bound-explained-after": ("Score: 8 (10 means identical)", 8),
     "bound-named-after": ("Score: 8, where 10 is identical", 8),
+    "integer-line-after-the-score": ("Score: 3\nBoth ask about 2 places.", 3),
+    "bounds-line-after-the-score": ("Score: 8\n(1 = different, 10 = identical)", 8),
     "decimal": ("9.5", None),
     "decimal-out-of-ten": ("Score: 7.5 out of 10", None),
     "other-scale": ("Score: 4/5", None),

@@ -184,6 +184,29 @@ def test_what_a_helper_lane_lets_through_is_raised_on_the_caller():
         _run(2, attempt, ["q0", "q1", "q2", "q3"])
 
 
+def test_what_a_helper_lane_lets_through_stops_the_queue():
+    class Stop(BaseException):
+        pass
+
+    caller = threading.get_ident()
+    stopped = threading.Event()
+    begun = []
+
+    def attempt(record):
+        begun.append(record.question_id)
+        if threading.get_ident() != caller and not stopped.is_set():
+            stopped.set()
+            raise Stop(record.question_id)  # the first question a helper takes ends its lane
+        assert stopped.wait(timeout=5)
+        time.sleep(0.02)  # the other lanes are still in a question when the helper's lane ends
+        return record.question_id
+
+    # 4 lanes at parallelism 2: each begins at most one question after the stop, not all 40
+    with pytest.raises(Stop):
+        _run(2, attempt, [f"q{i}" for i in range(40)])
+    assert len(begun) < 2 * 2 * 2
+
+
 def test_a_stage_makes_every_call_on_the_calling_thread():
     threads = []
 

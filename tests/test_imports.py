@@ -1,6 +1,7 @@
 """The package runs on the standard library alone, defines no exception it never raises, judges
 every input line in one module, tags every request with a stage the mock backend answers, reads
-exactly the environment variables its README names, and keeps its immutable records immutable."""
+exactly the environment variables its README names, keeps one store of replies by fingerprint, and keeps
+its immutable records immutable."""
 
 from __future__ import annotations
 
@@ -174,6 +175,27 @@ def test_no_module_but_providers_asks_which_backend_it_holds():
                 if named & classes:
                     found.add(f"{os.path.basename(path)}:{node.lineno}")
     assert found == set()
+
+
+def test_replay_recording_and_the_journal_are_one_store():
+    # one occurrence counter and one lookup, so a reply is keyed alike wherever it is stored or served
+    with open(os.path.join(SRC, "skillpath", "providers.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found, defined = {"_OccurrenceCounter()": [], "fingerprint(request)": []}, set()
+    for top in tree.body:  # each place is named by its class and method, or by its module-level def
+        parts = ([(f"{top.name}.{getattr(part, 'name', '<body>')}", part) for part in top.body]
+                 if isinstance(top, ast.ClassDef) else [(getattr(top, "name", "<module>"), top)])
+        for place, part in parts:
+            if isinstance(part, ast.FunctionDef):
+                defined.add(place)
+            for node in ast.walk(part):
+                call = ast.unparse(node).rpartition(".")[2] if isinstance(node, ast.Call) else ""
+                if call in found:
+                    found[call].append(place)
+    assert found == {"_OccurrenceCounter()": ["ReplayProvider.__init__"],
+                     "fingerprint(request)": ["ReplayProvider._complete"]}
+    stores = ("ReplayProvider", "RecordingProvider", "JournalProvider")
+    assert defined & {f"{store}._complete" for store in stores} == {"ReplayProvider._complete"}
 
 
 def test_every_request_names_a_stage_the_mock_answers():
