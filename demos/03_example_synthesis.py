@@ -1,9 +1,10 @@
 """Build a similar worked example for a question, fully offline.
 
-The pipeline: propose candidate questions from the template, score each
-for similarity, keep the ones at or above the threshold, then ask for a
-step-by-step strategy (one reasoning skill per step), a short reference
-doc per step, and the answer. The canned provider stands in for a model.
+The pipeline: propose candidate questions from the template, score them
+all for similarity in one call, keep the ones at or above the threshold,
+then ask for a step-by-step strategy (one reasoning skill per step), a
+short reference doc per step, and the answer. The canned provider stands
+in for a model.
 """
 from skillpath.canned import CannedProvider
 from skillpath.decompose import decompose_question

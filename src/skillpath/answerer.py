@@ -11,6 +11,7 @@ latency of every call.
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from .collection import ExampleCollection
@@ -64,17 +65,19 @@ def extract_relevant_segment(
     )
 
 
+# a reply line: a list marker, then its text enclosed in quotes or ** emphasis, or bare
+_DRESSED = re.compile(r'^[^\S\n]*(?:(?:[-*•]|\d+[.)])[^\S\n]+)?(?:\*\*(.+)\*\*|"(.+)"|“(.+)”|(.*?))[^\S\n]*$',
+                      re.MULTILINE)
+
+
 def _match_sentences(reply: str, passage: Passage) -> list[str] | None:
-    candidates = split_sentences(reply)
-    if not candidates:
-        return None
-    picked = []
-    for c in candidates:
-        sentence = passage.sentence(sentence_key(c))
-        if sentence is None:
-            return None
-        picked.append(sentence)
-    return picked
+    """The passage's own sentences the reply is made of, or None; a miss is looked up again, each line undressed."""
+    return _lookup(reply, passage) or _lookup(_DRESSED.sub(r"\1\2\3\4", reply), passage)
+
+
+def _lookup(text: str, passage: Passage) -> list[str] | None:
+    picked = [passage.sentence(sentence_key(c)) for c in split_sentences(text)]
+    return picked if picked and None not in picked else None
 
 
 def format_prompt(question: str, focused_segments: list[str], example: SimilarExample) -> str:

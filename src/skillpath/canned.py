@@ -26,7 +26,8 @@ from .textutil import first_sentence
 _SLOT_LINE = re.compile(r"^- slot (?P<slot>.+?) \(type (?P<type>.+?)\), currently: (?P<text>.+)$")
 _COUNT = re.compile(r"Propose (\d+) alternative")
 _ORIGINAL_Q = re.compile(r"^Original question: (.+)$", re.MULTILINE)
-_LISTED_STEP = re.compile(r"^(\d+)\. ", re.MULTILINE)
+# a listed line follows a line feed: findall over "\n" + prompt, as a literal first character is found fast
+_LISTED = re.compile(r"\n(\d+)\. ")
 
 
 def _substitution(prompt: str) -> str:
@@ -68,10 +69,9 @@ def _variation(prompt: str) -> str:
 
 
 def _similarity(prompt: str) -> str:
-    return (
-        "Explanation: The synthetic question keeps the original structure "
-        "and asks for the same kind of fact.\nScore (1-10): 10"
-    )
+    """One numbered item per candidate that the prompt lists, each scored 10 on the line under it."""
+    return "\n".join(f"{n}. It keeps the original structure and asks for the same kind of fact.\nScore (1-10): 10"
+                     for n in _LISTED.findall("\n" + prompt))
 
 
 def _strategy(prompt: str) -> str:
@@ -85,7 +85,7 @@ def _strategy(prompt: str) -> str:
 def _reference(prompt: str) -> str:
     """One numbered passage per step that the prompt lists."""
     return "\n".join(f"{n}. The fact needed for this step is stated plainly in standard reference material."
-                     for n in _LISTED_STEP.findall(prompt))
+                     for n in _LISTED.findall("\n" + prompt))
 
 
 def _block(prompt: str, opening: str, closing: str) -> str | None:

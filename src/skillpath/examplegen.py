@@ -1,10 +1,11 @@
 """Synthesis of similar worked examples for a question template.
 
 Candidates come from one of three construction modes: random pool fills,
-provider-guided fills, or free-form template variations. Survivors of the
-similarity filter get a reasoning strategy (typed steps plus an answer
-from the same reply) and one short reference passage per step, all from
-one more reply, forming a SimilarExample ready for collection into a Γ.
+provider-guided fills, or free-form template variations. One reply scores
+them all, in one numbered item each. Survivors of the similarity filter
+get a reasoning strategy (typed steps plus an answer from the same reply)
+and one short reference passage per step, all from one more reply,
+forming a SimilarExample ready for collection into a Γ.
 """
 
 from __future__ import annotations
@@ -97,8 +98,9 @@ _STEP_WITH_SKILL = re.compile(r"^(?P<body>.*\S)\s*\((?P<skill>[^()]+)\)\s*[.:]?$
 _GENERATED_ANSWER = re.compile(r"Generated Answer:\s*(.*)", re.IGNORECASE)
 _INT = re.compile(r"\d+")
 _DECIMAL = re.compile(r"\d[.,]\d")
-# a scale written beside a score, its top bound captured: "1-10", "1 to 10", "/10", "out of 10"
-_SCALE = re.compile(r"(?:\d+\s*(?:-|–|\bto\b)|/|\bout of)\s*(\d+)")
+# a scale written beside a score, its top bound captured: "1-10", "1 to 10", "/10", "out of 10";
+# the lookahead lets the search pass other characters with one test each
+_SCALE = re.compile(r"(?=[\d/o])(?:\d+\s*(?:-|–|\bto\b)|/|\bout of)\s*(\d+)")
 # a "Score" or "Rating" label, the first integer after it captured
 _SCORE_LABEL = re.compile(r"\b(?:score|rating)\b\D*(\d+)", re.IGNORECASE)
 
@@ -209,37 +211,27 @@ def _template_variation(template: QuestionTemplate, count: int, provider: Provid
         count=str(count),
     )
     reply = provider.complete(CompletionRequest(prompt, tag="variation")).text
-    texts = []
-    for line in reply.splitlines():
-        m = _NUMBERED.match(line)
-        if m:
-            texts.append(m.group(2).strip().strip('"'))
-    return texts
+    return [m[2].strip().strip('"') for m in map(_NUMBERED.match, reply.splitlines()) if m]
 
 
-def score_similarity(original: str, candidate: str, provider: Provider) -> int:
-    """Ask the provider how similar a candidate is, on the 1 to 10 scale.
+def score_similarity(item: str) -> int:
+    """The similarity score written in one item of a reply, on the 1 to 10 scale.
 
     Once the scale written on a line ("1-10", "/10", "out of 10") is taken
-    out, the score is the first integer after a "Score" or "Rating" label on
-    the last line that has one, or else the last integer of the last line
-    that holds an integer.
-    An ambiguous reply is refused, not guessed: a decimal, a scale not to
-    10, no integer but the scale's, or a score outside it is UnparseableScore.
+    out, the score is the first integer after a "Score" or "Rating" label,
+    alike on every line that has one, or else the last integer of the last
+    line that holds an integer. An ambiguous item is refused, not guessed:
+    labelled lines that differ, a decimal, a scale not to 10, no integer but
+    the scale's, or a score outside it is UnparseableScore.
     """
-    prompt = render_prompt(
-        "similarity_scoring",
-        original_question=original,
-        candidate_question=candidate,
-    )
-    reply = provider.complete(CompletionRequest(prompt, tag="similarity")).text
-    lines = [(line, _SCALE.sub(" ", line)) for line in reversed(reply.splitlines())]
-    labelled = [pair for pair in lines if _SCORE_LABEL.search(pair[1])]
-    last, unscaled = (labelled or [pair for pair in lines if _INT.search(pair[0])] or [("", "")])[0]
-    label = _SCORE_LABEL.search(unscaled)
-    numbers = [label[1]] if label else _INT.findall(unscaled)
+    lines = [(line, _SCALE.sub(" ", line)) for line in reversed(item.splitlines())]
+    labelled = [(line, [label[1]]) for line, unscaled in lines if (label := _SCORE_LABEL.search(unscaled))]
+    if len({numbers[0] for _, numbers in labelled}) > 1:
+        raise UnparseableScore(f"labelled lines give different scores: {item[:120]!r}")
+    last, numbers = (labelled or [(line, _INT.findall(unscaled)) for line, unscaled in lines if _INT.search(line)]
+                     or [("", [])])[0]
     if not numbers or _DECIMAL.search(last) or any(top != "10" for top in _SCALE.findall(last)):
-        raise UnparseableScore(f"no score on the 1 to 10 scale in reply: {reply[:120]!r}")
+        raise UnparseableScore(f"no score on the 1 to 10 scale in reply: {item[:120]!r}")
     try:
         score = int(numbers[-1])
     except ValueError as exc:  # more digits than int() converts
@@ -252,8 +244,28 @@ def score_similarity(original: str, candidate: str, provider: Provider) -> int:
 def score_candidates(
     original: str, candidates: list[CandidateQuestion], provider: Provider
 ) -> list[CandidateQuestion]:
-    """Attach a similarity score to each candidate."""
-    return [c._replace(similarity_score=score_similarity(original, c.text, provider)) for c in candidates]
+    """Attach a similarity score to each candidate, all from one provider call (none for no candidate).
+
+    The prompt lists the candidates numbered 1 to k. A candidate's item is its numbered reply line and
+    the unnumbered lines under it. Numbers other than exactly 1 to k in order are UnparseableScore,
+    except that one candidate's reply with no numbered line is its item whole.
+    """
+    if not candidates:
+        return []
+    listed = "\n".join(f"{n}. {c.text}" for n, c in enumerate(candidates, start=1))
+    prompt = render_prompt("similarity_scoring", original_question=original, candidate_questions=listed)
+    reply = provider.complete(CompletionRequest(prompt, tag="similarity")).text
+    items = []  # per numbered line: its number, its text, the unnumbered lines under it
+    for line in reply.splitlines():
+        numbered = _NUMBERED.match(line)
+        if numbered:
+            items.append(list(numbered.groups()))
+        elif items:
+            items[-1].append(line)
+    items = items or [["1", reply]]  # one candidate's reply may be its item whole
+    if [item[0] for item in items] != [str(n) for n in range(1, len(candidates) + 1)]:
+        raise UnparseableScore(f"similarity reply does not number one item per candidate: {reply[:120]!r}")
+    return [c._replace(similarity_score=score_similarity("\n".join(item[1:]))) for c, item in zip(candidates, items)]
 
 
 def filter_candidates(candidates: list[CandidateQuestion], delta: int) -> list[CandidateQuestion]:

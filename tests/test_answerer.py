@@ -84,6 +84,46 @@ def test_extraction_retries_once_then_fails_loudly():
         extract(MockProvider(replies("", " ", "unused")))
 
 
+TALL = "It stands 330 metres tall."
+
+# a segment reply -> the segment its one call gives, or None where it is retried and then refused
+SEGMENT_REPLIES = {
+    "sentence": (TALL, TALL),
+    "dash-item": (f"- {TALL}", TALL),
+    "star-item": (f"* {TALL}", TALL),
+    "numbered-item": (f"1. {TALL}", TALL),
+    "paren-numbered-item": (f"3) {TALL}", TALL),
+    "quoted": (f'"{TALL}"', TALL),
+    "curly-quoted": (f"“{TALL}”", TALL),
+    "bold": (f"**{TALL}**", TALL),
+    "numbered-bold": (f"  2.  **{TALL}**  ", TALL),
+    "quoted-items": (f'1. "The Eiffel Tower was completed in 1889."\n2. "{TALL}"',
+                     f"The Eiffel Tower was completed in 1889. {TALL}"),
+    "casefolded-item": ("- it stands 330  METRES tall.", TALL),
+    "invented-item": ("- It stands 400 metres tall.", None),
+    "unclosed-quote": (f'"{TALL}', None),
+    "no-terminator": (TALL.rstrip("."), None),
+}
+
+
+@pytest.mark.parametrize("reply, segment", SEGMENT_REPLIES.values(), ids=SEGMENT_REPLIES)
+def test_a_segment_reply_is_read_without_its_list_marker_quotes_or_emphasis(reply, segment):
+    provider = MockProvider(lambda request: reply)
+    if segment is None:
+        with pytest.raises(SegmentNotInDocument):
+            extract(provider)
+    else:
+        assert extract(provider) == (segment, [reply])
+
+
+def test_a_document_sentence_that_carries_a_list_marker_is_matched_as_written():
+    passage = Passage.of(f"Steps:\n- {TALL}\n1. Done.")
+    for reply in (f"- {TALL}", "1. Done."):
+        segment, _ = extract_relevant_segment(passage, S.DEDUCTIVE, MockProvider(lambda request: reply),
+                                              question="How tall?")
+        assert segment == reply
+
+
 def example_for(skills, subquestions=None):
     n = len(skills)
     return SimilarExample(

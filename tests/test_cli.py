@@ -271,7 +271,7 @@ def test_generate_answer_eval_with_mock_provider(tmp_path, corpus_path, capsys):
 # two runs that agree with each other could still both write a record in a new shape
 PINNED_OUTPUTS = {
     "bundle.json": "7c6693cb3bf0c2515c5474c6a5ff4a0449454daee0a224aedc00adcb575c97b8",
-    "generate.transcript.jsonl": "31e28982ddb0113b6dae726a80f47defe190e4bbc0b481d17c437e0ecfd75ab2",
+    "generate.transcript.jsonl": "1f2b86d8836196cb1008c625085e45a1d793c62bc5f31febc4c3f709f475ec6d",
     "run.jsonl": "61f305472a4342f962ea17b54885e8d1566090a30d502c51829e695d5dd7bcc6",
     "answer.transcript.jsonl": "4390938b6e72033c8916c8f53623016b7c9398ee925ef61f00c921fa043c9814",
     "report.json": "97a12e92913049ffd19a1f30474063896a92047db810a09c26dc5e71d7252367",
@@ -376,9 +376,10 @@ def test_a_question_whose_candidates_all_score_low_fails_with_no_candidates(tmp_
                                                                               monkeypatch, capsys):
     class LowScores(CannedProvider):
         def _complete(self, request):
-            if request.tag == "similarity":
-                return CompletionResult("Score (1-10): 1", TokenUsage.of(1, 1))
-            return super()._complete(request)
+            result = super()._complete(request)
+            if request.tag == "similarity":  # every candidate's item scored 1
+                return result._replace(text=result.text.replace("Score (1-10): 10", "Score (1-10): 1"))
+            return result
 
     monkeypatch.setattr(cli, "CannedProvider", LowScores)
     bundle_path = tmp_path / "bundle.json"
@@ -394,15 +395,16 @@ def test_a_question_whose_candidates_all_score_low_fails_with_no_candidates(tmp_
 @pytest.mark.parametrize(
     "command, name, text",
     [
-        ("generate", "similarity_scoring", "Compare $original_question with $candidate_question: $ 10"),
+        ("generate", "similarity_scoring", "Compare $original_question with $candidate_questions: $ 10"),
         ("generate", "reference_document", "Notes on $subquestions and $missing"),
         ("generate", "reference_document", "Notes on $subquestion"),
+        ("generate", "similarity_scoring", "Compare $original_question with $candidate_question"),
         ("generate", "similarity_scoring", ""),
         ("answer", "segment_extraction", "Pick from $document for $skill_name, at 5$"),
         ("answer", "segment_extraction", ""),
     ],
-    ids=["generate-stray-dollar", "generate-missing-slot", "generate-one-step-slot", "generate-empty",
-         "answer-stray-dollar", "answer-empty"],
+    ids=["generate-stray-dollar", "generate-missing-slot", "generate-one-step-slot", "generate-one-candidate-slot",
+         "generate-empty", "answer-stray-dollar", "answer-empty"],
 )
 def test_a_faulty_prompt_template_override_fails_every_question(tmp_path, monkeypatch, capsys,
                                                                  uncached_loaders, command, name, text):
@@ -1302,7 +1304,7 @@ def test_a_reply_that_failed_to_parse_is_replayed_not_asked_again(tmp_path, cann
     canned_endpoint.reply = reply
     generate_live(tmp_path, canned_endpoint)
     err = capsys.readouterr().err
-    assert "[generate] question q1: no score on the 1 to 10 scale in reply: 'They are alike.'" in err
+    assert "[generate] question q1: similarity reply does not number one item per candidate: 'They are alike.'" in err
     assert generate_live(tmp_path, canned_endpoint)[0] == Counter()
     assert capsys.readouterr().err == err
 

@@ -26,11 +26,11 @@ from skillpath.examplegen import (
     generate_candidates,
     parse_strategy_reply,
     score_candidates,
-    score_similarity,
     synthesize_example,
 )
 from skillpath.canned import canned_reply
 from skillpath.providers import CompletionRequest, MockProvider
+from skillpath.resources import load_prompt, render_prompt
 from skillpath.skills import ReasoningSkill
 
 from conftest import replies
@@ -152,14 +152,25 @@ def test_provider_modes_refuse_to_run_without_provider():
         generate_candidates(template, ConstructionMode.GUIDED_FILL, 2)
 
 
+def similarity_prompt(*candidates):
+    """The similarity prompt that lists candidates, numbered in order."""
+    listed = "\n".join(f"{n}. {text}" for n, text in enumerate(candidates, start=1))
+    return render_prompt("similarity_scoring", original_question="a", candidate_questions=listed)
+
+
+def score_all(count, reply):
+    """The scores score_candidates gives `count` candidates whose similarity reply is `reply`."""
+    candidates = [CandidateQuestion(f"b{n}", ConstructionMode.GUIDED_FILL) for n in range(count)]
+    return [c.similarity_score for c in score_candidates("a", candidates, MockProvider(lambda request: reply))]
+
+
 def test_score_reads_last_integer():
-    provider = MockProvider(lambda request: "Both compare two landmarks on 1 shared axis. Score (1-10): 8")
-    assert score_similarity("a", "b", provider) == 8
+    assert score_all(1, "Both compare two landmarks on 1 shared axis. Score (1-10): 8") == [8]
 
 
-# a similarity reply -> the score read from it, or None where it is UnparseableScore
+# one candidate's similarity reply -> the score read from it, or None where it is UnparseableScore
 SCORE_REPLIES = {
-    "canned": (canned_reply(CompletionRequest("x", tag="similarity")), 10),
+    "canned": (canned_reply(CompletionRequest(similarity_prompt("b"), tag="similarity")), 10),
     "slash-ten": ("Score: 8/10", 8),
     "out-of-ten": ("I would rate this 7 out of 10.", 7),
     "scale-after": ("Rating: 3 (on a scale of 1-10)", 3),
@@ -169,6 +180,9 @@ SCORE_REPLIES = {
     "bound-named-after": ("Score: 8, where 10 is identical", 8),
     "integer-line-after-the-score": ("Score: 3\nBoth ask about 2 places.", 3),
     "bounds-line-after-the-score": ("Score: 8\n(1 = different, 10 = identical)", 8),
+    "labelled-bound-line-after-the-score": ("Score: 8\nA score of 10 would mean identical.", None),
+    "labelled-bound-rule-after-the-score": ("Score: 3\nRating 10 is for identical questions.", None),
+    "numbered-item": ("1. Both compare landmarks. Score: 8", 8),
     "decimal": ("9.5", None),
     "decimal-out-of-ten": ("Score: 7.5 out of 10", None),
     "other-scale": ("Score: 4/5", None),
@@ -180,19 +194,66 @@ SCORE_REPLIES = {
 
 @pytest.mark.parametrize("reply, score", SCORE_REPLIES.values(), ids=SCORE_REPLIES)
 def test_a_similarity_reply_is_read_as_written_or_refused(reply, score):
-    provider = MockProvider(lambda request: reply)
     if score is None:
         with pytest.raises(UnparseableScore):
-            score_similarity("a", "b", provider)
+            score_all(1, reply)
     else:
-        assert score_similarity("a", "b", provider) == score
+        assert score_all(1, reply) == [score]
 
 
 def test_score_rejects_missing_or_out_of_scale():
     with pytest.raises(UnparseableScore):
-        score_similarity("a", "b", MockProvider(lambda request: "no digits here"))
+        score_all(1, "no digits here")
     with pytest.raises(UnparseableScore):
-        score_similarity("a", "b", MockProvider(lambda request: "Score: 37"))
+        score_all(1, "Score: 37")
+
+
+# (candidates, similarity reply) -> the scores read from it, or None where it is UnparseableScore
+ITEM_REPLIES = {
+    **{f"canned-{k}": ((k, canned_reply(CompletionRequest(similarity_prompt(*"bcdef"[:k]), tag="similarity"))),
+                       [10] * k) for k in (1, 2, 5)},
+    "paren-numbers": ((2, "1) Score: 7\n2) Score: 4"), [7, 4]),
+    "preface-line": ((2, "I scored all 2 questions.\n1. Score: 7\n2. Score: 4"), [7, 4]),
+    "score-beneath-its-number": ((2, "1. Same shape, other places.\n   Score (1-10): 9\n2. It asks for 3 facts.\n"
+                                     "Score: 2"), [9, 2]),
+    "missing-number": ((3, "1. Score: 7\n3. Score: 4"), None),
+    "duplicate-number": ((2, "1. Score: 7\n1. Score: 4"), None),
+    "out-of-order": ((2, "2. Score: 7\n1. Score: 4"), None),
+    "extra-number": ((2, "1. Score: 7\n2. Score: 4\n3. Score: 5"), None),
+    "one-number-for-two": ((2, "1. Score: 7"), None),
+    "unnumbered-for-two": ((2, "Score: 7"), None),
+}
+
+
+@pytest.mark.parametrize("case, scores", ITEM_REPLIES.values(), ids=ITEM_REPLIES)
+def test_a_similarity_reply_scores_each_candidate_in_its_numbered_item_or_is_refused(case, scores):
+    if scores is None:
+        with pytest.raises(UnparseableScore, match="^similarity reply does not number one item per candidate:"):
+            score_all(*case)
+    else:
+        assert score_all(*case) == scores
+
+
+def test_the_reply_in_the_prompt_example_is_read_as_its_score():
+    example = load_prompt("similarity_scoring").split("Reply:\n", 1)[1].split("\n\n", 1)[0]
+    assert score_all(1, example) == [8]
+
+
+@pytest.mark.parametrize("count", range(11))
+def test_score_candidates_makes_one_call_listing_the_candidates_in_order(count):
+    requests = []
+
+    def reply(request):
+        requests.append(request)
+        return canned_reply(request)
+
+    candidates = [CandidateQuestion(f"Which is taller, tower {n} or tower {n + 1}?", ConstructionMode.GUIDED_FILL)
+                  for n in range(count)]
+    assert [c.similarity_score for c in score_candidates("a", candidates, MockProvider(reply))] == [10] * count
+    assert [r.prompt for r in requests] == ([similarity_prompt(*(c.text for c in candidates))] if count else [])
+    if count:
+        assert re.findall(r"^(\d+)\. (.*)$", requests[0].prompt, re.MULTILINE) == [
+            (str(n), c.text) for n, c in enumerate(candidates, start=1)]
 
 
 def test_filter_keeps_at_or_above_threshold():
@@ -214,23 +275,19 @@ def test_filter_validates_inputs():
         filter_candidates([CandidateQuestion("q", ConstructionMode.RANDOM_FILL)], 7)
 
 
-def replies_by_marker(texts):
-    """A reply function picking the reply whose marker appears in the prompt."""
+def test_score_candidates_attaches_scores_in_order():
+    requests = []
 
     def reply(request):
-        (text,) = [text for marker, text in texts.items() if marker in request.prompt]
-        return text
+        requests.append(request)
+        return "1. Score: 3\n2. Score: 9"
 
-    return reply
-
-
-def test_score_candidates_attaches_scores_in_order():
-    provider = MockProvider(
-        replies_by_marker({"question: q1": "Score: 3", "question: q2": "Score: 9"})
-    )
     candidates = [CandidateQuestion(q, ConstructionMode.GUIDED_FILL) for q in ("q1", "q2")]
-    scored = score_candidates("orig", candidates, provider)
+    scored = score_candidates("orig", candidates, MockProvider(reply))
     assert [c.similarity_score for c in scored] == [3, 9]
+    assert [c.text for c in scored] == ["q1", "q2"]
+    (request,) = requests
+    assert "\n1. q1\n2. q2\n" in request.prompt
 
 
 STRATEGY_REPLY = """\
@@ -426,7 +483,8 @@ def test_reply_parsers_raise_nothing_but_package_errors(reply):
     provider = MockProvider(lambda request: reply)
     parsers = [
         lambda: parse_strategy_reply(reply),
-        lambda: score_similarity(EIFFEL, "Which is older?", provider),
+        lambda: score_candidates(EIFFEL, [CandidateQuestion("Which is older?", ConstructionMode.GUIDED_FILL)], provider),
+        lambda: score_candidates(EIFFEL, [CandidateQuestion(q, ConstructionMode.GUIDED_FILL) for q in "abc"], provider),
         lambda: generate_candidates(_EIFFEL_TEMPLATE, ConstructionMode.GUIDED_FILL, 3, provider=provider),
         lambda: build_reference_docs(THREE_STEPS, provider),
     ]

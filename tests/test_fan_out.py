@@ -213,7 +213,7 @@ def test_a_stage_makes_every_call_on_the_calling_thread():
     def reply(request):
         threads.append(threading.get_ident())
         return {
-            "similarity": "Score: 8",
+            "similarity": "1. Score: 8\n2. Score: 8",
             "strategy": "1. How tall? (deductive)\n2. How old? (inductive)\nGenerated Answer: x",
             "reference": "1. It stands 330 metres tall.\n2. It opened in 1889.",
             "segment": "It stands 330 metres tall.",
@@ -224,8 +224,8 @@ def test_a_stage_makes_every_call_on_the_calling_thread():
     score_candidates("orig", candidates, provider)
     synthesize_example("q one", provider)
     answer("How tall?", DOC, make_example([S.DEDUCTIVE, S.INDUCTIVE]), provider)
-    # two scores; a strategy and one reference call for both steps; two extractions and the answer
-    assert threads == [threading.get_ident()] * 7
+    # one call scores both candidates; a strategy and one reference call for both steps; two extractions and the answer
+    assert threads == [threading.get_ident()] * 6
 
 
 # ------------------------------------------------------------ one call at a time per question

@@ -117,7 +117,7 @@ def test_prompt_override_wins_and_a_file_it_lacks_is_read_from_the_package(
 BUNDLED_TEMPLATE_SLOTS = {
     "entity_substitution": {"template_text", "slot_lines", "count"},
     "template_variation": {"question", "template_text", "count"},
-    "similarity_scoring": {"original_question", "candidate_question"},
+    "similarity_scoring": {"original_question", "candidate_questions"},
     "strategy_generation": {"skill_catalog", "question"},
     "reference_document": {"subquestions"},
     "segment_extraction": {"question_line", "skill_name", "skill_description", "document"},
