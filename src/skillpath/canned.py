@@ -30,6 +30,17 @@ _ORIGINAL_Q = re.compile(r"^Original question: (.+)$", re.MULTILINE)
 _LISTED = re.compile(r"\n(\d+)\. ")
 
 
+def _listed(prompt: str) -> range:
+    """The numbers of the prompt's list: its last run of lines numbered 1, 2, … in order.
+
+    A line of the question above the list may start with a number and ". " too; the list comes last.
+    """
+    run = 0
+    for n in _LISTED.findall("\n" + prompt):
+        run = run + 1 if n == str(run + 1) else int(n == "1")
+    return range(1, run + 1)
+
+
 def _substitution(prompt: str) -> str:
     slots = []
     for line in prompt.splitlines():
@@ -71,7 +82,7 @@ def _variation(prompt: str) -> str:
 def _similarity(prompt: str) -> str:
     """One numbered item per candidate that the prompt lists, each scored 10 on the line under it."""
     return "\n".join(f"{n}. It keeps the original structure and asks for the same kind of fact.\nScore (1-10): 10"
-                     for n in _LISTED.findall("\n" + prompt))
+                     for n in _listed(prompt))
 
 
 def _strategy(prompt: str) -> str:
@@ -85,7 +96,7 @@ def _strategy(prompt: str) -> str:
 def _reference(prompt: str) -> str:
     """One numbered passage per step that the prompt lists."""
     return "\n".join(f"{n}. The fact needed for this step is stated plainly in standard reference material."
-                     for n in _LISTED.findall("\n" + prompt))
+                     for n in _listed(prompt))
 
 
 def _block(prompt: str, opening: str, closing: str) -> str | None:

@@ -262,8 +262,7 @@ def cmd_generate(config: RunConfig) -> int:
     bundle, failures = _run_questions(config, records, work)
 
     if bundle:
-        # a replayed bundle is stamped as its transcript was, so a replay writes the recorded bytes
-        collection_mod.persist_bundle(bundle, config.collection, backend.identity.get("transcript_created_at"))
+        collection_mod.persist_bundle(bundle, config.collection)
         _write_snapshot(config, config.collection)
     if journal and not failures:
         os.remove(journal)

@@ -6,7 +6,9 @@ frequency. That distinction feeds straight into the uniqueness weight, so
 build_collection, the one constructor, derives the index from the
 examples. A bundle stores the examples only, and the index is derived
 again whenever a stored collection is loaded; the settings a bundle was
-generated with live in its config snapshot.
+generated with live in its config snapshot. A bundle holds no timestamp,
+so the same collections write the same bytes; the timestamp an older
+bundle holds is one more ignored key.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import NamedTuple
 
 from .errors import SkillPathError, StorageError
 from .examplegen import ReasoningStrategy, SimilarExample
-from .resources import fields, read_json, strings, utc_now, write_json
+from .resources import fields, read_json, strings, write_json
 from .skills import ReasoningSkill, parse_skill
 
 COLLECTION_VERSION = 2
@@ -82,13 +84,10 @@ def collection_from_record(doc: dict, source: str) -> ExampleCollection:
         raise StorageError(f"{source}: malformed collection: {exc}") from exc
 
 
-def persist_bundle(
-    collections: dict[str, ExampleCollection], path: str, created_at: str | None = None
-) -> None:
+def persist_bundle(collections: dict[str, ExampleCollection], path: str) -> None:
     """Write a keyed bundle of per-question collections in one file."""
     doc = {
         "version": COLLECTION_VERSION,
-        "created_at": created_at or utc_now(),
         "collections": {
             qid: collection_to_record(c) for qid, c in sorted(collections.items())
         },
@@ -102,9 +101,6 @@ def restore_bundle(path: str) -> dict[str, ExampleCollection]:
     version = doc.get("version") if isinstance(doc, dict) else None
     if type(version) is not int or version != COLLECTION_VERSION:  # true and 1.0 equal 1
         raise StorageError(f"{path}: unsupported collection version {version!r}")
-    created_at = doc.get("created_at", "")
-    if not isinstance(created_at, str):
-        raise StorageError(f"{path}: created_at must be a string, got {created_at!r}")
     body = doc.get("collections")
     if not isinstance(body, dict):
         raise StorageError(f"{path}: no collections table")

@@ -101,8 +101,10 @@ _DECIMAL = re.compile(r"\d[.,]\d")
 # a scale written beside a score, its top bound captured: "1-10", "1 to 10", "/10", "out of 10";
 # the lookahead lets the search pass other characters with one test each
 _SCALE = re.compile(r"(?=[\d/o])(?:\d+\s*(?:-|–|\bto\b)|/|\bout of)\s*(\d+)")
-# a "Score" or "Rating" label, the first integer after it captured
-_SCORE_LABEL = re.compile(r"\b(?:score|rating)\b\D*(\d+)", re.IGNORECASE)
+# a "Score" or "Rating" label, what lies between it and the first integer after it, and that integer
+_SCORE_LABEL = re.compile(r"\b(?:score|rating)\b(\D*)(\d+)", re.IGNORECASE)
+# what lies between a label and its integer when the label outranks one with words between
+_TIGHT_LABEL = re.compile(r"\W*(?:of\W*)?", re.IGNORECASE)
 
 
 def generate_candidates(
@@ -218,14 +220,20 @@ def score_similarity(item: str) -> int:
     """The similarity score written in one item of a reply, on the 1 to 10 scale.
 
     Once the scale written on a line ("1-10", "/10", "out of 10") is taken
-    out, the score is the first integer after a "Score" or "Rating" label,
-    alike on every line that has one, or else the last integer of the last
-    line that holds an integer. An ambiguous item is refused, not guessed:
-    labelled lines that differ, a decimal, a scale not to 10, no integer but
-    the scale's, or a score outside it is UnparseableScore.
+    out, the score is the first integer after a "Score" or "Rating" label.
+    A label that reaches its integer through punctuation or "of" ("Score:
+    8", "a score of 8") outranks one with words between ("Score for
+    similarity: 8", "score it high, as both name 2"), and every labelled
+    line of the higher rank must give it alike. With no label, it is the
+    last integer of the last line that holds an integer. An ambiguous item
+    is refused, not guessed: labelled lines of one rank that differ, a
+    decimal, a scale not to 10, no integer but the scale's, or a score
+    outside it is UnparseableScore.
     """
     lines = [(line, _SCALE.sub(" ", line)) for line in reversed(item.splitlines())]
-    labelled = [(line, [label[1]]) for line, unscaled in lines if (label := _SCORE_LABEL.search(unscaled))]
+    labels = [(line, label) for line, unscaled in lines if (label := _SCORE_LABEL.search(unscaled))]
+    tight = [(line, label) for line, label in labels if _TIGHT_LABEL.fullmatch(label[1])]
+    labelled = [(line, [label[2]]) for line, label in tight or labels]
     if len({numbers[0] for _, numbers in labelled}) > 1:
         raise UnparseableScore(f"labelled lines give different scores: {item[:120]!r}")
     last, numbers = (labelled or [(line, _INT.findall(unscaled)) for line, unscaled in lines if _INT.search(line)]

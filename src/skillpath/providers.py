@@ -7,7 +7,8 @@ reproducible without network access. With an inner backend it asks it on
 a miss and keeps the exchange: in a transcript (RecordingProvider), or as
 a transcript entry line in a live run's journal (JournalProvider), so a
 rerun sends only the requests the journal lacks. Transcripts are written
-and read a line at a time, and replay keeps only the results.
+and read a line at a time, and replay keeps only the results. A
+transcript holds no timestamp, so the same exchanges write the same bytes.
 
 A request is a prompt and a stage tag; the fingerprint covers the
 prompt, a scope and an occurrence index. The scope is the question a
@@ -36,8 +37,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .errors import ReplayMiss, SkillPathError, StorageError, TransportError
-from .resources import (append_line, fields, json_line, parse_jsonl, read_keyed, read_lines, utc_now,
-                        write_lines)
+from .resources import append_line, fields, json_line, parse_jsonl, read_keyed, read_lines, write_lines
 from .textutil import count_ws_tokens
 
 API_BASE_ENV = "SKILLPATH_API_BASE"
@@ -196,8 +196,8 @@ class Provider:
     implement _complete() and never override complete(), so a wrapper
     around complete() sees every call. identity names what, besides the
     provider setting that chose the backend, makes its replies differ: a
-    live model, a replayed transcript; callers read it, and never ask
-    which backend they hold.
+    live model's name; callers read it, and never ask which backend they
+    hold.
     """
 
     name = "base"
@@ -238,37 +238,31 @@ class TranscriptEntry(NamedTuple):
 class Transcript:
     """A record of completed requests, one fingerprint each."""
 
-    def __init__(self, entries: list[TranscriptEntry] | None = None, provider: str = "", created_at: str = ""):
+    def __init__(self, entries: list[TranscriptEntry] | None = None, provider: str = ""):
         self.entries = [] if entries is None else entries
         self.provider = provider
-        self.created_at = created_at
 
     def save(self, path: str) -> None:
         """Write the transcript as line-delimited JSON with a header line, one line at a time."""
-        header = {
-            "version": TRANSCRIPT_VERSION,
-            "provider": self.provider,
-            "created_at": self.created_at,
-            "entries": len(self.entries),
-        }
+        header = {"version": TRANSCRIPT_VERSION, "provider": self.provider, "entries": len(self.entries)}
         docs = itertools.chain([header], (e.to_record() for e in self.entries))
         write_lines(path, (json_line(doc) + "\n" for doc in docs), "transcript")
 
     @classmethod
     def load(cls, path: str) -> Transcript:
         """Read a saved transcript; _read_transcript judges its lines."""
-        provider, created_at, entries = _read_transcript(path, _entry)
-        return cls(entries=list(entries.values()), provider=provider, created_at=created_at)
+        provider, entries = _read_transcript(path, _entry)
+        return cls(entries=list(entries.values()), provider=provider)
 
 
-def _read_transcript(path: str, convert: Callable[[dict], object]) -> tuple[str, str, dict]:
-    """(provider, created_at, {fingerprint: convert(entry line)}) of the transcript at path.
+def _read_transcript(path: str, convert: Callable[[dict], object]) -> tuple[str, dict]:
+    """(provider, {fingerprint: convert(entry line)}) of the transcript at path.
 
     resources.read_keyed judges the entry lines. A header of another
     version, or whose entry count differs from the entries that follow
     (the file was cut short or edited), is a StorageError; only a JSON
-    integer is a version or a count. So is a header whose provider or
-    created_at is there but not a string.
+    integer is a version or a count. So is a header whose provider is
+    there but not a string. Other header keys are ignored.
     """
     lines = parse_jsonl(read_lines(path, "transcript"), path)
     _, header = next(lines, (0, None))
@@ -277,17 +271,16 @@ def _read_transcript(path: str, convert: Callable[[dict], object]) -> tuple[str,
     version = header.get("version")
     if type(version) is not int or version != TRANSCRIPT_VERSION:
         raise StorageError(f"transcript {path} has version {version!r}, not {TRANSCRIPT_VERSION}")
-    provider, created_at = header.get("provider", ""), header.get("created_at", "")
-    if not (isinstance(provider, str) and isinstance(created_at, str)):
-        raise StorageError(f"transcript {path} header's provider and created_at must be strings,"
-                           f" got {provider!r} and {created_at!r}")
+    provider = header.get("provider", "")
+    if not isinstance(provider, str):
+        raise StorageError(f"transcript {path} header's provider must be a string, got {provider!r}")
     entries = read_keyed(lines, path, "fingerprint", convert)
     counted = header.get("entries")
     if type(counted) is not int or counted != len(entries):
         raise StorageError(
             f"transcript {path} header counts {counted!r} entries, but {len(entries)} follow"
         )
-    return provider, created_at, entries
+    return provider, entries
 
 
 def _entry(doc: dict) -> TranscriptEntry:
@@ -312,17 +305,15 @@ class ReplayProvider(Provider):
     name = "replay"
     inner: Provider | None = None
 
-    def __init__(self, results: dict[str, CompletionResult], created_at: str = ""):
+    def __init__(self, results: dict[str, CompletionResult]):
         self._results = results
-        # a replayed bundle is stamped as its transcript was
-        self.identity = {"transcript_created_at": created_at}
         self._counter = _OccurrenceCounter()
         self._lock = threading.Lock()
 
     @staticmethod
     def from_file(path: str) -> ReplayProvider:
-        _, created_at, results = _read_transcript(path, lambda doc: _entry(doc).result)
-        return ReplayProvider(results, created_at)
+        _, results = _read_transcript(path, lambda doc: _entry(doc).result)
+        return ReplayProvider(results)
 
     def _complete(self, request: CompletionRequest) -> CompletionResult:
         fp = self._counter.fingerprint(request)
@@ -346,7 +337,6 @@ class RecordingProvider(ReplayProvider):
         super().__init__({})
         self.inner, self.identity = inner, inner.identity
         self._entries: list[TranscriptEntry] = []
-        self._created_at = utc_now()
 
     def _keep(self, entry: TranscriptEntry) -> None:
         self._entries.append(entry)
@@ -361,7 +351,7 @@ class RecordingProvider(ReplayProvider):
         """
         with self._lock:
             entries = sorted(self._entries, key=lambda e: e.fingerprint)
-        return Transcript(entries=entries, provider=self.inner.name, created_at=self._created_at)
+        return Transcript(entries=entries, provider=self.inner.name)
 
 
 class JournalProvider(ReplayProvider):

@@ -26,7 +26,6 @@ import json
 import os
 import re
 import string
-import time
 from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
 from importlib import resources
@@ -292,8 +291,3 @@ def _refuse_lone_surrogates(text: str, path: str, first_line: int = 1) -> None:
 def json_line(doc) -> str:
     """One JSON Lines line, without its newline: sorted keys, text as written."""
     return json.dumps(doc, sort_keys=True, ensure_ascii=False)
-
-
-def utc_now() -> str:
-    """Second-resolution UTC timestamp for file headers."""
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())

@@ -157,6 +157,28 @@ def test_answer_span_takes_the_last_marker():
     )
 
 
+# a final completion -> the answer read from it
+FINAL_ANSWERS = {
+    "one-span": ("So <answer>Paris</answer>.", "Paris"),
+    "spaces-inside": ("<answer>  Paris \n</answer>", "Paris"),
+    "upper-case-tags": ("<ANSWER>Paris</ANSWER>", "Paris"),
+    "span-over-lines": ("<answer>Paris,\nFrance</answer>", "Paris,\nFrance"),
+    "emphasis-inside": ("<answer>**Paris**</answer>", "**Paris**"),
+    "empty-span": ("<answer></answer>", ""),
+    "empty-last-span": ("<answer>Paris</answer> then <answer> </answer>", ""),
+    "nested-spans": ("<answer><answer>Paris</answer></answer>", "<answer>Paris"),
+    "unclosed-span": ("The answer is <answer>Paris", "The answer is <answer>Paris"),
+    "tag-with-an-attribute": ('<answer type="city">Paris</answer>', '<answer type="city">Paris</answer>'),
+    "no-tags": ("Answer: Paris", "Answer: Paris"),
+    "blank": ("  \n ", ""),
+}
+
+
+@pytest.mark.parametrize("completion, span", FINAL_ANSWERS.values(), ids=FINAL_ANSWERS)
+def test_a_final_answer_is_the_last_span_or_the_whole_completion(completion, span):
+    assert extract_answer_span(completion) == span
+
+
 def test_answer_collects_trace_and_usage():
     replies = {
         S.DEDUCTIVE.display_name: "The Eiffel Tower was completed in 1889.",

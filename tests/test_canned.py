@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import re
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skillpath import canned
-from skillpath.canned import canned_reply
+from skillpath.canned import CannedProvider, canned_reply
+from skillpath.examplegen import CandidateQuestion, ConstructionMode, score_candidates
 from skillpath.providers import CompletionRequest
 from skillpath.resources import render_prompt
 from skillpath.textutil import first_sentence
@@ -89,3 +91,23 @@ def test_the_bundled_templates_carry_the_anchors_the_mock_finds(uncached_loaders
     assert canned_reply(CompletionRequest(answer, tag="answer")) == (
         f"The focused material states: {first} <answer>{first}</answer>"
     )
+
+
+# ---------------------------------------------------- listed items
+
+# a corpus question may hold a line break, and a line of it may start with a number and ". "
+NUMBERED_QUESTIONS = {
+    "one-line": "Which is taller, the Eiffel Tower or Big Ben?",
+    "line-two": "Which is taller:\n2. the Eiffel Tower or Big Ben?",
+    "line-one": "Which is taller:\n1. the Eiffel Tower or Big Ben?",
+    "lines-one-two": "Which is taller:\n1. the Eiffel Tower\n2. Big Ben?",
+    "huge-number": "Which is taller:\n" + "9" * 5000 + ". the Eiffel Tower or Big Ben?",
+}
+
+
+@pytest.mark.parametrize("question", NUMBERED_QUESTIONS.values(), ids=NUMBERED_QUESTIONS)
+@pytest.mark.parametrize("k", [1, 3])
+def test_the_mock_scores_one_item_per_candidate_whatever_lines_the_question_numbers(question, k):
+    candidates = [CandidateQuestion(f"Which is older, place {n}?", ConstructionMode.RANDOM_FILL) for n in range(k)]
+    scored = score_candidates(question, candidates, CannedProvider())
+    assert [c.similarity_score for c in scored] == [10] * k

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from skillpath import cli, collection as collection_mod, providers, resources
+from skillpath import cli, providers, resources
 from skillpath.canned import _HANDLERS, CannedProvider
 from skillpath.cli import ConfigError, _resolve_config, build_parser, main
 from skillpath.collection import (
@@ -267,22 +267,20 @@ def test_generate_answer_eval_with_mock_provider(tmp_path, corpus_path, capsys):
     assert "Retrace:" in out
 
 
-# sha256 of every output of a mock generate, answer and eval on the fixture corpus, at a fixed clock;
+# sha256 of every output of a mock generate, answer and eval on the fixture corpus;
 # two runs that agree with each other could still both write a record in a new shape
 PINNED_OUTPUTS = {
-    "bundle.json": "7c6693cb3bf0c2515c5474c6a5ff4a0449454daee0a224aedc00adcb575c97b8",
-    "generate.transcript.jsonl": "1f2b86d8836196cb1008c625085e45a1d793c62bc5f31febc4c3f709f475ec6d",
+    "bundle.json": "a97336d2c669ad5cd0804a8154278af4a6531427c42f2299646aa354924eba97",
+    "generate.transcript.jsonl": "aaaba87a315a803044cbbe48642326e8ee6dcc7a4fc596a8b64b571f48beb2a3",
     "run.jsonl": "61f305472a4342f962ea17b54885e8d1566090a30d502c51829e695d5dd7bcc6",
-    "answer.transcript.jsonl": "4390938b6e72033c8916c8f53623016b7c9398ee925ef61f00c921fa043c9814",
+    "answer.transcript.jsonl": "7cbb07ef9b150f2a7b92d62b40a311b9dc71feec3bed6b37cb61c064795261eb",
     "report.json": "97a12e92913049ffd19a1f30474063896a92047db810a09c26dc5e71d7252367",
     "report.json.records.tsv": "fae0bf256cb0756de0f23dbed7384e63a92eee441fa510655bbbd4452f52df90",
 }
 
 
 def _pinned_mock_run(corpus, out, monkeypatch, names):
-    """sha256 of each named output of a mock generate, answer and eval on corpus, at a fixed clock."""
-    monkeypatch.setattr(collection_mod, "utc_now", lambda: "2026-01-01T00:00:00Z")
-    monkeypatch.setattr(providers, "utc_now", lambda: "2026-01-01T00:00:00Z")
+    """sha256 of each named output of a mock generate, answer and eval on corpus."""
     recorders = []
 
     def recorded():
@@ -321,7 +319,7 @@ IRREGULAR_CORPUS = [
                    "San Francisco lies\tnorth of San Jose. The STRASSE sign is a joke."],
      "gold_answers": ["1937"], "gold_sentence_ids": [[0, 0]]},
 ]
-# sha256 of the run log and the report of a mock run on IRREGULAR_CORPUS, at a fixed clock
+# sha256 of the run log and the report of a mock run on IRREGULAR_CORPUS
 IRREGULAR_PINNED = {
     "run.jsonl": "35a4205994dd61ebb2200d31ecd4fdd2615f953ad136da8ed85b502d492fc0da",
     "report.json": "d1ab25385dcfafef9cbce27482060694c315758d92a80ab8685feafa94e16a37",
@@ -457,22 +455,36 @@ def test_replay_of_a_transcript_of_another_version_exits_2_before_any_call(
         assert not output.exists()
 
 
-@pytest.mark.parametrize("header", [{"provider": 7}, {"created_at": ["x"]}],
-                         ids=["provider-number", "created-at-list"])
+@pytest.mark.parametrize("header", [{"provider": 7}], ids=["provider-number"])
 def test_replay_of_a_transcript_with_a_header_of_the_wrong_type_exits_2_before_any_call(
     tmp_path, corpus_path, capsys, header
 ):
     transcript = tmp_path / "transcript.jsonl"
-    transcript.write_text(json.dumps({"version": providers.TRANSCRIPT_VERSION, "provider": "mock", "created_at": "", "entries": 0,
+    transcript.write_text(json.dumps({"version": providers.TRANSCRIPT_VERSION, "provider": "mock", "entries": 0,
                                       **header}) + "\n", encoding="utf-8")
     bundle = tmp_path / "bundle.json"
     code = main(["generate", "--provider", "replay", "--transcript", str(transcript),
                  "--corpus", corpus_path, "--collection", str(bundle), "--count", "1"])
     assert code == 2
     err = capsys.readouterr().err
-    assert str(transcript) in err and "must be strings" in err
+    assert str(transcript) in err and "provider must be a string, got 7" in err
     assert "[generate] question" not in err
     assert not bundle.exists()
+
+
+def test_a_transcript_whose_header_holds_a_created_at_still_replays(tmp_path, fixtures_dir):
+    # transcripts were once stamped with the time they were written; the stamp is an ignored key
+    lines = Path(fixtures_dir, "transcript.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    header = {**json.loads(lines[0]), "created_at": "2026-01-01T00:00:00Z"}
+    stamped = tmp_path / "stamped.jsonl"
+    stamped.write_text(json.dumps(header, sort_keys=True) + "\n" + "".join(lines[1:]), encoding="utf-8")
+    logs = []
+    for transcript in (Path(fixtures_dir, "transcript.jsonl"), stamped):
+        logs.append(tmp_path / f"{transcript.stem}.run.jsonl")
+        assert main(["answer", "--provider", "replay", "--transcript", str(transcript),
+                     "--corpus", f"{fixtures_dir}/corpus.jsonl",
+                     "--collection", f"{fixtures_dir}/collection.json", "--run-log", str(logs[-1])]) == 0
+    assert logs[0].read_bytes() == logs[1].read_bytes()
 
 
 def test_answer_flags_questions_missing_from_bundle(tmp_path, corpus_path, capsys):
@@ -571,10 +583,7 @@ def test_parallel_generate_matches_serial(tmp_path, corpus_path):
                  "--collection", serial, "--count", "1"]) == 0
     assert main(["generate", "--provider", "mock", "--corpus", corpus,
                  "--collection", parallel, "--count", "1", "--parallelism", "3"]) == 0
-    a = json.loads(Path(serial).read_text(encoding="utf-8"))
-    b = json.loads(Path(parallel).read_text(encoding="utf-8"))
-    a.pop("created_at"), b.pop("created_at")
-    assert a == b
+    assert Path(serial).read_bytes() == Path(parallel).read_bytes()
 
 
 def test_config_snapshot_records_effective_settings(tmp_path, corpus_path):
@@ -719,20 +728,12 @@ def test_answer_on_a_bundle_without_collections_exits_2(tmp_path, fixtures_dir, 
     assert (mock_calls, logged) == ([], False)
 
 
-def test_answer_on_a_bundle_whose_created_at_is_not_a_string_exits_2(tmp_path, fixtures_dir, mock_calls, capsys):
-    code, err, logged = answer_on_the_fixture_bundle(tmp_path, fixtures_dir, capsys,
-                                                     lambda doc: doc.update(created_at=["x"]))
-    assert code == 2
-    assert f"{tmp_path / 'bundle.json'}: created_at must be a string, got ['x']" in err
-    assert (mock_calls, logged) == ([], False)
-
-
-def test_a_bundle_without_created_at_and_with_an_unknown_top_level_key_is_read(tmp_path, fixtures_dir, capsys):
-    def edit(doc):
-        del doc["created_at"]
-        doc["zz_unknown"] = 1
-
-    assert answer_on_the_fixture_bundle(tmp_path, fixtures_dir, capsys, edit)[::2] == (0, True)
+# bundles were once stamped with the time they were written; the stamp is one more ignored key
+@pytest.mark.parametrize("extra", [{"created_at": "2026-01-01T00:00:00Z"}, {"zz_unknown": 1}],
+                         ids=["created-at", "unknown"])
+def test_a_bundle_with_another_top_level_key_is_read(tmp_path, fixtures_dir, capsys, extra):
+    code, _, logged = answer_on_the_fixture_bundle(tmp_path, fixtures_dir, capsys, lambda doc: doc.update(extra))
+    assert (code, logged) == (0, True)
 
 
 # stored collections whose values only look right: no example, a string where

@@ -67,7 +67,7 @@ def test_a_bundle_stores_its_examples_and_nothing_derived_from_them(tmp_path):
     # n and freq_index follow from the examples; the construction mode is in the config snapshot
     example = make_example([ReasoningSkill.DEDUCTIVE, ReasoningSkill.INDUCTIVE])
     _, body = bundle_doc(tmp_path, build_collection([example, example]))
-    assert set(body) == {"version", "created_at", "collections"}
+    assert set(body) == {"version", "collections"}
     assert body["version"] == 2
     assert set(body["collections"]["q1"]) == {"examples"}
     assert [set(stored) for stored in body["collections"]["q1"]["examples"]] == [
@@ -83,8 +83,8 @@ def test_a_collection_has_no_default_frequency_index():
 
 def test_restore_rejects_a_repeated_key(tmp_path):
     path, body = bundle_doc(tmp_path, build_collection([make_example([ReasoningSkill.DEDUCTIVE])]))
-    path.write_text(json.dumps(body)[:-1] + ', "created_at": "2026-01-01T00:00:00Z"}', encoding="utf-8")
-    where = re.escape(f"{path}: an object repeats the key 'created_at'")
+    path.write_text(json.dumps(body)[:-1] + ', "version": 2}', encoding="utf-8")
+    where = re.escape(f"{path}: an object repeats the key 'version'")
     with pytest.raises(ValidationError, match=f"^{where}$"):
         restore_bundle(str(path))
 
@@ -133,7 +133,7 @@ def test_bundle_round_trip_preserves_keys(tmp_path):
         ),
     }
     path = tmp_path / "bundle.json"
-    persist_bundle(bundle, str(path), created_at="2026-01-01T00:00:00Z")
+    persist_bundle(bundle, str(path))
     restored = restore_bundle(str(path))
     assert set(restored) == {"q1", "q2"}
     assert restored["q1"] == bundle["q1"]

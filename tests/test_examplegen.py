@@ -183,6 +183,13 @@ SCORE_REPLIES = {
     "labelled-bound-line-after-the-score": ("Score: 8\nA score of 10 would mean identical.", None),
     "labelled-bound-rule-after-the-score": ("Score: 3\nRating 10 is for identical questions.", None),
     "numbered-item": ("1. Both compare landmarks. Score: 8", 8),
+    "label-around-the-scale": ("Score (1-10): 10", 10),
+    "score-of": ("The candidate earns a score of 7.", 7),
+    # a label that reaches its integer through punctuation (or "of") outranks one with words between
+    "prose-score-before-the-label": ("I would score it high, as both name 2 places.\nScore: 8", 8),
+    "prose-score-after-the-label": ("Score: 6\nI would score it lower if it named 3 places.", 6),
+    "words-between-label-and-score": ("Score for similarity: 8\nBoth ask about 2 places.", 8),
+    "worded-labels-differ": ("Score for similarity: 8\nRating given by me: 6", None),
     "decimal": ("9.5", None),
     "decimal-out-of-ten": ("Score: 7.5 out of 10", None),
     "other-scale": ("Score: 4/5", None),
@@ -290,6 +297,67 @@ def test_score_candidates_attaches_scores_in_order():
     assert "\n1. q1\n2. q2\n" in request.prompt
 
 
+# a guided-fill reply for the Eiffel template -> the candidates read from it; a malformed line is dropped
+FILL_REPLIES = {
+    "spaces-around": ("1. adj = older ; place 1 = Big Ben ; place 2 = CN Tower",
+                      ["Which is older, the Big Ben or the CN Tower?"]),
+    "paren-number": ("1) adj=older; place 1=Big Ben; place 2=CN Tower",
+                     ["Which is older, the Big Ben or the CN Tower?"]),
+    "trailing-semicolon": ("1. adj=older; place 1=Big Ben; place 2=CN Tower;",
+                           ["Which is older, the Big Ben or the CN Tower?"]),
+    "unknown-slot-ignored": ("1. adj=older; place 1=Big Ben; place 2=CN Tower; place 3=Louvre",
+                             ["Which is older, the Big Ben or the CN Tower?"]),
+    "equals-in-a-value": ("1. adj=older; place 1=E=mc2 Tower; place 2=CN Tower",
+                          ["Which is older, the E=mc2 Tower or the CN Tower?"]),
+    "repeated-slot-takes-the-last": ("1. adj=older; adj=newer; place 1=Big Ben; place 2=CN Tower",
+                                     ["Which is newer, the Big Ben or the CN Tower?"]),
+    # misread: quotes and a closing period are kept in the question
+    "quoted-values": ('1. adj="older"; place 1="Big Ben"; place 2="CN Tower"',
+                      ['Which is "older", the "Big Ben" or the "CN Tower"?']),
+    "closing-period": ("1. adj=older; place 1=Big Ben; place 2=CN Tower.",
+                       ["Which is older, the Big Ben or the CN Tower.?"]),
+    "empty-value": ("1. adj=; place 1=Big Ben; place 2=CN Tower", []),
+    "comma-separated": ("1. adj=older, place 1=Big Ben, place 2=CN Tower", []),
+    "colon-assignments": ("1. adj: older; place 1: Big Ben; place 2: CN Tower", []),
+    "slot-in-upper-case": ("1. ADJ=older; Place 1=Big Ben; place 2=CN Tower", []),
+    "bracketed-slots": ("1. [adj]=older; [place 1]=Big Ben; [place 2]=CN Tower", []),
+    "unnumbered": ("adj=older; place 1=Big Ben; place 2=CN Tower", []),
+}
+
+
+@pytest.mark.parametrize("reply, texts", FILL_REPLIES.values(), ids=FILL_REPLIES)
+def test_a_fill_reply_is_read_as_written_or_dropped(reply, texts):
+    provider = MockProvider(lambda request: reply)
+    assert [c.text for c in generate_candidates(eiffel_template(), ConstructionMode.GUIDED_FILL, 3, provider)] == texts
+
+
+# a template-variation reply -> the candidates read from it; an unnumbered line is ignored
+VARIATION_REPLIES = {
+    "paren-number": ("1) Which is longer, the Nile or the Amazon?", ["Which is longer, the Nile or the Amazon?"]),
+    "preface-line": ("Here you go:\n1. Which is longer, the Nile or the Amazon?",
+                     ["Which is longer, the Nile or the Amazon?"]),
+    "quoted": ('1. "Which is longer, the Nile or the Amazon?"', ["Which is longer, the Nile or the Amazon?"]),
+    "empty-item-dropped": ('1. ""\n2. Which is older?', ["Which is older?"]),
+    "a-year-reads-as-a-number": ("1889. Which is older?", ["Which is older?"]),
+    "duplicate-but-for-punctuation": ("1. Which is longer, the Nile?\n2. which is longer the nile",
+                                      ["Which is longer, the Nile?", "which is longer the nile"]),
+    # misread: curly or single quotes, emphasis and a label are kept in the question
+    "curly-quotes": ("1. \u201cWhich is longer?\u201d", ["\u201cWhich is longer?\u201d"]),
+    "single-quotes": ("1. 'Which is longer?'", ["'Which is longer?'"]),
+    "emphasised": ("1. **Which is longer?**", ["**Which is longer?**"]),
+    "labelled": ("1. Question: Which is longer?", ["Question: Which is longer?"]),
+    "dashed": ("- Which is longer, the Nile or the Amazon?", []),
+    "unnumbered": ("Which is longer, the Nile or the Amazon?", []),
+}
+
+
+@pytest.mark.parametrize("reply, texts", VARIATION_REPLIES.values(), ids=VARIATION_REPLIES)
+def test_a_variation_reply_is_read_as_written_or_ignored(reply, texts):
+    provider = MockProvider(lambda request: reply)
+    candidates = generate_candidates(eiffel_template(), ConstructionMode.TEMPLATE_VARIATION, 3, provider)
+    assert [c.text for c in candidates] == texts
+
+
 STRATEGY_REPLY = """\
 1. What does the question ask about the device? (critical thinking)
 2. Break the problem into the device and its inventor. (decompositional)
@@ -338,6 +406,52 @@ def test_parse_strategy_rejects_unknown_skill_names():
 def test_parse_strategy_rejects_steplessness():
     with pytest.raises(UnparseableStrategy):
         parse_strategy_reply("I cannot help with that.")
+
+
+# a strategy reply -> (subquestions, skills, generated answer), or None where it is UnparseableStrategy
+STRATEGY_REPLIES = {
+    "canned": (canned_reply(CompletionRequest("Plan the steps.", tag="strategy")),
+               (("Identify what the question is asking for.",
+                 "Locate the fact that answers it in the reference material."),
+                ("decompositional", "deductive"), "The answer is stated in the reference material.")),
+    "paren-numbers": ("1) Compare the heights. (deductive)\nGenerated Answer: x",
+                      (("Compare the heights.",), ("deductive",), "x")),
+    "indented-steps": ("  1. Compare. (Deductive Reasoning)\n  2. Conclude. (cause and effect)\nGenerated Answer: x",
+                       (("Compare.", "Conclude."), ("deductive", "cause & effect"), "x")),
+    "emphasised-skill": ("1. Compare the heights. (**deductive**)\nGenerated Answer: x",
+                         (("Compare the heights.",), ("deductive",), "x")),
+    "punctuation-after-the-skill": ("1. Compare the heights (deductive):\nGenerated Answer: x",
+                                    (("Compare the heights",), ("deductive",), "x")),
+    "parentheses-in-the-body": ("1. Compare heights (in metres (m)). (deductive)\nGenerated Answer: x",
+                                (("Compare heights (in metres (m)).",), ("deductive",), "x")),
+    "quoted-answer-label-in-lower-case": ('1. Compare. (deductive)\ngenerated answer: "the Tower"',
+                                          (("Compare.",), ("deductive",), "the Tower")),
+    "answer-on-the-next-line": ("1. Compare. (deductive)\nGenerated Answer:\nthe Tower",
+                                (("Compare.",), ("deductive",), "the Tower")),
+    "numbered-answer-line": ("1. Compare. (deductive)\n2. Generated Answer: x", (("Compare.",), ("deductive",), "x")),
+    "two-answer-lines": ("1. Compare. (deductive)\nGenerated Answer: a\nGenerated Answer: b",
+                         (("Compare.",), ("deductive",), "a")),
+    "no-answer-line": ("1. Compare. (deductive)", (("Compare.",), ("deductive",), "")),
+    # misread: the emphasis around the label is kept in the answer
+    "emphasised-answer-label": ("1. Compare. (deductive)\n**Generated Answer:** the Tower",
+                                (("Compare.",), ("deductive",), "** the Tower")),
+    "step-headings": ("Step 1: Compare the heights. (deductive)\nGenerated Answer: x", None),
+    "dashed-steps": ("- Compare. (deductive)\nGenerated Answer: x", None),
+    "answer-before-the-steps": ("Generated Answer: x\n1. Compare. (deductive)", None),
+    "no-skill": ("1. A step with no annotation.\nGenerated Answer: x", None),
+    "unknown-skill": ("1. A step. (wishful thinking)\nGenerated Answer: x", None),
+    "skill-without-a-body": ("1. (deductive)\nGenerated Answer: x", None),
+}
+
+
+@pytest.mark.parametrize("reply, parsed", STRATEGY_REPLIES.values(), ids=STRATEGY_REPLIES)
+def test_a_strategy_reply_is_read_as_written_or_refused(reply, parsed):
+    if parsed is None:
+        with pytest.raises(UnparseableStrategy):
+            parse_strategy_reply(reply)
+    else:
+        strategy, answer = parse_strategy_reply(reply)
+        assert (strategy.subquestions, tuple(s.canonical for s in strategy.skills), answer) == parsed
 
 
 def test_build_strategy_round_trips_through_provider():

@@ -58,7 +58,6 @@ DOC = (
     "The Empire State Building was completed in 1931."
 )
 EIFFEL = "Which is taller, the Eiffel Tower or the Empire State Building?"
-STAMP = "2026-01-01T00:00:00Z"
 
 
 # ------------------------------------------------------------ the question lanes
@@ -296,8 +295,7 @@ def test_identical_requests_inside_a_question_go_in_program_order(tmp_path, monk
     corpus.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
     bundle = str(tmp_path / "bundle.json")
     example = make_example([S.DEDUCTIVE, S.DEDUCTIVE, S.DECOMPOSITIONAL])
-    persist_bundle({row["question_id"]: build_collection([example]) for row in rows},
-                   bundle, created_at=STAMP)
+    persist_bundle({row["question_id"]: build_collection([example]) for row in rows}, bundle)
     monkeypatch.setattr(cli, "CannedProvider", ArrivalOrderSegments)
     run_log = tmp_path / "run.jsonl"
     assert cli.main(["answer", "--provider", "mock", "--corpus", str(corpus), "--collection", bundle,
@@ -521,7 +519,7 @@ def _recorded_runs(tmp_path, monkeypatch, command, argv, outputs, seeds=range(5)
         record = [command, "--provider", "mock", "--parallelism", "3"]
         assert cli.main([*record, *argv(out / "recorded")]) == 0
         transcript = out / "transcript.jsonl"
-        Transcript(recorder.transcript.entries, "jittery", STAMP).save(str(transcript))
+        Transcript(recorder.transcript.entries, "jittery").save(str(transcript))
         recorded = outputs(out / "recorded")
         for parallelism in ("1", "3"):
             replay = [command, "--provider", "replay", "--transcript", str(transcript),
@@ -541,10 +539,7 @@ def test_answer_record_and_replay_are_byte_identical_under_jitter(tmp_path, monk
     corpus.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
     bundle = str(tmp_path / "bundle.json")
     example = make_example([S.DEDUCTIVE, S.DEDUCTIVE, S.DECOMPOSITIONAL])
-    persist_bundle(
-        {row["question_id"]: build_collection([example]) for row in rows},
-        bundle, created_at=STAMP,
-    )
+    persist_bundle({row["question_id"]: build_collection([example]) for row in rows}, bundle)
 
     def argv(out):
         return ["--corpus", str(corpus), "--collection", bundle, "--run-log", f"{out}.jsonl"]

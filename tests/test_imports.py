@@ -1,7 +1,7 @@
 """The package runs on the standard library alone, defines no exception it never raises, judges
 every input line in one module, tags every request with a stage the mock backend answers, reads
-exactly the environment variables its README names, keeps one store of replies by fingerprint, and keeps
-its immutable records immutable."""
+exactly the environment variables its README names, keeps one store of replies by fingerprint, keeps
+its immutable records immutable, and reads no clock but the live backend's timer."""
 
 from __future__ import annotations
 
@@ -282,3 +282,30 @@ def test_only_the_question_lanes_of_the_cli_build_a_thread():
             if any(starts_threads(node) for node in ast.walk(top)):
                 found.add(f"{module}.{getattr(top, 'name', '<module>')}")
     assert found == {"cli._run_questions"}
+
+
+CLOCKS = ("time", "datetime")
+
+
+def clock_uses(node):
+    """The use of the time or datetime module that node makes, or None: an attribute, or an import that hides one."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in CLOCKS:
+        return ast.unparse(node)
+    hidden = (isinstance(node, ast.ImportFrom) and node.module in CLOCKS
+              or isinstance(node, ast.Import) and any(alias.name == "datetime" or alias.name == "time" and alias.asname
+                                                      for alias in node.names))
+    return ast.unparse(node) if hidden else None
+
+
+def test_no_module_reads_the_wall_clock():
+    # every output is the same bytes for the same inputs; only the live backend times its calls and waits
+    found = set()
+    for path in MODULES:
+        module = os.path.basename(path).removesuffix(".py")
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for top in tree.body:  # named by the module-level def or class it is in
+            for node in ast.walk(top):
+                if (use := clock_uses(node)) is not None:
+                    found.add(f"{module}.{getattr(top, 'name', '<module>')}: {use}")
+    assert found == {"providers.LiveProvider: time.monotonic", "providers.LiveProvider: time.sleep"}

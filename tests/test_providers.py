@@ -172,7 +172,7 @@ def test_replay_from_a_file_keeps_results_only(tmp_path):
     recorder.transcript.save(str(path))
 
     replay = ReplayProvider.from_file(str(path))
-    assert replay.identity == {"transcript_created_at": recorder.transcript.created_at}
+    assert replay.identity == {}
     assert not hasattr(replay, "transcript")
     reached = list(_reachable(replay))
     assert {type(obj) for obj in reached if isinstance(obj, tuple)} == {CompletionResult, TokenUsage}

@@ -23,7 +23,6 @@ from skillpath.providers import MockProvider, RecordingProvider, Transcript, que
 from skillpath.skills import ReasoningSkill as S
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "tests", "fixtures")
-STAMP = "2026-01-01T00:00:00Z"
 
 LENNON_DOC = (
     "John Lennon, the iconic musician and member of The Beatles, "
@@ -139,7 +138,7 @@ def main() -> None:
     corpus.save_records(RECORDS, os.path.join(FIXTURES, "corpus.jsonl"))
 
     bundle = build_bundle()
-    persist_bundle(bundle, os.path.join(FIXTURES, "collection.json"), created_at=STAMP)
+    persist_bundle(bundle, os.path.join(FIXTURES, "collection.json"))
 
     recorder = RecordingProvider(MockProvider(scripted_reply))
 
@@ -152,9 +151,7 @@ def main() -> None:
     for record in RECORDS:
         with question_scope(record.question_id):
             answer_one(record)
-    transcript = Transcript(
-        entries=recorder.transcript.entries, provider="mock", created_at=STAMP
-    )
+    transcript = Transcript(entries=recorder.transcript.entries, provider="mock")
     transcript.save(os.path.join(FIXTURES, "transcript.jsonl"))
     print(f"wrote {len(transcript.entries)} transcript entries to {FIXTURES}")
 
