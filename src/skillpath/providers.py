@@ -5,10 +5,13 @@ ReplayProvider, the one store of results keyed by a stable fingerprint,
 serves a transcript's back bit for bit, which makes end-to-end runs
 reproducible without network access. With an inner backend it asks it on
 a miss and keeps the exchange: in a transcript (RecordingProvider), or as
-a transcript entry line in a live run's journal (JournalProvider), so a
-rerun sends only the requests the journal lacks. Transcripts are written
-and read a line at a time, and replay keeps only the results. A
-transcript holds no timestamp, so the same exchanges write the same bytes.
+an entry line in a live run's journal (JournalProvider), so a rerun sends
+only the requests the journal lacks. Both files are one format, read by
+one reader (_read_replies): a header line {"version", "identity"}, to
+which a finished transcript adds its entry count, then one line per reply,
+{"fingerprint", "question", "tag", "result"}. No line holds a prompt or a
+timestamp, so the same exchanges write the same bytes, and replay keeps
+only the results.
 
 A request is a prompt and a stage tag; the fingerprint covers the
 prompt, a scope and an occurrence index. The scope is the question a
@@ -32,7 +35,7 @@ import os
 import sys
 import threading
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from typing import NamedTuple
 
 from . import __version__
@@ -50,7 +53,7 @@ LIVE_TIMEOUT_S = 60.0
 LIVE_TEMPERATURE = 0.0
 LIVE_MAX_TOKENS = 4096
 
-TRANSCRIPT_VERSION = 6
+TRANSCRIPT_VERSION = 7
 
 log = logging.getLogger(__name__)
 
@@ -225,72 +228,69 @@ class MockProvider(Provider):
 
 
 class TranscriptEntry(NamedTuple):
+    """One stored reply, as a transcript or journal line holds it: no prompt, only what made it."""
+
     fingerprint: str
-    request: CompletionRequest
+    question: str  # the id of the question_scope the request was made in, "" outside any
+    tag: str
     result: CompletionResult
 
     def to_record(self) -> dict:
-        """The entry as a transcript line stores it; _entry reads it back."""
-        return {"fingerprint": self.fingerprint, "request": self.request._asdict(),
-                "result": {**self.result._asdict(), "usage": self.result.usage._asdict()}}
+        """The entry as its line stores it; _entry reads it back."""
+        return {**self._asdict(), "result": {**self.result._asdict(), "usage": self.result.usage._asdict()}}
 
 
 class Transcript:
-    """A record of completed requests, one fingerprint each."""
+    """A record of completed requests, one fingerprint each, and the identity of the backend that answered."""
 
-    def __init__(self, entries: list[TranscriptEntry] | None = None, provider: str = ""):
+    def __init__(self, entries: list[TranscriptEntry] | None = None, identity: dict | None = None):
         self.entries = [] if entries is None else entries
-        self.provider = provider
+        self.identity = {} if identity is None else identity
 
     def save(self, path: str) -> None:
         """Write the transcript as line-delimited JSON with a header line, one line at a time."""
-        header = {"version": TRANSCRIPT_VERSION, "provider": self.provider, "entries": len(self.entries)}
+        header = {"version": TRANSCRIPT_VERSION, "identity": self.identity, "entries": len(self.entries)}
         docs = itertools.chain([header], (e.to_record() for e in self.entries))
         write_lines(path, (json_line(doc) + "\n" for doc in docs), "transcript")
 
     @classmethod
     def load(cls, path: str) -> Transcript:
-        """Read a saved transcript; _read_transcript judges its lines."""
-        provider, entries = _read_transcript(path, _entry)
-        return cls(entries=list(entries.values()), provider=provider)
+        """Read a saved transcript; _read_replies judges its lines, and its header must count its entries."""
+        header, entries = _read_replies(read_lines(path, "transcript"), path, "transcript")
+        counted = header.get("entries")
+        if type(counted) is not int or counted != len(entries):
+            raise StorageError(f"transcript {path} header counts {counted!r} entries, but {len(entries)} follow")
+        return cls(list(entries.values()), header["identity"])
 
 
-def _read_transcript(path: str, convert: Callable[[dict], object]) -> tuple[str, dict]:
-    """(provider, {fingerprint: convert(entry line)}) of the transcript at path.
+def _read_replies(lines: Iterable[str], path: str, what: str) -> tuple[dict, dict[str, TranscriptEntry]]:
+    """(header, {fingerprint: entry}) of the lines of a transcript or journal, `what`, read from path.
 
-    resources.read_keyed judges the entry lines. A header of another
-    version, or whose entry count differs from the entries that follow
-    (the file was cut short or edited), is a StorageError; only a JSON
-    integer is a version or a count. So is a header whose provider is
-    there but not a string. Other header keys are ignored.
+    The header line's version must be the JSON integer TRANSCRIPT_VERSION
+    and its identity an object, or the file is a StorageError; its other
+    keys are the caller's. resources.read_keyed judges the entry lines.
     """
-    lines = parse_jsonl(read_lines(path, "transcript"), path)
-    _, header = next(lines, (0, None))
+    docs = parse_jsonl(lines, path)
+    _, header = next(docs, (0, None))
     if not isinstance(header, dict):
-        raise StorageError(f"transcript {path} has no header line")
+        raise StorageError(f"{what} {path} has no header line")
     version = header.get("version")
     if type(version) is not int or version != TRANSCRIPT_VERSION:
-        raise StorageError(f"transcript {path} has version {version!r}, not {TRANSCRIPT_VERSION}")
-    provider = header.get("provider", "")
-    if not isinstance(provider, str):
-        raise StorageError(f"transcript {path} header's provider must be a string, got {provider!r}")
-    entries = read_keyed(lines, path, "fingerprint", convert)
-    counted = header.get("entries")
-    if type(counted) is not int or counted != len(entries):
-        raise StorageError(
-            f"transcript {path} header counts {counted!r} entries, but {len(entries)} follow"
-        )
-    return provider, entries
+        raise StorageError(f"{what} {path} has version {version!r}, not {TRANSCRIPT_VERSION}")
+    if not isinstance(header.get("identity"), dict):
+        raise StorageError(f"{what} {path} header's identity must be an object, got {header.get('identity')!r}")
+    return header, read_keyed(docs, path, "fingerprint", _entry)
 
 
 def _entry(doc: dict) -> TranscriptEntry:
-    """A transcript entry line or journal line, its fields checked as a live reply's are."""
-    if not isinstance(doc["fingerprint"], str):
-        raise ValueError(f"fingerprint must be a string, got {doc['fingerprint']!r}")
-    request = fields(doc["request"], "request", {"prompt"}, {"tag"})
+    """An entry line, its fields checked as a live reply's are."""
+    fields(doc, "entry", {*TranscriptEntry._fields})
+    for name in ("fingerprint", "question", "tag"):
+        if not isinstance(doc[name], str):
+            raise ValueError(f"{name} must be a string, got {doc[name]!r}")
     result = fields(doc["result"], "result", {"text", "usage"}, {"latency_ms"})
     usage = TokenUsage(**fields(result["usage"], "usage", {*TokenUsage._fields}))
-    return TranscriptEntry(doc["fingerprint"], CompletionRequest(**request),
+    return TranscriptEntry(doc["fingerprint"], doc["question"], doc["tag"],
                            CompletionResult(result["text"], usage, result.get("latency_ms", 0.0)))
 
 
@@ -299,7 +299,7 @@ class ReplayProvider(Provider):
 
     On a miss, a store with no inner backend (a replayed transcript) raises ReplayMiss; a
     subclass with an inner asks it and keeps the exchange in its _keep, under the store's lock.
-    It holds only the results, so from_file drops each entry's request once checked.
+    No entry holds a prompt, and the store keeps only the results.
     """
 
     name = "replay"
@@ -312,8 +312,7 @@ class ReplayProvider(Provider):
 
     @staticmethod
     def from_file(path: str) -> ReplayProvider:
-        _, results = _read_transcript(path, lambda doc: _entry(doc).result)
-        return ReplayProvider(results)
+        return ReplayProvider({e.fingerprint: e.result for e in Transcript.load(path).entries})
 
     def _complete(self, request: CompletionRequest) -> CompletionResult:
         fp = self._counter.fingerprint(request)
@@ -322,9 +321,9 @@ class ReplayProvider(Provider):
             return stored
         if self.inner is None:
             raise ReplayMiss(f"no transcript entry for request fingerprint {fp}{_tag_note(request)}")
-        result = self.inner.complete(request)
+        result, scope = self.inner.complete(request), _scope.get()
         with self._lock:
-            self._keep(TranscriptEntry(fp, request, result))
+            self._keep(TranscriptEntry(fp, scope[0] if scope else "", request.tag, result))
         return result
 
 
@@ -351,38 +350,38 @@ class RecordingProvider(ReplayProvider):
         """
         with self._lock:
             entries = sorted(self._entries, key=lambda e: e.fingerprint)
-        return Transcript(entries=entries, provider=self.inner.name)
+        return Transcript(entries, self.identity)
 
 
 class JournalProvider(ReplayProvider):
     """Wraps a backend whose calls cost something, and keeps its replies in a journal file.
 
-    The journal is a header line, {"version", "identity"}, then a transcript entry line per reply,
-    appended as it arrives; a request the journal holds is answered from it, not sent. A journal
-    of another version or identity, or one that cannot be read, is ignored with a warning, and a
-    torn last line is dropped; either way the file is rewritten before any call.
+    The journal is a transcript without the entry count: a header line, {"version", "identity"},
+    then an entry line per reply, appended as it arrives; a request the journal holds is answered
+    from it, not sent. A journal of another version or identity, or one that cannot be read, is
+    ignored with a warning, and a torn last line is dropped; either way the file is rewritten
+    before any call.
     """
 
     name = "journal"
 
     def __init__(self, inner: Provider, path: str):
         header = {"version": TRANSCRIPT_VERSION, "identity": inner.identity}
-        kept, results = [json_line(header) + "\n"], {}
+        kept, entries = [json_line(header) + "\n"], {}
         if os.path.exists(path):
             try:
                 lines = list(read_lines(path, "journal"))
                 if lines and not lines[-1].endswith("\n"):
                     log.warning("dropping a torn last line from journal %s", path)
                     lines.pop()
-                docs = parse_jsonl(lines, path)
-                made_with = next(docs, (0, None))[1]
+                made_with, read = _read_replies(lines, path, "journal")
                 if made_with != header:
                     raise ValueError(f"made with {made_with!r}, not {header!r}")
-                results, kept = read_keyed(docs, path, "fingerprint", lambda doc: _entry(doc).result), lines
+                entries, kept = read, lines
             except (ValueError, SkillPathError) as exc:
                 log.warning("ignoring unreadable journal %s: %s", path, exc)
         write_lines(path, kept, "journal")
-        super().__init__(results)
+        super().__init__({fp: entry.result for fp, entry in entries.items()})
         self.inner, self.identity, self.path = inner, inner.identity, path
 
     def _keep(self, entry: TranscriptEntry) -> None:

@@ -292,13 +292,16 @@ def test_answer_respects_explicit_example_index():
     collection = build_collection(
         [example_for([S.DEDUCTIVE]), example_for([S.ABDUCTIVE])]
     )
-    provider = RecordingProvider(
-        MockProvider(replies("It stands 330 metres tall.", "<answer>330 metres</answer>"))
-    )
-    trace = answer("How tall?", DOC, collection.examples[1], provider)
-    segment_prompts = [
-        e.request.prompt for e in provider.transcript.entries if e.request.tag == "segment"
-    ]
+    # a stored reply holds no prompt, so the reply function keeps each segment prompt it is sent
+    segment_prompts = []
+    reply = replies("It stands 330 metres tall.", "<answer>330 metres</answer>")
+
+    def keeping_segment_prompts(request):
+        if request.tag == "segment":
+            segment_prompts.append(request.prompt)
+        return reply(request)
+
+    trace = answer("How tall?", DOC, collection.examples[1], MockProvider(keeping_segment_prompts))
     assert len(segment_prompts) == 1
     assert S.ABDUCTIVE.display_name in segment_prompts[0]
     assert S.DEDUCTIVE.display_name not in segment_prompts[0]
@@ -314,7 +317,7 @@ def test_stage_failures_name_their_stage():
     recorder = RecordingProvider(MockProvider(replies("It stands 330 metres tall.", "<answer>330 metres</answer>")))
     answer("q?", DOC, example_for([S.DEDUCTIVE]), recorder)
     segment_only = ReplayProvider({e.fingerprint: e.result for e in recorder.transcript.entries
-                                   if e.request.tag == "segment"})
+                                   if e.tag == "segment"})
     miss = r"^no transcript entry for request fingerprint [0-9a-f]{64} \(tag 'answer'\)$"
     with pytest.raises(ReplayMiss, match=miss):
         answer("q?", DOC, example_for([S.DEDUCTIVE]), segment_only)

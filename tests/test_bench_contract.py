@@ -135,6 +135,19 @@ def test_traced_mock_run_fires_every_per_layer_hook(instrument, tmp_path):
     assert any(descends_from_answer(s) for s in by_name.get("textutil.split_sentences", []))
 
 
+
+def test_a_replayed_answer_reads_its_transcript_through_the_traced_load_once(instrument, tmp_path, fixtures_dir):
+    # replay reads through Transcript.load, so the providers layer times transcript reading
+    tracer = instrument.Tracer()
+    try:
+        tracer.install()
+        assert cli.main(["answer", "--provider", "replay", "--transcript", f"{fixtures_dir}/transcript.jsonl",
+                         "--corpus", f"{fixtures_dir}/corpus.jsonl", "--collection",
+                         f"{fixtures_dir}/collection.json", "--run-log", str(tmp_path / "run.jsonl")]) == 0
+    finally:
+        tracer.uninstall()
+    assert [span.name for span in tracer.take()].count("providers.Transcript.load") == 1
+
 def test_entity_pool_loads():
     assert load_entity_pool()
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from skillpath import cli, providers, resources
-from skillpath.canned import _HANDLERS, CannedProvider
+from skillpath.canned import _HANDLERS, CannedProvider, canned_reply
 from skillpath.cli import ConfigError, _resolve_config, build_parser, main
 from skillpath.collection import (
     COLLECTION_VERSION,
@@ -22,7 +22,7 @@ from skillpath.collection import (
     persist_bundle,
     restore_bundle,
 )
-from skillpath.providers import CompletionResult, RecordingProvider, TokenUsage, Transcript
+from skillpath.providers import CompletionResult, MockProvider, RecordingProvider, TokenUsage, Transcript
 from skillpath.skills import ReasoningSkill
 
 from conftest import canned_completion, make_example, stage_of
@@ -271,9 +271,9 @@ def test_generate_answer_eval_with_mock_provider(tmp_path, corpus_path, capsys):
 # two runs that agree with each other could still both write a record in a new shape
 PINNED_OUTPUTS = {
     "bundle.json": "a97336d2c669ad5cd0804a8154278af4a6531427c42f2299646aa354924eba97",
-    "generate.transcript.jsonl": "aaaba87a315a803044cbbe48642326e8ee6dcc7a4fc596a8b64b571f48beb2a3",
+    "generate.transcript.jsonl": "679dd6266256788a30d9b2d2d6dab932cb99d27e5dcb8ef114515933955cd44c",
     "run.jsonl": "61f305472a4342f962ea17b54885e8d1566090a30d502c51829e695d5dd7bcc6",
-    "answer.transcript.jsonl": "7cbb07ef9b150f2a7b92d62b40a311b9dc71feec3bed6b37cb61c064795261eb",
+    "answer.transcript.jsonl": "fa2707945254b85913fa7c25977260ad7565bcd76d62792db5adbf10fb728797",
     "report.json": "97a12e92913049ffd19a1f30474063896a92047db810a09c26dc5e71d7252367",
     "report.json.records.tsv": "fae0bf256cb0756de0f23dbed7384e63a92eee441fa510655bbbd4452f52df90",
 }
@@ -302,6 +302,32 @@ def test_a_mock_run_on_the_fixture_corpus_writes_the_pinned_bytes(tmp_path, fixt
     corpus = os.path.join(fixtures_dir, "corpus.jsonl")
     assert _pinned_mock_run(corpus, tmp_path, monkeypatch, PINNED_OUTPUTS) == PINNED_OUTPUTS
 
+
+
+def test_a_recorded_answer_stores_no_prompt(tmp_path, fixtures_dir, monkeypatch):
+    # a stored line holds a reply and the question and stage that asked for it, never the prompt
+    # or the documents the prompt carried
+    sent, recorders = [], []
+
+    def keeping_prompts(request):
+        sent.append(request.prompt)
+        return canned_reply(request)
+
+    def recorded():
+        recorders.append(RecordingProvider(MockProvider(keeping_prompts)))
+        return recorders[-1]
+
+    monkeypatch.setattr(cli, "CannedProvider", recorded)
+    assert main(["answer", "--provider", "mock", "--corpus", f"{fixtures_dir}/corpus.jsonl", "--collection",
+                 f"{fixtures_dir}/collection.json", "--run-log", str(tmp_path / "run.jsonl")]) == 0
+    recorders[0].transcript.save(str(tmp_path / "answer.transcript.jsonl"))
+    lines = (tmp_path / "answer.transcript.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1 + len(sent) > 1
+    rows = [json.loads(line) for line in Path(fixtures_dir, "corpus.jsonl").read_text(encoding="utf-8").splitlines()]
+    documents = ["\n\n".join(row["documents"]) for row in rows]
+    # each text as a JSON line writes it, its line breaks escaped
+    written = [json.dumps(text, ensure_ascii=False)[1:-1] for text in [*sent, *documents]]
+    assert not [(line, text) for line in lines for text in written if text in line]
 
 # documents whose sentences hold a tab, an NBSP, a double space, "\r\n", "ß" and "İ": the
 # answerer matches their extraction replies through the full sentence-key index
@@ -429,10 +455,10 @@ def test_a_faulty_prompt_template_override_fails_every_question(tmp_path, monkey
 
 # 6.0 equals 6 in Python, but it is not the JSON integer a version is
 @pytest.mark.parametrize("header", [{"version": 1}, {"version": 2}, {"version": 3}, {"version": 4},
-                                    {"version": 5}, {"version": 99}, {},
+                                    {"version": 5}, {"version": 6}, {"version": 99}, {},
                                     {"version": float(providers.TRANSCRIPT_VERSION)}],
-                         ids=["version-1", "version-2", "version-3", "version-4", "version-5", "version-99",
-                              "no-version", "version-float"])
+                         ids=["version-1", "version-2", "version-3", "version-4", "version-5", "version-6",
+                              "version-99", "no-version", "version-float"])
 def test_replay_of_a_transcript_of_another_version_exits_2_before_any_call(
     tmp_path, corpus_path, capsys, header
 ):
@@ -440,7 +466,7 @@ def test_replay_of_a_transcript_of_another_version_exits_2_before_any_call(
     assert main(["generate", "--provider", "mock", "--corpus", corpus_path,
                  "--collection", bundle, "--count", "1"]) == 0
     transcript = tmp_path / "transcript.jsonl"
-    transcript.write_text(json.dumps({"provider": "mock", "entries": 0, **header}) + "\n",
+    transcript.write_text(json.dumps({"identity": {}, "entries": 0, **header}) + "\n",
                           encoding="utf-8")
     output = tmp_path / "replayed"
     for command, outputs in [("generate", ["--collection", str(output), "--count", "1"]),
@@ -455,19 +481,20 @@ def test_replay_of_a_transcript_of_another_version_exits_2_before_any_call(
         assert not output.exists()
 
 
-@pytest.mark.parametrize("header", [{"provider": 7}], ids=["provider-number"])
+@pytest.mark.parametrize("header", [{"identity": "mock"}, {"identity": ["model", "m"]}],
+                         ids=["identity-string", "identity-list"])
 def test_replay_of_a_transcript_with_a_header_of_the_wrong_type_exits_2_before_any_call(
     tmp_path, corpus_path, capsys, header
 ):
     transcript = tmp_path / "transcript.jsonl"
-    transcript.write_text(json.dumps({"version": providers.TRANSCRIPT_VERSION, "provider": "mock", "entries": 0,
-                                      **header}) + "\n", encoding="utf-8")
+    transcript.write_text(json.dumps({"version": providers.TRANSCRIPT_VERSION, "entries": 0, **header}) + "\n",
+                          encoding="utf-8")
     bundle = tmp_path / "bundle.json"
     code = main(["generate", "--provider", "replay", "--transcript", str(transcript),
                  "--corpus", corpus_path, "--collection", str(bundle), "--count", "1"])
     assert code == 2
     err = capsys.readouterr().err
-    assert str(transcript) in err and "provider must be a string, got 7" in err
+    assert str(transcript) in err and f"identity must be an object, got {header['identity']!r}" in err
     assert "[generate] question" not in err
     assert not bundle.exists()
 
@@ -1286,9 +1313,15 @@ def test_a_live_rerun_sends_no_request_its_journal_holds(tmp_path, canned_endpoi
     lines = journal.read_text(encoding="utf-8").splitlines()
     assert json.loads(lines[0]) == JOURNAL_HEADER
     entries = [json.loads(line) for line in lines[1:]]
-    assert [sorted(entry) for entry in entries] == [["fingerprint", "request", "result"]] * sent.total()
-    # each line is a transcript entry, so it names the stage that made its request
-    assert all(entry["request"]["tag"] == stage_of(entry["request"]["prompt"]) in _HANDLERS for entry in entries)
+    assert [sorted(entry) for entry in entries] == [["fingerprint", "question", "result", "tag"]] * sent.total()
+    # each line names the question and stage of a request the endpoint saw; q2 fails before any call
+    seen, occurrences = {}, Counter()
+    for _, _, body in canned_endpoint.received:
+        prompt = json.loads(body)["messages"][0]["content"]
+        seen[providers.fingerprint(prompt, occurrences[prompt], ("q1",))] = ("q1", stage_of(prompt))
+        occurrences[prompt] += 1
+    assert {entry["fingerprint"]: (entry["question"], entry["tag"]) for entry in entries} == seen
+    assert {tag for _, tag in seen.values()} <= set(_HANDLERS)
     collections = stored_collections(tmp_path / "out")
     assert generate_live(tmp_path, canned_endpoint)[0] == Counter()
     assert stored_collections(tmp_path / "out") == collections
@@ -1347,7 +1380,7 @@ def test_a_mock_rerun_makes_its_calls_again(tmp_path, mock_calls):
 def test_only_a_live_run_keeps_a_journal(tmp_path, canned_endpoint, monkeypatch, backend):
     corpus = write_corpus(tmp_path / "corpus.jsonl", JOURNAL_ROWS)
     transcript = tmp_path / "empty.jsonl"
-    Transcript(provider="mock").save(str(transcript))
+    Transcript().save(str(transcript))
     fingerprints = []
     fingerprint = providers.fingerprint
     monkeypatch.setattr(providers, "fingerprint", lambda *args: fingerprints.append(args) or fingerprint(*args))
@@ -1435,31 +1468,40 @@ def test_a_journal_made_with_another_live_model_is_ignored_with_a_warning(tmp_pa
     assert json.loads(journal.read_text(encoding="utf-8").split("\n")[0])["identity"] == {"model": model}
 
 
-JOURNAL_REQUEST = {"prompt": "p", "tag": "answer"}
+JOURNAL_REQUEST = {"question": "q1", "tag": "answer"}
+HEADER_LINE = json.dumps(JOURNAL_HEADER) + "\n"
 
 
 def journal_line(fingerprint="f", **result):
     """A journal line whose result is a one-word reply of 2 tokens, with the changes in `result`."""
     doc = {"text": "x", "usage": {"prompt_tokens": 1, "completion_tokens": 1, "total_tokens": 2}, **result}
-    return json.dumps({"fingerprint": fingerprint, "request": JOURNAL_REQUEST, "result": doc})
+    return json.dumps({"fingerprint": fingerprint, **JOURNAL_REQUEST, "result": doc})
 
 
-# what a journal holds after its header -> what the warning that ignores it names
+# what a journal holds -> what the warning that ignores it names
 UNREADABLE_JOURNALS = {
-    "not-json": ("not json", ".journal.jsonl:2: invalid JSON"),
-    "not-an-object": ("[1]", ".journal.jsonl:2: line is not a JSON object"),
-    "repeated-key": (journal_line()[:-1] + ', "fingerprint": "g"}', "an object repeats the key 'fingerprint'"),
-    "repeated-fingerprint": (journal_line() + "\n" + journal_line(), ".journal.jsonl:3: repeats fingerprint 'f'"),
-    "fingerprint-number": (journal_line(7), "fingerprint must be a string, got 7"),
-    "unknown-result-field": (journal_line(model="m"), "unknown field 'model'"),
-    "missing-usage": (json.dumps({"fingerprint": "f", "request": JOURNAL_REQUEST, "result": {"text": "x"}}),
+    "not-json": (HEADER_LINE + "not json", ".journal.jsonl:2: invalid JSON"),
+    "not-an-object": (HEADER_LINE + "[1]", ".journal.jsonl:2: line is not a JSON object"),
+    "repeated-key": (HEADER_LINE + journal_line()[:-1] + ', "fingerprint": "g"}',
+                     "an object repeats the key 'fingerprint'"),
+    "repeated-fingerprint": (HEADER_LINE + journal_line() + "\n" + journal_line(),
+                             ".journal.jsonl:3: repeats fingerprint 'f'"),
+    "fingerprint-number": (HEADER_LINE + journal_line(7), "fingerprint must be a string, got 7"),
+    "unknown-result-field": (HEADER_LINE + journal_line(model="m"), "unknown field 'model'"),
+    "missing-usage": (HEADER_LINE + json.dumps({"fingerprint": "f", **JOURNAL_REQUEST, "result": {"text": "x"}}),
                       "missing field 'usage'"),
-    # a line as journals were written before their lines were transcript entries
-    "missing-request": (json.dumps({"fingerprint": "f", "result": json.loads(journal_line())["result"]}),
-                        "missing field 'request'"),
-    "counts-that-do-not-add-up": (journal_line(usage={"prompt_tokens": 1, "completion_tokens": 1,
-                                                      "total_tokens": 5}), "total_tokens must equal"),
-    "negative-latency": (journal_line(latency_ms=-1.0), "latency_ms must be a finite non-negative number"),
+    # a line as version 6 wrote it, with the request's prompt and tag in place of question and tag
+    "request-line": (HEADER_LINE + json.dumps({"fingerprint": "f", "request": {"prompt": "p", "tag": "answer"},
+                                               "result": json.loads(journal_line())["result"]}),
+                     "missing field 'question'"),
+    "counts-that-do-not-add-up": (HEADER_LINE + journal_line(usage={"prompt_tokens": 1, "completion_tokens": 1,
+                                                                    "total_tokens": 5}), "total_tokens must equal"),
+    "negative-latency": (HEADER_LINE + journal_line(latency_ms=-1.0),
+                         "latency_ms must be a finite non-negative number"),
+    "version-6": (json.dumps({**JOURNAL_HEADER, "version": 6}) + "\n" + journal_line(), "has version 6, not 7"),
+    # 7.0 equals 7 in Python, but it is not the JSON integer a version is
+    "version-float": (json.dumps({**JOURNAL_HEADER, "version": float(providers.TRANSCRIPT_VERSION)}),
+                      f"has version {float(providers.TRANSCRIPT_VERSION)!r}, not {providers.TRANSCRIPT_VERSION}"),
 }
 
 
@@ -1469,7 +1511,7 @@ def test_an_unreadable_journal_is_ignored_and_started_anew_so_the_next_run_resum
     write_corpus(tmp_path / "corpus.jsonl", JOURNAL_ROWS)
     journal = tmp_path / "out" / "bundle.json.journal.jsonl"
     journal.parent.mkdir()
-    journal.write_text(json.dumps(JOURNAL_HEADER) + "\n" + body + "\n", encoding="utf-8")
+    journal.write_text(body + "\n", encoding="utf-8")
     sent, _ = generate_live(tmp_path, canned_endpoint)
     assert f"ignoring unreadable journal {journal}: " in caplog.text
     assert complaint in caplog.text

@@ -45,7 +45,6 @@ from skillpath.providers import (
     Provider,
     RecordingProvider,
     TokenUsage,
-    Transcript,
 )
 from skillpath.skills import ReasoningSkill as S
 from skillpath.textutil import count_ws_tokens, split_sentences
@@ -519,7 +518,7 @@ def _recorded_runs(tmp_path, monkeypatch, command, argv, outputs, seeds=range(5)
         record = [command, "--provider", "mock", "--parallelism", "3"]
         assert cli.main([*record, *argv(out / "recorded")]) == 0
         transcript = out / "transcript.jsonl"
-        Transcript(recorder.transcript.entries, "jittery").save(str(transcript))
+        recorder.transcript.save(str(transcript))
         recorded = outputs(out / "recorded")
         for parallelism in ("1", "3"):
             replay = [command, "--provider", "replay", "--transcript", str(transcript),

@@ -205,8 +205,6 @@ def test_every_request_names_a_stage_the_mock_answers():
             if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "CompletionRequest"):
                 continue
             keywords = {keyword.arg: keyword.value for keyword in node.keywords}
-            if None in keywords:
-                continue  # CompletionRequest(**fields) rebuilds a recorded request
             tag = keywords.get("tag")
             where = f"{os.path.basename(path)}:{node.lineno}"
             assert isinstance(tag, ast.Constant) and isinstance(tag.value, str), f"{where} has no literal tag="
@@ -231,7 +229,7 @@ IMMUTABLE = {
     "TokenUsage": lambda: TokenUsage.of(2, 1),
     "CompletionRequest": lambda: CompletionRequest("prompt", "answer"),
     "CompletionResult": lambda: CompletionResult("reply", TokenUsage.of(2, 1), 1.5),
-    "TranscriptEntry": lambda: TranscriptEntry("f", CompletionRequest("p"), CompletionResult("r", TokenUsage.zero())),
+    "TranscriptEntry": lambda: TranscriptEntry("f", "q1", "answer", CompletionResult("r", TokenUsage.zero())),
     "CandidateQuestion": lambda: CandidateQuestion("Q?", ConstructionMode.RANDOM_FILL, 7),
     "ReasoningStrategy": lambda: ReasoningStrategy(("step 1",), (ReasoningSkill.DEDUCTIVE,)),
     "SimilarExample": lambda: make_example([ReasoningSkill.DEDUCTIVE, ReasoningSkill.ANALOGICAL]),

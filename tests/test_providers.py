@@ -87,7 +87,7 @@ def test_fingerprint_distinguishes_occurrences():
 def test_the_fingerprint_bytes_are_pinned_to_the_transcript_version():
     # a saved transcript is keyed by these digests: a change to their bytes
     # strands every transcript of this version, so it must bump the version
-    assert TRANSCRIPT_VERSION == 6
+    assert TRANSCRIPT_VERSION == 7
     # the scope is the question id, written as json_line writes it: the quote escaped, the é as UTF-8
     settings = '{"occurrence": 1, "scope": ["q\\"\u00e9"]}'.encode("utf-8")
     prompt = "Stra\u00dfe \u00e9t\u00e9?\n\"quoted\"\tend"
@@ -536,15 +536,16 @@ def test_completion_request_checks_its_fields(fields):
         (None, None, None, "repeats fingerprint"),
         (None, "fingerprint", 5, "fingerprint must be a string"),
         ("result", "latency_ms", "slow", "latency_ms must be"),
-        ("request", "prompt", 5, "prompt must be"),
-        ("request", "prompt", ["x"], "prompt must be"),
-        ("request", "tag", {}, "tag must be"),
-        # an entry written by a version that still kept sampling settings
-        ("request", "max_output_tokens", 4096, "max_output_tokens"),
-        ("request", "temperature", 0.0, "temperature"),
+        (None, "question", 5, "question must be a string"),
+        (None, "question", ["x"], "question must be a string"),
+        (None, "tag", {}, "tag must be a string"),
+        # an entry written by a version that still kept its request, or sampling settings
+        (None, "request", {"prompt": "p", "tag": ""}, "unknown field 'request'"),
+        (None, "max_output_tokens", 4096, "max_output_tokens"),
+        (None, "temperature", 0.0, "temperature"),
     ],
-    ids=["repeated-fingerprint", "fingerprint-number", "latency-text", "prompt-number", "prompt-list",
-         "tag-object", "stale-max-output-tokens", "stale-temperature"],
+    ids=["repeated-fingerprint", "fingerprint-number", "latency-text", "question-number", "question-list",
+         "tag-object", "stale-request", "stale-max-output-tokens", "stale-temperature"],
 )
 def test_transcript_entry_errors_name_their_line(tmp_path, part, key, value, message):
     transcript = record(MockProvider(lambda request: "x"), [CompletionRequest("p"), CompletionRequest("q")])

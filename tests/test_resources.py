@@ -210,8 +210,9 @@ READERS = {
                 lambda key: {"question_id": key, "answer": "A", "completion": "A", "usage": USAGE}),
     "baseline-log": (lambda path: cli._baseline_token_mean(path, CORPUS), "question_id", "completion", [],
                      lambda key: {"question_id": key, "answer": "A", "completion": "A", "usage": USAGE}),
-    "transcript": (Transcript.load, "fingerprint", "result", [{"version": TRANSCRIPT_VERSION, "entries": 2}],
-                   lambda key: {"fingerprint": key, "request": {"prompt": "p"},
+    "transcript": (Transcript.load, "fingerprint", "result",
+                   [{"version": TRANSCRIPT_VERSION, "identity": {}, "entries": 2}],
+                   lambda key: {"fingerprint": key, "question": "q1", "tag": "answer",
                                 "result": {"text": "t", "usage": USAGE}}),
 }
 
@@ -272,24 +273,24 @@ def test_every_line_reader_takes_any_line_end_and_skips_blank_lines(tmp_path, re
         load(str(bad))
 
 
-# a transcript entry's request, result and usage are read field by field; None drops the field
+# a transcript entry, its result and its usage are read field by field; None drops the field
 @pytest.mark.parametrize(
     "part, field, value, message",
     [
-        ("request", "model", "m", "unknown field 'model'"),
-        ("request", "prompt", None, "missing field 'prompt'"),
+        ("entry", "prompt", "p", "unknown field 'prompt'"),
+        ("entry", "question", None, "missing field 'question'"),
         ("result", "finish_reason", "stop", "unknown field 'finish_reason'"),
         ("result", "text", None, "missing field 'text'"),
         ("usage", "cached_tokens", 0, "unknown field 'cached_tokens'"),
         ("usage", "total_tokens", None, "missing field 'total_tokens'"),
     ],
-    ids=["request-unknown", "request-missing", "result-unknown", "result-missing", "usage-unknown",
+    ids=["entry-unknown", "entry-missing", "result-unknown", "result-missing", "usage-unknown",
          "usage-missing"],
 )
 def test_a_transcript_entry_names_its_missing_or_unknown_field(tmp_path, part, field, value, message):
     load, _, _, head, line = READERS["transcript"]
     entry = json.loads(json.dumps(line("k2")))  # a copy: its usage is the shared USAGE
-    fields = entry["result"]["usage"] if part == "usage" else entry[part]
+    fields = {"entry": entry, "result": entry["result"], "usage": entry["result"]["usage"]}[part]
     if value is None:
         del fields[field]
     else:

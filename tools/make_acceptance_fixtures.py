@@ -19,7 +19,7 @@ from skillpath import answerer, corpus
 from skillpath.collection import build_collection, persist_bundle
 from skillpath.examplegen import ReasoningStrategy, SimilarExample
 from skillpath.matcher import SelectionMode, select_best
-from skillpath.providers import MockProvider, RecordingProvider, Transcript, question_scope
+from skillpath.providers import MockProvider, RecordingProvider, question_scope
 from skillpath.skills import ReasoningSkill as S
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "tests", "fixtures")
@@ -151,7 +151,7 @@ def main() -> None:
     for record in RECORDS:
         with question_scope(record.question_id):
             answer_one(record)
-    transcript = Transcript(entries=recorder.transcript.entries, provider="mock")
+    transcript = recorder.transcript
     transcript.save(os.path.join(FIXTURES, "transcript.jsonl"))
     print(f"wrote {len(transcript.entries)} transcript entries to {FIXTURES}")
 
