@@ -1,10 +1,10 @@
-"""Build a similar worked example for a question, fully offline.
+"""Build similar worked examples for a question, fully offline.
 
 The pipeline: propose candidate questions from the template, score them
 all for similarity in one call, keep the ones at or above the threshold,
-then ask for a step-by-step strategy (one reasoning skill per step), a
-short reference doc per step, and the answer. The canned provider stands
-in for a model.
+then ask in one call for a step-by-step strategy (one reasoning skill per
+step) and the answer of every kept candidate, and in one more for a short
+reference doc per step of each. The canned provider stands in for a model.
 """
 from skillpath.canned import CannedProvider
 from skillpath.decompose import decompose_question
@@ -31,10 +31,11 @@ scored = score_candidates(QUESTION, candidates, provider)
 kept = filter_candidates(scored, delta=7)
 print(f"\nkept {len(kept)} of {len(scored)} at delta=7")
 
-example = synthesize_example(kept[0].text, provider)
-print("\nsynthesized example")
-print("question:", example.question)
-for i, (subq, skill) in enumerate(zip(example.strategy.subquestions, example.strategy.skills)):
-    print(f"  step {i + 1}: {subq}  [{skill.display_name}]")
-    print(f"          doc: {example.reference_docs[i]}")
-print("answer:", example.answer)
+examples = synthesize_example([c.text for c in kept], provider)
+for example in examples:
+    print("\nsynthesized example")
+    print("question:", example.question)
+    for i, (subq, skill) in enumerate(zip(example.strategy.subquestions, example.strategy.skills)):
+        print(f"  step {i + 1}: {subq}  [{skill.display_name}]")
+        print(f"          doc: {example.reference_docs[i]}")
+    print("answer:", example.answer)

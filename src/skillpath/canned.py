@@ -26,19 +26,20 @@ from .textutil import first_sentence
 _SLOT_LINE = re.compile(r"^- slot (?P<slot>.+?) \(type (?P<type>.+?)\), currently: (?P<text>.+)$")
 _COUNT = re.compile(r"Propose (\d+) alternative")
 _ORIGINAL_Q = re.compile(r"^Original question: (.+)$", re.MULTILINE)
-# a listed line follows a line feed: findall over "\n" + prompt, as a literal first character is found fast
-_LISTED = re.compile(r"\n(\d+)\. ")
+# a listed line, or a section's line, follows a line feed; the first of a list is found from the prompt's end
+_LISTED = ("\n1. ", re.compile(r"\n(\d+)\. "))
+_SECTION = ("\nQuestion 1:", re.compile(r"\nQuestion (\d+):"))
 
 
-def _listed(prompt: str) -> range:
-    """The numbers of the prompt's list: its last run of lines numbered 1, 2, … in order.
+def _listed(prompt: str, marker: tuple[str, re.Pattern] = _LISTED) -> list[str]:
+    """The text after each marker of the prompt's list, from its last marker numbered 1 on.
 
     A line of the question above the list may start with a number and ". " too; the list comes last.
     """
-    run = 0
-    for n in _LISTED.findall("\n" + prompt):
-        run = run + 1 if n == str(run + 1) else int(n == "1")
-    return range(1, run + 1)
+    first, numbered = marker
+    text = "\n" + prompt
+    start = text.rfind(first)
+    return [] if start < 0 else numbered.split(text[start:])[2::2]
 
 
 def _substitution(prompt: str) -> str:
@@ -82,21 +83,22 @@ def _variation(prompt: str) -> str:
 def _similarity(prompt: str) -> str:
     """One numbered item per candidate that the prompt lists, each scored 10 on the line under it."""
     return "\n".join(f"{n}. It keeps the original structure and asks for the same kind of fact.\nScore (1-10): 10"
-                     for n in _listed(prompt))
+                     for n in range(1, len(_listed(prompt)) + 1))
 
 
 def _strategy(prompt: str) -> str:
-    return (
-        "1. Identify what the question is asking for. (decompositional)\n"
-        "2. Locate the fact that answers it in the reference material. (deductive)\n"
-        "Generated Answer: The answer is stated in the reference material."
-    )
+    """One section per question that the prompt lists, each of the same two steps and answer."""
+    return "\n".join(f"Question {k}:\n1. Identify what the question is asking for. (decompositional)\n"
+                     "2. Locate the fact that answers it in the reference material. (deductive)\n"
+                     "Generated Answer: The answer is stated in the reference material."
+                     for k in range(1, len(_listed(prompt, _SECTION)) + 1))
 
 
 def _reference(prompt: str) -> str:
-    """One numbered passage per step that the prompt lists."""
-    return "\n".join(f"{n}. The fact needed for this step is stated plainly in standard reference material."
-                     for n in _listed(prompt))
+    """One section per strategy that the prompt lists, of one numbered passage per step listed in it."""
+    passage = "The fact needed for this step is stated plainly in standard reference material."
+    return "\n".join(f"Question {k}:" + "".join(f"\n{n}. {passage}" for n in range(1, len(_listed(steps)) + 1))
+                     for k, steps in enumerate(_listed(prompt, _SECTION), start=1))
 
 
 def _block(prompt: str, opening: str, closing: str) -> str | None:

@@ -256,7 +256,7 @@ def cmd_generate(config: RunConfig) -> int:
         kept = examplegen.filter_candidates(scored, config.delta)
         if not kept:
             raise NoCandidates(qid)
-        examples = [examplegen.synthesize_example(c.text, backend) for c in kept[: config.count]]
+        examples = examplegen.synthesize_example([c.text for c in kept[: config.count]], backend)
         return collection_mod.build_collection(examples)
 
     bundle, failures = _run_questions(config, records, work)

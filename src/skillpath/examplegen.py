@@ -2,10 +2,10 @@
 
 Candidates come from one of three construction modes: random pool fills,
 provider-guided fills, or free-form template variations. One reply scores
-them all, in one numbered item each. Survivors of the similarity filter
-get a reasoning strategy (typed steps plus an answer from the same reply)
-and one short reference passage per step, all from one more reply,
-forming a SimilarExample ready for collection into a Γ.
+them all, in one numbered item each. One more reply gives each survivor of
+the similarity filter a reasoning strategy (typed steps plus an answer) in
+a "Question k:" section, and a last reply one reference passage per step,
+forming SimilarExamples ready for collection into a Γ.
 """
 
 from __future__ import annotations
@@ -95,7 +95,9 @@ class SimilarExample(_SimilarExample):
 
 _NUMBERED = re.compile(r"^\s*(\d+)[.)]\s*(.*\S)\s*$")
 _STEP_WITH_SKILL = re.compile(r"^(?P<body>.*\S)\s*\((?P<skill>[^()]+)\)\s*[.:]?$")
-_GENERATED_ANSWER = re.compile(r"Generated Answer:\s*(.*)", re.IGNORECASE)
+_GENERATED_ANSWER = re.compile(r"Generated Answer:(?:\*\*)?\s*(.*)", re.IGNORECASE)
+# a "Question k:" section line, bare or in ** emphasis; the empty group is its text, as the rest is ignored
+_SECTION = re.compile(r"\s*(?:\*\*)?Question\s+(\d+):()", re.IGNORECASE)
 _INT = re.compile(r"\d+")
 _DECIMAL = re.compile(r"\d[.,]\d")
 # a scale written beside a score, its top bound captured: "1-10", "1 to 10", "/10", "out of 10";
@@ -255,25 +257,31 @@ def score_candidates(
     """Attach a similarity score to each candidate, all from one provider call (none for no candidate).
 
     The prompt lists the candidates numbered 1 to k. A candidate's item is its numbered reply line and
-    the unnumbered lines under it. Numbers other than exactly 1 to k in order are UnparseableScore,
-    except that one candidate's reply with no numbered line is its item whole.
+    the unnumbered lines under it, as _sections reads them.
     """
     if not candidates:
         return []
     listed = "\n".join(f"{n}. {c.text}" for n, c in enumerate(candidates, start=1))
     prompt = render_prompt("similarity_scoring", original_question=original, candidate_questions=listed)
     reply = provider.complete(CompletionRequest(prompt, tag="similarity")).text
-    items = []  # per numbered line: its number, its text, the unnumbered lines under it
+    items = _sections(reply, _NUMBERED, len(candidates),
+                      UnparseableScore, "similarity reply does not number one item per candidate")
+    return [c._replace(similarity_score=score_similarity(item)) for c, item in zip(candidates, items)]
+
+
+def _sections(reply: str, head: re.Pattern, count: int, error: type[ProviderError], refusal: str) -> list[str]:
+    """The reply cut at its head lines, each section a head's text and the lines under it, text before the first
+    ignored. Heads numbered other than exactly 1 to count in order raise `error` with `refusal` as its message."""
+    sections = []  # per head line: its number, its text, the lines under it
     for line in reply.splitlines():
-        numbered = _NUMBERED.match(line)
-        if numbered:
-            items.append(list(numbered.groups()))
-        elif items:
-            items[-1].append(line)
-    items = items or [["1", reply]]  # one candidate's reply may be its item whole
-    if [item[0] for item in items] != [str(n) for n in range(1, len(candidates) + 1)]:
-        raise UnparseableScore(f"similarity reply does not number one item per candidate: {reply[:120]!r}")
-    return [c._replace(similarity_score=score_similarity("\n".join(item[1:]))) for c, item in zip(candidates, items)]
+        if m := head.match(line):
+            sections.append(list(m.groups()))
+        elif sections:
+            sections[-1].append(line)
+    sections = sections or [["1", reply]]  # a reply with no head line may be its one section whole
+    if [section[0] for section in sections] != [str(n) for n in range(1, count + 1)]:
+        raise error(f"{refusal}: {reply[:120]!r}")
+    return ["\n".join(section[1:]) for section in sections]
 
 
 def filter_candidates(candidates: list[CandidateQuestion], delta: int) -> list[CandidateQuestion]:
@@ -290,21 +298,18 @@ def filter_candidates(candidates: list[CandidateQuestion], delta: int) -> list[C
     return [c for c in candidates if c.similarity_score >= delta]
 
 
-def build_strategy(question: str, provider: Provider) -> tuple[ReasoningStrategy, str]:
-    """Generate a reasoning strategy and an answer for a question.
+def build_strategy(questions: list[str], provider: Provider) -> list[tuple[ReasoningStrategy, str]]:
+    """Generate a reasoning strategy and an answer for each question, all from one provider call.
 
-    One provider call returns numbered steps, each ending in a
-    parenthesized skill label, followed by a Generated Answer line. A
-    numbered step without a recognizable skill makes the whole reply
-    UnparseableStrategy; stray prose around the steps is ignored.
+    The prompt lists the questions, each on a "Question k:" line; the reply heads one section per question
+    the same way, of numbered steps that each end in a parenthesized skill label, then a Generated Answer
+    line. Other section lines, or a step without a known skill, are UnparseableStrategy; prose is ignored.
     """
-    prompt = render_prompt(
-        "strategy_generation",
-        skill_catalog=skill_catalog(),
-        question=question,
-    )
+    listed = "\n".join(f'Question {n}: "{question}"' for n, question in enumerate(questions, start=1))
+    prompt = render_prompt("strategy_generation", skill_catalog=skill_catalog(), questions=listed)
     reply = provider.complete(CompletionRequest(prompt, tag="strategy")).text
-    return parse_strategy_reply(reply)
+    return [parse_strategy_reply(section) for section in _sections(
+        reply, _SECTION, len(questions), UnparseableStrategy, "strategy reply does not head one section per question")]
 
 
 def parse_strategy_reply(reply: str) -> tuple[ReasoningStrategy, str]:
@@ -333,25 +338,29 @@ def parse_strategy_reply(reply: str) -> tuple[ReasoningStrategy, str]:
     return ReasoningStrategy(tuple(subquestions), tuple(skills)), answer
 
 
-def build_reference_docs(strategy: ReasoningStrategy, provider: Provider) -> list[str]:
-    """One short reference passage per strategy step, all from one provider call.
+def build_reference_docs(strategies: list[ReasoningStrategy], provider: Provider) -> list[list[str]]:
+    """One short reference passage per step of each strategy, all from one provider call.
 
-    The prompt lists the subquestions numbered in step order. The reply must
-    number one non-empty passage per step, exactly 1 to k in order, or it is
-    a ProviderError; unnumbered lines are ignored, as in a strategy reply.
+    The prompt lists each strategy's subquestions, numbered in step order, under its own "Question k:"
+    line. The reply must head one section per strategy the same way and, in each, number one non-empty
+    passage per step, exactly 1 to n in order, or it is a ProviderError; unnumbered lines are ignored.
     """
-    listed = "\n".join(f"{n}. {subq}" for n, subq in enumerate(strategy.subquestions, start=1))
+    listed = "\n".join(f"Question {k}:" + "".join(f"\n{n}. {subq}" for n, subq in enumerate(s.subquestions, start=1))
+                       for k, s in enumerate(strategies, start=1))
     prompt = render_prompt("reference_document", subquestions=listed)
     reply = provider.complete(CompletionRequest(prompt, tag="reference")).text
-    numbered = [m.groups() for m in map(_NUMBERED.match, reply.splitlines()) if m]
-    steps = len(strategy.subquestions)
-    if [n for n, _ in numbered] != [str(n) for n in range(1, steps + 1)]:
-        raise ProviderError(f"reference reply does not number one passage per step, 1 to {steps}: {reply[:120]!r}")
-    return [passage for _, passage in numbered]
+    sections = _sections(reply, _SECTION, len(strategies),
+                         ProviderError, "reference reply does not head one section per question")
+    numbered = [[m.groups() for m in map(_NUMBERED.match, section.splitlines()) if m] for section in sections]
+    for k, (strategy, section, items) in enumerate(zip(strategies, sections, numbered), start=1):
+        if [n for n, _ in items] != [str(n) for n in range(1, len(strategy.subquestions) + 1)]:
+            raise ProviderError(f"reference reply section {k} does not number one passage per step, "
+                                f"1 to {len(strategy.subquestions)}: {section[:120]!r}")
+    return [[passage for _, passage in items] for items in numbered]
 
 
-def synthesize_example(question: str, provider: Provider) -> SimilarExample:
-    """Strategy, reference docs and assembly for one candidate question."""
-    strategy, answer = build_strategy(question, provider)
-    docs = build_reference_docs(strategy, provider)
-    return SimilarExample(question=question, strategy=strategy, reference_docs=docs, answer=answer)
+def synthesize_example(questions: list[str], provider: Provider) -> list[SimilarExample]:
+    """Strategies, reference docs and assembly for candidate questions, in two provider calls."""
+    strategies = build_strategy(questions, provider)
+    docs = build_reference_docs([strategy for strategy, _ in strategies], provider)
+    return [SimilarExample(q, strategy, d, answer) for q, (strategy, answer), d in zip(questions, strategies, docs)]

@@ -490,9 +490,11 @@ class LiveProvider(Provider):
         )
 
     def _parse(self, request: CompletionRequest, body: bytes, elapsed_ms: float) -> CompletionResult:
-        """The reply as a result; a reply that makes none is a TransportError."""
+        """The reply as a result; a reply that makes none, or one cut off at the token limit, is a TransportError."""
         try:
             doc = json.loads(body)
+            if doc["choices"][0].get("finish_reason") == "length":
+                raise TransportError(f"reply cut off at LIVE_MAX_TOKENS={LIVE_MAX_TOKENS} tokens{_tag_note(request)}")
             text = doc["choices"][0]["message"]["content"]
             usage = doc.get("usage")
             if usage is None:

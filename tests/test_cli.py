@@ -271,7 +271,7 @@ def test_generate_answer_eval_with_mock_provider(tmp_path, corpus_path, capsys):
 # two runs that agree with each other could still both write a record in a new shape
 PINNED_OUTPUTS = {
     "bundle.json": "a97336d2c669ad5cd0804a8154278af4a6531427c42f2299646aa354924eba97",
-    "generate.transcript.jsonl": "679dd6266256788a30d9b2d2d6dab932cb99d27e5dcb8ef114515933955cd44c",
+    "generate.transcript.jsonl": "17be75457bbda556e32358d07e1eb97705248fcb5224053f3712f9458c552e93",
     "run.jsonl": "61f305472a4342f962ea17b54885e8d1566090a30d502c51829e695d5dd7bcc6",
     "answer.transcript.jsonl": "fa2707945254b85913fa7c25977260ad7565bcd76d62792db5adbf10fb728797",
     "report.json": "97a12e92913049ffd19a1f30474063896a92047db810a09c26dc5e71d7252367",
@@ -302,6 +302,25 @@ def test_a_mock_run_on_the_fixture_corpus_writes_the_pinned_bytes(tmp_path, fixt
     corpus = os.path.join(fixtures_dir, "corpus.jsonl")
     assert _pinned_mock_run(corpus, tmp_path, monkeypatch, PINNED_OUTPUTS) == PINNED_OUTPUTS
 
+
+
+# gen mode -> the examples each question of the fixture corpus keeps, the calls of one question, the bundle's sha256
+SYNTHESIS_CALLS = {
+    "guided-fill": ([1, 1], ["substitution", "similarity", "strategy", "reference"], PINNED_OUTPUTS["bundle.json"]),
+    "random-fill": ([5, 5], ["similarity", "strategy", "reference"],
+                    "e9ba5f8643bbafe83973a4a9b3af350090818443b4023043d745caa5d262a870"),
+}
+
+
+@pytest.mark.parametrize("mode", SYNTHESIS_CALLS)
+def test_generate_makes_one_strategy_and_one_reference_call_per_question(tmp_path, fixtures_dir, mock_calls, mode):
+    kept, calls, digest = SYNTHESIS_CALLS[mode]
+    bundle = tmp_path / "bundle.json"
+    assert main(["generate", "--provider", "mock", "--corpus", os.path.join(fixtures_dir, "corpus.jsonl"),
+                 "--collection", str(bundle), "--gen-mode", mode]) == 0
+    assert [len(collection["examples"]) for collection in json.loads(bundle.read_bytes())["collections"].values()] == kept
+    assert mock_calls == calls * 2
+    assert hashlib.sha256(bundle.read_bytes()).hexdigest() == digest
 
 
 def test_a_recorded_answer_stores_no_prompt(tmp_path, fixtures_dir, monkeypatch):
@@ -423,12 +442,13 @@ def test_a_question_whose_candidates_all_score_low_fails_with_no_candidates(tmp_
         ("generate", "reference_document", "Notes on $subquestions and $missing"),
         ("generate", "reference_document", "Notes on $subquestion"),
         ("generate", "similarity_scoring", "Compare $original_question with $candidate_question"),
+        ("generate", "strategy_generation", "Skills: $skill_catalog\nPlan the steps of $question"),
         ("generate", "similarity_scoring", ""),
         ("answer", "segment_extraction", "Pick from $document for $skill_name, at 5$"),
         ("answer", "segment_extraction", ""),
     ],
     ids=["generate-stray-dollar", "generate-missing-slot", "generate-one-step-slot", "generate-one-candidate-slot",
-         "generate-empty", "answer-stray-dollar", "answer-empty"],
+         "generate-one-candidate-strategy-slot", "generate-empty", "answer-stray-dollar", "answer-empty"],
 )
 def test_a_faulty_prompt_template_override_fails_every_question(tmp_path, monkeypatch, capsys,
                                                                  uncached_loaders, command, name, text):
@@ -900,6 +920,21 @@ def test_live_bad_usage_counts_fail_the_question(tmp_path, capsys, live_endpoint
     assert "[generate] question q2" in err
     assert err.count("malformed endpoint response") == 2
     assert len(live_endpoint.received) == 2  # each question stopped at its first request
+
+
+def test_a_live_reply_cut_off_at_the_token_limit_fails_its_question_unretried(tmp_path, corpus_path, capsys,
+                                                                             live_endpoint, monkeypatch):
+    monkeypatch.setenv("SKILLPATH_MAX_RETRIES", "2")
+    live_endpoint.script((200, {"choices": [{"message": {"content": "1. adj=older; place 1=Big"},
+                                             "finish_reason": "length"}]}))
+    code = main(["generate", "--provider", "live", "--corpus", corpus_path,
+                 "--collection", str(tmp_path / "bundle.json"), "--count", "1"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"[generate] question q1: reply cut off at LIVE_MAX_TOKENS={providers.LIVE_MAX_TOKENS} tokens"
+        " (tag 'substitution')"
+    ]
+    assert len(live_endpoint.received) == 1
 
 
 @pytest.mark.parametrize("command, tag", [("generate", "substitution"), ("answer", "segment")])

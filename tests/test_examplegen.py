@@ -28,10 +28,10 @@ from skillpath.examplegen import (
     score_candidates,
     synthesize_example,
 )
-from skillpath.canned import canned_reply
+from skillpath.canned import CannedProvider, canned_reply
 from skillpath.providers import CompletionRequest, MockProvider
 from skillpath.resources import load_prompt, render_prompt
-from skillpath.skills import ReasoningSkill
+from skillpath.skills import ReasoningSkill, skill_catalog
 
 from conftest import replies
 
@@ -358,6 +358,19 @@ def test_a_variation_reply_is_read_as_written_or_ignored(reply, texts):
     assert [c.text for c in candidates] == texts
 
 
+def strategy_prompt(*questions):
+    """The strategy prompt that lists questions, each on its "Question k:" line."""
+    listed = "\n".join(f'Question {n}: "{question}"' for n, question in enumerate(questions, start=1))
+    return render_prompt("strategy_generation", skill_catalog=skill_catalog(), questions=listed)
+
+
+def reference_prompt(*strategies):
+    """The reference prompt that lists each strategy's steps, numbered, under its "Question k:" line."""
+    listed = "\n".join(f"Question {k}:" + "".join(f"\n{n}. {q}" for n, q in enumerate(s.subquestions, start=1))
+                       for k, s in enumerate(strategies, start=1))
+    return render_prompt("reference_document", subquestions=listed)
+
+
 STRATEGY_REPLY = """\
 1. What does the question ask about the device? (critical thinking)
 2. Break the problem into the device and its inventor. (decompositional)
@@ -410,7 +423,7 @@ def test_parse_strategy_rejects_steplessness():
 
 # a strategy reply -> (subquestions, skills, generated answer), or None where it is UnparseableStrategy
 STRATEGY_REPLIES = {
-    "canned": (canned_reply(CompletionRequest("Plan the steps.", tag="strategy")),
+    "canned": (canned_reply(CompletionRequest(strategy_prompt("Plan the steps."), tag="strategy")),
                (("Identify what the question is asking for.",
                  "Locate the fact that answers it in the reference material."),
                 ("decompositional", "deductive"), "The answer is stated in the reference material.")),
@@ -432,9 +445,8 @@ STRATEGY_REPLIES = {
     "two-answer-lines": ("1. Compare. (deductive)\nGenerated Answer: a\nGenerated Answer: b",
                          (("Compare.",), ("deductive",), "a")),
     "no-answer-line": ("1. Compare. (deductive)", (("Compare.",), ("deductive",), "")),
-    # misread: the emphasis around the label is kept in the answer
     "emphasised-answer-label": ("1. Compare. (deductive)\n**Generated Answer:** the Tower",
-                                (("Compare.",), ("deductive",), "** the Tower")),
+                                (("Compare.",), ("deductive",), "the Tower")),
     "step-headings": ("Step 1: Compare the heights. (deductive)\nGenerated Answer: x", None),
     "dashed-steps": ("- Compare. (deductive)\nGenerated Answer: x", None),
     "answer-before-the-steps": ("Generated Answer: x\n1. Compare. (deductive)", None),
@@ -455,9 +467,79 @@ def test_a_strategy_reply_is_read_as_written_or_refused(reply, parsed):
 
 
 def test_build_strategy_round_trips_through_provider():
-    strategy, answer = build_strategy("Who invented the telephone?", MockProvider(lambda request: STRATEGY_REPLY))
+    [(strategy, answer)] = build_strategy(["Who invented the telephone?"], MockProvider(lambda request: STRATEGY_REPLY))
     assert len(strategy.skills) == 4
     assert answer == "Alexander Graham Bell"
+
+
+def test_the_reply_in_the_strategy_prompt_example_is_read_as_its_steps_and_answer():
+    example = load_prompt("strategy_generation").split("Reasoning Paths:\n", 1)[1].split("\n\n", 1)[0]
+    [(strategy, answer)] = build_strategy(["Who invented the telephone?"], MockProvider(lambda request: example))
+    assert len(strategy.skills) == 4
+    assert answer == "Alexander Graham Bell invented the telephone in 1876."
+
+
+# the section lines of a batched reply -> (candidates, the line that heads each section, whether it is read);
+# section k holds one step or passage that names k, and an empty head line leaves the section unheaded
+SECTION_LAYOUTS = {
+    "in-order": (3, ["Question 1:", "Question 2:", "Question 3:"], True),
+    "restated-question": (2, ['Question 1: "Which is older?"', "Question 2: Which is taller, 1 or 2?"], True),
+    "emphasised": (2, ["**Question 1:**", "  **Question 2:** Which is taller?"], True),
+    "lower-case": (2, ["question 1:", "QUESTION 2:"], True),
+    "unheaded-one": (1, [""], True),
+    "one-headed": (1, ["Question 1:"], True),
+    "missing": (3, ["Question 1:", "Question 3:"], False),
+    "duplicate": (2, ["Question 1:", "Question 1:"], False),
+    "out-of-order": (2, ["Question 2:", "Question 1:"], False),
+    "extra": (2, ["Question 1:", "Question 2:", "Question 3:"], False),
+    "zero-based": (2, ["Question 0:", "Question 1:"], False),
+    "stops-after-section-k-1": (3, ["Question 1:", "Question 2:"], False),
+    "unheaded-two": (2, [""], False),
+    "numbered-heads": (2, ["1.", "2."], False),
+    "heads-without-colon": (2, ["Question 1", "Question 2"], False),
+}
+
+
+def sectioned(heads, body):
+    """A reply of one section per head line, after a preface line; body(k) is section k's text."""
+    return "\n".join(["Here they are."] + [f"{head}\n{body(k)}" for k, head in enumerate(heads, start=1)])
+
+
+@pytest.mark.parametrize("count, heads, read", SECTION_LAYOUTS.values(), ids=SECTION_LAYOUTS)
+def test_a_strategy_reply_gives_each_question_its_section_or_is_refused(count, heads, read):
+    reply = sectioned(heads, lambda k: f"1. Recall fact {k}. (deductive)\nGenerated Answer: answer {k}")
+    questions = [f"q{k}?" for k in range(1, count + 1)]
+    if not read:
+        with pytest.raises(UnparseableStrategy, match="^strategy reply does not head one section per question: "):
+            build_strategy(questions, MockProvider(lambda request: reply))
+    else:
+        parsed = build_strategy(questions, MockProvider(lambda request: reply))
+        assert [(s.subquestions, answer) for s, answer in parsed] == [
+            ((f"Recall fact {k}.",), f"answer {k}") for k in range(1, count + 1)]
+
+
+@pytest.mark.parametrize("count, heads, read", SECTION_LAYOUTS.values(), ids=SECTION_LAYOUTS)
+def test_a_reference_reply_gives_each_strategy_its_section_or_is_refused(count, heads, read):
+    reply = sectioned(heads, lambda k: f"1. Passage {k}.")
+    strategies = [ReasoningStrategy((f"a{k}?",), (ReasoningSkill.DEDUCTIVE,)) for k in range(1, count + 1)]
+    if not read:
+        with pytest.raises(ProviderError, match="^reference reply does not head one section per question: "):
+            build_reference_docs(strategies, MockProvider(lambda request: reply))
+    else:
+        docs = build_reference_docs(strategies, MockProvider(lambda request: reply))
+        assert docs == [[f"Passage {k}."] for k in range(1, count + 1)]
+
+
+def test_one_bad_section_refuses_the_whole_strategy_reply():
+    reply = "Question 1:\n1. Compare. (deductive)\nGenerated Answer: a\nQuestion 2:\n1. Guess. (wishful thinking)"
+    with pytest.raises(UnparseableStrategy, match="^step 1: unknown reasoning skill label: 'wishful thinking'$"):
+        build_strategy(["q1?", "q2?"], MockProvider(lambda request: reply))
+
+
+def test_an_answer_line_reads_no_further_than_its_section():
+    reply = "Question 1:\n1. Compare. (deductive)\nGenerated Answer:\nQuestion 2:\n1. Recall. (deductive)\n" \
+            "Generated Answer: b"
+    assert [answer for _, answer in build_strategy(["q1?", "q2?"], MockProvider(lambda request: reply))] == ["", "b"]
 
 
 def test_strategy_validation():
@@ -478,18 +560,45 @@ def test_reference_docs_one_per_subquestion():
         prompts.append(request.prompt)
         return "1. The tower was finished in 1889.\n2. It stands 330 metres tall."
 
-    docs = build_reference_docs(strategy, MockProvider(reply))
-    assert docs == ["The tower was finished in 1889.", "It stands 330 metres tall."]
+    docs = build_reference_docs([strategy], MockProvider(reply))
+    assert docs == [["The tower was finished in 1889.", "It stands 330 metres tall."]]
     (prompt,) = prompts
-    assert prompt.endswith("\n1. When was the tower finished?\n2. How tall is it?\n")
+    assert prompt.endswith("\nQuestion 1:\n1. When was the tower finished?\n2. How tall is it?\n")
+
+
+def test_one_reference_reply_serves_strategies_of_2_1_and_3_steps():
+    strategies = [ReasoningStrategy(tuple(f"q{k}.{n}?" for n in range(1, steps + 1)), (ReasoningSkill.DEDUCTIVE,) * steps)
+                  for k, steps in enumerate((2, 1, 3), start=1)]
+    prompts = []
+
+    def reply(request):
+        prompts.append(request.prompt)
+        return "\n".join(f"Question {k}:" + "".join(f"\n{n}. Fact {k}.{n}." for n in range(1, len(s.subquestions) + 1))
+                         for k, s in enumerate(strategies, start=1))
+
+    assert build_reference_docs(strategies, MockProvider(reply)) == [
+        ["Fact 1.1.", "Fact 1.2."], ["Fact 2.1."], ["Fact 3.1.", "Fact 3.2.", "Fact 3.3."]]
+    assert prompts == [reference_prompt(*strategies)]
+    assert prompts[0].endswith("\nQuestion 1:\n1. q1.1?\n2. q1.2?\nQuestion 2:\n1. q2.1?\n"
+                               "Question 3:\n1. q3.1?\n2. q3.2?\n3. q3.3?\n")
+
+
+@pytest.mark.parametrize("passages", ["1. Fact.\n2. Fact.", "1. Fact.\n3. Fact.\n2. Fact.", "2. Fact.\n3. Fact."],
+                         ids=["two-for-three", "out-of-order", "one-based-from-2"])
+def test_a_section_that_misnumbers_its_passages_refuses_the_reference_reply(passages):
+    strategies = [ReasoningStrategy(("a?",), (ReasoningSkill.DEDUCTIVE,)), THREE_STEPS]
+    reply = f"Question 1:\n1. Fact.\nQuestion 2:\n{passages}"
+    with pytest.raises(ProviderError, match="^reference reply section 2 does not number one passage per step, 1 to 3: "):
+        build_reference_docs(strategies, MockProvider(lambda request: reply))
 
 
 THREE_STEPS = ReasoningStrategy(("a?", "b?", "c?"), (ReasoningSkill.DEDUCTIVE,) * 3)
+ONE_STEP = ReasoningStrategy(("a?",), (ReasoningSkill.DEDUCTIVE,))
 
 
 # a reference reply to THREE_STEPS -> the passages read from it, or None where it is a ProviderError
 REFERENCE_REPLIES = {
-    "canned": (canned_reply(CompletionRequest("1. a?\n2. b?\n3. c?", tag="reference")),
+    "canned": (canned_reply(CompletionRequest(reference_prompt(THREE_STEPS), tag="reference")),
                ["The fact needed for this step is stated plainly in standard reference material."] * 3),
     "paren-numbers": ("1) Alpha.\n2) Beta.\n3) Gamma.", ["Alpha.", "Beta.", "Gamma."]),
     "preface-line": ("Here are the passages:\n1. Alpha.\n2. Beta.\n3. Gamma.", ["Alpha.", "Beta.", "Gamma."]),
@@ -508,34 +617,43 @@ REFERENCE_REPLIES = {
 def test_a_reference_reply_is_read_as_numbered_or_refused(reply, passages):
     provider = MockProvider(lambda request: reply)
     if passages is None:
-        with pytest.raises(ProviderError, match="^reference reply does not number one passage per step, 1 to 3:"):
-            build_reference_docs(THREE_STEPS, provider)
+        with pytest.raises(ProviderError, match="^reference reply section 1 does not number one passage per step, 1 to 3:"):
+            build_reference_docs([THREE_STEPS], provider)
     else:
-        assert build_reference_docs(THREE_STEPS, provider) == passages
+        assert build_reference_docs([THREE_STEPS], provider) == [passages]
 
 
-@pytest.mark.parametrize("steps", [1, 2, 3, 4, 5])
-def test_synthesize_example_makes_two_calls_whatever_its_steps(steps):
-    subquestions = [f"Which fact number {n} matters?" for n in range(1, steps + 1)]
-    strategy_reply = "".join(f"{n}. {q} (deductive)\n" for n, q in enumerate(subquestions, 1))
+@pytest.mark.parametrize("steps", [(1,), (5,), (2, 1, 3), (3, 3), (1, 2, 3, 4, 5), (2,) * 10])
+def test_synthesize_example_makes_two_calls_whatever_its_candidates_and_steps(steps):
+    questions = [f"Which is candidate {k}?" for k in range(1, len(steps) + 1)]
+    subquestions = [[f"Which fact {k}.{n} matters?" for n in range(1, count + 1)] for k, count in enumerate(steps, 1)]
+    strategy_reply = "\n".join(f"Question {k}:" + "".join(f"\n{n}. {q} (deductive)" for n, q in enumerate(qs, 1))
+                               + f"\nGenerated Answer: answer {k}" for k, qs in enumerate(subquestions, 1))
     requests = []
 
     def reply(request):
         requests.append(request)
-        return strategy_reply + "Generated Answer: x" if request.tag == "strategy" else canned_reply(request)
+        return strategy_reply if request.tag == "strategy" else canned_reply(request)
 
-    example = synthesize_example("q?", MockProvider(reply))
+    examples = synthesize_example(questions, MockProvider(reply))
     assert [r.tag for r in requests] == ["strategy", "reference"]
-    listed = requests[1].prompt.split("Questions:\n", 1)[1]
-    assert listed == "".join(f"{n}. {q}\n" for n, q in enumerate(subquestions, 1))
-    assert example.strategy.subquestions == tuple(subquestions)
-    assert len(example.reference_docs) == steps
+    assert requests[0].prompt == strategy_prompt(*questions)
+    strategies = [ReasoningStrategy(qs, (ReasoningSkill.DEDUCTIVE,) * len(qs)) for qs in subquestions]
+    assert requests[1].prompt == reference_prompt(*strategies)
+    assert [(e.question, e.strategy, len(e.reference_docs), e.answer) for e in examples] == [
+        (q, s, len(s.subquestions), f"answer {k}") for k, (q, s) in enumerate(zip(questions, strategies), start=1)]
+
+
+def test_a_canned_synthesis_gives_every_candidate_the_same_example():
+    examples = synthesize_example(["q1?", "q2?", "q3?"], CannedProvider())
+    assert [e.question for e in examples] == ["q1?", "q2?", "q3?"]
+    assert len({(e.strategy, e.reference_docs, e.answer) for e in examples}) == 1
 
 
 def test_reference_docs_reject_empty_replies():
     strategy = ReasoningStrategy(("a?",), (ReasoningSkill.DEDUCTIVE,))
     with pytest.raises(ProviderError):
-        build_reference_docs(strategy, MockProvider(lambda request: "   "))
+        build_reference_docs([strategy], MockProvider(lambda request: "   "))
 
 
 def test_similar_example_validates_shape():
@@ -556,7 +674,7 @@ def test_synthesize_example_end_to_end_with_mock():
         "3. The patent office recorded the filing.\n"
         "4. The record survives today.",
     ))
-    example = synthesize_example("Who invented the telephone?", provider)
+    [example] = synthesize_example(["Who invented the telephone?"], provider)
     assert example.question == "Who invented the telephone?"
     assert example.answer == "Alexander Graham Bell"
     assert example.reference_docs == ("Bell filed the telephone patent in 1876.", "A patent names its inventor.",
@@ -578,7 +696,10 @@ _REPLY_LINE = st.one_of(
         st.text(_LINE, max_size=30),
         st.sampled_from(_SKILL_LABELS) | st.text(_LINE, max_size=12),
     ),
-    st.builds("Generated Answer: {}".format, st.text(max_size=30)),
+    st.builds("{}Generated Answer:{} {}".format, st.sampled_from(["", "**"]), st.sampled_from(["", "**"]),
+              st.text(max_size=30)),
+    st.builds("{}Question {}:{}".format, st.sampled_from(["", "**", "  "]), st.integers(0, 4),
+              st.sampled_from(["", "**", ' "Which is older?"']) | st.text(_LINE, max_size=20)),
     st.lists(
         st.tuples(st.sampled_from(_SLOTS) | st.text(_LINE, max_size=8), st.text(_LINE, max_size=12)),
         max_size=4,
@@ -600,7 +721,11 @@ def test_reply_parsers_raise_nothing_but_package_errors(reply):
         lambda: score_candidates(EIFFEL, [CandidateQuestion("Which is older?", ConstructionMode.GUIDED_FILL)], provider),
         lambda: score_candidates(EIFFEL, [CandidateQuestion(q, ConstructionMode.GUIDED_FILL) for q in "abc"], provider),
         lambda: generate_candidates(_EIFFEL_TEMPLATE, ConstructionMode.GUIDED_FILL, 3, provider=provider),
-        lambda: build_reference_docs(THREE_STEPS, provider),
+        lambda: build_strategy(["Which is older?"], provider),
+        lambda: build_strategy(["a", "b", "c"], provider),
+        lambda: build_reference_docs([THREE_STEPS], provider),
+        lambda: build_reference_docs([THREE_STEPS, ONE_STEP, THREE_STEPS], provider),
+        lambda: synthesize_example(["a", "b", "c"], provider),
     ]
     for parse in parsers:
         try:

@@ -14,6 +14,7 @@ import gc
 import json
 import os
 import random
+import re
 import sys
 import threading
 import time
@@ -212,17 +213,20 @@ def test_a_stage_makes_every_call_on_the_calling_thread():
         threads.append(threading.get_ident())
         return {
             "similarity": "1. Score: 8\n2. Score: 8",
-            "strategy": "1. How tall? (deductive)\n2. How old? (inductive)\nGenerated Answer: x",
-            "reference": "1. It stands 330 metres tall.\n2. It opened in 1889.",
+            "strategy": "Question 1:\n1. How tall? (deductive)\n2. How old? (inductive)\nGenerated Answer: x\n"
+                        "Question 2:\n1. How tall? (deductive)\nGenerated Answer: y",
+            "reference": "Question 1:\n1. It stands 330 metres tall.\n2. It opened in 1889.\n"
+                         "Question 2:\n1. It stands 330 metres tall.",
             "segment": "It stands 330 metres tall.",
         }.get(request.tag, "<answer>330 metres</answer>")
 
     provider = MockProvider(reply)
     candidates = [CandidateQuestion(q, ConstructionMode.GUIDED_FILL) for q in ("q one", "q two")]
     score_candidates("orig", candidates, provider)
-    synthesize_example("q one", provider)
+    synthesize_example(["q one", "q two"], provider)
     answer("How tall?", DOC, make_example([S.DEDUCTIVE, S.INDUCTIVE]), provider)
-    # one call scores both candidates; a strategy and one reference call for both steps; two extractions and the answer
+    # one call scores both candidates; one strategy and one reference call for both candidates and all their steps;
+    # two extractions and the answer
     assert threads == [threading.get_ident()] * 6
 
 
@@ -415,7 +419,7 @@ def test_an_unexpected_error_leaves_the_same_work_done_at_every_parallelism(tmp_
     assert run(4) == serial
 
 
-def test_a_failing_candidate_fails_its_question_before_the_next_candidate_is_sent(tmp_path, monkeypatch, capsys):
+def test_a_malformed_strategy_reply_fails_the_question_before_any_reference_call(tmp_path, monkeypatch, capsys):
     corpus = _landmark_corpus(tmp_path, 1)
     question = json.loads(Path(corpus).read_text(encoding="utf-8"))["question"]
     template = decompose_question(question)
@@ -430,7 +434,7 @@ def test_a_failing_candidate_fails_its_question_before_the_next_candidate_is_sen
             def _complete(self, request):
                 with lock:
                     sent[request.tag, request.prompt] += 1
-                if request.tag == "strategy" and f'Input Question: "{first}"' in request.prompt:
+                if request.tag == "strategy" and f'Question 1: "{first}"' in request.prompt:
                     return CompletionResult("No steps in this reply.", TokenUsage.of(1, 5))
                 return CannedProvider().complete(request)
 
@@ -441,8 +445,9 @@ def test_a_failing_candidate_fails_its_question_before_the_next_candidate_is_sen
         return sent, capsys.readouterr().err
 
     serial = run(1)
-    assert "[generate] question q0: reply contains no numbered steps" in serial[1]
-    # candidate 0's strategy was the question's last request: candidate 1 sent neither of its kinds
+    assert ("[generate] question q0: strategy reply does not head one section per question: 'No steps in this reply.'"
+            in serial[1])
+    # the question's one strategy request, for all its kept candidates, was its last request
     assert sum(n for (tag, _), n in serial[0].items() if tag == "strategy") == 1
     assert sum(n for (tag, _), n in serial[0].items() if tag == "reference") == 0
     assert run(3) == serial
@@ -498,8 +503,8 @@ class JitteryBackend(Provider):
 
 def _numbered_notes(request, arrival: int) -> str:
     """A reference reply to request that names, for each of its steps, the arrival number of its prompt."""
-    steps = len(canned_reply(request).splitlines())
-    return "\n".join(f"{n}. Reference note number {arrival} for this step." for n in range(1, steps + 1))
+    return re.sub(r"^(\d+)\. .*$", rf"\1. Reference note number {arrival} for this step.", canned_reply(request),
+                  flags=re.MULTILINE)
 
 
 def _recorded_runs(tmp_path, monkeypatch, command, argv, outputs, seeds=range(5)):
@@ -572,10 +577,9 @@ def test_generate_record_and_replay_are_byte_identical_under_jitter(tmp_path, mo
 
     for recorded, _ in _recorded_runs(tmp_path, monkeypatch, "generate", argv, outputs):
         examples = json.loads(recorded)["q1"]["examples"]
-        # both candidates send one reference prompt, the same for both, the first candidate first
+        # the question's one reference reply gives both candidates their passages
         assert [example["reference_docs"] for example in examples] == [
-            [f"Reference note number {n} for this step."] * 2 for n in (0, 1)
-        ]
+            ["Reference note number 0 for this step."] * 2] * 2
 
 
 class ArrivalOrder(Provider):

@@ -118,7 +118,7 @@ BUNDLED_TEMPLATE_SLOTS = {
     "entity_substitution": {"template_text", "slot_lines", "count"},
     "template_variation": {"question", "template_text", "count"},
     "similarity_scoring": {"original_question", "candidate_questions"},
-    "strategy_generation": {"skill_catalog", "question"},
+    "strategy_generation": {"skill_catalog", "questions"},
     "reference_document": {"subquestions"},
     "segment_extraction": {"question_line", "skill_name", "skill_description", "document"},
     "guided_answer": {"question", "documents", "reasoning_path", "skills", "demonstration"},
